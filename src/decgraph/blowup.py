@@ -117,10 +117,6 @@ def blowup_sites(g: DecoratedGraph, delta) -> list[BlowupSite]:
     return sites
 
 
-def _next_index(g: DecoratedGraph) -> int:
-    return g.model.k + 1
-
-
 def apply_blowup(g: DecoratedGraph, request: BlowupRequest) -> DecoratedGraph:
     """Rewrite the graph for one equivariant blowup; exact bookkeeping.
 
@@ -140,13 +136,18 @@ def apply_blowup(g: DecoratedGraph, request: BlowupRequest) -> DecoratedGraph:
             bound=live.max_admissible,
         )
 
-    e_idx = _next_index(g)
+    e_idx = g.model.k + 1
     model = g.model.extend()
     omega = g.omega.extend(delta)
     emb = lambda c: c.embed(model)
     Ee = model.exceptional(e_idx)
     step = len(g.ledger) + 1
-    vertices = [Vertex(w.vid, w.moment, w.fat and FatData(w.fat.size, w.fat.genus, emb(w.fat.cls))) for w in g.vertices]
+    # Isolated vertices carry no class, so the child shares them unchanged.
+    vertices = [
+        w if w.fat is None
+        else Vertex(w.vid, w.moment, FatData(w.fat.size, w.fat.genus, emb(w.fat.cls)))
+        for w in g.vertices
+    ]
     edges = [Edge(e.bottom, e.top, e.label, emb(e.cls)) for e in g.edges]
     fiber = emb(g.fiber)
     vmin, vmax = g.min_vertex.vid, g.max_vertex.vid

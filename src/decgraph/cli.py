@@ -7,9 +7,9 @@ import json
 import os
 import sys
 
-from .cone import cone_membership, nakai_check
+from .cone import ConeWitness, cone_membership, nakai_check
 from .enumeration import EnumerationResult, enumerate_graphs, enumerate_levels
-from .graphs import parse_graph
+from .graphs import GraphError, parse_graph
 from .lattice import SurfaceModel, classify_negative, enumerate_negative_classes, rat_str
 from .obstruct import check_nonextension
 from .scenarios import (
@@ -45,6 +45,25 @@ def _write_report(report: dict, out_dir: str | None):
     sys.stdout.write(text)
 
 
+def _read_graphs(directory: str) -> list:
+    """Parse every .txt graph file of the directory, in name order.
+
+    An empty replay would certify nothing, so no graph file is an error.
+    """
+    graphs = []
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".txt"):
+            path = os.path.join(directory, name)
+            try:
+                with open(path, encoding="utf-8") as fh:
+                    graphs.append(parse_graph(fh.read()))
+            except (UnicodeDecodeError, GraphError) as exc:
+                raise GraphError(f"{path}: {exc}") from None
+    if not graphs:
+        raise GraphError(f"no .txt graph file in {directory}")
+    return graphs
+
+
 def cmd_enumerate(args) -> int:
     scenario = _load(args)
     result = enumerate_graphs(scenario.enumeration_spec())
@@ -63,11 +82,11 @@ def cmd_enumerate(args) -> int:
 def cmd_verify(args) -> int:
     scenario = _load(args)
     if args.graphs:
-        graphs = []
-        for name in sorted(os.listdir(args.graphs)):
-            if name.endswith(".txt"):
-                with open(os.path.join(args.graphs, name), encoding="utf-8") as fh:
-                    graphs.append(parse_graph(fh.read()))
+        try:
+            graphs = _read_graphs(args.graphs)
+        except (OSError, GraphError) as exc:
+            print(f"graph error: {exc}", file=sys.stderr)
+            return 2
         result = EnumerationResult(tuple(graphs), ())
         obstruction = check_nonextension(
             result, scenario.required_classes(), scenario.n, scenario.mode
@@ -116,7 +135,7 @@ def cmd_cone(args) -> int:
     ok = True
     for name in targets:
         outcome = cone_membership(gens.model.parse(name), gens)
-        if hasattr(outcome, "coefficients"):
+        if isinstance(outcome, ConeWitness):
             combo = " + ".join(
                 f"{rat_str(a)}*({g})"
                 for a, g in zip(outcome.coefficients, gens.generators)

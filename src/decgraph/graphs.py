@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .lattice import (
@@ -37,14 +38,14 @@ class GraphError(ValueError):
     """Raised on malformed graph constructions and invalid parameters."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FatData:
     size: Fraction
     genus: int
     cls: HomologyClass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vertex:
     vid: str
     moment: Fraction
@@ -59,7 +60,7 @@ class Vertex:
         return int(self.vid.split(".")[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     bottom: str
     top: str
@@ -83,6 +84,14 @@ class LedgerEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class DecoratedGraph:
+    """An immutable decorated graph.
+
+    ``vertices`` are sorted by (moment, vid), as ``build`` makes them, so the
+    extrema are the first and the last vertex.  The vid -> vertex map and the
+    edges above and below each vertex are indexed once per graph, on first
+    use.
+    """
+
     model: SurfaceModel
     omega: CohomologyVector
     vertices: tuple[Vertex, ...]
@@ -98,35 +107,52 @@ class DecoratedGraph:
         )
         return DecoratedGraph(model, omega, vertices, edges, tuple(ledger), fiber)
 
+    @cached_property
+    def _by_vid(self) -> dict[str, Vertex]:
+        index: dict[str, Vertex] = {}
+        for v in reversed(self.vertices):  # the first vertex of an id wins
+            index[v.vid] = v
+        return index
+
+    @cached_property
+    def _adjacency(self) -> tuple[dict, dict]:
+        above: dict[str, tuple[Edge, ...]] = {}
+        below: dict[str, tuple[Edge, ...]] = {}
+        for e in self.edges:
+            above[e.bottom] = above.get(e.bottom, ()) + (e,)
+            below[e.top] = below.get(e.top, ()) + (e,)
+        return above, below
+
     def vertex(self, vid: str) -> Vertex:
-        for v in self.vertices:
-            if v.vid == vid:
-                return v
-        raise GraphError(f"no vertex {vid!r}")
+        try:
+            return self._by_vid[vid]
+        except KeyError:
+            raise GraphError(f"no vertex {vid!r}") from None
 
     @property
     def min_vertex(self) -> Vertex:
-        return min(self.vertices, key=lambda v: (v.moment, v.vid))
+        return self.vertices[0]
 
     @property
     def max_vertex(self) -> Vertex:
-        return max(self.vertices, key=lambda v: (v.moment, v.vid))
+        return self.vertices[-1]
 
     @property
     def span(self) -> Fraction:
-        return self.max_vertex.moment - self.min_vertex.moment
+        return self.vertices[-1].moment - self.vertices[0].moment
 
     def is_extremal(self, vid: str) -> bool:
-        return vid in (self.min_vertex.vid, self.max_vertex.vid)
+        return vid == self.vertices[0].vid or vid == self.vertices[-1].vid
 
-    def edges_above(self, vid: str) -> list[Edge]:
-        return [e for e in self.edges if e.bottom == vid]
+    def edges_above(self, vid: str) -> tuple[Edge, ...]:
+        return self._adjacency[0].get(vid, ())
 
-    def edges_below(self, vid: str) -> list[Edge]:
-        return [e for e in self.edges if e.top == vid]
+    def edges_below(self, vid: str) -> tuple[Edge, ...]:
+        return self._adjacency[1].get(vid, ())
 
     def interior_vertices(self) -> list[Vertex]:
-        return [v for v in self.vertices if not v.is_fat and not self.is_extremal(v.vid)]
+        lo, hi = self.vertices[0].vid, self.vertices[-1].vid
+        return [v for v in self.vertices if v.fat is None and v.vid != lo and v.vid != hi]
 
     def area(self, e: Edge) -> Fraction:
         return pair(self.omega, e.cls)
@@ -141,26 +167,34 @@ def validate(g: DecoratedGraph) -> list[str]:
     bad: list[str] = []
     if g.omega.model != g.model:
         return [f"class vector is for {g.omega.model}, graph is for {g.model}"]
-    if not g.vertices:
+    vs = g.vertices
+    if not vs:
         return ["graph has no vertices"]
-    mmin = min(v.moment for v in g.vertices)
-    mmax = max(v.moment for v in g.vertices)
+    # Vertices are sorted by moment: the minima are vs[:lo], the maxima vs[hi:].
+    n = len(vs)
+    mmin, mmax = vs[0].moment, vs[-1].moment
+    lo = 1
+    while lo < n and vs[lo].moment == mmin:
+        lo += 1
+    hi = n - 1
+    while hi > 0 and vs[hi - 1].moment == mmax:
+        hi -= 1
     if mmin == mmax:
         bad.append("minimum and maximum must be attained at distinct levels")
-    if sum(1 for v in g.vertices if v.moment == mmin) != 1:
+    if lo != 1:
         bad.append("minimum attained on more than one component")
-    if sum(1 for v in g.vertices if v.moment == mmax) != 1:
+    if hi != n - 1:
         bad.append("maximum attained on more than one component")
 
-    ids = [v.vid for v in g.vertices]
-    if len(set(ids)) != len(ids):
+    known = g._by_vid
+    if len(known) != n:
         bad.append("duplicate vertex ids")
-    for v in g.vertices:
+    for i, v in enumerate(vs):
         if v.fat is None:
             continue
         if v.fat.size <= 0:
             bad.append(f"fat vertex {v.vid} has nonpositive size")
-        if v.moment not in (mmin, mmax):
+        if lo <= i < hi:
             bad.append(f"fat vertex {v.vid} sits at an interior moment value")
         if v.fat.genus < 0:
             bad.append(f"fat vertex {v.vid} has negative genus")
@@ -169,37 +203,39 @@ def validate(g: DecoratedGraph) -> list[str]:
         elif pair(g.omega, v.fat.cls) != v.fat.size:
             bad.append(f"fat vertex {v.vid} size disagrees with its class area")
 
-    known = set(ids)
+    def flag(e: Edge, what: str) -> None:
+        bad.append(f"edge {e.cls}({e.label}) {what}")
+
     for e in g.edges:
-        tag = f"edge {e.cls}({e.label})"
         if e.bottom not in known or e.top not in known:
-            bad.append(f"{tag} references a missing vertex")
+            flag(e, "references a missing vertex")
             continue
         if e.bottom == e.top:
-            bad.append(f"{tag} is a loop")
+            flag(e, "is a loop")
             continue
-        vb, vt = g.vertex(e.bottom), g.vertex(e.top)
+        vb, vt = known[e.bottom], known[e.top]
         if not isinstance(e.label, int) or e.label < 1:
-            bad.append(f"{tag} has a non-positive label")
+            flag(e, "has a non-positive label")
             continue
         if vt.moment <= vb.moment:
-            bad.append(f"{tag} does not increase the moment value")
-        if e.cls.model != g.model:
-            bad.append(f"{tag} class is in the wrong lattice")
+            flag(e, "does not increase the moment value")
+        if e.cls.model is not g.model and e.cls.model != g.model:
+            flag(e, "class is in the wrong lattice")
             continue
-        if vt.moment - vb.moment != e.label * pair(g.omega, e.cls):
-            bad.append(f"{tag} breaks the area rule (gap != label * area)")
+        gap, area = vt.moment - vb.moment, pair(g.omega, e.cls)
+        if gap.numerator * area.denominator != e.label * area.numerator * gap.denominator:
+            flag(e, "breaks the area rule (gap != label * area)")
         if adjunction_genus(e.cls) != 0:
-            bad.append(f"{tag} class is not an embedded-sphere class")
+            flag(e, "class is not an embedded-sphere class")
         if (vb.is_fat or vt.is_fat) and e.label != 1:
-            bad.append(f"{tag} touches a fixed surface with label > 1")
+            flag(e, "touches a fixed surface with label > 1")
 
-    for v in g.vertices:
+    for i, v in enumerate(vs):
         if v.is_fat:
             continue
         above = g.edges_above(v.vid)
         below = g.edges_below(v.vid)
-        if v.moment not in (mmin, mmax):
+        if lo <= i < hi:
             if len(above) != 1 or len(below) != 1:
                 bad.append(
                     f"interior vertex {v.vid} needs exactly one edge above and below"
@@ -377,12 +413,13 @@ def break_free_edges(g: DecoratedGraph) -> DecoratedGraph:
 def strip_redundant(g: DecoratedGraph) -> DecoratedGraph:
     """Drop label-1 edges joining the minimum directly to the maximum."""
     vmin, vmax = g.min_vertex.vid, g.max_vertex.vid
-    edges = [
+    edges = tuple(
         e
         for e in g.edges
         if not (e.label == 1 and e.bottom == vmin and e.top == vmax)
-    ]
-    return DecoratedGraph.build(g.model, g.omega, g.vertices, edges, g.ledger, g.fiber)
+    )
+    # A subset of sorted edges on the same vertices is already in build order.
+    return DecoratedGraph(g.model, g.omega, g.vertices, edges, g.ledger, g.fiber)
 
 
 def translate(g: DecoratedGraph, base=Fraction(0)) -> DecoratedGraph:
@@ -390,8 +427,9 @@ def translate(g: DecoratedGraph, base=Fraction(0)) -> DecoratedGraph:
     shift = rat(base) - g.min_vertex.moment
     if shift == 0:
         return g
-    vertices = [Vertex(v.vid, v.moment + shift, v.fat) for v in g.vertices]
-    return DecoratedGraph.build(g.model, g.omega, vertices, g.edges, g.ledger, g.fiber)
+    # A common shift keeps the (moment, vid) order, so no re-sort is needed.
+    vertices = tuple(Vertex(v.vid, v.moment + shift, v.fat) for v in g.vertices)
+    return DecoratedGraph(g.model, g.omega, vertices, g.edges, g.ledger, g.fiber)
 
 
 def flip(g: DecoratedGraph) -> DecoratedGraph:
@@ -412,6 +450,7 @@ def canonical_lines(g: DecoratedGraph, with_ledger: bool = True) -> list[str]:
     regardless of construction history.
     """
     vmin, vmax = g.min_vertex, g.max_vertex
+    moment_text = {vid: str(v.moment) for vid, v in g._by_vid.items()}
     chains = []
     for start in sorted(
         g.edges_above(vmin.vid), key=lambda e: (e.cls.coeffs, e.label, e.top)
@@ -427,12 +466,10 @@ def canonical_lines(g: DecoratedGraph, with_ledger: bool = True) -> list[str]:
         raise GraphError("cannot serialize: edges outside min-to-max chains")
 
     def edge_rec(e: Edge) -> tuple:
-        return (
-            str(g.vertex(e.bottom).moment),
-            str(g.vertex(e.top).moment),
-            e.label,
-            e.cls.coeffs,
-        )
+        try:
+            return (moment_text[e.bottom], moment_text[e.top], e.label, e.cls.coeffs)
+        except KeyError as exc:
+            raise GraphError(f"no vertex {exc.args[0]!r}") from None
 
     chains.sort(key=lambda ch: [edge_rec(e) for e in ch])
 
@@ -470,46 +507,54 @@ def canonical_text(g: DecoratedGraph, with_ledger: bool = True) -> str:
 
 
 def parse_graph(text: str) -> DecoratedGraph:
-    """Rebuild a graph from its serialized form."""
+    """Rebuild a graph from its serialized form.
+
+    Raises GraphError, naming the line, on any malformed record.
+    """
     model = omega = None
     verts: dict[int, Vertex] = {}
     edges: list[Edge] = []
     ledger: list[LedgerEntry] = []
     fiber = None
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line == "C":
             continue
         tag, _, rest = line.partition(" ")
-        if tag == "MODEL":
-            parts = rest.split()
-            kind = parts[0]
-            opts = dict(p.split("=") for p in parts[1:])
-            model = SurfaceModel(kind, int(opts["k"]), int(opts.get("genus", 0)))
-        elif tag == "OMEGA":
-            head, _, tail = rest.strip("()").partition(";")
-            entries = [rat(x) for x in head.split(",")]
-            entries += [rat(x) for x in tail.split(",") if x]
-            omega = CohomologyVector(model, tuple(entries))
-        elif tag == "V":
-            parts = rest.split()
-            idx, moment, kind = int(parts[0]), rat(parts[1]), parts[2]
-            fat = None
-            if kind == "fat":
-                opts = dict(p.split("=", 1) for p in parts[3:])
-                fat = FatData(
-                    rat(opts["size"]), int(opts["genus"]), model.parse(opts["class"])
+        if model is None and tag in ("OMEGA", "V", "E", "FIBER"):
+            raise GraphError(f"line {number}: {tag} record before the MODEL record")
+        try:
+            if tag == "MODEL":
+                parts = rest.split()
+                kind = parts[0]
+                opts = dict(p.split("=") for p in parts[1:])
+                model = SurfaceModel(kind, int(opts["k"]), int(opts.get("genus", 0)))
+            elif tag == "OMEGA":
+                head, _, tail = rest.strip("()").partition(";")
+                entries = [rat(x) for x in head.split(",")]
+                entries += [rat(x) for x in tail.split(",") if x]
+                omega = CohomologyVector(model, tuple(entries))
+            elif tag == "V":
+                parts = rest.split()
+                idx, moment, kind = int(parts[0]), rat(parts[1]), parts[2]
+                fat = None
+                if kind == "fat":
+                    opts = dict(p.split("=", 1) for p in parts[3:])
+                    fat = FatData(
+                        rat(opts["size"]), int(opts["genus"]), model.parse(opts["class"])
+                    )
+                verts[idx] = Vertex(f"0.v{idx}", moment, fat)
+            elif tag == "E":
+                b, t, label, cls = rest.split()
+                edges.append(
+                    Edge(f"0.v{int(b)}", f"0.v{int(t)}", int(label), model.parse(cls))
                 )
-            verts[idx] = Vertex(f"0.v{idx}", moment, fat)
-        elif tag == "E":
-            b, t, label, cls = rest.split()
-            edges.append(
-                Edge(f"0.v{int(b)}", f"0.v{int(t)}", int(label), model.parse(cls))
-            )
-        elif tag == "FIBER":
-            fiber = model.parse(rest)
-        elif tag == "LEDGER":
-            ledger = [LedgerEntry.parse(p) for p in rest.split()] if rest else []
+            elif tag == "FIBER":
+                fiber = model.parse(rest)
+            elif tag == "LEDGER":
+                ledger = [LedgerEntry.parse(p) for p in rest.split()] if rest else []
+        except (ValueError, KeyError, IndexError, ZeroDivisionError) as exc:
+            raise GraphError(f"line {number}: malformed {tag} record: {exc}") from None
     if model is None or omega is None or fiber is None:
         raise GraphError("incomplete graph record")
     return DecoratedGraph.build(model, omega, verts.values(), edges, ledger, fiber)
@@ -546,6 +591,8 @@ def equivalent(g1: DecoratedGraph, g2: DecoratedGraph) -> bool:
 
 def permute_exceptionals(g: DecoratedGraph, perm: dict[int, int]) -> DecoratedGraph:
     """Apply a permutation of exceptional indices to every class in sight."""
+    if not perm:
+        return g
     head = 1 if g.model.kind == RATIONAL else 2
 
     def permute_cls(c: HomologyClass) -> HomologyClass:

@@ -9,14 +9,21 @@ Sizes and cohomology classes are normalized so that every size label in a
 decorated graph is the pairing of the class vector with the sphere's homology
 class.  Class vectors are written (lam; d1..dk) for the plane model and
 (lamF, lamB; d1..dk) for the ruled model.
+
+Inside the kernel a class vector is held as integer weights over one common
+denominator D, so a pairing is one integer dot product and one ``Fraction``;
+``Fraction`` values appear only where pairings leave the kernel.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
 
 RATIONAL = "rational"
@@ -72,18 +79,22 @@ class SurfaceModel:
         if self.kind == RATIONAL and self.genus != 0:
             raise LatticeError("plane model carries no genus")
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return (1 if self.kind == RATIONAL else 2) + self.k
 
-    @property
+    @cached_property
     def basis_names(self) -> tuple[str, ...]:
         head = ("L",) if self.kind == RATIONAL else ("B", "F")
         return head + tuple(f"E{i}" for i in range(1, self.k + 1))
 
-    def extend(self) -> "SurfaceModel":
-        """The model with one more exceptional class."""
+    @cached_property
+    def _extended(self) -> "SurfaceModel":
         return SurfaceModel(self.kind, self.k + 1, self.genus)
+
+    def extend(self) -> "SurfaceModel":
+        """The model with one more exceptional class, one object per model."""
+        return self._extended
 
     def as_json(self) -> dict:
         return {"kind": self.kind, "k": self.k, "genus": self.genus}
@@ -120,7 +131,7 @@ class SurfaceModel:
 _TERM = re.compile(r"([+-]?)(\d*)(L|B|F|E(\d+))")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HomologyClass:
     """An integer class in the fixed basis of a surface model."""
 
@@ -132,7 +143,7 @@ class HomologyClass:
             raise LatticeError(
                 f"coefficient vector of length {len(self.coeffs)} for {self.model}"
             )
-        if not all(isinstance(c, int) for c in self.coeffs):
+        if not all(map(isinstance, self.coeffs, itertools.repeat(int))):
             raise LatticeError("homology coefficients must be integers")
 
     @staticmethod
@@ -160,7 +171,7 @@ class HomologyClass:
         return HomologyClass(model, tuple(coeffs))
 
     def _check(self, other: "HomologyClass"):
-        if self.model != other.model:
+        if self.model is not other.model and self.model != other.model:
             raise LatticeError(f"model mismatch: {self.model} vs {other.model}")
 
     def __add__(self, other):
@@ -240,8 +251,20 @@ def chern_pairing(c: HomologyClass) -> int:
 
 
 def adjunction_genus(c: HomologyClass) -> Fraction:
-    """1 + (c.c - <c1,c>)/2; zero exactly for embedded sphere classes."""
-    return 1 + Fraction(intersect(c, c) - chern_pairing(c), 2)
+    """1 + (c.c - <c1,c>)/2; zero exactly for embedded sphere classes.
+
+    Integer work: with c = (a; e1..ek) in the plane model, c.c - <c1,c> is
+    a^2 - 3a - sum ei(ei + 1); with c = (b, f; e1..ek) in the ruled model it
+    is 2bf - 2b - (2-2g)f - sum ei(ei + 1).
+    """
+    x = c.coeffs
+    if c.model.kind == RATIONAL:
+        head = x[0] * (x[0] - 3)
+        start = 1
+    else:
+        head = 2 * x[0] * x[1] - 2 * x[1] - (2 - 2 * c.model.genus) * x[0]
+        start = 2
+    return Fraction(2 + head - sum(e * (e + 1) for e in x[start:]), 2)
 
 
 def classify_negative(c: HomologyClass) -> str:
@@ -257,7 +280,13 @@ def classify_negative(c: HomologyClass) -> str:
 
 @dataclass(frozen=True)
 class CohomologyVector:
-    """A class vector (lam; d1..dk) or (lamF, lamB; d1..dk), exact entries."""
+    """A class vector (lam; d1..dk) or (lamF, lamB; d1..dk), exact entries.
+
+    ``denominator`` is the least common denominator D of the entries and
+    ``weights`` are the integers D * <omega, basis class>, in the basis order
+    of ``HomologyClass.coeffs`` (so (lamB, lamF; d1..dk) for the ruled
+    model).
+    """
 
     model: SurfaceModel
     entries: tuple[Fraction, ...]
@@ -267,7 +296,15 @@ class CohomologyVector:
             raise LatticeError(
                 f"entry vector of length {len(self.entries)} for {self.model}"
             )
-        object.__setattr__(self, "entries", tuple(rat(x) for x in self.entries))
+        entries = tuple(rat(x) for x in self.entries)
+        object.__setattr__(self, "entries", entries)
+        den = math.lcm(*(x.denominator for x in entries))
+        scaled = [x.numerator * (den // x.denominator) for x in entries]
+        if self.model.kind == RULED:
+            scaled[0], scaled[1] = scaled[1], scaled[0]
+        object.__setattr__(self, "denominator", den)
+        object.__setattr__(self, "weights", tuple(scaled))
+        object.__setattr__(self, "_extensions", {})
 
     @staticmethod
     def rational(lam, deltas) -> "CohomologyVector":
@@ -290,13 +327,23 @@ class CohomologyVector:
         return self.deltas[i - 1]
 
     def extend(self, delta) -> "CohomologyVector":
-        return CohomologyVector(self.model.extend(), self.entries + (rat(delta),))
+        """Append one size; one shared object per (vector, size)."""
+        delta = rat(delta)
+        out = self._extensions.get(delta)
+        if out is None:
+            out = CohomologyVector(self.model.extend(), self.entries + (delta,))
+            self._extensions[delta] = out
+        return out
 
-    def __str__(self):
+    @cached_property
+    def _text(self) -> str:
         start = 1 if self.model.kind == RATIONAL else 2
         head = ",".join(rat_str(x) for x in self.entries[:start])
         tail = ",".join(rat_str(x) for x in self.entries[start:])
         return f"({head};{tail})"
+
+    def __str__(self):
+        return self._text
 
 
 def pair(omega: CohomologyVector, c: HomologyClass) -> Fraction:
@@ -304,14 +351,9 @@ def pair(omega: CohomologyVector, c: HomologyClass) -> Fraction:
 
     <omega, L> = lam, <omega, Ei> = di, <omega, B> = lamB, <omega, F> = lamF.
     """
-    if omega.model != c.model:
+    if omega.model is not c.model and omega.model != c.model:
         raise LatticeError(f"model mismatch: {omega.model} vs {c.model}")
-    if omega.model.kind == RATIONAL:
-        weights = omega.entries
-    else:
-        lam_f, lam_b = omega.entries[0], omega.entries[1]
-        weights = (lam_b, lam_f) + omega.entries[2:]
-    return sum((w * x for w, x in zip(weights, c.coeffs)), Fraction(0))
+    return Fraction(sum(map(mul, omega.weights, c.coeffs)), omega.denominator)
 
 
 def volume(omega: CohomologyVector) -> Fraction:

@@ -17,6 +17,7 @@ from fractions import Fraction
 from . import cone as cone_mod
 from .cone import GeneratorList, builtin_generator_lists, cone_membership, nakai_check
 from .enumeration import (
+    EnumerationError,
     EnumerationResult,
     EnumerationSpec,
     classify_sequence_types,
@@ -383,7 +384,7 @@ def run_scenario(scenario: Scenario) -> RunOutcome:
             cross_check_instantiation(
                 scenario.lam, scenario.base_deltas[0], scenario.reps, scenario.sizes
             )
-        except Exception as exc:  # loud failure: instantiation unsound
+        except EnumerationError as exc:  # loud failure: instantiation unsound
             cross_ok = False
             report["cross_check_error"] = str(exc)
         report["cross_check"] = gates["cross_check"] = cross_ok

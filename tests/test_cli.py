@@ -149,3 +149,66 @@ def test_mode_override_changes_the_verdict(tmp_path):
     # stabilizer-only certification cannot obstruct the pattern whose third
     # blowup sits at the point the second one created
     assert main(["verify", "--scenario", "ruled-three", "--mode", "stabilizer"]) == 1
+
+
+def test_cli_cone_reports_a_non_member(capsys):
+    assert main(["cone", "--scenario", "cp2-six", "L", "E1-L"]) == 1
+    out = capsys.readouterr().out
+    assert "L: member = " in out
+    assert "E1-L: not a member; separating functional" in out
+
+
+def test_verify_graphs_without_graph_files_exits_2(tmp_path, capsys):
+    (tmp_path / "manifest.json").write_text('{"count": 0, "files": []}\n')
+    assert main(["verify", "--scenario", "ruled-three", "--graphs", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "no .txt graph file" in captured.err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"garbage\n",
+        b"MODEL ruled k=1 genus=2\nOMEGA (1,1;x)\n",
+        b"MODEL ruled k=one\n",
+        b"V 0 0 isolated\n",
+        b"\xff\xfe\x00garbage",
+    ],
+)
+def test_verify_graphs_with_a_garbage_file_exits_2(tmp_path, capsys, content):
+    assert main(["verify", "--scenario", "ruled-three", "--out", str(tmp_path / "run")]) == 0
+    graphs = tmp_path / "run" / "graphs"
+    (graphs / "graph-000.txt").write_bytes(content)
+    capsys.readouterr()
+    assert main(["verify", "--scenario", "ruled-three", "--graphs", str(graphs)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("graph error: ") and "graph-000.txt" in captured.err
+
+
+def test_cross_check_failure_sets_its_gate_false(monkeypatch):
+    from decgraph import scenarios
+    from decgraph.enumeration import EnumerationError
+
+    def unsound(*args):
+        raise EnumerationError("site-kind trees differ")
+
+    monkeypatch.setattr(scenarios, "cross_check_instantiation", unsound)
+    outcome = scenarios.run_scenario(builtin_scenarios()["cp2-six"])
+    assert outcome.report["cross_check"] is False
+    assert outcome.report["gates"]["cross_check"] is False
+    assert outcome.report["cross_check_error"] == "site-kind trees differ"
+    assert not outcome.passed
+
+
+def test_cross_check_bug_is_not_read_as_a_failed_gate(monkeypatch):
+    from decgraph import scenarios
+
+    def broken(*args):
+        raise TypeError("a bug, not a verdict")
+
+    monkeypatch.setattr(scenarios, "cross_check_instantiation", broken)
+    with pytest.raises(TypeError):
+        scenarios.run_scenario(builtin_scenarios()["cp2-six"])

@@ -1,0 +1,65 @@
+"""Golden oracle: per-level counts and digests pinned for four scenarios.
+
+Each record in ``tests/golden/<scenario>.json`` holds the per-level
+``(sites, kept, merged)``, the final graph count, the SHA-256 of the sorted
+dedup keys of the final graphs and the SHA-256 of ``report.json`` as
+``decgraph verify --out`` writes it.  A kernel change that alters any count,
+any canonical key or any byte of the report fails here.
+
+Regenerate (only for an intended change of output) with::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from decgraph.enumeration import dedup_key
+from decgraph.scenarios import load_scenario, run_scenario
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SCENARIOS = ("cp2-six", "cp2-six-alt", "ruled-three", "ruled-general-4")
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def golden_record(name: str) -> dict:
+    scenario = load_scenario(name)
+    outcome = run_scenario(scenario)
+    keys = sorted(
+        dedup_key(g, scenario.permute_equal_sizes) for g in outcome.result.graphs
+    )
+    return {
+        "scenario": name,
+        "levels": [[lv.sites, lv.kept, lv.merged] for lv in outcome.result.branch_log],
+        "final_count": len(outcome.result.graphs),
+        "dedup_keys_sha256": _sha256(json.dumps(keys)),
+        "report_sha256": _sha256(json.dumps(outcome.report, indent=2, sort_keys=True) + "\n"),
+    }
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_golden_record(name):
+    pinned = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    assert golden_record(name) == pinned
+
+
+def test_golden_reference_counts():
+    """The counts quoted in the roadmap, read from the pinned records."""
+    six = json.loads((GOLDEN / "cp2-six.json").read_text(encoding="utf-8"))
+    assert [kept for _, kept, _ in six["levels"]] == [19, 15, 2, 7, 26]
+    r4 = json.loads((GOLDEN / "ruled-general-4.json").read_text(encoding="utf-8"))
+    assert r4["final_count"] == 317
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name in SCENARIOS:
+        text = json.dumps(golden_record(name), indent=2, sort_keys=True) + "\n"
+        (GOLDEN / f"{name}.json").write_text(text, encoding="utf-8")
+        print(f"wrote {name}")
