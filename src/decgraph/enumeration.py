@@ -23,6 +23,7 @@ from .graphs import (
     canonical_text,
     generic_form,
     normal_form,
+    normal_key,
     permute_exceptionals,
 )
 from .lattice import pair, rat
@@ -95,13 +96,14 @@ def _permutation_group(g: DecoratedGraph):
 
 
 def dedup_key(g: DecoratedGraph, permute_equal_sizes: bool = True) -> str:
-    """Smallest canonical text over the allowed relabelings."""
-    if not permute_equal_sizes:
-        return canonical_text(normal_form(g), with_ledger=False)
-    return min(
-        canonical_text(normal_form(permute_exceptionals(g, perm)), with_ledger=False)
-        for perm in _permutation_group(g)
-    )
+    """Smallest normal-form text over the allowed relabelings.
+
+    Each relabeling contributes its up and down records, read from one graph
+    without building the flip; each class is formatted once per key.
+    """
+    perms = _permutation_group(g) if permute_equal_sizes else ({},)
+    class_text: dict = {}
+    return min(normal_key(permute_exceptionals(g, perm), class_text) for perm in perms)
 
 
 def _dedup(graphs, permute: bool):

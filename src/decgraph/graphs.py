@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import NamedTuple
 
 from .lattice import (
@@ -27,10 +28,10 @@ from .lattice import (
     HomologyClass,
     LatticeError,
     SurfaceModel,
-    adjunction_genus,
     pair,
     rat,
     rat_str,
+    twice_adjunction_genus,
 )
 
 
@@ -189,10 +190,14 @@ def validate(g: DecoratedGraph) -> list[str]:
     known = g._by_vid
     if len(known) != n:
         bad.append("duplicate vertex ids")
+    # A class pairs with omega to (weights . coeffs) / den; rational moments
+    # and sizes are compared by cross-multiplying numerators and denominators.
+    weights, den = g.omega.weights, g.omega.denominator
     for i, v in enumerate(vs):
         if v.fat is None:
             continue
-        if v.fat.size <= 0:
+        size = v.fat.size
+        if size.numerator <= 0:
             bad.append(f"fat vertex {v.vid} has nonpositive size")
         if lo <= i < hi:
             bad.append(f"fat vertex {v.vid} sits at an interior moment value")
@@ -200,7 +205,10 @@ def validate(g: DecoratedGraph) -> list[str]:
             bad.append(f"fat vertex {v.vid} has negative genus")
         if v.fat.cls.model != g.model:
             bad.append(f"fat vertex {v.vid} class is in the wrong lattice")
-        elif pair(g.omega, v.fat.cls) != v.fat.size:
+        elif (
+            sum(map(mul, weights, v.fat.cls.coeffs)) * size.denominator
+            != size.numerator * den
+        ):
             bad.append(f"fat vertex {v.vid} size disagrees with its class area")
 
     def flag(e: Edge, what: str) -> None:
@@ -217,15 +225,17 @@ def validate(g: DecoratedGraph) -> list[str]:
         if not isinstance(e.label, int) or e.label < 1:
             flag(e, "has a non-positive label")
             continue
-        if vt.moment <= vb.moment:
+        bn, bd = vb.moment.numerator, vb.moment.denominator
+        tn, td = vt.moment.numerator, vt.moment.denominator
+        gap = tn * bd - bn * td  # the moment gap, times bd * td
+        if gap <= 0:
             flag(e, "does not increase the moment value")
         if e.cls.model is not g.model and e.cls.model != g.model:
             flag(e, "class is in the wrong lattice")
             continue
-        gap, area = vt.moment - vb.moment, pair(g.omega, e.cls)
-        if gap.numerator * area.denominator != e.label * area.numerator * gap.denominator:
+        if gap * den != e.label * sum(map(mul, weights, e.cls.coeffs)) * bd * td:
             flag(e, "breaks the area rule (gap != label * area)")
-        if adjunction_genus(e.cls) != 0:
+        if twice_adjunction_genus(e.cls) != 0:
             flag(e, "class is not an embedded-sphere class")
         if (vb.is_fat or vt.is_fat) and e.label != 1:
             flag(e, "touches a fixed surface with label > 1")
@@ -442,6 +452,94 @@ def flip(g: DecoratedGraph) -> DecoratedGraph:
     )
 
 
+def _records(g: DecoratedGraph, down: bool, class_text: dict) -> list[str]:
+    """Canonical records of ``g`` (up) or of ``flip(g)`` (down), no ledger.
+
+    Down is read from ``g``'s own index, without building the flip: it starts
+    from the maximum, walks the edges below each vertex with the near and far
+    ends of each edge swapped, and writes each moment as ``top - m``, where
+    ``top`` is the maximum moment.  It equals the records of ``flip(g)`` on
+    every graph that passes ``validate``.  ``class_text`` maps class
+    coefficients to their text, so callers that serialize one graph twice
+    format each class once.
+    """
+    vs = g.vertices
+    if down:
+        start, end, onward = vs[-1], vs[0], g._adjacency[1]
+        tn, td = start.moment.numerator, start.moment.denominator
+        moment_text = {}
+        for vid, v in g._by_vid.items():
+            # rat_str(top - moment), without building the Fraction
+            md = v.moment.denominator
+            n, d = tn * md - v.moment.numerator * td, td * md
+            c = math.gcd(n, d)
+            moment_text[vid] = str(n // c) if c == d else f"{n // c}/{d // c}"
+    else:
+        start, end, onward = vs[0], vs[-1], g._adjacency[0]
+        moment_text = {vid: str(v.moment) for vid, v in g._by_vid.items()}
+
+    def text(c: HomologyClass) -> str:
+        out = class_text.get(c.coeffs)
+        if out is None:
+            out = class_text[c.coeffs] = str(c)
+        return out
+
+    # A chain is a list of (near end, far end, edge), walked away from start.
+    # Sorting by records leaves ties only between chains whose records, and
+    # so whose lines, are equal, so the walk order does not matter.
+    chains = []
+    for e in onward.get(start.vid, ()):
+        chain = []
+        while True:
+            near, far = (e.top, e.bottom) if down else (e.bottom, e.top)
+            chain.append((near, far, e))
+            if far == end.vid:
+                break
+            nxt = onward.get(far, ())
+            if len(nxt) != 1:
+                raise GraphError("cannot serialize: broken chain structure")
+            e = nxt[0]
+        chains.append(chain)
+    if sum(len(c) for c in chains) != len(g.edges):
+        raise GraphError("cannot serialize: edges outside min-to-max chains")
+
+    def chain_rec(chain) -> list[tuple]:
+        try:
+            return [
+                (moment_text[near], moment_text[far], e.label, e.cls.coeffs)
+                for near, far, e in chain
+            ]
+        except KeyError as exc:
+            raise GraphError(f"no vertex {exc.args[0]!r}") from None
+
+    chains.sort(key=chain_rec)
+
+    index = {start.vid: 0, end.vid: 1}
+    order = [start, end]
+    for chain in chains:
+        for _, far, _ in chain[:-1]:
+            if far not in index:
+                index[far] = len(order)
+                order.append(g.vertex(far))
+
+    lines = [f"MODEL {g.model}", f"OMEGA {g.omega}"]
+    for v in order:
+        f = v.fat
+        if f is None:
+            lines.append(f"V {index[v.vid]} {moment_text[v.vid]} isolated")
+        else:
+            lines.append(
+                f"V {index[v.vid]} {moment_text[v.vid]} fat"
+                f" size={rat_str(f.size)} genus={f.genus} class={text(f.cls)}"
+            )
+    for chain in chains:
+        lines.append("C")
+        for near, far, e in chain:
+            lines.append(f"E {index[near]} {index[far]} {e.label} {text(e.cls)}")
+    lines.append(f"FIBER {text(g.fiber)}")
+    return lines
+
+
 def canonical_lines(g: DecoratedGraph, with_ledger: bool = True) -> list[str]:
     """Deterministic line records: MODEL, OMEGA, V, C/E blocks, FIBER, LEDGER.
 
@@ -449,54 +547,7 @@ def canonical_lines(g: DecoratedGraph, with_ledger: bool = True) -> list[str]:
     vertices in chain order), so equal graphs serialize to identical bytes
     regardless of construction history.
     """
-    vmin, vmax = g.min_vertex, g.max_vertex
-    moment_text = {vid: str(v.moment) for vid, v in g._by_vid.items()}
-    chains = []
-    for start in sorted(
-        g.edges_above(vmin.vid), key=lambda e: (e.cls.coeffs, e.label, e.top)
-    ):
-        chain = [start]
-        while chain[-1].top != vmax.vid:
-            nxt = g.edges_above(chain[-1].top)
-            if len(nxt) != 1:
-                raise GraphError("cannot serialize: broken chain structure")
-            chain.append(nxt[0])
-        chains.append(chain)
-    if sum(len(c) for c in chains) != len(g.edges):
-        raise GraphError("cannot serialize: edges outside min-to-max chains")
-
-    def edge_rec(e: Edge) -> tuple:
-        try:
-            return (moment_text[e.bottom], moment_text[e.top], e.label, e.cls.coeffs)
-        except KeyError as exc:
-            raise GraphError(f"no vertex {exc.args[0]!r}") from None
-
-    chains.sort(key=lambda ch: [edge_rec(e) for e in ch])
-
-    index = {vmin.vid: 0, vmax.vid: 1}
-    order = [vmin, vmax]
-    for chain in chains:
-        for e in chain[:-1]:
-            if e.top not in index:
-                index[e.top] = len(order)
-                order.append(g.vertex(e.top))
-
-    def vline(v: Vertex) -> str:
-        if v.fat is None:
-            return f"V {index[v.vid]} {rat_str(v.moment)} isolated"
-        f = v.fat
-        return (
-            f"V {index[v.vid]} {rat_str(v.moment)} fat"
-            f" size={rat_str(f.size)} genus={f.genus} class={f.cls}"
-        )
-
-    lines = [f"MODEL {g.model}", f"OMEGA {g.omega}"]
-    lines.extend(vline(v) for v in order)
-    for chain in chains:
-        lines.append("C")
-        for e in chain:
-            lines.append(f"E {index[e.bottom]} {index[e.top]} {e.label} {e.cls}")
-    lines.append(f"FIBER {g.fiber}")
+    lines = _records(g, False, {})
     if with_ledger:
         lines.append("LEDGER " + " ".join(str(x) for x in g.ledger))
     return lines
@@ -560,13 +611,30 @@ def parse_graph(text: str) -> DecoratedGraph:
     return DecoratedGraph.build(model, omega, verts.values(), edges, ledger, fiber)
 
 
+def _oriented_texts(g: DecoratedGraph, class_text: dict):
+    """The reduced form h of ``g`` and its up and down texts, no ledger.
+
+    The down text is ``canonical_text(flip(h), with_ledger=False)``.
+    """
+    h = translate(strip_redundant(break_free_edges(g)))
+    up, down = ("\n".join(_records(h, d, class_text)) + "\n" for d in (False, True))
+    return h, up, down
+
+
 def normal_form(g: DecoratedGraph) -> DecoratedGraph:
     """Canonical representative under translation, generic metric, and flip."""
-    h = translate(strip_redundant(break_free_edges(g)))
-    f = flip(h)
-    if canonical_text(f, with_ledger=False) < canonical_text(h, with_ledger=False):
-        return f
-    return h
+    h, up, down = _oriented_texts(g, {})
+    return flip(h) if down < up else h
+
+
+def normal_key(g: DecoratedGraph, class_text: dict) -> str:
+    """``canonical_text(normal_form(g), with_ledger=False)``, flip never built.
+
+    ``class_text`` maps class coefficients to their text; calls on graphs of
+    one model may share it, and it should live no longer than they do.
+    """
+    _, up, down = _oriented_texts(g, class_text)
+    return min(up, down)
 
 
 def generic_form(g: DecoratedGraph) -> DecoratedGraph:
@@ -578,15 +646,12 @@ def generic_form(g: DecoratedGraph) -> DecoratedGraph:
     return translate(break_free_edges(g))
 
 
-def equivalence_key(g: DecoratedGraph) -> str:
-    return canonical_text(normal_form(g), with_ledger=False)
-
-
 def equivalent(g1: DecoratedGraph, g2: DecoratedGraph) -> bool:
     """Same action up to translation, flips, and generic-metric moves."""
     if g1.model != g2.model or g1.omega != g2.omega:
         raise LatticeError("graphs to compare must share model and class vector")
-    return equivalence_key(g1) == equivalence_key(g2)
+    class_text: dict = {}
+    return normal_key(g1, class_text) == normal_key(g2, class_text)
 
 
 def permute_exceptionals(g: DecoratedGraph, perm: dict[int, int]) -> DecoratedGraph:

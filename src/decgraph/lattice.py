@@ -250,10 +250,10 @@ def chern_pairing(c: HomologyClass) -> int:
     return intersect(canonical_chern(c.model), c)
 
 
-def adjunction_genus(c: HomologyClass) -> Fraction:
-    """1 + (c.c - <c1,c>)/2; zero exactly for embedded sphere classes.
+def twice_adjunction_genus(c: HomologyClass) -> int:
+    """2 + c.c - <c1,c>, an integer; zero exactly for embedded sphere classes.
 
-    Integer work: with c = (a; e1..ek) in the plane model, c.c - <c1,c> is
+    With c = (a; e1..ek) in the plane model, c.c - <c1,c> is
     a^2 - 3a - sum ei(ei + 1); with c = (b, f; e1..ek) in the ruled model it
     is 2bf - 2b - (2-2g)f - sum ei(ei + 1).
     """
@@ -264,7 +264,12 @@ def adjunction_genus(c: HomologyClass) -> Fraction:
     else:
         head = 2 * x[0] * x[1] - 2 * x[1] - (2 - 2 * c.model.genus) * x[0]
         start = 2
-    return Fraction(2 + head - sum(e * (e + 1) for e in x[start:]), 2)
+    return 2 + head - sum(e * (e + 1) for e in x[start:])
+
+
+def adjunction_genus(c: HomologyClass) -> Fraction:
+    """1 + (c.c - <c1,c>)/2; zero exactly for embedded sphere classes."""
+    return Fraction(twice_adjunction_genus(c), 2)
 
 
 def classify_negative(c: HomologyClass) -> str:
@@ -441,25 +446,3 @@ def enumerate_negative_classes(
             found.append(c)
     found.sort(key=lambda c: c.coeffs)
     return found
-
-
-def solve_rational(matrix, rhs):
-    """Solve a square exact-rational linear system by Gaussian elimination.
-
-    Used as the dual-basis oracle in tests; returns a list of Fractions or
-    raises LatticeError if the matrix is singular.
-    """
-    n = len(matrix)
-    m = [[rat(x) for x in row] + [rat(b)] for row, b in zip(matrix, rhs)]
-    for j in range(n):
-        piv = next((i for i in range(j, n) if m[i][j] != 0), None)
-        if piv is None:
-            raise LatticeError("singular system")
-        m[j], m[piv] = m[piv], m[j]
-        inv = 1 / m[j][j]
-        m[j] = [x * inv for x in m[j]]
-        for i in range(n):
-            if i != j and m[i][j] != 0:
-                f = m[i][j]
-                m[i] = [x - f * y for x, y in zip(m[i], m[j])]
-    return [m[i][n] for i in range(n)]

@@ -32,6 +32,7 @@ from .lattice import (
     RULED,
     CohomologyVector,
     HomologyClass,
+    LatticeError,
     SurfaceModel,
     is_reduced,
     rat,
@@ -155,18 +156,19 @@ def _ruled_general_sizes(r: int) -> tuple[Fraction, ...]:
     return tuple(sizes)
 
 
-def builtin_scenarios() -> dict[str, Scenario]:
-    out = {}
-    out["cp2-six"] = Scenario(
+CP2_SIX_SIZES = (
+    Fraction(1, 4), Fraction(1, 4), Fraction(1, 4), Fraction(3, 16), Fraction(1, 8),
+)
+
+
+def _cp2_six() -> Scenario:
+    return Scenario(
         name="cp2-six",
         kind=RATIONAL,
         lam=Fraction(1),
         lam_b=None,
         base_deltas=(Fraction(1, 2),),
-        sizes=(
-            Fraction(1, 4), Fraction(1, 4), Fraction(1, 4),
-            Fraction(3, 16), Fraction(1, 8),
-        ),
+        sizes=CP2_SIX_SIZES,
         required=(("E1-E2", 2), ("L-E3-E4", 2), ("E5-E6", 2)),
         n=2,
         mode=STABILIZER_ONLY,
@@ -175,20 +177,26 @@ def builtin_scenarios() -> dict[str, Scenario]:
         picard_prefix=7,
         witness_family="six-blowup",
     )
-    out["cp2-six-alt"] = Scenario(
+
+
+def _cp2_six_alt() -> Scenario:
+    return Scenario(
         name="cp2-six-alt",
         kind=RATIONAL,
         lam=Fraction(1),
         lam_b=None,
         base_deltas=(Fraction(1, 2),),
-        sizes=out["cp2-six"].sizes,
+        sizes=CP2_SIX_SIZES,
         required=(("E1", 2), ("E5-E6", 2), ("L-E2-E3-E4", 2)),
         n=2,
         mode=STABILIZER_ONLY,
         generator_key="plane-six-alt",
         audit_curves=True,
     )
-    out["ruled-three"] = Scenario(
+
+
+def _ruled_three() -> Scenario:
+    return Scenario(
         name="ruled-three",
         kind=RULED,
         lam=Fraction(1),
@@ -202,8 +210,18 @@ def builtin_scenarios() -> dict[str, Scenario]:
         membership_targets=("F", "B"),
         classify_types=True,
     )
-    out["ruled-general-4"] = ruled_general_scenario(4)
-    return out
+
+
+BUILTINS = {
+    "cp2-six": _cp2_six,
+    "cp2-six-alt": _cp2_six_alt,
+    "ruled-three": _ruled_three,
+    "ruled-general-4": lambda: ruled_general_scenario(4),
+}
+
+
+def builtin_scenarios() -> dict[str, Scenario]:
+    return {name: make() for name, make in BUILTINS.items()}
 
 
 def ruled_general_scenario(r: int) -> Scenario:
@@ -225,16 +243,52 @@ def ruled_general_scenario(r: int) -> Scenario:
 
 
 def load_scenario(name_or_path: str) -> Scenario:
-    builtins = builtin_scenarios()
-    if name_or_path in builtins:
-        return builtins[name_or_path]
-    if name_or_path.startswith("ruled-general-"):
-        return ruled_general_scenario(int(name_or_path.rsplit("-", 1)[1]))
+    """A builtin, ``ruled-general-<r>``, or a scenario file, checked.
+
+    Raises ScenarioError for anything the pipeline would reject later.
+    """
+    make = BUILTINS.get(name_or_path)
+    if make is not None:
+        scenario = make()
+    elif name_or_path.startswith("ruled-general-"):
+        suffix = name_or_path.removeprefix("ruled-general-")
+        try:
+            r = int(suffix)
+        except ValueError:
+            raise ScenarioError(
+                f"ruled-general-<r> needs an integer r, not {suffix!r}"
+            ) from None
+        scenario = ruled_general_scenario(r)
+    else:
+        try:
+            with open(name_or_path, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ScenarioError(f"no builtin or readable scenario {name_or_path!r}: {exc}")
+        scenario = parse_scenario_text(text)
+    return _checked(scenario)
+
+
+def _checked(s: Scenario) -> Scenario:
+    """Return ``s`` if the pipeline can run it; raise ScenarioError if not."""
+    if s.mode not in (STABILIZER_ONLY, INTEGRABLE_BLOWUP):
+        raise ScenarioError(
+            f"unknown mode {s.mode!r}: use {STABILIZER_ONLY} or {INTEGRABLE_BLOWUP}"
+        )
+    if any(x <= 0 for x in s.sizes):
+        raise ScenarioError("blowup sizes must be positive")
+    k = len(s.base_deltas) + len(s.sizes)
+    need = 3 if s.kind == RATIONAL else 2
+    if k < need:
+        raise ScenarioError(
+            f"the reducedness check needs k >= {need} exceptional classes"
+            f" on the {s.kind} model, and this scenario has k = {k}"
+        )
     try:
-        with open(name_or_path, encoding="utf-8") as fh:
-            return parse_scenario_text(fh.read())
-    except OSError as exc:
-        raise ScenarioError(f"no builtin or readable scenario {name_or_path!r}: {exc}")
+        s.required_classes()  # parsed in the final model
+    except LatticeError as exc:
+        raise ScenarioError(str(exc)) from None
+    return s
 
 
 def parse_scenario_text(text: str) -> Scenario:

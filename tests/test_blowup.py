@@ -219,3 +219,15 @@ def test_inadmissible_request_is_rejected_with_bound():
     with pytest.raises(BlowupError) as err:
         apply_blowup(g, BlowupRequest(site, F(2)))
     assert err.value.bound == site.max_admissible
+
+
+@pytest.mark.xfail(strict=True, raises=BlowupError, reason=(
+    "a surface created by an extremum blowup on an all-isolated base with"
+    " labels (c, d) = (2, 1) offers a surface site whose rewrite fails the"
+    " sphere check: the spawned edge's class (fiber - E) is not a sphere class"
+))
+def test_surface_site_grown_from_an_isolated_base():
+    g = generic_form(base_hirzebruch(1, F(1, 2), BaseFamilyParams("isolated_left", 1, 2, 1)))
+    g = generic_form(take(g, F(1, 4), kind="extremum", end="min"))
+    g = generic_form(take(g, F(1, 8), kind="extremum", end="min"))
+    assert validate(generic_form(take(g, F(1, 16), kind="surface", end="min"))) == []

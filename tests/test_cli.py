@@ -212,3 +212,38 @@ def test_cross_check_bug_is_not_read_as_a_failed_gate(monkeypatch):
     monkeypatch.setattr(scenarios, "cross_check_instantiation", broken)
     with pytest.raises(TypeError):
         scenarios.run_scenario(builtin_scenarios()["cp2-six"])
+
+
+RULED_HEAD = "kind ruled\nlam-f 1\nlam-b 1\ngenus 2\nn 2\n"
+
+
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        ("ruled-general-foo", "needs an integer r"),
+        (RULED_HEAD + "mode bogus\nsizes 3/5 7/20 3/10\nrequired E2-E3@2\n", "unknown mode"),
+        (RULED_HEAD + "mode integrable\nsizes 3/5 7/20\nrequired E9@2\n", "'E9' not in basis"),
+        (RULED_HEAD + "mode integrable\nsizes 3/5 -7/20 3/10\n", "sizes must be positive"),
+        (RULED_HEAD + "mode integrable\nsizes 1/2\n", "reducedness check needs k >= 2"),
+    ],
+    ids=["name-suffix", "mode", "required-class", "negative-size", "one-size-ruled"],
+)
+def test_malformed_scenario_exits_2_with_one_line(tmp_path, capsys, scenario, message):
+    if "\n" in scenario:
+        path = tmp_path / "bad.scenario"
+        path.write_text(scenario)
+        scenario = str(path)
+    assert main(["verify", "--scenario", scenario]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("scenario error: ") and message in captured.err
+
+
+def test_every_builtin_and_ruled_general_loads():
+    for name, scenario in builtin_scenarios().items():
+        assert load_scenario(name) == scenario
+    for r in (4, 6, 8):
+        assert load_scenario(f"ruled-general-{r}") == ruled_general_scenario(r)
+    with pytest.raises(ScenarioError):
+        load_scenario("ruled-general-5")

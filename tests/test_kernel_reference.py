@@ -2,9 +2,12 @@
 
 The reference functions below are the earlier implementations, kept here
 only as oracles: the Fraction sum ``pair``, the scan-based extrema and
-adjacency queries, and the adjunction genus through two intersections.  The
-kernel must agree with them exactly, on random models, class vectors, classes
-and graphs, and on every graph that cp2-six and ruled-general-4 enumerate.
+adjacency queries, the adjunction genus through two intersections, the
+serializer, and the normal form and dedup key that built the flipped graph
+and compared three texts.  The kernel must agree with them exactly, on random
+models, class vectors, classes and graphs, on random admissible blowup
+chains, and on every graph of every level of the golden scenarios.  The last
+section checks properties of the dedup key on the same chains.
 """
 
 from fractions import Fraction as F
@@ -13,16 +16,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decgraph.enumeration import enumerate_levels
+from decgraph.blowup import BlowupError, BlowupRequest, apply_blowup, blowup_sites
+from decgraph.enumeration import (
+    _permutation_group,
+    dedup_key,
+    enumerate_levels,
+    hirzebruch_base_graphs,
+    ruled_base_graphs,
+)
 from decgraph.graphs import (
     DecoratedGraph,
     Edge,
     FatData,
     GraphError,
     Vertex,
+    _oriented_texts,
     base_hirzebruch,
     BaseFamilyParams,
+    break_free_edges,
+    canonical_text,
+    flip,
+    generic_form,
     normal_form,
+    parse_graph,
+    permute_exceptionals,
+    strip_redundant,
+    translate,
     validate,
 )
 from decgraph.lattice import (
@@ -36,8 +55,9 @@ from decgraph.lattice import (
     chern_pairing,
     intersect,
     pair,
+    rat_str,
 )
-from decgraph.scenarios import load_scenario
+from decgraph.scenarios import DEFAULT_REPS, load_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +182,74 @@ def reference_interior_vertices(g):
     return [v for v in g.vertices if not v.is_fat and v.vid not in ends]
 
 
+def reference_canonical_text(g, with_ledger=True):
+    """The serializer as it was, one orientation, every class formatted anew."""
+    vmin, vmax = reference_min_vertex(g), reference_max_vertex(g)
+    moment_text = {v.vid: str(v.moment) for v in g.vertices}
+    chains = []
+    for start in sorted(
+        reference_edges_above(g, vmin.vid), key=lambda e: (e.cls.coeffs, e.label, e.top)
+    ):
+        chain = [start]
+        while chain[-1].top != vmax.vid:
+            nxt = reference_edges_above(g, chain[-1].top)
+            if len(nxt) != 1:
+                raise GraphError("cannot serialize: broken chain structure")
+            chain.append(nxt[0])
+        chains.append(chain)
+    if sum(len(c) for c in chains) != len(g.edges):
+        raise GraphError("cannot serialize: edges outside min-to-max chains")
+    chains.sort(
+        key=lambda ch: [
+            (moment_text[e.bottom], moment_text[e.top], e.label, e.cls.coeffs) for e in ch
+        ]
+    )
+    index = {vmin.vid: 0, vmax.vid: 1}
+    order = [vmin, vmax]
+    for chain in chains:
+        for e in chain[:-1]:
+            if e.top not in index:
+                index[e.top] = len(order)
+                order.append(reference_vertex(g, e.top))
+    lines = [f"MODEL {g.model}", f"OMEGA {g.omega}"]
+    for v in order:
+        if v.fat is None:
+            lines.append(f"V {index[v.vid]} {rat_str(v.moment)} isolated")
+        else:
+            f = v.fat
+            lines.append(
+                f"V {index[v.vid]} {rat_str(v.moment)} fat"
+                f" size={rat_str(f.size)} genus={f.genus} class={f.cls}"
+            )
+    for chain in chains:
+        lines.append("C")
+        for e in chain:
+            lines.append(f"E {index[e.bottom]} {index[e.top]} {e.label} {e.cls}")
+    lines.append(f"FIBER {g.fiber}")
+    if with_ledger:
+        lines.append("LEDGER " + " ".join(str(x) for x in g.ledger))
+    return "\n".join(lines) + "\n"
+
+
+def reference_normal_form(g):
+    """The normal form as it was: build the flip, text both, keep the smaller."""
+    h = translate(strip_redundant(break_free_edges(g)))
+    f = flip(h)
+    if reference_canonical_text(f, False) < reference_canonical_text(h, False):
+        return f
+    return h
+
+
+def reference_dedup_key(g, permute_equal_sizes=True):
+    """The dedup key as it was: three texts and one flipped graph per relabeling."""
+    if not permute_equal_sizes:
+        return reference_canonical_text(reference_normal_form(g), False)
+    return min(
+        reference_canonical_text(reference_normal_form(permute_exceptionals(g, perm)), False)
+        for perm in _permutation_group(g)
+    )
+
+
 # ---------------------------------------------------------------------------
 # strategies
 
@@ -222,6 +310,46 @@ def graphs(draw):
         for _ in range(draw(st.integers(0, 10)))
     ]
     return DecoratedGraph.build(model, omega, vertices, edges, (), draw(cls))
+
+
+BASES = tuple(
+    g
+    for _, g in hirzebruch_base_graphs(1, F(1, 2), DEFAULT_REPS)
+    + hirzebruch_base_graphs(1, F(2, 3), DEFAULT_REPS)
+    + ruled_base_graphs(1, 3, 1)
+    + ruled_base_graphs(1, 2, 2)
+)
+
+
+@st.composite
+def admissible_chains(draw, max_steps=4):
+    """A base graph blown up at random admissible sites, in generic form.
+
+    A size is a random fraction of the site's bound, or an earlier size that
+    still fits, so that equal sizes (and so relabelings) come up often.  A
+    chain ends early where ``apply_blowup`` rejects its own rewrite, the
+    defect that ``test_blowup.py::test_surface_site_grown_from_an_isolated_base``
+    pins.
+    """
+    g = generic_form(draw(st.sampled_from(BASES)))
+    sizes = []
+    for _ in range(draw(st.integers(0, max_steps))):
+        sites = blowup_sites(g, F(1, 10**9))
+        if not sites:
+            break
+        site = draw(st.sampled_from(sites))
+        fitting = [d for d in sizes if d < site.max_admissible]
+        if fitting and draw(st.booleans()):
+            delta = draw(st.sampled_from(fitting))
+        else:
+            den = draw(st.integers(2, 7))
+            delta = site.max_admissible * F(draw(st.integers(1, den - 1)), den)
+        try:
+            g = generic_form(apply_blowup(g, BlowupRequest(site, delta)))
+        except BlowupError:
+            break
+        sizes.append(delta)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -371,3 +499,59 @@ def test_validate_on_an_indexed_graph_reports_broken_rules():
         "edge L-E1(3) touches a fixed surface with label > 1",
         "edge 3L-5E1(1) class is not an embedded-sphere class",
     ]
+
+
+# ---------------------------------------------------------------------------
+# canonical records and dedup keys
+
+
+def assert_keys_match_references(g):
+    h, up, down = _oriented_texts(g, {})
+    assert h == translate(strip_redundant(break_free_edges(g)))
+    assert up == canonical_text(h, with_ledger=False) == reference_canonical_text(h, False)
+    assert down == canonical_text(flip(h), with_ledger=False)
+    assert down == reference_canonical_text(flip(h), False)
+    assert canonical_text(g) == reference_canonical_text(g)
+    nf = normal_form(g)
+    assert nf == reference_normal_form(g)
+    assert canonical_text(nf) == reference_canonical_text(nf)
+    for permute in (True, False):
+        assert dedup_key(g, permute) == reference_dedup_key(g, permute)
+
+
+@pytest.fixture(scope="module")
+def golden_level_graphs():
+    out = []
+    for name in ("cp2-six", "cp2-six-alt", "ruled-three", "ruled-general-4"):
+        for level in enumerate_levels(load_scenario(name).enumeration_spec()):
+            out.extend(level.graphs)
+    return out
+
+
+def test_keys_match_the_references_on_golden_levels(golden_level_graphs):
+    assert len(golden_level_graphs) == 558
+    for g in golden_level_graphs:
+        assert_keys_match_references(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(admissible_chains())
+def test_keys_match_the_references_on_random_chains(g):
+    assert validate(g) == []
+    assert_keys_match_references(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(admissible_chains(), st.data())
+def test_dedup_key_is_invariant_under_flip_and_translation(g, data):
+    key = dedup_key(g)
+    assert dedup_key(flip(g)) == key
+    shift = data.draw(st.builds(F, st.integers(-20, 20), st.integers(1, 9)))
+    assert dedup_key(translate(g, shift)) == key
+
+
+@settings(max_examples=100, deadline=None)
+@given(admissible_chains())
+def test_parse_inverts_canonical_text(g):
+    text = canonical_text(g)
+    assert canonical_text(parse_graph(text)) == text

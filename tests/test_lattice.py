@@ -20,9 +20,30 @@ from decgraph.lattice import (
     pair,
     rat,
     rat_str,
-    solve_rational,
     volume,
 )
+
+
+def solve_rational(matrix, rhs):
+    """Solve a square exact-rational linear system by Gaussian elimination.
+
+    The dual-basis oracle below; returns a list of Fractions or raises
+    LatticeError if the matrix is singular.
+    """
+    n = len(matrix)
+    m = [[rat(x) for x in row] + [rat(b)] for row, b in zip(matrix, rhs)]
+    for j in range(n):
+        piv = next((i for i in range(j, n) if m[i][j] != 0), None)
+        if piv is None:
+            raise LatticeError("singular system")
+        m[j], m[piv] = m[piv], m[j]
+        inv = 1 / m[j][j]
+        m[j] = [x * inv for x in m[j]]
+        for i in range(n):
+            if i != j and m[i][j] != 0:
+                f = m[i][j]
+                m[i] = [x - f * y for x, y in zip(m[i], m[j])]
+    return [m[i][n] for i in range(n)]
 
 M6 = SurfaceModel("rational", 6)
 M1 = SurfaceModel("rational", 1)
