@@ -14,6 +14,7 @@ Three site kinds exist, mirroring the three local rewrites:
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,12 +22,13 @@ from .graphs import (
     DecoratedGraph,
     Edge,
     FatData,
-    GraphError,
     LedgerEntry,
     Vertex,
+    edge_order,
     validate,
+    vertex_order,
 )
-from .lattice import HomologyClass, pair, rat, rat_str
+from .lattice import rat, rat_str
 
 INTERIOR = "interior"
 SURFACE = "surface"
@@ -69,15 +71,12 @@ class BlowupRequest:
         }
 
 
-def fiber_class(g: DecoratedGraph) -> HomologyClass:
-    """Class of the free sphere a surface blowup spawns a chain inside.
-
-    Only meaningful for graphs descending from a base with a fixed surface;
-    graphs of the all-isolated families never grow surface sites.
-    """
-    if not any(v.is_fat for v in g.vertices):
-        raise GraphError("graph has no fixed surface, hence no fiber sphere")
-    return g.fiber
+def _inserted(kept: list, new: list, key) -> tuple:
+    """``kept``, in build order, with ``new`` inserted where ``build``'s
+    stable sort puts them: after every equal key, in the order given."""
+    for item in new:
+        insort(kept, item, key=key)
+    return tuple(kept)
 
 
 def _site_for_vertex(g: DecoratedGraph, v: Vertex) -> BlowupSite | None:
@@ -136,111 +135,105 @@ def apply_blowup(g: DecoratedGraph, request: BlowupRequest) -> DecoratedGraph:
             bound=live.max_admissible,
         )
 
-    e_idx = g.model.k + 1
-    model = g.model.extend()
-    omega = g.omega.extend(delta)
-    emb = lambda c: c.embed(model)
-    Ee = model.exceptional(e_idx)
+    # The child rewrites the parent's extension, which its siblings share:
+    # its classes are already embedded and its tuples already in build order.
+    x = g.extend(delta)
+    e_idx = x.model.k
+    Ee = x.model.exceptional(e_idx)
     step = len(g.ledger) + 1
-    # Isolated vertices carry no class, so the child shares them unchanged.
-    vertices = [
-        w if w.fat is None
-        else Vertex(w.vid, w.moment, FatData(w.fat.size, w.fat.genus, emb(w.fat.cls)))
-        for w in g.vertices
-    ]
-    edges = [Edge(e.bottom, e.top, e.label, emb(e.cls)) for e in g.edges]
-    fiber = emb(g.fiber)
+    fiber = x.fiber
     vmin, vmax = g.min_vertex.vid, g.max_vertex.vid
-
-    def drop_vertex(vid):
-        nonlocal vertices, edges
-        vertices = [w for w in vertices if w.vid != vid]
-        edges = [e for e in edges if vid not in (e.bottom, e.top)]
+    vertices = [w for w in x.vertices if w.vid != v.vid]
 
     if site.kind == INTERIOR:
-        up = g.edges_above(v.vid)[0]
-        down = g.edges_below(v.vid)[0]
+        up = x.edges_above(v.vid)[0]
+        down = x.edges_below(v.vid)[0]
         m, n = up.label, down.label
         hi = Vertex(f"{step}.hi", v.moment + m * delta)
         lo = Vertex(f"{step}.lo", v.moment - n * delta)
-        drop_vertex(v.vid)
-        vertices += [hi, lo]
-        edges += [
-            Edge(hi.vid, up.top, m, emb(up.cls) - Ee),
+        new_vertices = [hi, lo]
+        edges = [e for e in x.edges if v.vid not in (e.bottom, e.top)]
+        new_edges = [
+            Edge(hi.vid, up.top, m, up.cls - Ee),
             Edge(lo.vid, hi.vid, m + n, Ee),
-            Edge(down.bottom, lo.vid, n, emb(down.cls) - Ee),
+            Edge(down.bottom, lo.vid, n, down.cls - Ee),
         ]
         entry = LedgerEntry(e_idx, INTERIOR, str(v.birth()))
 
     elif site.kind == SURFACE:
         at_min = site.end == "min"
-        fat = v.fat
-        vertices = [w for w in vertices if w.vid != v.vid]
-        vertices.append(
-            Vertex(v.vid, v.moment, FatData(fat.size - delta, fat.genus, emb(fat.cls) - Ee))
-        )
+        fat = x.vertex(v.vid).fat
         mid = Vertex(f"{step}.c", v.moment + delta if at_min else v.moment - delta)
-        vertices.append(mid)
+        new_vertices = [
+            Vertex(v.vid, v.moment, FatData(fat.size - delta, fat.genus, fat.cls - Ee)),
+            mid,
+        ]
         opposite = vmax if at_min else vmin
         if at_min:
-            edges += [
+            new_edges = [
                 Edge(v.vid, mid.vid, 1, Ee),
                 Edge(mid.vid, opposite, 1, fiber - Ee),
             ]
         else:
-            edges += [
+            new_edges = [
                 Edge(mid.vid, v.vid, 1, Ee),
                 Edge(opposite, mid.vid, 1, fiber - Ee),
             ]
-        # The spawned chain supplants one free max-to-min sphere, if drawn.
-        for e in sorted(edges, key=lambda e: e.cls.coeffs):
+        # The spawned chain supplants one free max-to-min sphere, if drawn: the
+        # one of least class, the first in build order.
+        edges = list(x.edges)
+        for i, e in enumerate(edges):
             if e.label == 1 and e.bottom == vmin and e.top == vmax:
-                edges.remove(e)
+                del edges[i]
                 break
         entry = LedgerEntry(e_idx, SURFACE, site.end)
 
     else:  # EXTREMUM
         at_min = site.end == "min"
-        incident = g.edges_above(v.vid) if at_min else g.edges_below(v.vid)
+        incident = x.edges_above(v.vid) if at_min else x.edges_below(v.vid)
         ea, eb = sorted(incident, key=lambda e: -e.label)
         m, n = ea.label, eb.label
         away = (lambda e: e.top) if at_min else (lambda e: e.bottom)
         sgn = 1 if at_min else -1
-        drop_vertex(v.vid)
+        edges = [e for e in x.edges if v.vid not in (e.bottom, e.top)]
         if m == n:  # both weights 1: the blowup creates a fixed surface
             fatv = Vertex(
                 f"{step}.s",
                 v.moment + sgn * delta,
                 FatData(delta, 0, Ee),
             )
-            vertices.append(fatv)
-            for e in (ea, eb):
-                new_cls = emb(e.cls) - Ee
-                if at_min:
-                    edges.append(Edge(fatv.vid, away(e), 1, new_cls))
-                else:
-                    edges.append(Edge(away(e), fatv.vid, 1, new_cls))
+            new_vertices = [fatv]
+            new_edges = [
+                Edge(fatv.vid, away(e), 1, e.cls - Ee) if at_min
+                else Edge(away(e), fatv.vid, 1, e.cls - Ee)
+                for e in (ea, eb)
+            ]
         else:
             hi = Vertex(f"{step}.hi", v.moment + sgn * m * delta)
             lo = Vertex(f"{step}.lo", v.moment + sgn * n * delta)
-            vertices += [hi, lo]
+            new_vertices = [hi, lo]
             if at_min:
-                edges += [
-                    Edge(hi.vid, away(ea), m, emb(ea.cls) - Ee),
+                new_edges = [
+                    Edge(hi.vid, away(ea), m, ea.cls - Ee),
                     Edge(lo.vid, hi.vid, m - n, Ee),
-                    Edge(lo.vid, away(eb), n, emb(eb.cls) - Ee),
+                    Edge(lo.vid, away(eb), n, eb.cls - Ee),
                 ]
             else:
-                edges += [
-                    Edge(away(ea), hi.vid, m, emb(ea.cls) - Ee),
+                new_edges = [
+                    Edge(away(ea), hi.vid, m, ea.cls - Ee),
                     Edge(hi.vid, lo.vid, m - n, Ee),
-                    Edge(away(eb), lo.vid, n, emb(eb.cls) - Ee),
+                    Edge(away(eb), lo.vid, n, eb.cls - Ee),
                 ]
         fiber = fiber - n * Ee
         entry = LedgerEntry(e_idx, EXTREMUM, site.end)
 
-    out = DecoratedGraph.build(
-        model, omega, vertices, edges, g.ledger + (entry,), fiber
+    out = DecoratedGraph(
+        x.model,
+        x.omega,
+        _inserted(vertices, new_vertices, vertex_order),
+        _inserted(edges, new_edges, edge_order),
+        g.ledger + (entry,),
+        fiber,
     )
     problems = validate(out)
     if problems:

@@ -122,10 +122,16 @@ def _dedup(graphs, permute: bool):
     return ordered, merged
 
 
-def enumerate_graphs(spec: EnumerationSpec) -> EnumerationResult:
-    """Breadth-first closure of the base set under the ordered size list."""
+def _levels(spec: EnumerationSpec):
+    """Yield the result of every level, the bases' (depth 0) first.
+
+    Each yielded frontier is the parents of the next level, which the
+    enumeration holds anyway; a caller that keeps only the latest result holds
+    no earlier frontier.
+    """
     frontier, _ = _dedup([generic_form(b) for b in spec.bases], spec.permute_equal_sizes)
     log = []
+    yield EnumerationResult(tuple(frontier), ())
     for depth, delta in enumerate(spec.sizes, start=1):
         children = []
         sites_total = 0
@@ -137,20 +143,23 @@ def enumerate_graphs(spec: EnumerationSpec) -> EnumerationResult:
                 children.append(generic_form(child))
         frontier, merged = _dedup(children, spec.permute_equal_sizes)
         log.append(LevelLog(depth, delta, sites_total, len(frontier), merged))
-    for g in frontier:
+        yield EnumerationResult(tuple(frontier), tuple(log))
+
+
+def enumerate_graphs(spec: EnumerationSpec) -> EnumerationResult:
+    """Breadth-first closure of the base set under the ordered size list."""
+    for result in _levels(spec):
+        pass
+    for g in result.graphs:
         assert len(g.ledger) == len(spec.sizes)
         for i, s in enumerate(spec.sizes, start=1):
             assert pair(g.omega, g.model.exceptional(g.model.k - len(spec.sizes) + i)) == s
-    return EnumerationResult(tuple(frontier), tuple(log))
+    return result
 
 
 def enumerate_levels(spec: EnumerationSpec) -> list[EnumerationResult]:
-    """Like ``enumerate_graphs`` but keeping every intermediate level."""
-    out = []
-    for depth in range(len(spec.sizes) + 1):
-        partial = EnumerationSpec(spec.bases, spec.sizes[:depth], spec.permute_equal_sizes)
-        out.append(enumerate_graphs(partial))
-    return out
+    """Like ``enumerate_graphs`` but keeping every level, from one pass."""
+    return list(_levels(spec))
 
 
 # ---------------------------------------------------------------------------

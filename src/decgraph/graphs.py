@@ -69,6 +69,16 @@ class Edge:
     cls: HomologyClass
 
 
+def vertex_order(v: Vertex) -> tuple:
+    """Sort key of ``DecoratedGraph.vertices``."""
+    return (v.moment, v.vid)
+
+
+def edge_order(e: Edge) -> tuple:
+    """Sort key of ``DecoratedGraph.edges``."""
+    return (e.cls.coeffs, e.label, e.bottom, e.top)
+
+
 class LedgerEntry(NamedTuple):
     index: int  # exceptional index created by this step
     kind: str  # 'surface' | 'interior' | 'extremum'
@@ -102,11 +112,39 @@ class DecoratedGraph:
 
     @staticmethod
     def build(model, omega, vertices, edges, ledger, fiber) -> "DecoratedGraph":
-        vertices = tuple(sorted(vertices, key=lambda v: (v.moment, v.vid)))
-        edges = tuple(
-            sorted(edges, key=lambda e: (e.cls.coeffs, e.label, e.bottom, e.top))
-        )
+        vertices = tuple(sorted(vertices, key=vertex_order))
+        edges = tuple(sorted(edges, key=edge_order))
         return DecoratedGraph(model, omega, vertices, edges, tuple(ledger), fiber)
+
+    @cached_property
+    def _extensions(self) -> dict[Fraction, "DecoratedGraph"]:
+        return {}
+
+    def extend(self, delta) -> "DecoratedGraph":
+        """This graph in the lattice with one more exceptional class.
+
+        The vertices and edges are the same, their classes zero-padded, and
+        the class vector pairs the new class to ``delta``.  Padding keeps the
+        build order, so nothing is re-sorted.  There is one object per
+        (graph, size), held by this graph, so the blowups of one graph at one
+        size share it, its index and its vertices, edges and classes.
+        """
+        delta = rat(delta)
+        out = self._extensions.get(delta)
+        if out is not None:
+            return out
+        model = self.model.extend()
+        # Isolated vertices carry no class, so the extension shares them.
+        vertices = tuple(
+            v if (f := v.fat) is None
+            else Vertex(v.vid, v.moment, FatData(f.size, f.genus, f.cls.embed(model)))
+            for v in self.vertices
+        )
+        edges = tuple(Edge(e.bottom, e.top, e.label, e.cls.embed(model)) for e in self.edges)
+        omega, fiber = self.omega.extend(delta), self.fiber.embed(model)
+        out = DecoratedGraph(model, omega, vertices, edges, self.ledger, fiber)
+        self._extensions[delta] = out
+        return out
 
     @cached_property
     def _by_vid(self) -> dict[str, Vertex]:
@@ -452,6 +490,24 @@ def flip(g: DecoratedGraph) -> DecoratedGraph:
     )
 
 
+def _class_text(c: HomologyClass, class_text: dict) -> str:
+    out = class_text.get(c.coeffs)
+    if out is None:
+        out = class_text[c.coeffs] = str(c)
+    return out
+
+
+def _fixed_record(v: Vertex, class_text: dict) -> str:
+    """The end of a V record: ``isolated``, or the fat size, genus and class."""
+    f = v.fat
+    if f is None:
+        return "isolated"
+    return (
+        f"fat size={rat_str(f.size)} genus={f.genus}"
+        f" class={_class_text(f.cls, class_text)}"
+    )
+
+
 def _records(g: DecoratedGraph, down: bool, class_text: dict) -> list[str]:
     """Canonical records of ``g`` (up) or of ``flip(g)`` (down), no ledger.
 
@@ -477,12 +533,6 @@ def _records(g: DecoratedGraph, down: bool, class_text: dict) -> list[str]:
     else:
         start, end, onward = vs[0], vs[-1], g._adjacency[0]
         moment_text = {vid: str(v.moment) for vid, v in g._by_vid.items()}
-
-    def text(c: HomologyClass) -> str:
-        out = class_text.get(c.coeffs)
-        if out is None:
-            out = class_text[c.coeffs] = str(c)
-        return out
 
     # A chain is a list of (near end, far end, edge), walked away from start.
     # Sorting by records leaves ties only between chains whose records, and
@@ -524,19 +574,16 @@ def _records(g: DecoratedGraph, down: bool, class_text: dict) -> list[str]:
 
     lines = [f"MODEL {g.model}", f"OMEGA {g.omega}"]
     for v in order:
-        f = v.fat
-        if f is None:
-            lines.append(f"V {index[v.vid]} {moment_text[v.vid]} isolated")
-        else:
-            lines.append(
-                f"V {index[v.vid]} {moment_text[v.vid]} fat"
-                f" size={rat_str(f.size)} genus={f.genus} class={text(f.cls)}"
-            )
+        lines.append(
+            f"V {index[v.vid]} {moment_text[v.vid]} {_fixed_record(v, class_text)}"
+        )
     for chain in chains:
         lines.append("C")
         for near, far, e in chain:
-            lines.append(f"E {index[near]} {index[far]} {e.label} {text(e.cls)}")
-    lines.append(f"FIBER {text(g.fiber)}")
+            lines.append(
+                f"E {index[near]} {index[far]} {e.label} {_class_text(e.cls, class_text)}"
+            )
+    lines.append(f"FIBER {_class_text(g.fiber, class_text)}")
     return lines
 
 
@@ -611,20 +658,32 @@ def parse_graph(text: str) -> DecoratedGraph:
     return DecoratedGraph.build(model, omega, verts.values(), edges, ledger, fiber)
 
 
-def _oriented_texts(g: DecoratedGraph, class_text: dict):
-    """The reduced form h of ``g`` and its up and down texts, no ledger.
+def _normal_orientation(g: DecoratedGraph, class_text: dict):
+    """The reduced form h of ``g``, whether its flip is the normal form, and
+    the ledger-free text of the normal form.
 
-    The down text is ``canonical_text(flip(h), with_ledger=False)``.
+    The up text is ``canonical_text(h, with_ledger=False)`` and the down text
+    that of ``flip(h)``; the normal form is the smaller.  Both open with the
+    same MODEL and OMEGA lines, then ``V 0 0`` (h is translated to 0) and the
+    record of the start vertex: the minimum up, the maximum down.  Lines hold
+    no newline, which sorts below every character they do hold, so when the
+    two start records differ they decide the order and only the smaller text
+    is written.
     """
     h = translate(strip_redundant(break_free_edges(g)))
+    up_start = _fixed_record(h.vertices[0], class_text)
+    down_start = _fixed_record(h.vertices[-1], class_text)
+    if up_start != down_start:
+        down = down_start < up_start
+        return h, down, "\n".join(_records(h, down, class_text)) + "\n"
     up, down = ("\n".join(_records(h, d, class_text)) + "\n" for d in (False, True))
-    return h, up, down
+    return h, down < up, min(up, down)
 
 
 def normal_form(g: DecoratedGraph) -> DecoratedGraph:
     """Canonical representative under translation, generic metric, and flip."""
-    h, up, down = _oriented_texts(g, {})
-    return flip(h) if down < up else h
+    h, down, _ = _normal_orientation(g, {})
+    return flip(h) if down else h
 
 
 def normal_key(g: DecoratedGraph, class_text: dict) -> str:
@@ -633,8 +692,7 @@ def normal_key(g: DecoratedGraph, class_text: dict) -> str:
     ``class_text`` maps class coefficients to their text; calls on graphs of
     one model may share it, and it should live no longer than they do.
     """
-    _, up, down = _oriented_texts(g, class_text)
-    return min(up, down)
+    return _normal_orientation(g, class_text)[2]
 
 
 def generic_form(g: DecoratedGraph) -> DecoratedGraph:

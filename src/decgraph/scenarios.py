@@ -288,6 +288,17 @@ def _checked(s: Scenario) -> Scenario:
         s.required_classes()  # parsed in the final model
     except LatticeError as exc:
         raise ScenarioError(str(exc)) from None
+    if s.generator_key is not None:
+        known = builtin_generator_lists(s.genus)
+        if s.generator_key not in known:
+            raise ScenarioError(
+                f"unknown generator list {s.generator_key!r}: use one of {', '.join(known)}"
+            )
+    if s.witness_family is not None and s.witness_family not in WITNESS_FAMILIES:
+        raise ScenarioError(
+            f"unknown witness family {s.witness_family!r}:"
+            f" use one of {', '.join(WITNESS_FAMILIES)}"
+        )
     return s
 
 
@@ -475,9 +486,16 @@ def run_scenario(scenario: Scenario) -> RunOutcome:
         "all_obstructed": obstruction.all_obstructed,
         "vacuous": obstruction.vacuous,
     }
+    # An empty enumeration obstructs every graph vacuously, so it certifies
+    # nothing unless the scenario expects no graphs.
+    vacuous = obstruction.vacuous and scenario.expected_final_count != 0
+    if vacuous:
+        gates["nonvacuous"] = False
     if scenario.advisory:
         report["obstruction"]["advisory_verdict"] = (
-            "extension excluded" if obstruction.all_obstructed else "inconclusive"
+            "extension excluded"
+            if obstruction.all_obstructed and not vacuous
+            else "inconclusive"
         )
     else:
         gates["all_obstructed"] = obstruction.all_obstructed

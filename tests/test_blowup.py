@@ -8,7 +8,6 @@ from decgraph.blowup import (
     BlowupRequest,
     apply_blowup,
     blowup_sites,
-    fiber_class,
 )
 from decgraph.graphs import (
     BaseFamilyParams,
@@ -143,14 +142,11 @@ def test_surface_blowup_shrinks_size_and_keeps_genus():
 
 def test_fiber_class():
     g = two_surface_base()
-    assert str(fiber_class(g)) == "L-E1"
+    assert str(g.fiber) == "L-E1"
     h = take(g, F(1, 4), kind="surface", end="min")
-    assert str(fiber_class(h)) == "L-E1"
+    assert str(h.fiber) == "L-E1"
     r = base_ruled(1, 1, 2, 0)
-    assert str(fiber_class(r)) == "F"
-    iso = base_hirzebruch(1, F(1, 2), BaseFamilyParams("isolated_left", 1, 1, 1))
-    with pytest.raises(Exception):
-        fiber_class(iso)
+    assert str(r.fiber) == "F"
 
 
 def test_chain_sums_agree_with_fiber_after_blowups():

@@ -11,6 +11,7 @@ from decgraph.scenarios import (
     load_scenario,
     parse_scenario_text,
     ruled_general_scenario,
+    run_scenario,
     scenario_text,
 )
 
@@ -225,8 +226,15 @@ RULED_HEAD = "kind ruled\nlam-f 1\nlam-b 1\ngenus 2\nn 2\n"
         (RULED_HEAD + "mode integrable\nsizes 3/5 7/20\nrequired E9@2\n", "'E9' not in basis"),
         (RULED_HEAD + "mode integrable\nsizes 3/5 -7/20 3/10\n", "sizes must be positive"),
         (RULED_HEAD + "mode integrable\nsizes 1/2\n", "reducedness check needs k >= 2"),
+        (RULED_HEAD + "mode integrable\nsizes 3/5 7/20 3/10\ngenerators bogus\n",
+         "unknown generator list 'bogus'"),
+        (RULED_HEAD + "mode integrable\nsizes 3/5 7/20 3/10\nwitness-family bogus\n",
+         "unknown witness family 'bogus'"),
     ],
-    ids=["name-suffix", "mode", "required-class", "negative-size", "one-size-ruled"],
+    ids=[
+        "name-suffix", "mode", "required-class", "negative-size", "one-size-ruled",
+        "generator-key", "witness-family",
+    ],
 )
 def test_malformed_scenario_exits_2_with_one_line(tmp_path, capsys, scenario, message):
     if "\n" in scenario:
@@ -247,3 +255,33 @@ def test_every_builtin_and_ruled_general_loads():
         assert load_scenario(f"ruled-general-{r}") == ruled_general_scenario(r)
     with pytest.raises(ScenarioError):
         load_scenario("ruled-general-5")
+
+
+# A reduced, valid scenario with no admissible blowup: it enumerates no graph.
+EMPTY = "kind ruled\nlam-f 1\nlam-b 1/2\nsizes 1/2 1/8\nrequired E1-E2@2\n"
+
+
+@pytest.mark.parametrize("advisory", [False, True], ids=["gated", "advisory"])
+def test_empty_enumeration_never_passes(tmp_path, capsys, advisory):
+    path = tmp_path / "empty.scenario"
+    path.write_text(EMPTY + ("advisory on\n" if advisory else ""))
+    assert main(["verify", "--scenario", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["enumeration"]["final_count"] == 0
+    assert report["reduced"] is True
+    assert report["obstruction"]["vacuous"] is True
+    assert report["obstruction"]["all_obstructed"] is True
+    assert report["gates"]["nonvacuous"] is False
+    assert report["passed"] is False
+    if advisory:
+        assert report["obstruction"]["advisory_verdict"] == "inconclusive"
+
+
+def test_empty_enumeration_passes_when_expected():
+    from dataclasses import replace
+
+    scenario = replace(parse_scenario_text(EMPTY), expected_final_count=0)
+    outcome = run_scenario(scenario)
+    assert "nonvacuous" not in outcome.report["gates"]
+    assert outcome.report["gates"]["final_count"] is True
+    assert outcome.passed

@@ -11,12 +11,14 @@ from decgraph.enumeration import (
     cross_check_instantiation,
     dedup_key,
     enumerate_graphs,
+    enumerate_levels,
     hirzebruch_base_graphs,
     ruled_base_graphs,
     site_kind_tree,
 )
 from decgraph.graphs import BaseFamilyParams, base_hirzebruch, base_ruled, generic_form
 from decgraph.lattice import pair
+from decgraph.scenarios import load_scenario
 
 QUARTERS = (F(1, 4), F(1, 4), F(1, 4))
 RULED_SIZES = (F(3, 5), F(7, 20), F(3, 10))
@@ -140,3 +142,16 @@ def test_branch_log_counts_are_consistent():
     res = enumerate_graphs(EnumerationSpec((base,), RULED_SIZES))
     for lv in res.branch_log:
         assert lv.kept + lv.merged == lv.sites
+
+
+@pytest.mark.parametrize("name", ["cp2-six", "ruled-three"])
+def test_levels_from_one_pass_match_each_prefix_enumerated_anew(name):
+    spec = load_scenario(name).enumeration_spec()
+    levels = enumerate_levels(spec)
+    assert len(levels) == len(spec.sizes) + 1
+    for depth, level in enumerate(levels):
+        prefix = EnumerationSpec(spec.bases, spec.sizes[:depth], spec.permute_equal_sizes)
+        alone = enumerate_graphs(prefix)
+        assert level.graphs == alone.graphs
+        assert level.branch_log == alone.branch_log
+    assert levels[-1].graphs == enumerate_graphs(spec).graphs

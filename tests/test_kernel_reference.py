@@ -3,8 +3,9 @@
 The reference functions below are the earlier implementations, kept here
 only as oracles: the Fraction sum ``pair``, the scan-based extrema and
 adjacency queries, the adjunction genus through two intersections, the
-serializer, and the normal form and dedup key that built the flipped graph
-and compared three texts.  The kernel must agree with them exactly, on random
+serializer, the normal form and dedup key that built the flipped graph and
+compared three texts, and the blowup that embedded every class of the parent
+and re-sorted the child.  The kernel must agree with them exactly, on random
 models, class vectors, classes and graphs, on random admissible blowup
 chains, and on every graph of every level of the golden scenarios.  The last
 section checks properties of the dedup key on the same chains.
@@ -16,7 +17,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decgraph.blowup import BlowupError, BlowupRequest, apply_blowup, blowup_sites
+from decgraph.blowup import (
+    EXTREMUM,
+    INTERIOR,
+    SURFACE,
+    BlowupError,
+    BlowupRequest,
+    _site_for_vertex,
+    apply_blowup,
+    blowup_sites,
+)
 from decgraph.enumeration import (
     _permutation_group,
     dedup_key,
@@ -29,8 +39,9 @@ from decgraph.graphs import (
     Edge,
     FatData,
     GraphError,
+    LedgerEntry,
     Vertex,
-    _oriented_texts,
+    _records,
     base_hirzebruch,
     BaseFamilyParams,
     break_free_edges,
@@ -38,6 +49,7 @@ from decgraph.graphs import (
     flip,
     generic_form,
     normal_form,
+    normal_key,
     parse_graph,
     permute_exceptionals,
     strip_redundant,
@@ -248,6 +260,119 @@ def reference_dedup_key(g, permute_equal_sizes=True):
         reference_canonical_text(reference_normal_form(permute_exceptionals(g, perm)), False)
         for perm in _permutation_group(g)
     )
+
+
+def reference_apply_blowup(g, request):
+    """The blowup as it was: embed every class of the parent, then build."""
+    site, delta = request.site, request.delta
+    v = g.vertex(site.vertex)
+    live = _site_for_vertex(g, v)
+    if live is None or live.kind != site.kind:
+        raise BlowupError(f"no {site.kind} site at vertex {site.vertex}")
+    if not 0 < delta < live.max_admissible:
+        raise BlowupError(
+            f"size {delta} not strictly below the bound {live.max_admissible}"
+            f" at {site.kind}@{site.vertex}",
+            bound=live.max_admissible,
+        )
+
+    e_idx = g.model.k + 1
+    model = g.model.extend()
+    omega = g.omega.extend(delta)
+    emb = lambda c: c.embed(model)
+    Ee = model.exceptional(e_idx)
+    step = len(g.ledger) + 1
+    vertices = [
+        w if w.fat is None
+        else Vertex(w.vid, w.moment, FatData(w.fat.size, w.fat.genus, emb(w.fat.cls)))
+        for w in g.vertices
+    ]
+    edges = [Edge(e.bottom, e.top, e.label, emb(e.cls)) for e in g.edges]
+    fiber = emb(g.fiber)
+    vmin, vmax = g.min_vertex.vid, g.max_vertex.vid
+
+    def drop_vertex(vid):
+        nonlocal vertices, edges
+        vertices = [w for w in vertices if w.vid != vid]
+        edges = [e for e in edges if vid not in (e.bottom, e.top)]
+
+    if site.kind == INTERIOR:
+        up = g.edges_above(v.vid)[0]
+        down = g.edges_below(v.vid)[0]
+        m, n = up.label, down.label
+        hi = Vertex(f"{step}.hi", v.moment + m * delta)
+        lo = Vertex(f"{step}.lo", v.moment - n * delta)
+        drop_vertex(v.vid)
+        vertices += [hi, lo]
+        edges += [
+            Edge(hi.vid, up.top, m, emb(up.cls) - Ee),
+            Edge(lo.vid, hi.vid, m + n, Ee),
+            Edge(down.bottom, lo.vid, n, emb(down.cls) - Ee),
+        ]
+        entry = LedgerEntry(e_idx, INTERIOR, str(v.birth()))
+    elif site.kind == SURFACE:
+        at_min = site.end == "min"
+        fat = v.fat
+        vertices = [w for w in vertices if w.vid != v.vid]
+        vertices.append(
+            Vertex(v.vid, v.moment, FatData(fat.size - delta, fat.genus, emb(fat.cls) - Ee))
+        )
+        mid = Vertex(f"{step}.c", v.moment + delta if at_min else v.moment - delta)
+        vertices.append(mid)
+        opposite = vmax if at_min else vmin
+        if at_min:
+            edges += [Edge(v.vid, mid.vid, 1, Ee), Edge(mid.vid, opposite, 1, fiber - Ee)]
+        else:
+            edges += [Edge(mid.vid, v.vid, 1, Ee), Edge(opposite, mid.vid, 1, fiber - Ee)]
+        for e in sorted(edges, key=lambda e: e.cls.coeffs):
+            if e.label == 1 and e.bottom == vmin and e.top == vmax:
+                edges.remove(e)
+                break
+        entry = LedgerEntry(e_idx, SURFACE, site.end)
+    else:
+        assert site.kind == EXTREMUM
+        at_min = site.end == "min"
+        incident = g.edges_above(v.vid) if at_min else g.edges_below(v.vid)
+        ea, eb = sorted(incident, key=lambda e: -e.label)
+        m, n = ea.label, eb.label
+        away = (lambda e: e.top) if at_min else (lambda e: e.bottom)
+        sgn = 1 if at_min else -1
+        drop_vertex(v.vid)
+        if m == n:
+            fatv = Vertex(f"{step}.s", v.moment + sgn * delta, FatData(delta, 0, Ee))
+            vertices.append(fatv)
+            for e in (ea, eb):
+                new_cls = emb(e.cls) - Ee
+                if at_min:
+                    edges.append(Edge(fatv.vid, away(e), 1, new_cls))
+                else:
+                    edges.append(Edge(away(e), fatv.vid, 1, new_cls))
+        else:
+            hi = Vertex(f"{step}.hi", v.moment + sgn * m * delta)
+            lo = Vertex(f"{step}.lo", v.moment + sgn * n * delta)
+            vertices += [hi, lo]
+            if at_min:
+                edges += [
+                    Edge(hi.vid, away(ea), m, emb(ea.cls) - Ee),
+                    Edge(lo.vid, hi.vid, m - n, Ee),
+                    Edge(lo.vid, away(eb), n, emb(eb.cls) - Ee),
+                ]
+            else:
+                edges += [
+                    Edge(away(ea), hi.vid, m, emb(ea.cls) - Ee),
+                    Edge(hi.vid, lo.vid, m - n, Ee),
+                    Edge(away(eb), lo.vid, n, emb(eb.cls) - Ee),
+                ]
+        fiber = fiber - n * Ee
+        entry = LedgerEntry(e_idx, EXTREMUM, site.end)
+
+    out = DecoratedGraph.build(model, omega, vertices, edges, g.ledger + (entry,), fiber)
+    problems = validate(out)
+    if problems:
+        raise BlowupError(
+            f"blowup produced an invalid graph: {problems}", bound=live.max_admissible
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -505,9 +630,16 @@ def test_validate_on_an_indexed_graph_reports_broken_rules():
 # canonical records and dedup keys
 
 
+def full_texts(g):
+    """The reduced form h of ``g`` and both its ledger-free texts, in full."""
+    h = translate(strip_redundant(break_free_edges(g)))
+    up, down = ("\n".join(_records(h, d, {})) + "\n" for d in (False, True))
+    return h, up, down
+
+
 def assert_keys_match_references(g):
-    h, up, down = _oriented_texts(g, {})
-    assert h == translate(strip_redundant(break_free_edges(g)))
+    h, up, down = full_texts(g)
+    assert normal_key(g, {}) == min(up, down)
     assert up == canonical_text(h, with_ledger=False) == reference_canonical_text(h, False)
     assert down == canonical_text(flip(h), with_ledger=False)
     assert down == reference_canonical_text(flip(h), False)
@@ -520,18 +652,127 @@ def assert_keys_match_references(g):
 
 
 @pytest.fixture(scope="module")
-def golden_level_graphs():
+def golden_levels():
+    """(sizes, levels) of each golden scenario, levels from one pass."""
     out = []
     for name in ("cp2-six", "cp2-six-alt", "ruled-three", "ruled-general-4"):
-        for level in enumerate_levels(load_scenario(name).enumeration_spec()):
-            out.extend(level.graphs)
+        spec = load_scenario(name).enumeration_spec()
+        out.append((spec.sizes, enumerate_levels(spec)))
     return out
+
+
+@pytest.fixture(scope="module")
+def golden_level_graphs(golden_levels):
+    return [g for _, levels in golden_levels for level in levels for g in level.graphs]
 
 
 def test_keys_match_the_references_on_golden_levels(golden_level_graphs):
     assert len(golden_level_graphs) == 558
     for g in golden_level_graphs:
         assert_keys_match_references(g)
+
+
+def test_normal_key_is_the_smaller_full_text_under_every_relabeling(golden_level_graphs):
+    """Both branches of the key: start records that differ, and ties."""
+    decided = tied = 0
+    for g in golden_level_graphs:
+        for perm in _permutation_group(g):
+            p = permute_exceptionals(g, perm)
+            _, up, down = full_texts(p)
+            assert normal_key(p, {}) == min(up, down)
+            if up.split("\n")[2] == down.split("\n")[2]:
+                tied += 1
+            else:
+                decided += 1
+    assert decided > 0 and tied > 0
+
+
+def index_state(h):
+    """Everything of a graph a rewrite could alter, its index included."""
+    above, below = h._adjacency
+    return (
+        h.model, h.omega, h.vertices, h.edges, h.ledger, h.fiber,
+        dict(h._by_vid), dict(above), dict(below), canonical_text(h),
+    )
+
+
+def assert_blowups_match_the_reference(g, delta):
+    """Every child of ``g`` at ``delta`` against the reference; the parent and
+    its shared extension are unchanged afterwards."""
+    x = g.extend(delta)
+    assert g.extend(delta) is x
+    assert validate(x) == []
+    assert x.model is g.model.extend() and x.omega is g.omega.extend(delta)
+    before = index_state(g), index_state(x)
+    sites = blowup_sites(g, delta)
+    for site in sites:
+        request = BlowupRequest(site, delta)
+        child = apply_blowup(g, request)
+        expected = reference_apply_blowup(g, request)
+        assert child == expected
+        assert child.vertices == expected.vertices and child.edges == expected.edges
+        shared = {id(e) for e in x.edges}
+        for e in child.edges:  # kept edges are the extension's own objects
+            assert id(e) in shared or e not in x.edges
+    assert (index_state(g), index_state(x)) == before
+    return len(sites)
+
+
+def test_blowups_match_the_reference_on_golden_levels(golden_levels):
+    """Every site of every graph of every level, at the next size; the final
+    level at half the last size."""
+    children = 0
+    for sizes, levels in golden_levels:
+        for depth, level in enumerate(levels):
+            delta = sizes[depth] if depth < len(sizes) else sizes[-1] / 2
+            for g in level.graphs:
+                children += assert_blowups_match_the_reference(g, delta)
+    assert children > 600
+
+
+def test_surface_blowup_supplants_the_free_sphere_of_least_class():
+    """Two free max-to-min spheres of distinct classes, L-E1 and L-E2: the
+    spawned chain replaces L-E1, the first in build order."""
+    omega = CohomologyVector.rational(1, [F(1, 2), F(1, 2)])
+    P = omega.model.parse
+    vertices = [
+        Vertex("0.min", F(0), FatData(F(1), 0, P("L"))),
+        Vertex("0.max", F(1, 2), FatData(F(1, 2), 0, P("E1"))),
+    ]
+    edges = [Edge("0.min", "0.max", 1, P("L-E2")), Edge("0.min", "0.max", 1, P("L-E1"))]
+    g = DecoratedGraph.build(omega.model, omega, vertices, edges, (), P("L-E1"))
+    assert validate(g) == []
+    assert assert_blowups_match_the_reference(g, F(1, 4)) == 2
+    site = next(s for s in blowup_sites(g, F(1, 4)) if s.end == "min")
+    child = apply_blowup(g, BlowupRequest(site, F(1, 4)))
+    free = [e for e in child.edges if (e.bottom, e.top) == ("0.min", "0.max")]
+    assert [str(e.cls) for e in free] == ["L-E2"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(admissible_chains(), st.data())
+def test_blowups_match_the_reference_on_random_chains(g, data):
+    sites = blowup_sites(g, F(1, 10**9))
+    if not sites:
+        return
+    site = data.draw(st.sampled_from(sites))
+    den = data.draw(st.integers(2, 7))
+    delta = site.max_admissible * F(data.draw(st.integers(1, den - 1)), den)
+    x = g.extend(delta)
+    before = index_state(g), index_state(x)
+
+    def outcome(blowup):
+        try:
+            return blowup(g, BlowupRequest(site, delta))
+        except BlowupError as exc:
+            return str(exc), exc.bound
+
+    child, expected = outcome(apply_blowup), outcome(reference_apply_blowup)
+    assert child == expected
+    if isinstance(child, DecoratedGraph):
+        assert child.vertices == expected.vertices and child.edges == expected.edges
+    assert g.extend(delta) is x and validate(x) == []
+    assert (index_state(g), index_state(x)) == before
 
 
 @settings(max_examples=150, deadline=None)
