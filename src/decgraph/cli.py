@@ -7,6 +7,7 @@ import json
 import os
 import sys
 
+from .blowup import BlowupError
 from .cone import ConeWitness, cone_membership, nakai_check
 from .enumeration import EnumerationResult, enumerate_graphs, enumerate_levels
 from .graphs import GraphError, parse_graph
@@ -49,14 +50,16 @@ def _read_graphs(directory: str) -> list:
     """Parse every .txt graph file of the directory, in name order.
 
     An empty replay would certify nothing, so no graph file is an error.
+    Graphs of one model share one model object, and so its classes.
     """
     graphs = []
+    models: dict = {}
     for name in sorted(os.listdir(directory)):
         if name.endswith(".txt"):
             path = os.path.join(directory, name)
             try:
                 with open(path, encoding="utf-8") as fh:
-                    graphs.append(parse_graph(fh.read()))
+                    graphs.append(parse_graph(fh.read(), models))
             except (UnicodeDecodeError, GraphError) as exc:
                 raise GraphError(f"{path}: {exc}") from None
     if not graphs:
@@ -241,6 +244,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
+        return 2
+    except BlowupError as exc:
+        # A rewrite that fails its own validation: the scenario reaches a
+        # graph shape the blowup rules do not cover, not a verdict.
+        print(f"blowup error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -22,7 +22,6 @@ from .graphs import (
     base_ruled,
     canonical_text,
     generic_form,
-    normal_form,
     normal_key,
     permute_exceptionals,
 )
@@ -68,9 +67,6 @@ class EnumerationResult:
     graphs: tuple[DecoratedGraph, ...]
     branch_log: tuple[LevelLog, ...]
 
-    def normal_forms(self) -> list[DecoratedGraph]:
-        return [normal_form(g) for g in self.graphs]
-
 
 def _permutation_group(g: DecoratedGraph):
     """Permutations of blowup-created exceptional indices of equal size."""
@@ -99,11 +95,10 @@ def dedup_key(g: DecoratedGraph, permute_equal_sizes: bool = True) -> str:
     """Smallest normal-form text over the allowed relabelings.
 
     Each relabeling contributes its up and down records, read from one graph
-    without building the flip; each class is formatted once per key.
+    without building the flip.
     """
     perms = _permutation_group(g) if permute_equal_sizes else ({},)
-    class_text: dict = {}
-    return min(normal_key(permute_exceptionals(g, perm), class_text) for perm in perms)
+    return min(normal_key(permute_exceptionals(g, perm)) for perm in perms)
 
 
 def _dedup(graphs, permute: bool):
@@ -150,10 +145,17 @@ def enumerate_graphs(spec: EnumerationSpec) -> EnumerationResult:
     """Breadth-first closure of the base set under the ordered size list."""
     for result in _levels(spec):
         pass
+    # Siblings share their class vector through ``extend``, so each distinct
+    # vector object is checked once; every graph is alive, so ids are stable.
+    checked = set()
     for g in result.graphs:
         assert len(g.ledger) == len(spec.sizes)
+        if id(g.omega) in checked:
+            continue
+        checked.add(id(g.omega))
+        first = g.model.k - len(spec.sizes)
         for i, s in enumerate(spec.sizes, start=1):
-            assert pair(g.omega, g.model.exceptional(g.model.k - len(spec.sizes) + i)) == s
+            assert pair(g.omega, g.model.exceptional(first + i)) == s
     return result
 
 

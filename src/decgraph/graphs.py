@@ -31,7 +31,6 @@ from .lattice import (
     pair,
     rat,
     rat_str,
-    twice_adjunction_genus,
 )
 
 
@@ -273,7 +272,7 @@ def validate(g: DecoratedGraph) -> list[str]:
             continue
         if gap * den != e.label * sum(map(mul, weights, e.cls.coeffs)) * bd * td:
             flag(e, "breaks the area rule (gap != label * area)")
-        if twice_adjunction_genus(e.cls) != 0:
+        if e.cls.twice_genus != 0:
             flag(e, "class is not an embedded-sphere class")
         if (vb.is_fat or vt.is_fat) and e.label != 1:
             flag(e, "touches a fixed surface with label > 1")
@@ -490,34 +489,22 @@ def flip(g: DecoratedGraph) -> DecoratedGraph:
     )
 
 
-def _class_text(c: HomologyClass, class_text: dict) -> str:
-    out = class_text.get(c.coeffs)
-    if out is None:
-        out = class_text[c.coeffs] = str(c)
-    return out
-
-
-def _fixed_record(v: Vertex, class_text: dict) -> str:
+def _fixed_record(v: Vertex) -> str:
     """The end of a V record: ``isolated``, or the fat size, genus and class."""
     f = v.fat
     if f is None:
         return "isolated"
-    return (
-        f"fat size={rat_str(f.size)} genus={f.genus}"
-        f" class={_class_text(f.cls, class_text)}"
-    )
+    return f"fat size={rat_str(f.size)} genus={f.genus} class={f.cls}"
 
 
-def _records(g: DecoratedGraph, down: bool, class_text: dict) -> list[str]:
+def _records(g: DecoratedGraph, down: bool) -> list[str]:
     """Canonical records of ``g`` (up) or of ``flip(g)`` (down), no ledger.
 
     Down is read from ``g``'s own index, without building the flip: it starts
     from the maximum, walks the edges below each vertex with the near and far
     ends of each edge swapped, and writes each moment as ``top - m``, where
     ``top`` is the maximum moment.  It equals the records of ``flip(g)`` on
-    every graph that passes ``validate``.  ``class_text`` maps class
-    coefficients to their text, so callers that serialize one graph twice
-    format each class once.
+    every graph that passes ``validate``.
     """
     vs = g.vertices
     if down:
@@ -575,15 +562,13 @@ def _records(g: DecoratedGraph, down: bool, class_text: dict) -> list[str]:
     lines = [f"MODEL {g.model}", f"OMEGA {g.omega}"]
     for v in order:
         lines.append(
-            f"V {index[v.vid]} {moment_text[v.vid]} {_fixed_record(v, class_text)}"
+            f"V {index[v.vid]} {moment_text[v.vid]} {_fixed_record(v)}"
         )
     for chain in chains:
         lines.append("C")
         for near, far, e in chain:
-            lines.append(
-                f"E {index[near]} {index[far]} {e.label} {_class_text(e.cls, class_text)}"
-            )
-    lines.append(f"FIBER {_class_text(g.fiber, class_text)}")
+            lines.append(f"E {index[near]} {index[far]} {e.label} {e.cls}")
+    lines.append(f"FIBER {g.fiber}")
     return lines
 
 
@@ -594,7 +579,7 @@ def canonical_lines(g: DecoratedGraph, with_ledger: bool = True) -> list[str]:
     vertices in chain order), so equal graphs serialize to identical bytes
     regardless of construction history.
     """
-    lines = _records(g, False, {})
+    lines = _records(g, False)
     if with_ledger:
         lines.append("LEDGER " + " ".join(str(x) for x in g.ledger))
     return lines
@@ -604,10 +589,13 @@ def canonical_text(g: DecoratedGraph, with_ledger: bool = True) -> str:
     return "\n".join(canonical_lines(g, with_ledger)) + "\n"
 
 
-def parse_graph(text: str) -> DecoratedGraph:
+def parse_graph(text: str, models: dict | None = None) -> DecoratedGraph:
     """Rebuild a graph from its serialized form.
 
-    Raises GraphError, naming the line, on any malformed record.
+    ``models`` maps each model to the one object to use for it, and is
+    filled as new models are read; graphs parsed with one such dict share
+    their model objects, and so their classes.  Raises GraphError, naming
+    the line, on any malformed record.
     """
     model = omega = None
     verts: dict[int, Vertex] = {}
@@ -627,6 +615,8 @@ def parse_graph(text: str) -> DecoratedGraph:
                 kind = parts[0]
                 opts = dict(p.split("=") for p in parts[1:])
                 model = SurfaceModel(kind, int(opts["k"]), int(opts.get("genus", 0)))
+                if models is not None:
+                    model = models.setdefault(model, model)
             elif tag == "OMEGA":
                 head, _, tail = rest.strip("()").partition(";")
                 entries = [rat(x) for x in head.split(",")]
@@ -658,7 +648,7 @@ def parse_graph(text: str) -> DecoratedGraph:
     return DecoratedGraph.build(model, omega, verts.values(), edges, ledger, fiber)
 
 
-def _normal_orientation(g: DecoratedGraph, class_text: dict):
+def _normal_orientation(g: DecoratedGraph):
     """The reduced form h of ``g``, whether its flip is the normal form, and
     the ledger-free text of the normal form.
 
@@ -671,28 +661,24 @@ def _normal_orientation(g: DecoratedGraph, class_text: dict):
     is written.
     """
     h = translate(strip_redundant(break_free_edges(g)))
-    up_start = _fixed_record(h.vertices[0], class_text)
-    down_start = _fixed_record(h.vertices[-1], class_text)
+    up_start = _fixed_record(h.vertices[0])
+    down_start = _fixed_record(h.vertices[-1])
     if up_start != down_start:
         down = down_start < up_start
-        return h, down, "\n".join(_records(h, down, class_text)) + "\n"
-    up, down = ("\n".join(_records(h, d, class_text)) + "\n" for d in (False, True))
+        return h, down, "\n".join(_records(h, down)) + "\n"
+    up, down = ("\n".join(_records(h, d)) + "\n" for d in (False, True))
     return h, down < up, min(up, down)
 
 
 def normal_form(g: DecoratedGraph) -> DecoratedGraph:
     """Canonical representative under translation, generic metric, and flip."""
-    h, down, _ = _normal_orientation(g, {})
+    h, down, _ = _normal_orientation(g)
     return flip(h) if down else h
 
 
-def normal_key(g: DecoratedGraph, class_text: dict) -> str:
-    """``canonical_text(normal_form(g), with_ledger=False)``, flip never built.
-
-    ``class_text`` maps class coefficients to their text; calls on graphs of
-    one model may share it, and it should live no longer than they do.
-    """
-    return _normal_orientation(g, class_text)[2]
+def normal_key(g: DecoratedGraph) -> str:
+    """``canonical_text(normal_form(g), with_ledger=False)``, flip never built."""
+    return _normal_orientation(g)[2]
 
 
 def generic_form(g: DecoratedGraph) -> DecoratedGraph:
@@ -708,8 +694,7 @@ def equivalent(g1: DecoratedGraph, g2: DecoratedGraph) -> bool:
     """Same action up to translation, flips, and generic-metric moves."""
     if g1.model != g2.model or g1.omega != g2.omega:
         raise LatticeError("graphs to compare must share model and class vector")
-    class_text: dict = {}
-    return normal_key(g1, class_text) == normal_key(g2, class_text)
+    return normal_key(g1) == normal_key(g2)
 
 
 def permute_exceptionals(g: DecoratedGraph, perm: dict[int, int]) -> DecoratedGraph:
@@ -722,7 +707,7 @@ def permute_exceptionals(g: DecoratedGraph, perm: dict[int, int]) -> DecoratedGr
         coeffs = list(c.coeffs)
         for i, j in perm.items():
             coeffs[head + j - 1] = c.coeffs[head + i - 1]
-        return HomologyClass(g.model, tuple(coeffs))
+        return g.model.intern(tuple(coeffs))
 
     entries = list(g.omega.entries)
     for i, j in perm.items():

@@ -13,6 +13,10 @@ class.  Class vectors are written (lam; d1..dk) for the plane model and
 Inside the kernel a class vector is held as integer weights over one common
 denominator D, so a pairing is one integer dot product and one ``Fraction``;
 ``Fraction`` values appear only where pairings leave the kernel.
+
+Each model keeps one shared ``HomologyClass`` object per coefficient tuple
+(``SurfaceModel.intern``); class arithmetic, embedding and parsing go through
+it, so a class's text and adjunction genus are computed once per model.
 """
 
 from __future__ import annotations
@@ -20,10 +24,10 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import add, mul, neg, sub
 
 
 RATIONAL = "rational"
@@ -78,6 +82,7 @@ class SurfaceModel:
             raise LatticeError("ruled model requires genus >= 1")
         if self.kind == RATIONAL and self.genus != 0:
             raise LatticeError("plane model carries no genus")
+        object.__setattr__(self, "_classes", {})  # see ``intern``
 
     @cached_property
     def rank(self) -> int:
@@ -96,6 +101,18 @@ class SurfaceModel:
         """The model with one more exceptional class, one object per model."""
         return self._extended
 
+    def intern(self, coeffs: tuple[int, ...]) -> "HomologyClass":
+        """The one class of this model with the coefficient tuple ``coeffs``.
+
+        The table lives on the model object, so it is freed with the graphs
+        that hold the model; models that are equal but distinct objects keep
+        separate tables.  A new entry runs the length and integer checks.
+        """
+        out = self._classes.get(coeffs)
+        if out is None:
+            out = self._classes[coeffs] = HomologyClass(self, coeffs)
+        return out
+
     def as_json(self) -> dict:
         return {"kind": self.kind, "k": self.k, "genus": self.genus}
 
@@ -104,7 +121,7 @@ class SurfaceModel:
         return SurfaceModel(data["kind"], data["k"], data.get("genus", 0))
 
     def zero(self) -> "HomologyClass":
-        return HomologyClass(self, (0,) * self.rank)
+        return self.intern((0,) * self.rank)
 
     def unit(self, name: str) -> "HomologyClass":
         """The basis class with the given name ('L', 'B', 'F', or 'Ei')."""
@@ -114,7 +131,7 @@ class SurfaceModel:
             raise LatticeError(f"{name!r} is not a basis class of {self}")
         coeffs = [0] * self.rank
         coeffs[pos] = 1
-        return HomologyClass(self, tuple(coeffs))
+        return self.intern(tuple(coeffs))
 
     def exceptional(self, i: int) -> "HomologyClass":
         return self.unit(f"E{i}")
@@ -133,10 +150,17 @@ _TERM = re.compile(r"([+-]?)(\d*)(L|B|F|E(\d+))")
 
 @dataclass(frozen=True, slots=True)
 class HomologyClass:
-    """An integer class in the fixed basis of a surface model."""
+    """An integer class in the fixed basis of a surface model.
+
+    Build classes through the model (``intern``, ``unit``, ``parse``) or by
+    arithmetic, which return the model's one object per coefficient tuple.
+    The text and the adjunction genus are computed on first use and kept.
+    """
 
     model: SurfaceModel
     coeffs: tuple[int, ...]
+    _text: str | None = field(default=None, init=False, repr=False, compare=False)
+    _genus: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.coeffs) != self.model.rank:
@@ -168,7 +192,11 @@ class HomologyClass:
             coeffs[idx] += sign * mult
         if pos != len(text):
             raise LatticeError(f"cannot parse class {text!r}")
-        return HomologyClass(model, tuple(coeffs))
+        return model.intern(tuple(coeffs))
+
+    def __hash__(self):
+        # Equal classes have equal coefficients; the model only splits ties.
+        return hash(self.coeffs)
 
     def _check(self, other: "HomologyClass"):
         if self.model is not other.model and self.model != other.model:
@@ -176,21 +204,20 @@ class HomologyClass:
 
     def __add__(self, other):
         self._check(other)
-        return HomologyClass(
-            self.model, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self.model.intern(tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         self._check(other)
-        return HomologyClass(
-            self.model, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self.model.intern(tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self):
-        return HomologyClass(self.model, tuple(-a for a in self.coeffs))
+        return self.model.intern(tuple(map(neg, self.coeffs)))
 
     def __mul__(self, n: int):
-        return HomologyClass(self.model, tuple(n * a for a in self.coeffs))
+        # 2.0 or Fraction(2) would find the integer class in the table.
+        if not isinstance(n, int):
+            raise LatticeError(f"class multiplier must be an integer, not {n!r}")
+        return self.model.intern(tuple(n * a for a in self.coeffs))
 
     __rmul__ = __mul__
 
@@ -199,7 +226,7 @@ class HomologyClass:
         if model.kind != self.model.kind or model.k < self.model.k:
             raise LatticeError(f"cannot embed {self.model} into {model}")
         pad = (0,) * (model.rank - self.model.rank)
-        return HomologyClass(model, self.coeffs + pad)
+        return model.intern(self.coeffs + pad)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -214,15 +241,24 @@ class HomologyClass:
     def coeff(self, name: str) -> int:
         return self.coeffs[self.model.basis_names.index(name)]
 
+    @property
+    def twice_genus(self) -> int:
+        """``twice_adjunction_genus(self)``, computed once per object."""
+        if self._genus is None:
+            object.__setattr__(self, "_genus", twice_adjunction_genus(self))
+        return self._genus
+
     def __str__(self):
-        parts = []
-        for name, c in zip(self.model.basis_names, self.coeffs):
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else ("+" if parts else "")
-            mag = abs(c)
-            parts.append(f"{sign}{'' if mag == 1 else mag}{name}")
-        return "".join(parts) if parts else "0"
+        if self._text is None:
+            parts = []
+            for name, c in zip(self.model.basis_names, self.coeffs):
+                if c == 0:
+                    continue
+                sign = "-" if c < 0 else ("+" if parts else "")
+                mag = abs(c)
+                parts.append(f"{sign}{'' if mag == 1 else mag}{name}")
+            object.__setattr__(self, "_text", "".join(parts) if parts else "0")
+        return self._text
 
 
 def intersect(a: HomologyClass, b: HomologyClass) -> int:
@@ -243,7 +279,7 @@ def canonical_chern(model: SurfaceModel) -> HomologyClass:
         coeffs = (3,) + (-1,) * model.k
     else:
         coeffs = (2, 2 - 2 * model.genus) + (-1,) * model.k
-    return HomologyClass(model, coeffs)
+    return model.intern(coeffs)
 
 
 def chern_pairing(c: HomologyClass) -> int:

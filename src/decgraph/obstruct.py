@@ -107,13 +107,20 @@ def is_proper_transform_shape(c: HomologyClass) -> bool:
 
 
 def certified_classes(
-    g: DecoratedGraph, n: int, mode: str = STABILIZER_ONLY
+    g: DecoratedGraph, n: int, mode: str = STABILIZER_ONLY, shapes: dict | None = None
 ) -> list[CertifiedClass]:
-    """All classes with guaranteed holomorphic representatives in the graph."""
+    """All classes with guaranteed holomorphic representatives in the graph.
+
+    ``shapes`` keeps ``is_proper_transform_shape`` per class, keyed by
+    value and so by model too; callers share one across the graphs of one
+    search.
+    """
     if n < 2:
         raise LatticeError("cyclic order must be at least 2")
     if mode not in (STABILIZER_ONLY, INTEGRABLE_BLOWUP):
         raise LatticeError(f"unknown certification mode {mode!r}")
+    if shapes is None:
+        shapes = {}
     out = []
     for v in g.vertices:
         if v.is_fat:
@@ -121,26 +128,45 @@ def certified_classes(
     for e in g.edges:
         if e.label >= 2:
             out.append(CertifiedClass(e.cls, "stabilizer", e.label))
-        elif mode == INTEGRABLE_BLOWUP and is_proper_transform_shape(e.cls):
-            out.append(CertifiedClass(e.cls, "proper_transform", e.label))
+        elif mode == INTEGRABLE_BLOWUP:
+            shape = shapes.get(e.cls)
+            if shape is None:
+                shape = shapes[e.cls] = is_proper_transform_shape(e.cls)
+            if shape:
+                out.append(CertifiedClass(e.cls, "proper_transform", e.label))
     out.sort(key=lambda c: (c.cls.coeffs, c.label is not None, c.label or 0))
     return out
 
 
 def find_certificate(
-    certified: list[CertifiedClass], required: list[RequiredClass]
+    certified: list[CertifiedClass],
+    required: list[RequiredClass],
+    products: dict | None = None,
 ) -> Certificate | None:
-    """First contradiction in canonical order, preferring distinct classes."""
+    """First contradiction in canonical order, preferring distinct classes.
+
+    ``products`` keeps ``intersect`` per pair of classes, keyed by value and
+    so by model too; callers share one across the graphs of one search.
+    """
+    if products is None:
+        products = {}
     for cert in certified:
+        a = cert.cls
         for req in required:
-            if cert.cls != req.cls:
-                prod = intersect(cert.cls, req.cls)
+            b = req.cls
+            if a != b:
+                prod = products.get((a, b))
+                if prod is None:
+                    prod = products[a, b] = intersect(a, b)
                 if prod < 0:
                     return Certificate(cert, req, prod, RULE_NEGATIVE_PAIR)
     for cert in certified:
+        a = cert.cls
         for req in required:
-            if cert.cls == req.cls:
-                sq = intersect(cert.cls, cert.cls)
+            if a == req.cls:
+                sq = products.get((a, a))
+                if sq is None:
+                    sq = products[a, a] = intersect(a, a)
                 if sq < 0 and not cert.pointwise_fixed(req.fixed_by):
                     return Certificate(cert, req, sq, RULE_NEGATIVE_SQUARE)
     return None
@@ -156,12 +182,17 @@ def check_nonextension(
 
     The cyclic action extends along no enumerated circle action exactly when
     every graph is obstructed.  An empty enumeration makes the claim
-    vacuously true and is flagged as such.
+    vacuously true and is flagged as such.  The graphs share few distinct
+    classes, so each class's shape test and each pairing is computed once
+    per call.
     """
     verdicts = []
+    required = list(required)
+    shapes: dict = {}
+    products: dict = {}
     for g in result.graphs:
-        certified = certified_classes(g, n, mode)
-        cert = find_certificate(certified, list(required))
+        certified = certified_classes(g, n, mode, shapes)
+        cert = find_certificate(certified, required, products)
         verdicts.append(
             GraphVerdict(g, OBSTRUCTED if cert else UNOBSTRUCTED, cert)
         )
@@ -181,9 +212,10 @@ def last_blowup_classes(
     set must stay inside it.
     """
     out: set[HomologyClass] = set()
+    shapes: dict = {}
     for g in result.graphs:
         k = g.model.k
-        certified = certified_classes(g, n, mode)
+        certified = certified_classes(g, n, mode, shapes)
         if mode == INTEGRABLE_BLOWUP:
             ek = g.model.exceptional(k)
             if any(c.cls == ek for c in certified):

@@ -333,6 +333,13 @@ def parse_scenario_text(text: str) -> Scenario:
             lam = rat(fields["lam-f"])
             lam_b = rat(fields["lam-b"])
             base_deltas = ()
+        expected = fields.get("expected-count")
+        if expected is not None:
+            if not (expected.isascii() and expected.isdigit()):
+                raise ScenarioError(
+                    f"expected-count must be a non-negative integer, not {expected!r}"
+                )
+            expected = int(expected)
         return Scenario(
             name=fields.get("name", "custom"),
             kind=kind,
@@ -353,6 +360,7 @@ def parse_scenario_text(text: str) -> Scenario:
             witness_family=fields.get("witness-family") or None,
             classify_types=fields.get("classify-types", "off") == "on",
             advisory=fields.get("advisory", "off") == "on",
+            expected_final_count=expected,
         )
     except (KeyError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}")
@@ -389,6 +397,8 @@ def scenario_text(s: Scenario) -> str:
         lines.append("classify-types on")
     if s.advisory:
         lines.append("advisory on")
+    if s.expected_final_count is not None:
+        lines.append(f"expected-count {s.expected_final_count}")
     return "\n".join(lines) + "\n"
 
 

@@ -57,15 +57,14 @@ def test_ruled_general_size_formula():
 
 
 def test_scenario_text_round_trip():
+    from dataclasses import replace
+
     for s in builtin_scenarios().values():
-        again = parse_scenario_text(scenario_text(s))
-        assert again == s or (
-            # expected_final_count is not serialized; everything else must agree
-            again.name == s.name
-            and again.sizes == s.sizes
-            and again.required == s.required
-            and again.mode == s.mode
-        )
+        assert parse_scenario_text(scenario_text(s)) == s
+        for count in (0, 317):
+            counted = replace(s, expected_final_count=count)
+            assert f"expected-count {count}\n" in scenario_text(counted)
+            assert parse_scenario_text(scenario_text(counted)) == counted
 
 
 def test_load_scenario_from_file(tmp_path):
@@ -230,10 +229,14 @@ RULED_HEAD = "kind ruled\nlam-f 1\nlam-b 1\ngenus 2\nn 2\n"
          "unknown generator list 'bogus'"),
         (RULED_HEAD + "mode integrable\nsizes 3/5 7/20 3/10\nwitness-family bogus\n",
          "unknown witness family 'bogus'"),
+        (RULED_HEAD + "mode integrable\nsizes 3/5 7/20 3/10\nexpected-count -1\n",
+         "expected-count must be a non-negative integer, not '-1'"),
+        (RULED_HEAD + "mode integrable\nsizes 3/5 7/20 3/10\nexpected-count 2.0\n",
+         "expected-count must be a non-negative integer, not '2.0'"),
     ],
     ids=[
         "name-suffix", "mode", "required-class", "negative-size", "one-size-ruled",
-        "generator-key", "witness-family",
+        "generator-key", "witness-family", "negative-count", "non-integer-count",
     ],
 )
 def test_malformed_scenario_exits_2_with_one_line(tmp_path, capsys, scenario, message):
@@ -285,3 +288,55 @@ def test_empty_enumeration_passes_when_expected():
     assert "nonvacuous" not in outcome.report["gates"]
     assert outcome.report["gates"]["final_count"] is True
     assert outcome.passed
+
+
+def test_expected_count_from_a_scenario_file(tmp_path, capsys):
+    path = tmp_path / "empty.scenario"
+    path.write_text(EMPTY + "expected-count 0\n")
+    assert main(["verify", "--scenario", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["gates"]["final_count"] is True
+    assert "nonvacuous" not in report["gates"]
+    assert report["passed"] is True
+
+    path.write_text(EMPTY + "expected-count 1\n")
+    assert main(["verify", "--scenario", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert '"final_count": false' in out
+    assert json.loads(out)["passed"] is False
+
+
+# A valid plane scenario whose enumeration reaches a surface site that the
+# blowup rules get wrong (see test_blowup.py's strict xfail): the rewrite
+# fails its own validation.
+FIBER_DEFECT = (
+    "kind rational\nlam 1\nbase-sizes 1/2\nsizes 1/4 1/8 1/16\nrequired E1-E2@2\n"
+)
+
+
+@pytest.mark.parametrize("command", ["verify", "enumerate"])
+def test_a_rejected_rewrite_exits_2_with_one_line(tmp_path, capsys, command):
+    path = tmp_path / "fiber.scenario"
+    path.write_text(FIBER_DEFECT)
+    assert main([command, "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("blowup error: ")
+    assert "not an embedded-sphere class" in captured.err
+
+
+def test_python_dash_m_runs_the_command_line():
+    import subprocess
+    import sys
+
+    import decgraph
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(decgraph.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "decgraph", "verify", "--scenario", "ruled-three"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["passed"] is True

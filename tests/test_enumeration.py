@@ -78,6 +78,29 @@ def test_every_graph_extends_omega_by_the_size_list():
             assert pair(g.omega, g.model.exceptional(i)) == s
 
 
+def test_a_class_vector_with_a_wrong_size_trips_the_final_assert(monkeypatch):
+    """The final check reads each distinct class vector object once; a graph
+    carrying its own vector with a wrong last size must still be caught."""
+    from dataclasses import replace
+
+    from decgraph import enumeration
+    from decgraph.lattice import CohomologyVector
+
+    spec = EnumerationSpec((base_ruled(1, 1, 2, 0),), RULED_SIZES)
+    levels = list(enumeration._levels(spec))
+    last = levels[-1]
+    assert len({id(g.omega) for g in last.graphs}) < len(last.graphs)  # shared
+    g = last.graphs[-1]
+    wrong = CohomologyVector(g.model, g.omega.entries[:-1] + (RULED_SIZES[-1] / 2,))
+    tampered = replace(last, graphs=last.graphs[:-1] + (replace(g, omega=wrong),))
+
+    monkeypatch.setattr(enumeration, "_levels", lambda spec: iter(levels))
+    assert enumerate_graphs(spec) is last
+    monkeypatch.setattr(enumeration, "_levels", lambda spec: iter(levels[:-1] + [tampered]))
+    with pytest.raises(AssertionError):
+        enumerate_graphs(spec)
+
+
 def test_dedup_soundness_under_exploration_order():
     base = base_ruled(1, 1, 2, 0)
     spec = EnumerationSpec((base,), RULED_SIZES)

@@ -2,14 +2,20 @@
 
 The reference functions below are the earlier implementations, kept here
 only as oracles: the Fraction sum ``pair``, the scan-based extrema and
-adjacency queries, the adjunction genus through two intersections, the
-serializer, the normal form and dedup key that built the flipped graph and
-compared three texts, and the blowup that embedded every class of the parent
-and re-sorted the child.  The kernel must agree with them exactly, on random
-models, class vectors, classes and graphs, on random admissible blowup
-chains, and on every graph of every level of the golden scenarios.  The last
-section checks properties of the dedup key on the same chains.
+adjacency queries, the adjunction genus through two intersections, the class
+formatter and genus formula that ran on every call, the serializer, the
+normal form and dedup key that built the flipped graph and compared three
+texts, the blowup that embedded every class of the parent and re-sorted the
+child, and the obstruction search that recomputed every shape test and
+pairing.  The kernel must agree with them exactly, on random models, class
+vectors, classes and graphs, on random admissible blowup chains, and on every
+graph of every level of the golden scenarios.  The last sections check
+properties of the dedup key on the same chains, and the lifetime of the
+per-model class tables.
 """
+
+import gc
+import weakref
 
 from fractions import Fraction as F
 
@@ -30,6 +36,7 @@ from decgraph.blowup import (
 from decgraph.enumeration import (
     _permutation_group,
     dedup_key,
+    enumerate_graphs,
     enumerate_levels,
     hirzebruch_base_graphs,
     ruled_base_graphs,
@@ -68,8 +75,20 @@ from decgraph.lattice import (
     intersect,
     pair,
     rat_str,
+    twice_adjunction_genus,
 )
-from decgraph.scenarios import DEFAULT_REPS, load_scenario
+from decgraph.obstruct import (
+    INTEGRABLE_BLOWUP,
+    RULE_NEGATIVE_PAIR,
+    RULE_NEGATIVE_SQUARE,
+    STABILIZER_ONLY,
+    Certificate,
+    CertifiedClass,
+    RequiredClass,
+    check_nonextension,
+    is_proper_transform_shape,
+)
+from decgraph.scenarios import DEFAULT_REPS, load_scenario, run_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +108,62 @@ def reference_pair(omega, c):
 
 def reference_adjunction_genus(c):
     return 1 + F(intersect(c, c) - chern_pairing(c), 2)
+
+
+def reference_class_text(c):
+    """The class formatter as it was, run on every call."""
+    parts = []
+    for name, x in zip(c.model.basis_names, c.coeffs):
+        if x == 0:
+            continue
+        sign = "-" if x < 0 else ("+" if parts else "")
+        mag = abs(x)
+        parts.append(f"{sign}{'' if mag == 1 else mag}{name}")
+    return "".join(parts) if parts else "0"
+
+
+def reference_twice_genus(c):
+    """The genus formula as it was, run on every call."""
+    x = c.coeffs
+    if c.model.kind == RATIONAL:
+        head = x[0] * (x[0] - 3)
+        start = 1
+    else:
+        head = 2 * x[0] * x[1] - 2 * x[1] - (2 - 2 * c.model.genus) * x[0]
+        start = 2
+    return 2 + head - sum(e * (e + 1) for e in x[start:])
+
+
+def reference_certified_classes(g, n, mode):
+    """The certified classes as they were: every shape test run anew."""
+    out = []
+    for v in g.vertices:
+        if v.is_fat:
+            out.append(CertifiedClass(v.fat.cls, "stabilizer", None))
+    for e in g.edges:
+        if e.label >= 2:
+            out.append(CertifiedClass(e.cls, "stabilizer", e.label))
+        elif mode == INTEGRABLE_BLOWUP and is_proper_transform_shape(e.cls):
+            out.append(CertifiedClass(e.cls, "proper_transform", e.label))
+    out.sort(key=lambda c: (c.cls.coeffs, c.label is not None, c.label or 0))
+    return out
+
+
+def reference_find_certificate(certified, required):
+    """The certificate search as it was: every pairing computed anew."""
+    for cert in certified:
+        for req in required:
+            if cert.cls != req.cls:
+                prod = intersect(cert.cls, req.cls)
+                if prod < 0:
+                    return Certificate(cert, req, prod, RULE_NEGATIVE_PAIR)
+    for cert in certified:
+        for req in required:
+            if cert.cls == req.cls:
+                sq = intersect(cert.cls, cert.cls)
+                if sq < 0 and not cert.pointwise_fixed(req.fixed_by):
+                    return Certificate(cert, req, sq, RULE_NEGATIVE_SQUARE)
+    return None
 
 
 def reference_vertex(g, vid):
@@ -231,13 +306,16 @@ def reference_canonical_text(g, with_ledger=True):
             f = v.fat
             lines.append(
                 f"V {index[v.vid]} {rat_str(v.moment)} fat"
-                f" size={rat_str(f.size)} genus={f.genus} class={f.cls}"
+                f" size={rat_str(f.size)} genus={f.genus}"
+                f" class={reference_class_text(f.cls)}"
             )
     for chain in chains:
         lines.append("C")
         for e in chain:
-            lines.append(f"E {index[e.bottom]} {index[e.top]} {e.label} {e.cls}")
-    lines.append(f"FIBER {g.fiber}")
+            lines.append(
+                f"E {index[e.bottom]} {index[e.top]} {e.label} {reference_class_text(e.cls)}"
+            )
+    lines.append(f"FIBER {reference_class_text(g.fiber)}")
     if with_ledger:
         lines.append("LEDGER " + " ".join(str(x) for x in g.ledger))
     return "\n".join(lines) + "\n"
@@ -633,13 +711,13 @@ def test_validate_on_an_indexed_graph_reports_broken_rules():
 def full_texts(g):
     """The reduced form h of ``g`` and both its ledger-free texts, in full."""
     h = translate(strip_redundant(break_free_edges(g)))
-    up, down = ("\n".join(_records(h, d, {})) + "\n" for d in (False, True))
+    up, down = ("\n".join(_records(h, d)) + "\n" for d in (False, True))
     return h, up, down
 
 
 def assert_keys_match_references(g):
     h, up, down = full_texts(g)
-    assert normal_key(g, {}) == min(up, down)
+    assert normal_key(g) == min(up, down)
     assert up == canonical_text(h, with_ledger=False) == reference_canonical_text(h, False)
     assert down == canonical_text(flip(h), with_ledger=False)
     assert down == reference_canonical_text(flip(h), False)
@@ -679,7 +757,7 @@ def test_normal_key_is_the_smaller_full_text_under_every_relabeling(golden_level
         for perm in _permutation_group(g):
             p = permute_exceptionals(g, perm)
             _, up, down = full_texts(p)
-            assert normal_key(p, {}) == min(up, down)
+            assert normal_key(p) == min(up, down)
             if up.split("\n")[2] == down.split("\n")[2]:
                 tied += 1
             else:
@@ -796,3 +874,149 @@ def test_dedup_key_is_invariant_under_flip_and_translation(g, data):
 def test_parse_inverts_canonical_text(g):
     text = canonical_text(g)
     assert canonical_text(parse_graph(text)) == text
+
+
+# ---------------------------------------------------------------------------
+# one object per class
+
+
+def graph_classes(g):
+    """Every class object a graph holds: fat vertices, edges, fiber."""
+    out = [v.fat.cls for v in g.vertices if v.is_fat]
+    return out + [e.cls for e in g.edges] + [g.fiber]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_class_arithmetic_returns_the_models_one_object(data):
+    model = data.draw(models())
+    a, b = data.draw(classes(model, bound=50)), data.draw(classes(model, bound=50))
+    n = data.draw(st.integers(-5, 5))
+    wider = model.extend()
+    made = [
+        (a + b, model, tuple(x + y for x, y in zip(a.coeffs, b.coeffs))),
+        (a - b, model, tuple(x - y for x, y in zip(a.coeffs, b.coeffs))),
+        (-a, model, tuple(-x for x in a.coeffs)),
+        (n * a, model, tuple(n * x for x in a.coeffs)),
+        (a * n, model, tuple(n * x for x in a.coeffs)),
+        (a.embed(wider), wider, a.coeffs + (0,)),
+        (model.parse(str(a)), model, a.coeffs),
+        (model.zero(), model, (0,) * model.rank),
+    ]
+    if model.k:
+        name = f"E{data.draw(st.integers(1, model.k))}"
+        unit = tuple(int(x == name) for x in model.basis_names)
+        made.append((model.unit(name), model, unit))
+    for got, home, coeffs in made:
+        assert got.model is home
+        assert got is home.intern(coeffs)
+        assert got == HomologyClass(home, coeffs)
+        assert hash(got) == hash(HomologyClass(home, coeffs))
+    assert b + a is a + b
+    assert a - a is model.zero()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cached_text_and_genus_match_the_formulas(data):
+    model = data.draw(models())
+    c = model.intern(data.draw(classes(model, bound=50)).coeffs)
+    for _ in range(2):  # computed, then read back
+        assert str(c) == reference_class_text(c)
+        assert c.twice_genus == twice_adjunction_genus(c) == reference_twice_genus(c)
+
+
+def test_non_integer_coefficients_and_multipliers_are_rejected():
+    m = SurfaceModel(RATIONAL, 2)
+    c = m.parse("L-E1")
+    with pytest.raises(LatticeError):
+        HomologyClass(m, (2.0, 0, 0))
+    with pytest.raises(LatticeError):
+        m.intern((F(1, 2), 0, 0))
+    for n in (2.0, F(2), F(1, 2)):
+        with pytest.raises(LatticeError):
+            c * n
+        with pytest.raises(LatticeError):
+            n * c
+    assert 2 * c is c * 2 is m.parse("2L-2E1")
+
+
+def required_for(model, scenario):
+    """The scenario's required classes that exist in ``model``, plus every
+    Ei and Ei-E(i+1), all sphere classes fixed by the cyclic order."""
+    out = []
+    for text, order in scenario.required:
+        try:
+            out.append(RequiredClass(model.parse(text), order))
+        except LatticeError:
+            pass
+    for i in range(1, model.k + 1):
+        out.append(RequiredClass(model.exceptional(i), scenario.n))
+        if i < model.k:
+            out.append(RequiredClass(model.parse(f"E{i}-E{i + 1}"), scenario.n))
+    return out
+
+
+def test_memoized_search_matches_the_reference_on_golden_levels():
+    """Verdicts and certificates of ``check_nonextension``, whose shape tests
+    and pairings are shared across graphs, against the per-graph reference
+    on every graph of every golden level, in both modes."""
+    graphs = obstructed = squares = 0
+    for name in ("cp2-six", "cp2-six-alt", "ruled-three", "ruled-general-4"):
+        scenario = load_scenario(name)
+        for level in enumerate_levels(scenario.enumeration_spec()):
+            # A model object of its own, equal to the graphs' ones.
+            model = SurfaceModel.from_json(level.graphs[0].model.as_json())
+            required = required_for(model, scenario)
+            for mode in (STABILIZER_ONLY, INTEGRABLE_BLOWUP):
+                report = check_nonextension(level, required, scenario.n, mode)
+                for g, verdict in zip(level.graphs, report.verdicts):
+                    assert verdict.graph is g
+                    cert = reference_find_certificate(
+                        reference_certified_classes(g, scenario.n, mode), required
+                    )
+                    assert verdict.certificate == cert
+                    assert verdict.verdict == ("obstructed" if cert else "unobstructed")
+                    obstructed += cert is not None
+                    squares += cert is not None and cert.rule == RULE_NEGATIVE_SQUARE
+            graphs += len(level.graphs)
+    assert graphs == 558
+    assert 0 < squares < obstructed < 2 * graphs
+
+
+def test_mixed_model_search_still_raises():
+    """A ruled k=3 class and a plane k=4 class can share a coefficient tuple;
+    the shared pairings must not mix them up."""
+    result = enumerate_graphs(load_scenario("ruled-three").enumeration_spec())
+    ruled = result.graphs[0].model
+    plane = SurfaceModel(RATIONAL, 4)
+    # F-E1 is certified in no graph and pairs nonnegatively with the first
+    # certified class, so the search goes on to its plane twin E1-E2.
+    same = ruled.parse("F-E1")
+    other = plane.intern(same.coeffs)
+    assert str(other) == "E1-E2" and other != same and hash(other) == hash(same)
+    required = [RequiredClass(same, 2), RequiredClass(other, 2)]
+    with pytest.raises(LatticeError, match="model mismatch"):
+        check_nonextension(result, required, 2, INTEGRABLE_BLOWUP)
+
+
+def test_golden_graphs_hold_only_table_objects(golden_level_graphs):
+    for g in golden_level_graphs:
+        for c in graph_classes(g):
+            assert c.model is g.model and c is g.model.intern(c.coeffs)
+
+
+def test_a_dropped_run_frees_its_models_and_runs_share_no_class():
+    scenario = load_scenario("ruled-three")
+    first, second = run_scenario(scenario), run_scenario(scenario)
+    held = [
+        {id(c) for g in run.result.graphs for c in graph_classes(g)}
+        for run in (first, second)
+    ]
+    assert held[0] and held[1] and not held[0] & held[1]
+    # Every class holds its model, so a dead model means dead classes too.
+    model = weakref.ref(first.result.graphs[0].model)
+    del first
+    gc.collect()
+    assert model() is None
+    assert second.passed
