@@ -112,7 +112,7 @@ def blowup_sites(g: DecoratedGraph, delta) -> list[BlowupSite]:
         site = _site_for_vertex(g, v)
         if site is not None and delta < site.max_admissible:
             sites.append(site)
-    sites.sort(key=lambda s: (s.kind, g.vertex(s.vertex).moment, s.vertex))
+    sites.sort(key=lambda s: (s.kind, g.vertex(s.vertex).height, s.vertex))
     return sites
 
 
@@ -137,20 +137,24 @@ def apply_blowup(g: DecoratedGraph, request: BlowupRequest) -> DecoratedGraph:
 
     # The child rewrites the parent's extension, which its siblings share:
     # its classes are already embedded and its tuples already in build order.
+    # Its scale makes the size an integer height w.
     x = g.extend(delta)
+    scale = x.scale
+    w = delta.numerator * (scale // delta.denominator)
+    h = x.vertex(v.vid).height
     e_idx = x.model.k
     Ee = x.model.exceptional(e_idx)
     step = len(g.ledger) + 1
     fiber = x.fiber
     vmin, vmax = g.min_vertex.vid, g.max_vertex.vid
-    vertices = [w for w in x.vertices if w.vid != v.vid]
+    vertices = [u for u in x.vertices if u.vid != v.vid]
 
     if site.kind == INTERIOR:
         up = x.edges_above(v.vid)[0]
         down = x.edges_below(v.vid)[0]
         m, n = up.label, down.label
-        hi = Vertex(f"{step}.hi", v.moment + m * delta)
-        lo = Vertex(f"{step}.lo", v.moment - n * delta)
+        hi = Vertex.scaled(f"{step}.hi", h + m * w, scale)
+        lo = Vertex.scaled(f"{step}.lo", h - n * w, scale)
         new_vertices = [hi, lo]
         edges = [e for e in x.edges if v.vid not in (e.bottom, e.top)]
         new_edges = [
@@ -163,9 +167,9 @@ def apply_blowup(g: DecoratedGraph, request: BlowupRequest) -> DecoratedGraph:
     elif site.kind == SURFACE:
         at_min = site.end == "min"
         fat = x.vertex(v.vid).fat
-        mid = Vertex(f"{step}.c", v.moment + delta if at_min else v.moment - delta)
+        mid = Vertex.scaled(f"{step}.c", h + w if at_min else h - w, scale)
         new_vertices = [
-            Vertex(v.vid, v.moment, FatData(fat.size - delta, fat.genus, fat.cls - Ee)),
+            Vertex.scaled(v.vid, h, scale, FatData(fat.size - delta, fat.genus, fat.cls - Ee)),
             mid,
         ]
         opposite = vmax if at_min else vmin
@@ -197,11 +201,7 @@ def apply_blowup(g: DecoratedGraph, request: BlowupRequest) -> DecoratedGraph:
         sgn = 1 if at_min else -1
         edges = [e for e in x.edges if v.vid not in (e.bottom, e.top)]
         if m == n:  # both weights 1: the blowup creates a fixed surface
-            fatv = Vertex(
-                f"{step}.s",
-                v.moment + sgn * delta,
-                FatData(delta, 0, Ee),
-            )
+            fatv = Vertex.scaled(f"{step}.s", h + sgn * w, scale, FatData(delta, 0, Ee))
             new_vertices = [fatv]
             new_edges = [
                 Edge(fatv.vid, away(e), 1, e.cls - Ee) if at_min
@@ -209,8 +209,8 @@ def apply_blowup(g: DecoratedGraph, request: BlowupRequest) -> DecoratedGraph:
                 for e in (ea, eb)
             ]
         else:
-            hi = Vertex(f"{step}.hi", v.moment + sgn * m * delta)
-            lo = Vertex(f"{step}.lo", v.moment + sgn * n * delta)
+            hi = Vertex.scaled(f"{step}.hi", h + sgn * m * w, scale)
+            lo = Vertex.scaled(f"{step}.lo", h + sgn * n * w, scale)
             new_vertices = [hi, lo]
             if at_min:
                 new_edges = [

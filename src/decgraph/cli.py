@@ -46,10 +46,11 @@ def _write_report(report: dict, out_dir: str | None):
     sys.stdout.write(text)
 
 
-def _read_graphs(directory: str) -> list:
+def _read_graphs(directory: str, model: SurfaceModel) -> list:
     """Parse every .txt graph file of the directory, in name order.
 
-    An empty replay would certify nothing, so no graph file is an error.
+    An empty replay would certify nothing, so no graph file is an error, and
+    neither is a graph of another model than ``model``, the scenario's.
     Graphs of one model share one model object, and so its classes.
     """
     graphs = []
@@ -59,9 +60,12 @@ def _read_graphs(directory: str) -> list:
             path = os.path.join(directory, name)
             try:
                 with open(path, encoding="utf-8") as fh:
-                    graphs.append(parse_graph(fh.read(), models))
+                    g = parse_graph(fh.read(), models)
+                if g.model != model:
+                    raise GraphError(f"graph is on the {g.model} model, the scenario on {model}")
             except (UnicodeDecodeError, GraphError) as exc:
                 raise GraphError(f"{path}: {exc}") from None
+            graphs.append(g)
     if not graphs:
         raise GraphError(f"no .txt graph file in {directory}")
     return graphs
@@ -86,7 +90,7 @@ def cmd_verify(args) -> int:
     scenario = _load(args)
     if args.graphs:
         try:
-            graphs = _read_graphs(args.graphs)
+            graphs = _read_graphs(args.graphs, scenario.final_model)
         except (OSError, GraphError) as exc:
             print(f"graph error: {exc}", file=sys.stderr)
             return 2

@@ -68,10 +68,8 @@ class EnumerationResult:
     branch_log: tuple[LevelLog, ...]
 
 
-def _permutation_group(g: DecoratedGraph):
-    """Permutations of blowup-created exceptional indices of equal size."""
-    deltas = g.omega.deltas
-    created = sorted(entry.index for entry in g.ledger)
+def _relabelings(deltas: tuple[Fraction, ...], created: tuple[int, ...]):
+    """Permutations of the ``created`` exceptional indices of equal size."""
     groups: dict[Fraction, list[int]] = {}
     for i in created:
         groups.setdefault(deltas[i - 1], []).append(i)
@@ -89,6 +87,21 @@ def _permutation_group(g: DecoratedGraph):
                 if src != dst:
                     perm[src] = dst
         yield perm
+
+
+def _permutation_group(g: DecoratedGraph) -> tuple[dict[int, int], ...]:
+    """Permutations of blowup-created exceptional indices of equal size.
+
+    They depend only on the class vector and the created indices, so they are
+    listed once per (vector, indices) and kept on the vector, which the graphs
+    of a level share.  The permutations are shared: do not change them.
+    """
+    created = tuple(sorted(entry.index for entry in g.ledger))
+    table = g.omega._relabelings
+    perms = table.get(created)
+    if perms is None:
+        perms = table[created] = tuple(_relabelings(g.omega.deltas, created))
+    return perms
 
 
 def dedup_key(g: DecoratedGraph, permute_equal_sizes: bool = True) -> str:

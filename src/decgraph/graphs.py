@@ -6,6 +6,11 @@ are fat vertices carrying a size and a genus, and invariant spheres are edges
 carrying an isotropy label n >= 1 and a homology class.  The moment-value gap
 across an edge equals label * (class area), areas being exact rationals.
 
+Every area is an integer over the class vector's denominator D, so with the
+minimum at 0 every moment is one too.  A graph therefore holds each moment as
+an integer height over one scale shared by all its vertices (a multiple of
+D), and orders, shifts, flips and checks moments in integers.
+
 Graphs are immutable values.  Heights are derived from classes, labels and
 the class vector; validation re-checks them.  Canonical serialization gives
 a deterministic text form that doubles as the on-disk format and as the
@@ -16,7 +21,7 @@ generic metric, flip).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -40,16 +45,81 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class FatData:
+    """A fixed surface's size, genus and class; its record text is kept."""
+
     size: Fraction
     genus: int
     cls: HomologyClass
+    _text: str | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __str__(self):
+        if self._text is None:
+            text = f"fat size={rat_str(self.size)} genus={self.genus} class={self.cls}"
+            object.__setattr__(self, "_text", text)
+        return self._text
 
 
-@dataclass(frozen=True, slots=True)
+_new = object.__new__
+_set = object.__setattr__
+
+
 class Vertex:
-    vid: str
-    moment: Fraction
-    fat: FatData | None = None
+    """A fixed point at the moment value ``height / den``.
+
+    ``Vertex(vid, moment, fat)`` takes an exact moment and holds it in lowest
+    terms; ``Vertex.scaled`` holds a given height over a given ``den``.  All
+    vertices of one graph share one ``den``, the graph's scale.  ``moment`` is
+    the value as a ``Fraction``; equality and hashing go by that value, not by
+    the representation.  Vertices are immutable.
+    """
+
+    __slots__ = ("vid", "height", "den", "fat")
+
+    def __init__(self, vid: str, moment, fat: FatData | None = None):
+        moment = rat(moment)
+        _set(self, "vid", vid)
+        _set(self, "height", moment.numerator)
+        _set(self, "den", moment.denominator)
+        _set(self, "fat", fat)
+
+    @classmethod
+    def scaled(cls, vid: str, height: int, den: int, fat: FatData | None = None) -> "Vertex":
+        """The vertex at moment ``height / den``, held over that very ``den``."""
+        v = _new(cls)
+        _set(v, "vid", vid)
+        _set(v, "height", height)
+        _set(v, "den", den)
+        _set(v, "fat", fat)
+        return v
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: Vertex is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: Vertex is immutable")
+
+    @property
+    def moment(self) -> Fraction:
+        return Fraction(self.height, self.den)
+
+    def __eq__(self, other):
+        if other.__class__ is not Vertex:
+            return NotImplemented
+        return (
+            self.vid == other.vid
+            and self.height * other.den == other.height * self.den
+            and self.fat == other.fat
+        )
+
+    def __hash__(self):
+        c = math.gcd(self.height, self.den)
+        return hash((self.vid, self.height // c, self.den // c, self.fat))
+
+    def __repr__(self):
+        return f"Vertex(vid={self.vid!r}, moment={self.moment!r}, fat={self.fat!r})"
+
+    def __reduce__(self):
+        return (Vertex.scaled, (self.vid, self.height, self.den, self.fat))
 
     @property
     def is_fat(self) -> bool:
@@ -69,8 +139,23 @@ class Edge:
 
 
 def vertex_order(v: Vertex) -> tuple:
-    """Sort key of ``DecoratedGraph.vertices``."""
-    return (v.moment, v.vid)
+    """Sort key of ``DecoratedGraph.vertices``, whose heights share one scale."""
+    return (v.height, v.vid)
+
+
+def _on_scale(vertices, scale: int) -> list[Vertex]:
+    """The vertices held over ``scale``, a multiple of each moment's
+    denominator."""
+    return [
+        v if v.den == scale else Vertex.scaled(v.vid, v.height * scale // v.den, scale, v.fat)
+        for v in vertices
+    ]
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """``rat_str(Fraction(n, d))`` for d > 0, without building the Fraction."""
+    c = math.gcd(n, d)
+    return str(n // c) if c == d else f"{n // c}/{d // c}"
 
 
 def edge_order(e: Edge) -> tuple:
@@ -96,10 +181,10 @@ class LedgerEntry(NamedTuple):
 class DecoratedGraph:
     """An immutable decorated graph.
 
-    ``vertices`` are sorted by (moment, vid), as ``build`` makes them, so the
-    extrema are the first and the last vertex.  The vid -> vertex map and the
-    edges above and below each vertex are indexed once per graph, on first
-    use.
+    ``vertices`` share one ``den``, the graph's ``scale``, and are sorted by
+    (moment, vid), as ``build`` makes them, so the extrema are the first and
+    the last vertex.  The vid -> vertex map and the edges above and below each
+    vertex are indexed once per graph, on first use.
     """
 
     model: SurfaceModel
@@ -111,9 +196,23 @@ class DecoratedGraph:
 
     @staticmethod
     def build(model, omega, vertices, edges, ledger, fiber) -> "DecoratedGraph":
-        vertices = tuple(sorted(vertices, key=vertex_order))
+        """The graph with its vertices on one scale and both tuples sorted.
+
+        The scale is the lcm of the class vector's denominator and the
+        moments' own; a vertex held over another ``den`` is rescaled.
+        """
+        vertices = list(vertices)
+        scale = math.lcm(
+            omega.denominator, *(v.den // math.gcd(v.height, v.den) for v in vertices)
+        )
+        vertices = tuple(sorted(_on_scale(vertices, scale), key=vertex_order))
         edges = tuple(sorted(edges, key=edge_order))
         return DecoratedGraph(model, omega, vertices, edges, tuple(ledger), fiber)
+
+    @property
+    def scale(self) -> int:
+        """The ``den`` all vertices share: moments are heights over it."""
+        return self.vertices[0].den if self.vertices else self.omega.denominator
 
     @cached_property
     def _extensions(self) -> dict[Fraction, "DecoratedGraph"]:
@@ -124,20 +223,27 @@ class DecoratedGraph:
 
         The vertices and edges are the same, their classes zero-padded, and
         the class vector pairs the new class to ``delta``.  Padding keeps the
-        build order, so nothing is re-sorted.  There is one object per
-        (graph, size), held by this graph, so the blowups of one graph at one
-        size share it, its index and its vertices, edges and classes.
+        build order, so nothing is re-sorted.  The scale grows to a multiple
+        of ``delta``'s denominator, so that ``delta * scale`` is an integer.
+        There is one object per (graph, size), held by this graph, so the
+        blowups of one graph at one size share it, its index and its vertices,
+        edges and classes.
         """
         delta = rat(delta)
         out = self._extensions.get(delta)
         if out is not None:
             return out
         model = self.model.extend()
-        # Isolated vertices carry no class, so the extension shares them.
+        scale, vertices = self.scale, self.vertices
+        if scale % delta.denominator:
+            scale = math.lcm(scale, delta.denominator)
+            vertices = _on_scale(vertices, scale)
+        # Isolated vertices carry no class, so on an unchanged scale the
+        # extension shares them.
         vertices = tuple(
             v if (f := v.fat) is None
-            else Vertex(v.vid, v.moment, FatData(f.size, f.genus, f.cls.embed(model)))
-            for v in self.vertices
+            else Vertex.scaled(v.vid, v.height, scale, FatData(f.size, f.genus, f.cls.embed(model)))
+            for v in vertices
         )
         edges = tuple(Edge(e.bottom, e.top, e.label, e.cls.embed(model)) for e in self.edges)
         omega, fiber = self.omega.extend(delta), self.fiber.embed(model)
@@ -177,7 +283,8 @@ class DecoratedGraph:
 
     @property
     def span(self) -> Fraction:
-        return self.vertices[-1].moment - self.vertices[0].moment
+        vs = self.vertices
+        return Fraction(vs[-1].height - vs[0].height, vs[0].den)
 
     def is_extremal(self, vid: str) -> bool:
         return vid == self.vertices[0].vid or vid == self.vertices[-1].vid
@@ -208,14 +315,17 @@ def validate(g: DecoratedGraph) -> list[str]:
     vs = g.vertices
     if not vs:
         return ["graph has no vertices"]
-    # Vertices are sorted by moment: the minima are vs[:lo], the maxima vs[hi:].
+    scale = vs[0].den
+    if any(v.den != scale for v in vs):
+        return ["vertices are held over different scales"]
+    # Vertices are sorted by height: the minima are vs[:lo], the maxima vs[hi:].
     n = len(vs)
-    mmin, mmax = vs[0].moment, vs[-1].moment
+    mmin, mmax = vs[0].height, vs[-1].height
     lo = 1
-    while lo < n and vs[lo].moment == mmin:
+    while lo < n and vs[lo].height == mmin:
         lo += 1
     hi = n - 1
-    while hi > 0 and vs[hi - 1].moment == mmax:
+    while hi > 0 and vs[hi - 1].height == mmax:
         hi -= 1
     if mmin == mmax:
         bad.append("minimum and maximum must be attained at distinct levels")
@@ -227,8 +337,8 @@ def validate(g: DecoratedGraph) -> list[str]:
     known = g._by_vid
     if len(known) != n:
         bad.append("duplicate vertex ids")
-    # A class pairs with omega to (weights . coeffs) / den; rational moments
-    # and sizes are compared by cross-multiplying numerators and denominators.
+    # A class pairs with omega to (weights . coeffs) / den and a moment is a
+    # height over the scale; sizes are compared by cross-multiplying.
     weights, den = g.omega.weights, g.omega.denominator
     for i, v in enumerate(vs):
         if v.fat is None:
@@ -262,15 +372,13 @@ def validate(g: DecoratedGraph) -> list[str]:
         if not isinstance(e.label, int) or e.label < 1:
             flag(e, "has a non-positive label")
             continue
-        bn, bd = vb.moment.numerator, vb.moment.denominator
-        tn, td = vt.moment.numerator, vt.moment.denominator
-        gap = tn * bd - bn * td  # the moment gap, times bd * td
+        gap = vt.height - vb.height  # the moment gap, times the scale
         if gap <= 0:
             flag(e, "does not increase the moment value")
         if e.cls.model is not g.model and e.cls.model != g.model:
             flag(e, "class is in the wrong lattice")
             continue
-        if gap * den != e.label * sum(map(mul, weights, e.cls.coeffs)) * bd * td:
+        if gap * den != e.label * sum(map(mul, weights, e.cls.coeffs)) * scale:
             flag(e, "breaks the area rule (gap != label * area)")
         if e.cls.twice_genus != 0:
             flag(e, "class is not an embedded-sphere class")
@@ -458,31 +566,41 @@ def break_free_edges(g: DecoratedGraph) -> DecoratedGraph:
 
 
 def strip_redundant(g: DecoratedGraph) -> DecoratedGraph:
-    """Drop label-1 edges joining the minimum directly to the maximum."""
+    """Drop label-1 edges joining the minimum directly to the maximum.
+
+    Returns ``g`` itself, with its index, when there is none to drop.
+    """
     vmin, vmax = g.min_vertex.vid, g.max_vertex.vid
     edges = tuple(
         e
         for e in g.edges
         if not (e.label == 1 and e.bottom == vmin and e.top == vmax)
     )
+    if len(edges) == len(g.edges):
+        return g
     # A subset of sorted edges on the same vertices is already in build order.
     return DecoratedGraph(g.model, g.omega, g.vertices, edges, g.ledger, g.fiber)
 
 
 def translate(g: DecoratedGraph, base=Fraction(0)) -> DecoratedGraph:
     """Shift moment values so the minimum sits at ``base``."""
-    shift = rat(base) - g.min_vertex.moment
-    if shift == 0:
+    base = rat(base)
+    scale, vertices = g.scale, g.vertices
+    if scale % base.denominator:
+        scale = math.lcm(scale, base.denominator)
+        vertices = _on_scale(vertices, scale)
+    shift = base.numerator * (scale // base.denominator) - vertices[0].height
+    if shift == 0 and vertices is g.vertices:
         return g
-    # A common shift keeps the (moment, vid) order, so no re-sort is needed.
-    vertices = tuple(Vertex(v.vid, v.moment + shift, v.fat) for v in g.vertices)
+    # A common shift keeps the (height, vid) order, so no re-sort is needed.
+    vertices = tuple(Vertex.scaled(v.vid, v.height + shift, scale, v.fat) for v in vertices)
     return DecoratedGraph(g.model, g.omega, vertices, g.edges, g.ledger, g.fiber)
 
 
 def flip(g: DecoratedGraph) -> DecoratedGraph:
     """Turn the graph upside down (reparametrize the circle inversely)."""
-    top = g.max_vertex.moment
-    vertices = [Vertex(v.vid, top - v.moment, v.fat) for v in g.vertices]
+    top, scale = g.max_vertex.height, g.scale
+    vertices = [Vertex.scaled(v.vid, top - v.height, scale, v.fat) for v in g.vertices]
     edges = [Edge(e.top, e.bottom, e.label, e.cls) for e in g.edges]
     return translate(
         DecoratedGraph.build(g.model, g.omega, vertices, edges, g.ledger, g.fiber)
@@ -492,9 +610,7 @@ def flip(g: DecoratedGraph) -> DecoratedGraph:
 def _fixed_record(v: Vertex) -> str:
     """The end of a V record: ``isolated``, or the fat size, genus and class."""
     f = v.fat
-    if f is None:
-        return "isolated"
-    return f"fat size={rat_str(f.size)} genus={f.genus} class={f.cls}"
+    return "isolated" if f is None else str(f)
 
 
 def _records(g: DecoratedGraph, down: bool) -> list[str]:
@@ -506,20 +622,16 @@ def _records(g: DecoratedGraph, down: bool) -> list[str]:
     ``top`` is the maximum moment.  It equals the records of ``flip(g)`` on
     every graph that passes ``validate``.
     """
-    vs = g.vertices
+    vs, scale = g.vertices, g.scale
     if down:
         start, end, onward = vs[-1], vs[0], g._adjacency[1]
-        tn, td = start.moment.numerator, start.moment.denominator
-        moment_text = {}
-        for vid, v in g._by_vid.items():
-            # rat_str(top - moment), without building the Fraction
-            md = v.moment.denominator
-            n, d = tn * md - v.moment.numerator * td, td * md
-            c = math.gcd(n, d)
-            moment_text[vid] = str(n // c) if c == d else f"{n // c}/{d // c}"
+        top = start.height
+        moment_text = {
+            vid: _ratio_text(top - v.height, scale) for vid, v in g._by_vid.items()
+        }
     else:
         start, end, onward = vs[0], vs[-1], g._adjacency[0]
-        moment_text = {vid: str(v.moment) for vid, v in g._by_vid.items()}
+        moment_text = {vid: _ratio_text(v.height, scale) for vid, v in g._by_vid.items()}
 
     # A chain is a list of (near end, far end, edge), walked away from start.
     # Sorting by records leaves ties only between chains whose records, and
@@ -709,19 +821,27 @@ def permute_exceptionals(g: DecoratedGraph, perm: dict[int, int]) -> DecoratedGr
             coeffs[head + j - 1] = c.coeffs[head + i - 1]
         return g.model.intern(tuple(coeffs))
 
-    entries = list(g.omega.entries)
-    for i, j in perm.items():
-        entries[head + j - 1] = g.omega.entries[head + i - 1]
-    omega = CohomologyVector(g.model, tuple(entries))
-    vertices = [
-        Vertex(v.vid, v.moment, None)
-        if v.fat is None
-        else Vertex(v.vid, v.moment, FatData(v.fat.size, v.fat.genus, permute_cls(v.fat.cls)))
-        for v in g.vertices
-    ]
+    entries = g.omega.entries
+    omega = g.omega
+    # A relabeling of equal sizes, as dedup makes, leaves the vector as it is.
+    if any(entries[head + i - 1] != entries[head + j - 1] for i, j in perm.items()):
+        permuted = list(entries)
+        for i, j in perm.items():
+            permuted[head + j - 1] = entries[head + i - 1]
+        omega = CohomologyVector(g.model, tuple(permuted))
+
+    def permute_vertex(v: Vertex) -> Vertex:
+        f = v.fat
+        if f is None or (cls := permute_cls(f.cls)) is f.cls:
+            return v
+        return Vertex.scaled(v.vid, v.height, v.den, FatData(f.size, f.genus, cls))
+
+    # Moments and ids stay, so the vertices stay in build order.
+    vertices = tuple(map(permute_vertex, g.vertices))
     edges = [Edge(e.bottom, e.top, e.label, permute_cls(e.cls)) for e in g.edges]
-    return DecoratedGraph.build(
-        g.model, omega, vertices, edges, g.ledger, permute_cls(g.fiber)
+    edges.sort(key=edge_order)
+    return DecoratedGraph(
+        g.model, omega, vertices, tuple(edges), g.ledger, permute_cls(g.fiber)
     )
 
 

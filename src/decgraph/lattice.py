@@ -346,6 +346,8 @@ class CohomologyVector:
         object.__setattr__(self, "denominator", den)
         object.__setattr__(self, "weights", tuple(scaled))
         object.__setattr__(self, "_extensions", {})
+        # enumeration._permutation_group's relabelings, per created indices
+        object.__setattr__(self, "_relabelings", {})
 
     @staticmethod
     def rational(lam, deltas) -> "CohomologyVector":

@@ -277,6 +277,24 @@ def _checked(s: Scenario) -> Scenario:
         )
     if any(x <= 0 for x in s.sizes):
         raise ScenarioError("blowup sizes must be positive")
+    if s.n < 2:
+        raise ScenarioError(f"the cyclic order n must be at least 2, not {s.n}")
+    if s.kind == RATIONAL:
+        if s.lam <= 0:
+            raise ScenarioError(f"lam must be positive, not {rat_str(s.lam)}")
+        if len(s.base_deltas) != 1:
+            raise ScenarioError(
+                f"a plane scenario needs exactly one base size, not {len(s.base_deltas)}"
+            )
+        if not 0 < s.base_deltas[0] < s.lam:
+            raise ScenarioError(
+                f"the base size must lie strictly between 0 and lam = {rat_str(s.lam)},"
+                f" not {rat_str(s.base_deltas[0])}"
+            )
+    else:
+        for name, value in (("lam-f", s.lam), ("lam-b", s.lam_b)):
+            if value <= 0:
+                raise ScenarioError(f"{name} must be positive, not {rat_str(value)}")
     k = len(s.base_deltas) + len(s.sizes)
     need = 3 if s.kind == RATIONAL else 2
     if k < need:

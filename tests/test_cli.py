@@ -166,6 +166,18 @@ def test_verify_graphs_without_graph_files_exits_2(tmp_path, capsys):
     assert captured.err.count("\n") == 1 and "no .txt graph file" in captured.err
 
 
+def test_verify_graphs_of_another_model_exits_2(tmp_path, capsys):
+    assert main(["verify", "--scenario", "ruled-three", "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    graphs = tmp_path / "run" / "graphs"
+    assert main(["verify", "--scenario", "cp2-six", "--graphs", str(graphs)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("graph error: ") and "graph-000.txt: " in captured.err
+    assert "ruled genus=2 k=3" in captured.err and "rational k=6" in captured.err
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -215,6 +227,8 @@ def test_cross_check_bug_is_not_read_as_a_failed_gate(monkeypatch):
 
 
 RULED_HEAD = "kind ruled\nlam-f 1\nlam-b 1\ngenus 2\nn 2\n"
+RULED_OK = RULED_HEAD + "mode integrable\nsizes 3/5 7/20 3/10\n"
+PLANE_HEAD = "kind rational\nn 2\nsizes 1/4 1/4 1/4\n"
 
 
 @pytest.mark.parametrize(
@@ -233,10 +247,25 @@ RULED_HEAD = "kind ruled\nlam-f 1\nlam-b 1\ngenus 2\nn 2\n"
          "expected-count must be a non-negative integer, not '-1'"),
         (RULED_HEAD + "mode integrable\nsizes 3/5 7/20 3/10\nexpected-count 2.0\n",
          "expected-count must be a non-negative integer, not '2.0'"),
+        (RULED_OK + "n 1\n", "the cyclic order n must be at least 2, not 1"),
+        (RULED_OK + "n 0\n", "the cyclic order n must be at least 2, not 0"),
+        (RULED_OK + "lam-f -1\n", "lam-f must be positive, not -1"),
+        (RULED_OK + "lam-b 0\n", "lam-b must be positive, not 0"),
+        (PLANE_HEAD + "lam -1\nbase-sizes 1/2\n", "lam must be positive, not -1"),
+        (PLANE_HEAD + "lam 1\nbase-sizes 2\n",
+         "the base size must lie strictly between 0 and lam = 1, not 2"),
+        (PLANE_HEAD + "lam 1\nbase-sizes 0\n",
+         "the base size must lie strictly between 0 and lam = 1, not 0"),
+        (PLANE_HEAD + "lam 1\nbase-sizes 1/2 1/4\n",
+         "a plane scenario needs exactly one base size, not 2"),
+        (PLANE_HEAD + "lam 1\nbase-sizes\n",
+         "a plane scenario needs exactly one base size, not 0"),
     ],
     ids=[
         "name-suffix", "mode", "required-class", "negative-size", "one-size-ruled",
         "generator-key", "witness-family", "negative-count", "non-integer-count",
+        "n-one", "n-zero", "negative-lam-f", "zero-lam-b", "negative-lam",
+        "base-size-above-lam", "zero-base-size", "two-base-sizes", "no-base-size",
     ],
 )
 def test_malformed_scenario_exits_2_with_one_line(tmp_path, capsys, scenario, message):

@@ -1,4 +1,4 @@
-"""Golden oracle: per-level counts and digests pinned for four scenarios.
+"""Golden oracle: per-level counts and digests pinned for five scenarios.
 
 Each record in ``tests/golden/<scenario>.json`` holds the per-level
 ``(sites, kept, merged)``, the final graph count, the SHA-256 of the sorted
@@ -20,8 +20,12 @@ import pytest
 from decgraph.enumeration import dedup_key
 from decgraph.scenarios import load_scenario, run_scenario
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
-SCENARIOS = ("cp2-six", "cp2-six-alt", "ruled-three", "ruled-general-4")
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+SCENARIOS = ("cp2-six", "cp2-six-alt", "ruled-three", "ruled-general-4", "ruled-deep")
+# Scenarios read from a file rather than built in; ruled-deep is the
+# benchmark's deep workload, the first six sizes of ruled-general-6.
+FILES = {"ruled-deep": ROOT / "perfbench" / "ruled-deep.scenario"}
 
 
 def _sha256(text: str) -> str:
@@ -29,7 +33,7 @@ def _sha256(text: str) -> str:
 
 
 def golden_record(name: str) -> dict:
-    scenario = load_scenario(name)
+    scenario = load_scenario(str(FILES.get(name, name)))
     outcome = run_scenario(scenario)
     keys = sorted(
         dedup_key(g, scenario.permute_equal_sizes) for g in outcome.result.graphs
@@ -55,6 +59,11 @@ def test_golden_reference_counts():
     assert [kept for _, kept, _ in six["levels"]] == [19, 15, 2, 7, 26]
     r4 = json.loads((GOLDEN / "ruled-general-4.json").read_text(encoding="utf-8"))
     assert r4["final_count"] == 317
+    deep = json.loads((GOLDEN / "ruled-deep.json").read_text(encoding="utf-8"))
+    assert [kept for _, kept, _ in deep["levels"]] == [1, 3, 12, 60, 360, 2520]
+    # The benchmark pins the same report for its ruled-deep workload.
+    pins = json.loads((ROOT / "perfbench" / "pins.json").read_text(encoding="utf-8"))
+    assert deep["report_sha256"] == pins["ruled-deep"]["ruled-deep"]["report_sha256"]
 
 
 if __name__ == "__main__":

@@ -5,16 +5,20 @@ only as oracles: the Fraction sum ``pair``, the scan-based extrema and
 adjacency queries, the adjunction genus through two intersections, the class
 formatter and genus formula that ran on every call, the serializer, the
 normal form and dedup key that built the flipped graph and compared three
-texts, the blowup that embedded every class of the parent and re-sorted the
-child, and the obstruction search that recomputed every shape test and
-pairing.  The kernel must agree with them exactly, on random models, class
-vectors, classes and graphs, on random admissible blowup chains, and on every
-graph of every level of the golden scenarios.  The last sections check
-properties of the dedup key on the same chains, and the lifetime of the
-per-model class tables.
+texts over relabelings listed anew per graph, the blowup that embedded every
+class of the parent and re-sorted the child, and the obstruction search that
+recomputed every shape test and pairing.  The kernel must agree with them
+exactly, on random models, class vectors, classes and graphs, on random
+admissible blowup chains, and on every graph of every level of the golden
+scenarios.  The last sections check properties of the dedup key on the same
+chains, the lifetime of the per-model class tables, and the integer moments:
+every vertex a height over its graph's one scale.
 """
 
 import gc
+import itertools
+import math
+import pickle
 import weakref
 
 from fractions import Fraction as F
@@ -62,6 +66,7 @@ from decgraph.graphs import (
     strip_redundant,
     translate,
     validate,
+    vertex_order,
 )
 from decgraph.lattice import (
     RATIONAL,
@@ -330,13 +335,34 @@ def reference_normal_form(g):
     return h
 
 
+def reference_permutation_group(g):
+    """The relabelings as they were listed anew for every graph."""
+    deltas = g.omega.deltas
+    created = sorted(entry.index for entry in g.ledger)
+    groups = {}
+    for i in created:
+        groups.setdefault(deltas[i - 1], []).append(i)
+    groups = {k: v for k, v in groups.items() if len(v) > 1}
+    if not groups:
+        yield {}
+        return
+    keys = sorted(groups)
+    for combo in itertools.product(*(itertools.permutations(groups[k]) for k in keys)):
+        perm = {}
+        for k, images in zip(keys, combo):
+            for src, dst in zip(groups[k], images):
+                if src != dst:
+                    perm[src] = dst
+        yield perm
+
+
 def reference_dedup_key(g, permute_equal_sizes=True):
     """The dedup key as it was: three texts and one flipped graph per relabeling."""
     if not permute_equal_sizes:
         return reference_canonical_text(reference_normal_form(g), False)
     return min(
         reference_canonical_text(reference_normal_form(permute_exceptionals(g, perm)), False)
-        for perm in _permutation_group(g)
+        for perm in reference_permutation_group(g)
     )
 
 
@@ -1020,3 +1046,155 @@ def test_a_dropped_run_frees_its_models_and_runs_share_no_class():
     gc.collect()
     assert model() is None
     assert second.passed
+
+
+# ---------------------------------------------------------------------------
+# integer moments
+
+
+def assert_on_one_scale(g):
+    """Every vertex over the graph's scale, at its exact moment, in order."""
+    scale = g.scale
+    assert scale % g.omega.denominator == 0
+    for v in g.vertices:
+        assert v.den == scale
+        assert v.moment == F(v.height, v.den)
+    assert g.vertices == tuple(sorted(g.vertices, key=lambda v: (v.moment, v.vid)))
+    assert [vertex_order(v) for v in g.vertices] == sorted(map(vertex_order, g.vertices))
+
+
+def free_max_to_min_spheres(g):
+    ends = (g.min_vertex.vid, g.max_vertex.vid)
+    return [e for e in g.edges if e.label == 1 and (e.bottom, e.top) == ends]
+
+
+def assert_strip_redundant_copies_only_to_drop(g):
+    h = strip_redundant(g)
+    free = free_max_to_min_spheres(g)
+    assert (h is g) == (not free)
+    assert list(h.edges) == [e for e in g.edges if e not in free]
+    return bool(free)
+
+
+def test_golden_graphs_hold_integer_heights_over_one_scale(golden_level_graphs):
+    for g in golden_level_graphs:
+        assert_on_one_scale(g)
+        # Each blowup grows the scale by its size's denominator, as D grows.
+        assert g.scale == g.omega.denominator
+        for h in (normal_form(g), flip(g), translate(g, F(1, 3))):
+            assert_on_one_scale(h)
+        assert translate(g, F(1, 3)).scale == math.lcm(g.scale, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(admissible_chains(), st.data())
+def test_random_chains_hold_integer_heights_over_one_scale(g, data):
+    """Sizes of denominators 2-7 times a bound: the scale changes past level 1."""
+    assert_on_one_scale(g)
+    assert g.scale == g.omega.denominator
+    assert_strip_redundant_copies_only_to_drop(g)
+    sites = blowup_sites(g, F(1, 10**9))
+    if not sites:
+        return
+    site = data.draw(st.sampled_from(sites))
+    den = data.draw(st.integers(2, 7))
+    delta = site.max_admissible * F(data.draw(st.integers(1, den - 1)), den)
+    x = g.extend(delta)
+    assert_on_one_scale(x)
+    assert x.scale == math.lcm(g.scale, delta.denominator) == x.omega.denominator
+    for v, w in zip(g.vertices, x.vertices):
+        assert v.moment == w.moment
+        # Only a rescale makes the extension copy an isolated vertex.
+        assert (w is v) == (v.fat is None and g.scale % delta.denominator == 0)
+    try:
+        child = apply_blowup(g, BlowupRequest(site, delta))
+    except BlowupError:
+        return
+    assert_on_one_scale(child)
+    assert child.scale == x.scale
+
+
+def test_vertex_equality_and_hash_go_by_the_moment_value():
+    v = Vertex("a", F(1, 2))
+    assert (v.vid, v.height, v.den, v.fat) == ("a", 1, 2, None)
+    w = Vertex.scaled("a", 3, 6)
+    assert w.moment == F(1, 2) and (w.height, w.den) == (3, 6)
+    assert v == w and hash(v) == hash(w) and len({v, w}) == 1
+    assert v != Vertex.scaled("a", 2, 6) and v != Vertex("b", F(1, 2))
+    fat = FatData(F(1, 2), 0, SurfaceModel(RATIONAL, 1).parse("L-E1"))
+    assert Vertex("a", F(1, 2), fat) == Vertex.scaled("a", 2, 4, fat)
+    assert Vertex("a", F(1, 2), fat) != v
+    assert Vertex("z", -3) == Vertex.scaled("z", -12, 4) and Vertex("z", -3).den == 1
+    with pytest.raises(AttributeError):
+        v.height = 2
+    with pytest.raises(AttributeError):
+        del v.den
+    assert pickle.loads(pickle.dumps(w)) == w and pickle.loads(pickle.dumps(w)).den == 6
+    assert repr(w) == "Vertex(vid='a', moment=Fraction(1, 2), fat=None)"
+
+
+def test_build_puts_every_vertex_on_one_scale():
+    omega = CohomologyVector.rational(1, [F(1, 2)])
+    P = omega.model.parse
+    vertices = [
+        Vertex("0.min", 0, FatData(F(1, 2), 0, P("L-E1"))),
+        Vertex("0.a", F(1, 3)),
+        Vertex.scaled("0.max", 10, 20),
+    ]
+    g = DecoratedGraph.build(omega.model, omega, vertices, [], (), P("L"))
+    assert g.scale == 6 and [(v.vid, v.height) for v in g.vertices] == [
+        ("0.min", 0), ("0.a", 2), ("0.max", 3),
+    ]
+    assert g.vertices == tuple(vertices) and g.span == F(1, 2)
+    # Only a graph made without ``build`` can hold two scales; validate says so.
+    mixed = DecoratedGraph(omega.model, omega, tuple(vertices), (), (), P("L"))
+    assert validate(mixed) == ["vertices are held over different scales"]
+
+
+def test_relabelings_are_listed_once_per_vector_and_created_indices(golden_level_graphs):
+    lists = {}
+    shared = relabeled = 0
+    for g in golden_level_graphs:
+        perms = _permutation_group(g)
+        assert perms is _permutation_group(g)
+        assert list(perms) == list(reference_permutation_group(g))
+        key = (id(g.omega), tuple(sorted(entry.index for entry in g.ledger)))
+        if key in lists:
+            shared += 1
+        assert lists.setdefault(key, perms) is perms
+        relabeled += len(perms) > 1
+    assert shared > 400 and relabeled > 50
+
+
+def test_a_dropped_run_frees_its_vectors_and_their_relabelings():
+    result = enumerate_graphs(load_scenario("cp2-six").enumeration_spec())
+    omega = result.graphs[0].omega
+    assert any(len(perms) > 1 for perms in omega._relabelings.values())
+    vector = weakref.ref(omega)
+    del result, omega
+    gc.collect()
+    assert vector() is None
+
+
+def test_strip_redundant_copies_a_graph_only_to_drop_a_sphere(golden_level_graphs):
+    dropped = [assert_strip_redundant_copies_only_to_drop(g) for g in golden_level_graphs]
+    assert any(dropped) and not all(dropped)
+
+
+def test_fat_record_is_kept_and_equals_the_formula(golden_level_graphs):
+    fats = 0
+    for g in golden_level_graphs:
+        for v in g.vertices:
+            f = v.fat
+            if f is None:
+                continue
+            fats += 1
+            text = str(f)
+            assert text is str(f)
+            assert text == (
+                f"fat size={rat_str(f.size)} genus={f.genus}"
+                f" class={reference_class_text(f.cls)}"
+            )
+            fresh = FatData(f.size, f.genus, f.cls)
+            assert fresh == f and hash(fresh) == hash(f)
+    assert fats > 500
