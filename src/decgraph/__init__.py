@@ -19,7 +19,6 @@ from .graphs import (
     DecoratedGraph,
     base_hirzebruch,
     base_ruled,
-    equivalent,
     normal_form,
     render_dot,
     validate,

@@ -28,7 +28,7 @@ from .graphs import (
     validate,
     vertex_order,
 )
-from .lattice import rat, rat_str
+from .lattice import rat
 
 INTERIOR = "interior"
 SURFACE = "surface"
@@ -50,10 +50,6 @@ class BlowupSite:
     max_admissible: Fraction
     end: str = ""  # 'min' or 'max' for surface/extremum sites
 
-    def describe(self) -> str:
-        where = f"@{self.end}" if self.end else f"@{self.vertex}"
-        return f"{self.kind}{where}(<{self.max_admissible})"
-
 
 @dataclass(frozen=True)
 class BlowupRequest:
@@ -62,13 +58,6 @@ class BlowupRequest:
 
     def __post_init__(self):
         object.__setattr__(self, "delta", rat(self.delta))
-
-    def as_json(self) -> dict:
-        return {
-            "site_kind": self.site.kind,
-            "vertex": self.site.vertex,
-            "delta": rat_str(self.delta),
-        }
 
 
 def _inserted(kept: list, new: list, key) -> tuple:

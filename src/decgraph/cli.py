@@ -9,9 +9,15 @@ import sys
 
 from .blowup import BlowupError
 from .cone import ConeWitness, cone_membership, nakai_check
-from .enumeration import EnumerationResult, enumerate_graphs, enumerate_levels
-from .graphs import GraphError, parse_graph
-from .lattice import SurfaceModel, classify_negative, enumerate_negative_classes, rat_str
+from .enumeration import enumerate_graphs, enumerate_levels
+from .graphs import GraphError, parse_graph, validate
+from .lattice import (
+    CohomologyVector,
+    SurfaceModel,
+    classify_negative,
+    enumerate_negative_classes,
+    rat_str,
+)
 from .obstruct import check_nonextension
 from .scenarios import (
     Scenario,
@@ -37,21 +43,24 @@ def _load(args) -> Scenario:
     return scenario
 
 
-def _write_report(report: dict, out_dir: str | None):
+def _write_report(report: dict, out_dir: str | None) -> str:
+    """The report's text, also written to ``out_dir``/report.json if given."""
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
             fh.write(text)
-    sys.stdout.write(text)
+    return text
 
 
-def _read_graphs(directory: str, model: SurfaceModel) -> list:
+def _read_graphs(directory: str, omega: CohomologyVector) -> list:
     """Parse every .txt graph file of the directory, in name order.
 
     An empty replay would certify nothing, so no graph file is an error, and
-    neither is a graph of another model than ``model``, the scenario's.
-    Graphs of one model share one model object, and so its classes.
+    neither is a graph on another class vector than ``omega``, the
+    scenario's (a class vector names its model), nor one that fails
+    ``validate``.  The graphs share their model and class vector objects,
+    and so their classes.
     """
     graphs = []
     models: dict = {}
@@ -61,8 +70,14 @@ def _read_graphs(directory: str, model: SurfaceModel) -> list:
             try:
                 with open(path, encoding="utf-8") as fh:
                     g = parse_graph(fh.read(), models)
-                if g.model != model:
-                    raise GraphError(f"graph is on the {g.model} model, the scenario on {model}")
+                if g.omega != omega:
+                    raise GraphError(
+                        f"graph has class vector {g.omega} on the {g.model} model,"
+                        f" the scenario {omega} on the {omega.model} model"
+                    )
+                problems = validate(g)
+                if problems:
+                    raise GraphError(f"invalid graph: {problems[0]}")
             except (UnicodeDecodeError, GraphError) as exc:
                 raise GraphError(f"{path}: {exc}") from None
             graphs.append(g)
@@ -90,13 +105,12 @@ def cmd_verify(args) -> int:
     scenario = _load(args)
     if args.graphs:
         try:
-            graphs = _read_graphs(args.graphs, scenario.final_model)
+            graphs = _read_graphs(args.graphs, scenario.final_omega)
         except (OSError, GraphError) as exc:
             print(f"graph error: {exc}", file=sys.stderr)
             return 2
-        result = EnumerationResult(tuple(graphs), ())
         obstruction = check_nonextension(
-            result, scenario.required_classes(), scenario.n, scenario.mode
+            graphs, scenario.required_classes(), scenario.n, scenario.mode
         )
         report = {
             "scenario": scenario.name,
@@ -106,10 +120,10 @@ def cmd_verify(args) -> int:
             ],
             "all_obstructed": obstruction.all_obstructed,
         }
-        _write_report(report, args.out)
+        sys.stdout.write(_write_report(report, args.out))
         return 0 if obstruction.all_obstructed else 1
     outcome = run_scenario(scenario)
-    _write_report(outcome.report, args.out)
+    sys.stdout.write(_write_report(outcome.report, args.out))
     if args.out:
         export_graphs(outcome.result, os.path.join(args.out, "graphs"))
     return outcome.exit_code
@@ -185,11 +199,7 @@ def cmd_verify_paper(args) -> int:
         if not outcome.passed:
             failures.append(name)
         if args.out:
-            _dir = os.path.join(args.out, name)
-            os.makedirs(_dir, exist_ok=True)
-            with open(os.path.join(_dir, "report.json"), "w", encoding="utf-8") as fh:
-                json.dump(outcome.report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_report(outcome.report, os.path.join(args.out, name))
     return 1 if failures else 0
 
 

@@ -50,14 +50,9 @@ class GeneratorList:
 
 @dataclass(frozen=True)
 class NakaiReport:
-    omega: CohomologyVector
     square: Fraction
     pairings: tuple[tuple[HomologyClass, Fraction], ...]
     passed: bool
-
-    @property
-    def minimum_pairing(self) -> Fraction:
-        return min(p for _, p in self.pairings)
 
 
 def nakai_check(omega: CohomologyVector, gens: GeneratorList) -> NakaiReport:
@@ -67,7 +62,7 @@ def nakai_check(omega: CohomologyVector, gens: GeneratorList) -> NakaiReport:
     sq = volume(omega)
     pairings = tuple((gcls, pair(omega, gcls)) for gcls in gens.generators)
     passed = sq > 0 and all(p > 0 for _, p in pairings)
-    return NakaiReport(omega, sq, pairings, passed)
+    return NakaiReport(sq, pairings, passed)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ exceptional indices carrying equal sizes.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -231,7 +232,7 @@ def ruled_base_graphs(lam_f, lam_b, genus: int) -> list[tuple[str, DecoratedGrap
 TYPE_NAMES = ("I", "II", "III", "IV")
 
 
-def classify_sequence_types(result: EnumerationResult) -> dict[str, list[DecoratedGraph]]:
+def classify_sequence_types(graphs: Iterable[DecoratedGraph]) -> dict[str, list[DecoratedGraph]]:
     """Partition three-step ruled enumerations by blowup-site pattern.
 
     I   three surface blowups;
@@ -243,7 +244,7 @@ def classify_sequence_types(result: EnumerationResult) -> dict[str, list[Decorat
     """
     buckets: dict[str, list[DecoratedGraph]] = {t: [] for t in TYPE_NAMES}
     buckets["unclassified"] = []
-    for g in result.graphs:
+    for g in graphs:
         kinds = tuple(entry.kind for entry in g.ledger)
         details = tuple(entry.detail for entry in g.ledger)
         if len(g.ledger) != 3:

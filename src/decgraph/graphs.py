@@ -31,7 +31,6 @@ from .lattice import (
     RATIONAL,
     CohomologyVector,
     HomologyClass,
-    LatticeError,
     SurfaceModel,
     pair,
     rat,
@@ -684,7 +683,7 @@ def _records(g: DecoratedGraph, down: bool) -> list[str]:
     return lines
 
 
-def canonical_lines(g: DecoratedGraph, with_ledger: bool = True) -> list[str]:
+def canonical_text(g: DecoratedGraph) -> str:
     """Deterministic line records: MODEL, OMEGA, V, C/E blocks, FIBER, LEDGER.
 
     Vertex identity is canonical (0 = minimum, 1 = maximum, then interior
@@ -692,23 +691,21 @@ def canonical_lines(g: DecoratedGraph, with_ledger: bool = True) -> list[str]:
     regardless of construction history.
     """
     lines = _records(g, False)
-    if with_ledger:
-        lines.append("LEDGER " + " ".join(str(x) for x in g.ledger))
-    return lines
-
-
-def canonical_text(g: DecoratedGraph, with_ledger: bool = True) -> str:
-    return "\n".join(canonical_lines(g, with_ledger)) + "\n"
+    lines.append("LEDGER " + " ".join(str(x) for x in g.ledger))
+    return "\n".join(lines) + "\n"
 
 
 def parse_graph(text: str, models: dict | None = None) -> DecoratedGraph:
     """Rebuild a graph from its serialized form.
 
-    ``models`` maps each model to the one object to use for it, and is
-    filled as new models are read; graphs parsed with one such dict share
-    their model objects, and so their classes.  Raises GraphError, naming
-    the line, on any malformed record.
+    ``models`` maps each model to the one object to use for it, and each
+    (model, OMEGA text) to the one class vector, and is filled as they are
+    read; graphs parsed with one such dict share their model objects and
+    class vectors, and so their classes.  Raises GraphError, naming the line,
+    on any malformed record.
     """
+    if models is None:
+        models = {}
     model = omega = None
     verts: dict[int, Vertex] = {}
     edges: list[Edge] = []
@@ -727,13 +724,14 @@ def parse_graph(text: str, models: dict | None = None) -> DecoratedGraph:
                 kind = parts[0]
                 opts = dict(p.split("=") for p in parts[1:])
                 model = SurfaceModel(kind, int(opts["k"]), int(opts.get("genus", 0)))
-                if models is not None:
-                    model = models.setdefault(model, model)
+                model = models.setdefault(model, model)
             elif tag == "OMEGA":
-                head, _, tail = rest.strip("()").partition(";")
-                entries = [rat(x) for x in head.split(",")]
-                entries += [rat(x) for x in tail.split(",") if x]
-                omega = CohomologyVector(model, tuple(entries))
+                omega = models.get((model, rest))
+                if omega is None:
+                    head, _, tail = rest.strip("()").partition(";")
+                    entries = [rat(x) for x in head.split(",")]
+                    entries += [rat(x) for x in tail.split(",") if x]
+                    omega = models[model, rest] = CohomologyVector(model, tuple(entries))
             elif tag == "V":
                 parts = rest.split()
                 idx, moment, kind = int(parts[0]), rat(parts[1]), parts[2]
@@ -764,8 +762,8 @@ def _normal_orientation(g: DecoratedGraph):
     """The reduced form h of ``g``, whether its flip is the normal form, and
     the ledger-free text of the normal form.
 
-    The up text is ``canonical_text(h, with_ledger=False)`` and the down text
-    that of ``flip(h)``; the normal form is the smaller.  Both open with the
+    The up text holds the records of h and the down text those of
+    ``flip(h)``; the normal form is the smaller.  Both open with the
     same MODEL and OMEGA lines, then ``V 0 0`` (h is translated to 0) and the
     record of the start vertex: the minimum up, the maximum down.  Lines hold
     no newline, which sorts below every character they do hold, so when the
@@ -789,7 +787,7 @@ def normal_form(g: DecoratedGraph) -> DecoratedGraph:
 
 
 def normal_key(g: DecoratedGraph) -> str:
-    """``canonical_text(normal_form(g), with_ledger=False)``, flip never built."""
+    """The ledger-free records of ``normal_form(g)``, flip never built."""
     return _normal_orientation(g)[2]
 
 
@@ -800,13 +798,6 @@ def generic_form(g: DecoratedGraph) -> DecoratedGraph:
     orientation, so it is safe to keep blowing up the result.
     """
     return translate(break_free_edges(g))
-
-
-def equivalent(g1: DecoratedGraph, g2: DecoratedGraph) -> bool:
-    """Same action up to translation, flips, and generic-metric moves."""
-    if g1.model != g2.model or g1.omega != g2.omega:
-        raise LatticeError("graphs to compare must share model and class vector")
-    return normal_key(g1) == normal_key(g2)
 
 
 def permute_exceptionals(g: DecoratedGraph, perm: dict[int, int]) -> DecoratedGraph:
@@ -847,7 +838,7 @@ def permute_exceptionals(g: DecoratedGraph, perm: dict[int, int]) -> DecoratedGr
 
 def render_dot(g: DecoratedGraph) -> str:
     """Deterministic DOT text; byte-identical for equal graphs."""
-    lines = canonical_lines(g)
+    lines = canonical_text(g).splitlines()
     out = ["digraph action {", "  rankdir=BT;"]
     for line in lines:
         if line.startswith("MODEL") or line.startswith("OMEGA"):

@@ -83,6 +83,7 @@ class SurfaceModel:
         if self.kind == RATIONAL and self.genus != 0:
             raise LatticeError("plane model carries no genus")
         object.__setattr__(self, "_classes", {})  # see ``intern``
+        object.__setattr__(self, "_parsed", {})  # see ``parse``
 
     @cached_property
     def rank(self) -> int:
@@ -116,10 +117,6 @@ class SurfaceModel:
     def as_json(self) -> dict:
         return {"kind": self.kind, "k": self.k, "genus": self.genus}
 
-    @staticmethod
-    def from_json(data: dict) -> "SurfaceModel":
-        return SurfaceModel(data["kind"], data["k"], data.get("genus", 0))
-
     def zero(self) -> "HomologyClass":
         return self.intern((0,) * self.rank)
 
@@ -137,7 +134,31 @@ class SurfaceModel:
         return self.unit(f"E{i}")
 
     def parse(self, text: str) -> "HomologyClass":
-        return HomologyClass.parse(self, text)
+        """Parse 'L-E1-E4-E5', '2B+3F-E2', '-E3' or '0'; each text once."""
+        out = self._parsed.get(text)
+        if out is not None:
+            return out
+        compact = text.replace(" ", "")
+        if compact in ("0", ""):
+            return self.zero()
+        coeffs = [0] * self.rank
+        pos = 0
+        for m in _TERM.finditer(compact):
+            if m.start() != pos:
+                raise LatticeError(f"cannot parse class {compact!r}")
+            pos = m.end()
+            sign = -1 if m.group(1) == "-" else 1
+            mult = int(m.group(2)) if m.group(2) else 1
+            name = m.group(3)
+            try:
+                idx = self.basis_names.index(name)
+            except ValueError:
+                raise LatticeError(f"{name!r} not in basis of {self}")
+            coeffs[idx] += sign * mult
+        if pos != len(compact):
+            raise LatticeError(f"cannot parse class {compact!r}")
+        out = self._parsed[text] = self.intern(tuple(coeffs))
+        return out
 
     def __str__(self):
         if self.kind == RATIONAL:
@@ -169,30 +190,6 @@ class HomologyClass:
             )
         if not all(map(isinstance, self.coeffs, itertools.repeat(int))):
             raise LatticeError("homology coefficients must be integers")
-
-    @staticmethod
-    def parse(model: SurfaceModel, text: str) -> "HomologyClass":
-        """Parse expressions like 'L-E1-E4-E5', '2B+3F-E2', '-E3', '0'."""
-        text = text.replace(" ", "")
-        if text in ("0", ""):
-            return model.zero()
-        coeffs = [0] * model.rank
-        pos = 0
-        for m in _TERM.finditer(text):
-            if m.start() != pos:
-                raise LatticeError(f"cannot parse class {text!r}")
-            pos = m.end()
-            sign = -1 if m.group(1) == "-" else 1
-            mult = int(m.group(2)) if m.group(2) else 1
-            name = m.group(3)
-            try:
-                idx = model.basis_names.index(name)
-            except ValueError:
-                raise LatticeError(f"{name!r} not in basis of {model}")
-            coeffs[idx] += sign * mult
-        if pos != len(text):
-            raise LatticeError(f"cannot parse class {text!r}")
-        return model.intern(tuple(coeffs))
 
     def __hash__(self):
         # Equal classes have equal coefficients; the model only splits ties.
@@ -228,18 +225,12 @@ class HomologyClass:
         pad = (0,) * (model.rank - self.model.rank)
         return model.intern(self.coeffs + pad)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def exceptional_support(self) -> tuple[int, ...]:
         """Indices i with a nonzero Ei coefficient."""
         head = 1 if self.model.kind == RATIONAL else 2
         return tuple(
             i for i in range(1, self.model.k + 1) if self.coeffs[head + i - 1] != 0
         )
-
-    def coeff(self, name: str) -> int:
-        return self.coeffs[self.model.basis_names.index(name)]
 
     @property
     def twice_genus(self) -> int:
@@ -365,9 +356,6 @@ class CohomologyVector:
     def deltas(self) -> tuple[Fraction, ...]:
         start = 1 if self.model.kind == RATIONAL else 2
         return self.entries[start:]
-
-    def delta(self, i: int) -> Fraction:
-        return self.deltas[i - 1]
 
     def extend(self, delta) -> "CohomologyVector":
         """Append one size; one shared object per (vector, size)."""

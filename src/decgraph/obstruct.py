@@ -11,9 +11,9 @@ nonnegatively, so such an action admits no extension along this graph.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .enumeration import EnumerationResult
 from .graphs import DecoratedGraph
 from .lattice import (
     RATIONAL,
@@ -84,9 +84,10 @@ class GraphVerdict:
 @dataclass(frozen=True)
 class ObstructionReport:
     verdicts: tuple[GraphVerdict, ...]
-    mode: str
-    n: int
-    vacuous: bool
+
+    @property
+    def vacuous(self) -> bool:  # no graph: "all obstructed" holds vacuously
+        return not self.verdicts
 
     @property
     def all_obstructed(self) -> bool:
@@ -173,16 +174,16 @@ def find_certificate(
 
 
 def check_nonextension(
-    result: EnumerationResult,
+    graphs: Iterable[DecoratedGraph],
     required: list[RequiredClass],
     n: int,
     mode: str = STABILIZER_ONLY,
 ) -> ObstructionReport:
-    """Search every enumerated graph for a positivity contradiction.
+    """Search every graph for a positivity contradiction.
 
-    The cyclic action extends along no enumerated circle action exactly when
-    every graph is obstructed.  An empty enumeration makes the claim
-    vacuously true and is flagged as such.  The graphs share few distinct
+    The cyclic action extends along none of the circle actions exactly when
+    every graph is obstructed.  No graph makes the claim vacuously true, and
+    the report flags it as such.  The graphs share few distinct
     classes, so each class's shape test and each pairing is computed once
     per call.
     """
@@ -190,17 +191,17 @@ def check_nonextension(
     required = list(required)
     shapes: dict = {}
     products: dict = {}
-    for g in result.graphs:
+    for g in graphs:
         certified = certified_classes(g, n, mode, shapes)
         cert = find_certificate(certified, required, products)
         verdicts.append(
             GraphVerdict(g, OBSTRUCTED if cert else UNOBSTRUCTED, cert)
         )
-    return ObstructionReport(tuple(verdicts), mode, n, vacuous=not result.graphs)
+    return ObstructionReport(tuple(verdicts))
 
 
 def last_blowup_classes(
-    result: EnumerationResult, n: int = 2, mode: str = STABILIZER_ONLY
+    graphs: Iterable[DecoratedGraph], n: int = 2, mode: str = STABILIZER_ONLY
 ) -> set[HomologyClass]:
     """Certified classes that track the final two blowups of each graph.
 
@@ -213,7 +214,7 @@ def last_blowup_classes(
     """
     out: set[HomologyClass] = set()
     shapes: dict = {}
-    for g in result.graphs:
+    for g in graphs:
         k = g.model.k
         certified = certified_classes(g, n, mode, shapes)
         if mode == INTEGRABLE_BLOWUP:

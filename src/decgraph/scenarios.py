@@ -11,6 +11,7 @@ justify the construction itself.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,7 +43,6 @@ from .lattice import (
 from .obstruct import (
     INTEGRABLE_BLOWUP,
     STABILIZER_ONLY,
-    ObstructionReport,
     RequiredClass,
     check_nonextension,
     last_blowup_classes,
@@ -384,52 +384,14 @@ def parse_scenario_text(text: str) -> Scenario:
         raise ScenarioError(f"malformed scenario: {exc}")
 
 
-def scenario_text(s: Scenario) -> str:
-    lines = [f"name {s.name}", f"kind {s.kind}"]
-    if s.kind == RATIONAL:
-        lines.append(f"lam {rat_str(s.lam)}")
-        lines.append("base-sizes " + " ".join(rat_str(x) for x in s.base_deltas))
-    else:
-        lines.append(f"lam-f {rat_str(s.lam)}")
-        lines.append(f"lam-b {rat_str(s.lam_b)}")
-        lines.append(f"genus {s.genus}")
-    lines.append("sizes " + " ".join(rat_str(x) for x in s.sizes))
-    lines.append("required " + " ".join(f"{t}@{o}" for t, o in s.required))
-    lines.append(f"n {s.n}")
-    lines.append(f"mode {s.mode}")
-    lines.append("reps " + " ".join(f"{c},{d}" for c, d in s.reps))
-    lines.append(
-        "permute-equal-sizes " + ("on" if s.permute_equal_sizes else "off")
-    )
-    if s.generator_key:
-        lines.append(f"generators {s.generator_key}")
-    if s.audit_curves:
-        lines.append("audit-curves on")
-    if s.membership_targets:
-        lines.append("membership " + " ".join(s.membership_targets))
-    if s.picard_prefix is not None:
-        lines.append(f"picard-prefix {s.picard_prefix}")
-    if s.witness_family:
-        lines.append(f"witness-family {s.witness_family}")
-    if s.classify_types:
-        lines.append("classify-types on")
-    if s.advisory:
-        lines.append("advisory on")
-    if s.expected_final_count is not None:
-        lines.append(f"expected-count {s.expected_final_count}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # pipeline
 
 
 @dataclass
 class RunOutcome:
-    scenario: Scenario
     report: dict
     result: EnumerationResult
-    obstruction: ObstructionReport
     passed: bool
 
     @property
@@ -500,7 +462,7 @@ def run_scenario(scenario: Scenario) -> RunOutcome:
         gates["final_count"] = len(result.graphs) == scenario.expected_final_count
 
     obstruction = check_nonextension(
-        result, scenario.required_classes(), scenario.n, scenario.mode
+        result.graphs, scenario.required_classes(), scenario.n, scenario.mode
     )
     report["graphs"] = [
         {
@@ -529,13 +491,13 @@ def run_scenario(scenario: Scenario) -> RunOutcome:
         gates["all_obstructed"] = obstruction.all_obstructed
 
     if scenario.classify_types:
-        buckets = classify_sequence_types(result)
+        buckets = classify_sequence_types(result.graphs)
         report["types"] = {k: len(v) for k, v in buckets.items()}
         gates["types_total"] = not buckets["unclassified"]
 
     if scenario.witness_family:
         family = WITNESS_FAMILIES[scenario.witness_family]
-        witnesses = last_blowup_classes(result, scenario.n, scenario.mode)
+        witnesses = last_blowup_classes(result.graphs, scenario.n, scenario.mode)
         report["witness_classes"] = sorted(str(c) for c in witnesses)
         gates["witness_family"] = all(family(c) for c in witnesses)
 
@@ -586,7 +548,7 @@ def run_scenario(scenario: Scenario) -> RunOutcome:
     report["gates"] = gates
     passed = all(gates.values())
     report["passed"] = passed
-    return RunOutcome(scenario, report, result, obstruction, passed)
+    return RunOutcome(report, result, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +557,6 @@ def run_scenario(scenario: Scenario) -> RunOutcome:
 
 def export_graphs(result: EnumerationResult, out_dir, as_dot: bool = False) -> list[str]:
     """Write one file per graph plus a manifest; deterministic names."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     names = []
     for i, g in enumerate(result.graphs):

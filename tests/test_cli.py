@@ -12,7 +12,6 @@ from decgraph.scenarios import (
     parse_scenario_text,
     ruled_general_scenario,
     run_scenario,
-    scenario_text,
 )
 
 
@@ -56,20 +55,77 @@ def test_ruled_general_size_formula():
         ruled_general_scenario(2)
 
 
-def test_scenario_text_round_trip():
-    from dataclasses import replace
+# Scenario files for builtins; between them they name every key the parser
+# reads, each builtin's fields plus an expected count.
+CP2_SIX_TEXT = """# cp2-six, with every optional key of the plane model spelt out
+name cp2-six
+kind rational
+lam 1
+base-sizes 1/2
+genus 2
+sizes 1/4 1/4 1/4 3/16 1/8
+required E1-E2@2 L-E3-E4@2 E5-E6@2
+n 2
+mode stabilizer
+reps 1,1 1,2 2,1
+permute-equal-sizes on
+generators plane-six
+audit-curves on
+membership
+picard-prefix 7
+witness-family six-blowup
+classify-types off
+advisory off
+expected-count 26
+"""
+RULED_THREE_TEXT = """name ruled-three
+kind ruled
+lam-f 1
+lam-b 1
+genus 2
+sizes 3/5 7/20 3/10
+required E2-E3
+n 2
+mode integrable
+generators ruled-three
+membership F B
+classify-types on
+expected-count 9
+"""
+RULED_GENERAL_4_TEXT = """name ruled-general-4
+kind ruled
+lam-f 1
+lam-b 1
+sizes 129/256 65/256 33/256 17/256 1/16
+required E4-E5@4 E2-E3@2
+n 4
+mode integrable
+permute-equal-sizes off
+advisory on
+expected-count 0
+"""
 
-    for s in builtin_scenarios().values():
-        assert parse_scenario_text(scenario_text(s)) == s
-        for count in (0, 317):
-            counted = replace(s, expected_final_count=count)
-            assert f"expected-count {count}\n" in scenario_text(counted)
-            assert parse_scenario_text(scenario_text(counted)) == counted
+
+def test_parse_scenario_text_reads_every_key():
+    from dataclasses import fields, replace
+
+    for text, name, count, permute in (
+        (CP2_SIX_TEXT, "cp2-six", 26, True),
+        (RULED_THREE_TEXT, "ruled-three", 9, True),
+        (RULED_GENERAL_4_TEXT, "ruled-general-4", 0, False),
+    ):
+        want = replace(
+            builtin_scenarios()[name], expected_final_count=count, permute_equal_sizes=permute
+        )
+        got = parse_scenario_text(text)
+        for f in fields(want):
+            assert getattr(got, f.name) == getattr(want, f.name), (name, f.name)
+        assert got == want
 
 
 def test_load_scenario_from_file(tmp_path):
     path = tmp_path / "custom.scenario"
-    path.write_text(scenario_text(builtin_scenarios()["ruled-three"]))
+    path.write_text(RULED_THREE_TEXT)
     s = load_scenario(str(path))
     assert s.sizes == (F(3, 5), F(7, 20), F(3, 10))
 
@@ -104,8 +160,7 @@ def test_cli_verify_writes_self_contained_report(tmp_path, capsys):
 
 
 def test_cli_verify_fails_without_required_classes(tmp_path):
-    text = scenario_text(builtin_scenarios()["ruled-three"])
-    lines = [l for l in text.splitlines() if not l.startswith("required")]
+    lines = [l for l in RULED_THREE_TEXT.splitlines() if not l.startswith("required")]
     path = tmp_path / "empty-required.scenario"
     path.write_text("\n".join(lines) + "\nrequired\n")
     assert main(["verify", "--scenario", str(path)]) == 1
@@ -176,6 +231,39 @@ def test_verify_graphs_of_another_model_exits_2(tmp_path, capsys):
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("graph error: ") and "graph-000.txt: " in captured.err
     assert "ruled genus=2 k=3" in captured.err and "rational k=6" in captured.err
+
+
+def test_verify_graphs_of_other_sizes_on_the_same_model_exits_2(tmp_path, capsys):
+    assert main(["verify", "--scenario", "ruled-three", "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    other = tmp_path / "other-sizes.scenario"
+    other.write_text(RULED_THREE_TEXT.replace("sizes 3/5 7/20 3/10", "sizes 3/5 7/20 1/4"))
+    graphs = tmp_path / "run" / "graphs"
+    assert main(["verify", "--scenario", str(other), "--graphs", str(graphs)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("graph error: ") and "graph-000.txt: " in captured.err
+    assert "(1,1;3/5,7/20,3/10)" in captured.err and "(1,1;3/5,7/20,1/4)" in captured.err
+
+
+def test_verify_graphs_with_an_invalid_graph_exits_2(tmp_path, capsys):
+    assert main(["verify", "--scenario", "ruled-three", "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    graph = tmp_path / "run" / "graphs" / "graph-000.txt"
+    text = graph.read_text()
+    assert "V 2 1/20 isolated\n" in text
+    # The moment moves off the area rule of both edges at the vertex; the
+    # file still parses.
+    graph.write_text(text.replace("V 2 1/20 isolated\n", "V 2 1/10 isolated\n"))
+    assert main(["verify", "--scenario", "ruled-three", "--graphs", str(graph.parent)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err == (
+        f"graph error: {graph}: invalid graph:"
+        " edge E2(2) breaks the area rule (gap != label * area)\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -33,7 +33,7 @@ def test_nakai_passes_on_the_six_blowup_list():
     report = nakai_check(OMEGA6, LISTS["plane-six"])
     assert report.passed
     assert report.square == F(131, 256)
-    assert report.minimum_pairing == F(1, 16)
+    assert min(p for _, p in report.pairings) == F(1, 16)
 
 
 def test_nakai_passes_on_the_ruled_list():

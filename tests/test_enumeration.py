@@ -37,12 +37,12 @@ def test_two_surface_depth_three_has_two_classes():
 
 
 def test_the_two_depth_three_graphs_are_inequivalent():
-    from decgraph.graphs import equivalent
+    from decgraph.graphs import normal_key
 
     base = base_hirzebruch(1, F(1, 2), BaseFamilyParams("two_surfaces", 1))
     res = enumerate_graphs(EnumerationSpec((base,), QUARTERS))
     g1, g2 = res.graphs
-    assert not equivalent(g1, g2)
+    assert normal_key(g1) != normal_key(g2)
 
 
 def test_other_bases_die_before_the_third_equal_blowup():
@@ -58,7 +58,7 @@ def test_ruled_enumeration_levels_and_types():
     (label, base), = ruled_base_graphs(1, 1, 2)
     res = enumerate_graphs(EnumerationSpec((base,), RULED_SIZES))
     assert [lv.kept for lv in res.branch_log] == [1, 3, 9]
-    buckets = classify_sequence_types(res)
+    buckets = classify_sequence_types(res.graphs)
     assert {k: len(v) for k, v in buckets.items()} == {
         "I": 3, "II": 2, "III": 2, "IV": 2, "unclassified": 0,
     }
@@ -145,7 +145,7 @@ def test_site_kind_trees_agree_across_label_representatives():
 def test_classification_flags_unexpected_ledgers():
     base = base_ruled(1, 1, 2, 0)
     res = enumerate_graphs(EnumerationSpec((base,), (F(3, 5), F(7, 20))))
-    buckets = classify_sequence_types(res)
+    buckets = classify_sequence_types(res.graphs)
     assert len(buckets["unclassified"]) == len(res.graphs) == 3
 
 

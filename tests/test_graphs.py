@@ -15,17 +15,22 @@ from decgraph.graphs import (
     base_ruled,
     break_free_edges,
     canonical_text,
-    equivalent,
     flip,
     generic_form,
     normal_form,
+    normal_key,
     parse_graph,
     permute_exceptionals,
     render_dot,
     translate,
     validate,
 )
-from decgraph.lattice import CohomologyVector, LatticeError, intersect, pair
+from decgraph.lattice import CohomologyVector, intersect, pair
+
+
+def same_action(a, b):
+    """Same action up to translation, flips and generic-metric moves."""
+    return normal_key(a) == normal_key(b)
 
 
 def two_surface_base():
@@ -67,7 +72,7 @@ def test_isolated_right_base():
     assert validate(g) == []
     assert sorted(e.label for e in g.edges) == [1, 1, 2, 2]
     # palindromic label chain: the graph equals its own flip
-    assert equivalent(g, flip(g))
+    assert same_action(g, flip(g))
 
 
 def test_base_parameter_errors():
@@ -155,10 +160,8 @@ def test_normal_form_idempotent():
 
 def test_translation_and_flip_equivalence():
     g = two_surface_base()
-    assert equivalent(g, translate(g, F(7, 3)))
-    assert equivalent(g, flip(g))
-    with pytest.raises(LatticeError):
-        equivalent(g, base_ruled(1, 1, 2, 0))
+    assert same_action(g, translate(g, F(7, 3)))
+    assert same_action(g, flip(g))
 
 
 def test_normal_form_strips_redundant_edges():
@@ -227,7 +230,7 @@ def test_metric_move_pair_on_one_surface_first_blowup():
     ]
     unbroken = DecoratedGraph.build(m, om, vs, es, (LedgerEntry(2, "surface", "min"),), P("L"))
     assert validate(unbroken) == []
-    assert equivalent(h, unbroken)
+    assert same_action(h, unbroken)
 
 
 def test_metric_move_pair_on_second_level():
@@ -256,7 +259,7 @@ def test_metric_move_pair_on_second_level():
     ledger = (LedgerEntry(2, "extremum", "max"), LedgerEntry(3, "surface", "min"))
     unbroken = DecoratedGraph.build(m, om, vs, es, ledger, P("L-E2"))
     assert validate(unbroken) == []
-    assert equivalent(g3, unbroken)
+    assert same_action(g3, unbroken)
 
 
 def test_serialization_round_trip():
@@ -289,16 +292,16 @@ def test_permute_exceptionals():
     h = generic_form(apply_blowup(h, BlowupRequest(site, F(1, 4))))
     swapped = permute_exceptionals(h, {2: 3, 3: 2})
     assert validate(swapped) == []
-    assert equivalent(h, swapped)  # the two blowups carry equal sizes
+    assert same_action(h, swapped)  # the two blowups carry equal sizes
 
 
 def test_equivalence_is_an_equivalence_relation():
     g = two_surface_base()
     variants = [g, translate(g, F(5, 7)), flip(g)]
     for a in variants:
-        assert equivalent(a, a)
+        assert same_action(a, a)
         for b in variants:
-            assert equivalent(a, b) == equivalent(b, a)
+            assert same_action(a, b) == same_action(b, a)
             for c in variants:
-                if equivalent(a, b) and equivalent(b, c):
-                    assert equivalent(a, c)
+                if same_action(a, b) and same_action(b, c):
+                    assert same_action(a, c)

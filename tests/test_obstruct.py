@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from decgraph.blowup import BlowupRequest, apply_blowup, blowup_sites
-from decgraph.enumeration import EnumerationResult, EnumerationSpec, enumerate_graphs
+from decgraph.enumeration import EnumerationSpec, enumerate_graphs
 from decgraph.graphs import BaseFamilyParams, base_hirzebruch, base_ruled, generic_form
 from decgraph.lattice import LatticeError, SurfaceModel, intersect
 from decgraph.obstruct import (
@@ -84,7 +84,7 @@ def test_required_class_embedded_check():
 def test_ruled_types_get_the_expected_rules():
     res = ruled_result()
     required = [RequiredClass(res.graphs[0].model.parse("E2-E3"), 2)]
-    report = check_nonextension(res, required, 2, INTEGRABLE_BLOWUP)
+    report = check_nonextension(res.graphs, required, 2, INTEGRABLE_BLOWUP)
     assert report.all_obstructed and not report.vacuous
     for v in report.verdicts:
         cert = v.certificate
@@ -100,8 +100,8 @@ def test_ruled_types_get_the_expected_rules():
 def test_stabilizer_mode_misses_the_negative_square_case():
     res = ruled_result()
     required = [RequiredClass(res.graphs[0].model.parse("E2-E3"), 2)]
-    stab = check_nonextension(res, required, 2, STABILIZER_ONLY)
-    integ = check_nonextension(res, required, 2, INTEGRABLE_BLOWUP)
+    stab = check_nonextension(res.graphs, required, 2, STABILIZER_ONLY)
+    integ = check_nonextension(res.graphs, required, 2, INTEGRABLE_BLOWUP)
     assert not stab.all_obstructed and integ.all_obstructed
     # enlarging the mode never loses an obstruction
     for a, b in zip(stab.verdicts, integ.verdicts):
@@ -114,14 +114,14 @@ def test_unobstructed_when_nothing_intersects_negatively():
     res = enumerate_graphs(EnumerationSpec((base,), (F(1, 4),)))
     model = res.graphs[0].model
     required = [RequiredClass(model.parse("E1"), 2)]
-    report = check_nonextension(res, required, 2, STABILIZER_ONLY)
+    report = check_nonextension(res.graphs, required, 2, STABILIZER_ONLY)
     assert any(v.verdict == UNOBSTRUCTED for v in report.verdicts)
 
 
 def test_certificates_reverify_independently():
     res = ruled_result()
     required = [RequiredClass(res.graphs[0].model.parse("E2-E3"), 2)]
-    report = check_nonextension(res, required, 2, INTEGRABLE_BLOWUP)
+    report = check_nonextension(res.graphs, required, 2, INTEGRABLE_BLOWUP)
     for v in report.verdicts:
         c = v.certificate
         assert intersect(c.certified.cls, c.required.cls) == c.intersection
@@ -134,9 +134,7 @@ def test_certificates_reverify_independently():
 
 
 def test_vacuous_report():
-    report = check_nonextension(
-        EnumerationResult((), ()), [], 2, STABILIZER_ONLY
-    )
+    report = check_nonextension([], [], 2, STABILIZER_ONLY)
     assert report.vacuous and report.all_obstructed
 
 
@@ -144,9 +142,9 @@ def test_last_blowup_classes_toy_run():
     base = base_hirzebruch(1, F(1, 2), BaseFamilyParams("two_surfaces", 1))
     res = enumerate_graphs(EnumerationSpec((base,), (F(1, 4),)))
     model = res.graphs[0].model
-    tracked = last_blowup_classes(res, 2, INTEGRABLE_BLOWUP)
+    tracked = last_blowup_classes(res.graphs, 2, INTEGRABLE_BLOWUP)
     assert model.parse("E2") in tracked
-    assert last_blowup_classes(EnumerationResult((), ()), 2) == set()
+    assert last_blowup_classes([], 2) == set()
 
 
 def test_certified_requires_sane_arguments():
@@ -155,3 +153,19 @@ def test_certified_requires_sane_arguments():
         certified_classes(g, 1, STABILIZER_ONLY)
     with pytest.raises(LatticeError):
         certified_classes(g, 2, "magic")
+
+
+@pytest.mark.parametrize("name", ["cp2-six", "cp2-six-alt"])
+def test_equal_size_identification_hides_no_unobstructed_graph(name):
+    """Dedup identifies relabelings of the equal sizes E2, E3, E4, but the
+    required classes are not symmetric under them; without the
+    identification every graph is kept, and every one is still obstructed."""
+    from dataclasses import replace
+
+    from decgraph.scenarios import load_scenario, run_scenario
+
+    outcome = run_scenario(replace(load_scenario(name), permute_equal_sizes=False))
+    report = outcome.report
+    assert report["enumeration"]["final_count"] == 92
+    assert {g["verdict"] for g in report["graphs"]} == {OBSTRUCTED}
+    assert all(report["gates"].values()) and outcome.passed
