@@ -126,10 +126,9 @@ def apply_blowup(g: DecoratedGraph, request: BlowupRequest) -> DecoratedGraph:
 
     # The child rewrites the parent's extension, which its siblings share:
     # its classes are already embedded and its tuples already in build order.
-    # Its scale makes the size an integer height w.
+    # Its class vector's denominator makes the size an integer height w.
     x = g.extend(delta)
-    scale = x.scale
-    w = delta.numerator * (scale // delta.denominator)
+    w = delta.numerator * (x.omega.denominator // delta.denominator)
     h = x.vertex(v.vid).height
     e_idx = x.model.k
     Ee = x.model.exceptional(e_idx)
@@ -142,8 +141,8 @@ def apply_blowup(g: DecoratedGraph, request: BlowupRequest) -> DecoratedGraph:
         up = x.edges_above(v.vid)[0]
         down = x.edges_below(v.vid)[0]
         m, n = up.label, down.label
-        hi = Vertex.scaled(f"{step}.hi", h + m * w, scale)
-        lo = Vertex.scaled(f"{step}.lo", h - n * w, scale)
+        hi = Vertex(f"{step}.hi", h + m * w)
+        lo = Vertex(f"{step}.lo", h - n * w)
         new_vertices = [hi, lo]
         edges = [e for e in x.edges if v.vid not in (e.bottom, e.top)]
         new_edges = [
@@ -156,9 +155,9 @@ def apply_blowup(g: DecoratedGraph, request: BlowupRequest) -> DecoratedGraph:
     elif site.kind == SURFACE:
         at_min = site.end == "min"
         fat = x.vertex(v.vid).fat
-        mid = Vertex.scaled(f"{step}.c", h + w if at_min else h - w, scale)
+        mid = Vertex(f"{step}.c", h + w if at_min else h - w)
         new_vertices = [
-            Vertex.scaled(v.vid, h, scale, FatData(fat.size - delta, fat.genus, fat.cls - Ee)),
+            Vertex(v.vid, h, FatData(fat.size - delta, fat.genus, fat.cls - Ee)),
             mid,
         ]
         opposite = vmax if at_min else vmin
@@ -190,7 +189,7 @@ def apply_blowup(g: DecoratedGraph, request: BlowupRequest) -> DecoratedGraph:
         sgn = 1 if at_min else -1
         edges = [e for e in x.edges if v.vid not in (e.bottom, e.top)]
         if m == n:  # both weights 1: the blowup creates a fixed surface
-            fatv = Vertex.scaled(f"{step}.s", h + sgn * w, scale, FatData(delta, 0, Ee))
+            fatv = Vertex(f"{step}.s", h + sgn * w, FatData(delta, 0, Ee))
             new_vertices = [fatv]
             new_edges = [
                 Edge(fatv.vid, away(e), 1, e.cls - Ee) if at_min
@@ -198,8 +197,8 @@ def apply_blowup(g: DecoratedGraph, request: BlowupRequest) -> DecoratedGraph:
                 for e in (ea, eb)
             ]
         else:
-            hi = Vertex.scaled(f"{step}.hi", h + sgn * m * w, scale)
-            lo = Vertex.scaled(f"{step}.lo", h + sgn * n * w, scale)
+            hi = Vertex(f"{step}.hi", h + sgn * m * w)
+            lo = Vertex(f"{step}.lo", h + sgn * n * w)
             new_vertices = [hi, lo]
             if at_min:
                 new_edges = [

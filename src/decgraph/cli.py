@@ -10,9 +10,9 @@ import sys
 from .blowup import BlowupError
 from .cone import ConeWitness, cone_membership, nakai_check
 from .enumeration import enumerate_graphs, enumerate_levels
-from .graphs import GraphError, parse_graph, validate
+from .graphs import GraphError
 from .lattice import (
-    CohomologyVector,
+    LatticeError,
     SurfaceModel,
     classify_negative,
     enumerate_negative_classes,
@@ -25,6 +25,7 @@ from .scenarios import (
     builtin_scenarios,
     export_graphs,
     load_scenario,
+    read_graphs,
     run_scenario,
 )
 
@@ -53,39 +54,6 @@ def _write_report(report: dict, out_dir: str | None) -> str:
     return text
 
 
-def _read_graphs(directory: str, omega: CohomologyVector) -> list:
-    """Parse every .txt graph file of the directory, in name order.
-
-    An empty replay would certify nothing, so no graph file is an error, and
-    neither is a graph on another class vector than ``omega``, the
-    scenario's (a class vector names its model), nor one that fails
-    ``validate``.  The graphs share their model and class vector objects,
-    and so their classes.
-    """
-    graphs = []
-    models: dict = {}
-    for name in sorted(os.listdir(directory)):
-        if name.endswith(".txt"):
-            path = os.path.join(directory, name)
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    g = parse_graph(fh.read(), models)
-                if g.omega != omega:
-                    raise GraphError(
-                        f"graph has class vector {g.omega} on the {g.model} model,"
-                        f" the scenario {omega} on the {omega.model} model"
-                    )
-                problems = validate(g)
-                if problems:
-                    raise GraphError(f"invalid graph: {problems[0]}")
-            except (UnicodeDecodeError, GraphError) as exc:
-                raise GraphError(f"{path}: {exc}") from None
-            graphs.append(g)
-    if not graphs:
-        raise GraphError(f"no .txt graph file in {directory}")
-    return graphs
-
-
 def cmd_enumerate(args) -> int:
     scenario = _load(args)
     result = enumerate_graphs(scenario.enumeration_spec())
@@ -105,7 +73,7 @@ def cmd_verify(args) -> int:
     scenario = _load(args)
     if args.graphs:
         try:
-            graphs = _read_graphs(args.graphs, scenario.final_omega)
+            graphs = read_graphs(args.graphs, scenario.final_omega)
         except (OSError, GraphError) as exc:
             print(f"graph error: {exc}", file=sys.stderr)
             return 2
@@ -153,9 +121,14 @@ def cmd_cone(args) -> int:
     if not targets:
         print("no membership targets", file=sys.stderr)
         return 2
+    try:
+        classes = [gens.model.parse(name) for name in targets]
+    except LatticeError as exc:
+        print(f"argument error: {exc}", file=sys.stderr)
+        return 2
     ok = True
-    for name in targets:
-        outcome = cone_membership(gens.model.parse(name), gens)
+    for name, cls in zip(targets, classes):
+        outcome = cone_membership(cls, gens)
         if isinstance(outcome, ConeWitness):
             combo = " + ".join(
                 f"{rat_str(a)}*({g})"
@@ -171,8 +144,13 @@ def cmd_cone(args) -> int:
 
 
 def cmd_negcurves(args) -> int:
-    model = SurfaceModel(args.kind, args.k, args.genus if args.kind == "ruled" else 0)
-    for cls in enumerate_negative_classes(model, args.bound):
+    try:
+        model = SurfaceModel(args.kind, args.k, args.genus if args.kind == "ruled" else 0)
+        classes = enumerate_negative_classes(model, args.bound)
+    except LatticeError as exc:
+        print(f"argument error: {exc}", file=sys.stderr)
+        return 2
+    for cls in classes:
         print(f"{cls}  [{classify_negative(cls)}]")
     return 0
 

@@ -8,8 +8,8 @@ across an edge equals label * (class area), areas being exact rationals.
 
 Every area is an integer over the class vector's denominator D, so with the
 minimum at 0 every moment is one too.  A graph therefore holds each moment as
-an integer height over one scale shared by all its vertices (a multiple of
-D), and orders, shifts, flips and checks moments in integers.
+an integer height over D, and orders, shifts, flips and checks moments in
+integers.
 
 Graphs are immutable values.  Heights are derived from classes, labels and
 the class vector; validation re-checks them.  Canonical serialization gives
@@ -58,67 +58,13 @@ class FatData:
         return self._text
 
 
-_new = object.__new__
-_set = object.__setattr__
+class Vertex(NamedTuple):
+    """A fixed point at the moment value ``height / D``, where D is the
+    denominator of its graph's class vector; ``fat`` marks a fixed surface."""
 
-
-class Vertex:
-    """A fixed point at the moment value ``height / den``.
-
-    ``Vertex(vid, moment, fat)`` takes an exact moment and holds it in lowest
-    terms; ``Vertex.scaled`` holds a given height over a given ``den``.  All
-    vertices of one graph share one ``den``, the graph's scale.  ``moment`` is
-    the value as a ``Fraction``; equality and hashing go by that value, not by
-    the representation.  Vertices are immutable.
-    """
-
-    __slots__ = ("vid", "height", "den", "fat")
-
-    def __init__(self, vid: str, moment, fat: FatData | None = None):
-        moment = rat(moment)
-        _set(self, "vid", vid)
-        _set(self, "height", moment.numerator)
-        _set(self, "den", moment.denominator)
-        _set(self, "fat", fat)
-
-    @classmethod
-    def scaled(cls, vid: str, height: int, den: int, fat: FatData | None = None) -> "Vertex":
-        """The vertex at moment ``height / den``, held over that very ``den``."""
-        v = _new(cls)
-        _set(v, "vid", vid)
-        _set(v, "height", height)
-        _set(v, "den", den)
-        _set(v, "fat", fat)
-        return v
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}: Vertex is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}: Vertex is immutable")
-
-    @property
-    def moment(self) -> Fraction:
-        return Fraction(self.height, self.den)
-
-    def __eq__(self, other):
-        if other.__class__ is not Vertex:
-            return NotImplemented
-        return (
-            self.vid == other.vid
-            and self.height * other.den == other.height * self.den
-            and self.fat == other.fat
-        )
-
-    def __hash__(self):
-        c = math.gcd(self.height, self.den)
-        return hash((self.vid, self.height // c, self.den // c, self.fat))
-
-    def __repr__(self):
-        return f"Vertex(vid={self.vid!r}, moment={self.moment!r}, fat={self.fat!r})"
-
-    def __reduce__(self):
-        return (Vertex.scaled, (self.vid, self.height, self.den, self.fat))
+    vid: str
+    height: int
+    fat: FatData | None = None
 
     @property
     def is_fat(self) -> bool:
@@ -138,17 +84,17 @@ class Edge:
 
 
 def vertex_order(v: Vertex) -> tuple:
-    """Sort key of ``DecoratedGraph.vertices``, whose heights share one scale."""
+    """Sort key of ``DecoratedGraph.vertices``."""
     return (v.height, v.vid)
 
 
-def _on_scale(vertices, scale: int) -> list[Vertex]:
-    """The vertices held over ``scale``, a multiple of each moment's
-    denominator."""
-    return [
-        v if v.den == scale else Vertex.scaled(v.vid, v.height * scale // v.den, scale, v.fat)
-        for v in vertices
-    ]
+def _height(moment, den: int) -> int:
+    """The height of ``moment`` over ``den``; GraphError if it is no integer."""
+    moment = rat(moment)
+    height, rest = divmod(moment.numerator * den, moment.denominator)
+    if rest:
+        raise GraphError(f"moment {rat_str(moment)} is not a multiple of 1/{den}")
+    return height
 
 
 def _ratio_text(n: int, d: int) -> str:
@@ -180,10 +126,10 @@ class LedgerEntry(NamedTuple):
 class DecoratedGraph:
     """An immutable decorated graph.
 
-    ``vertices`` share one ``den``, the graph's ``scale``, and are sorted by
-    (moment, vid), as ``build`` makes them, so the extrema are the first and
-    the last vertex.  The vid -> vertex map and the edges above and below each
-    vertex are indexed once per graph, on first use.
+    ``vertices`` hold their moments as heights over ``omega.denominator``
+    and are sorted by (height, vid), as ``build`` makes them, so the extrema
+    are the first and the last vertex.  The vid -> vertex map and the edges
+    above and below each vertex are indexed once per graph, on first use.
     """
 
     model: SurfaceModel
@@ -195,23 +141,10 @@ class DecoratedGraph:
 
     @staticmethod
     def build(model, omega, vertices, edges, ledger, fiber) -> "DecoratedGraph":
-        """The graph with its vertices on one scale and both tuples sorted.
-
-        The scale is the lcm of the class vector's denominator and the
-        moments' own; a vertex held over another ``den`` is rescaled.
-        """
-        vertices = list(vertices)
-        scale = math.lcm(
-            omega.denominator, *(v.den // math.gcd(v.height, v.den) for v in vertices)
-        )
-        vertices = tuple(sorted(_on_scale(vertices, scale), key=vertex_order))
+        """The graph with both tuples sorted."""
+        vertices = tuple(sorted(vertices, key=vertex_order))
         edges = tuple(sorted(edges, key=edge_order))
         return DecoratedGraph(model, omega, vertices, edges, tuple(ledger), fiber)
-
-    @property
-    def scale(self) -> int:
-        """The ``den`` all vertices share: moments are heights over it."""
-        return self.vertices[0].den if self.vertices else self.omega.denominator
 
     @cached_property
     def _extensions(self) -> dict[Fraction, "DecoratedGraph"]:
@@ -222,30 +155,29 @@ class DecoratedGraph:
 
         The vertices and edges are the same, their classes zero-padded, and
         the class vector pairs the new class to ``delta``.  Padding keeps the
-        build order, so nothing is re-sorted.  The scale grows to a multiple
-        of ``delta``'s denominator, so that ``delta * scale`` is an integer.
-        There is one object per (graph, size), held by this graph, so the
-        blowups of one graph at one size share it, its index and its vertices,
-        edges and classes.
+        build order, so nothing is re-sorted.  When the class vector's
+        denominator grows, the heights grow with it.  There is one object per
+        (graph, size), held by this graph, so the blowups of one graph at one
+        size share it, its index and its vertices, edges and classes.
         """
         delta = rat(delta)
         out = self._extensions.get(delta)
         if out is not None:
             return out
         model = self.model.extend()
-        scale, vertices = self.scale, self.vertices
-        if scale % delta.denominator:
-            scale = math.lcm(scale, delta.denominator)
-            vertices = _on_scale(vertices, scale)
-        # Isolated vertices carry no class, so on an unchanged scale the
-        # extension shares them.
-        vertices = tuple(
-            v if (f := v.fat) is None
-            else Vertex.scaled(v.vid, v.height, scale, FatData(f.size, f.genus, f.cls.embed(model)))
-            for v in vertices
-        )
-        edges = tuple(Edge(e.bottom, e.top, e.label, e.cls.embed(model)) for e in self.edges)
         omega, fiber = self.omega.extend(delta), self.fiber.embed(model)
+        grow = omega.denominator // self.omega.denominator
+
+        def extended(v: Vertex) -> Vertex:
+            f = v.fat
+            if f is not None:
+                f = FatData(f.size, f.genus, f.cls.embed(model))
+            elif grow == 1:
+                return v  # no class and the same height: shared
+            return Vertex(v.vid, v.height * grow, f)
+
+        vertices = tuple(map(extended, self.vertices))
+        edges = tuple(Edge(e.bottom, e.top, e.label, e.cls.embed(model)) for e in self.edges)
         out = DecoratedGraph(model, omega, vertices, edges, self.ledger, fiber)
         self._extensions[delta] = out
         return out
@@ -283,7 +215,7 @@ class DecoratedGraph:
     @property
     def span(self) -> Fraction:
         vs = self.vertices
-        return Fraction(vs[-1].height - vs[0].height, vs[0].den)
+        return Fraction(vs[-1].height - vs[0].height, self.omega.denominator)
 
     def is_extremal(self, vid: str) -> bool:
         return vid == self.vertices[0].vid or vid == self.vertices[-1].vid
@@ -314,9 +246,9 @@ def validate(g: DecoratedGraph) -> list[str]:
     vs = g.vertices
     if not vs:
         return ["graph has no vertices"]
-    scale = vs[0].den
-    if any(v.den != scale for v in vs):
-        return ["vertices are held over different scales"]
+    odd = [v.vid for v in vs if not isinstance(v.height, int)]
+    if odd:
+        return [f"vertex {vid} has a non-integer height" for vid in odd]
     # Vertices are sorted by height: the minima are vs[:lo], the maxima vs[hi:].
     n = len(vs)
     mmin, mmax = vs[0].height, vs[-1].height
@@ -337,7 +269,7 @@ def validate(g: DecoratedGraph) -> list[str]:
     if len(known) != n:
         bad.append("duplicate vertex ids")
     # A class pairs with omega to (weights . coeffs) / den and a moment is a
-    # height over the scale; sizes are compared by cross-multiplying.
+    # height over den; sizes are compared by cross-multiplying.
     weights, den = g.omega.weights, g.omega.denominator
     for i, v in enumerate(vs):
         if v.fat is None:
@@ -371,13 +303,13 @@ def validate(g: DecoratedGraph) -> list[str]:
         if not isinstance(e.label, int) or e.label < 1:
             flag(e, "has a non-positive label")
             continue
-        gap = vt.height - vb.height  # the moment gap, times the scale
+        gap = vt.height - vb.height  # the moment gap, times den
         if gap <= 0:
             flag(e, "does not increase the moment value")
         if e.cls.model is not g.model and e.cls.model != g.model:
             flag(e, "class is in the wrong lattice")
             continue
-        if gap * den != e.label * sum(map(mul, weights, e.cls.coeffs)) * scale:
+        if gap != e.label * sum(map(mul, weights, e.cls.coeffs)):
             flag(e, "breaks the area rule (gap != label * area)")
         if e.cls.twice_genus != 0:
             flag(e, "class is not an embedded-sphere class")
@@ -453,17 +385,17 @@ def base_hirzebruch(lam, delta1, params: BaseFamilyParams) -> DecoratedGraph:
     riser = ell * L - (ell - 1) * E1
     coriser = (1 - ell) * L + ell * E1
     a_fib, a_riser, a_coriser = (pair(omega, x) for x in (fib, riser, coriser))
-
+    den = omega.denominator
     if params.family == "two_surfaces":
-        vmin = Vertex("0.min", Fraction(0), FatData(a_riser, 0, riser))
-        vmax = Vertex("0.max", a_fib, FatData(a_coriser, 0, coriser))
+        vmin = Vertex("0.min", 0, FatData(a_riser, 0, riser))
+        vmax = Vertex("0.max", _height(a_fib, den), FatData(a_coriser, 0, coriser))
         edges = [Edge("0.min", "0.max", 1, fib), Edge("0.min", "0.max", 1, fib)]
         return DecoratedGraph.build(model, omega, [vmin, vmax], edges, [], fib)
 
     if params.family == "one_surface":
-        vmin = Vertex("0.min", Fraction(0), FatData(a_fib, 0, fib))
-        va = Vertex("0.a", a_coriser)
-        vmax = Vertex("0.max", a_coriser + n * a_fib)
+        vmin = Vertex("0.min", 0, FatData(a_fib, 0, fib))
+        va = Vertex("0.a", _height(a_coriser, den))
+        vmax = Vertex("0.max", _height(a_coriser + n * a_fib, den))
         edges = [
             Edge("0.min", "0.a", 1, coriser),
             Edge("0.a", "0.max", n, fib),
@@ -472,10 +404,10 @@ def base_hirzebruch(lam, delta1, params: BaseFamilyParams) -> DecoratedGraph:
         return DecoratedGraph.build(model, omega, [vmin, va, vmax], edges, [], riser)
 
     if params.family == "isolated_left":
-        vmin = Vertex("0.min", Fraction(0))
-        va = Vertex("0.a", d * a_fib)
-        vb = Vertex("0.b", c * a_coriser)
-        vmax = Vertex("0.max", d * a_fib + c * a_riser)
+        vmin = Vertex("0.min", 0)
+        va = Vertex("0.a", _height(d * a_fib, den))
+        vb = Vertex("0.b", _height(c * a_coriser, den))
+        vmax = Vertex("0.max", _height(d * a_fib + c * a_riser, den))
         edges = [
             Edge("0.min", "0.a", d, fib),
             Edge("0.a", "0.max", c, riser),
@@ -486,10 +418,10 @@ def base_hirzebruch(lam, delta1, params: BaseFamilyParams) -> DecoratedGraph:
         return DecoratedGraph.build(model, omega, [vmin, va, vb, vmax], edges, [], fiber)
 
     # isolated_right
-    vmin = Vertex("0.min", Fraction(0))
-    va = Vertex("0.a", d * a_fib)
-    vb = Vertex("0.b", d * a_fib + c * a_coriser)
-    vmax = Vertex("0.max", c * a_riser)
+    vmin = Vertex("0.min", 0)
+    va = Vertex("0.a", _height(d * a_fib, den))
+    vb = Vertex("0.b", _height(d * a_fib + c * a_coriser, den))
+    vmax = Vertex("0.max", _height(c * a_riser, den))
     edges = [
         Edge("0.min", "0.a", d, fib),
         Edge("0.a", "0.b", c, coriser),
@@ -513,8 +445,9 @@ def base_ruled(lam_f, lam_b, genus: int, ell: int) -> DecoratedGraph:
     model = omega.model
     B, F = model.unit("B"), model.unit("F")
     bot, top = B - ell * F, B + ell * F
-    vmin = Vertex("0.min", Fraction(0), FatData(pair(omega, bot), genus, bot))
-    vmax = Vertex("0.max", lam_f, FatData(pair(omega, top), genus, top))
+    den = omega.denominator
+    vmin = Vertex("0.min", 0, FatData(pair(omega, bot), genus, bot))
+    vmax = Vertex("0.max", _height(lam_f, den), FatData(pair(omega, top), genus, top))
     edges = [Edge("0.min", "0.max", 1, F)]
     return DecoratedGraph.build(model, omega, [vmin, vmax], edges, [], F)
 
@@ -581,29 +514,22 @@ def strip_redundant(g: DecoratedGraph) -> DecoratedGraph:
     return DecoratedGraph(g.model, g.omega, g.vertices, edges, g.ledger, g.fiber)
 
 
-def translate(g: DecoratedGraph, base=Fraction(0)) -> DecoratedGraph:
-    """Shift moment values so the minimum sits at ``base``."""
-    base = rat(base)
-    scale, vertices = g.scale, g.vertices
-    if scale % base.denominator:
-        scale = math.lcm(scale, base.denominator)
-        vertices = _on_scale(vertices, scale)
-    shift = base.numerator * (scale // base.denominator) - vertices[0].height
-    if shift == 0 and vertices is g.vertices:
+def translate(g: DecoratedGraph) -> DecoratedGraph:
+    """Shift moment values so the minimum sits at 0."""
+    shift = g.vertices[0].height
+    if shift == 0:
         return g
     # A common shift keeps the (height, vid) order, so no re-sort is needed.
-    vertices = tuple(Vertex.scaled(v.vid, v.height + shift, scale, v.fat) for v in vertices)
+    vertices = tuple(Vertex(v.vid, v.height - shift, v.fat) for v in g.vertices)
     return DecoratedGraph(g.model, g.omega, vertices, g.edges, g.ledger, g.fiber)
 
 
 def flip(g: DecoratedGraph) -> DecoratedGraph:
-    """Turn the graph upside down (reparametrize the circle inversely)."""
-    top, scale = g.max_vertex.height, g.scale
-    vertices = [Vertex.scaled(v.vid, top - v.height, scale, v.fat) for v in g.vertices]
+    """Turn the graph upside down; the old maximum becomes the minimum, at 0."""
+    top = g.max_vertex.height
+    vertices = [Vertex(v.vid, top - v.height, v.fat) for v in g.vertices]
     edges = [Edge(e.top, e.bottom, e.label, e.cls) for e in g.edges]
-    return translate(
-        DecoratedGraph.build(g.model, g.omega, vertices, edges, g.ledger, g.fiber)
-    )
+    return DecoratedGraph.build(g.model, g.omega, vertices, edges, g.ledger, g.fiber)
 
 
 def _fixed_record(v: Vertex) -> str:
@@ -621,16 +547,16 @@ def _records(g: DecoratedGraph, down: bool) -> list[str]:
     ``top`` is the maximum moment.  It equals the records of ``flip(g)`` on
     every graph that passes ``validate``.
     """
-    vs, scale = g.vertices, g.scale
+    vs, den = g.vertices, g.omega.denominator
     if down:
         start, end, onward = vs[-1], vs[0], g._adjacency[1]
         top = start.height
         moment_text = {
-            vid: _ratio_text(top - v.height, scale) for vid, v in g._by_vid.items()
+            vid: _ratio_text(top - v.height, den) for vid, v in g._by_vid.items()
         }
     else:
         start, end, onward = vs[0], vs[-1], g._adjacency[0]
-        moment_text = {vid: _ratio_text(v.height, scale) for vid, v in g._by_vid.items()}
+        moment_text = {vid: _ratio_text(v.height, den) for vid, v in g._by_vid.items()}
 
     # A chain is a list of (near end, far end, edge), walked away from start.
     # Sorting by records leaves ties only between chains whose records, and
@@ -702,7 +628,8 @@ def parse_graph(text: str, models: dict | None = None) -> DecoratedGraph:
     (model, OMEGA text) to the one class vector, and is filled as they are
     read; graphs parsed with one such dict share their model objects and
     class vectors, and so their classes.  Raises GraphError, naming the line,
-    on any malformed record.
+    on any malformed or unknown record, and on a moment that is no height
+    over the class vector's denominator.
     """
     if models is None:
         models = {}
@@ -716,8 +643,12 @@ def parse_graph(text: str, models: dict | None = None) -> DecoratedGraph:
         if not line or line == "C":
             continue
         tag, _, rest = line.partition(" ")
+        if tag not in ("MODEL", "OMEGA", "V", "E", "FIBER", "LEDGER"):
+            raise GraphError(f"line {number}: unknown record tag {tag!r}")
         if model is None and tag in ("OMEGA", "V", "E", "FIBER"):
             raise GraphError(f"line {number}: {tag} record before the MODEL record")
+        if omega is None and tag == "V":
+            raise GraphError(f"line {number}: V record before the OMEGA record")
         try:
             if tag == "MODEL":
                 parts = rest.split()
@@ -734,14 +665,15 @@ def parse_graph(text: str, models: dict | None = None) -> DecoratedGraph:
                     omega = models[model, rest] = CohomologyVector(model, tuple(entries))
             elif tag == "V":
                 parts = rest.split()
-                idx, moment, kind = int(parts[0]), rat(parts[1]), parts[2]
+                idx, kind = int(parts[0]), parts[2]
+                height = _height(parts[1], omega.denominator)
                 fat = None
                 if kind == "fat":
                     opts = dict(p.split("=", 1) for p in parts[3:])
                     fat = FatData(
                         rat(opts["size"]), int(opts["genus"]), model.parse(opts["class"])
                     )
-                verts[idx] = Vertex(f"0.v{idx}", moment, fat)
+                verts[idx] = Vertex(f"0.v{idx}", height, fat)
             elif tag == "E":
                 b, t, label, cls = rest.split()
                 edges.append(
@@ -825,7 +757,7 @@ def permute_exceptionals(g: DecoratedGraph, perm: dict[int, int]) -> DecoratedGr
         f = v.fat
         if f is None or (cls := permute_cls(f.cls)) is f.cls:
             return v
-        return Vertex.scaled(v.vid, v.height, v.den, FatData(f.size, f.genus, cls))
+        return Vertex(v.vid, v.height, FatData(f.size, f.genus, cls))
 
     # Moments and ids stay, so the vertices stay in build order.
     vertices = tuple(map(permute_vertex, g.vertices))

@@ -27,7 +27,7 @@ from .enumeration import (
     hirzebruch_base_graphs,
     ruled_base_graphs,
 )
-from .graphs import canonical_text, render_dot
+from .graphs import GraphError, canonical_text, parse_graph, render_dot, validate
 from .lattice import (
     RATIONAL,
     RULED,
@@ -279,6 +279,8 @@ def _checked(s: Scenario) -> Scenario:
         raise ScenarioError("blowup sizes must be positive")
     if s.n < 2:
         raise ScenarioError(f"the cyclic order n must be at least 2, not {s.n}")
+    if any(len(rep) != 2 for rep in s.reps):
+        raise ScenarioError("each reps entry must be a c,d pair of edge labels")
     if s.kind == RATIONAL:
         if s.lam <= 0:
             raise ScenarioError(f"lam must be positive, not {rat_str(s.lam)}")
@@ -312,6 +314,21 @@ def _checked(s: Scenario) -> Scenario:
             raise ScenarioError(
                 f"unknown generator list {s.generator_key!r}: use one of {', '.join(known)}"
             )
+        model = known[s.generator_key].model
+        if model != s.final_model:
+            raise ScenarioError(
+                f"generator list {s.generator_key!r} is on the {model} model,"
+                f" the scenario on the {s.final_model} model"
+            )
+        try:
+            for name in s.membership_targets:
+                model.parse(name)
+        except LatticeError as exc:
+            raise ScenarioError(f"membership target {name!r}: {exc}") from None
+        if s.picard_prefix is not None and s.picard_prefix != model.rank:
+            raise ScenarioError(f"picard-prefix must be the rank {model.rank} of {model}")
+    elif s.membership_targets or s.picard_prefix is not None:
+        raise ScenarioError("membership and picard-prefix need a generators line")
     if s.witness_family is not None and s.witness_family not in WITNESS_FAMILIES:
         raise ScenarioError(
             f"unknown witness family {s.witness_family!r}:"
@@ -552,7 +569,7 @@ def run_scenario(scenario: Scenario) -> RunOutcome:
 
 
 # ---------------------------------------------------------------------------
-# file export
+# graph directories
 
 
 def export_graphs(result: EnumerationResult, out_dir, as_dot: bool = False) -> list[str]:
@@ -576,3 +593,46 @@ def export_graphs(result: EnumerationResult, out_dir, as_dot: bool = False) -> l
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return names
+
+
+def read_graphs(directory, omega: CohomologyVector) -> list:
+    """Parse the graph files that ``export_graphs`` wrote, in manifest order.
+
+    Raises GraphError (or OSError) unless the manifest names ``count`` files,
+    all of them present, parsed and valid graphs on ``omega``, the scenario's
+    class vector (which names its model).  An empty replay would certify
+    nothing, so it is an error too.  The graphs share their model and class
+    vector objects, and so their classes.
+    """
+    path = os.path.join(directory, "manifest.json")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+            names, count = manifest["files"], manifest["count"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise GraphError(f"{path}: malformed manifest: {exc!r}") from None
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise GraphError(f"{path}: malformed manifest: files is no list of names")
+    if count != len(names):
+        raise GraphError(f"{path}: count {count!r} but {len(names)} files listed")
+    if not names:
+        raise GraphError(f"no .txt graph file listed in {path}")
+    graphs = []
+    models: dict = {}
+    for name in names:
+        path = os.path.join(directory, name)
+        with open(path, encoding="utf-8") as fh:
+            try:
+                g = parse_graph(fh.read(), models)
+                if g.omega != omega:
+                    raise GraphError(
+                        f"graph has class vector {g.omega} on the {g.model} model,"
+                        f" the scenario {omega} on the {omega.model} model"
+                    )
+                problems = validate(g)
+                if problems:
+                    raise GraphError(f"invalid graph: {problems[0]}")
+            except (UnicodeDecodeError, GraphError) as exc:
+                raise GraphError(f"{path}: {exc}") from None
+        graphs.append(g)
+    return graphs

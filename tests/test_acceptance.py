@@ -201,12 +201,12 @@ def _unbroken_min_surface_variant():
     m = om.model
     P = m.parse
     vs = [
-        Vertex("0.min", F(0), FatData(F(1, 16), 0, P("L-E2-E3-E4-E5"))),
-        Vertex("0.max", F(1, 2), FatData(F(1, 2), 0, P("E1"))),
-        Vertex("1.c", F(1, 4)),
-        Vertex("2.c", F(1, 4)),
-        Vertex("3.c", F(1, 4)),
-        Vertex("4.c", F(3, 16)),
+        Vertex("0.min", 0, FatData(F(1, 16), 0, P("L-E2-E3-E4-E5"))),
+        Vertex("0.max", 8, FatData(F(1, 2), 0, P("E1"))),  # heights over 16
+        Vertex("1.c", 4),
+        Vertex("2.c", 4),
+        Vertex("3.c", 4),
+        Vertex("4.c", 3),
     ]
     es = [
         Edge("0.min", "4.c", 1, P("E5")),
@@ -263,7 +263,10 @@ def test_criterion_09_property_suites():
     for graph in res.graphs:
         for e in graph.edges:
             assert adjunction_genus(e.cls) == 0
-            gap = graph.vertex(e.top).moment - graph.vertex(e.bottom).moment
+            gap = F(
+                graph.vertex(e.top).height - graph.vertex(e.bottom).height,
+                graph.omega.denominator,
+            )
             assert gap == e.label * pair(graph.omega, e.cls)
         for v in graph.vertices:
             if v.is_fat:
@@ -281,10 +284,10 @@ def test_criterion_09_property_suites():
         m2,
         spawn.omega,
         [
-            Vertex("0.min", F(0), FatData(F(1, 4), 0, m2.parse("L-E1-E2"))),
-            Vertex("0.a", F(1, 2)),
-            Vertex("0.max", F(1)),
-            Vertex("1.c", F(1, 4)),
+            Vertex("0.min", 0, FatData(F(1, 4), 0, m2.parse("L-E1-E2"))),
+            Vertex("0.a", 2),  # heights over 4
+            Vertex("0.max", 4),
+            Vertex("1.c", 1),
         ],
         [
             Edge("0.min", "1.c", 1, m2.parse("E2")),

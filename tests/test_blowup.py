@@ -23,6 +23,10 @@ def two_surface_base():
     return base_hirzebruch(1, F(1, 2), BaseFamilyParams("two_surfaces", 1))
 
 
+def moment(g, vid):
+    return F(g.vertex(vid).height, g.omega.denominator)
+
+
 def take(g, delta, **match):
     sites = blowup_sites(g, delta)
     for s in sites:
@@ -54,7 +58,7 @@ def test_interior_rewrite_exact():
     g = take(g, F(1, 4), kind="surface", end="min")
     g = take(g, F(1, 4), kind="surface", end="min")
     h = take(g, F(3, 16), kind="interior", vertex="3.c")
-    moments = {str(e.cls): (h.vertex(e.bottom).moment, h.vertex(e.top).moment, e.label)
+    moments = {str(e.cls): (moment(h, e.bottom), moment(h, e.top), e.label)
                for e in h.edges}
     assert moments["E4-E5"] == (F(0), F(1, 16), 1)
     assert moments["E5"] == (F(1, 16), F(7, 16), 2)
@@ -67,8 +71,7 @@ def test_surface_rewrite_on_ruled_base():
     h = take(g, F(3, 5), kind="surface", end="min")
     fat = {str(v.fat.cls): v.fat.size for v in h.vertices if v.is_fat}
     assert fat == {"B-E1": F(2, 5), "B": F(1)}
-    spans = {str(e.cls): (h.vertex(e.bottom).moment, h.vertex(e.top).moment)
-             for e in h.edges}
+    spans = {str(e.cls): (moment(h, e.bottom), moment(h, e.top)) for e in h.edges}
     assert spans == {"E1": (F(0), F(3, 5)), "F-E1": (F(3, 5), F(1))}
 
 
@@ -78,7 +81,7 @@ def test_extremum_rewrite_creates_fixed_surface_on_equal_weights():
     fat = [v for v in h.vertices if v.is_fat]
     assert len(fat) == 1
     assert str(fat[0].fat.cls) == "E2" and fat[0].fat.size == F(1, 4)
-    assert fat[0].fat.genus == 0 and fat[0].moment == F(1, 4)
+    assert fat[0].fat.genus == 0 and moment(h, fat[0].vid) == F(1, 4)
     assert sorted(str(e.cls) for e in h.edges_above(fat[0].vid)) == ["E1-E2", "L-E1-E2"]
     assert validate(h) == []
 
@@ -87,7 +90,7 @@ def test_extremum_rewrite_with_distinct_weights():
     g = base_hirzebruch(1, F(1, 2), BaseFamilyParams("isolated_left", 1, 1, 2))
     # minimum has weights d=2 (on L-E1) and c=1 (on E1)
     h = take(g, F(1, 4), kind="extremum", end="min")
-    lows = sorted(v.moment for v in h.vertices)[:2]
+    lows = sorted(moment(h, v.vid) for v in h.vertices)[:2]
     assert lows == [F(1, 4), F(1, 2)]  # alpha + n*delta, alpha + m*delta
     labels = {str(e.cls): e.label for e in h.edges}
     assert labels["E2"] == 1  # m - n

@@ -274,18 +274,96 @@ def test_verify_graphs_with_an_invalid_graph_exits_2(tmp_path, capsys):
         b"MODEL ruled k=one\n",
         b"V 0 0 isolated\n",
         b"\xff\xfe\x00garbage",
+        # Edits of the saved file that alone break it:
+        pytest.param(lambda text: text + b"BOGUS record\n", id="unknown-tag"),
+        pytest.param(lambda text: text.replace(b"LEDGER", b"LEDGR"), id="misspelt-ledger"),
+        pytest.param(
+            lambda text: text.replace(b"V 2 1/20 ", b"V 2 1/30 "), id="off-lattice-moment"
+        ),
+        pytest.param(
+            lambda text: text.replace(b"\nOMEGA", b"\nV 9 0 isolated\nOMEGA"),
+            id="vertex-before-omega",
+        ),
     ],
 )
 def test_verify_graphs_with_a_garbage_file_exits_2(tmp_path, capsys, content):
     assert main(["verify", "--scenario", "ruled-three", "--out", str(tmp_path / "run")]) == 0
     graphs = tmp_path / "run" / "graphs"
-    (graphs / "graph-000.txt").write_bytes(content)
+    path = graphs / "graph-000.txt"
+    path.write_bytes(content(path.read_bytes()) if callable(content) else content)
     capsys.readouterr()
     assert main(["verify", "--scenario", "ruled-three", "--graphs", str(graphs)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("graph error: ") and "graph-000.txt" in captured.err
+
+
+def _unlink(name):
+    return lambda graphs: (graphs / name).unlink()
+
+
+def _manifest(text):
+    return lambda graphs: (graphs / "manifest.json").write_text(text)
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (_unlink("graph-004.txt"), "No such file or directory: "),
+        (_unlink("manifest.json"), "No such file or directory: "),
+        (_manifest('{"count": 8, "files": ["graph-000.txt"]}'), "count 8 but 1 files listed"),
+        (_manifest('{"count": 1, "files": "graph-000.txt"}'), "malformed manifest"),
+        (_manifest('{"files": []}'), "malformed manifest"),
+        (_manifest("not json"), "malformed manifest"),
+    ],
+    ids=["deleted-graph", "no-manifest", "count", "files", "no-count", "not-json"],
+)
+def test_verify_graphs_with_a_broken_manifest_exits_2(tmp_path, capsys, damage, message):
+    assert main(["verify", "--scenario", "ruled-three", "--out", str(tmp_path / "run")]) == 0
+    graphs = tmp_path / "run" / "graphs"
+    damage(graphs)
+    capsys.readouterr()
+    assert main(["verify", "--scenario", "ruled-three", "--graphs", str(graphs)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("graph error: ") and message in captured.err
+
+
+def test_verify_graphs_follows_the_manifest_order(tmp_path, capsys):
+    """Verdicts come in the manifest's order, not in name order."""
+    argv = ["verify", "--scenario", "ruled-three", "--mode", "stabilizer"]
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 1
+    report = json.loads(capsys.readouterr().out)
+    verdicts = [g["verdict"] for g in report["graphs"]]
+    assert len(set(verdicts)) == 2  # both verdicts occur, so order shows
+    graphs = tmp_path / "run" / "graphs"
+    manifest = json.loads((graphs / "manifest.json").read_text())
+    assert manifest["files"] == sorted(manifest["files"])
+    manifest["files"].reverse()
+    (graphs / "manifest.json").write_text(json.dumps(manifest))
+    assert main(argv + ["--graphs", str(graphs)]) == 1
+    replay = json.loads(capsys.readouterr().out)
+    assert [g["verdict"] for g in replay["graphs"]] == verdicts[::-1]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cone", "--scenario", "cp2-six", "FOO"], "'F' not in basis of rational k=6"),
+        (["negcurves", "--k", "-1"], "k must be >= 0"),
+        (["negcurves", "--kind", "ruled", "--k", "1", "--genus", "0"],
+         "ruled model requires genus >= 1"),
+        (["negcurves", "--k", "1", "--bound", "0"], "coefficient bound must be >= 1"),
+    ],
+    ids=["cone-class", "negative-k", "ruled-genus-0", "bound-0"],
+)
+def test_bad_lattice_arguments_exit_2_with_one_line(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"argument error: {message}\n"
 
 
 def test_cross_check_failure_sets_its_gate_false(monkeypatch):
@@ -348,12 +426,26 @@ PLANE_HEAD = "kind rational\nn 2\nsizes 1/4 1/4 1/4\n"
          "a plane scenario needs exactly one base size, not 2"),
         (PLANE_HEAD + "lam 1\nbase-sizes\n",
          "a plane scenario needs exactly one base size, not 0"),
+        (PLANE_HEAD + "lam 1\nbase-sizes 1/2\nreps 1\n",
+         "each reps entry must be a c,d pair"),
+        (PLANE_HEAD + "lam 1\nbase-sizes 1/2\ngenerators ruled-two\n",
+         "generator list 'ruled-two' is on the ruled genus=2 k=2 model,"
+         " the scenario on the rational k=4 model"),
+        (RULED_OK + "generators ruled-three\nmembership FOO\n",
+         "membership target 'FOO': "),
+        (RULED_OK + "generators ruled-three\npicard-prefix 3\n",
+         "picard-prefix must be the rank 5 of ruled genus=2 k=3"),
+        (RULED_OK + "membership F\n", "membership and picard-prefix need a generators line"),
+        (RULED_OK + "picard-prefix 5\n", "membership and picard-prefix need a generators line"),
     ],
     ids=[
         "name-suffix", "mode", "required-class", "negative-size", "one-size-ruled",
         "generator-key", "witness-family", "negative-count", "non-integer-count",
         "n-one", "n-zero", "negative-lam-f", "zero-lam-b", "negative-lam",
         "base-size-above-lam", "zero-base-size", "two-base-sizes", "no-base-size",
+        "reps-not-a-pair", "generators-on-another-model", "membership-target",
+        "picard-prefix-not-the-rank", "membership-without-generators",
+        "picard-prefix-without-generators",
     ],
 )
 def test_malformed_scenario_exits_2_with_one_line(tmp_path, capsys, scenario, message):

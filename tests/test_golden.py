@@ -6,17 +6,26 @@ dedup keys of the final graphs and the SHA-256 of ``report.json`` as
 ``decgraph verify --out`` writes it.  A kernel change that alters any count,
 any canonical key or any byte of the report fails here.
 
+``tests/golden/ruled-general-4-files.json`` pins the directory format: the
+SHA-256 of every graph file and of ``manifest.json`` that ``verify --out``
+writes for ruled-general-4, and of the report that ``verify --graphs`` writes
+on them, its ``source`` path masked.
+
 Regenerate (only for an intended change of output) with::
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
 
+from decgraph.cli import main
 from decgraph.enumeration import dedup_key
 from decgraph.scenarios import load_scenario, run_scenario
 
@@ -47,10 +56,41 @@ def golden_record(name: str) -> dict:
     }
 
 
+def files_record(workdir: Path) -> dict:
+    """Digests of ruled-general-4's graph files, manifest and replay report."""
+    run, replay = workdir / "run", workdir / "replay"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "--scenario", "ruled-general-4", "--out", str(run)]) == 0
+        code = main(
+            ["verify", "--scenario", "ruled-general-4", "--graphs", str(run / "graphs"),
+             "--out", str(replay)]
+        )
+    report = (replay / "report.json").read_text(encoding="utf-8")
+    masked = report.replace(json.dumps(str(run / "graphs")), '"GRAPHS"', 1)
+    assert masked != report
+    return {
+        "scenario": "ruled-general-4",
+        "files": {
+            p.name: _sha256(p.read_text(encoding="utf-8"))
+            for p in sorted((run / "graphs").iterdir())
+        },
+        "replay_exit_code": code,
+        "replay_report_sha256": _sha256(masked),
+    }
+
+
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_golden_record(name):
     pinned = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
     assert golden_record(name) == pinned
+
+
+def test_golden_files(tmp_path):
+    pinned = json.loads(
+        (GOLDEN / "ruled-general-4-files.json").read_text(encoding="utf-8")
+    )
+    assert files_record(tmp_path) == pinned
+    assert len(pinned["files"]) == 318  # 317 graphs and the manifest
 
 
 def test_golden_reference_counts():
@@ -72,3 +112,8 @@ if __name__ == "__main__":
         text = json.dumps(golden_record(name), indent=2, sort_keys=True) + "\n"
         (GOLDEN / f"{name}.json").write_text(text, encoding="utf-8")
         print(f"wrote {name}")
+    with tempfile.TemporaryDirectory() as workdir:
+        record = files_record(Path(workdir))
+    text = json.dumps(record, indent=2, sort_keys=True) + "\n"
+    (GOLDEN / "ruled-general-4-files.json").write_text(text, encoding="utf-8")
+    print("wrote ruled-general-4-files")

@@ -33,6 +33,16 @@ def same_action(a, b):
     return normal_key(a) == normal_key(b)
 
 
+def moment(g, v):
+    return F(v.height, g.omega.denominator)
+
+
+def raised(g, by):
+    """``g`` with every vertex ``by`` heights higher."""
+    vertices = [Vertex(v.vid, v.height + by, v.fat) for v in g.vertices]
+    return DecoratedGraph.build(g.model, g.omega, vertices, g.edges, g.ledger, g.fiber)
+
+
 def two_surface_base():
     return base_hirzebruch(1, F(1, 2), BaseFamilyParams("two_surfaces", 1))
 
@@ -40,7 +50,7 @@ def two_surface_base():
 def test_two_surfaces_base_matches_construction():
     g = two_surface_base()
     assert validate(g) == []
-    fats = {str(v.fat.cls): (v.moment, v.fat.size) for v in g.vertices}
+    fats = {str(v.fat.cls): (moment(g, v), v.fat.size) for v in g.vertices}
     assert fats == {"L": (F(0), F(1)), "E1": (F(1, 2), F(1, 2))}
     assert len(g.edges) == 2
     assert all(str(e.cls) == "L-E1" and e.label == 1 for e in g.edges)
@@ -55,7 +65,7 @@ def test_one_surface_base():
     assert validate(g) == []
     fat = [v for v in g.vertices if v.is_fat]
     assert len(fat) == 1 and str(fat[0].fat.cls) == "L-E1"
-    assert g.max_vertex.moment == 1 and not g.max_vertex.is_fat
+    assert moment(g, g.max_vertex) == 1 and not g.max_vertex.is_fat
     assert sorted(str(e.cls) for e in g.edges) == ["E1", "L", "L-E1"]
 
 
@@ -119,8 +129,8 @@ def test_validate_catches_area_rule_violation():
 
 
 def test_validate_catches_interior_fat_vertex():
-    g = two_surface_base()
-    extra = Vertex("0.mid", F(1, 4), FatData(F(1, 2), 0, g.model.parse("E1")))
+    g = two_surface_base().extend(F(1, 4))  # heights over 4: 0 and 2
+    extra = Vertex("0.mid", 1, FatData(F(1, 2), 0, g.model.parse("E1")))
     bad = DecoratedGraph.build(
         g.model, g.omega, list(g.vertices) + [extra], g.edges, (), g.fiber
     )
@@ -129,7 +139,7 @@ def test_validate_catches_interior_fat_vertex():
 
 def test_validate_catches_doubled_extremum_and_bad_labels():
     g = two_surface_base()
-    extra = Vertex("0.top2", F(1, 2))
+    extra = Vertex("0.top2", 1)
     bad = DecoratedGraph.build(
         g.model, g.omega, list(g.vertices) + [extra], g.edges, (), g.fiber
     )
@@ -137,7 +147,7 @@ def test_validate_catches_doubled_extremum_and_bad_labels():
 
     om = CohomologyVector.rational(1, [F(1, 2)])
     m = om.model
-    vs = [Vertex("0.min", F(0)), Vertex("0.a", F(1)), Vertex("0.max", F(2))]
+    vs = [Vertex("0.min", 0), Vertex("0.a", 2), Vertex("0.max", 4)]  # over 2
     es = [
         Edge("0.min", "0.a", 2, m.parse("L")),
         Edge("0.a", "0.max", 2, m.parse("L")),
@@ -160,7 +170,8 @@ def test_normal_form_idempotent():
 
 def test_translation_and_flip_equivalence():
     g = two_surface_base()
-    assert same_action(g, translate(g, F(7, 3)))
+    assert same_action(g, raised(g, 7))
+    assert translate(raised(g, 7)) == g
     assert same_action(g, flip(g))
 
 
@@ -178,11 +189,11 @@ def test_break_free_edges_conserves_chain_sums():
     m = om.model
     P = m.parse
     vs = [
-        Vertex("0.min", F(0), FatData(pair(om, P("L-E1")), 0, P("L-E1"))),
-        Vertex("0.v1", F(1, 4)),
-        Vertex("0.v2", F(3, 8)),
-        Vertex("0.v3", F(7, 16)),
-        Vertex("0.max", F(1, 2), FatData(pair(om, P("L-E2")), 0, P("L-E2"))),
+        Vertex("0.min", 0, FatData(pair(om, P("L-E1")), 0, P("L-E1"))),
+        Vertex("0.v1", 4),  # heights over 16
+        Vertex("0.v2", 6),
+        Vertex("0.v3", 7),
+        Vertex("0.max", 8, FatData(pair(om, P("L-E2")), 0, P("L-E2"))),
     ]
     es = [
         Edge("0.min", "0.v1", 1, P("E1-E2")),
@@ -217,10 +228,10 @@ def test_metric_move_pair_on_one_surface_first_blowup():
     m = om.model
     P = m.parse
     vs = [
-        Vertex("0.min", F(0), FatData(F(1, 4), 0, P("L-E1-E2"))),
-        Vertex("0.a", F(1, 2)),
-        Vertex("0.max", F(1)),
-        Vertex("1.c", F(1, 4)),
+        Vertex("0.min", 0, FatData(F(1, 4), 0, P("L-E1-E2"))),
+        Vertex("0.a", 2),  # heights over 4
+        Vertex("0.max", 4),
+        Vertex("1.c", 1),
     ]
     es = [
         Edge("0.min", "1.c", 1, P("E2")),
@@ -245,10 +256,10 @@ def test_metric_move_pair_on_second_level():
     m = om.model
     P = m.parse
     vs = [
-        Vertex("0.min", F(0), FatData(F(1, 4), 0, P("L-E1-E3"))),
-        Vertex("0.a", F(1, 2)),
-        Vertex("2.c", F(1, 4)),
-        Vertex("0.max", F(3, 4), FatData(F(1, 4), 0, P("E2"))),
+        Vertex("0.min", 0, FatData(F(1, 4), 0, P("L-E1-E3"))),
+        Vertex("0.a", 2),  # heights over 4
+        Vertex("2.c", 1),
+        Vertex("0.max", 3, FatData(F(1, 4), 0, P("E2"))),
     ]
     es = [
         Edge("0.min", "2.c", 1, P("E3")),
@@ -297,7 +308,7 @@ def test_permute_exceptionals():
 
 def test_equivalence_is_an_equivalence_relation():
     g = two_surface_base()
-    variants = [g, translate(g, F(5, 7)), flip(g)]
+    variants = [g, raised(g, 5), flip(g)]
     for a in variants:
         assert same_action(a, a)
         for b in variants:

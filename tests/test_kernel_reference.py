@@ -12,7 +12,8 @@ exactly, on random models, class vectors, classes and graphs, on random
 admissible blowup chains, and on every graph of every level of the golden
 scenarios.  The last sections check properties of the dedup key on the same
 chains, the lifetime of the per-model class tables, and the integer moments:
-every vertex a height over its graph's one scale.
+every vertex a height over its class vector's denominator.  The references
+read a moment as that height over the denominator.
 """
 
 import gc
@@ -100,6 +101,24 @@ from decgraph.scenarios import DEFAULT_REPS, load_scenario, run_scenario
 # reference implementations
 
 
+def moment(g, v):
+    """The moment value of ``g``'s vertex ``v``."""
+    return F(v.height, g.omega.denominator)
+
+
+def vertex_at(omega, vid, value, fat=None):
+    """The vertex at moment ``value`` of a graph on the class vector ``omega``."""
+    height = value * omega.denominator
+    assert height.denominator == 1
+    return Vertex(vid, height.numerator, fat)
+
+
+def raised(g, by):
+    """``g`` with every vertex ``by`` heights higher."""
+    vertices = [Vertex(v.vid, v.height + by, v.fat) for v in g.vertices]
+    return DecoratedGraph.build(g.model, g.omega, vertices, g.edges, g.ledger, g.fiber)
+
+
 def reference_pair(omega, c):
     if omega.model != c.model:
         raise LatticeError(f"model mismatch: {omega.model} vs {c.model}")
@@ -179,11 +198,11 @@ def reference_vertex(g, vid):
 
 
 def reference_min_vertex(g):
-    return min(g.vertices, key=lambda v: (v.moment, v.vid))
+    return min(g.vertices, key=lambda v: (moment(g, v), v.vid))
 
 
 def reference_max_vertex(g):
-    return max(g.vertices, key=lambda v: (v.moment, v.vid))
+    return max(g.vertices, key=lambda v: (moment(g, v), v.vid))
 
 
 def reference_edges_above(g, vid):
@@ -203,13 +222,13 @@ def reference_validate(g):
         return [f"class vector is for {g.omega.model}, graph is for {g.model}"]
     if not g.vertices:
         return ["graph has no vertices"]
-    mmin = min(v.moment for v in g.vertices)
-    mmax = max(v.moment for v in g.vertices)
+    mmin = min(moment(g, v) for v in g.vertices)
+    mmax = max(moment(g, v) for v in g.vertices)
     if mmin == mmax:
         bad.append("minimum and maximum must be attained at distinct levels")
-    if sum(1 for v in g.vertices if v.moment == mmin) != 1:
+    if sum(1 for v in g.vertices if moment(g, v) == mmin) != 1:
         bad.append("minimum attained on more than one component")
-    if sum(1 for v in g.vertices if v.moment == mmax) != 1:
+    if sum(1 for v in g.vertices if moment(g, v) == mmax) != 1:
         bad.append("maximum attained on more than one component")
     ids = [v.vid for v in g.vertices]
     if len(set(ids)) != len(ids):
@@ -219,7 +238,7 @@ def reference_validate(g):
             continue
         if v.fat.size <= 0:
             bad.append(f"fat vertex {v.vid} has nonpositive size")
-        if v.moment not in (mmin, mmax):
+        if moment(g, v) not in (mmin, mmax):
             bad.append(f"fat vertex {v.vid} sits at an interior moment value")
         if v.fat.genus < 0:
             bad.append(f"fat vertex {v.vid} has negative genus")
@@ -240,12 +259,12 @@ def reference_validate(g):
         if not isinstance(e.label, int) or e.label < 1:
             bad.append(f"{tag} has a non-positive label")
             continue
-        if vt.moment <= vb.moment:
+        if moment(g, vt) <= moment(g, vb):
             bad.append(f"{tag} does not increase the moment value")
         if e.cls.model != g.model:
             bad.append(f"{tag} class is in the wrong lattice")
             continue
-        if vt.moment - vb.moment != e.label * reference_pair(g.omega, e.cls):
+        if moment(g, vt) - moment(g, vb) != e.label * reference_pair(g.omega, e.cls):
             bad.append(f"{tag} breaks the area rule (gap != label * area)")
         if reference_adjunction_genus(e.cls) != 0:
             bad.append(f"{tag} class is not an embedded-sphere class")
@@ -256,7 +275,7 @@ def reference_validate(g):
             continue
         above = reference_edges_above(g, v.vid)
         below = reference_edges_below(g, v.vid)
-        if v.moment not in (mmin, mmax):
+        if moment(g, v) not in (mmin, mmax):
             if len(above) != 1 or len(below) != 1:
                 bad.append(
                     f"interior vertex {v.vid} needs exactly one edge above and below"
@@ -277,7 +296,7 @@ def reference_interior_vertices(g):
 def reference_canonical_text(g, with_ledger=True):
     """The serializer as it was, one orientation, every class formatted anew."""
     vmin, vmax = reference_min_vertex(g), reference_max_vertex(g)
-    moment_text = {v.vid: str(v.moment) for v in g.vertices}
+    moment_text = {v.vid: str(moment(g, v)) for v in g.vertices}
     chains = []
     for start in sorted(
         reference_edges_above(g, vmin.vid), key=lambda e: (e.cls.coeffs, e.label, e.top)
@@ -306,11 +325,11 @@ def reference_canonical_text(g, with_ledger=True):
     lines = [f"MODEL {g.model}", f"OMEGA {g.omega}"]
     for v in order:
         if v.fat is None:
-            lines.append(f"V {index[v.vid]} {rat_str(v.moment)} isolated")
+            lines.append(f"V {index[v.vid]} {rat_str(moment(g, v))} isolated")
         else:
             f = v.fat
             lines.append(
-                f"V {index[v.vid]} {rat_str(v.moment)} fat"
+                f"V {index[v.vid]} {rat_str(moment(g, v))} fat"
                 f" size={rat_str(f.size)} genus={f.genus}"
                 f" class={reference_class_text(f.cls)}"
             )
@@ -386,11 +405,12 @@ def reference_apply_blowup(g, request):
     emb = lambda c: c.embed(model)
     Ee = model.exceptional(e_idx)
     step = len(g.ledger) + 1
+    at = lambda vid, value, fat=None: vertex_at(omega, vid, value, fat)
     vertices = [
-        w if w.fat is None
-        else Vertex(w.vid, w.moment, FatData(w.fat.size, w.fat.genus, emb(w.fat.cls)))
+        at(w.vid, moment(g, w), w.fat and FatData(w.fat.size, w.fat.genus, emb(w.fat.cls)))
         for w in g.vertices
     ]
+    mv = moment(g, v)
     edges = [Edge(e.bottom, e.top, e.label, emb(e.cls)) for e in g.edges]
     fiber = emb(g.fiber)
     vmin, vmax = g.min_vertex.vid, g.max_vertex.vid
@@ -404,8 +424,8 @@ def reference_apply_blowup(g, request):
         up = g.edges_above(v.vid)[0]
         down = g.edges_below(v.vid)[0]
         m, n = up.label, down.label
-        hi = Vertex(f"{step}.hi", v.moment + m * delta)
-        lo = Vertex(f"{step}.lo", v.moment - n * delta)
+        hi = at(f"{step}.hi", mv + m * delta)
+        lo = at(f"{step}.lo", mv - n * delta)
         drop_vertex(v.vid)
         vertices += [hi, lo]
         edges += [
@@ -419,9 +439,9 @@ def reference_apply_blowup(g, request):
         fat = v.fat
         vertices = [w for w in vertices if w.vid != v.vid]
         vertices.append(
-            Vertex(v.vid, v.moment, FatData(fat.size - delta, fat.genus, emb(fat.cls) - Ee))
+            at(v.vid, mv, FatData(fat.size - delta, fat.genus, emb(fat.cls) - Ee))
         )
-        mid = Vertex(f"{step}.c", v.moment + delta if at_min else v.moment - delta)
+        mid = at(f"{step}.c", mv + delta if at_min else mv - delta)
         vertices.append(mid)
         opposite = vmax if at_min else vmin
         if at_min:
@@ -443,7 +463,7 @@ def reference_apply_blowup(g, request):
         sgn = 1 if at_min else -1
         drop_vertex(v.vid)
         if m == n:
-            fatv = Vertex(f"{step}.s", v.moment + sgn * delta, FatData(delta, 0, Ee))
+            fatv = at(f"{step}.s", mv + sgn * delta, FatData(delta, 0, Ee))
             vertices.append(fatv)
             for e in (ea, eb):
                 new_cls = emb(e.cls) - Ee
@@ -452,8 +472,8 @@ def reference_apply_blowup(g, request):
                 else:
                     edges.append(Edge(away(e), fatv.vid, 1, new_cls))
         else:
-            hi = Vertex(f"{step}.hi", v.moment + sgn * m * delta)
-            lo = Vertex(f"{step}.lo", v.moment + sgn * n * delta)
+            hi = at(f"{step}.hi", mv + sgn * m * delta)
+            lo = at(f"{step}.lo", mv + sgn * n * delta)
             vertices += [hi, lo]
             if at_min:
                 edges += [
@@ -516,7 +536,7 @@ def model_vector_class(draw):
 def graphs(draw):
     """Random graphs, mostly invalid; edges may name missing ids.
 
-    Moments come from a small set, so equal extrema are common.  Ids are
+    Heights come from a small set, so equal extrema are common.  Ids are
     unique here; ``test_validate_matches_the_scans_with_duplicate_ids`` adds
     a twin.
     """
@@ -526,13 +546,14 @@ def graphs(draw):
     vids = draw(
         st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=8, unique=True)
     )
-    moments = st.builds(F, st.integers(-3, 3), st.integers(1, 2))
+    sizes = st.builds(F, st.integers(-3, 3), st.integers(1, 2))
+    heights = st.integers(-6, 6)
     vertices = []
     for vid in vids:
         fat = None
         if draw(st.booleans()):
-            fat = FatData(draw(moments), draw(st.integers(0, 2)), draw(cls))
-        vertices.append(Vertex(vid, draw(moments), fat))
+            fat = FatData(draw(sizes), draw(st.integers(0, 2)), draw(cls))
+        vertices.append(Vertex(vid, draw(heights), fat))
     ends = st.sampled_from(vids + ["x", "y"])
     edges = [
         Edge(draw(ends), draw(ends), draw(st.integers(1, 4)), draw(cls))
@@ -642,7 +663,7 @@ def test_basis_names_are_stable():
 def assert_index_matches_scans(g):
     assert g.min_vertex is reference_min_vertex(g)
     assert g.max_vertex is reference_max_vertex(g)
-    assert g.span == reference_max_vertex(g).moment - reference_min_vertex(g).moment
+    assert g.span == moment(g, reference_max_vertex(g)) - moment(g, reference_min_vertex(g))
     assert g.interior_vertices() == reference_interior_vertices(g)
     vids = {v.vid for v in g.vertices} | {e.bottom for e in g.edges} | {e.top for e in g.edges}
     for vid in sorted(vids | {"missing"}):
@@ -670,9 +691,9 @@ def test_index_matches_scans_on_random_graphs(g):
 @given(graphs(), st.data())
 def test_validate_matches_the_scans_with_duplicate_ids(g, data):
     twin = data.draw(st.sampled_from(g.vertices))
-    moment = data.draw(st.sampled_from([twin.moment, twin.moment + 1]))
+    height = data.draw(st.sampled_from([twin.height, twin.height + 1]))
     h = DecoratedGraph.build(
-        g.model, g.omega, g.vertices + (Vertex(twin.vid, moment),), g.edges, (), g.fiber
+        g.model, g.omega, g.vertices + (Vertex(twin.vid, height),), g.edges, (), g.fiber
     )
     assert validate(h) == reference_validate(h)
     assert h.vertex(twin.vid) is reference_vertex(h, twin.vid)
@@ -680,9 +701,9 @@ def test_validate_matches_the_scans_with_duplicate_ids(g, data):
 
 def test_vertex_lookup_returns_the_first_of_a_duplicated_id():
     omega = CohomologyVector.rational(1, [F(1, 2)])
-    vs = [Vertex("a", F(0)), Vertex("b", F(1, 2)), Vertex("b", F(1))]
+    vs = [Vertex("a", 0), Vertex("b", 1), Vertex("b", 2)]  # heights over 2
     g = DecoratedGraph.build(omega.model, omega, vs, [], (), omega.model.parse("L"))
-    assert g.vertex("b") is reference_vertex(g, "b") and g.vertex("b").moment == F(1, 2)
+    assert g.vertex("b") is reference_vertex(g, "b") and moment(g, g.vertex("b")) == F(1, 2)
 
 
 @pytest.fixture(scope="module")
@@ -841,8 +862,8 @@ def test_surface_blowup_supplants_the_free_sphere_of_least_class():
     omega = CohomologyVector.rational(1, [F(1, 2), F(1, 2)])
     P = omega.model.parse
     vertices = [
-        Vertex("0.min", F(0), FatData(F(1), 0, P("L"))),
-        Vertex("0.max", F(1, 2), FatData(F(1, 2), 0, P("E1"))),
+        Vertex("0.min", 0, FatData(F(1), 0, P("L"))),
+        Vertex("0.max", 1, FatData(F(1, 2), 0, P("E1"))),  # heights over 2
     ]
     edges = [Edge("0.min", "0.max", 1, P("L-E2")), Edge("0.min", "0.max", 1, P("L-E1"))]
     g = DecoratedGraph.build(omega.model, omega, vertices, edges, (), P("L-E1"))
@@ -892,8 +913,7 @@ def test_keys_match_the_references_on_random_chains(g):
 def test_dedup_key_is_invariant_under_flip_and_translation(g, data):
     key = dedup_key(g)
     assert dedup_key(flip(g)) == key
-    shift = data.draw(st.builds(F, st.integers(-20, 20), st.integers(1, 9)))
-    assert dedup_key(translate(g, shift)) == key
+    assert dedup_key(raised(g, data.draw(st.integers(-20, 20)))) == key
 
 
 @settings(max_examples=100, deadline=None)
@@ -1055,13 +1075,10 @@ def test_a_dropped_run_frees_its_models_and_runs_share_no_class():
 
 
 def assert_on_one_scale(g):
-    """Every vertex over the graph's scale, at its exact moment, in order."""
-    scale = g.scale
-    assert scale % g.omega.denominator == 0
-    for v in g.vertices:
-        assert v.den == scale
-        assert v.moment == F(v.height, v.den)
-    assert g.vertices == tuple(sorted(g.vertices, key=lambda v: (v.moment, v.vid)))
+    """Every vertex an integer height over the class vector's denominator,
+    in moment order."""
+    assert all(type(v.height) is int for v in g.vertices)
+    assert g.vertices == tuple(sorted(g.vertices, key=lambda v: (moment(g, v), v.vid)))
     assert [vertex_order(v) for v in g.vertices] == sorted(map(vertex_order, g.vertices))
 
 
@@ -1081,19 +1098,18 @@ def assert_strip_redundant_copies_only_to_drop(g):
 def test_golden_graphs_hold_integer_heights_over_one_scale(golden_level_graphs):
     for g in golden_level_graphs:
         assert_on_one_scale(g)
-        # Each blowup grows the scale by its size's denominator, as D grows.
-        assert g.scale == g.omega.denominator
-        for h in (normal_form(g), flip(g), translate(g, F(1, 3))):
+        assert g.min_vertex.height == 0 and translate(g) is g
+        for h in (normal_form(g), flip(g), translate(raised(g, 3))):
             assert_on_one_scale(h)
-        assert translate(g, F(1, 3)).scale == math.lcm(g.scale, 3)
+            assert h.min_vertex.height == 0 and h.omega is g.omega
+        assert translate(raised(g, 3)) == g
 
 
 @settings(max_examples=150, deadline=None)
 @given(admissible_chains(), st.data())
 def test_random_chains_hold_integer_heights_over_one_scale(g, data):
-    """Sizes of denominators 2-7 times a bound: the scale changes past level 1."""
+    """Sizes of denominators 2-7 times a bound: D changes past level 1."""
     assert_on_one_scale(g)
-    assert g.scale == g.omega.denominator
     assert_strip_redundant_copies_only_to_drop(g)
     sites = blowup_sites(g, F(1, 10**9))
     if not sites:
@@ -1103,54 +1119,47 @@ def test_random_chains_hold_integer_heights_over_one_scale(g, data):
     delta = site.max_admissible * F(data.draw(st.integers(1, den - 1)), den)
     x = g.extend(delta)
     assert_on_one_scale(x)
-    assert x.scale == math.lcm(g.scale, delta.denominator) == x.omega.denominator
+    grown = x.omega.denominator != g.omega.denominator
+    assert x.omega.denominator == math.lcm(g.omega.denominator, delta.denominator)
     for v, w in zip(g.vertices, x.vertices):
-        assert v.moment == w.moment
-        # Only a rescale makes the extension copy an isolated vertex.
-        assert (w is v) == (v.fat is None and g.scale % delta.denominator == 0)
+        assert moment(g, v) == moment(x, w)
+        # Only a grown denominator makes the extension copy an isolated vertex.
+        assert (w is v) == (v.fat is None and not grown)
     try:
         child = apply_blowup(g, BlowupRequest(site, delta))
     except BlowupError:
         return
     assert_on_one_scale(child)
-    assert child.scale == x.scale
+    assert child.omega is x.omega
 
 
-def test_vertex_equality_and_hash_go_by_the_moment_value():
-    v = Vertex("a", F(1, 2))
-    assert (v.vid, v.height, v.den, v.fat) == ("a", 1, 2, None)
-    w = Vertex.scaled("a", 3, 6)
-    assert w.moment == F(1, 2) and (w.height, w.den) == (3, 6)
-    assert v == w and hash(v) == hash(w) and len({v, w}) == 1
-    assert v != Vertex.scaled("a", 2, 6) and v != Vertex("b", F(1, 2))
+def test_vertex_is_an_immutable_value():
+    v = Vertex("a", 1)
+    assert (v.vid, v.height, v.fat) == ("a", 1, None)
+    assert v == Vertex("a", 1) and hash(v) == hash(Vertex("a", 1))
+    assert v != Vertex("a", 2) and v != Vertex("b", 1)
     fat = FatData(F(1, 2), 0, SurfaceModel(RATIONAL, 1).parse("L-E1"))
-    assert Vertex("a", F(1, 2), fat) == Vertex.scaled("a", 2, 4, fat)
-    assert Vertex("a", F(1, 2), fat) != v
-    assert Vertex("z", -3) == Vertex.scaled("z", -12, 4) and Vertex("z", -3).den == 1
+    assert Vertex("a", 1, fat) != v and len({v, Vertex("a", 1, fat), Vertex("a", 1)}) == 2
     with pytest.raises(AttributeError):
         v.height = 2
-    with pytest.raises(AttributeError):
-        del v.den
-    assert pickle.loads(pickle.dumps(w)) == w and pickle.loads(pickle.dumps(w)).den == 6
-    assert repr(w) == "Vertex(vid='a', moment=Fraction(1, 2), fat=None)"
+    w = Vertex("a", 3, fat)
+    assert pickle.loads(pickle.dumps(w)) == w
+    assert repr(v) == "Vertex(vid='a', height=1, fat=None)"
 
 
-def test_build_puts_every_vertex_on_one_scale():
+def test_validate_reports_a_non_integer_height():
     omega = CohomologyVector.rational(1, [F(1, 2)])
     P = omega.model.parse
     vertices = [
         Vertex("0.min", 0, FatData(F(1, 2), 0, P("L-E1"))),
         Vertex("0.a", F(1, 3)),
-        Vertex.scaled("0.max", 10, 20),
+        Vertex("0.max", 1),
     ]
     g = DecoratedGraph.build(omega.model, omega, vertices, [], (), P("L"))
-    assert g.scale == 6 and [(v.vid, v.height) for v in g.vertices] == [
-        ("0.min", 0), ("0.a", 2), ("0.max", 3),
-    ]
-    assert g.vertices == tuple(vertices) and g.span == F(1, 2)
-    # Only a graph made without ``build`` can hold two scales; validate says so.
-    mixed = DecoratedGraph(omega.model, omega, tuple(vertices), (), (), P("L"))
-    assert validate(mixed) == ["vertices are held over different scales"]
+    assert validate(g) == ["vertex 0.a has a non-integer height"]
+    assert validate(
+        DecoratedGraph.build(omega.model, omega, vertices[::2], [], (), P("L"))
+    ) == []
 
 
 def test_relabelings_are_listed_once_per_vector_and_created_indices(golden_level_graphs):
