@@ -19,6 +19,7 @@ from .graphs import (
     BaseFamilyParams,
     DecoratedGraph,
     GraphError,
+    _drop_caches,
     base_hirzebruch,
     base_ruled,
     canonical_text,
@@ -116,6 +117,13 @@ def dedup_key(g: DecoratedGraph, permute_equal_sizes: bool = True) -> str:
 
 
 def _dedup(graphs, permute: bool):
+    """One graph per dedup key, in key order, and the number merged.
+
+    ``graphs`` may be a generator: each graph's index is released once it is
+    keyed (and compared, on a merge), so a level holds the indexes of one
+    parent's children at most.  On a merge the smaller (ledger, canonical
+    text) wins.
+    """
     chosen: dict[str, DecoratedGraph] = {}
     merged = 0
     for g in graphs:
@@ -127,8 +135,28 @@ def _dedup(graphs, permute: bool):
             merged += 1
             if (g.ledger, canonical_text(g)) < (old.ledger, canonical_text(old)):
                 chosen[key] = g
+            _drop_caches(old)
+        _drop_caches(g)
     ordered = [chosen[k] for k in sorted(chosen)]
     return ordered, merged
+
+
+def _children(frontier, delta: Fraction, sites: list[int]):
+    """The generic forms of every blowup of ``frontier`` at ``delta``.
+
+    They are made parent by parent in frontier order, and each parent's
+    number of sites is appended to ``sites``.  A parent's index and its
+    extension ``g.extend(delta)`` serve only its own children, so they are
+    released once the last of them is made.  The children of one parent are
+    all made before the first is yielded: a batch keeps their objects close
+    in memory, which measured faster than keying each child as it is made.
+    """
+    for g in frontier:
+        found = blowup_sites(g, delta)
+        sites.append(len(found))
+        batch = [generic_form(apply_blowup(g, BlowupRequest(site, delta))) for site in found]
+        _drop_caches(g)
+        yield from batch
 
 
 def _levels(spec: EnumerationSpec):
@@ -136,22 +164,18 @@ def _levels(spec: EnumerationSpec):
 
     Each yielded frontier is the parents of the next level, which the
     enumeration holds anyway; a caller that keeps only the latest result holds
-    no earlier frontier.
+    no earlier frontier.  Children are keyed as they are made, a parent's
+    children at a time, so a level's children are never held as a list.
     """
     frontier, _ = _dedup([generic_form(b) for b in spec.bases], spec.permute_equal_sizes)
     log = []
     yield EnumerationResult(tuple(frontier), ())
     for depth, delta in enumerate(spec.sizes, start=1):
-        children = []
-        sites_total = 0
-        for g in frontier:
-            sites = blowup_sites(g, delta)
-            sites_total += len(sites)
-            for site in sites:
-                child = apply_blowup(g, BlowupRequest(site, delta))
-                children.append(generic_form(child))
-        frontier, merged = _dedup(children, spec.permute_equal_sizes)
-        log.append(LevelLog(depth, delta, sites_total, len(frontier), merged))
+        sites: list[int] = []
+        frontier, merged = _dedup(
+            _children(frontier, delta, sites), spec.permute_equal_sizes
+        )
+        log.append(LevelLog(depth, delta, sum(sites), len(frontier), merged))
         yield EnumerationResult(tuple(frontier), tuple(log))
 
 

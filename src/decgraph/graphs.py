@@ -129,7 +129,8 @@ class DecoratedGraph:
     ``vertices`` hold their moments as heights over ``omega.denominator``
     and are sorted by (height, vid), as ``build`` makes them, so the extrema
     are the first and the last vertex.  The vid -> vertex map and the edges
-    above and below each vertex are indexed once per graph, on first use.
+    above and below each vertex are indexed on first use and kept until
+    ``_drop_caches`` releases them.
     """
 
     model: SurfaceModel
@@ -157,8 +158,9 @@ class DecoratedGraph:
         the class vector pairs the new class to ``delta``.  Padding keeps the
         build order, so nothing is re-sorted.  When the class vector's
         denominator grows, the heights grow with it.  There is one object per
-        (graph, size), held by this graph, so the blowups of one graph at one
-        size share it, its index and its vertices, edges and classes.
+        (graph, size), held by this graph until ``_drop_caches``, so the
+        blowups of one graph at one size share it, its index and its
+        vertices, edges and classes.
         """
         delta = rat(delta)
         out = self._extensions.get(delta)
@@ -232,6 +234,18 @@ class DecoratedGraph:
 
     def area(self, e: Edge) -> Fraction:
         return pair(self.omega, e.cls)
+
+
+def _drop_caches(g: DecoratedGraph) -> None:
+    """Release ``g``'s index and extensions; the next query rebuilds them.
+
+    They are caches of values the graph holds, so no value changes.  The
+    enumeration calls this once a graph is keyed or expanded, and the export
+    once its file is written, so that a held graph is only its values.
+    """
+    cache = vars(g)
+    for name in ("_by_vid", "_adjacency", "_extensions"):
+        cache.pop(name, None)
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +642,9 @@ def parse_graph(text: str, models: dict | None = None) -> DecoratedGraph:
     (model, OMEGA text) to the one class vector, and is filled as they are
     read; graphs parsed with one such dict share their model objects and
     class vectors, and so their classes.  Raises GraphError, naming the line,
-    on any malformed or unknown record, and on a moment that is no height
-    over the class vector's denominator.
+    on any malformed, unknown or repeated record (each of MODEL, OMEGA, FIBER
+    and LEDGER comes at most once), and on a moment that is no height over
+    the class vector's denominator.
     """
     if models is None:
         models = {}
@@ -638,6 +653,7 @@ def parse_graph(text: str, models: dict | None = None) -> DecoratedGraph:
     edges: list[Edge] = []
     ledger: list[LedgerEntry] = []
     fiber = None
+    seen = set()  # of the records a graph holds once
     for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line == "C":
@@ -645,6 +661,10 @@ def parse_graph(text: str, models: dict | None = None) -> DecoratedGraph:
         tag, _, rest = line.partition(" ")
         if tag not in ("MODEL", "OMEGA", "V", "E", "FIBER", "LEDGER"):
             raise GraphError(f"line {number}: unknown record tag {tag!r}")
+        if tag in ("MODEL", "OMEGA", "FIBER", "LEDGER"):
+            if tag in seen:
+                raise GraphError(f"line {number}: a second {tag} record")
+            seen.add(tag)
         if model is None and tag in ("OMEGA", "V", "E", "FIBER"):
             raise GraphError(f"line {number}: {tag} record before the MODEL record")
         if omega is None and tag == "V":

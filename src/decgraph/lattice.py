@@ -42,14 +42,25 @@ class LatticeError(ValueError):
     """Raised on model mismatches and malformed inputs."""
 
 
+_RATIONAL_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def rat(x) -> Fraction:
-    """Coerce ints, strings like '3/16', and Fractions to Fraction."""
+    """Coerce ints, strings like '3/16' or '-2', and Fractions to Fraction.
+
+    A string must be p or p/q: ``Fraction`` would also read an exponent, and
+    '1E999999999' would build a billion-digit integer.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        m = _RATIONAL_TEXT.fullmatch(x)
+        if m is None:
+            raise LatticeError(f"not a rational p or p/q: {x!r}")
+        p, q = m.groups()
+        return Fraction(int(p), int(q) if q else 1)
     raise LatticeError(f"not an exact rational: {x!r}")
 
 
@@ -144,7 +155,8 @@ class SurfaceModel:
         coeffs = [0] * self.rank
         pos = 0
         for m in _TERM.finditer(compact):
-            if m.start() != pos:
+            # Every term after the first opens with its sign: E1E2 is no class.
+            if m.start() != pos or (pos and not m.group(1)):
                 raise LatticeError(f"cannot parse class {compact!r}")
             pos = m.end()
             sign = -1 if m.group(1) == "-" else 1

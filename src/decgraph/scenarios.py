@@ -11,6 +11,7 @@ justify the construction itself.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +28,14 @@ from .enumeration import (
     hirzebruch_base_graphs,
     ruled_base_graphs,
 )
-from .graphs import GraphError, canonical_text, parse_graph, render_dot, validate
+from .graphs import (
+    GraphError,
+    _drop_caches,
+    canonical_text,
+    parse_graph,
+    render_dot,
+    validate,
+)
 from .lattice import (
     RATIONAL,
     RULED,
@@ -279,8 +287,19 @@ def _checked(s: Scenario) -> Scenario:
         raise ScenarioError("blowup sizes must be positive")
     if s.n < 2:
         raise ScenarioError(f"the cyclic order n must be at least 2, not {s.n}")
+    for text, order in s.required:
+        if order < 2:
+            raise ScenarioError(
+                f"the cyclic order of required class {text} must be at least 2, not {order}"
+            )
+    if s.genus < 1:  # the ruled model's, and the generator lists' on any model
+        raise ScenarioError(f"genus must be at least 1, not {s.genus}")
     if any(len(rep) != 2 for rep in s.reps):
         raise ScenarioError("each reps entry must be a c,d pair of edge labels")
+    # A pair the base families reject would be skipped, and the families with it.
+    for c, d in s.reps:
+        if c < 1 or d < 1 or math.gcd(c, d) != 1:
+            raise ScenarioError(f"reps entry {c},{d} is no coprime pair of positive labels")
     if s.kind == RATIONAL:
         if s.lam <= 0:
             raise ScenarioError(f"lam must be positive, not {rat_str(s.lam)}")
@@ -397,6 +416,8 @@ def parse_scenario_text(text: str) -> Scenario:
             advisory=fields.get("advisory", "off") == "on",
             expected_final_count=expected,
         )
+    except ZeroDivisionError as exc:
+        raise ScenarioError(f"malformed scenario: zero denominator in {exc}") from None
     except (KeyError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}")
 
@@ -416,9 +437,13 @@ class RunOutcome:
         return 0 if self.passed else 1
 
 
-def _certificate_json(cert) -> dict | None:
-    if cert is None:
-        return None
+def _certificate_json(cert) -> dict:
+    """The report's JSON object for one certificate.
+
+    ``run_scenario`` builds one per distinct certificate and shares it among
+    the graphs that carry it (``json.dumps`` writes it once per reference), so
+    a report's certificate dicts must not be mutated.
+    """
     return {
         "certified": str(cert.certified.cls),
         "certified_coeffs": list(cert.certified.cls.coeffs),
@@ -481,14 +506,31 @@ def run_scenario(scenario: Scenario) -> RunOutcome:
     obstruction = check_nonextension(
         result.graphs, scenario.required_classes(), scenario.n, scenario.mode
     )
-    report["graphs"] = [
-        {
-            "ledger": [str(entry) for entry in v.graph.ledger],
-            "verdict": v.verdict,
-            "certificate": _certificate_json(v.certificate),
-        }
-        for v in obstruction.verdicts
-    ]
+    # Graphs repeat few ledger entries and certificates, so each distinct one
+    # gets one text or dict, shared.  A certificate is keyed on its interned
+    # classes and scalars, not on its nested dataclasses, whose hash is costly.
+    entry_texts: dict = {}
+    certificates: dict = {}
+    graphs = []
+    for v in obstruction.verdicts:
+        ledger = []
+        for entry in v.graph.ledger:
+            text = entry_texts.get(entry)
+            if text is None:
+                text = entry_texts[entry] = str(entry)
+            ledger.append(text)
+        cert = v.certificate
+        if cert is not None:
+            c, r = cert.certified, cert.required
+            key = (
+                c.cls, c.label, c.justification, r.cls, r.fixed_by, cert.intersection, cert.rule
+            )
+            shared = certificates.get(key)
+            if shared is None:
+                shared = certificates[key] = _certificate_json(cert)
+            cert = shared
+        graphs.append({"ledger": ledger, "verdict": v.verdict, "certificate": cert})
+    report["graphs"] = graphs
     report["obstruction"] = {
         "all_obstructed": obstruction.all_obstructed,
         "vacuous": obstruction.vacuous,
@@ -580,6 +622,7 @@ def export_graphs(result: EnumerationResult, out_dir, as_dot: bool = False) -> l
         name = f"graph-{i:03d}." + ("dot" if as_dot else "txt")
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
             fh.write(render_dot(g) if as_dot else canonical_text(g))
+        _drop_caches(g)  # writing indexed it; a held result keeps values only
         names.append(name)
     manifest = {
         "count": len(result.graphs),
@@ -600,8 +643,9 @@ def read_graphs(directory, omega: CohomologyVector) -> list:
 
     Raises GraphError (or OSError) unless the manifest names ``count`` files,
     all of them present, parsed and valid graphs on ``omega``, the scenario's
-    class vector (which names its model).  An empty replay would certify
-    nothing, so it is an error too.  The graphs share their model and class
+    class vector (which names its model), each with one ledger entry per
+    blowup size.  An empty replay would certify nothing, so it is an error
+    too.  The graphs share their model and class
     vector objects, and so their classes.
     """
     path = os.path.join(directory, "manifest.json")
@@ -617,6 +661,8 @@ def read_graphs(directory, omega: CohomologyVector) -> list:
         raise GraphError(f"{path}: count {count!r} but {len(names)} files listed")
     if not names:
         raise GraphError(f"no .txt graph file listed in {path}")
+    # A plane scenario starts from one base size, a ruled one from none.
+    steps = omega.model.k - (omega.model.kind == RATIONAL)
     graphs = []
     models: dict = {}
     for name in names:
@@ -628,6 +674,10 @@ def read_graphs(directory, omega: CohomologyVector) -> list:
                     raise GraphError(
                         f"graph has class vector {g.omega} on the {g.model} model,"
                         f" the scenario {omega} on the {omega.model} model"
+                    )
+                if len(g.ledger) != steps:
+                    raise GraphError(
+                        f"ledger has {len(g.ledger)} entries, the scenario {steps} sizes"
                     )
                 problems = validate(g)
                 if problems:

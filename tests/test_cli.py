@@ -1,12 +1,17 @@
 import json
 import os
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decgraph.cli import main
 from decgraph.scenarios import (
     ScenarioError,
+    _checked,
     builtin_scenarios,
     load_scenario,
     parse_scenario_text,
@@ -284,6 +289,17 @@ def test_verify_graphs_with_an_invalid_graph_exits_2(tmp_path, capsys):
             lambda text: text.replace(b"\nOMEGA", b"\nV 9 0 isolated\nOMEGA"),
             id="vertex-before-omega",
         ),
+        pytest.param(lambda text: text + b"LEDGER E3:surface:min\n", id="second-ledger"),
+        pytest.param(lambda text: text + b"FIBER F\n", id="second-fiber"),
+        pytest.param(
+            lambda text: text.replace(b"\nV 0", b"\nOMEGA (1,1;3/5,7/20,3/10)\nV 0"),
+            id="second-omega",
+        ),
+        pytest.param(
+            lambda text: re.sub(rb"LEDGER .*", b"LEDGER E3:surface:min", text),
+            id="short-ledger",
+        ),
+        pytest.param(lambda text: text.replace(b"FIBER F", b"FIBER BF"), id="unsigned-term"),
     ],
 )
 def test_verify_graphs_with_a_garbage_file_exits_2(tmp_path, capsys, content):
@@ -395,6 +411,7 @@ def test_cross_check_bug_is_not_read_as_a_failed_gate(monkeypatch):
 RULED_HEAD = "kind ruled\nlam-f 1\nlam-b 1\ngenus 2\nn 2\n"
 RULED_OK = RULED_HEAD + "mode integrable\nsizes 3/5 7/20 3/10\n"
 PLANE_HEAD = "kind rational\nn 2\nsizes 1/4 1/4 1/4\n"
+RULED_EIGHTHS = RULED_HEAD + "mode integrable\nsizes 1/2 1/4 1/8\n"
 
 
 @pytest.mark.parametrize(
@@ -428,6 +445,10 @@ PLANE_HEAD = "kind rational\nn 2\nsizes 1/4 1/4 1/4\n"
          "a plane scenario needs exactly one base size, not 0"),
         (PLANE_HEAD + "lam 1\nbase-sizes 1/2\nreps 1\n",
          "each reps entry must be a c,d pair"),
+        (PLANE_HEAD + "lam 1\nbase-sizes 1/2\nreps 1,1 2,2\n",
+         "reps entry 2,2 is no coprime pair of positive labels"),
+        (PLANE_HEAD + "lam 1\nbase-sizes 1/2\nreps 0,1\n",
+         "reps entry 0,1 is no coprime pair of positive labels"),
         (PLANE_HEAD + "lam 1\nbase-sizes 1/2\ngenerators ruled-two\n",
          "generator list 'ruled-two' is on the ruled genus=2 k=2 model,"
          " the scenario on the rational k=4 model"),
@@ -437,15 +458,28 @@ PLANE_HEAD = "kind rational\nn 2\nsizes 1/4 1/4 1/4\n"
          "picard-prefix must be the rank 5 of ruled genus=2 k=3"),
         (RULED_OK + "membership F\n", "membership and picard-prefix need a generators line"),
         (RULED_OK + "picard-prefix 5\n", "membership and picard-prefix need a generators line"),
+        (RULED_EIGHTHS + "lam-f 1/0\n", "zero denominator"),
+        (RULED_HEAD + "mode integrable\nsizes 1/2 1/0 1/8\n", "zero denominator"),
+        (RULED_EIGHTHS + "required E2@0\n",
+         "the cyclic order of required class E2 must be at least 2, not 0"),
+        (RULED_EIGHTHS + "required E2@-3\n",
+         "the cyclic order of required class E2 must be at least 2, not -3"),
+        (RULED_EIGHTHS + "required E1E2@2\n", "cannot parse class 'E1E2'"),
+        (RULED_HEAD + "mode integrable\nsizes 1/2 1E9 1/8\n", "not a rational p or p/q: '1E9'"),
+        (PLANE_HEAD + "lam 1\nbase-sizes 1/2\ngenus 0\ngenerators plane-six\n",
+         "genus must be at least 1, not 0"),
     ],
     ids=[
         "name-suffix", "mode", "required-class", "negative-size", "one-size-ruled",
         "generator-key", "witness-family", "negative-count", "non-integer-count",
         "n-one", "n-zero", "negative-lam-f", "zero-lam-b", "negative-lam",
         "base-size-above-lam", "zero-base-size", "two-base-sizes", "no-base-size",
-        "reps-not-a-pair", "generators-on-another-model", "membership-target",
+        "reps-not-a-pair", "reps-not-coprime", "reps-not-positive",
+        "generators-on-another-model", "membership-target",
         "picard-prefix-not-the-rank", "membership-without-generators",
-        "picard-prefix-without-generators",
+        "picard-prefix-without-generators", "zero-denominator-lam-f",
+        "zero-denominator-size", "required-order-zero", "required-order-negative",
+        "required-class-missing-sign", "exponent-size", "plane-generators-genus-0",
     ],
 )
 def test_malformed_scenario_exits_2_with_one_line(tmp_path, capsys, scenario, message):
@@ -458,6 +492,68 @@ def test_malformed_scenario_exits_2_with_one_line(tmp_path, capsys, scenario, me
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("scenario error: ") and message in captured.err
+
+
+CP2_SIX_ALT_TEXT = (
+    CP2_SIX_TEXT.replace("name cp2-six\n", "name cp2-six-alt\n")
+    .replace("required E1-E2@2 L-E3-E4@2 E5-E6@2", "required E1@2 E5-E6@2 L-E2-E3-E4@2")
+    .replace("generators plane-six\n", "generators plane-six-alt\n")
+    .replace("picard-prefix 7\n", "")
+    .replace("witness-family six-blowup\n", "")
+)
+FUZZ_BASES = (
+    CP2_SIX_TEXT,
+    CP2_SIX_ALT_TEXT,
+    RULED_THREE_TEXT,
+    RULED_GENERAL_4_TEXT,
+    (Path(__file__).parents[1] / "perfbench" / "ruled-deep.scenario").read_text(),
+)
+VALUE_ALPHABET = "0123456789/-@,ELBF "
+# Free text from the value alphabet, and small numbers in it, which parse.
+VALUES = st.one_of(
+    st.text(VALUE_ALPHABET, max_size=24),
+    st.integers(-3, 9).map(str),
+    st.tuples(st.integers(-3, 9), st.integers(0, 9)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+)
+
+
+@st.composite
+def mutated_scenario_texts(draw):
+    """A builtin's text or the deep scenario's, with lines dropped,
+    duplicated or given a new value."""
+    lines = draw(st.sampled_from(FUZZ_BASES)).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(("drop", "duplicate", "rewrite")))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            key = lines[i].partition(" ")[0]
+            lines[i] = f"{key} {draw(VALUES)}"
+    return "\n".join(lines) + "\n"
+
+
+def test_the_fuzz_bases_load():
+    loaded = [_checked(parse_scenario_text(text)) for text in FUZZ_BASES]
+    builtins = builtin_scenarios()
+    for scenario in loaded[:4]:
+        assert scenario.required == builtins[scenario.name].required
+    assert [s.name for s in loaded] == [*builtins, "ruled-deep"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_scenario_texts())
+def test_a_mutated_scenario_text_loads_or_raises_scenario_error(text):
+    """The load path only: any text either checks out or is a ScenarioError."""
+    try:
+        scenario = _checked(parse_scenario_text(text))
+    except ScenarioError:
+        return
+    assert scenario.sizes and scenario.n >= 2
 
 
 def test_every_builtin_and_ruled_general_loads():

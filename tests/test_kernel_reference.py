@@ -11,18 +11,22 @@ recomputed every shape test and pairing.  The kernel must agree with them
 exactly, on random models, class vectors, classes and graphs, on random
 admissible blowup chains, and on every graph of every level of the golden
 scenarios.  The last sections check properties of the dedup key on the same
-chains, the lifetime of the per-model class tables, and the integer moments:
-every vertex a height over its class vector's denominator.  The references
-read a moment as that height over the denominator.
+chains, the lifetime of the per-model class tables, the integer moments
+(every vertex a height over its class vector's denominator), and the
+released caches: a graph answers alike with its index and extensions or
+without them, and a run holds none.  The references read a moment as that
+height over the denominator.
 """
 
 import gc
 import itertools
+import json
 import math
 import pickle
 import weakref
 
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +57,7 @@ from decgraph.graphs import (
     GraphError,
     LedgerEntry,
     Vertex,
+    _drop_caches,
     _records,
     base_hirzebruch,
     BaseFamilyParams,
@@ -94,7 +99,7 @@ from decgraph.obstruct import (
     check_nonextension,
     is_proper_transform_shape,
 )
-from decgraph.scenarios import DEFAULT_REPS, load_scenario, run_scenario
+from decgraph.scenarios import DEFAULT_REPS, export_graphs, load_scenario, run_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -1209,3 +1214,80 @@ def test_fat_record_is_kept_and_equals_the_formula(golden_level_graphs):
             fresh = FatData(f.size, f.genus, f.cls)
             assert fresh == f and hash(fresh) == hash(f)
     assert fats > 500
+
+
+# ---------------------------------------------------------------------------
+# released caches
+
+
+CACHES = ("_by_vid", "_adjacency", "_extensions")
+DEEP_SCENARIO = Path(__file__).parents[1] / "perfbench" / "ruled-deep.scenario"
+
+
+def held_caches(g):
+    return [name for name in CACHES if name in vars(g)]
+
+
+def cached_answers(g, delta):
+    """Everything a graph answers from its index or its extensions."""
+    return (
+        canonical_text(g),
+        normal_key(g),
+        dedup_key(g, True),
+        dedup_key(g, False),
+        validate(g),
+        blowup_sites(g, delta),
+        [(g.edges_above(v.vid), g.edges_below(v.vid)) for v in g.vertices],
+        canonical_text(g.extend(delta)),
+    )
+
+
+def test_answers_are_the_same_after_the_caches_are_dropped(golden_levels):
+    """Every graph of every level of the golden scenarios and the deep one;
+    each final level at half its last size."""
+    spec = load_scenario(str(DEEP_SCENARIO)).enumeration_spec()
+    count = 0
+    for sizes, levels in golden_levels + [(spec.sizes, enumerate_levels(spec))]:
+        for depth, level in enumerate(levels):
+            delta = sizes[depth] if depth < len(sizes) else sizes[-1] / 2
+            for g in level.graphs:
+                cached = cached_answers(g, delta)
+                assert held_caches(g) == list(CACHES)
+                _drop_caches(g)
+                assert held_caches(g) == []
+                assert cached_answers(g, delta) == cached
+                _drop_caches(g)
+                count += 1
+    assert count == 558 + 2957
+
+
+@pytest.mark.parametrize("name", ["cp2-six", "ruled-three"])
+def test_no_graph_holds_a_cache_after_a_run(name, tmp_path):
+    """Both merge; cp2-six at its last level too (8 of 34 children).  The
+    exported graphs are indexed to be written and released again."""
+    scenario = load_scenario(name)
+    levels = enumerate_levels(scenario.enumeration_spec())
+    assert sum(lv.merged for lv in levels[-1].branch_log) > 0
+    assert all(held_caches(g) == [] for level in levels for g in level.graphs)
+    result = enumerate_graphs(scenario.enumeration_spec())
+    assert result.graphs and all(held_caches(g) == [] for g in result.graphs)
+    outcome = run_scenario(scenario)
+    assert all(held_caches(g) == [] for g in outcome.result.graphs)
+    export_graphs(outcome.result, tmp_path / "graphs")
+    assert all(held_caches(g) == [] for g in outcome.result.graphs)
+
+
+@pytest.mark.parametrize("name", ["ruled-three", "ruled-general-4"])
+def test_a_report_shares_its_equal_ledger_texts_and_certificates(name):
+    report = run_scenario(load_scenario(name)).report
+    texts, certificates = {}, {}
+    references = 0
+    for entry in report["graphs"]:
+        for text in entry["ledger"]:
+            assert texts.setdefault(text, text) is text
+        cert = entry["certificate"]
+        if cert is not None:
+            references += 1
+            assert certificates.setdefault(json.dumps(cert, sort_keys=True), cert) is cert
+    assert len(texts) < sum(len(entry["ledger"]) for entry in report["graphs"])
+    assert 0 < len(certificates) < references

@@ -69,6 +69,20 @@ def test_intersection_spot_values():
     assert intersect(M6.parse("E1-E2-E5"), M6.parse("E1-E2")) == -2
 
 
+@pytest.mark.parametrize("text", ["E1E2", "B F", "2BF", "E1-E2E3", "F 2E1", "B+F E1"])
+def test_a_term_after_the_first_needs_its_sign(text):
+    with pytest.raises(LatticeError, match="cannot parse class"):
+        W3.parse(text)
+
+
+def test_signed_terms_parse_and_every_class_text_round_trips():
+    assert W3.parse("B + F") == W3.parse("B+F") == W3.intern((1, 1, 0, 0, 0))
+    assert W3.parse("-E1+2E3") == W3.intern((0, 0, -1, 0, 2))
+    for coeffs in [(1, 0, 0, 0, 0), (2, 3, 0, -1, 0), (0, 0, -1, -1, 1), (-1, 1, 1, 1, 1)]:
+        cls = W3.intern(coeffs)
+        assert W3.parse(str(cls)) is cls
+
+
 def test_model_mismatch_is_an_error():
     with pytest.raises(LatticeError):
         intersect(M6.parse("L"), M1.parse("L"))
