@@ -21,14 +21,13 @@ from fractions import Fraction
 from .graphs import (
     DecoratedGraph,
     Edge,
-    FatData,
     LedgerEntry,
     Vertex,
     edge_order,
     validate,
     vertex_order,
 )
-from .lattice import rat
+from .lattice import pair, rat
 
 INTERIOR = "interior"
 SURFACE = "surface"
@@ -72,7 +71,7 @@ def _site_for_vertex(g: DecoratedGraph, v: Vertex) -> BlowupSite | None:
     vmin, vmax = g.min_vertex, g.max_vertex
     if v.is_fat:
         end = "min" if v.vid == vmin.vid else "max"
-        bound = min(v.fat.size, g.span)
+        bound = min(pair(g.omega, v.fat), g.span)
         return BlowupSite(SURFACE, v.vid, bound, end)
     if v.vid in (vmin.vid, vmax.vid):
         edges = g.edges_above(v.vid) if v.vid == vmin.vid else g.edges_below(v.vid)
@@ -154,12 +153,8 @@ def apply_blowup(g: DecoratedGraph, request: BlowupRequest) -> DecoratedGraph:
 
     elif site.kind == SURFACE:
         at_min = site.end == "min"
-        fat = x.vertex(v.vid).fat
         mid = Vertex(f"{step}.c", h + w if at_min else h - w)
-        new_vertices = [
-            Vertex(v.vid, h, FatData(fat.size - delta, fat.genus, fat.cls - Ee)),
-            mid,
-        ]
+        new_vertices = [Vertex(v.vid, h, x.vertex(v.vid).fat - Ee), mid]
         opposite = vmax if at_min else vmin
         if at_min:
             new_edges = [
@@ -189,7 +184,7 @@ def apply_blowup(g: DecoratedGraph, request: BlowupRequest) -> DecoratedGraph:
         sgn = 1 if at_min else -1
         edges = [e for e in x.edges if v.vid not in (e.bottom, e.top)]
         if m == n:  # both weights 1: the blowup creates a fixed surface
-            fatv = Vertex(f"{step}.s", h + sgn * w, FatData(delta, 0, Ee))
+            fatv = Vertex(f"{step}.s", h + sgn * w, Ee)
             new_vertices = [fatv]
             new_edges = [
                 Edge(fatv.vid, away(e), 1, e.cls - Ee) if at_min
@@ -216,7 +211,6 @@ def apply_blowup(g: DecoratedGraph, request: BlowupRequest) -> DecoratedGraph:
         entry = LedgerEntry(e_idx, EXTREMUM, site.end)
 
     out = DecoratedGraph(
-        x.model,
         x.omega,
         _inserted(vertices, new_vertices, vertex_order),
         _inserted(edges, new_edges, edge_order),

@@ -77,9 +77,7 @@ def cmd_verify(args) -> int:
         except (OSError, GraphError) as exc:
             print(f"graph error: {exc}", file=sys.stderr)
             return 2
-        obstruction = check_nonextension(
-            graphs, scenario.required_classes(), scenario.n, scenario.mode
-        )
+        obstruction = check_nonextension(graphs, scenario.required_classes(), scenario.mode)
         report = {
             "scenario": scenario.name,
             "source": args.graphs,
@@ -189,21 +187,24 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario=True):
-        if scenario:
-            p.add_argument("--scenario", required=True,
-                           help="builtin name or scenario file path")
+    def common(p, *extra):
+        """``--scenario``, plus those of mode, permute and out in ``extra``."""
+        p.add_argument("--scenario", required=True,
+                       help="builtin name or scenario file path")
+        if "mode" in extra:
             p.add_argument("--mode", choices=["stabilizer", "integrable"])
+        if "permute" in extra:
             p.add_argument("--permute-equal-sizes", choices=["on", "off"],
                            dest="permute_equal_sizes")
-        p.add_argument("--out", help="output directory")
+        if "out" in extra:
+            p.add_argument("--out", help="output directory")
 
     p = sub.add_parser("enumerate", help="run the blowup enumeration")
-    common(p)
+    common(p, "permute", "out")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="full pipeline; exit 0 iff every gate passes")
-    common(p)
+    common(p, "mode", "permute", "out")
     p.add_argument("--graphs", help="re-verify saved graphs instead of enumerating")
     p.set_defaults(func=cmd_verify)
 
@@ -224,7 +225,8 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_negcurves)
 
     p = sub.add_parser("export", help="DOT files for every enumeration level")
-    common(p)
+    common(p, "permute")
+    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("verify-paper", help="run all builtin scenarios")

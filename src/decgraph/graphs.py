@@ -2,7 +2,8 @@
 
 A decorated graph records the fixed-point data of a circle action: isolated
 fixed points are plain vertices placed at their moment value, fixed surfaces
-are fat vertices carrying a size and a genus, and invariant spheres are edges
+are fat vertices carrying their class (whose area is the surface's size and
+whose adjunction genus is its genus), and invariant spheres are edges
 carrying an isotropy label n >= 1 and a homology class.  The moment-value gap
 across an edge equals label * (class area), areas being exact rationals.
 
@@ -21,7 +22,7 @@ generic metric, flip).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -42,29 +43,14 @@ class GraphError(ValueError):
     """Raised on malformed graph constructions and invalid parameters."""
 
 
-@dataclass(frozen=True, slots=True)
-class FatData:
-    """A fixed surface's size, genus and class; its record text is kept."""
-
-    size: Fraction
-    genus: int
-    cls: HomologyClass
-    _text: str | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __str__(self):
-        if self._text is None:
-            text = f"fat size={rat_str(self.size)} genus={self.genus} class={self.cls}"
-            object.__setattr__(self, "_text", text)
-        return self._text
-
-
 class Vertex(NamedTuple):
     """A fixed point at the moment value ``height / D``, where D is the
-    denominator of its graph's class vector; ``fat`` marks a fixed surface."""
+    denominator of its graph's class vector; ``fat`` is a fixed surface's
+    class, whose area and adjunction genus are the surface's size and genus."""
 
     vid: str
     height: int
-    fat: FatData | None = None
+    fat: HomologyClass | None = None
 
     @property
     def is_fat(self) -> bool:
@@ -133,7 +119,6 @@ class DecoratedGraph:
     ``_drop_caches`` releases them.
     """
 
-    model: SurfaceModel
     omega: CohomologyVector
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
@@ -141,11 +126,15 @@ class DecoratedGraph:
     fiber: HomologyClass  # class of a generic free sphere joining the extrema
 
     @staticmethod
-    def build(model, omega, vertices, edges, ledger, fiber) -> "DecoratedGraph":
+    def build(omega, vertices, edges, ledger, fiber) -> "DecoratedGraph":
         """The graph with both tuples sorted."""
         vertices = tuple(sorted(vertices, key=vertex_order))
         edges = tuple(sorted(edges, key=edge_order))
-        return DecoratedGraph(model, omega, vertices, edges, tuple(ledger), fiber)
+        return DecoratedGraph(omega, vertices, edges, tuple(ledger), fiber)
+
+    @property
+    def model(self) -> SurfaceModel:  # the one the class vector is on
+        return self.omega.model
 
     @cached_property
     def _extensions(self) -> dict[Fraction, "DecoratedGraph"]:
@@ -166,21 +155,21 @@ class DecoratedGraph:
         out = self._extensions.get(delta)
         if out is not None:
             return out
-        model = self.model.extend()
-        omega, fiber = self.omega.extend(delta), self.fiber.embed(model)
+        omega = self.omega.extend(delta)
+        model = omega.model
         grow = omega.denominator // self.omega.denominator
 
         def extended(v: Vertex) -> Vertex:
             f = v.fat
             if f is not None:
-                f = FatData(f.size, f.genus, f.cls.embed(model))
+                f = f.embed(model)
             elif grow == 1:
                 return v  # no class and the same height: shared
             return Vertex(v.vid, v.height * grow, f)
 
         vertices = tuple(map(extended, self.vertices))
         edges = tuple(Edge(e.bottom, e.top, e.label, e.cls.embed(model)) for e in self.edges)
-        out = DecoratedGraph(model, omega, vertices, edges, self.ledger, fiber)
+        out = DecoratedGraph(omega, vertices, edges, self.ledger, self.fiber.embed(model))
         self._extensions[delta] = out
         return out
 
@@ -255,8 +244,6 @@ def _drop_caches(g: DecoratedGraph) -> None:
 def validate(g: DecoratedGraph) -> list[str]:
     """All rule violations, as human-readable strings; empty means valid."""
     bad: list[str] = []
-    if g.omega.model != g.model:
-        return [f"class vector is for {g.omega.model}, graph is for {g.model}"]
     vs = g.vertices
     if not vs:
         return ["graph has no vertices"]
@@ -283,25 +270,21 @@ def validate(g: DecoratedGraph) -> list[str]:
     if len(known) != n:
         bad.append("duplicate vertex ids")
     # A class pairs with omega to (weights . coeffs) / den and a moment is a
-    # height over den; sizes are compared by cross-multiplying.
-    weights, den = g.omega.weights, g.omega.denominator
+    # height over den, so areas and gaps are compared in integers.
+    model, weights = g.model, g.omega.weights
     for i, v in enumerate(vs):
-        if v.fat is None:
+        c = v.fat
+        if c is None:
             continue
-        size = v.fat.size
-        if size.numerator <= 0:
-            bad.append(f"fat vertex {v.vid} has nonpositive size")
         if lo <= i < hi:
             bad.append(f"fat vertex {v.vid} sits at an interior moment value")
-        if v.fat.genus < 0:
-            bad.append(f"fat vertex {v.vid} has negative genus")
-        if v.fat.cls.model != g.model:
+        if c.model is not model and c.model != model:
             bad.append(f"fat vertex {v.vid} class is in the wrong lattice")
-        elif (
-            sum(map(mul, weights, v.fat.cls.coeffs)) * size.denominator
-            != size.numerator * den
-        ):
-            bad.append(f"fat vertex {v.vid} size disagrees with its class area")
+            continue
+        if sum(map(mul, weights, c.coeffs)) <= 0:
+            bad.append(f"fat vertex {v.vid} has nonpositive size")
+        if c.twice_genus < 0:
+            bad.append(f"fat vertex {v.vid} has negative genus")
 
     def flag(e: Edge, what: str) -> None:
         bad.append(f"edge {e.cls}({e.label}) {what}")
@@ -320,7 +303,7 @@ def validate(g: DecoratedGraph) -> list[str]:
         gap = vt.height - vb.height  # the moment gap, times den
         if gap <= 0:
             flag(e, "does not increase the moment value")
-        if e.cls.model is not g.model and e.cls.model != g.model:
+        if e.cls.model is not model and e.cls.model != model:
             flag(e, "class is in the wrong lattice")
             continue
         if gap != e.label * sum(map(mul, weights, e.cls.coeffs)):
@@ -345,6 +328,12 @@ def validate(g: DecoratedGraph) -> list[str]:
             for j in range(i + 1, len(labels)):
                 if math.gcd(labels[i], labels[j]) != 1:
                     bad.append(f"vertex {v.vid} carries non-coprime edge labels")
+
+    # Step i of the ledger created the exceptional class E(first + i).
+    first = model.k - len(g.ledger)
+    for i, entry in enumerate(g.ledger, start=1):
+        if entry.index != first + i:
+            bad.append(f"ledger step {i} names E{entry.index}, not E{first + i}")
     return bad
 
 
@@ -401,13 +390,13 @@ def base_hirzebruch(lam, delta1, params: BaseFamilyParams) -> DecoratedGraph:
     a_fib, a_riser, a_coriser = (pair(omega, x) for x in (fib, riser, coriser))
     den = omega.denominator
     if params.family == "two_surfaces":
-        vmin = Vertex("0.min", 0, FatData(a_riser, 0, riser))
-        vmax = Vertex("0.max", _height(a_fib, den), FatData(a_coriser, 0, coriser))
+        vmin = Vertex("0.min", 0, riser)
+        vmax = Vertex("0.max", _height(a_fib, den), coriser)
         edges = [Edge("0.min", "0.max", 1, fib), Edge("0.min", "0.max", 1, fib)]
-        return DecoratedGraph.build(model, omega, [vmin, vmax], edges, [], fib)
+        return DecoratedGraph.build(omega, [vmin, vmax], edges, [], fib)
 
     if params.family == "one_surface":
-        vmin = Vertex("0.min", 0, FatData(a_fib, 0, fib))
+        vmin = Vertex("0.min", 0, fib)
         va = Vertex("0.a", _height(a_coriser, den))
         vmax = Vertex("0.max", _height(a_coriser + n * a_fib, den))
         edges = [
@@ -415,7 +404,7 @@ def base_hirzebruch(lam, delta1, params: BaseFamilyParams) -> DecoratedGraph:
             Edge("0.a", "0.max", n, fib),
             Edge("0.min", "0.max", 1, riser),
         ]
-        return DecoratedGraph.build(model, omega, [vmin, va, vmax], edges, [], riser)
+        return DecoratedGraph.build(omega, [vmin, va, vmax], edges, [], riser)
 
     if params.family == "isolated_left":
         vmin = Vertex("0.min", 0)
@@ -429,7 +418,7 @@ def base_hirzebruch(lam, delta1, params: BaseFamilyParams) -> DecoratedGraph:
             Edge("0.b", "0.max", n * c + d, fib),
         ]
         fiber = d * fib + c * riser
-        return DecoratedGraph.build(model, omega, [vmin, va, vb, vmax], edges, [], fiber)
+        return DecoratedGraph.build(omega, [vmin, va, vb, vmax], edges, [], fiber)
 
     # isolated_right
     vmin = Vertex("0.min", 0)
@@ -443,7 +432,7 @@ def base_hirzebruch(lam, delta1, params: BaseFamilyParams) -> DecoratedGraph:
         Edge("0.min", "0.max", c, riser),
     ]
     fiber = c * riser
-    return DecoratedGraph.build(model, omega, [vmin, va, vb, vmax], edges, [], fiber)
+    return DecoratedGraph.build(omega, [vmin, va, vb, vmax], edges, [], fiber)
 
 
 def base_ruled(lam_f, lam_b, genus: int, ell: int) -> DecoratedGraph:
@@ -459,11 +448,10 @@ def base_ruled(lam_f, lam_b, genus: int, ell: int) -> DecoratedGraph:
     model = omega.model
     B, F = model.unit("B"), model.unit("F")
     bot, top = B - ell * F, B + ell * F
-    den = omega.denominator
-    vmin = Vertex("0.min", 0, FatData(pair(omega, bot), genus, bot))
-    vmax = Vertex("0.max", _height(lam_f, den), FatData(pair(omega, top), genus, top))
+    vmin = Vertex("0.min", 0, bot)
+    vmax = Vertex("0.max", _height(lam_f, omega.denominator), top)
     edges = [Edge("0.min", "0.max", 1, F)]
-    return DecoratedGraph.build(model, omega, [vmin, vmax], edges, [], F)
+    return DecoratedGraph.build(omega, [vmin, vmax], edges, [], F)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +496,7 @@ def break_free_edges(g: DecoratedGraph) -> DecoratedGraph:
         edges = [e for e in g.edges if e is not target]
         edges.append(Edge(target.bottom, vmax.vid, 1, target.cls + up_rest))
         edges.append(Edge(vmin.vid, target.top, 1, target.cls + down_rest))
-        g = DecoratedGraph.build(g.model, g.omega, g.vertices, edges, g.ledger, g.fiber)
+        g = DecoratedGraph.build(g.omega, g.vertices, edges, g.ledger, g.fiber)
 
 
 def strip_redundant(g: DecoratedGraph) -> DecoratedGraph:
@@ -525,7 +513,7 @@ def strip_redundant(g: DecoratedGraph) -> DecoratedGraph:
     if len(edges) == len(g.edges):
         return g
     # A subset of sorted edges on the same vertices is already in build order.
-    return DecoratedGraph(g.model, g.omega, g.vertices, edges, g.ledger, g.fiber)
+    return DecoratedGraph(g.omega, g.vertices, edges, g.ledger, g.fiber)
 
 
 def translate(g: DecoratedGraph) -> DecoratedGraph:
@@ -535,7 +523,7 @@ def translate(g: DecoratedGraph) -> DecoratedGraph:
         return g
     # A common shift keeps the (height, vid) order, so no re-sort is needed.
     vertices = tuple(Vertex(v.vid, v.height - shift, v.fat) for v in g.vertices)
-    return DecoratedGraph(g.model, g.omega, vertices, g.edges, g.ledger, g.fiber)
+    return DecoratedGraph(g.omega, vertices, g.edges, g.ledger, g.fiber)
 
 
 def flip(g: DecoratedGraph) -> DecoratedGraph:
@@ -543,17 +531,27 @@ def flip(g: DecoratedGraph) -> DecoratedGraph:
     top = g.max_vertex.height
     vertices = [Vertex(v.vid, top - v.height, v.fat) for v in g.vertices]
     edges = [Edge(e.top, e.bottom, e.label, e.cls) for e in g.edges]
-    return DecoratedGraph.build(g.model, g.omega, vertices, edges, g.ledger, g.fiber)
+    return DecoratedGraph.build(g.omega, vertices, edges, g.ledger, g.fiber)
 
 
-def _fixed_record(v: Vertex) -> str:
-    """The end of a V record: ``isolated``, or the fat size, genus and class."""
-    f = v.fat
-    return "isolated" if f is None else str(f)
+def _fixed_record(v: Vertex, omega: CohomologyVector) -> str:
+    """The end of a V record: ``isolated``, or the fat size, genus and class.
+
+    The size and genus are the class's area and adjunction genus, written
+    for readers; ``parse_graph`` checks them against the class.
+    """
+    c = v.fat
+    if c is None:
+        return "isolated"
+    size = _ratio_text(sum(map(mul, omega.weights, c.coeffs)), omega.denominator)
+    return f"fat size={size} genus={c.twice_genus // 2} class={c}"
 
 
-def _records(g: DecoratedGraph, down: bool) -> list[str]:
+def _records(g: DecoratedGraph, down: bool, fixed: dict[str, str]) -> list[str]:
     """Canonical records of ``g`` (up) or of ``flip(g)`` (down), no ledger.
+
+    ``fixed`` maps each vertex id to its ``_fixed_record``; both
+    orientations share it.
 
     Down is read from ``g``'s own index, without building the flip: it starts
     from the maximum, walks the edges below each vertex with the near and far
@@ -613,7 +611,7 @@ def _records(g: DecoratedGraph, down: bool) -> list[str]:
     lines = [f"MODEL {g.model}", f"OMEGA {g.omega}"]
     for v in order:
         lines.append(
-            f"V {index[v.vid]} {moment_text[v.vid]} {_fixed_record(v)}"
+            f"V {index[v.vid]} {moment_text[v.vid]} {fixed[v.vid]}"
         )
     for chain in chains:
         lines.append("C")
@@ -630,7 +628,8 @@ def canonical_text(g: DecoratedGraph) -> str:
     vertices in chain order), so equal graphs serialize to identical bytes
     regardless of construction history.
     """
-    lines = _records(g, False)
+    fixed = {vid: _fixed_record(v, g.omega) for vid, v in g._by_vid.items()}
+    lines = _records(g, False, fixed)
     lines.append("LEDGER " + " ".join(str(x) for x in g.ledger))
     return "\n".join(lines) + "\n"
 
@@ -643,8 +642,9 @@ def parse_graph(text: str, models: dict | None = None) -> DecoratedGraph:
     read; graphs parsed with one such dict share their model objects and
     class vectors, and so their classes.  Raises GraphError, naming the line,
     on any malformed, unknown or repeated record (each of MODEL, OMEGA, FIBER
-    and LEDGER comes at most once), and on a moment that is no height over
-    the class vector's denominator.
+    and LEDGER comes at most once), on a moment that is no height over the
+    class vector's denominator, and on a fixed surface whose stated size or
+    genus is not its class's area or adjunction genus.
     """
     if models is None:
         models = {}
@@ -690,9 +690,13 @@ def parse_graph(text: str, models: dict | None = None) -> DecoratedGraph:
                 fat = None
                 if kind == "fat":
                     opts = dict(p.split("=", 1) for p in parts[3:])
-                    fat = FatData(
-                        rat(opts["size"]), int(opts["genus"]), model.parse(opts["class"])
-                    )
+                    fat = model.parse(opts["class"])
+                    size, genus = rat(opts["size"]), int(opts["genus"])
+                    area = sum(map(mul, omega.weights, fat.coeffs))
+                    if size.numerator * omega.denominator != area * size.denominator:
+                        raise GraphError(f"size {rat_str(size)} is not the area of {fat}")
+                    if 2 * genus != fat.twice_genus:
+                        raise GraphError(f"genus {genus} is not the genus of {fat}")
                 verts[idx] = Vertex(f"0.v{idx}", height, fat)
             elif tag == "E":
                 b, t, label, cls = rest.split()
@@ -707,7 +711,7 @@ def parse_graph(text: str, models: dict | None = None) -> DecoratedGraph:
             raise GraphError(f"line {number}: malformed {tag} record: {exc}") from None
     if model is None or omega is None or fiber is None:
         raise GraphError("incomplete graph record")
-    return DecoratedGraph.build(model, omega, verts.values(), edges, ledger, fiber)
+    return DecoratedGraph.build(omega, verts.values(), edges, ledger, fiber)
 
 
 def _normal_orientation(g: DecoratedGraph):
@@ -723,12 +727,13 @@ def _normal_orientation(g: DecoratedGraph):
     is written.
     """
     h = translate(strip_redundant(break_free_edges(g)))
-    up_start = _fixed_record(h.vertices[0])
-    down_start = _fixed_record(h.vertices[-1])
+    fixed = {vid: _fixed_record(v, h.omega) for vid, v in h._by_vid.items()}
+    up_start = fixed[h.vertices[0].vid]
+    down_start = fixed[h.vertices[-1].vid]
     if up_start != down_start:
         down = down_start < up_start
-        return h, down, "\n".join(_records(h, down)) + "\n"
-    up, down = ("\n".join(_records(h, d)) + "\n" for d in (False, True))
+        return h, down, "\n".join(_records(h, down, fixed)) + "\n"
+    up, down = ("\n".join(_records(h, d, fixed)) + "\n" for d in (False, True))
     return h, down < up, min(up, down)
 
 
@@ -775,17 +780,15 @@ def permute_exceptionals(g: DecoratedGraph, perm: dict[int, int]) -> DecoratedGr
 
     def permute_vertex(v: Vertex) -> Vertex:
         f = v.fat
-        if f is None or (cls := permute_cls(f.cls)) is f.cls:
+        if f is None or (cls := permute_cls(f)) is f:
             return v
-        return Vertex(v.vid, v.height, FatData(f.size, f.genus, cls))
+        return Vertex(v.vid, v.height, cls)
 
     # Moments and ids stay, so the vertices stay in build order.
     vertices = tuple(map(permute_vertex, g.vertices))
     edges = [Edge(e.bottom, e.top, e.label, permute_cls(e.cls)) for e in g.edges]
     edges.sort(key=edge_order)
-    return DecoratedGraph(
-        g.model, omega, vertices, tuple(edges), g.ledger, permute_cls(g.fiber)
-    )
+    return DecoratedGraph(omega, vertices, tuple(edges), g.ledger, permute_cls(g.fiber))
 
 
 def render_dot(g: DecoratedGraph) -> str:

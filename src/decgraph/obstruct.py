@@ -19,7 +19,6 @@ from .lattice import (
     RATIONAL,
     HomologyClass,
     LatticeError,
-    adjunction_genus,
     intersect,
 )
 
@@ -57,10 +56,9 @@ class RequiredClass:
 
     cls: HomologyClass
     fixed_by: int  # order of the cyclic group fixing the curve pointwise
-    embedded: bool = True
 
     def __post_init__(self):
-        if self.embedded and adjunction_genus(self.cls) != 0:
+        if self.cls.twice_genus != 0:
             raise LatticeError(
                 f"{self.cls} asserted embedded but fails the genus-zero check"
             )
@@ -108,7 +106,7 @@ def is_proper_transform_shape(c: HomologyClass) -> bool:
 
 
 def certified_classes(
-    g: DecoratedGraph, n: int, mode: str = STABILIZER_ONLY, shapes: dict | None = None
+    g: DecoratedGraph, mode: str = STABILIZER_ONLY, shapes: dict | None = None
 ) -> list[CertifiedClass]:
     """All classes with guaranteed holomorphic representatives in the graph.
 
@@ -116,8 +114,6 @@ def certified_classes(
     value and so by model too; callers share one across the graphs of one
     search.
     """
-    if n < 2:
-        raise LatticeError("cyclic order must be at least 2")
     if mode not in (STABILIZER_ONLY, INTEGRABLE_BLOWUP):
         raise LatticeError(f"unknown certification mode {mode!r}")
     if shapes is None:
@@ -125,7 +121,7 @@ def certified_classes(
     out = []
     for v in g.vertices:
         if v.is_fat:
-            out.append(CertifiedClass(v.fat.cls, "stabilizer", None))
+            out.append(CertifiedClass(v.fat, "stabilizer", None))
     for e in g.edges:
         if e.label >= 2:
             out.append(CertifiedClass(e.cls, "stabilizer", e.label))
@@ -176,7 +172,6 @@ def find_certificate(
 def check_nonextension(
     graphs: Iterable[DecoratedGraph],
     required: list[RequiredClass],
-    n: int,
     mode: str = STABILIZER_ONLY,
 ) -> ObstructionReport:
     """Search every graph for a positivity contradiction.
@@ -192,7 +187,7 @@ def check_nonextension(
     shapes: dict = {}
     products: dict = {}
     for g in graphs:
-        certified = certified_classes(g, n, mode, shapes)
+        certified = certified_classes(g, mode, shapes)
         cert = find_certificate(certified, required, products)
         verdicts.append(
             GraphVerdict(g, OBSTRUCTED if cert else UNOBSTRUCTED, cert)
@@ -201,7 +196,7 @@ def check_nonextension(
 
 
 def last_blowup_classes(
-    graphs: Iterable[DecoratedGraph], n: int = 2, mode: str = STABILIZER_ONLY
+    graphs: Iterable[DecoratedGraph], mode: str = STABILIZER_ONLY
 ) -> set[HomologyClass]:
     """Certified classes that track the final two blowups of each graph.
 
@@ -216,7 +211,7 @@ def last_blowup_classes(
     shapes: dict = {}
     for g in graphs:
         k = g.model.k
-        certified = certified_classes(g, n, mode, shapes)
+        certified = certified_classes(g, mode, shapes)
         if mode == INTEGRABLE_BLOWUP:
             ek = g.model.exceptional(k)
             if any(c.cls == ek for c in certified):

@@ -504,7 +504,7 @@ def run_scenario(scenario: Scenario) -> RunOutcome:
         gates["final_count"] = len(result.graphs) == scenario.expected_final_count
 
     obstruction = check_nonextension(
-        result.graphs, scenario.required_classes(), scenario.n, scenario.mode
+        result.graphs, scenario.required_classes(), scenario.mode
     )
     # Graphs repeat few ledger entries and certificates, so each distinct one
     # gets one text or dict, shared.  A certificate is keyed on its interned
@@ -556,7 +556,7 @@ def run_scenario(scenario: Scenario) -> RunOutcome:
 
     if scenario.witness_family:
         family = WITNESS_FAMILIES[scenario.witness_family]
-        witnesses = last_blowup_classes(result.graphs, scenario.n, scenario.mode)
+        witnesses = last_blowup_classes(result.graphs, scenario.mode)
         report["witness_classes"] = sorted(str(c) for c in witnesses)
         gates["witness_family"] = all(family(c) for c in witnesses)
 

@@ -32,7 +32,6 @@ from decgraph.graphs import (
     BaseFamilyParams,
     DecoratedGraph,
     Edge,
-    FatData,
     LedgerEntry,
     Vertex,
     base_hirzebruch,
@@ -201,8 +200,8 @@ def _unbroken_min_surface_variant():
     m = om.model
     P = m.parse
     vs = [
-        Vertex("0.min", 0, FatData(F(1, 16), 0, P("L-E2-E3-E4-E5"))),
-        Vertex("0.max", 8, FatData(F(1, 2), 0, P("E1"))),  # heights over 16
+        Vertex("0.min", 0, P("L-E2-E3-E4-E5")),
+        Vertex("0.max", 8, P("E1")),  # heights over 16
         Vertex("1.c", 4),
         Vertex("2.c", 4),
         Vertex("3.c", 4),
@@ -220,7 +219,7 @@ def _unbroken_min_surface_variant():
     ledger = tuple(
         LedgerEntry(i, "surface", "min") for i in (2, 3, 4, 5)
     )
-    return DecoratedGraph.build(m, om, vs, es, ledger, P("L-E1"))
+    return DecoratedGraph.build(om, vs, es, ledger, P("L-E1"))
 
 
 def test_criterion_09_property_suites():
@@ -269,8 +268,8 @@ def test_criterion_09_property_suites():
             )
             assert gap == e.label * pair(graph.omega, e.cls)
         for v in graph.vertices:
-            if v.is_fat:
-                assert adjunction_genus(v.fat.cls) == v.fat.genus
+            if v.is_fat:  # a rational surface fixes spheres only
+                assert adjunction_genus(v.fat) == 0
         nf = normal_form(graph)
         assert canonical_text(normal_form(nf)) == canonical_text(nf)
 
@@ -281,10 +280,9 @@ def test_criterion_09_property_suites():
     )
     m2 = spawn.model
     threaded = DecoratedGraph.build(
-        m2,
         spawn.omega,
         [
-            Vertex("0.min", 0, FatData(F(1, 4), 0, m2.parse("L-E1-E2"))),
+            Vertex("0.min", 0, m2.parse("L-E1-E2")),
             Vertex("0.a", 2),  # heights over 4
             Vertex("0.max", 4),
             Vertex("1.c", 1),

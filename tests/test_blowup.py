@@ -69,7 +69,7 @@ def test_interior_rewrite_exact():
 def test_surface_rewrite_on_ruled_base():
     g = base_ruled(1, 1, 2, 0)
     h = take(g, F(3, 5), kind="surface", end="min")
-    fat = {str(v.fat.cls): v.fat.size for v in h.vertices if v.is_fat}
+    fat = {str(v.fat): pair(h.omega, v.fat) for v in h.vertices if v.is_fat}
     assert fat == {"B-E1": F(2, 5), "B": F(1)}
     spans = {str(e.cls): (moment(h, e.bottom), moment(h, e.top)) for e in h.edges}
     assert spans == {"E1": (F(0), F(3, 5)), "F-E1": (F(3, 5), F(1))}
@@ -80,8 +80,8 @@ def test_extremum_rewrite_creates_fixed_surface_on_equal_weights():
     h = take(g, F(1, 4), kind="extremum", end="min")
     fat = [v for v in h.vertices if v.is_fat]
     assert len(fat) == 1
-    assert str(fat[0].fat.cls) == "E2" and fat[0].fat.size == F(1, 4)
-    assert fat[0].fat.genus == 0 and moment(h, fat[0].vid) == F(1, 4)
+    assert str(fat[0].fat) == "E2" and pair(h.omega, fat[0].fat) == F(1, 4)
+    assert fat[0].fat.twice_genus == 0 and moment(h, fat[0].vid) == F(1, 4)
     assert sorted(str(e.cls) for e in h.edges_above(fat[0].vid)) == ["E1-E2", "L-E1-E2"]
     assert validate(h) == []
 
@@ -139,8 +139,8 @@ def test_surface_blowup_shrinks_size_and_keeps_genus():
     g = base_ruled(1, 1, 3, 0)
     h = take(g, F(1, 3), kind="surface", end="min")
     bottom = h.min_vertex
-    assert bottom.fat.size == F(2, 3)
-    assert bottom.fat.genus == 3
+    assert pair(h.omega, bottom.fat) == F(2, 3)
+    assert bottom.fat.twice_genus == 2 * 3
 
 
 def test_fiber_class():

@@ -211,6 +211,32 @@ def test_mode_override_changes_the_verdict(tmp_path):
     assert main(["verify", "--scenario", "ruled-three", "--mode", "stabilizer"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nakai", "--scenario", "cp2-six", "--out", "d"],
+        ["nakai", "--scenario", "cp2-six", "--mode", "integrable"],
+        ["nakai", "--scenario", "cp2-six", "--permute-equal-sizes", "off"],
+        ["cone", "--scenario", "ruled-three", "--out", "d"],
+        ["cone", "--scenario", "ruled-three", "--mode", "integrable"],
+        ["cone", "--scenario", "ruled-three", "--permute-equal-sizes", "off"],
+        ["enumerate", "--scenario", "ruled-three", "--mode", "integrable"],
+        ["export", "--scenario", "ruled-three", "--out", "d", "--mode", "integrable"],
+        ["export", "--scenario", "ruled-three"],
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[3:]),
+)
+def test_an_option_the_subcommand_does_not_read_exits_2(tmp_path, monkeypatch, capsys, argv):
+    """Each subcommand accepts only the options it reads; export needs --out."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: " in captured.err
+    assert not (tmp_path / "d").exists()
+
+
 def test_cli_cone_reports_a_non_member(capsys):
     assert main(["cone", "--scenario", "cp2-six", "L", "E1-L"]) == 1
     out = capsys.readouterr().out
@@ -300,6 +326,19 @@ def test_verify_graphs_with_an_invalid_graph_exits_2(tmp_path, capsys):
             id="short-ledger",
         ),
         pytest.param(lambda text: text.replace(b"FIBER F", b"FIBER BF"), id="unsigned-term"),
+        # A fixed surface's size and genus are its class's area and genus.
+        pytest.param(
+            lambda text: text.replace(b"size=1 genus=2 class=B\n", b"size=1 genus=7 class=B\n"),
+            id="fat-genus",
+        ),
+        pytest.param(
+            lambda text: text.replace(b"size=1 genus=2 class=B\n", b"size=2 genus=2 class=B\n"),
+            id="fat-size",
+        ),
+        # Step 3 of a k=3 ledger creates E3.
+        pytest.param(
+            lambda text: text.replace(b"E3:surface:max", b"E7:surface:max"), id="ledger-index"
+        ),
     ],
 )
 def test_verify_graphs_with_a_garbage_file_exits_2(tmp_path, capsys, content):
@@ -313,6 +352,33 @@ def test_verify_graphs_with_a_garbage_file_exits_2(tmp_path, capsys, content):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("graph error: ") and "graph-000.txt" in captured.err
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("size=1 genus=2 class=B\n", "size=1 genus=7 class=B\n",
+         "line 3: malformed V record: genus 7 is not the genus of B"),
+        ("size=1 genus=2 class=B\n", "size=1/2 genus=2 class=B\n",
+         "line 3: malformed V record: size 1/2 is not the area of B"),
+        ("E3:surface:max", "E7:surface:max",
+         "invalid graph: ledger step 3 names E7, not E3"),
+    ],
+    ids=["genus", "size", "ledger"],
+)
+def test_verify_graphs_names_a_record_that_disagrees_with_its_class(
+    tmp_path, capsys, old, new, message
+):
+    assert main(["verify", "--scenario", "ruled-three", "--out", str(tmp_path / "run")]) == 0
+    graph = tmp_path / "run" / "graphs" / "graph-000.txt"
+    text = graph.read_text()
+    assert old in text
+    graph.write_text(text.replace(old, new))
+    capsys.readouterr()
+    assert main(["verify", "--scenario", "ruled-three", "--graphs", str(graph.parent)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"graph error: {graph}: {message}\n"
 
 
 def _unlink(name):

@@ -7,7 +7,6 @@ from decgraph.graphs import (
     BaseFamilyParams,
     DecoratedGraph,
     Edge,
-    FatData,
     GraphError,
     LedgerEntry,
     Vertex,
@@ -40,7 +39,7 @@ def moment(g, v):
 def raised(g, by):
     """``g`` with every vertex ``by`` heights higher."""
     vertices = [Vertex(v.vid, v.height + by, v.fat) for v in g.vertices]
-    return DecoratedGraph.build(g.model, g.omega, vertices, g.edges, g.ledger, g.fiber)
+    return DecoratedGraph.build(g.omega, vertices, g.edges, g.ledger, g.fiber)
 
 
 def two_surface_base():
@@ -50,12 +49,12 @@ def two_surface_base():
 def test_two_surfaces_base_matches_construction():
     g = two_surface_base()
     assert validate(g) == []
-    fats = {str(v.fat.cls): (moment(g, v), v.fat.size) for v in g.vertices}
+    fats = {str(v.fat): (moment(g, v), pair(g.omega, v.fat)) for v in g.vertices}
     assert fats == {"L": (F(0), F(1)), "E1": (F(1, 2), F(1, 2))}
     assert len(g.edges) == 2
     assert all(str(e.cls) == "L-E1" and e.label == 1 for e in g.edges)
     # the two surface classes add up to L+E1 and meet trivially
-    classes = [v.fat.cls for v in g.vertices]
+    classes = [v.fat for v in g.vertices]
     assert str(classes[0] + classes[1]) == "L+E1"
     assert intersect(classes[0], classes[1]) == 0
 
@@ -64,7 +63,7 @@ def test_one_surface_base():
     g = base_hirzebruch(1, F(1, 2), BaseFamilyParams("one_surface", 1))
     assert validate(g) == []
     fat = [v for v in g.vertices if v.is_fat]
-    assert len(fat) == 1 and str(fat[0].fat.cls) == "L-E1"
+    assert len(fat) == 1 and str(fat[0].fat) == "L-E1"
     assert moment(g, g.max_vertex) == 1 and not g.max_vertex.is_fat
     assert sorted(str(e.cls) for e in g.edges) == ["E1", "L", "L-E1"]
 
@@ -101,12 +100,12 @@ def test_base_parameter_errors():
 def test_ruled_base():
     g = base_ruled(1, 1, 2, 0)
     assert validate(g) == []
-    sizes = sorted(v.fat.size for v in g.vertices)
+    sizes = sorted(pair(g.omega, v.fat) for v in g.vertices)
     assert sizes == [1, 1]
-    a, b = (v.fat.cls for v in g.vertices)
+    a, b = (v.fat for v in g.vertices)
     assert a == b and intersect(a, a) == 0
     assert g.span == 1
-    assert [v.fat.genus for v in g.vertices] == [2, 2]
+    assert [v.fat.twice_genus for v in g.vertices] == [4, 4]
     with pytest.raises(GraphError):
         base_ruled(1, 1, 2, 1)
     with pytest.raises(GraphError):
@@ -116,33 +115,29 @@ def test_ruled_base():
 def test_ruled_base_with_offset():
     g = base_ruled(1, 2, 1, 1)
     assert validate(g) == []
-    assert sorted(v.fat.size for v in g.vertices) == [1, 3]
+    assert sorted(pair(g.omega, v.fat) for v in g.vertices) == [1, 3]
     assert g.span == 1
-    assert {str(v.fat.cls) for v in g.vertices} == {"B-F", "B+F"}
+    assert {str(v.fat) for v in g.vertices} == {"B-F", "B+F"}
 
 
 def test_validate_catches_area_rule_violation():
     g = two_surface_base()
     bad_edges = [Edge(e.bottom, e.top, 3, e.cls) for e in g.edges[:1]] + list(g.edges[1:])
-    bad = DecoratedGraph.build(g.model, g.omega, g.vertices, bad_edges, (), g.fiber)
+    bad = DecoratedGraph.build(g.omega, g.vertices, bad_edges, (), g.fiber)
     assert any("area rule" in v for v in validate(bad))
 
 
 def test_validate_catches_interior_fat_vertex():
     g = two_surface_base().extend(F(1, 4))  # heights over 4: 0 and 2
-    extra = Vertex("0.mid", 1, FatData(F(1, 2), 0, g.model.parse("E1")))
-    bad = DecoratedGraph.build(
-        g.model, g.omega, list(g.vertices) + [extra], g.edges, (), g.fiber
-    )
+    extra = Vertex("0.mid", 1, g.model.parse("E1"))
+    bad = DecoratedGraph.build(g.omega, list(g.vertices) + [extra], g.edges, (), g.fiber)
     assert any("interior moment" in v for v in validate(bad))
 
 
 def test_validate_catches_doubled_extremum_and_bad_labels():
     g = two_surface_base()
     extra = Vertex("0.top2", 1)
-    bad = DecoratedGraph.build(
-        g.model, g.omega, list(g.vertices) + [extra], g.edges, (), g.fiber
-    )
+    bad = DecoratedGraph.build(g.omega, list(g.vertices) + [extra], g.edges, (), g.fiber)
     assert any("more than one component" in v for v in validate(bad))
 
     om = CohomologyVector.rational(1, [F(1, 2)])
@@ -152,7 +147,7 @@ def test_validate_catches_doubled_extremum_and_bad_labels():
         Edge("0.min", "0.a", 2, m.parse("L")),
         Edge("0.a", "0.max", 2, m.parse("L")),
     ]
-    bad2 = DecoratedGraph.build(m, om, vs, es, (), m.parse("2L"))
+    bad2 = DecoratedGraph.build(om, vs, es, (), m.parse("2L"))
     assert any("non-coprime" in v for v in validate(bad2))
 
 
@@ -189,11 +184,11 @@ def test_break_free_edges_conserves_chain_sums():
     m = om.model
     P = m.parse
     vs = [
-        Vertex("0.min", 0, FatData(pair(om, P("L-E1")), 0, P("L-E1"))),
+        Vertex("0.min", 0, P("L-E1")),
         Vertex("0.v1", 4),  # heights over 16
         Vertex("0.v2", 6),
         Vertex("0.v3", 7),
-        Vertex("0.max", 8, FatData(pair(om, P("L-E2")), 0, P("L-E2"))),
+        Vertex("0.max", 8, P("L-E2")),
     ]
     es = [
         Edge("0.min", "0.v1", 1, P("E1-E2")),
@@ -201,7 +196,7 @@ def test_break_free_edges_conserves_chain_sums():
         Edge("0.v2", "0.v3", 1, P("E3-E4")),
         Edge("0.v3", "0.max", 1, P("E4")),
     ]
-    g = DecoratedGraph.build(m, om, vs, es, (), P("E1"))
+    g = DecoratedGraph.build(om, vs, es, (), P("E1"))
     assert validate(g) == []
     broken = break_free_edges(g)
     assert validate(broken) == []
@@ -228,7 +223,7 @@ def test_metric_move_pair_on_one_surface_first_blowup():
     m = om.model
     P = m.parse
     vs = [
-        Vertex("0.min", 0, FatData(F(1, 4), 0, P("L-E1-E2"))),
+        Vertex("0.min", 0, P("L-E1-E2")),
         Vertex("0.a", 2),  # heights over 4
         Vertex("0.max", 4),
         Vertex("1.c", 1),
@@ -239,7 +234,7 @@ def test_metric_move_pair_on_one_surface_first_blowup():
         Edge("0.a", "0.max", 1, P("L-E1")),
         Edge("0.min", "0.max", 1, P("L")),
     ]
-    unbroken = DecoratedGraph.build(m, om, vs, es, (LedgerEntry(2, "surface", "min"),), P("L"))
+    unbroken = DecoratedGraph.build(om, vs, es, (LedgerEntry(2, "surface", "min"),), P("L"))
     assert validate(unbroken) == []
     assert same_action(h, unbroken)
 
@@ -256,10 +251,10 @@ def test_metric_move_pair_on_second_level():
     m = om.model
     P = m.parse
     vs = [
-        Vertex("0.min", 0, FatData(F(1, 4), 0, P("L-E1-E3"))),
+        Vertex("0.min", 0, P("L-E1-E3")),
         Vertex("0.a", 2),  # heights over 4
         Vertex("2.c", 1),
-        Vertex("0.max", 3, FatData(F(1, 4), 0, P("E2"))),
+        Vertex("0.max", 3, P("E2")),
     ]
     es = [
         Edge("0.min", "2.c", 1, P("E3")),
@@ -268,7 +263,7 @@ def test_metric_move_pair_on_second_level():
         Edge("0.min", "0.max", 1, P("L-E2")),
     ]
     ledger = (LedgerEntry(2, "extremum", "max"), LedgerEntry(3, "surface", "min"))
-    unbroken = DecoratedGraph.build(m, om, vs, es, ledger, P("L-E2"))
+    unbroken = DecoratedGraph.build(om, vs, es, ledger, P("L-E2"))
     assert validate(unbroken) == []
     assert same_action(g3, unbroken)
 

@@ -53,11 +53,11 @@ from decgraph.enumeration import (
 from decgraph.graphs import (
     DecoratedGraph,
     Edge,
-    FatData,
     GraphError,
     LedgerEntry,
     Vertex,
     _drop_caches,
+    _fixed_record,
     _records,
     base_hirzebruch,
     BaseFamilyParams,
@@ -121,7 +121,7 @@ def vertex_at(omega, vid, value, fat=None):
 def raised(g, by):
     """``g`` with every vertex ``by`` heights higher."""
     vertices = [Vertex(v.vid, v.height + by, v.fat) for v in g.vertices]
-    return DecoratedGraph.build(g.model, g.omega, vertices, g.edges, g.ledger, g.fiber)
+    return DecoratedGraph.build(g.omega, vertices, g.edges, g.ledger, g.fiber)
 
 
 def reference_pair(omega, c):
@@ -163,12 +163,12 @@ def reference_twice_genus(c):
     return 2 + head - sum(e * (e + 1) for e in x[start:])
 
 
-def reference_certified_classes(g, n, mode):
+def reference_certified_classes(g, mode):
     """The certified classes as they were: every shape test run anew."""
     out = []
     for v in g.vertices:
         if v.is_fat:
-            out.append(CertifiedClass(v.fat.cls, "stabilizer", None))
+            out.append(CertifiedClass(v.fat, "stabilizer", None))
     for e in g.edges:
         if e.label >= 2:
             out.append(CertifiedClass(e.cls, "stabilizer", e.label))
@@ -223,8 +223,6 @@ def reference_validate(g):
     import math
 
     bad = []
-    if g.omega.model != g.model:
-        return [f"class vector is for {g.omega.model}, graph is for {g.model}"]
     if not g.vertices:
         return ["graph has no vertices"]
     mmin = min(moment(g, v) for v in g.vertices)
@@ -241,16 +239,15 @@ def reference_validate(g):
     for v in g.vertices:
         if v.fat is None:
             continue
-        if v.fat.size <= 0:
-            bad.append(f"fat vertex {v.vid} has nonpositive size")
         if moment(g, v) not in (mmin, mmax):
             bad.append(f"fat vertex {v.vid} sits at an interior moment value")
-        if v.fat.genus < 0:
-            bad.append(f"fat vertex {v.vid} has negative genus")
-        if v.fat.cls.model != g.model:
+        if v.fat.model != g.model:
             bad.append(f"fat vertex {v.vid} class is in the wrong lattice")
-        elif reference_pair(g.omega, v.fat.cls) != v.fat.size:
-            bad.append(f"fat vertex {v.vid} size disagrees with its class area")
+            continue
+        if reference_pair(g.omega, v.fat) <= 0:
+            bad.append(f"fat vertex {v.vid} has nonpositive size")
+        if reference_adjunction_genus(v.fat) < 0:
+            bad.append(f"fat vertex {v.vid} has negative genus")
     known = set(ids)
     for e in g.edges:
         tag = f"edge {e.cls}({e.label})"
@@ -290,6 +287,10 @@ def reference_validate(g):
             for j in range(i + 1, len(labels)):
                 if math.gcd(labels[i], labels[j]) != 1:
                     bad.append(f"vertex {v.vid} carries non-coprime edge labels")
+    for i, entry in enumerate(g.ledger, start=1):
+        want = g.model.k - len(g.ledger) + i
+        if entry.index != want:
+            bad.append(f"ledger step {i} names E{entry.index}, not E{want}")
     return bad
 
 
@@ -335,8 +336,9 @@ def reference_canonical_text(g, with_ledger=True):
             f = v.fat
             lines.append(
                 f"V {index[v.vid]} {rat_str(moment(g, v))} fat"
-                f" size={rat_str(f.size)} genus={f.genus}"
-                f" class={reference_class_text(f.cls)}"
+                f" size={rat_str(reference_pair(g.omega, f))}"
+                f" genus={reference_adjunction_genus(f)}"
+                f" class={reference_class_text(f)}"
             )
     for chain in chains:
         lines.append("C")
@@ -412,7 +414,7 @@ def reference_apply_blowup(g, request):
     step = len(g.ledger) + 1
     at = lambda vid, value, fat=None: vertex_at(omega, vid, value, fat)
     vertices = [
-        at(w.vid, moment(g, w), w.fat and FatData(w.fat.size, w.fat.genus, emb(w.fat.cls)))
+        at(w.vid, moment(g, w), w.fat and emb(w.fat))
         for w in g.vertices
     ]
     mv = moment(g, v)
@@ -444,7 +446,7 @@ def reference_apply_blowup(g, request):
         fat = v.fat
         vertices = [w for w in vertices if w.vid != v.vid]
         vertices.append(
-            at(v.vid, mv, FatData(fat.size - delta, fat.genus, emb(fat.cls) - Ee))
+            at(v.vid, mv, emb(fat) - Ee)
         )
         mid = at(f"{step}.c", mv + delta if at_min else mv - delta)
         vertices.append(mid)
@@ -468,7 +470,7 @@ def reference_apply_blowup(g, request):
         sgn = 1 if at_min else -1
         drop_vertex(v.vid)
         if m == n:
-            fatv = at(f"{step}.s", mv + sgn * delta, FatData(delta, 0, Ee))
+            fatv = at(f"{step}.s", mv + sgn * delta, Ee)
             vertices.append(fatv)
             for e in (ea, eb):
                 new_cls = emb(e.cls) - Ee
@@ -495,7 +497,7 @@ def reference_apply_blowup(g, request):
         fiber = fiber - n * Ee
         entry = LedgerEntry(e_idx, EXTREMUM, site.end)
 
-    out = DecoratedGraph.build(model, omega, vertices, edges, g.ledger + (entry,), fiber)
+    out = DecoratedGraph.build(omega, vertices, edges, g.ledger + (entry,), fiber)
     problems = validate(out)
     if problems:
         raise BlowupError(
@@ -551,20 +553,19 @@ def graphs(draw):
     vids = draw(
         st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=8, unique=True)
     )
-    sizes = st.builds(F, st.integers(-3, 3), st.integers(1, 2))
     heights = st.integers(-6, 6)
     vertices = []
     for vid in vids:
         fat = None
         if draw(st.booleans()):
-            fat = FatData(draw(sizes), draw(st.integers(0, 2)), draw(cls))
+            fat = draw(cls)
         vertices.append(Vertex(vid, draw(heights), fat))
     ends = st.sampled_from(vids + ["x", "y"])
     edges = [
         Edge(draw(ends), draw(ends), draw(st.integers(1, 4)), draw(cls))
         for _ in range(draw(st.integers(0, 10)))
     ]
-    return DecoratedGraph.build(model, omega, vertices, edges, (), draw(cls))
+    return DecoratedGraph.build(omega, vertices, edges, (), draw(cls))
 
 
 BASES = tuple(
@@ -697,8 +698,7 @@ def test_index_matches_scans_on_random_graphs(g):
 def test_validate_matches_the_scans_with_duplicate_ids(g, data):
     twin = data.draw(st.sampled_from(g.vertices))
     height = data.draw(st.sampled_from([twin.height, twin.height + 1]))
-    h = DecoratedGraph.build(
-        g.model, g.omega, g.vertices + (Vertex(twin.vid, height),), g.edges, (), g.fiber
+    h = DecoratedGraph.build(g.omega, g.vertices + (Vertex(twin.vid, height),), g.edges, (), g.fiber
     )
     assert validate(h) == reference_validate(h)
     assert h.vertex(twin.vid) is reference_vertex(h, twin.vid)
@@ -707,7 +707,7 @@ def test_validate_matches_the_scans_with_duplicate_ids(g, data):
 def test_vertex_lookup_returns_the_first_of_a_duplicated_id():
     omega = CohomologyVector.rational(1, [F(1, 2)])
     vs = [Vertex("a", 0), Vertex("b", 1), Vertex("b", 2)]  # heights over 2
-    g = DecoratedGraph.build(omega.model, omega, vs, [], (), omega.model.parse("L"))
+    g = DecoratedGraph.build(omega, vs, [], (), omega.model.parse("L"))
     assert g.vertex("b") is reference_vertex(g, "b") and moment(g, g.vertex("b")) == F(1, 2)
 
 
@@ -731,8 +731,8 @@ def test_index_matches_scans_on_enumerated_graphs(enumerated_graphs):
                 assert adjunction_genus(e.cls) == reference_adjunction_genus(e.cls) == 0
             for v in h.vertices:
                 if v.is_fat:
-                    assert pair(h.omega, v.fat.cls) == reference_pair(h.omega, v.fat.cls)
-                    assert adjunction_genus(v.fat.cls) == reference_adjunction_genus(v.fat.cls)
+                    assert pair(h.omega, v.fat) == reference_pair(h.omega, v.fat)
+                    assert adjunction_genus(v.fat) == reference_adjunction_genus(v.fat)
 
 
 def test_validate_on_an_indexed_graph_reports_broken_rules():
@@ -747,7 +747,7 @@ def test_validate_on_an_indexed_graph_reports_broken_rules():
         Edge(first.bottom, first.top, 3, first.cls),
         Edge(second.bottom, second.top, 1, non_sphere),
     ]
-    bad = DecoratedGraph.build(g.model, g.omega, g.vertices, edges, (), g.fiber)
+    bad = DecoratedGraph.build(g.omega, g.vertices, edges, (), g.fiber)
     assert bad.edges_above(bad.min_vertex.vid) and bad.vertex(first.top)  # indexed
     assert validate(bad) == [
         "edge L-E1(3) breaks the area rule (gap != label * area)",
@@ -760,10 +760,15 @@ def test_validate_on_an_indexed_graph_reports_broken_rules():
 # canonical records and dedup keys
 
 
+def fixed_records(g):
+    return {v.vid: _fixed_record(v, g.omega) for v in g.vertices}
+
+
 def full_texts(g):
     """The reduced form h of ``g`` and both its ledger-free texts, in full."""
     h = translate(strip_redundant(break_free_edges(g)))
-    up, down = ("\n".join(_records(h, d)) + "\n" for d in (False, True))
+    fixed = fixed_records(h)
+    up, down = ("\n".join(_records(h, d, fixed)) + "\n" for d in (False, True))
     return h, up, down
 
 
@@ -772,7 +777,8 @@ def assert_keys_match_references(g):
     assert normal_key(g) == min(up, down)
     assert up == reference_canonical_text(h, False)
     assert canonical_text(h) == up + "LEDGER " + " ".join(map(str, h.ledger)) + "\n"
-    assert down == "\n".join(_records(flip(h), False)) + "\n"
+    f = flip(h)
+    assert down == "\n".join(_records(f, False, fixed_records(f))) + "\n"
     assert down == reference_canonical_text(flip(h), False)
     assert canonical_text(g) == reference_canonical_text(g)
     nf = normal_form(g)
@@ -827,12 +833,18 @@ def index_state(h):
     )
 
 
+def assert_valid_extension(x):
+    """An extension is its parent with one more class, which no ledger step
+    made yet, so only the ledger rule may fail on it."""
+    assert all(problem.startswith("ledger step ") for problem in validate(x))
+
+
 def assert_blowups_match_the_reference(g, delta):
     """Every child of ``g`` at ``delta`` against the reference; the parent and
     its shared extension are unchanged afterwards."""
     x = g.extend(delta)
     assert g.extend(delta) is x
-    assert validate(x) == []
+    assert_valid_extension(x)
     assert x.model is g.model.extend() and x.omega is g.omega.extend(delta)
     before = index_state(g), index_state(x)
     sites = blowup_sites(g, delta)
@@ -867,11 +879,11 @@ def test_surface_blowup_supplants_the_free_sphere_of_least_class():
     omega = CohomologyVector.rational(1, [F(1, 2), F(1, 2)])
     P = omega.model.parse
     vertices = [
-        Vertex("0.min", 0, FatData(F(1), 0, P("L"))),
-        Vertex("0.max", 1, FatData(F(1, 2), 0, P("E1"))),  # heights over 2
+        Vertex("0.min", 0, P("L")),
+        Vertex("0.max", 1, P("E1")),  # heights over 2
     ]
     edges = [Edge("0.min", "0.max", 1, P("L-E2")), Edge("0.min", "0.max", 1, P("L-E1"))]
-    g = DecoratedGraph.build(omega.model, omega, vertices, edges, (), P("L-E1"))
+    g = DecoratedGraph.build(omega, vertices, edges, (), P("L-E1"))
     assert validate(g) == []
     assert assert_blowups_match_the_reference(g, F(1, 4)) == 2
     site = next(s for s in blowup_sites(g, F(1, 4)) if s.end == "min")
@@ -902,7 +914,8 @@ def test_blowups_match_the_reference_on_random_chains(g, data):
     assert child == expected
     if isinstance(child, DecoratedGraph):
         assert child.vertices == expected.vertices and child.edges == expected.edges
-    assert g.extend(delta) is x and validate(x) == []
+    assert g.extend(delta) is x
+    assert_valid_extension(x)
     assert (index_state(g), index_state(x)) == before
 
 
@@ -934,7 +947,7 @@ def test_parse_inverts_canonical_text(g):
 
 def graph_classes(g):
     """Every class object a graph holds: fat vertices, edges, fiber."""
-    out = [v.fat.cls for v in g.vertices if v.is_fat]
+    out = [v.fat for v in g.vertices if v.is_fat]
     return out + [e.cls for e in g.edges] + [g.fiber]
 
 
@@ -1022,11 +1035,11 @@ def test_memoized_search_matches_the_reference_on_golden_levels():
             model = SurfaceModel(home.kind, home.k, home.genus)
             required = required_for(model, scenario)
             for mode in (STABILIZER_ONLY, INTEGRABLE_BLOWUP):
-                report = check_nonextension(level.graphs, required, scenario.n, mode)
+                report = check_nonextension(level.graphs, required, mode)
                 for g, verdict in zip(level.graphs, report.verdicts):
                     assert verdict.graph is g
                     cert = reference_find_certificate(
-                        reference_certified_classes(g, scenario.n, mode), required
+                        reference_certified_classes(g, mode), required
                     )
                     assert verdict.certificate == cert
                     assert verdict.verdict == ("obstructed" if cert else "unobstructed")
@@ -1050,7 +1063,7 @@ def test_mixed_model_search_still_raises():
     assert str(other) == "E1-E2" and other != same and hash(other) == hash(same)
     required = [RequiredClass(same, 2), RequiredClass(other, 2)]
     with pytest.raises(LatticeError, match="model mismatch"):
-        check_nonextension(result.graphs, required, 2, INTEGRABLE_BLOWUP)
+        check_nonextension(result.graphs, required, INTEGRABLE_BLOWUP)
 
 
 def test_golden_graphs_hold_only_table_objects(golden_level_graphs):
@@ -1143,7 +1156,7 @@ def test_vertex_is_an_immutable_value():
     assert (v.vid, v.height, v.fat) == ("a", 1, None)
     assert v == Vertex("a", 1) and hash(v) == hash(Vertex("a", 1))
     assert v != Vertex("a", 2) and v != Vertex("b", 1)
-    fat = FatData(F(1, 2), 0, SurfaceModel(RATIONAL, 1).parse("L-E1"))
+    fat = SurfaceModel(RATIONAL, 1).parse("L-E1")
     assert Vertex("a", 1, fat) != v and len({v, Vertex("a", 1, fat), Vertex("a", 1)}) == 2
     with pytest.raises(AttributeError):
         v.height = 2
@@ -1156,14 +1169,14 @@ def test_validate_reports_a_non_integer_height():
     omega = CohomologyVector.rational(1, [F(1, 2)])
     P = omega.model.parse
     vertices = [
-        Vertex("0.min", 0, FatData(F(1, 2), 0, P("L-E1"))),
+        Vertex("0.min", 0, P("L-E1")),
         Vertex("0.a", F(1, 3)),
         Vertex("0.max", 1),
     ]
-    g = DecoratedGraph.build(omega.model, omega, vertices, [], (), P("L"))
+    g = DecoratedGraph.build(omega, vertices, [], (), P("L"))
     assert validate(g) == ["vertex 0.a has a non-integer height"]
     assert validate(
-        DecoratedGraph.build(omega.model, omega, vertices[::2], [], (), P("L"))
+        DecoratedGraph.build(omega, vertices[::2], [], (), P("L"))
     ) == []
 
 
@@ -1198,21 +1211,20 @@ def test_strip_redundant_copies_a_graph_only_to_drop_a_sphere(golden_level_graph
 
 
 def test_fat_record_is_kept_and_equals_the_formula(golden_level_graphs):
+    """A V record's size and genus are its class's area and adjunction genus."""
     fats = 0
     for g in golden_level_graphs:
         for v in g.vertices:
             f = v.fat
             if f is None:
+                assert _fixed_record(v, g.omega) == "isolated"
                 continue
             fats += 1
-            text = str(f)
-            assert text is str(f)
-            assert text == (
-                f"fat size={rat_str(f.size)} genus={f.genus}"
-                f" class={reference_class_text(f.cls)}"
+            assert _fixed_record(v, g.omega) == (
+                f"fat size={rat_str(reference_pair(g.omega, f))}"
+                f" genus={reference_adjunction_genus(f)}"
+                f" class={reference_class_text(f)}"
             )
-            fresh = FatData(f.size, f.genus, f.cls)
-            assert fresh == f and hash(fresh) == hash(f)
     assert fats > 500
 
 

@@ -2,8 +2,9 @@
 
 A run holds its final graphs (``RunOutcome.result``) and its report.  A graph
 keeps no index once it is keyed or expanded, and the report shares its
-repeated texts and certificates, so ruled-general-4 retains about 1,760 bytes
-per final graph (4,038 when every graph kept its index and the report built
+repeated texts and certificates, so ruled-general-4 retains about 1,615 bytes
+per final graph (1,760 when a fixed surface also held its size and genus and
+a graph its model, 4,038 when every graph kept its index and the report built
 each ledger text and certificate anew).  A change that caches per graph again
 shows here.
 """
@@ -13,7 +14,7 @@ import tracemalloc
 
 from decgraph.scenarios import load_scenario, run_scenario
 
-BYTES_PER_GRAPH = 1760
+BYTES_PER_GRAPH = 1615
 BOUND = 1.25 * BYTES_PER_GRAPH
 
 

@@ -52,7 +52,7 @@ def test_certified_stabilizer_classes():
     g = base_ruled(1, 1, 2, 0)
     g = take(g, F(3, 5), kind="surface")
     g = take(g, F(7, 20), kind="interior")
-    cert = certified_classes(g, 2, STABILIZER_ONLY)
+    cert = certified_classes(g, STABILIZER_ONLY)
     by_cls = {str(c.cls): c for c in cert}
     assert set(by_cls) == {"B", "B-E1", "E2"}
     assert by_cls["E2"].label == 2 and by_cls["E2"].pointwise_fixed(2)
@@ -65,8 +65,8 @@ def test_certified_integrable_adds_proper_transforms():
     g = take(g, F(3, 5), kind="surface")
     g = take(g, F(7, 20), kind="surface", end=g.ledger[0].detail)
     g = take(g, F(3, 10), kind="interior", vertex="2.c")  # type IV pattern
-    stab = {str(c.cls) for c in certified_classes(g, 2, STABILIZER_ONLY)}
-    full = certified_classes(g, 2, INTEGRABLE_BLOWUP)
+    stab = {str(c.cls) for c in certified_classes(g, STABILIZER_ONLY)}
+    full = certified_classes(g, INTEGRABLE_BLOWUP)
     names = {str(c.cls) for c in full}
     assert "E2-E3" in names and "E2-E3" not in stab
     pt = [c for c in full if str(c.cls) == "E2-E3"][0]
@@ -84,7 +84,7 @@ def test_required_class_embedded_check():
 def test_ruled_types_get_the_expected_rules():
     res = ruled_result()
     required = [RequiredClass(res.graphs[0].model.parse("E2-E3"), 2)]
-    report = check_nonextension(res.graphs, required, 2, INTEGRABLE_BLOWUP)
+    report = check_nonextension(res.graphs, required, INTEGRABLE_BLOWUP)
     assert report.all_obstructed and not report.vacuous
     for v in report.verdicts:
         cert = v.certificate
@@ -100,8 +100,8 @@ def test_ruled_types_get_the_expected_rules():
 def test_stabilizer_mode_misses_the_negative_square_case():
     res = ruled_result()
     required = [RequiredClass(res.graphs[0].model.parse("E2-E3"), 2)]
-    stab = check_nonextension(res.graphs, required, 2, STABILIZER_ONLY)
-    integ = check_nonextension(res.graphs, required, 2, INTEGRABLE_BLOWUP)
+    stab = check_nonextension(res.graphs, required, STABILIZER_ONLY)
+    integ = check_nonextension(res.graphs, required, INTEGRABLE_BLOWUP)
     assert not stab.all_obstructed and integ.all_obstructed
     # enlarging the mode never loses an obstruction
     for a, b in zip(stab.verdicts, integ.verdicts):
@@ -114,14 +114,14 @@ def test_unobstructed_when_nothing_intersects_negatively():
     res = enumerate_graphs(EnumerationSpec((base,), (F(1, 4),)))
     model = res.graphs[0].model
     required = [RequiredClass(model.parse("E1"), 2)]
-    report = check_nonextension(res.graphs, required, 2, STABILIZER_ONLY)
+    report = check_nonextension(res.graphs, required, STABILIZER_ONLY)
     assert any(v.verdict == UNOBSTRUCTED for v in report.verdicts)
 
 
 def test_certificates_reverify_independently():
     res = ruled_result()
     required = [RequiredClass(res.graphs[0].model.parse("E2-E3"), 2)]
-    report = check_nonextension(res.graphs, required, 2, INTEGRABLE_BLOWUP)
+    report = check_nonextension(res.graphs, required, INTEGRABLE_BLOWUP)
     for v in report.verdicts:
         c = v.certificate
         assert intersect(c.certified.cls, c.required.cls) == c.intersection
@@ -134,7 +134,7 @@ def test_certificates_reverify_independently():
 
 
 def test_vacuous_report():
-    report = check_nonextension([], [], 2, STABILIZER_ONLY)
+    report = check_nonextension([], [], STABILIZER_ONLY)
     assert report.vacuous and report.all_obstructed
 
 
@@ -142,17 +142,15 @@ def test_last_blowup_classes_toy_run():
     base = base_hirzebruch(1, F(1, 2), BaseFamilyParams("two_surfaces", 1))
     res = enumerate_graphs(EnumerationSpec((base,), (F(1, 4),)))
     model = res.graphs[0].model
-    tracked = last_blowup_classes(res.graphs, 2, INTEGRABLE_BLOWUP)
+    tracked = last_blowup_classes(res.graphs, INTEGRABLE_BLOWUP)
     assert model.parse("E2") in tracked
-    assert last_blowup_classes([], 2) == set()
+    assert last_blowup_classes([]) == set()
 
 
 def test_certified_requires_sane_arguments():
     g = base_ruled(1, 1, 2, 0)
     with pytest.raises(LatticeError):
-        certified_classes(g, 1, STABILIZER_ONLY)
-    with pytest.raises(LatticeError):
-        certified_classes(g, 2, "magic")
+        certified_classes(g, "magic")
 
 
 @pytest.mark.parametrize("name", ["cp2-six", "cp2-six-alt"])
