@@ -23,7 +23,7 @@ from .graphs import (
     render_dot,
     validate,
 )
-from .blowup import BlowupRequest, BlowupSite, apply_blowup, blowup_sites
+from .blowup import BlowupSite, apply_blowup, blowup_sites
 from .enumeration import EnumerationSpec, classify_sequence_types, enumerate_graphs
 from .obstruct import (
     INTEGRABLE_BLOWUP,

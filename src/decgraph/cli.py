@@ -194,8 +194,7 @@ def main(argv=None) -> int:
         if "mode" in extra:
             p.add_argument("--mode", choices=["stabilizer", "integrable"])
         if "permute" in extra:
-            p.add_argument("--permute-equal-sizes", choices=["on", "off"],
-                           dest="permute_equal_sizes")
+            p.add_argument("--permute-equal-sizes", choices=["on", "off"])
         if "out" in extra:
             p.add_argument("--out", help="output directory")
 
@@ -204,8 +203,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="full pipeline; exit 0 iff every gate passes")
-    common(p, "mode", "permute", "out")
-    p.add_argument("--graphs", help="re-verify saved graphs instead of enumerating")
+    common(p, "mode", "out")
+    # A replay reads the saved graphs as they are; no dedup policy applies.
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--graphs", help="re-verify saved graphs instead of enumerating")
+    source.add_argument("--permute-equal-sizes", choices=["on", "off"])
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("nakai", help="positivity report for the scenario's curve list")

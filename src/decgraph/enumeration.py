@@ -14,7 +14,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blowup import BlowupRequest, apply_blowup, blowup_sites
+from .blowup import apply_blowup, blowup_sites
 from .graphs import (
     BaseFamilyParams,
     DecoratedGraph,
@@ -154,7 +154,7 @@ def _children(frontier, delta: Fraction, sites: list[int]):
     for g in frontier:
         found = blowup_sites(g, delta)
         sites.append(len(found))
-        batch = [generic_form(apply_blowup(g, BlowupRequest(site, delta))) for site in found]
+        batch = [generic_form(apply_blowup(g, site.vertex, delta)) for site in found]
         _drop_caches(g)
         yield from batch
 
@@ -206,6 +206,24 @@ def enumerate_levels(spec: EnumerationSpec) -> list[EnumerationResult]:
 # base families for the two scenario shapes
 
 
+def _base_family_params(lam, delta1, reps):
+    """Every valid ``BaseFamilyParams`` over the one-point plane blowup, ell by
+    ell: the two surface families, then each isolated family at every
+    representative (c, d) that meets its label constraint."""
+    ell = 1
+    while ell * (lam - delta1) < lam:
+        yield BaseFamilyParams("two_surfaces", ell)
+        yield BaseFamilyParams("one_surface", ell)
+        for family in ("isolated_left", "isolated_right"):
+            for c, d in reps:
+                try:
+                    params = BaseFamilyParams(family, ell, c, d)
+                except GraphError:
+                    continue
+                yield params
+        ell += 1
+
+
 def hirzebruch_base_graphs(lam, delta1, reps) -> list[tuple[str, DecoratedGraph]]:
     """All base graphs over the one-point plane blowup, labeled by family.
 
@@ -215,27 +233,11 @@ def hirzebruch_base_graphs(lam, delta1, reps) -> list[tuple[str, DecoratedGraph]
     """
     lam, delta1 = rat(lam), rat(delta1)
     out = []
-    ell = 1
-    while ell * (lam - delta1) < lam:
-        out.append(
-            (f"two_surfaces ell={ell}",
-             base_hirzebruch(lam, delta1, BaseFamilyParams("two_surfaces", ell)))
-        )
-        out.append(
-            (f"one_surface ell={ell}",
-             base_hirzebruch(lam, delta1, BaseFamilyParams("one_surface", ell)))
-        )
-        for family in ("isolated_left", "isolated_right"):
-            for c, d in reps:
-                try:
-                    params = BaseFamilyParams(family, ell, c, d)
-                except GraphError:
-                    continue
-                out.append(
-                    (f"{family} ell={ell} c={c} d={d}",
-                     base_hirzebruch(lam, delta1, params))
-                )
-        ell += 1
+    for params in _base_family_params(lam, delta1, reps):
+        label = f"{params.family} ell={params.ell}"
+        if params.family.startswith("isolated"):
+            label += f" c={params.c} d={params.d}"
+        out.append((label, base_hirzebruch(lam, delta1, params)))
     return out
 
 
@@ -303,7 +305,7 @@ def site_kind_tree(g: DecoratedGraph, sizes) -> tuple:
         return ()
     branches = []
     for site in blowup_sites(g, sizes[0]):
-        child = generic_form(apply_blowup(g, BlowupRequest(site, sizes[0])))
+        child = generic_form(apply_blowup(g, site.vertex, sizes[0]))
         branches.append((site.kind, site_kind_tree(child, sizes[1:])))
     return tuple(sorted(branches))
 
@@ -311,24 +313,15 @@ def site_kind_tree(g: DecoratedGraph, sizes) -> tuple:
 def cross_check_instantiation(lam, delta1, reps, sizes) -> None:
     """Raise unless all valid (c, d) representatives branch identically."""
     lam, delta1 = rat(lam), rat(delta1)
-    for family in ("isolated_left", "isolated_right"):
-        trees = {}
-        ell = 1
-        while ell * (lam - delta1) < lam:
-            for c, d in reps:
-                try:
-                    params = BaseFamilyParams(family, ell, c, d)
-                except GraphError:
-                    continue
-                g = base_hirzebruch(lam, delta1, params)
-                trees[(ell, c, d)] = site_kind_tree(g, sizes)
-            by_ell: dict[int, set] = {}
-            for (l, c, d), tree in trees.items():
-                by_ell.setdefault(l, set()).add(tree)
-            for l, distinct in by_ell.items():
-                if len(distinct) > 1:
-                    raise EnumerationError(
-                        f"{family} ell={l}: site-kind trees differ across the"
-                        " label representatives; instantiation is unsound here"
-                    )
-            ell += 1
+    family_ell = lambda params: (params.family, params.ell)
+    isolated = sorted(
+        (p for p in _base_family_params(lam, delta1, reps) if p.family.startswith("isolated")),
+        key=family_ell,
+    )
+    for (family, ell), group in itertools.groupby(isolated, key=family_ell):
+        trees = {site_kind_tree(base_hirzebruch(lam, delta1, p), sizes) for p in group}
+        if len(trees) > 1:
+            raise EnumerationError(
+                f"{family} ell={ell}: site-kind trees differ across the"
+                " label representatives; instantiation is unsound here"
+            )

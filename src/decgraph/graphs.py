@@ -94,17 +94,31 @@ def edge_order(e: Edge) -> tuple:
     return (e.cls.coeffs, e.label, e.bottom, e.top)
 
 
+INTERIOR = "interior"  # the blowup site kinds a ledger records (see ``blowup``)
+SURFACE = "surface"
+EXTREMUM = "extremum"
+
+
 class LedgerEntry(NamedTuple):
     index: int  # exceptional index created by this step
-    kind: str  # 'surface' | 'interior' | 'extremum'
+    kind: str  # INTERIOR | SURFACE | EXTREMUM
     detail: str  # 'min'/'max' for surface/extremum, birth step for interior
 
     def __str__(self):
         return f"E{self.index}:{self.kind}:{self.detail}"
 
     @staticmethod
-    def parse(text: str) -> "LedgerEntry":
+    def parse(text: str, step: int) -> "LedgerEntry":
+        """The entry of blowup step ``step``: an end, or an earlier birth step."""
         idx, kind, detail = text.split(":")
+        if kind == INTERIOR:
+            details = [str(birth) for birth in range(step)]
+        elif kind in (SURFACE, EXTREMUM):
+            details = ["min", "max"]
+        else:
+            raise ValueError(f"step {step}: unknown blowup kind {kind!r}")
+        if detail not in details:
+            raise ValueError(f"step {step}: {kind} detail {detail!r} is not one of {details}")
         return LedgerEntry(int(idx.lstrip("E")), kind, detail)
 
 
@@ -207,9 +221,6 @@ class DecoratedGraph:
     def span(self) -> Fraction:
         vs = self.vertices
         return Fraction(vs[-1].height - vs[0].height, self.omega.denominator)
-
-    def is_extremal(self, vid: str) -> bool:
-        return vid == self.vertices[0].vid or vid == self.vertices[-1].vid
 
     def edges_above(self, vid: str) -> tuple[Edge, ...]:
         return self._adjacency[0].get(vid, ())
@@ -463,7 +474,7 @@ def _walk_sum(g: DecoratedGraph, vid: str, up: bool) -> HomologyClass:
     total = g.model.zero()
     while True:
         v = g.vertex(vid)
-        if v.is_fat or g.is_extremal(vid):
+        if v.is_fat or vid in (g.vertices[0].vid, g.vertices[-1].vid):
             return total
         step = g.edges_above(vid) if up else g.edges_below(vid)
         if len(step) != 1:
@@ -471,7 +482,6 @@ def _walk_sum(g: DecoratedGraph, vid: str, up: bool) -> HomologyClass:
         e = step[0]
         total = total + e.label * e.cls
         vid = e.top if up else e.bottom
-    # unreachable
 
 
 def break_free_edges(g: DecoratedGraph) -> DecoratedGraph:
@@ -706,7 +716,7 @@ def parse_graph(text: str, models: dict | None = None) -> DecoratedGraph:
             elif tag == "FIBER":
                 fiber = model.parse(rest)
             elif tag == "LEDGER":
-                ledger = [LedgerEntry.parse(p) for p in rest.split()] if rest else []
+                ledger = [LedgerEntry.parse(p, i) for i, p in enumerate(rest.split(), start=1)]
         except (ValueError, KeyError, IndexError, ZeroDivisionError) as exc:
             raise GraphError(f"line {number}: malformed {tag} record: {exc}") from None
     if model is None or omega is None or fiber is None:

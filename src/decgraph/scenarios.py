@@ -356,19 +356,39 @@ def _checked(s: Scenario) -> Scenario:
     return s
 
 
+# Each model's own keys, which a file of the other model may not name.
+_MODEL_KEYS = {RATIONAL: {"lam", "base-sizes", "reps"}, RULED: {"lam-f", "lam-b"}}
+_FLAGS = {"permute-equal-sizes", "audit-curves", "classify-types", "advisory"}
+_KEYS = _FLAGS | _MODEL_KEYS[RATIONAL] | _MODEL_KEYS[RULED] | {
+    "name", "kind", "genus", "sizes", "required", "n", "mode", "generators",
+    "membership", "picard-prefix", "witness-family", "expected-count",
+}
+
+
 def parse_scenario_text(text: str) -> Scenario:
-    """Parse the line-oriented key/value scenario format."""
+    """Parse the line-oriented key/value scenario format: each key known, of
+    the file's model and given once, each flag ``on`` or ``off``."""
     fields: dict[str, str] = {}
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition(" ")
-        fields[key] = value.strip()
+        value = value.strip()
+        if key not in _KEYS:
+            raise ScenarioError(f"line {number}: unknown key {key!r}")
+        if key in fields:
+            raise ScenarioError(f"line {number}: a second {key!r} line")
+        if key in _FLAGS and value not in ("on", "off"):
+            raise ScenarioError(f"line {number}: {key} must be on or off, not {value!r}")
+        fields[key] = value
     try:
         kind = fields["kind"]
         if kind not in (RATIONAL, RULED):
             raise ScenarioError(f"unknown kind {kind!r}")
+        foreign = fields.keys() & _MODEL_KEYS[RULED if kind == RATIONAL else RATIONAL]
+        if foreign:
+            raise ScenarioError(f"a {kind} scenario has no key {min(foreign)!r}")
         sizes = tuple(rat(x) for x in fields["sizes"].split())
         required = []
         for item in fields.get("required", "").split():
@@ -406,7 +426,7 @@ def parse_scenario_text(text: str) -> Scenario:
             mode=fields.get("mode", STABILIZER_ONLY),
             genus=int(fields.get("genus", "2")),
             reps=reps,
-            permute_equal_sizes=fields.get("permute-equal-sizes", "on") != "off",
+            permute_equal_sizes=fields.get("permute-equal-sizes", "on") == "on",
             generator_key=fields.get("generators") or None,
             audit_curves=fields.get("audit-curves", "off") == "on",
             membership_targets=tuple(fields.get("membership", "").split()),

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from decgraph.blowup import BlowupError, BlowupRequest, apply_blowup, blowup_sites
+from decgraph.blowup import BlowupError, apply_blowup, blowup_sites
 from decgraph.cone import (
     ConeWitness,
     builtin_generator_lists,
@@ -151,9 +151,9 @@ def test_criterion_07_ruled_theorem():
 
     # intermediate stabilizer-2 sphere: its poles cannot take the last size
     g = base_ruled(1, 1, 2, 0)
-    g = generic_form(apply_blowup(g, BlowupRequest(blowup_sites(g, F(3, 5))[0], F(3, 5))))
+    g = generic_form(apply_blowup(g, g.min_vertex.vid, F(3, 5)))
     site = [s for s in blowup_sites(g, F(7, 20)) if s.kind == "interior"][0]
-    g = generic_form(apply_blowup(g, BlowupRequest(site, F(7, 20))))
+    g = generic_form(apply_blowup(g, site.vertex, F(7, 20)))
     pole_bounds = sorted(
         s.max_admissible
         for s in blowup_sites(g, F(1, 100))
@@ -227,9 +227,9 @@ def test_criterion_09_property_suites():
     g = base_hirzebruch(1, F(1, 2), BaseFamilyParams("two_surfaces", 1))
     site = blowup_sites(g, F(1, 4))[0]
     with pytest.raises(BlowupError):
-        apply_blowup(g, BlowupRequest(site, site.max_admissible))
+        apply_blowup(g, site.vertex, site.max_admissible)
     assert validate(
-        apply_blowup(g, BlowupRequest(site, site.max_admissible - F(1, 1000)))
+        apply_blowup(g, site.vertex, site.max_admissible - F(1, 1000))
     ) == []
 
     # a thousand randomized admissible blowups keep graphs valid
@@ -251,7 +251,7 @@ def test_criterion_09_property_suites():
                 break
             s = rng.choice(sites)
             delta = s.max_admissible * F(rng.randint(1, 99), 100)
-            h = generic_form(apply_blowup(h, BlowupRequest(s, delta)))
+            h = generic_form(apply_blowup(h, s.vertex, delta))
             assert validate(h) == []
             done += 1
 
@@ -275,9 +275,7 @@ def test_criterion_09_property_suites():
 
     # graphs the generic-metric move identifies are merged by equivalence
     one = base_hirzebruch(1, F(1, 2), BaseFamilyParams("one_surface", 1))
-    spawn = apply_blowup(
-        one, BlowupRequest([s for s in blowup_sites(one, F(1, 4)) if s.kind == "surface"][0], F(1, 4))
-    )
+    spawn = apply_blowup(one, "0.min", F(1, 4))  # the one fixed surface
     m2 = spawn.model
     threaded = DecoratedGraph.build(
         spawn.omega,
@@ -300,14 +298,8 @@ def test_criterion_09_property_suites():
 
     deep = base_hirzebruch(1, F(1, 2), BaseFamilyParams("two_surfaces", 1))
     for _ in range(3):
-        deep = generic_form(apply_blowup(
-            deep,
-            BlowupRequest([s for s in blowup_sites(deep, F(1, 4)) if s.end == "min"][0], F(1, 4)),
-        ))
-    deep = generic_form(apply_blowup(
-        deep,
-        BlowupRequest([s for s in blowup_sites(deep, F(3, 16)) if s.end == "min"][0], F(3, 16)),
-    ))
+        deep = generic_form(apply_blowup(deep, deep.min_vertex.vid, F(1, 4)))
+    deep = generic_form(apply_blowup(deep, deep.min_vertex.vid, F(3, 16)))
     assert normal_key(deep) == normal_key(_unbroken_min_surface_variant())
 
     # symbolic labels instantiated at three representatives branch alike
@@ -331,12 +323,9 @@ def test_criterion_10_generalized_ruled_scenario():
     )
     g = generic_form(spec.bases[0])
     d1, d2, d3, d4 = spec.sizes[:4]
-    g = generic_form(apply_blowup(
-        g, BlowupRequest([s for s in blowup_sites(g, d1) if s.end == "min"][0], d1)
-    ))
+    g = generic_form(apply_blowup(g, g.min_vertex.vid, d1))
     for delta, vid in ((d2, "1.c"), (d3, "2.hi"), (d4, "3.hi")):
-        site = [s for s in blowup_sites(g, delta) if s.vertex == vid][0]
-        g = generic_form(apply_blowup(g, BlowupRequest(site, delta)))
+        g = generic_form(apply_blowup(g, vid, delta))
     assert sorted(e.label for e in g.edges) == [1, 1, 2, 3, 4]
     keys = {dedup_key(x) for x in partial.graphs}
     assert dedup_key(g) in keys

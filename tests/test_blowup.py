@@ -5,7 +5,6 @@ import pytest
 
 from decgraph.blowup import (
     BlowupError,
-    BlowupRequest,
     apply_blowup,
     blowup_sites,
 )
@@ -31,7 +30,7 @@ def take(g, delta, **match):
     sites = blowup_sites(g, delta)
     for s in sites:
         if all(getattr(s, k) == v for k, v in match.items()):
-            return apply_blowup(g, BlowupRequest(s, delta))
+            return apply_blowup(g, s.vertex, delta)
     raise AssertionError(f"no site {match} among {sites}")
 
 
@@ -121,10 +120,10 @@ def test_strictness_at_the_bound():
     g = two_surface_base()
     site = blowup_sites(g, F(1, 4))[0]
     with pytest.raises(BlowupError) as err:
-        apply_blowup(g, BlowupRequest(site, site.max_admissible))
+        apply_blowup(g, site.vertex, site.max_admissible)
     assert err.value.bound == site.max_admissible
     for eps in (F(1, 3), F(1, 64), F(1, 999983)):
-        out = apply_blowup(g, BlowupRequest(site, site.max_admissible - eps))
+        out = apply_blowup(g, site.vertex, site.max_admissible - eps)
         assert validate(out) == []
 
 
@@ -178,7 +177,7 @@ def _random_admissible_run(rng, base, max_steps=4):
         site = rng.choice(sites)
         num = rng.randint(1, 19)
         delta = site.max_admissible * F(num, 20)
-        g = generic_form(apply_blowup(g, BlowupRequest(site, delta)))
+        g = generic_form(apply_blowup(g, site.vertex, delta))
         assert validate(g) == [], validate(g)
         steps += 1
     return steps
@@ -212,8 +211,19 @@ def test_inadmissible_request_is_rejected_with_bound():
     g = base_ruled(1, 1, 2, 0)
     site = blowup_sites(g, F(1, 2))[0]
     with pytest.raises(BlowupError) as err:
-        apply_blowup(g, BlowupRequest(site, F(2)))
+        apply_blowup(g, site.vertex, F(2))
     assert err.value.bound == site.max_admissible
+
+
+def test_a_vertex_that_is_no_site_is_rejected():
+    g = base_hirzebruch(1, F(1, 2), BaseFamilyParams("one_surface", 1))
+    g = take(g, F(1, 4), kind="surface")
+    g = take(g, F(1, 8), kind="surface")
+    # Each spawned chain ends at the isolated maximum, which has three edges
+    # below it now: no rewrite applies there.
+    assert len(g.edges_below("0.max")) == 3
+    with pytest.raises(BlowupError, match=r"^no blowup site at vertex 0\.max$"):
+        apply_blowup(g, "0.max", F(1, 16))
 
 
 @pytest.mark.xfail(strict=True, raises=BlowupError, reason=(

@@ -223,6 +223,8 @@ def test_mode_override_changes_the_verdict(tmp_path):
         ["enumerate", "--scenario", "ruled-three", "--mode", "integrable"],
         ["export", "--scenario", "ruled-three", "--out", "d", "--mode", "integrable"],
         ["export", "--scenario", "ruled-three"],
+        # A replay reads no dedup policy.
+        ["verify", "--scenario", "ruled-three", "--graphs", "d", "--permute-equal-sizes", "off"],
     ],
     ids=lambda argv: " ".join(argv[:1] + argv[3:]),
 )
@@ -339,6 +341,25 @@ def test_verify_graphs_with_an_invalid_graph_exits_2(tmp_path, capsys):
         pytest.param(
             lambda text: text.replace(b"E3:surface:max", b"E7:surface:max"), id="ledger-index"
         ),
+        # A ledger entry names a site kind, and the end or the birth step it has.
+        pytest.param(
+            lambda text: text.replace(b"E1:surface:max", b"E1:bogus:nowhere"), id="ledger-kind"
+        ),
+        pytest.param(
+            lambda text: text.replace(b"E3:surface:max", b"E3:surface:top"), id="ledger-end"
+        ),
+        pytest.param(
+            lambda text: text.replace(b"E3:surface:max", b"E3:extremum:1"), id="extremum-end"
+        ),
+        pytest.param(
+            lambda text: text.replace(b"E2:interior:1", b"E2:interior:2"), id="late-birth"
+        ),
+        pytest.param(
+            lambda text: text.replace(b"E2:interior:1", b"E2:interior:-1"), id="signed-birth"
+        ),
+        pytest.param(
+            lambda text: text.replace(b"E2:interior:1", b"E2:interior:min"), id="birth-text"
+        ),
     ],
 )
 def test_verify_graphs_with_a_garbage_file_exits_2(tmp_path, capsys, content):
@@ -363,8 +384,10 @@ def test_verify_graphs_with_a_garbage_file_exits_2(tmp_path, capsys, content):
          "line 3: malformed V record: size 1/2 is not the area of B"),
         ("E3:surface:max", "E7:surface:max",
          "invalid graph: ledger step 3 names E7, not E3"),
+        ("E1:surface:max", "E1:bogus:nowhere",
+         "line 16: malformed LEDGER record: step 1: unknown blowup kind 'bogus'"),
     ],
-    ids=["genus", "size", "ledger"],
+    ids=["genus", "size", "ledger", "ledger-kind"],
 )
 def test_verify_graphs_names_a_record_that_disagrees_with_its_class(
     tmp_path, capsys, old, new, message
@@ -496,10 +519,10 @@ RULED_EIGHTHS = RULED_HEAD + "mode integrable\nsizes 1/2 1/4 1/8\n"
          "expected-count must be a non-negative integer, not '-1'"),
         (RULED_HEAD + "mode integrable\nsizes 3/5 7/20 3/10\nexpected-count 2.0\n",
          "expected-count must be a non-negative integer, not '2.0'"),
-        (RULED_OK + "n 1\n", "the cyclic order n must be at least 2, not 1"),
-        (RULED_OK + "n 0\n", "the cyclic order n must be at least 2, not 0"),
-        (RULED_OK + "lam-f -1\n", "lam-f must be positive, not -1"),
-        (RULED_OK + "lam-b 0\n", "lam-b must be positive, not 0"),
+        (RULED_OK.replace("n 2\n", "n 1\n"), "the cyclic order n must be at least 2, not 1"),
+        (RULED_OK.replace("n 2\n", "n 0\n"), "the cyclic order n must be at least 2, not 0"),
+        (RULED_OK.replace("lam-f 1\n", "lam-f -1\n"), "lam-f must be positive, not -1"),
+        (RULED_OK.replace("lam-b 1\n", "lam-b 0\n"), "lam-b must be positive, not 0"),
         (PLANE_HEAD + "lam -1\nbase-sizes 1/2\n", "lam must be positive, not -1"),
         (PLANE_HEAD + "lam 1\nbase-sizes 2\n",
          "the base size must lie strictly between 0 and lam = 1, not 2"),
@@ -524,7 +547,7 @@ RULED_EIGHTHS = RULED_HEAD + "mode integrable\nsizes 1/2 1/4 1/8\n"
          "picard-prefix must be the rank 5 of ruled genus=2 k=3"),
         (RULED_OK + "membership F\n", "membership and picard-prefix need a generators line"),
         (RULED_OK + "picard-prefix 5\n", "membership and picard-prefix need a generators line"),
-        (RULED_EIGHTHS + "lam-f 1/0\n", "zero denominator"),
+        (RULED_EIGHTHS.replace("lam-f 1\n", "lam-f 1/0\n"), "zero denominator"),
         (RULED_HEAD + "mode integrable\nsizes 1/2 1/0 1/8\n", "zero denominator"),
         (RULED_EIGHTHS + "required E2@0\n",
          "the cyclic order of required class E2 must be at least 2, not 0"),
@@ -534,6 +557,17 @@ RULED_EIGHTHS = RULED_HEAD + "mode integrable\nsizes 1/2 1/4 1/8\n"
         (RULED_HEAD + "mode integrable\nsizes 1/2 1E9 1/8\n", "not a rational p or p/q: '1E9'"),
         (PLANE_HEAD + "lam 1\nbase-sizes 1/2\ngenus 0\ngenerators plane-six\n",
          "genus must be at least 1, not 0"),
+        # Lines the parser would otherwise drop or misread.
+        (RULED_THREE_TEXT + "permute-equal-size off\n", "line 14: unknown key 'permute-equal-size'"),
+        (RULED_THREE_TEXT + "sizes 3/5 7/20\n", "line 14: a second 'sizes' line"),
+        (RULED_THREE_TEXT.replace("classify-types on", "classify-types yes"),
+         "line 12: classify-types must be on or off, not 'yes'"),
+        (RULED_THREE_TEXT + "advisory\n", "line 14: advisory must be on or off, not ''"),
+        (RULED_THREE_TEXT + "lam 1\n", "a ruled scenario has no key 'lam'"),
+        (RULED_THREE_TEXT + "base-sizes 1/2\n", "a ruled scenario has no key 'base-sizes'"),
+        (RULED_THREE_TEXT + "reps 1,1\n", "a ruled scenario has no key 'reps'"),
+        (CP2_SIX_TEXT + "lam-f 1\n", "a rational scenario has no key 'lam-f'"),
+        (CP2_SIX_TEXT + "lam-b 1\n", "a rational scenario has no key 'lam-b'"),
     ],
     ids=[
         "name-suffix", "mode", "required-class", "negative-size", "one-size-ruled",
@@ -546,6 +580,8 @@ RULED_EIGHTHS = RULED_HEAD + "mode integrable\nsizes 1/2 1/4 1/8\n"
         "picard-prefix-without-generators", "zero-denominator-lam-f",
         "zero-denominator-size", "required-order-zero", "required-order-negative",
         "required-class-missing-sign", "exponent-size", "plane-generators-genus-0",
+        "unknown-key", "repeated-key", "flag", "empty-flag", "ruled-lam", "ruled-base-sizes",
+        "ruled-reps", "plane-lam-f", "plane-lam-b",
     ],
 )
 def test_malformed_scenario_exits_2_with_one_line(tmp_path, capsys, scenario, message):

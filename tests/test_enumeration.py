@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from decgraph.blowup import BlowupRequest, apply_blowup, blowup_sites
+from decgraph.blowup import apply_blowup, blowup_sites
 from decgraph.enumeration import (
     EnumerationError,
     EnumerationSpec,
@@ -114,7 +114,7 @@ def test_dedup_soundness_under_exploration_order():
                 sites = blowup_sites(g, delta)
                 rng.shuffle(sites)
                 children += [
-                    generic_form(apply_blowup(g, BlowupRequest(s, delta)))
+                    generic_form(apply_blowup(g, s.vertex, delta))
                     for s in sites
                 ]
             rng.shuffle(children)
@@ -140,6 +140,21 @@ def test_site_kind_trees_agree_across_label_representatives():
         trees.append(site_kind_tree(g, QUARTERS))
     assert trees[0] == trees[1] == trees[2]
     cross_check_instantiation(1, F(1, 2), ((1, 1), (1, 2), (2, 1)), QUARTERS)
+
+
+def test_cross_check_names_the_first_family_and_ell_whose_trees_differ(monkeypatch):
+    """Groups are walked family by family, ell by ell; each base stands in
+    for its own tree, so every group but isolated_left ell=1 disagrees."""
+    from decgraph import enumeration
+
+    monkeypatch.setattr(enumeration, "base_hirzebruch", lambda lam, delta1, params: params)
+    monkeypatch.setattr(
+        enumeration,
+        "site_kind_tree",
+        lambda p, sizes: () if (p.family, p.ell) == ("isolated_left", 1) else (p.c, p.d),
+    )
+    with pytest.raises(EnumerationError, match=r"^isolated_left ell=2: site-kind trees differ"):
+        cross_check_instantiation(2, F(5, 4), ((1, 1), (1, 2), (2, 1)), QUARTERS)
 
 
 def test_classification_flags_unexpected_ledgers():

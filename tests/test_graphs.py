@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from decgraph.blowup import BlowupRequest, apply_blowup, blowup_sites
+from decgraph.blowup import apply_blowup, blowup_sites
 from decgraph.graphs import (
     BaseFamilyParams,
     DecoratedGraph,
@@ -156,7 +156,7 @@ def test_normal_form_idempotent():
     seen = [g]
     for delta, end in ((F(1, 4), "max"), (F(1, 4), "min")):
         site = [s for s in blowup_sites(seen[-1], delta) if s.end == end][0]
-        seen.append(generic_form(apply_blowup(seen[-1], BlowupRequest(site, delta))))
+        seen.append(generic_form(apply_blowup(seen[-1], site.vertex, delta)))
     for graph in seen + [base_ruled(1, 1, 2, 0)]:
         once = normal_form(graph)
         twice = normal_form(once)
@@ -218,7 +218,7 @@ def test_metric_move_pair_on_one_surface_first_blowup():
     # merges into the old one differs only by a change of generic metric
     g = base_hirzebruch(1, F(1, 2), BaseFamilyParams("one_surface", 1))
     site = [s for s in blowup_sites(g, F(1, 4)) if s.kind == "surface"][0]
-    h = apply_blowup(g, BlowupRequest(site, F(1, 4)))
+    h = apply_blowup(g, site.vertex, F(1, 4))
     om = CohomologyVector.rational(1, [F(1, 2), F(1, 4)])
     m = om.model
     P = m.parse
@@ -243,9 +243,9 @@ def test_metric_move_pair_on_second_level():
     # same move one blowup deeper, where the top has become a fixed surface
     g = base_hirzebruch(1, F(1, 2), BaseFamilyParams("one_surface", 1))
     top = [s for s in blowup_sites(g, F(1, 4)) if s.kind == "extremum"][0]
-    g2 = apply_blowup(g, BlowupRequest(top, F(1, 4)))  # fixed surface E2 on top
+    g2 = apply_blowup(g, top.vertex, F(1, 4))  # fixed surface E2 on top
     bot = [s for s in blowup_sites(g2, F(1, 4)) if s.end == "min"][0]
-    g3 = generic_form(apply_blowup(g2, BlowupRequest(bot, F(1, 4))))
+    g3 = generic_form(apply_blowup(g2, bot.vertex, F(1, 4)))
 
     om = CohomologyVector.rational(1, [F(1, 2), F(1, 4), F(1, 4)])
     m = om.model
@@ -271,7 +271,7 @@ def test_metric_move_pair_on_second_level():
 def test_serialization_round_trip():
     g = two_surface_base()
     site = blowup_sites(g, F(1, 4))[0]
-    h = generic_form(apply_blowup(g, BlowupRequest(site, F(1, 4))))
+    h = generic_form(apply_blowup(g, site.vertex, F(1, 4)))
     text = canonical_text(h)
     back = parse_graph(text)
     assert canonical_text(back) == text
@@ -293,9 +293,9 @@ def test_render_dot_deterministic_and_annotated():
 def test_permute_exceptionals():
     g = two_surface_base()
     site = [s for s in blowup_sites(g, F(1, 4)) if s.end == "min"][0]
-    h = generic_form(apply_blowup(g, BlowupRequest(site, F(1, 4))))
+    h = generic_form(apply_blowup(g, site.vertex, F(1, 4)))
     site = [s for s in blowup_sites(h, F(1, 4)) if s.end == "min"][0]
-    h = generic_form(apply_blowup(h, BlowupRequest(site, F(1, 4))))
+    h = generic_form(apply_blowup(h, site.vertex, F(1, 4)))
     swapped = permute_exceptionals(h, {2: 3, 3: 2})
     assert validate(swapped) == []
     assert same_action(h, swapped)  # the two blowups carry equal sizes

@@ -25,6 +25,7 @@ import math
 import pickle
 import weakref
 
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -37,7 +38,6 @@ from decgraph.blowup import (
     INTERIOR,
     SURFACE,
     BlowupError,
-    BlowupRequest,
     _site_for_vertex,
     apply_blowup,
     blowup_sites,
@@ -392,18 +392,18 @@ def reference_dedup_key(g, permute_equal_sizes=True):
     )
 
 
-def reference_apply_blowup(g, request):
+def reference_apply_blowup(g, vertex, delta):
     """The blowup as it was: embed every class of the parent, then build."""
-    site, delta = request.site, request.delta
-    v = g.vertex(site.vertex)
-    live = _site_for_vertex(g, v)
-    if live is None or live.kind != site.kind:
-        raise BlowupError(f"no {site.kind} site at vertex {site.vertex}")
-    if not 0 < delta < live.max_admissible:
+    delta = F(delta)
+    v = g.vertex(vertex)
+    site = _site_for_vertex(g, v)
+    if site is None:
+        raise BlowupError(f"no blowup site at vertex {vertex}")
+    if not 0 < delta < site.max_admissible:
         raise BlowupError(
-            f"size {delta} not strictly below the bound {live.max_admissible}"
+            f"size {delta} not strictly below the bound {site.max_admissible}"
             f" at {site.kind}@{site.vertex}",
-            bound=live.max_admissible,
+            bound=site.max_admissible,
         )
 
     e_idx = g.model.k + 1
@@ -501,7 +501,7 @@ def reference_apply_blowup(g, request):
     problems = validate(out)
     if problems:
         raise BlowupError(
-            f"blowup produced an invalid graph: {problems}", bound=live.max_admissible
+            f"blowup produced an invalid graph: {problems}", bound=site.max_admissible
         )
     return out
 
@@ -601,7 +601,7 @@ def admissible_chains(draw, max_steps=4):
             den = draw(st.integers(2, 7))
             delta = site.max_admissible * F(draw(st.integers(1, den - 1)), den)
         try:
-            g = generic_form(apply_blowup(g, BlowupRequest(site, delta)))
+            g = generic_form(apply_blowup(g, site.vertex, delta))
         except BlowupError:
             break
         sizes.append(delta)
@@ -849,9 +849,8 @@ def assert_blowups_match_the_reference(g, delta):
     before = index_state(g), index_state(x)
     sites = blowup_sites(g, delta)
     for site in sites:
-        request = BlowupRequest(site, delta)
-        child = apply_blowup(g, request)
-        expected = reference_apply_blowup(g, request)
+        child = apply_blowup(g, site.vertex, delta)
+        expected = reference_apply_blowup(g, site.vertex, delta)
         assert child == expected
         assert child.vertices == expected.vertices and child.edges == expected.edges
         shared = {id(e) for e in x.edges}
@@ -873,6 +872,34 @@ def test_blowups_match_the_reference_on_golden_levels(golden_levels):
     assert children > 600
 
 
+def test_blowing_up_commutes_with_flipping_on_golden_levels(golden_levels):
+    """A blowup at a vertex of ``g`` and at the same vertex of ``flip(g)``
+    are one action up to flip: every rewrite, mirrored, agrees with itself.
+    The sites of the golden levels take every rewrite at both ends."""
+    rewrites = Counter()
+    for sizes, levels in golden_levels:
+        for depth, level in enumerate(levels):
+            delta = sizes[depth] if depth < len(sizes) else sizes[-1] / 2
+            for g in level.graphs:
+                flipped = flip(g)
+                for site in blowup_sites(g, delta):
+                    child = apply_blowup(g, site.vertex, delta)
+                    mirror = apply_blowup(flipped, site.vertex, delta)
+                    assert dedup_key(generic_form(child)) == dedup_key(generic_form(mirror))
+                    spawned = f"{len(child.ledger)}.s"
+                    makes_surface = any(v.vid == spawned for v in child.vertices)
+                    rewrites[site.kind, site.end, makes_surface] += 1
+    assert rewrites == {
+        (INTERIOR, "", False): 2044,
+        (SURFACE, "min", False): 486,
+        (SURFACE, "max", False): 467,
+        (EXTREMUM, "min", True): 4,
+        (EXTREMUM, "max", True): 4,
+        (EXTREMUM, "min", False): 14,
+        (EXTREMUM, "max", False): 20,
+    }
+
+
 def test_surface_blowup_supplants_the_free_sphere_of_least_class():
     """Two free max-to-min spheres of distinct classes, L-E1 and L-E2: the
     spawned chain replaces L-E1, the first in build order."""
@@ -887,7 +914,7 @@ def test_surface_blowup_supplants_the_free_sphere_of_least_class():
     assert validate(g) == []
     assert assert_blowups_match_the_reference(g, F(1, 4)) == 2
     site = next(s for s in blowup_sites(g, F(1, 4)) if s.end == "min")
-    child = apply_blowup(g, BlowupRequest(site, F(1, 4)))
+    child = apply_blowup(g, site.vertex, F(1, 4))
     free = [e for e in child.edges if (e.bottom, e.top) == ("0.min", "0.max")]
     assert [str(e.cls) for e in free] == ["L-E2"]
 
@@ -906,7 +933,7 @@ def test_blowups_match_the_reference_on_random_chains(g, data):
 
     def outcome(blowup):
         try:
-            return blowup(g, BlowupRequest(site, delta))
+            return blowup(g, site.vertex, delta)
         except BlowupError as exc:
             return str(exc), exc.bound
 
@@ -1144,7 +1171,7 @@ def test_random_chains_hold_integer_heights_over_one_scale(g, data):
         # Only a grown denominator makes the extension copy an isolated vertex.
         assert (w is v) == (v.fat is None and not grown)
     try:
-        child = apply_blowup(g, BlowupRequest(site, delta))
+        child = apply_blowup(g, site.vertex, delta)
     except BlowupError:
         return
     assert_on_one_scale(child)

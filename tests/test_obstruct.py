@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from decgraph.blowup import BlowupRequest, apply_blowup, blowup_sites
+from decgraph.blowup import apply_blowup, blowup_sites
 from decgraph.enumeration import EnumerationSpec, enumerate_graphs
 from decgraph.graphs import BaseFamilyParams, base_hirzebruch, base_ruled, generic_form
 from decgraph.lattice import LatticeError, SurfaceModel, intersect
@@ -32,7 +32,7 @@ def ruled_result():
 def take(g, delta, **match):
     for s in blowup_sites(g, delta):
         if all(getattr(s, k) == v for k, v in match.items()):
-            return generic_form(apply_blowup(g, BlowupRequest(s, delta)))
+            return generic_form(apply_blowup(g, s.vertex, delta))
     raise AssertionError("site not found")
 
 
