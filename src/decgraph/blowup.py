@@ -121,8 +121,7 @@ def apply_blowup(g: DecoratedGraph, vertex: str, delta) -> DecoratedGraph:
     x = g.extend(delta)
     w = delta.numerator * (x.omega.denominator // delta.denominator)
     h = x.vertex(v.vid).height
-    e_idx = x.model.k
-    Ee = x.model.exceptional(e_idx)
+    Ee = x.model.exceptional(x.model.k)
     step = len(g.ledger) + 1
     fiber = x.fiber
     vertices = [u for u in x.vertices if u.vid != v.vid]
@@ -183,7 +182,8 @@ def apply_blowup(g: DecoratedGraph, vertex: str, delta) -> DecoratedGraph:
             ]
         fiber = fiber - n * Ee
 
-    entry = LedgerEntry(e_idx, site.kind, str(v.birth()) if site.kind == INTERIOR else site.end)
+    # An interior step records the step that made the vertex: its id's head.
+    entry = LedgerEntry(site.kind, v.vid.split(".")[0] if site.kind == INTERIOR else site.end)
     out = DecoratedGraph(
         x.omega,
         _inserted(vertices, new_vertices, vertex_order),

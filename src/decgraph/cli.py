@@ -115,7 +115,7 @@ def cmd_cone(args) -> int:
     if gens is None:
         print("scenario names no generator list", file=sys.stderr)
         return 2
-    targets = list(scenario.membership_targets) or args.classes
+    targets = list(scenario.membership_targets) + args.classes
     if not targets:
         print("no membership targets", file=sys.stderr)
         return 2

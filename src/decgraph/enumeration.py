@@ -94,11 +94,11 @@ def _relabelings(deltas: tuple[Fraction, ...], created: tuple[int, ...]):
 def _permutation_group(g: DecoratedGraph) -> tuple[dict[int, int], ...]:
     """Permutations of blowup-created exceptional indices of equal size.
 
-    They depend only on the class vector and the created indices, so they are
-    listed once per (vector, indices) and kept on the vector, which the graphs
-    of a level share.  The permutations are shared: do not change them.
+    A ledger of s steps created the last s indices.  They and the class
+    vector decide the permutations, listed once per (vector, indices) and kept
+    on the vector, which the graphs of a level share.  Do not change them.
     """
-    created = tuple(sorted(entry.index for entry in g.ledger))
+    created = tuple(range(g.model.k - len(g.ledger) + 1, g.model.k + 1))
     table = g.omega._relabelings
     perms = table.get(created)
     if perms is None:

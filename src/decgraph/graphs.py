@@ -56,10 +56,6 @@ class Vertex(NamedTuple):
     def is_fat(self) -> bool:
         return self.fat is not None
 
-    def birth(self) -> int:
-        """Index of the blowup step that created this vertex (0 for base)."""
-        return int(self.vid.split(".")[0])
-
 
 @dataclass(frozen=True, slots=True)
 class Edge:
@@ -99,18 +95,16 @@ SURFACE = "surface"
 EXTREMUM = "extremum"
 
 
-class LedgerEntry(NamedTuple):
-    index: int  # exceptional index created by this step
+class LedgerEntry(NamedTuple):  # what one step did; its class is its position
     kind: str  # INTERIOR | SURFACE | EXTREMUM
     detail: str  # 'min'/'max' for surface/extremum, birth step for interior
 
-    def __str__(self):
-        return f"E{self.index}:{self.kind}:{self.detail}"
-
     @staticmethod
-    def parse(text: str, step: int) -> "LedgerEntry":
-        """The entry of blowup step ``step``: an end, or an earlier birth step."""
+    def parse(text: str, step: int, index: int) -> "LedgerEntry":
+        """The entry of step ``step``, which made E``index``: an end or an earlier birth."""
         idx, kind, detail = text.split(":")
+        if idx != f"E{index}":
+            raise ValueError(f"step {step} names {idx}, not E{index}")
         if kind == INTERIOR:
             details = [str(birth) for birth in range(step)]
         elif kind in (SURFACE, EXTREMUM):
@@ -119,7 +113,19 @@ class LedgerEntry(NamedTuple):
             raise ValueError(f"step {step}: unknown blowup kind {kind!r}")
         if detail not in details:
             raise ValueError(f"step {step}: {kind} detail {detail!r} is not one of {details}")
-        return LedgerEntry(int(idx.lstrip("E")), kind, detail)
+        return LedgerEntry(kind, detail)
+
+
+def _ledger_texts(g: "DecoratedGraph", texts: dict) -> list[str]:
+    """The words of ``g``'s LEDGER record: step i of s on k classes made E(k-s+i).
+    ``texts`` maps each (index, entry) to its word, shared by the ledgers it writes."""
+    words = []
+    for key in enumerate(g.ledger, start=g.model.k - len(g.ledger) + 1):
+        if key not in texts:
+            index, (kind, detail) = key
+            texts[key] = f"E{index}:{kind}:{detail}"
+        words.append(texts[key])
+    return words
 
 
 @dataclass(frozen=True)
@@ -158,12 +164,12 @@ class DecoratedGraph:
         """This graph in the lattice with one more exceptional class.
 
         The vertices and edges are the same, their classes zero-padded, and
-        the class vector pairs the new class to ``delta``.  Padding keeps the
-        build order, so nothing is re-sorted.  When the class vector's
-        denominator grows, the heights grow with it.  There is one object per
-        (graph, size), held by this graph until ``_drop_caches``, so the
-        blowups of one graph at one size share it, its index and its
-        vertices, edges and classes.
+        the class vector pairs the new class to ``delta``.  No step made it,
+        so the ledger is empty.  Padding keeps the build order, so nothing is
+        re-sorted.  When the class vector's denominator grows, the heights
+        grow with it.  There is one object per (graph, size), held by this
+        graph until ``_drop_caches``, so the blowups of one graph at one size
+        share it, its index and its vertices, edges and classes.
         """
         delta = rat(delta)
         out = self._extensions.get(delta)
@@ -183,7 +189,7 @@ class DecoratedGraph:
 
         vertices = tuple(map(extended, self.vertices))
         edges = tuple(Edge(e.bottom, e.top, e.label, e.cls.embed(model)) for e in self.edges)
-        out = DecoratedGraph(omega, vertices, edges, self.ledger, self.fiber.embed(model))
+        out = DecoratedGraph(omega, vertices, edges, (), self.fiber.embed(model))
         self._extensions[delta] = out
         return out
 
@@ -339,12 +345,6 @@ def validate(g: DecoratedGraph) -> list[str]:
             for j in range(i + 1, len(labels)):
                 if math.gcd(labels[i], labels[j]) != 1:
                     bad.append(f"vertex {v.vid} carries non-coprime edge labels")
-
-    # Step i of the ledger created the exceptional class E(first + i).
-    first = model.k - len(g.ledger)
-    for i, entry in enumerate(g.ledger, start=1):
-        if entry.index != first + i:
-            bad.append(f"ledger step {i} names E{entry.index}, not E{first + i}")
     return bad
 
 
@@ -482,6 +482,21 @@ def _walk_sum(g: DecoratedGraph, vid: str, up: bool) -> HomologyClass:
         e = step[0]
         total = total + e.label * e.cls
         vid = e.top if up else e.bottom
+
+
+def _check_fiber(g: DecoratedGraph) -> None:
+    """Raise GraphError unless every chain from the minimum sums, label times
+    class, to the fiber.  Sums in integer coefficients; ``g`` must pass
+    ``validate``, so each chain climbs one edge at a time to the maximum."""
+    vmax, above, fiber = g.vertices[-1].vid, g._adjacency[0], g.fiber.coeffs
+    for e in above.get(g.vertices[0].vid, ()):
+        total = [e.label * c for c in e.cls.coeffs]
+        while e.top != vmax:
+            (e,) = above[e.top]
+            total = [t + e.label * c for t, c in zip(total, e.cls.coeffs)]
+        if tuple(total) != fiber:
+            total = g.model.intern(tuple(total))
+            raise GraphError(f"FIBER {g.fiber} is not the chain sum {total}")
 
 
 def break_free_edges(g: DecoratedGraph) -> DecoratedGraph:
@@ -640,7 +655,7 @@ def canonical_text(g: DecoratedGraph) -> str:
     """
     fixed = {vid: _fixed_record(v, g.omega) for vid, v in g._by_vid.items()}
     lines = _records(g, False, fixed)
-    lines.append("LEDGER " + " ".join(str(x) for x in g.ledger))
+    lines.append("LEDGER " + " ".join(_ledger_texts(g, {})))
     return "\n".join(lines) + "\n"
 
 
@@ -651,10 +666,11 @@ def parse_graph(text: str, models: dict | None = None) -> DecoratedGraph:
     (model, OMEGA text) to the one class vector, and is filled as they are
     read; graphs parsed with one such dict share their model objects and
     class vectors, and so their classes.  Raises GraphError, naming the line,
-    on any malformed, unknown or repeated record (each of MODEL, OMEGA, FIBER
-    and LEDGER comes at most once), on a moment that is no height over the
-    class vector's denominator, and on a fixed surface whose stated size or
-    genus is not its class's area or adjunction genus.
+    on any malformed, unknown or repeated record (MODEL, which comes first,
+    OMEGA, FIBER, LEDGER and each V index come at most once), on a moment
+    that is no height over the class vector's denominator, on a fixed surface
+    whose stated size or genus is not its class's area or adjunction genus,
+    and on a ledger whose step i of s names another class than E(k-s+i).
     """
     if models is None:
         models = {}
@@ -675,7 +691,7 @@ def parse_graph(text: str, models: dict | None = None) -> DecoratedGraph:
             if tag in seen:
                 raise GraphError(f"line {number}: a second {tag} record")
             seen.add(tag)
-        if model is None and tag in ("OMEGA", "V", "E", "FIBER"):
+        if model is None and tag != "MODEL":
             raise GraphError(f"line {number}: {tag} record before the MODEL record")
         if omega is None and tag == "V":
             raise GraphError(f"line {number}: V record before the OMEGA record")
@@ -707,7 +723,7 @@ def parse_graph(text: str, models: dict | None = None) -> DecoratedGraph:
                         raise GraphError(f"size {rat_str(size)} is not the area of {fat}")
                     if 2 * genus != fat.twice_genus:
                         raise GraphError(f"genus {genus} is not the genus of {fat}")
-                verts[idx] = Vertex(f"0.v{idx}", height, fat)
+                vertex = Vertex(f"0.v{idx}", height, fat)
             elif tag == "E":
                 b, t, label, cls = rest.split()
                 edges.append(
@@ -716,9 +732,15 @@ def parse_graph(text: str, models: dict | None = None) -> DecoratedGraph:
             elif tag == "FIBER":
                 fiber = model.parse(rest)
             elif tag == "LEDGER":
-                ledger = [LedgerEntry.parse(p, i) for i, p in enumerate(rest.split(), start=1)]
+                words = rest.split()
+                first = model.k - len(words)
+                ledger = [LedgerEntry.parse(w, i, first + i) for i, w in enumerate(words, 1)]
         except (ValueError, KeyError, IndexError, ZeroDivisionError) as exc:
             raise GraphError(f"line {number}: malformed {tag} record: {exc}") from None
+        if tag == "V":
+            if idx in verts:
+                raise GraphError(f"line {number}: a second V {idx} record")
+            verts[idx] = vertex
     if model is None or omega is None or fiber is None:
         raise GraphError("incomplete graph record")
     return DecoratedGraph.build(omega, verts.values(), edges, ledger, fiber)

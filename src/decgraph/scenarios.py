@@ -30,7 +30,9 @@ from .enumeration import (
 )
 from .graphs import (
     GraphError,
+    _check_fiber,
     _drop_caches,
+    _ledger_texts,
     canonical_text,
     parse_graph,
     render_dot,
@@ -526,19 +528,13 @@ def run_scenario(scenario: Scenario) -> RunOutcome:
     obstruction = check_nonextension(
         result.graphs, scenario.required_classes(), scenario.mode
     )
-    # Graphs repeat few ledger entries and certificates, so each distinct one
+    # Graphs repeat few ledger steps and certificates, so each distinct one
     # gets one text or dict, shared.  A certificate is keyed on its interned
     # classes and scalars, not on its nested dataclasses, whose hash is costly.
-    entry_texts: dict = {}
+    ledger_texts: dict = {}
     certificates: dict = {}
     graphs = []
     for v in obstruction.verdicts:
-        ledger = []
-        for entry in v.graph.ledger:
-            text = entry_texts.get(entry)
-            if text is None:
-                text = entry_texts[entry] = str(entry)
-            ledger.append(text)
         cert = v.certificate
         if cert is not None:
             c, r = cert.certified, cert.required
@@ -549,6 +545,7 @@ def run_scenario(scenario: Scenario) -> RunOutcome:
             if shared is None:
                 shared = certificates[key] = _certificate_json(cert)
             cert = shared
+        ledger = _ledger_texts(v.graph, ledger_texts)
         graphs.append({"ledger": ledger, "verdict": v.verdict, "certificate": cert})
     report["graphs"] = graphs
     report["obstruction"] = {
@@ -664,9 +661,10 @@ def read_graphs(directory, omega: CohomologyVector) -> list:
     Raises GraphError (or OSError) unless the manifest names ``count`` files,
     all of them present, parsed and valid graphs on ``omega``, the scenario's
     class vector (which names its model), each with one ledger entry per
-    blowup size.  An empty replay would certify nothing, so it is an error
-    too.  The graphs share their model and class
-    vector objects, and so their classes.
+    blowup size and with every chain from the minimum summing, label times
+    class, to the stated fiber.  An empty replay would certify nothing, so it
+    is an error too.  The graphs share their model and class vector objects,
+    and so their classes.
     """
     path = os.path.join(directory, "manifest.json")
     with open(path, encoding="utf-8") as fh:
@@ -702,6 +700,7 @@ def read_graphs(directory, omega: CohomologyVector) -> list:
                 problems = validate(g)
                 if problems:
                     raise GraphError(f"invalid graph: {problems[0]}")
+                _check_fiber(g)
             except (UnicodeDecodeError, GraphError) as exc:
                 raise GraphError(f"{path}: {exc}") from None
         graphs.append(g)

@@ -216,9 +216,7 @@ def _unbroken_min_surface_variant():
         Edge("0.min", "3.c", 1, P("E4")),
         Edge("3.c", "0.max", 1, P("L-E1-E4")),
     ]
-    ledger = tuple(
-        LedgerEntry(i, "surface", "min") for i in (2, 3, 4, 5)
-    )
+    ledger = (LedgerEntry("surface", "min"),) * 4
     return DecoratedGraph.build(om, vs, es, ledger, P("L-E1"))
 
 
@@ -291,7 +289,7 @@ def test_criterion_09_property_suites():
             Edge("0.a", "0.max", 1, m2.parse("L-E1")),
             Edge("0.min", "0.max", 1, m2.parse("L")),
         ],
-        (LedgerEntry(2, "surface", "min"),),
+        (LedgerEntry("surface", "min"),),
         m2.parse("L"),
     )
     assert normal_key(spawn) == normal_key(threaded)

@@ -183,6 +183,20 @@ def test_cli_cone(capsys):
     assert "F: member" in out and "B: member" in out
 
 
+def test_cli_cone_tests_the_extra_classes_after_the_scenarios_targets(capsys):
+    assert main(["cone", "--scenario", "ruled-three"]) == 0
+    targets = capsys.readouterr().out
+    assert main(["cone", "--scenario", "ruled-three", "E1", "E2-E3"]) == 0
+    assert capsys.readouterr().out == targets + (
+        "E1: member = 1*(E2-E3) + 1*(E3) + 1*(E1-E2)\n"
+        "E2-E3: member = 1*(E2-E3)\n"
+    )
+    assert main(["cone", "--scenario", "ruled-three", "B-2F"]) == 1
+    assert capsys.readouterr().out == targets + (
+        "B-2F: not a member; separating functional (0, 1, 0, 0, 0)\n"
+    )
+
+
 def test_cli_negcurves(capsys):
     assert main(["negcurves", "--kind", "rational", "--k", "1", "--bound", "1"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
@@ -337,9 +351,26 @@ def test_verify_graphs_with_an_invalid_graph_exits_2(tmp_path, capsys):
             lambda text: text.replace(b"size=1 genus=2 class=B\n", b"size=2 genus=2 class=B\n"),
             id="fat-size",
         ),
-        # Step 3 of a k=3 ledger creates E3.
+        # Step i of an s-step ledger on k classes names E(k-s+i), written so.
         pytest.param(
             lambda text: text.replace(b"E3:surface:max", b"E7:surface:max"), id="ledger-index"
+        ),
+        pytest.param(
+            lambda text: text.replace(b"E1:surface:max", b"EEE1:surface:max"),
+            id="ledger-index-EEE1",
+        ),
+        pytest.param(
+            lambda text: text.replace(b"E1:surface:max", b"E01:surface:max"),
+            id="ledger-index-E01",
+        ),
+        pytest.param(
+            lambda text: text.replace(b"E2:interior:1", b"2:surface:max"),
+            id="ledger-index-no-E",
+        ),
+        # Every chain from the minimum sums, label times class, to the fiber.
+        pytest.param(lambda text: text.replace(b"FIBER F", b"FIBER 7B-E3"), id="fiber"),
+        pytest.param(
+            lambda text: re.sub(rb"(V 4 .*\n)", rb"\1\1", text), id="second-vertex-4"
         ),
         # A ledger entry names a site kind, and the end or the birth step it has.
         pytest.param(
@@ -383,11 +414,12 @@ def test_verify_graphs_with_a_garbage_file_exits_2(tmp_path, capsys, content):
         ("size=1 genus=2 class=B\n", "size=1/2 genus=2 class=B\n",
          "line 3: malformed V record: size 1/2 is not the area of B"),
         ("E3:surface:max", "E7:surface:max",
-         "invalid graph: ledger step 3 names E7, not E3"),
+         "line 16: malformed LEDGER record: step 3 names E7, not E3"),
         ("E1:surface:max", "E1:bogus:nowhere",
          "line 16: malformed LEDGER record: step 1: unknown blowup kind 'bogus'"),
+        ("FIBER F\n", "FIBER 7B-E3\n", "FIBER 7B-E3 is not the chain sum F"),
     ],
-    ids=["genus", "size", "ledger", "ledger-kind"],
+    ids=["genus", "size", "ledger", "ledger-kind", "fiber"],
 )
 def test_verify_graphs_names_a_record_that_disagrees_with_its_class(
     tmp_path, capsys, old, new, message
@@ -399,6 +431,33 @@ def test_verify_graphs_names_a_record_that_disagrees_with_its_class(
     graph.write_text(text.replace(old, new))
     capsys.readouterr()
     assert main(["verify", "--scenario", "ruled-three", "--graphs", str(graph.parent)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"graph error: {graph}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "name, old, new, message",
+    [
+        # E2 and E3 both have size 1/4, so every area and every moment stays,
+        # and the graph passes validate; the chain's sum is no longer the fiber.
+        ("cp2-six", "E 0 4 1 L-E1-E2\n", "E 0 4 1 L-E1-E3\n",
+         "FIBER L-E1 is not the chain sum L-E1+E2-E3"),
+        ("ruled-three", "V 4 7/10 isolated\n", "V 4 7/10 isolated\nV 4 7/10 isolated\n",
+         "line 8: a second V 4 record"),
+    ],
+    ids=["equal-size-class", "second-vertex"],
+)
+def test_verify_graphs_rejects_an_edit_that_keeps_every_area(
+    tmp_path, capsys, name, old, new, message
+):
+    assert main(["verify", "--scenario", name, "--out", str(tmp_path / "run")]) == 0
+    graph = tmp_path / "run" / "graphs" / "graph-000.txt"
+    text = graph.read_text()
+    assert text.count(old) == 1
+    graph.write_text(text.replace(old, new))
+    capsys.readouterr()
+    assert main(["verify", "--scenario", name, "--graphs", str(graph.parent)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"graph error: {graph}: {message}\n"

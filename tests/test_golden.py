@@ -11,6 +11,11 @@ SHA-256 of every graph file and of ``manifest.json`` that ``verify --out``
 writes for ruled-general-4, and of the report that ``verify --graphs`` writes
 on them, its ``source`` path masked.
 
+``tests/golden/cli-text.json`` pins the text the other subcommands print: the
+exit code and the SHA-256 of the standard output of ``enumerate``, ``nakai``
+and ``cone`` on each builtin scenario, and the SHA-256 of every DOT file that
+``export`` writes for ruled-three.
+
 Regenerate (only for an intended change of output) with::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -31,7 +36,8 @@ from decgraph.scenarios import load_scenario, run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
-SCENARIOS = ("cp2-six", "cp2-six-alt", "ruled-three", "ruled-general-4", "ruled-deep")
+BUILTINS = ("cp2-six", "cp2-six-alt", "ruled-three", "ruled-general-4")
+SCENARIOS = BUILTINS + ("ruled-deep",)
 # Scenarios read from a file rather than built in; ruled-deep is the
 # benchmark's deep workload, the first six sizes of ruled-general-6.
 FILES = {"ruled-deep": ROOT / "perfbench" / "ruled-deep.scenario"}
@@ -79,6 +85,28 @@ def files_record(workdir: Path) -> dict:
     }
 
 
+def cli_record(workdir: Path) -> dict:
+    """Exit codes and stdout digests of the text subcommands, DOT digests."""
+    stdout = {}
+    for name in BUILTINS:
+        for command in ("enumerate", "nakai", "cone"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main([command, "--scenario", name])
+            stdout[f"{command} {name}"] = {
+                "exit_code": code,
+                "stdout_sha256": _sha256(out.getvalue()),
+            }
+    export = workdir / "export"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["export", "--scenario", "ruled-three", "--out", str(export)]) == 0
+    dot = {
+        p.relative_to(export).as_posix(): _sha256(p.read_text(encoding="utf-8"))
+        for p in sorted(export.rglob("*.dot"))
+    }
+    return {"stdout": stdout, "export ruled-three": dot}
+
+
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_golden_record(name):
     pinned = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
@@ -91,6 +119,13 @@ def test_golden_files(tmp_path):
     )
     assert files_record(tmp_path) == pinned
     assert len(pinned["files"]) == 318  # 317 graphs and the manifest
+
+
+def test_golden_cli_text(tmp_path):
+    pinned = json.loads((GOLDEN / "cli-text.json").read_text(encoding="utf-8"))
+    assert cli_record(tmp_path) == pinned
+    assert len(pinned["stdout"]) == 12
+    assert len(pinned["export ruled-three"]) == 1 + 1 + 3 + 9  # levels 0-3
 
 
 def test_golden_reference_counts():
@@ -117,3 +152,8 @@ if __name__ == "__main__":
     text = json.dumps(record, indent=2, sort_keys=True) + "\n"
     (GOLDEN / "ruled-general-4-files.json").write_text(text, encoding="utf-8")
     print("wrote ruled-general-4-files")
+    with tempfile.TemporaryDirectory() as workdir:
+        record = cli_record(Path(workdir))
+    text = json.dumps(record, indent=2, sort_keys=True) + "\n"
+    (GOLDEN / "cli-text.json").write_text(text, encoding="utf-8")
+    print("wrote cli-text")

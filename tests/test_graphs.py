@@ -234,7 +234,7 @@ def test_metric_move_pair_on_one_surface_first_blowup():
         Edge("0.a", "0.max", 1, P("L-E1")),
         Edge("0.min", "0.max", 1, P("L")),
     ]
-    unbroken = DecoratedGraph.build(om, vs, es, (LedgerEntry(2, "surface", "min"),), P("L"))
+    unbroken = DecoratedGraph.build(om, vs, es, (LedgerEntry("surface", "min"),), P("L"))
     assert validate(unbroken) == []
     assert same_action(h, unbroken)
 
@@ -262,7 +262,7 @@ def test_metric_move_pair_on_second_level():
         Edge("0.a", "0.max", 1, P("L-E1-E2")),
         Edge("0.min", "0.max", 1, P("L-E2")),
     ]
-    ledger = (LedgerEntry(2, "extremum", "max"), LedgerEntry(3, "surface", "min"))
+    ledger = (LedgerEntry("extremum", "max"), LedgerEntry("surface", "min"))
     unbroken = DecoratedGraph.build(om, vs, es, ledger, P("L-E2"))
     assert validate(unbroken) == []
     assert same_action(g3, unbroken)

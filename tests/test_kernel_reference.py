@@ -287,11 +287,32 @@ def reference_validate(g):
             for j in range(i + 1, len(labels)):
                 if math.gcd(labels[i], labels[j]) != 1:
                     bad.append(f"vertex {v.vid} carries non-coprime edge labels")
-    for i, entry in enumerate(g.ledger, start=1):
-        want = g.model.k - len(g.ledger) + i
-        if entry.index != want:
-            bad.append(f"ledger step {i} names E{entry.index}, not E{want}")
     return bad
+
+
+def reference_ledger_record(g):
+    """The LEDGER record: step i of s on k classes names E(k-s+i)."""
+    s = len(g.ledger)
+    words = [
+        f"E{g.model.k - s + i}:{entry.kind}:{entry.detail}"
+        for i, entry in enumerate(g.ledger, start=1)
+    ]
+    return "LEDGER " + " ".join(words)
+
+
+def reference_chain_sums(g):
+    """Sum of label * class over each chain from the minimum, in integers."""
+    vmin, vmax = reference_min_vertex(g).vid, reference_max_vertex(g).vid
+    sums = []
+    for e in reference_edges_above(g, vmin):
+        total = [0] * g.model.rank
+        while True:
+            total = [t + e.label * c for t, c in zip(total, e.cls.coeffs)]
+            if e.top == vmax:
+                break
+            (e,) = reference_edges_above(g, e.top)
+        sums.append(tuple(total))
+    return sums
 
 
 def reference_interior_vertices(g):
@@ -348,7 +369,7 @@ def reference_canonical_text(g, with_ledger=True):
             )
     lines.append(f"FIBER {reference_class_text(g.fiber)}")
     if with_ledger:
-        lines.append("LEDGER " + " ".join(str(x) for x in g.ledger))
+        lines.append(reference_ledger_record(g))
     return "\n".join(lines) + "\n"
 
 
@@ -364,7 +385,7 @@ def reference_normal_form(g):
 def reference_permutation_group(g):
     """The relabelings as they were listed anew for every graph."""
     deltas = g.omega.deltas
-    created = sorted(entry.index for entry in g.ledger)
+    created = range(g.model.k - len(g.ledger) + 1, g.model.k + 1)
     groups = {}
     for i in created:
         groups.setdefault(deltas[i - 1], []).append(i)
@@ -440,7 +461,7 @@ def reference_apply_blowup(g, vertex, delta):
             Edge(lo.vid, hi.vid, m + n, Ee),
             Edge(down.bottom, lo.vid, n, emb(down.cls) - Ee),
         ]
-        entry = LedgerEntry(e_idx, INTERIOR, str(v.birth()))
+        entry = LedgerEntry(INTERIOR, str(int(v.vid.split(".")[0])))
     elif site.kind == SURFACE:
         at_min = site.end == "min"
         fat = v.fat
@@ -459,7 +480,7 @@ def reference_apply_blowup(g, vertex, delta):
             if e.label == 1 and e.bottom == vmin and e.top == vmax:
                 edges.remove(e)
                 break
-        entry = LedgerEntry(e_idx, SURFACE, site.end)
+        entry = LedgerEntry(SURFACE, site.end)
     else:
         assert site.kind == EXTREMUM
         at_min = site.end == "min"
@@ -495,7 +516,7 @@ def reference_apply_blowup(g, vertex, delta):
                     Edge(away(eb), lo.vid, n, emb(eb.cls) - Ee),
                 ]
         fiber = fiber - n * Ee
-        entry = LedgerEntry(e_idx, EXTREMUM, site.end)
+        entry = LedgerEntry(EXTREMUM, site.end)
 
     out = DecoratedGraph.build(omega, vertices, edges, g.ledger + (entry,), fiber)
     problems = validate(out)
@@ -776,7 +797,7 @@ def assert_keys_match_references(g):
     h, up, down = full_texts(g)
     assert normal_key(g) == min(up, down)
     assert up == reference_canonical_text(h, False)
-    assert canonical_text(h) == up + "LEDGER " + " ".join(map(str, h.ledger)) + "\n"
+    assert canonical_text(h) == up + reference_ledger_record(h) + "\n"
     f = flip(h)
     assert down == "\n".join(_records(f, False, fixed_records(f))) + "\n"
     assert down == reference_canonical_text(flip(h), False)
@@ -796,6 +817,13 @@ def golden_levels():
         spec = load_scenario(name).enumeration_spec()
         out.append((spec.sizes, enumerate_levels(spec)))
     return out
+
+
+@pytest.fixture(scope="module")
+def deep_levels():
+    """(sizes, levels) of the deep scenario, levels from one pass."""
+    spec = load_scenario(str(DEEP_SCENARIO)).enumeration_spec()
+    return spec.sizes, enumerate_levels(spec)
 
 
 @pytest.fixture(scope="module")
@@ -834,9 +862,10 @@ def index_state(h):
 
 
 def assert_valid_extension(x):
-    """An extension is its parent with one more class, which no ledger step
-    made yet, so only the ledger rule may fail on it."""
-    assert all(problem.startswith("ledger step ") for problem in validate(x))
+    """An extension is its parent with one more class, which no step made:
+    a valid graph with no ledger."""
+    assert x.ledger == ()
+    assert validate(x) == []
 
 
 def assert_blowups_match_the_reference(g, delta):
@@ -966,6 +995,28 @@ def test_dedup_key_is_invariant_under_flip_and_translation(g, data):
 def test_parse_inverts_canonical_text(g):
     text = canonical_text(g)
     assert canonical_text(parse_graph(text)) == text
+
+
+def test_parse_rejects_a_ledger_step_that_names_another_class(golden_level_graphs):
+    """Where a graph file is read, step i of s on k classes names E(k-s+i):
+    each step of each golden graph, written with another name, is refused.
+    The steps take the wrong names in turn."""
+    refused = 0
+    for g in golden_level_graphs:
+        text = canonical_text(g)
+        head, record = text.rstrip("\n").rsplit("\n", 1)
+        assert record == reference_ledger_record(g)
+        words = record.split()[1:]
+        for i, word in enumerate(words, start=1):
+            name, rest = word.split(":", 1)
+            j = g.model.k - len(words) + i
+            assert name == f"E{j}"
+            wrong = (f"E{j + 1}", f"E{j - 1}", f"E0{j}", f"EE{j}", str(j))[refused % 5]
+            bad = words[: i - 1] + [f"{wrong}:{rest}"] + words[i:]
+            with pytest.raises(GraphError, match=f"step {i} names {wrong}, not E{j}$"):
+                parse_graph(f"{head}\nLEDGER {' '.join(bad)}\n")
+            refused += 1
+    assert refused == 2328
 
 
 # ---------------------------------------------------------------------------
@@ -1214,7 +1265,7 @@ def test_relabelings_are_listed_once_per_vector_and_created_indices(golden_level
         perms = _permutation_group(g)
         assert perms is _permutation_group(g)
         assert list(perms) == list(reference_permutation_group(g))
-        key = (id(g.omega), tuple(sorted(entry.index for entry in g.ledger)))
+        key = (id(g.omega), len(g.ledger))  # the last s indices were created
         if key in lists:
             shared += 1
         assert lists.setdefault(key, perms) is perms
@@ -1235,6 +1286,19 @@ def test_a_dropped_run_frees_its_vectors_and_their_relabelings():
 def test_strip_redundant_copies_a_graph_only_to_drop_a_sphere(golden_level_graphs):
     dropped = [assert_strip_redundant_copies_only_to_drop(g) for g in golden_level_graphs]
     assert any(dropped) and not all(dropped)
+
+
+def test_every_chain_from_the_minimum_sums_to_the_fiber(golden_levels, deep_levels):
+    """What a replay checks of the FIBER record holds on every graph of every
+    level of the golden scenarios and the deep one."""
+    count = 0
+    for _, levels in golden_levels + [deep_levels]:
+        for level in levels:
+            for g in level.graphs:
+                sums = reference_chain_sums(g)
+                assert sums and set(sums) == {g.fiber.coeffs}
+                count += 1
+    assert count == 558 + 2957
 
 
 def test_fat_record_is_kept_and_equals_the_formula(golden_level_graphs):
@@ -1281,12 +1345,11 @@ def cached_answers(g, delta):
     )
 
 
-def test_answers_are_the_same_after_the_caches_are_dropped(golden_levels):
+def test_answers_are_the_same_after_the_caches_are_dropped(golden_levels, deep_levels):
     """Every graph of every level of the golden scenarios and the deep one;
     each final level at half its last size."""
-    spec = load_scenario(str(DEEP_SCENARIO)).enumeration_spec()
     count = 0
-    for sizes, levels in golden_levels + [(spec.sizes, enumerate_levels(spec))]:
+    for sizes, levels in golden_levels + [deep_levels]:
         for depth, level in enumerate(levels):
             delta = sizes[depth] if depth < len(sizes) else sizes[-1] / 2
             for g in level.graphs:
