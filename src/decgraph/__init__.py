@@ -4,7 +4,6 @@ from .lattice import (
     CohomologyVector,
     HomologyClass,
     SurfaceModel,
-    adjunction_genus,
     basis_check,
     canonical_chern,
     classify_negative,

@@ -38,11 +38,7 @@ from .lattice import pair, rat
 
 
 class BlowupError(ValueError):
-    """Raised for an inadmissible blowup; carries the violated bound."""
-
-    def __init__(self, message, bound=None):
-        super().__init__(message)
-        self.bound = bound
+    """Raised for an inadmissible blowup; the message names the violated bound."""
 
 
 @dataclass(frozen=True)
@@ -64,17 +60,19 @@ def _inserted(kept: list, new: list, key) -> tuple:
 def _site_for_vertex(g: DecoratedGraph, v: Vertex) -> BlowupSite | None:
     vs = g.vertices
     end = "min" if v.vid == vs[0].vid else "max" if v.vid == vs[-1].vid else ""
-    if v.is_fat:
-        return BlowupSite(SURFACE, v.vid, min(pair(g.omega, v.fat), g.span), end)
+    if v.fat is not None:
+        span = Fraction(vs[-1].height - vs[0].height, g.omega.denominator)
+        return BlowupSite(SURFACE, v.vid, min(pair(g.omega, v.fat), span), end)
     if end:
         edges = g.edges_above(v.vid) if end == "min" else g.edges_below(v.vid)
         if len(edges) != 2:
             return None
-        return BlowupSite(EXTREMUM, v.vid, min(g.area(e) for e in edges), end)
+        return BlowupSite(EXTREMUM, v.vid, min(pair(g.omega, e.cls) for e in edges), end)
     above, below = g.edges_above(v.vid), g.edges_below(v.vid)
     if len(above) != 1 or len(below) != 1:
         return None
-    return BlowupSite(INTERIOR, v.vid, min(g.area(above[0]), g.area(below[0])))
+    bound = min(pair(g.omega, above[0].cls), pair(g.omega, below[0].cls))
+    return BlowupSite(INTERIOR, v.vid, bound)
 
 
 def blowup_sites(g: DecoratedGraph, delta) -> list[BlowupSite]:
@@ -111,8 +109,7 @@ def apply_blowup(g: DecoratedGraph, vertex: str, delta) -> DecoratedGraph:
     if not 0 < delta < site.max_admissible:
         raise BlowupError(
             f"size {delta} not strictly below the bound {site.max_admissible}"
-            f" at {site.kind}@{site.vertex}",
-            bound=site.max_admissible,
+            f" at {site.kind}@{site.vertex}"
         )
 
     # The child rewrites the parent's extension, which its siblings share:
@@ -148,7 +145,7 @@ def apply_blowup(g: DecoratedGraph, vertex: str, delta) -> DecoratedGraph:
     elif site.kind == SURFACE:
         mid = Vertex(f"{step}.c", h + sgn * w)
         new_vertices = [Vertex(v.vid, h, x.vertex(v.vid).fat - Ee), mid]
-        vmin, vmax = g.min_vertex.vid, g.max_vertex.vid
+        vmin, vmax = g.vertices[0].vid, g.vertices[-1].vid
         new_edges = [
             edge(v.vid, mid.vid, 1, Ee),
             edge(mid.vid, vmax if at_min else vmin, 1, fiber - Ee),
@@ -193,7 +190,5 @@ def apply_blowup(g: DecoratedGraph, vertex: str, delta) -> DecoratedGraph:
     )
     problems = validate(out)
     if problems:
-        raise BlowupError(
-            f"blowup produced an invalid graph: {problems}", bound=site.max_admissible
-        )
+        raise BlowupError(f"blowup produced an invalid graph: {problems}")
     return out

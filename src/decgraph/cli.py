@@ -246,6 +246,10 @@ def main(argv=None) -> int:
         # graph shape the blowup rules do not cover, not a verdict.
         print(f"blowup error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # Reads report their own errors, so this is a write: an --out path.
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

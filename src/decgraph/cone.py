@@ -18,7 +18,6 @@ from .lattice import (
     HomologyClass,
     LatticeError,
     SurfaceModel,
-    adjunction_genus,
     basis_check,
     classify_negative,
     pair,
@@ -28,11 +27,10 @@ from .lattice import (
 
 @dataclass(frozen=True)
 class GeneratorList:
-    """A finite curve-class list with a note on where it comes from."""
+    """A finite, nonempty curve-class list on one model."""
 
     model: SurfaceModel
     generators: tuple[HomologyClass, ...]
-    provenance: str
 
     def __post_init__(self):
         if not self.generators:
@@ -42,10 +40,8 @@ class GeneratorList:
                 raise LatticeError("generators must live in the list's model")
 
     @staticmethod
-    def parse(model: SurfaceModel, names, provenance: str) -> "GeneratorList":
-        return GeneratorList(
-            model, tuple(model.parse(s) for s in names), provenance
-        )
+    def parse(model: SurfaceModel, names) -> "GeneratorList":
+        return GeneratorList(model, tuple(model.parse(s) for s in names))
 
 
 @dataclass(frozen=True)
@@ -211,7 +207,6 @@ def verify_picard_basis(classes) -> bool:
 class AuditEntry:
     cls: HomologyClass
     kind: str
-    genus: Fraction
 
 
 @dataclass(frozen=True)
@@ -229,8 +224,7 @@ class AuditReport:
 def curve_list_audit(gens: GeneratorList) -> AuditReport:
     """Classify each generator by square and degree; flag non-negative ones."""
     entries = tuple(
-        AuditEntry(gcls, classify_negative(gcls), adjunction_genus(gcls))
-        for gcls in gens.generators
+        AuditEntry(gcls, classify_negative(gcls)) for gcls in gens.generators
     )
     return AuditReport(entries)
 
@@ -250,30 +244,27 @@ def builtin_generator_lists(genus: int = 2) -> dict[str, GeneratorList]:
     ruled2 = SurfaceModel("ruled", 2, genus)
     ruled3 = SurfaceModel("ruled", 3, genus)
     return {
+        # The negative curves of the cp2-six surface; minimal effective-cone
+        # generators.
         "plane-six": GeneratorList.parse(
             m6,
             [
                 "E4-E5", "E5-E6", "L-E1-E4-E5", "E1-E2",
                 "E6", "L-E3-E4", "E2", "L-E1-E3", "L-E1-E2", "E3",
             ],
-            "negative curves of the cp2-six surface; minimal effective-cone generators",
         ),
+        # The negative curves of the cp2-six-alt surface.
         "plane-six-alt": GeneratorList.parse(
             m6,
             [
                 "L-E1-E4-E5", "E5-E6", "E4-E5", "L-E2-E3-E4",
                 "E6", "E1", "E2", "E3", "L-E1-E2", "L-E1-E3",
             ],
-            "negative curves of the cp2-six-alt surface",
         ),
-        "ruled-two": GeneratorList.parse(
-            ruled2,
-            ["F-E1-E2", "E2", "E1-E2", "B-E1"],
-            "effective-cone generators after two blowups of the ruled surface",
-        ),
+        # Effective-cone generators after two blowups of the ruled surface.
+        "ruled-two": GeneratorList.parse(ruled2, ["F-E1-E2", "E2", "E1-E2", "B-E1"]),
+        # Effective-cone generators after three blowups of the ruled surface.
         "ruled-three": GeneratorList.parse(
-            ruled3,
-            ["F-E1-E2", "E2-E3", "E3", "E1-E2", "B-E1"],
-            "effective-cone generators after three blowups of the ruled surface",
+            ruled3, ["F-E1-E2", "E2-E3", "E3", "E1-E2", "B-E1"]
         ),
     }

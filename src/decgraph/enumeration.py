@@ -224,29 +224,25 @@ def _base_family_params(lam, delta1, reps):
         ell += 1
 
 
-def hirzebruch_base_graphs(lam, delta1, reps) -> list[tuple[str, DecoratedGraph]]:
-    """All base graphs over the one-point plane blowup, labeled by family.
+def hirzebruch_base_graphs(lam, delta1, reps) -> list[DecoratedGraph]:
+    """All base graphs over the one-point plane blowup, in the order of
+    ``_base_family_params``.
 
     The symbolic coprime edge labels of the all-isolated families are
     instantiated at the given representatives; representatives violating a
     family's label constraint are skipped for that family only.
     """
     lam, delta1 = rat(lam), rat(delta1)
-    out = []
-    for params in _base_family_params(lam, delta1, reps):
-        label = f"{params.family} ell={params.ell}"
-        if params.family.startswith("isolated"):
-            label += f" c={params.c} d={params.d}"
-        out.append((label, base_hirzebruch(lam, delta1, params)))
-    return out
+    return [base_hirzebruch(lam, delta1, p) for p in _base_family_params(lam, delta1, reps)]
 
 
-def ruled_base_graphs(lam_f, lam_b, genus: int) -> list[tuple[str, DecoratedGraph]]:
+def ruled_base_graphs(lam_f, lam_b, genus: int) -> list[DecoratedGraph]:
+    """The base graph of every rotation number ell with ell * lam_f < lam_b."""
     lam_f, lam_b = rat(lam_f), rat(lam_b)
     out = []
     ell = 0
     while ell * lam_f < lam_b:
-        out.append((f"ruled ell={ell}", base_ruled(lam_f, lam_b, genus, ell)))
+        out.append(base_ruled(lam_f, lam_b, genus, ell))
         ell += 1
     return out
 

@@ -52,10 +52,6 @@ class Vertex(NamedTuple):
     height: int
     fat: HomologyClass | None = None
 
-    @property
-    def is_fat(self) -> bool:
-        return self.fat is not None
-
 
 @dataclass(frozen=True, slots=True)
 class Edge:
@@ -215,31 +211,11 @@ class DecoratedGraph:
         except KeyError:
             raise GraphError(f"no vertex {vid!r}") from None
 
-    @property
-    def min_vertex(self) -> Vertex:
-        return self.vertices[0]
-
-    @property
-    def max_vertex(self) -> Vertex:
-        return self.vertices[-1]
-
-    @property
-    def span(self) -> Fraction:
-        vs = self.vertices
-        return Fraction(vs[-1].height - vs[0].height, self.omega.denominator)
-
     def edges_above(self, vid: str) -> tuple[Edge, ...]:
         return self._adjacency[0].get(vid, ())
 
     def edges_below(self, vid: str) -> tuple[Edge, ...]:
         return self._adjacency[1].get(vid, ())
-
-    def interior_vertices(self) -> list[Vertex]:
-        lo, hi = self.vertices[0].vid, self.vertices[-1].vid
-        return [v for v in self.vertices if v.fat is None and v.vid != lo and v.vid != hi]
-
-    def area(self, e: Edge) -> Fraction:
-        return pair(self.omega, e.cls)
 
 
 def _drop_caches(g: DecoratedGraph) -> None:
@@ -327,11 +303,11 @@ def validate(g: DecoratedGraph) -> list[str]:
             flag(e, "breaks the area rule (gap != label * area)")
         if e.cls.twice_genus != 0:
             flag(e, "class is not an embedded-sphere class")
-        if (vb.is_fat or vt.is_fat) and e.label != 1:
+        if (vb.fat is not None or vt.fat is not None) and e.label != 1:
             flag(e, "touches a fixed surface with label > 1")
 
     for i, v in enumerate(vs):
-        if v.is_fat:
+        if v.fat is not None:
             continue
         above = g.edges_above(v.vid)
         below = g.edges_below(v.vid)
@@ -474,7 +450,7 @@ def _walk_sum(g: DecoratedGraph, vid: str, up: bool) -> HomologyClass:
     total = g.model.zero()
     while True:
         v = g.vertex(vid)
-        if v.is_fat or vid in (g.vertices[0].vid, g.vertices[-1].vid):
+        if v.fat is not None or vid in (g.vertices[0].vid, g.vertices[-1].vid):
             return total
         step = g.edges_above(vid) if up else g.edges_below(vid)
         if len(step) != 1:
@@ -508,8 +484,9 @@ def break_free_edges(g: DecoratedGraph) -> DecoratedGraph:
     Classes follow conservation of the weighted chain sum.
     """
     while True:
-        vmin, vmax = g.min_vertex, g.max_vertex
-        interior = {v.vid for v in g.interior_vertices()}
+        vmin, vmax = g.vertices[0], g.vertices[-1]
+        ends = (vmin.vid, vmax.vid)
+        interior = {v.vid for v in g.vertices if v.fat is None and v.vid not in ends}
         target = next(
             (e for e in g.edges if e.label == 1 and e.bottom in interior and e.top in interior),
             None,
@@ -529,7 +506,7 @@ def strip_redundant(g: DecoratedGraph) -> DecoratedGraph:
 
     Returns ``g`` itself, with its index, when there is none to drop.
     """
-    vmin, vmax = g.min_vertex.vid, g.max_vertex.vid
+    vmin, vmax = g.vertices[0].vid, g.vertices[-1].vid
     edges = tuple(
         e
         for e in g.edges
@@ -553,7 +530,7 @@ def translate(g: DecoratedGraph) -> DecoratedGraph:
 
 def flip(g: DecoratedGraph) -> DecoratedGraph:
     """Turn the graph upside down; the old maximum becomes the minimum, at 0."""
-    top = g.max_vertex.height
+    top = g.vertices[-1].height
     vertices = [Vertex(v.vid, top - v.height, v.fat) for v in g.vertices]
     edges = [Edge(e.top, e.bottom, e.label, e.cls) for e in g.edges]
     return DecoratedGraph.build(g.omega, vertices, edges, g.ledger, g.fiber)
@@ -790,25 +767,20 @@ def generic_form(g: DecoratedGraph) -> DecoratedGraph:
 
 
 def permute_exceptionals(g: DecoratedGraph, perm: dict[int, int]) -> DecoratedGraph:
-    """Apply a permutation of exceptional indices to every class in sight."""
+    """Apply a permutation of exceptional indices of equal size to every class
+    in sight; the class vector stays as it is.  GraphError on unequal sizes."""
     if not perm:
         return g
     head = 1 if g.model.kind == RATIONAL else 2
+    entries = g.omega.entries
+    if any(entries[head + i - 1] != entries[head + j - 1] for i, j in perm.items()):
+        raise GraphError(f"relabeling {perm} exchanges classes of unequal size")
 
     def permute_cls(c: HomologyClass) -> HomologyClass:
         coeffs = list(c.coeffs)
         for i, j in perm.items():
             coeffs[head + j - 1] = c.coeffs[head + i - 1]
         return g.model.intern(tuple(coeffs))
-
-    entries = g.omega.entries
-    omega = g.omega
-    # A relabeling of equal sizes, as dedup makes, leaves the vector as it is.
-    if any(entries[head + i - 1] != entries[head + j - 1] for i, j in perm.items()):
-        permuted = list(entries)
-        for i, j in perm.items():
-            permuted[head + j - 1] = entries[head + i - 1]
-        omega = CohomologyVector(g.model, tuple(permuted))
 
     def permute_vertex(v: Vertex) -> Vertex:
         f = v.fat
@@ -820,7 +792,7 @@ def permute_exceptionals(g: DecoratedGraph, perm: dict[int, int]) -> DecoratedGr
     vertices = tuple(map(permute_vertex, g.vertices))
     edges = [Edge(e.bottom, e.top, e.label, permute_cls(e.cls)) for e in g.edges]
     edges.sort(key=edge_order)
-    return DecoratedGraph(omega, vertices, tuple(edges), g.ledger, permute_cls(g.fiber))
+    return DecoratedGraph(g.omega, vertices, tuple(edges), g.ledger, permute_cls(g.fiber))
 
 
 def render_dot(g: DecoratedGraph) -> str:

@@ -306,11 +306,6 @@ def twice_adjunction_genus(c: HomologyClass) -> int:
     return 2 + head - sum(e * (e + 1) for e in x[start:])
 
 
-def adjunction_genus(c: HomologyClass) -> Fraction:
-    """1 + (c.c - <c1,c>)/2; zero exactly for embedded sphere classes."""
-    return Fraction(twice_adjunction_genus(c), 2)
-
-
 def classify_negative(c: HomologyClass) -> str:
     """MINUS_ONE (square -1, c1-degree 1), MINUS_TWO (-2, 0), or NEITHER."""
     sq = intersect(c, c)

@@ -120,7 +120,7 @@ def certified_classes(
         shapes = {}
     out = []
     for v in g.vertices:
-        if v.is_fat:
+        if v.fat is not None:
             out.append(CertifiedClass(v.fat, "stabilizer", None))
     for e in g.edges:
         if e.label >= 2:

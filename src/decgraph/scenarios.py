@@ -108,18 +108,16 @@ class Scenario:
             RequiredClass(model.parse(text), fixed_by) for text, fixed_by in self.required
         ]
 
-    def base_graphs(self):
+    def enumeration_spec(self) -> EnumerationSpec:
         if self.kind == RATIONAL:
             if len(self.base_deltas) != 1:
                 raise ScenarioError("plane scenarios start from one base size")
-            return hirzebruch_base_graphs(self.lam, self.base_deltas[0], self.reps)
-        if self.base_deltas:
+            bases = hirzebruch_base_graphs(self.lam, self.base_deltas[0], self.reps)
+        elif self.base_deltas:
             raise ScenarioError("ruled scenarios start from the unblown surface")
-        return ruled_base_graphs(self.lam, self.lam_b, self.genus)
-
-    def enumeration_spec(self) -> EnumerationSpec:
-        bases = tuple(g for _, g in self.base_graphs())
-        return EnumerationSpec(bases, self.sizes, self.permute_equal_sizes)
+        else:
+            bases = ruled_base_graphs(self.lam, self.lam_b, self.genus)
+        return EnumerationSpec(tuple(bases), self.sizes, self.permute_equal_sizes)
 
     def generator_list(self) -> GeneratorList | None:
         if self.generator_key is None:

@@ -21,6 +21,7 @@ from decgraph.cone import (
 )
 from decgraph.enumeration import (
     EnumerationSpec,
+    _base_family_params,
     classify_sequence_types,
     cross_check_instantiation,
     dedup_key,
@@ -45,10 +46,10 @@ from decgraph.graphs import (
 from decgraph.lattice import (
     CohomologyVector,
     SurfaceModel,
-    adjunction_genus,
     canonical_chern,
     intersect,
     pair,
+    twice_adjunction_genus,
 )
 from decgraph.obstruct import RULE_NEGATIVE_PAIR, RULE_NEGATIVE_SQUARE
 from decgraph.scenarios import (
@@ -110,11 +111,13 @@ def test_criterion_04_enumeration_counts():
     base = base_hirzebruch(1, F(1, 2), BaseFamilyParams("two_surfaces", 1))
     res = enumerate_graphs(EnumerationSpec((base,), (F(1, 4),) * 3))
     assert len(res.graphs) == 2
-    for fam, other in hirzebruch_base_graphs(1, F(1, 2), ((1, 1), (1, 2), (2, 1))):
-        if fam.startswith("two_surfaces"):
+    reps = ((1, 1), (1, 2), (2, 1))
+    bases = hirzebruch_base_graphs(1, F(1, 2), reps)
+    for params, other in zip(_base_family_params(1, F(1, 2), reps), bases, strict=True):
+        if params.family == "two_surfaces":
             continue
         dead = enumerate_graphs(EnumerationSpec((other,), (F(1, 4),) * 3))
-        assert dead.graphs == (), fam
+        assert dead.graphs == (), params
     report("criterion 4: exactly 2 classes from the two-surface base;"
            " the other three families die at the third equal blowup")
 
@@ -151,7 +154,7 @@ def test_criterion_07_ruled_theorem():
 
     # intermediate stabilizer-2 sphere: its poles cannot take the last size
     g = base_ruled(1, 1, 2, 0)
-    g = generic_form(apply_blowup(g, g.min_vertex.vid, F(3, 5)))
+    g = generic_form(apply_blowup(g, g.vertices[0].vid, F(3, 5)))
     site = [s for s in blowup_sites(g, F(7, 20)) if s.kind == "interior"][0]
     g = generic_form(apply_blowup(g, site.vertex, F(7, 20)))
     pole_bounds = sorted(
@@ -255,19 +258,19 @@ def test_criterion_09_property_suites():
 
     # enumerated graphs: genus-zero edge classes and exact area-height match
     sizes = (F(1, 4), F(1, 4), F(1, 4), F(3, 16), F(1, 8))
-    bases6 = tuple(b for _, b in hirzebruch_base_graphs(1, F(1, 2), ((1, 1), (1, 2), (2, 1))))
+    bases6 = tuple(hirzebruch_base_graphs(1, F(1, 2), ((1, 1), (1, 2), (2, 1))))
     res = enumerate_graphs(EnumerationSpec(bases6, sizes))
     for graph in res.graphs:
         for e in graph.edges:
-            assert adjunction_genus(e.cls) == 0
+            assert twice_adjunction_genus(e.cls) == 0
             gap = F(
                 graph.vertex(e.top).height - graph.vertex(e.bottom).height,
                 graph.omega.denominator,
             )
             assert gap == e.label * pair(graph.omega, e.cls)
         for v in graph.vertices:
-            if v.is_fat:  # a rational surface fixes spheres only
-                assert adjunction_genus(v.fat) == 0
+            if v.fat is not None:  # a rational surface fixes spheres only
+                assert twice_adjunction_genus(v.fat) == 0
         nf = normal_form(graph)
         assert canonical_text(normal_form(nf)) == canonical_text(nf)
 
@@ -296,8 +299,8 @@ def test_criterion_09_property_suites():
 
     deep = base_hirzebruch(1, F(1, 2), BaseFamilyParams("two_surfaces", 1))
     for _ in range(3):
-        deep = generic_form(apply_blowup(deep, deep.min_vertex.vid, F(1, 4)))
-    deep = generic_form(apply_blowup(deep, deep.min_vertex.vid, F(3, 16)))
+        deep = generic_form(apply_blowup(deep, deep.vertices[0].vid, F(1, 4)))
+    deep = generic_form(apply_blowup(deep, deep.vertices[0].vid, F(3, 16)))
     assert normal_key(deep) == normal_key(_unbroken_min_surface_variant())
 
     # symbolic labels instantiated at three representatives branch alike
@@ -321,7 +324,7 @@ def test_criterion_10_generalized_ruled_scenario():
     )
     g = generic_form(spec.bases[0])
     d1, d2, d3, d4 = spec.sizes[:4]
-    g = generic_form(apply_blowup(g, g.min_vertex.vid, d1))
+    g = generic_form(apply_blowup(g, g.vertices[0].vid, d1))
     for delta, vid in ((d2, "1.c"), (d3, "2.hi"), (d4, "3.hi")):
         g = generic_form(apply_blowup(g, vid, delta))
     assert sorted(e.label for e in g.edges) == [1, 1, 2, 3, 4]

@@ -530,6 +530,42 @@ def test_bad_lattice_arguments_exit_2_with_one_line(capsys, argv, message):
     assert captured.err == f"argument error: {message}\n"
 
 
+@pytest.mark.parametrize("where", ["file", "under-a-file"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["export", "--scenario", "ruled-three", "--out"],
+        ["enumerate", "--scenario", "ruled-three", "--out"],
+        ["verify", "--scenario", "ruled-three", "--out"],
+        ["verify-paper", "--out"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_an_output_directory_that_cannot_be_made_exits_2_with_one_line(
+    tmp_path, capsys, argv, where
+):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker if where == "file" else blocker / "x"
+    assert main(argv + [str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("output error: ")
+    assert str(out) in err
+    assert blocker.read_text() == ""
+
+
+def test_a_replay_whose_output_directory_cannot_be_made_exits_2(tmp_path, capsys):
+    argv = ["verify", "--scenario", "ruled-three"]
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    graphs = str(tmp_path / "run" / "graphs")
+    capsys.readouterr()
+    assert main(argv + ["--graphs", graphs, "--out", str(blocker / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("output error: ")
+
+
 def test_cross_check_failure_sets_its_gate_false(monkeypatch):
     from decgraph import scenarios
     from decgraph.enumeration import EnumerationError

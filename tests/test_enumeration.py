@@ -7,6 +7,7 @@ from decgraph.blowup import apply_blowup, blowup_sites
 from decgraph.enumeration import (
     EnumerationError,
     EnumerationSpec,
+    _base_family_params,
     classify_sequence_types,
     cross_check_instantiation,
     dedup_key,
@@ -46,16 +47,19 @@ def test_the_two_depth_three_graphs_are_inequivalent():
 
 
 def test_other_bases_die_before_the_third_equal_blowup():
-    for fam, base in hirzebruch_base_graphs(1, F(1, 2), ((1, 1), (1, 2), (2, 1))):
-        if fam.startswith("two_surfaces"):
+    reps = ((1, 1), (1, 2), (2, 1))
+    bases = hirzebruch_base_graphs(1, F(1, 2), reps)
+    for params, base in zip(_base_family_params(1, F(1, 2), reps), bases, strict=True):
+        if params.family == "two_surfaces":
             continue
+        assert base == base_hirzebruch(1, F(1, 2), params)
         res = enumerate_graphs(EnumerationSpec((base,), QUARTERS))
-        assert res.graphs == (), fam
+        assert res.graphs == (), params
         assert res.branch_log[-1].kept == 0
 
 
 def test_ruled_enumeration_levels_and_types():
-    (label, base), = ruled_base_graphs(1, 1, 2)
+    (base,) = ruled_base_graphs(1, 1, 2)
     res = enumerate_graphs(EnumerationSpec((base,), RULED_SIZES))
     assert [lv.kept for lv in res.branch_log] == [1, 3, 9]
     buckets = classify_sequence_types(res.graphs)
@@ -66,7 +70,8 @@ def test_ruled_enumeration_levels_and_types():
 
 def test_ruled_base_is_unique_for_square_vector():
     assert len(ruled_base_graphs(1, 1, 2)) == 1
-    assert len(ruled_base_graphs(1, 3, 2)) == 3  # three rotation numbers fit
+    # three rotation numbers fit, in increasing order
+    assert ruled_base_graphs(1, 3, 2) == [base_ruled(1, 3, 2, ell) for ell in range(3)]
 
 
 def test_every_graph_extends_omega_by_the_size_list():

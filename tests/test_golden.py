@@ -13,8 +13,9 @@ on them, its ``source`` path masked.
 
 ``tests/golden/cli-text.json`` pins the text the other subcommands print: the
 exit code and the SHA-256 of the standard output of ``enumerate``, ``nakai``
-and ``cone`` on each builtin scenario, and the SHA-256 of every DOT file that
-``export`` writes for ruled-three.
+and ``cone`` on each builtin scenario, of ``verify-paper`` and of two
+``negcurves`` searches, and the SHA-256 of every DOT file that ``export``
+writes for ruled-three.
 
 Regenerate (only for an intended change of output) with::
 
@@ -85,18 +86,28 @@ def files_record(workdir: Path) -> dict:
     }
 
 
+# Subcommands that read no scenario, pinned by their argument line.
+UNSCOPED = (
+    "verify-paper",
+    "negcurves --kind rational --k 6 --bound 1",
+    "negcurves --kind ruled --k 2 --genus 2 --bound 1",
+)
+
+
 def cli_record(workdir: Path) -> dict:
     """Exit codes and stdout digests of the text subcommands, DOT digests."""
+    commands = [
+        f"{command} --scenario {name}"
+        for name in BUILTINS
+        for command in ("enumerate", "nakai", "cone")
+    ]
     stdout = {}
-    for name in BUILTINS:
-        for command in ("enumerate", "nakai", "cone"):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                code = main([command, "--scenario", name])
-            stdout[f"{command} {name}"] = {
-                "exit_code": code,
-                "stdout_sha256": _sha256(out.getvalue()),
-            }
+    for line in commands + list(UNSCOPED):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(line.split())
+        key = line.replace(" --scenario ", " ")
+        stdout[key] = {"exit_code": code, "stdout_sha256": _sha256(out.getvalue())}
     export = workdir / "export"
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["export", "--scenario", "ruled-three", "--out", str(export)]) == 0
@@ -124,7 +135,7 @@ def test_golden_files(tmp_path):
 def test_golden_cli_text(tmp_path):
     pinned = json.loads((GOLDEN / "cli-text.json").read_text(encoding="utf-8"))
     assert cli_record(tmp_path) == pinned
-    assert len(pinned["stdout"]) == 12
+    assert len(pinned["stdout"]) == 12 + len(UNSCOPED)
     assert len(pinned["export ruled-three"]) == 1 + 1 + 3 + 9  # levels 0-3
 
 

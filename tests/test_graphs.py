@@ -62,16 +62,16 @@ def test_two_surfaces_base_matches_construction():
 def test_one_surface_base():
     g = base_hirzebruch(1, F(1, 2), BaseFamilyParams("one_surface", 1))
     assert validate(g) == []
-    fat = [v for v in g.vertices if v.is_fat]
+    fat = [v for v in g.vertices if v.fat is not None]
     assert len(fat) == 1 and str(fat[0].fat) == "L-E1"
-    assert moment(g, g.max_vertex) == 1 and not g.max_vertex.is_fat
+    assert moment(g, g.vertices[-1]) == 1 and g.vertices[-1].fat is None
     assert sorted(str(e.cls) for e in g.edges) == ["E1", "L", "L-E1"]
 
 
 def test_isolated_left_base():
     g = base_hirzebruch(1, F(1, 2), BaseFamilyParams("isolated_left", 1, 1, 1))
     assert validate(g) == []
-    assert all(not v.is_fat for v in g.vertices) and len(g.vertices) == 4
+    assert all(v.fat is None for v in g.vertices) and len(g.vertices) == 4
     assert sorted(e.label for e in g.edges) == [1, 1, 1, 2]
     assert sorted(str(e.cls) for e in g.edges) == ["E1", "L", "L-E1", "L-E1"]
 
@@ -104,7 +104,7 @@ def test_ruled_base():
     assert sizes == [1, 1]
     a, b = (v.fat for v in g.vertices)
     assert a == b and intersect(a, a) == 0
-    assert g.span == 1
+    assert moment(g, g.vertices[-1]) - moment(g, g.vertices[0]) == 1
     assert [v.fat.twice_genus for v in g.vertices] == [4, 4]
     with pytest.raises(GraphError):
         base_ruled(1, 1, 2, 1)
@@ -116,7 +116,7 @@ def test_ruled_base_with_offset():
     g = base_ruled(1, 2, 1, 1)
     assert validate(g) == []
     assert sorted(pair(g.omega, v.fat) for v in g.vertices) == [1, 3]
-    assert g.span == 1
+    assert moment(g, g.vertices[-1]) - moment(g, g.vertices[0]) == 1
     assert {str(v.fat) for v in g.vertices} == {"B-F", "B+F"}
 
 
@@ -200,16 +200,18 @@ def test_break_free_edges_conserves_chain_sums():
     assert validate(g) == []
     broken = break_free_edges(g)
     assert validate(broken) == []
-    interior = {v.vid for v in broken.interior_vertices()}
+    vmin, vmax = broken.vertices[0].vid, broken.vertices[-1].vid
+    interior = {v.vid for v in broken.vertices if v.fat is None} - {vmin, vmax}
+    assert interior == {"0.v1", "0.v2", "0.v3"}
     assert not any(
         e.label == 1 and e.bottom in interior and e.top in interior for e in broken.edges
     )
     # every interior vertex now connects straight to both extrema
-    for v in broken.interior_vertices():
-        up = broken.edges_above(v.vid)[0]
-        down = broken.edges_below(v.vid)[0]
-        assert up.top == broken.max_vertex.vid
-        assert down.bottom == broken.min_vertex.vid
+    for vid in interior:
+        up = broken.edges_above(vid)[0]
+        down = broken.edges_below(vid)[0]
+        assert up.top == vmax
+        assert down.bottom == vmin
         assert down.cls + up.cls == P("E1")  # chain sum conserved
 
 
@@ -298,8 +300,20 @@ def test_permute_exceptionals():
     h = generic_form(apply_blowup(h, site.vertex, F(1, 4)))
     swapped = permute_exceptionals(h, {2: 3, 3: 2})
     assert validate(swapped) == []
+    assert swapped.omega is h.omega  # a relabeling of equal sizes keeps the vector
     assert same_action(h, swapped)  # the two blowups carry equal sizes
 
+
+def test_permute_exceptionals_rejects_unequal_sizes():
+    g = two_surface_base()
+    site = [s for s in blowup_sites(g, F(1, 4)) if s.end == "min"][0]
+    h = generic_form(apply_blowup(g, site.vertex, F(1, 4)))
+    site = [s for s in blowup_sites(h, F(1, 8)) if s.end == "min"][0]
+    h = generic_form(apply_blowup(h, site.vertex, F(1, 8)))
+    assert h.omega.deltas[1:] == (F(1, 4), F(1, 8))
+    with pytest.raises(GraphError, match="unequal size"):
+        permute_exceptionals(h, {2: 3, 3: 2})
+    assert permute_exceptionals(h, {}) is h
 
 def test_equivalence_is_an_equivalence_relation():
     g = two_surface_base()

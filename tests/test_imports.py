@@ -1,16 +1,20 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and the package
+defines no function or class that nothing reads.
 
 A deletion that leaves its imports behind (``field`` once no dataclass field
-needs it, ``adjunction_genus`` once no rule reads it) fails here.  The check
-reads each module's syntax tree with the standard library's ``ast``; a name
-counts as used when the module reads it anywhere, string annotations
-included.  ``__init__`` is left out, since it imports to re-export.
+needs it, ``adjunction_genus`` once no rule reads it) fails here, and so does
+a helper that only tests call.  The checks read each module's syntax tree
+with the standard library's ``ast``; a name counts as used when the module
+reads it anywhere, string annotations included.  ``__init__`` is left out,
+since it imports to re-export.  A function the benchmark's traced run wraps
+(a hook in ``perfbench/spans.py``) counts as read.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+from test_bench_hooks import load_hooks
 
 PACKAGE = Path(__file__).parents[1] / "src" / "decgraph"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -42,7 +46,7 @@ def annotations(tree: ast.Module):
             yield node.annotation
 
 
-def used_names(tree: ast.Module) -> set[str]:
+def used_names(tree: ast.AST) -> set[str]:
     """Every name the module reads, in code or in a string annotation."""
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for annotation in annotations(tree):
@@ -71,3 +75,71 @@ def test_the_check_finds_an_unused_import():
     )
     used = used_names(tree)
     assert sorted(n for n in imported_names(tree) if n not in used) == ["field", "pair"]
+
+
+def defined_names(tree: ast.Module) -> list[str]:
+    """Each module-level function and class."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [node.name for node in tree.body if isinstance(node, kinds)]
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """``used_names``, plus each attribute read off a package module bound by
+    ``from . import module as alias``; a definition reading its own name, as
+    a recursive call does, does not count."""
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module is None
+        for alias in node.names
+    }
+    read = set()
+    for statement in tree.body:
+        names = used_names(statement) | {
+            node.attr
+            for node in ast.walk(statement)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        }
+        names.discard(getattr(statement, "name", None))
+        read |= names
+    return read
+
+
+def unread(trees: dict[str, ast.Module], hooks: set[tuple[str, str]]) -> list[str]:
+    """``module.name`` of every definition no module reads and no hook names."""
+    read = set().union(*map(read_names, trees.values()))
+    return sorted(
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in defined_names(tree)
+        if name not in read and (module, name) not in hooks
+    )
+
+
+def test_every_function_and_class_is_read_or_hooked():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    _, hooks = load_hooks()
+    assert unread(trees, {(hook.module, hook.attr) for hook in hooks}) == []
+
+
+def test_the_check_finds_an_unread_definition():
+    trees = {
+        "a": ast.parse(
+            "def used(): pass\n"
+            "def by_alias(): pass\n"
+            "def annotated(): pass\n"
+            "def hooked(): pass\n"
+            "def recursive(): return recursive()\n"
+            "def dead(): pass\n"
+            "class Dead: pass\n"
+        ),
+        "b": ast.parse(
+            "from . import a as a_mod\n"
+            "from .a import used\n"
+            "def main(x: 'annotated') -> None:\n"
+            "    used(), a_mod.by_alias()\n"
+        ),
+    }
+    assert unread(trees, {("a", "hooked")}) == ["a.Dead", "a.dead", "a.recursive", "b.main"]

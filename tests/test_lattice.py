@@ -8,7 +8,6 @@ from decgraph.lattice import (
     HomologyClass,
     LatticeError,
     SurfaceModel,
-    adjunction_genus,
     basis_check,
     canonical_chern,
     chern_pairing,
@@ -20,6 +19,7 @@ from decgraph.lattice import (
     pair,
     rat,
     rat_str,
+    twice_adjunction_genus,
     volume,
 )
 
@@ -116,7 +116,7 @@ def test_canonical_chern():
         assert intersect(cw, W.parse("F")) == 2
         assert intersect(cw, W.parse("E2")) == 1
         # sphere in the fiber class: square 0, genus 0 forces degree 2
-        assert adjunction_genus(W.parse("F")) == 0
+        assert twice_adjunction_genus(W.parse("F")) == 0
 
 
 def test_pair_examples():
@@ -157,11 +157,11 @@ def test_volume_matches_dual_basis_oracle():
 
 
 def test_adjunction_genus():
-    assert adjunction_genus(M6.parse("E1-E2")) == 0
-    assert adjunction_genus(M6.parse("3L")) == 1  # smooth plane cubic
+    assert twice_adjunction_genus(M6.parse("E1-E2")) == 0
+    assert twice_adjunction_genus(M6.parse("3L")) == 2  # smooth plane cubic
     for g in (1, 2, 5):
         W = SurfaceModel("ruled", 0, g)
-        assert adjunction_genus(W.parse("B")) == g
+        assert twice_adjunction_genus(W.parse("B")) == 2 * g
 
 
 def test_adjunction_restatement_identity_random():
@@ -169,7 +169,7 @@ def test_adjunction_restatement_identity_random():
     for model in (M6, W3):
         for _ in range(80):
             c = HomologyClass(model, tuple(rng.randint(-5, 5) for _ in range(model.rank)))
-            assert 2 * adjunction_genus(c) - 2 == intersect(c, c) - chern_pairing(c)
+            assert twice_adjunction_genus(c) - 2 == intersect(c, c) - chern_pairing(c)
 
 
 def test_is_reduced():
