@@ -34,7 +34,7 @@ from .graphs import (
     validate,
     vertex_order,
 )
-from .lattice import pair, rat
+from .lattice import LatticeError, rat
 
 
 class BlowupError(ValueError):
@@ -58,21 +58,32 @@ def _inserted(kept: list, new: list, key) -> tuple:
 
 
 def _site_for_vertex(g: DecoratedGraph, v: Vertex) -> BlowupSite | None:
-    vs = g.vertices
+    """The site at ``v``, or None.  Its bound is the least area of the site's
+    classes (a surface's own class, capped by the moment span; an
+    extremum's two edges; an interior vertex's edges above and below),
+    found in integers over D and made one ``Fraction``."""
+    vs, omega = g.vertices, g.omega
     end = "min" if v.vid == vs[0].vid else "max" if v.vid == vs[-1].vid else ""
     if v.fat is not None:
-        span = Fraction(vs[-1].height - vs[0].height, g.omega.denominator)
-        return BlowupSite(SURFACE, v.vid, min(pair(g.omega, v.fat), span), end)
-    if end:
+        kind, classes, bound = SURFACE, (v.fat,), vs[-1].height - vs[0].height
+    elif end:
         edges = g.edges_above(v.vid) if end == "min" else g.edges_below(v.vid)
         if len(edges) != 2:
             return None
-        return BlowupSite(EXTREMUM, v.vid, min(pair(g.omega, e.cls) for e in edges), end)
-    above, below = g.edges_above(v.vid), g.edges_below(v.vid)
-    if len(above) != 1 or len(below) != 1:
-        return None
-    bound = min(pair(g.omega, above[0].cls), pair(g.omega, below[0].cls))
-    return BlowupSite(INTERIOR, v.vid, bound)
+        kind, classes, bound = EXTREMUM, [e.cls for e in edges], None
+    else:
+        above, below = g.edges_above(v.vid), g.edges_below(v.vid)
+        if len(above) != 1 or len(below) != 1:
+            return None
+        kind, classes, bound = INTERIOR, (above[0].cls, below[0].cls), None
+    model, areas = omega.model, omega._areas
+    for c in classes:
+        if c.model is not model and c.model != model:
+            raise LatticeError(f"model mismatch: {model} vs {c.model}")
+        area = areas[c.coeffs]
+        if bound is None or area < bound:
+            bound = area
+    return BlowupSite(kind, v.vid, Fraction(bound, omega.denominator), end)
 
 
 def blowup_sites(g: DecoratedGraph, delta) -> list[BlowupSite]:

@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from operator import mul
 from typing import NamedTuple
 
 from .lattice import (
@@ -53,8 +51,10 @@ class Vertex(NamedTuple):
     fat: HomologyClass | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
+class Edge(NamedTuple):
+    """An invariant sphere from ``bottom`` up to ``top``, with its isotropy
+    label and class."""
+
     bottom: str
     top: str
     label: int
@@ -75,15 +75,10 @@ def _height(moment, den: int) -> int:
     return height
 
 
-def _ratio_text(n: int, d: int) -> str:
-    """``rat_str(Fraction(n, d))`` for d > 0, without building the Fraction."""
-    c = math.gcd(n, d)
-    return str(n // c) if c == d else f"{n // c}/{d // c}"
-
-
 def edge_order(e: Edge) -> tuple:
     """Sort key of ``DecoratedGraph.edges``."""
-    return (e.cls.coeffs, e.label, e.bottom, e.top)
+    bottom, top, label, cls = e
+    return (cls.coeffs, label, bottom, top)
 
 
 INTERIOR = "interior"  # the blowup site kinds a ledger records (see ``blowup``)
@@ -124,6 +119,22 @@ def _ledger_texts(g: "DecoratedGraph", texts: dict) -> list[str]:
     return words
 
 
+class _cached:
+    """``functools.cached_property`` without the lock that Python 3.10 and
+    3.11 take on each first access: the value goes into the instance's
+    ``__dict__`` under the function's name, where every later access finds
+    it before this descriptor."""
+
+    def __init__(self, fn):
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, g, owner=None):
+        if g is None:
+            return self
+        value = g.__dict__[self.name] = self.fn(g)
+        return value
+
+
 @dataclass(frozen=True)
 class DecoratedGraph:
     """An immutable decorated graph.
@@ -152,7 +163,7 @@ class DecoratedGraph:
     def model(self) -> SurfaceModel:  # the one the class vector is on
         return self.omega.model
 
-    @cached_property
+    @_cached
     def _extensions(self) -> dict[Fraction, "DecoratedGraph"]:
         return {}
 
@@ -184,25 +195,23 @@ class DecoratedGraph:
             return Vertex(v.vid, v.height * grow, f)
 
         vertices = tuple(map(extended, self.vertices))
-        edges = tuple(Edge(e.bottom, e.top, e.label, e.cls.embed(model)) for e in self.edges)
+        edges = tuple(Edge(b, t, label, c.embed(model)) for b, t, label, c in self.edges)
         out = DecoratedGraph(omega, vertices, edges, (), self.fiber.embed(model))
         self._extensions[delta] = out
         return out
 
-    @cached_property
+    @_cached
     def _by_vid(self) -> dict[str, Vertex]:
-        index: dict[str, Vertex] = {}
-        for v in reversed(self.vertices):  # the first vertex of an id wins
-            index[v.vid] = v
-        return index
+        return {v.vid: v for v in reversed(self.vertices)}  # the first of an id wins
 
-    @cached_property
+    @_cached
     def _adjacency(self) -> tuple[dict, dict]:
         above: dict[str, tuple[Edge, ...]] = {}
         below: dict[str, tuple[Edge, ...]] = {}
         for e in self.edges:
-            above[e.bottom] = above.get(e.bottom, ()) + (e,)
-            below[e.top] = below.get(e.top, ()) + (e,)
+            bottom, top, _, _ = e
+            above[bottom] = above.get(bottom, ()) + (e,)
+            below[top] = below.get(top, ()) + (e,)
         return above, below
 
     def vertex(self, vid: str) -> Vertex:
@@ -264,7 +273,7 @@ def validate(g: DecoratedGraph) -> list[str]:
         bad.append("duplicate vertex ids")
     # A class pairs with omega to (weights . coeffs) / den and a moment is a
     # height over den, so areas and gaps are compared in integers.
-    model, weights = g.model, g.omega.weights
+    model, areas = g.model, g.omega._areas
     for i, v in enumerate(vs):
         c = v.fat
         if c is None:
@@ -274,53 +283,56 @@ def validate(g: DecoratedGraph) -> list[str]:
         if c.model is not model and c.model != model:
             bad.append(f"fat vertex {v.vid} class is in the wrong lattice")
             continue
-        if sum(map(mul, weights, c.coeffs)) <= 0:
+        if areas[c.coeffs] <= 0:
             bad.append(f"fat vertex {v.vid} has nonpositive size")
         if c.twice_genus < 0:
             bad.append(f"fat vertex {v.vid} has negative genus")
 
-    def flag(e: Edge, what: str) -> None:
-        bad.append(f"edge {e.cls}({e.label}) {what}")
-
-    for e in g.edges:
-        if e.bottom not in known or e.top not in known:
-            flag(e, "references a missing vertex")
+    for bottom, top, label, cls in g.edges:
+        vb, vt = known.get(bottom), known.get(top)
+        if vb is None or vt is None:
+            bad.append(f"edge {cls}({label}) references a missing vertex")
             continue
-        if e.bottom == e.top:
-            flag(e, "is a loop")
+        if bottom == top:
+            bad.append(f"edge {cls}({label}) is a loop")
             continue
-        vb, vt = known[e.bottom], known[e.top]
-        if not isinstance(e.label, int) or e.label < 1:
-            flag(e, "has a non-positive label")
+        if not isinstance(label, int) or label < 1:
+            bad.append(f"edge {cls}({label}) has a non-positive label")
             continue
         gap = vt.height - vb.height  # the moment gap, times den
         if gap <= 0:
-            flag(e, "does not increase the moment value")
-        if e.cls.model is not model and e.cls.model != model:
-            flag(e, "class is in the wrong lattice")
+            bad.append(f"edge {cls}({label}) does not increase the moment value")
+        if cls.model is not model and cls.model != model:
+            bad.append(f"edge {cls}({label}) class is in the wrong lattice")
             continue
-        if gap != e.label * sum(map(mul, weights, e.cls.coeffs)):
-            flag(e, "breaks the area rule (gap != label * area)")
-        if e.cls.twice_genus != 0:
-            flag(e, "class is not an embedded-sphere class")
-        if (vb.fat is not None or vt.fat is not None) and e.label != 1:
-            flag(e, "touches a fixed surface with label > 1")
+        if gap != label * areas[cls.coeffs]:
+            bad.append(f"edge {cls}({label}) breaks the area rule (gap != label * area)")
+        if cls.twice_genus != 0:
+            bad.append(f"edge {cls}({label}) class is not an embedded-sphere class")
+        if label != 1 and (vb.fat is not None or vt.fat is not None):
+            bad.append(f"edge {cls}({label}) touches a fixed surface with label > 1")
 
+    above, below = g._adjacency
     for i, v in enumerate(vs):
         if v.fat is not None:
             continue
-        above = g.edges_above(v.vid)
-        below = g.edges_below(v.vid)
-        if lo <= i < hi:
-            if len(above) != 1 or len(below) != 1:
-                bad.append(
-                    f"interior vertex {v.vid} needs exactly one edge above and below"
-                )
-        labels = [e.label for e in above + below]
-        for i in range(len(labels)):
-            for j in range(i + 1, len(labels)):
-                if math.gcd(labels[i], labels[j]) != 1:
-                    bad.append(f"vertex {v.vid} carries non-coprime edge labels")
+        up, down = above.get(v.vid, ()), below.get(v.vid, ())
+        if lo <= i < hi and (len(up) != 1 or len(down) != 1):
+            bad.append(f"interior vertex {v.vid} needs exactly one edge above and below")
+        edges = up + down
+        if len(edges) == 2:  # one pair, as at every interior vertex
+            if math.gcd(edges[0].label, edges[1].label) != 1:
+                bad.append(f"vertex {v.vid} carries non-coprime edge labels")
+        elif len(edges) > 2:
+            # Nonzero labels are pairwise coprime exactly when their lcm is
+            # their product; only otherwise are the pairs tried, a message a pair.
+            labels = [e.label for e in edges]
+            prod = math.prod(labels)
+            if prod == 0 or math.lcm(*labels) != prod:
+                for j, a in enumerate(labels):
+                    for b in labels[j + 1:]:
+                        if math.gcd(a, b) != 1:
+                            bad.append(f"vertex {v.vid} carries non-coprime edge labels")
     return bad
 
 
@@ -487,11 +499,10 @@ def break_free_edges(g: DecoratedGraph) -> DecoratedGraph:
         vmin, vmax = g.vertices[0], g.vertices[-1]
         ends = (vmin.vid, vmax.vid)
         interior = {v.vid for v in g.vertices if v.fat is None and v.vid not in ends}
-        target = next(
-            (e for e in g.edges if e.label == 1 and e.bottom in interior and e.top in interior),
-            None,
-        )
-        if target is None:
+        for target in g.edges:
+            if target.label == 1 and target.bottom in interior and target.top in interior:
+                break
+        else:
             return g
         up_rest = _walk_sum(g, target.top, up=True)
         down_rest = _walk_sum(g, target.bottom, up=False)
@@ -532,7 +543,7 @@ def flip(g: DecoratedGraph) -> DecoratedGraph:
     """Turn the graph upside down; the old maximum becomes the minimum, at 0."""
     top = g.vertices[-1].height
     vertices = [Vertex(v.vid, top - v.height, v.fat) for v in g.vertices]
-    edges = [Edge(e.top, e.bottom, e.label, e.cls) for e in g.edges]
+    edges = [Edge(t, b, label, c) for b, t, label, c in g.edges]
     return DecoratedGraph.build(g.omega, vertices, edges, g.ledger, g.fiber)
 
 
@@ -540,20 +551,26 @@ def _fixed_record(v: Vertex, omega: CohomologyVector) -> str:
     """The end of a V record: ``isolated``, or the fat size, genus and class.
 
     The size and genus are the class's area and adjunction genus, written
-    for readers; ``parse_graph`` checks them against the class.
+    for readers; ``parse_graph`` checks them against the class.  Each class's
+    record is written once per class vector and kept on it.
     """
     c = v.fat
     if c is None:
         return "isolated"
-    size = _ratio_text(sum(map(mul, omega.weights, c.coeffs)), omega.denominator)
-    return f"fat size={size} genus={c.twice_genus // 2} class={c}"
+    records = omega._fixed_records
+    text = records.get(c)
+    if text is None:
+        size = omega._moment_texts[omega._areas[c.coeffs]]
+        text = records[c] = f"fat size={size} genus={c.twice_genus // 2} class={c}"
+    return text
 
 
 def _records(g: DecoratedGraph, down: bool, fixed: dict[str, str]) -> list[str]:
     """Canonical records of ``g`` (up) or of ``flip(g)`` (down), no ledger.
 
     ``fixed`` maps each vertex id to its ``_fixed_record``; both
-    orientations share it.
+    orientations share it.  Each moment's text is read from the class
+    vector's table of height texts.
 
     Down is read from ``g``'s own index, without building the flip: it starts
     from the maximum, walks the edges below each vertex with the near and far
@@ -561,16 +578,14 @@ def _records(g: DecoratedGraph, down: bool, fixed: dict[str, str]) -> list[str]:
     ``top`` is the maximum moment.  It equals the records of ``flip(g)`` on
     every graph that passes ``validate``.
     """
-    vs, den = g.vertices, g.omega.denominator
+    vs, texts = g.vertices, g.omega._moment_texts
     if down:
         start, end, onward = vs[-1], vs[0], g._adjacency[1]
         top = start.height
-        moment_text = {
-            vid: _ratio_text(top - v.height, den) for vid, v in g._by_vid.items()
-        }
+        moment_text = {vid: texts[top - v.height] for vid, v in g._by_vid.items()}
     else:
         start, end, onward = vs[0], vs[-1], g._adjacency[0]
-        moment_text = {vid: _ratio_text(v.height, den) for vid, v in g._by_vid.items()}
+        moment_text = {vid: texts[v.height] for vid, v in g._by_vid.items()}
 
     # A chain is a list of (near end, far end, edge), walked away from start.
     # Sorting by records leaves ties only between chains whose records, and
@@ -603,18 +618,15 @@ def _records(g: DecoratedGraph, down: bool, fixed: dict[str, str]) -> list[str]:
     chains.sort(key=chain_rec)
 
     index = {start.vid: 0, end.vid: 1}
-    order = [start, end]
+    order = [start.vid, end.vid]
     for chain in chains:
         for _, far, _ in chain[:-1]:
             if far not in index:
                 index[far] = len(order)
-                order.append(g.vertex(far))
+                order.append(far)
 
     lines = [f"MODEL {g.model}", f"OMEGA {g.omega}"]
-    for v in order:
-        lines.append(
-            f"V {index[v.vid]} {moment_text[v.vid]} {fixed[v.vid]}"
-        )
+    lines += [f"V {index[vid]} {moment_text[vid]} {fixed[vid]}" for vid in order]
     for chain in chains:
         lines.append("C")
         for near, far, e in chain:
@@ -695,7 +707,7 @@ def parse_graph(text: str, models: dict | None = None) -> DecoratedGraph:
                     opts = dict(p.split("=", 1) for p in parts[3:])
                     fat = model.parse(opts["class"])
                     size, genus = rat(opts["size"]), int(opts["genus"])
-                    area = sum(map(mul, omega.weights, fat.coeffs))
+                    area = omega._areas[fat.coeffs]
                     if size.numerator * omega.denominator != area * size.denominator:
                         raise GraphError(f"size {rat_str(size)} is not the area of {fat}")
                     if 2 * genus != fat.twice_genus:
@@ -790,7 +802,7 @@ def permute_exceptionals(g: DecoratedGraph, perm: dict[int, int]) -> DecoratedGr
 
     # Moments and ids stay, so the vertices stay in build order.
     vertices = tuple(map(permute_vertex, g.vertices))
-    edges = [Edge(e.bottom, e.top, e.label, permute_cls(e.cls)) for e in g.edges]
+    edges = [Edge(b, t, label, permute_cls(c)) for b, t, label, c in g.edges]
     edges.sort(key=edge_order)
     return DecoratedGraph(g.omega, vertices, tuple(edges), g.ledger, permute_cls(g.fiber))
 

@@ -26,7 +26,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from operator import add, mul, neg, sub
 
 
@@ -317,6 +317,29 @@ def classify_negative(c: HomologyClass) -> str:
     return NEITHER
 
 
+class _Table(dict):
+    """``fn(key)`` of each key, computed on its first lookup and kept."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _area(weights: tuple[int, ...], coeffs: tuple[int, ...]) -> int:
+    """``weights . coeffs``: D times the area of the class ``coeffs``."""
+    return sum(map(mul, weights, coeffs))
+
+
+def _ratio_text(den: int, n: int) -> str:
+    """``rat_str(Fraction(n, den))`` for den > 0, without building the Fraction."""
+    c = math.gcd(n, den)
+    return str(n // c) if c == den else f"{n // c}/{den // c}"
+
+
 @dataclass(frozen=True)
 class CohomologyVector:
     """A class vector (lam; d1..dk) or (lamF, lamB; d1..dk), exact entries.
@@ -341,11 +364,19 @@ class CohomologyVector:
         scaled = [x.numerator * (den // x.denominator) for x in entries]
         if self.model.kind == RULED:
             scaled[0], scaled[1] = scaled[1], scaled[0]
+        weights = tuple(scaled)
         object.__setattr__(self, "denominator", den)
-        object.__setattr__(self, "weights", tuple(scaled))
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_extensions", {})
         # enumeration._permutation_group's relabelings, per created indices
         object.__setattr__(self, "_relabelings", {})
+        # Tables the kernel reads per graph, filled as it asks and freed with
+        # the vector: the area ``weights . coeffs`` of each coefficient tuple,
+        # the text of each height over den, and each fixed-surface class's
+        # V record end (``graphs._fixed_record``).  A new vector starts empty.
+        object.__setattr__(self, "_areas", _Table(partial(_area, weights)))
+        object.__setattr__(self, "_moment_texts", _Table(partial(_ratio_text, den)))
+        object.__setattr__(self, "_fixed_records", {})
 
     @staticmethod
     def rational(lam, deltas) -> "CohomologyVector":
@@ -391,7 +422,7 @@ def pair(omega: CohomologyVector, c: HomologyClass) -> Fraction:
     """
     if omega.model is not c.model and omega.model != c.model:
         raise LatticeError(f"model mismatch: {omega.model} vs {c.model}")
-    return Fraction(sum(map(mul, omega.weights, c.coeffs)), omega.denominator)
+    return Fraction(omega._areas[c.coeffs], omega.denominator)
 
 
 def volume(omega: CohomologyVector) -> Fraction:

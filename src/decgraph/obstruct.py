@@ -110,27 +110,36 @@ def certified_classes(
 ) -> list[CertifiedClass]:
     """All classes with guaranteed holomorphic representatives in the graph.
 
-    ``shapes`` keeps ``is_proper_transform_shape`` per class, keyed by
-    value and so by model too; callers share one across the graphs of one
-    search.
+    ``shapes`` maps each (class, label) met to its one ``CertifiedClass``
+    (label None for a fixed surface), or to False for a label-1 class that
+    is no proper transform.  It is keyed by value and so by model too;
+    callers share one across the graphs of one search, and so its objects.
     """
     if mode not in (STABILIZER_ONLY, INTEGRABLE_BLOWUP):
         raise LatticeError(f"unknown certification mode {mode!r}")
     if shapes is None:
         shapes = {}
+    integrable = mode == INTEGRABLE_BLOWUP
     out = []
     for v in g.vertices:
         if v.fat is not None:
-            out.append(CertifiedClass(v.fat, "stabilizer", None))
-    for e in g.edges:
-        if e.label >= 2:
-            out.append(CertifiedClass(e.cls, "stabilizer", e.label))
-        elif mode == INTEGRABLE_BLOWUP:
-            shape = shapes.get(e.cls)
-            if shape is None:
-                shape = shapes[e.cls] = is_proper_transform_shape(e.cls)
-            if shape:
-                out.append(CertifiedClass(e.cls, "proper_transform", e.label))
+            cert = shapes.get((v.fat, None))
+            if cert is None:
+                cert = shapes[v.fat, None] = CertifiedClass(v.fat, "stabilizer", None)
+            out.append(cert)
+    for _, _, label, cls in g.edges:
+        if label >= 2 or integrable:
+            cert = shapes.get((cls, label))
+            if cert is None:
+                if label >= 2:
+                    cert = CertifiedClass(cls, "stabilizer", label)
+                elif is_proper_transform_shape(cls):
+                    cert = CertifiedClass(cls, "proper_transform", label)
+                else:
+                    cert = False
+                shapes[cls, label] = cert
+            if cert:
+                out.append(cert)
     out.sort(key=lambda c: (c.cls.coeffs, c.label is not None, c.label or 0))
     return out
 

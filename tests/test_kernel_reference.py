@@ -10,12 +10,16 @@ class of the parent and re-sorted the child, and the obstruction search that
 recomputed every shape test and pairing.  The kernel must agree with them
 exactly, on random models, class vectors, classes and graphs, on random
 admissible blowup chains, and on every graph of every level of the golden
-scenarios.  The last sections check properties of the dedup key on the same
-chains, the lifetime of the per-model class tables, the integer moments
-(every vertex a height over its class vector's denominator), and the
-released caches: a graph answers alike with its index and extensions or
-without them, and a run holds none.  The references read a moment as that
-height over the denominator.
+scenarios: the integer site bounds of all three kinds against Fraction
+pairings, and ``validate``'s coprime-label shortcut against the pairwise
+scan.  The last sections check properties of the dedup key on the same
+chains, the lifetime of the per-model class tables and of the per-vector
+area and text tables, the certified classes shared across a search, the
+integer moments (every vertex a height over its class vector's
+denominator), and the released caches: a graph answers alike with its index
+and extensions or without them, each index is built once per graph, and a
+run holds none.  The references read a moment as that height over the
+denominator.
 """
 
 import gc
@@ -95,8 +99,10 @@ from decgraph.obstruct import (
     Certificate,
     CertifiedClass,
     RequiredClass,
+    certified_classes,
     check_nonextension,
     is_proper_transform_shape,
+    last_blowup_classes,
 )
 from decgraph.scenarios import DEFAULT_REPS, export_graphs, load_scenario, run_scenario
 
@@ -682,15 +688,37 @@ def test_basis_names_are_stable():
 # graphs
 
 
+def reference_site(g, v):
+    """(kind, bound) of the site at ``v`` from scans and Fraction pairings, or
+    None.  The bound is the least area of the site's classes: a surface's own,
+    capped by the moment span; an extremum's two edges; an interior vertex's
+    edges above and below."""
+    lo, hi = reference_min_vertex(g), reference_max_vertex(g)
+    above, below = reference_edges_above(g, v.vid), reference_edges_below(g, v.vid)
+    if v.fat is not None:
+        return SURFACE, min(reference_pair(g.omega, v.fat), moment(g, hi) - moment(g, lo))
+    if v.vid in (lo.vid, hi.vid):
+        edges = above if v.vid == lo.vid else below
+        if len(edges) != 2:
+            return None
+        return EXTREMUM, min(reference_pair(g.omega, e.cls) for e in edges)
+    if len(above) != 1 or len(below) != 1:
+        return None
+    return INTERIOR, min(reference_pair(g.omega, e.cls) for e in above + below)
+
+
 def assert_index_matches_scans(g):
     assert g.vertices[0] is reference_min_vertex(g)
     assert g.vertices[-1] is reference_max_vertex(g)
-    # A surface site's bound is the surface's size, capped by the moment span.
-    span = moment(g, reference_max_vertex(g)) - moment(g, reference_min_vertex(g))
+    # Every site's integer bound against the Fraction reference.
     for v in g.vertices:
-        if v.fat is not None:
-            bound = min(reference_pair(g.omega, v.fat), span)
-            assert _site_for_vertex(g, v).max_admissible == bound
+        site = _site_for_vertex(g, v)
+        expected = reference_site(g, v)
+        if expected is None:
+            assert site is None
+        else:
+            assert (site.kind, site.max_admissible) == expected
+            assert type(site.max_admissible) is F
     # ``break_free_edges`` rewires a label-1 edge between interior vertices.
     interior = {v.vid for v in reference_interior_vertices(g)}
     free = any(e.label == 1 and {e.bottom, e.top} <= interior for e in g.edges)
@@ -729,6 +757,47 @@ def test_validate_matches_the_scans_with_duplicate_ids(g, data):
     )
     assert validate(h) == reference_validate(h)
     assert h.vertex(twin.vid) is reference_vertex(h, twin.vid)
+
+
+def labelled_star(labels):
+    """An isolated minimum "a" with one edge of each label up to its own
+    vertex; only the labels at "a" matter here."""
+    omega = CohomologyVector.rational(1, [F(1, 2)])
+    L = omega.model.parse("L")
+    tops = [Vertex(f"t{i}", 2 + i) for i in range(len(labels))]
+    edges = [Edge("a", v.vid, label, L) for v, label in zip(tops, labels)]
+    return DecoratedGraph.build(omega, [Vertex("a", 0)] + tops, edges, (), L)
+
+
+@pytest.mark.parametrize(
+    "labels, pairs",
+    [
+        # gcd(6, 10, 15) is 1, yet no two are coprime: three messages.
+        ((6, 10, 15), 3),
+        ((6, 35), 0),
+        ((2, 3, 5, 7), 0),
+        ((4, 6, 9), 2),
+        ((0, 5), 1),
+        ((0, 1), 0),
+        ((0, 0), 1),
+        ((-2, 3), 0),
+        ((-2, -4), 1),
+        ((1, 1, 2), 0),
+        ((0, 3, 5), 2),
+        ((0, 1, 1), 0),
+        ((-2, 3, 5), 0),
+        ((-2, -3, 5), 0),
+        ((-2, -4, 3), 1),
+        ((3,), 0),
+    ],
+)
+def test_validate_tries_the_label_pairs_where_they_are_not_coprime(labels, pairs):
+    """The pairwise gcd loop runs only when the lcm is not the product; the
+    problem list is the scan's, message for message and in order."""
+    g = labelled_star(labels)
+    problems = validate(g)
+    assert problems == reference_validate(g)
+    assert problems.count("vertex a carries non-coprime edge labels") == pairs
 
 
 def test_vertex_lookup_returns_the_first_of_a_duplicated_id():
@@ -842,6 +911,20 @@ def test_keys_match_the_references_on_golden_levels(golden_level_graphs):
     assert len(golden_level_graphs) == 558
     for g in golden_level_graphs:
         assert_keys_match_references(g)
+
+
+def test_site_bounds_match_the_reference_on_golden_and_deep_levels(golden_levels, deep_levels):
+    """Every vertex of every level of the golden scenarios and the deep one:
+    the integer bounds of all three site kinds against the Fraction ones."""
+    kinds = Counter()
+    for _, levels in golden_levels + [deep_levels]:
+        for level in levels:
+            for g in level.graphs:
+                for v in g.vertices:
+                    site, expected = _site_for_vertex(g, v), reference_site(g, v)
+                    assert (None if site is None else (site.kind, site.max_admissible)) == expected
+                    kinds[None if site is None else site.kind] += 1
+    assert {SURFACE, EXTREMUM, INTERIOR} <= set(kinds)
 
 
 def test_normal_key_is_the_smaller_full_text_under_every_relabeling(golden_level_graphs):
@@ -1173,6 +1256,89 @@ def test_a_dropped_run_frees_its_models_and_runs_share_no_class():
     assert second.passed
 
 
+@pytest.mark.parametrize(
+    "name", ["ruled-three", str(Path(__file__).parents[1] / "perfbench" / "ruled-deep.scenario")]
+)
+def test_runs_share_no_class_vector_or_model(name):
+    """A class vector's area and text tables fill as a run asks; no vector or
+    model outlives a run into the next, so every run starts them empty."""
+    scenario = load_scenario(name)
+    first, second = run_scenario(scenario), run_scenario(scenario)
+    held = []
+    for run in (first, second):
+        vectors = {id(g.omega): g.omega for g in run.result.graphs}
+        models = {id(g.model) for g in run.result.graphs}
+        tables = {
+            id(table)
+            for omega in vectors.values()
+            for table in (omega._areas, omega._moment_texts, omega._fixed_records)
+        }
+        assert vectors and all(omega._moment_texts for omega in vectors.values())
+        held.append(set(vectors) | models | tables)
+    assert not held[0] & held[1]
+
+
+def reference_last_blowup_classes(graphs, mode):
+    """``last_blowup_classes`` read from the per-graph reference certificates."""
+    out = set()
+    for g in graphs:
+        k, certified = g.model.k, reference_certified_classes(g, mode)
+        if mode == INTEGRABLE_BLOWUP and any(c.cls == g.model.exceptional(k) for c in certified):
+            out.add(g.model.exceptional(k))
+        if k >= 2:
+            prev = g.model.exceptional(k - 1)
+            if any(c.cls == prev and c.label is not None and c.label >= 2 for c in certified):
+                out.add(prev)
+                continue
+        fats = sorted(
+            (c.cls for c in certified if c.label is None),
+            key=lambda c: (-len(c.exceptional_support()), c.coeffs),
+        )
+        if fats:
+            out.add(fats[0])
+    return out
+
+
+def test_shared_certified_classes_match_the_reference(golden_levels):
+    """One ``shapes`` dict per scenario and mode, as a search shares it: the
+    certified classes of every golden-level graph are the reference's, and
+    each (class, label) is one object across the graphs."""
+    count = 0
+    for mode in (STABILIZER_ONLY, INTEGRABLE_BLOWUP):
+        for _, levels in golden_levels:
+            shapes, objects = {}, {}
+            for level in levels:
+                for g in level.graphs:
+                    certified = certified_classes(g, mode, shapes)
+                    assert certified == reference_certified_classes(g, mode)
+                    for c in certified:
+                        assert objects.setdefault((c.cls, c.label), c) is c
+                    count += 1
+            assert all(c is False or c is objects[key] for key, c in shapes.items())
+    assert count == 2 * 558
+
+
+def test_searches_match_the_reference_on_the_builtins():
+    """``check_nonextension`` and ``last_blowup_classes`` on the final graphs
+    of the four builtins, in both modes, against the per-graph references."""
+    witnesses = 0
+    for name in ("cp2-six", "cp2-six-alt", "ruled-three", "ruled-general-4"):
+        scenario = load_scenario(name)
+        graphs = enumerate_graphs(scenario.enumeration_spec()).graphs
+        required = scenario.required_classes()
+        for mode in (STABILIZER_ONLY, INTEGRABLE_BLOWUP):
+            report = check_nonextension(graphs, required, mode)
+            expected = [
+                reference_find_certificate(reference_certified_classes(g, mode), required)
+                for g in graphs
+            ]
+            assert [v.certificate for v in report.verdicts] == expected
+            found = last_blowup_classes(iter(graphs), mode)
+            assert found == reference_last_blowup_classes(graphs, mode)
+            witnesses += len(found)
+    assert witnesses > 0
+
+
 # ---------------------------------------------------------------------------
 # integer moments
 
@@ -1368,6 +1534,28 @@ def test_answers_are_the_same_after_the_caches_are_dropped(golden_levels, deep_l
                 _drop_caches(g)
                 count += 1
     assert count == 558 + 2957
+
+
+def test_the_index_is_built_once_per_child_parent_and_extension(monkeypatch):
+    """On distinct sizes every graph's edge index is built at most once: a
+    child's by ``validate`` and reused by its key, a parent's by its sites,
+    and its extension's by the rewrites.  (On ``ruled-deep`` the count is
+    exactly 2,957 + 2 * 437 = 3,831.)"""
+    index = DecoratedGraph.__dict__["_adjacency"]
+    builds = Counter()
+
+    def counted(g):
+        builds[id(g)] += 1
+        return index.fn(g)
+
+    counted.__name__ = "_adjacency"
+    monkeypatch.setattr(DecoratedGraph, "_adjacency", type(index)(counted))
+    levels = enumerate_levels(load_scenario("ruled-general-4").enumeration_spec())
+    log = levels[-1].branch_log
+    children = sum(lv.sites for lv in log)
+    parents = len(levels[0].graphs) + sum(lv.kept for lv in log[:-1])
+    assert (children, parents) == (394, 77)
+    assert sum(builds.values()) == 546 <= children + 2 * parents
 
 
 @pytest.mark.parametrize("name", ["cp2-six", "ruled-three"])
