@@ -1,4 +1,4 @@
-"""Golden oracle: per-level counts and digests pinned for five scenarios.
+"""Golden oracle: per-level counts and digests pinned for six scenarios.
 
 Each record in ``tests/golden/<scenario>.json`` holds the per-level
 ``(sites, kept, merged)``, the final graph count, the SHA-256 of the sorted
@@ -38,10 +38,15 @@ from decgraph.scenarios import load_scenario, run_scenario
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 BUILTINS = ("cp2-six", "cp2-six-alt", "ruled-three", "ruled-general-4")
-SCENARIOS = BUILTINS + ("ruled-deep",)
-# Scenarios read from a file rather than built in; ruled-deep is the
-# benchmark's deep workload, the first six sizes of ruled-general-6.
-FILES = {"ruled-deep": ROOT / "perfbench" / "ruled-deep.scenario"}
+SCENARIOS = BUILTINS + ("ruled-deep", "ruled-multi")
+# Scenarios read from a file rather than built in.  ruled-deep is the
+# benchmark's deep workload, the first six sizes of ruled-general-6;
+# ruled-multi starts from three ruled bases, and descendants of different
+# bases reach obstruction.
+FILES = {
+    "ruled-deep": ROOT / "perfbench" / "ruled-deep.scenario",
+    "ruled-multi": GOLDEN / "ruled-multi.scenario",
+}
 
 
 def _sha256(text: str) -> str:
