@@ -33,8 +33,8 @@ from .obstruct import (
     last_blowup_classes,
 )
 from .cone import (
+    GENERATOR_LISTS,
     GeneratorList,
-    builtin_generator_lists,
     cone_membership,
     curve_list_audit,
     nakai_check,

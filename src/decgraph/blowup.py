@@ -78,7 +78,7 @@ def _site_for_vertex(g: DecoratedGraph, v: Vertex) -> BlowupSite | None:
         kind, classes, bound = INTERIOR, (above[0].cls, below[0].cls), None
     model, areas = omega.model, omega._areas
     for c in classes:
-        if c.model is not model and c.model != model:
+        if c.model is not model:
             raise LatticeError(f"model mismatch: {model} vs {c.model}")
         area = areas[c.coeffs]
         if bound is None or area < bound:

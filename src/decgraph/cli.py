@@ -72,12 +72,14 @@ def cmd_enumerate(args) -> int:
 def cmd_verify(args) -> int:
     scenario = _load(args)
     if args.graphs:
+        omega = scenario.enumeration_spec().final_omega
         try:
-            graphs = read_graphs(args.graphs, scenario.final_omega)
+            graphs = read_graphs(args.graphs, omega)
         except (OSError, GraphError) as exc:
             print(f"graph error: {exc}", file=sys.stderr)
             return 2
-        obstruction = check_nonextension(graphs, scenario.required_classes(), scenario.mode)
+        required = scenario.required_classes(omega.model)
+        obstruction = check_nonextension(graphs, required, scenario.mode)
         report = {
             "scenario": scenario.name,
             "source": args.graphs,
@@ -97,11 +99,12 @@ def cmd_verify(args) -> int:
 
 def cmd_nakai(args) -> int:
     scenario = _load(args)
-    gens = scenario.generator_list()
+    omega = scenario.enumeration_spec().final_omega
+    gens = scenario.generator_list(omega.model)
     if gens is None:
         print("scenario names no generator list", file=sys.stderr)
         return 2
-    report = nakai_check(scenario.final_omega, gens)
+    report = nakai_check(omega, gens)
     print(f"square {rat_str(report.square)}")
     for cls, p in report.pairings:
         print(f"  <omega, {cls}> = {rat_str(p)}")
@@ -111,7 +114,7 @@ def cmd_nakai(args) -> int:
 
 def cmd_cone(args) -> int:
     scenario = _load(args)
-    gens = scenario.generator_list()
+    gens = scenario.generator_list(scenario.enumeration_spec().final_omega.model)
     if gens is None:
         print("scenario names no generator list", file=sys.stderr)
         return 2

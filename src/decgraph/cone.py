@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import (
+    RATIONAL,
+    RULED,
     CohomologyVector,
     HomologyClass,
     LatticeError,
@@ -36,7 +38,7 @@ class GeneratorList:
         if not self.generators:
             raise LatticeError("generator list is empty")
         for gcls in self.generators:
-            if gcls.model != self.model:
+            if gcls.model is not self.model:
                 raise LatticeError("generators must live in the list's model")
 
     @staticmethod
@@ -53,7 +55,7 @@ class NakaiReport:
 
 def nakai_check(omega: CohomologyVector, gens: GeneratorList) -> NakaiReport:
     """Positive square and positive pairing with every generator."""
-    if omega.model != gens.model:
+    if omega.model is not gens.model:
         raise LatticeError("class vector and generators live on different models")
     sq = volume(omega)
     pairings = tuple((gcls, pair(omega, gcls)) for gcls in gens.generators)
@@ -102,7 +104,7 @@ def cone_membership(d: HomologyClass, gens: GeneratorList):
     Returns a ConeWitness on success, else a ConeSeparation whose functional
     is nonnegative on every generator and strictly negative on d.
     """
-    if d.model != gens.model:
+    if d.model is not gens.model:
         raise LatticeError("target and generators live on different models")
     n = len(gens.generators)
     m = d.model.rank
@@ -233,38 +235,20 @@ def curve_list_audit(gens: GeneratorList) -> AuditReport:
 # built-in generator lists for the shipped scenarios
 
 
-def builtin_generator_lists(genus: int = 2) -> dict[str, GeneratorList]:
-    """The curve lists used by the shipped scenarios.
-
-    The two plane lists are the negative curves of the degree-3 surfaces the
-    six-blowup scenarios land on; the ruled lists generate the effective
-    cones before and after the third blowup of the ruled scenario.
-    """
-    m6 = SurfaceModel("rational", 6)
-    ruled2 = SurfaceModel("ruled", 2, genus)
-    ruled3 = SurfaceModel("ruled", 3, genus)
-    return {
-        # The negative curves of the cp2-six surface; minimal effective-cone
-        # generators.
-        "plane-six": GeneratorList.parse(
-            m6,
-            [
-                "E4-E5", "E5-E6", "L-E1-E4-E5", "E1-E2",
-                "E6", "L-E3-E4", "E2", "L-E1-E3", "L-E1-E2", "E3",
-            ],
-        ),
-        # The negative curves of the cp2-six-alt surface.
-        "plane-six-alt": GeneratorList.parse(
-            m6,
-            [
-                "L-E1-E4-E5", "E5-E6", "E4-E5", "L-E2-E3-E4",
-                "E6", "E1", "E2", "E3", "L-E1-E2", "L-E1-E3",
-            ],
-        ),
-        # Effective-cone generators after two blowups of the ruled surface.
-        "ruled-two": GeneratorList.parse(ruled2, ["F-E1-E2", "E2", "E1-E2", "B-E1"]),
-        # Effective-cone generators after three blowups of the ruled surface.
-        "ruled-three": GeneratorList.parse(
-            ruled3, ["F-E1-E2", "E2-E3", "E3", "E1-E2", "B-E1"]
-        ),
-    }
+# The curve lists the shipped scenarios name: (kind, k, class texts), parsed
+# on a run's model.  The two plane lists are the negative curves of the
+# degree-3 surfaces the six-blowup scenarios land on, and minimal
+# effective-cone generators; the ruled lists generate the effective cones
+# after two and after three blowups of the ruled surface.
+GENERATOR_LISTS = {
+    "plane-six": (RATIONAL, 6, (
+        "E4-E5", "E5-E6", "L-E1-E4-E5", "E1-E2",
+        "E6", "L-E3-E4", "E2", "L-E1-E3", "L-E1-E2", "E3",
+    )),
+    "plane-six-alt": (RATIONAL, 6, (
+        "L-E1-E4-E5", "E5-E6", "E4-E5", "L-E2-E3-E4",
+        "E6", "E1", "E2", "E3", "L-E1-E2", "L-E1-E3",
+    )),
+    "ruled-two": (RULED, 2, ("F-E1-E2", "E2", "E1-E2", "B-E1")),
+    "ruled-three": (RULED, 3, ("F-E1-E2", "E2-E3", "E3", "E1-E2", "B-E1")),
+}

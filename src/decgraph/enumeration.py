@@ -27,7 +27,7 @@ from .graphs import (
     normal_key,
     permute_exceptionals,
 )
-from .lattice import pair, rat
+from .lattice import CohomologyVector, pair, rat
 
 
 class EnumerationError(ValueError):
@@ -36,7 +36,8 @@ class EnumerationError(ValueError):
 
 @dataclass(frozen=True)
 class EnumerationSpec:
-    """Base graphs, the ordered size list, and the dedup policy."""
+    """Base graphs on one class vector, the ordered size list, and the dedup
+    policy."""
 
     bases: tuple[DecoratedGraph, ...]
     sizes: tuple[Fraction, ...]
@@ -48,9 +49,18 @@ class EnumerationSpec:
             raise EnumerationError("blowup sizes must be positive")
         if not self.bases:
             raise EnumerationError("no base graphs")
-        models = {b.model for b in self.bases}
-        if len(models) > 1:
-            raise EnumerationError("base graphs must share one model")
+        if any(b.omega is not self.bases[0].omega for b in self.bases):
+            raise EnumerationError("base graphs must share one class vector")
+
+    @property
+    def final_omega(self) -> CohomologyVector:
+        """The bases' class vector extended by each size: every final
+        graph's.  ``extend`` keeps one object per (vector, size), so each
+        access returns the same object, whose model is the run's."""
+        omega = self.bases[0].omega
+        for delta in self.sizes:
+            omega = omega.extend(delta)
+        return omega
 
 
 @dataclass(frozen=True)
@@ -183,17 +193,12 @@ def enumerate_graphs(spec: EnumerationSpec) -> EnumerationResult:
     """Breadth-first closure of the base set under the ordered size list."""
     for result in _levels(spec):
         pass
-    # Siblings share their class vector through ``extend``, so each distinct
-    # vector object is checked once; every graph is alive, so ids are stable.
-    checked = set()
+    omega = spec.final_omega
+    first = omega.model.k - len(spec.sizes)
+    for i, s in enumerate(spec.sizes, start=1):
+        assert pair(omega, omega.model.exceptional(first + i)) == s
     for g in result.graphs:
-        assert len(g.ledger) == len(spec.sizes)
-        if id(g.omega) in checked:
-            continue
-        checked.add(id(g.omega))
-        first = g.model.k - len(spec.sizes)
-        for i, s in enumerate(spec.sizes, start=1):
-            assert pair(g.omega, g.model.exceptional(first + i)) == s
+        assert len(g.ledger) == len(spec.sizes) and g.omega is omega
     return result
 
 
@@ -232,17 +237,19 @@ def hirzebruch_base_graphs(lam, delta1, reps) -> list[DecoratedGraph]:
     instantiated at the given representatives; representatives violating a
     family's label constraint are skipped for that family only.
     """
-    lam, delta1 = rat(lam), rat(delta1)
-    return [base_hirzebruch(lam, delta1, p) for p in _base_family_params(lam, delta1, reps)]
+    omega = CohomologyVector.rational(lam, [delta1])
+    lam, delta1 = omega.entries
+    return [base_hirzebruch(omega, p) for p in _base_family_params(lam, delta1, reps)]
 
 
 def ruled_base_graphs(lam_f, lam_b, genus: int) -> list[DecoratedGraph]:
     """The base graph of every rotation number ell with ell * lam_f < lam_b."""
-    lam_f, lam_b = rat(lam_f), rat(lam_b)
+    omega = CohomologyVector.ruled(lam_f, lam_b, [], genus)
+    lam_f, lam_b = omega.entries
     out = []
     ell = 0
     while ell * lam_f < lam_b:
-        out.append(base_ruled(lam_f, lam_b, genus, ell))
+        out.append(base_ruled(omega, ell))
         ell += 1
     return out
 
@@ -308,14 +315,15 @@ def site_kind_tree(g: DecoratedGraph, sizes) -> tuple:
 
 def cross_check_instantiation(lam, delta1, reps, sizes) -> None:
     """Raise unless all valid (c, d) representatives branch identically."""
-    lam, delta1 = rat(lam), rat(delta1)
+    omega = CohomologyVector.rational(lam, [delta1])
+    lam, delta1 = omega.entries
     family_ell = lambda params: (params.family, params.ell)
     isolated = sorted(
         (p for p in _base_family_params(lam, delta1, reps) if p.family.startswith("isolated")),
         key=family_ell,
     )
     for (family, ell), group in itertools.groupby(isolated, key=family_ell):
-        trees = {site_kind_tree(base_hirzebruch(lam, delta1, p), sizes) for p in group}
+        trees = {site_kind_tree(base_hirzebruch(omega, p), sizes) for p in group}
         if len(trees) > 1:
             raise EnumerationError(
                 f"{family} ell={ell}: site-kind trees differ across the"

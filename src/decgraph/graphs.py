@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 from .lattice import (
     RATIONAL,
+    RULED,
     CohomologyVector,
     HomologyClass,
     SurfaceModel,
@@ -280,7 +281,7 @@ def validate(g: DecoratedGraph) -> list[str]:
             continue
         if lo <= i < hi:
             bad.append(f"fat vertex {v.vid} sits at an interior moment value")
-        if c.model is not model and c.model != model:
+        if c.model is not model:
             bad.append(f"fat vertex {v.vid} class is in the wrong lattice")
             continue
         if areas[c.coeffs] <= 0:
@@ -302,7 +303,7 @@ def validate(g: DecoratedGraph) -> list[str]:
         gap = vt.height - vb.height  # the moment gap, times den
         if gap <= 0:
             bad.append(f"edge {cls}({label}) does not increase the moment value")
-        if cls.model is not model and cls.model != model:
+        if cls.model is not model:
             bad.append(f"edge {cls}({label}) class is in the wrong lattice")
             continue
         if gap != label * areas[cls.coeffs]:
@@ -372,15 +373,17 @@ class BaseFamilyParams:
                 raise GraphError("isolated_right needs (2*ell-1)*c - d >= 1")
 
 
-def base_hirzebruch(lam, delta1, params: BaseFamilyParams) -> DecoratedGraph:
-    """One of the four base graphs on the one-point blowup of the plane."""
-    lam, delta1 = rat(lam), rat(delta1)
+def base_hirzebruch(omega: CohomologyVector, params: BaseFamilyParams) -> DecoratedGraph:
+    """One of the four base graphs on the one-point blowup of the plane, on
+    the class vector ``omega`` = (lam; delta1), which the bases share."""
+    model = omega.model
+    if model.kind != RATIONAL or model.k != 1:
+        raise GraphError(f"need a class vector (lam; delta1), not one on the {model} model")
+    lam, delta1 = omega.entries
     if not 0 < delta1 < lam:
         raise GraphError("need 0 < delta1 < lam")
     if not 1 <= params.ell or params.ell * (lam - delta1) >= lam:
         raise GraphError("ell out of range: need 1 <= ell < lam/(lam-delta1)")
-    omega = CohomologyVector.rational(lam, [delta1])
-    model = omega.model
     ell, c, d, n = params.ell, params.c, params.d, 2 * params.ell - 1
     L, E1 = model.unit("L"), model.unit("E1")
     fib = L - E1
@@ -434,17 +437,17 @@ def base_hirzebruch(lam, delta1, params: BaseFamilyParams) -> DecoratedGraph:
     return DecoratedGraph.build(omega, [vmin, va, vb, vmax], edges, [], fiber)
 
 
-def base_ruled(lam_f, lam_b, genus: int, ell: int) -> DecoratedGraph:
-    """The base graph on a trivial ruled surface over a genus >= 1 curve."""
-    lam_f, lam_b = rat(lam_f), rat(lam_b)
+def base_ruled(omega: CohomologyVector, ell: int) -> DecoratedGraph:
+    """The base graph on a trivial ruled surface over a genus >= 1 curve, on
+    the class vector ``omega`` = (lam_f, lam_b;), which the bases share."""
+    model = omega.model
+    if model.kind != RULED or model.k != 0:
+        raise GraphError(f"need a class vector (lam_f, lam_b;), not one on the {model} model")
+    lam_f, lam_b = omega.entries
     if lam_f <= 0 or lam_b <= 0:
         raise GraphError("need positive lam_f and lam_b")
-    if genus < 1:
-        raise GraphError("need genus >= 1")
     if not 0 <= ell or ell * lam_f >= lam_b:
         raise GraphError("ell out of range: need 0 <= ell < lam_b/lam_f")
-    omega = CohomologyVector.ruled(lam_f, lam_b, [], genus)
-    model = omega.model
     B, F = model.unit("B"), model.unit("F")
     bot, top = B - ell * F, B + ell * F
     vmin = Vertex("0.min", 0, bot)
@@ -651,7 +654,7 @@ def canonical_text(g: DecoratedGraph) -> str:
 def parse_graph(text: str, models: dict | None = None) -> DecoratedGraph:
     """Rebuild a graph from its serialized form.
 
-    ``models`` maps each model to the one object to use for it, and each
+    ``models`` maps each (kind, k, genus) to the one model object, and each
     (model, OMEGA text) to the one class vector, and is filled as they are
     read; graphs parsed with one such dict share their model objects and
     class vectors, and so their classes.  Raises GraphError, naming the line,
@@ -689,8 +692,10 @@ def parse_graph(text: str, models: dict | None = None) -> DecoratedGraph:
                 parts = rest.split()
                 kind = parts[0]
                 opts = dict(p.split("=") for p in parts[1:])
-                model = SurfaceModel(kind, int(opts["k"]), int(opts.get("genus", 0)))
-                model = models.setdefault(model, model)
+                shape = (kind, int(opts["k"]), int(opts.get("genus", 0)))
+                model = models.get(shape)
+                if model is None:
+                    model = models[shape] = SurfaceModel(*shape)
             elif tag == "OMEGA":
                 omega = models.get((model, rest))
                 if omega is None:

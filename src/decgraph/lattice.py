@@ -14,9 +14,12 @@ Inside the kernel a class vector is held as integer weights over one common
 denominator D, so a pairing is one integer dot product and one ``Fraction``;
 ``Fraction`` values appear only where pairings leave the kernel.
 
-Each model keeps one shared ``HomologyClass`` object per coefficient tuple
-(``SurfaceModel.intern``); class arithmetic, embedding and parsing go through
-it, so a class's text and adjunction genus are computed once per model.
+A run holds one ``SurfaceModel`` object per lattice, and each model keeps
+one ``HomologyClass`` object per coefficient tuple (``SurfaceModel.intern``);
+class arithmetic, embedding and parsing go through it.  So models and
+classes compare and hash by identity: two classes are equal exactly when
+they are one object, and a class's text and adjunction genus are computed
+once.
 """
 
 from __future__ import annotations
@@ -72,12 +75,13 @@ def rat_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurfaceModel:
     """A blowup of the plane (kind='rational') or of a ruled surface.
 
     ``k`` counts exceptional classes.  ``genus`` is the base-curve genus and
-    is only meaningful for the ruled kind, where it must be >= 1.
+    is only meaningful for the ruled kind, where it must be >= 1.  A model
+    equals only itself: models of equal shape are distinct lattices.
     """
 
     kind: str
@@ -117,8 +121,7 @@ class SurfaceModel:
         """The one class of this model with the coefficient tuple ``coeffs``.
 
         The table lives on the model object, so it is freed with the graphs
-        that hold the model; models that are equal but distinct objects keep
-        separate tables.  A new entry runs the length and integer checks.
+        that hold the model.  A new entry runs the length and integer checks.
         """
         out = self._classes.get(coeffs)
         if out is None:
@@ -181,19 +184,20 @@ class SurfaceModel:
 _TERM = re.compile(r"([+-]?)(\d*)(L|B|F|E(\d+))")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class HomologyClass:
     """An integer class in the fixed basis of a surface model.
 
     Build classes through the model (``intern``, ``unit``, ``parse``) or by
-    arithmetic, which return the model's one object per coefficient tuple.
-    The text and the adjunction genus are computed on first use and kept.
+    arithmetic, which return the model's one object per coefficient tuple,
+    so a class equals only itself.  The text and the adjunction genus are
+    computed on first use and kept.
     """
 
     model: SurfaceModel
     coeffs: tuple[int, ...]
-    _text: str | None = field(default=None, init=False, repr=False, compare=False)
-    _genus: int | None = field(default=None, init=False, repr=False, compare=False)
+    _text: str | None = field(default=None, init=False, repr=False)
+    _genus: int | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.coeffs) != self.model.rank:
@@ -203,12 +207,8 @@ class HomologyClass:
         if not all(map(isinstance, self.coeffs, itertools.repeat(int))):
             raise LatticeError("homology coefficients must be integers")
 
-    def __hash__(self):
-        # Equal classes have equal coefficients; the model only splits ties.
-        return hash(self.coeffs)
-
     def _check(self, other: "HomologyClass"):
-        if self.model is not other.model and self.model != other.model:
+        if self.model is not other.model:
             raise LatticeError(f"model mismatch: {self.model} vs {other.model}")
 
     def __add__(self, other):
@@ -420,7 +420,7 @@ def pair(omega: CohomologyVector, c: HomologyClass) -> Fraction:
 
     <omega, L> = lam, <omega, Ei> = di, <omega, B> = lamB, <omega, F> = lamF.
     """
-    if omega.model is not c.model and omega.model != c.model:
+    if omega.model is not c.model:
         raise LatticeError(f"model mismatch: {omega.model} vs {c.model}")
     return Fraction(omega._areas[c.coeffs], omega.denominator)
 
@@ -483,7 +483,7 @@ def basis_check(classes: list[HomologyClass]) -> bool:
         raise LatticeError("empty class list")
     model = classes[0].model
     for c in classes:
-        if c.model != model:
+        if c.model is not model:
             raise LatticeError("basis candidates must share one model")
     if len(classes) != model.rank:
         raise LatticeError(
@@ -497,8 +497,8 @@ def enumerate_negative_classes(
 ) -> list[HomologyClass]:
     """All classes with coefficients in [-bound, bound] of square -1 or -2.
 
-    Box search; returns a deterministic, coefficient-sorted list of classes
-    classified MINUS_ONE or MINUS_TWO.
+    Box search; returns a deterministic, coefficient-sorted list of the
+    model's classes classified MINUS_ONE or MINUS_TWO.
     """
     if coefficient_bound < 1:
         raise LatticeError("coefficient bound must be >= 1")
@@ -507,6 +507,6 @@ def enumerate_negative_classes(
     for coeffs in itertools.product(span, repeat=model.rank):
         c = HomologyClass(model, coeffs)
         if classify_negative(c) != NEITHER:
-            found.append(c)
+            found.append(model.intern(coeffs))
     found.sort(key=lambda c: c.coeffs)
     return found

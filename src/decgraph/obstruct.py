@@ -112,8 +112,8 @@ def certified_classes(
 
     ``shapes`` maps each (class, label) met to its one ``CertifiedClass``
     (label None for a fixed surface), or to False for a label-1 class that
-    is no proper transform.  It is keyed by value and so by model too;
-    callers share one across the graphs of one search, and so its objects.
+    is no proper transform.  Callers share one across the graphs of one
+    search, and so its objects.
     """
     if mode not in (STABILIZER_ONLY, INTEGRABLE_BLOWUP):
         raise LatticeError(f"unknown certification mode {mode!r}")
@@ -151,8 +151,9 @@ def find_certificate(
 ) -> Certificate | None:
     """First contradiction in canonical order, preferring distinct classes.
 
-    ``products`` keeps ``intersect`` per pair of classes, keyed by value and
-    so by model too; callers share one across the graphs of one search.
+    ``products`` keeps ``intersect`` per pair of classes; callers share one
+    across the graphs of one search.  Classes are one object per class of the
+    run's model, so equal classes are the same object.
     """
     if products is None:
         products = {}
@@ -160,7 +161,7 @@ def find_certificate(
         a = cert.cls
         for req in required:
             b = req.cls
-            if a != b:
+            if a is not b:
                 prod = products.get((a, b))
                 if prod is None:
                     prod = products[a, b] = intersect(a, b)
@@ -169,7 +170,7 @@ def find_certificate(
     for cert in certified:
         a = cert.cls
         for req in required:
-            if a == req.cls:
+            if a is req.cls:
                 sq = products.get((a, a))
                 if sq is None:
                     sq = products[a, a] = intersect(a, a)

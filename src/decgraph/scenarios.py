@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cone as cone_mod
-from .cone import GeneratorList, builtin_generator_lists, cone_membership, nakai_check
+from .cone import GENERATOR_LISTS, GeneratorList, cone_membership, nakai_check
 from .enumeration import (
     EnumerationError,
     EnumerationResult,
@@ -88,27 +88,15 @@ class Scenario:
     advisory: bool = False
     expected_final_count: int | None = None
 
-    @property
-    def final_model(self) -> SurfaceModel:
-        k = len(self.base_deltas) + len(self.sizes)
-        if self.kind == RATIONAL:
-            return SurfaceModel(RATIONAL, k)
-        return SurfaceModel(RULED, k, self.genus)
-
-    @property
-    def final_omega(self) -> CohomologyVector:
-        deltas = self.base_deltas + self.sizes
-        if self.kind == RATIONAL:
-            return CohomologyVector.rational(self.lam, deltas)
-        return CohomologyVector.ruled(self.lam, self.lam_b, deltas, self.genus)
-
-    def required_classes(self) -> list[RequiredClass]:
-        model = self.final_model
+    def required_classes(self, model: SurfaceModel) -> list[RequiredClass]:
+        """The required classes, parsed on the run's model."""
         return [
             RequiredClass(model.parse(text), fixed_by) for text, fixed_by in self.required
         ]
 
     def enumeration_spec(self) -> EnumerationSpec:
+        """A new run's bases and sizes.  ``final_omega`` of the spec is the
+        run's class vector and its model the run's one model object."""
         if self.kind == RATIONAL:
             if len(self.base_deltas) != 1:
                 raise ScenarioError("plane scenarios start from one base size")
@@ -119,10 +107,11 @@ class Scenario:
             bases = ruled_base_graphs(self.lam, self.lam_b, self.genus)
         return EnumerationSpec(tuple(bases), self.sizes, self.permute_equal_sizes)
 
-    def generator_list(self) -> GeneratorList | None:
+    def generator_list(self, model: SurfaceModel) -> GeneratorList | None:
+        """The named curve list, parsed on the run's model, or None."""
         if self.generator_key is None:
             return None
-        return builtin_generator_lists(self.genus)[self.generator_key]
+        return GeneratorList.parse(model, GENERATOR_LISTS[self.generator_key][2])
 
 
 def _witness_in_six_blowup_family(c: HomologyClass) -> bool:
@@ -292,7 +281,7 @@ def _checked(s: Scenario) -> Scenario:
             raise ScenarioError(
                 f"the cyclic order of required class {text} must be at least 2, not {order}"
             )
-    if s.genus < 1:  # the ruled model's, and the generator lists' on any model
+    if s.kind == RULED and s.genus < 1:
         raise ScenarioError(f"genus must be at least 1, not {s.genus}")
     if any(len(rep) != 2 for rep in s.reps):
         raise ScenarioError("each reps entry must be a c,d pair of edge labels")
@@ -323,21 +312,24 @@ def _checked(s: Scenario) -> Scenario:
             f"the reducedness check needs k >= {need} exceptional classes"
             f" on the {s.kind} model, and this scenario has k = {k}"
         )
+    # The classes are parsed on a model of the run's shape, which no run uses.
+    model = SurfaceModel(s.kind, k, s.genus if s.kind == RULED else 0)
     try:
-        s.required_classes()  # parsed in the final model
+        s.required_classes(model)
     except LatticeError as exc:
         raise ScenarioError(str(exc)) from None
     if s.generator_key is not None:
-        known = builtin_generator_lists(s.genus)
-        if s.generator_key not in known:
+        if s.generator_key not in GENERATOR_LISTS:
             raise ScenarioError(
-                f"unknown generator list {s.generator_key!r}: use one of {', '.join(known)}"
+                f"unknown generator list {s.generator_key!r}:"
+                f" use one of {', '.join(GENERATOR_LISTS)}"
             )
-        model = known[s.generator_key].model
-        if model != s.final_model:
+        kind, size, _ = GENERATOR_LISTS[s.generator_key]
+        if (kind, size) != (s.kind, k):
+            shape = SurfaceModel(kind, size, s.genus if kind == RULED else 0)
             raise ScenarioError(
-                f"generator list {s.generator_key!r} is on the {model} model,"
-                f" the scenario on the {s.final_model} model"
+                f"generator list {s.generator_key!r} is on the {shape} model,"
+                f" the scenario on the {model} model"
             )
         try:
             for name in s.membership_targets:
@@ -357,10 +349,10 @@ def _checked(s: Scenario) -> Scenario:
 
 
 # Each model's own keys, which a file of the other model may not name.
-_MODEL_KEYS = {RATIONAL: {"lam", "base-sizes", "reps"}, RULED: {"lam-f", "lam-b"}}
+_MODEL_KEYS = {RATIONAL: {"lam", "base-sizes", "reps"}, RULED: {"lam-f", "lam-b", "genus"}}
 _FLAGS = {"permute-equal-sizes", "audit-curves", "classify-types", "advisory"}
 _KEYS = _FLAGS | _MODEL_KEYS[RATIONAL] | _MODEL_KEYS[RULED] | {
-    "name", "kind", "genus", "sizes", "required", "n", "mode", "generators",
+    "name", "kind", "sizes", "required", "n", "mode", "generators",
     "membership", "picard-prefix", "witness-family", "expected-count",
 }
 
@@ -478,11 +470,17 @@ def _certificate_json(cert) -> dict:
 
 
 def run_scenario(scenario: Scenario) -> RunOutcome:
-    """Full pipeline: reducedness, enumeration, obstruction, cone checks."""
+    """Full pipeline: reducedness, enumeration, obstruction, cone checks.
+
+    Every class of the run is on the model of the spec's final class vector.
+    """
+    spec = scenario.enumeration_spec()
+    omega = spec.final_omega
+    model = omega.model
     report: dict = {
         "scenario": scenario.name,
-        "model": scenario.final_model.as_json(),
-        "omega": str(scenario.final_omega),
+        "model": model.as_json(),
+        "omega": str(omega),
         "sizes": [rat_str(s) for s in scenario.sizes],
         "mode": scenario.mode,
         "n": scenario.n,
@@ -490,7 +488,6 @@ def run_scenario(scenario: Scenario) -> RunOutcome:
     }
     gates: dict[str, bool] = {}
 
-    omega = scenario.final_omega
     report["reduced"] = gates["reduced"] = is_reduced(omega)
     report["square"] = rat_str(volume(omega))
     gates["positive_square"] = volume(omega) > 0
@@ -506,7 +503,7 @@ def run_scenario(scenario: Scenario) -> RunOutcome:
             report["cross_check_error"] = str(exc)
         report["cross_check"] = gates["cross_check"] = cross_ok
 
-    result = enumerate_graphs(scenario.enumeration_spec())
+    result = enumerate_graphs(spec)
     report["enumeration"] = {
         "levels": [
             {
@@ -524,7 +521,7 @@ def run_scenario(scenario: Scenario) -> RunOutcome:
         gates["final_count"] = len(result.graphs) == scenario.expected_final_count
 
     obstruction = check_nonextension(
-        result.graphs, scenario.required_classes(), scenario.mode
+        result.graphs, scenario.required_classes(model), scenario.mode
     )
     # Graphs repeat few ledger steps and certificates, so each distinct one
     # gets one text or dict, shared.  A certificate is keyed on its interned
@@ -575,7 +572,7 @@ def run_scenario(scenario: Scenario) -> RunOutcome:
         report["witness_classes"] = sorted(str(c) for c in witnesses)
         gates["witness_family"] = all(family(c) for c in witnesses)
 
-    gens = scenario.generator_list()
+    gens = scenario.generator_list(model)
     if gens is not None:
         nakai = nakai_check(omega, gens)
         report["nakai"] = {
@@ -603,7 +600,7 @@ def run_scenario(scenario: Scenario) -> RunOutcome:
             memberships = {}
             ok = True
             for name in scenario.membership_targets:
-                target = gens.model.parse(name)
+                target = model.parse(name)
                 outcome = cone_membership(target, gens)
                 if isinstance(outcome, cone_mod.ConeWitness):
                     memberships[name] = {
@@ -661,8 +658,8 @@ def read_graphs(directory, omega: CohomologyVector) -> list:
     class vector (which names its model), each with one ledger entry per
     blowup size and with every chain from the minimum summing, label times
     class, to the stated fiber.  An empty replay would certify nothing, so it
-    is an error too.  The graphs share their model and class vector objects,
-    and so their classes.
+    is an error too.  The graphs are parsed onto ``omega``'s model object,
+    so their classes are the run's.
     """
     path = os.path.join(directory, "manifest.json")
     with open(path, encoding="utf-8") as fh:
@@ -678,9 +675,10 @@ def read_graphs(directory, omega: CohomologyVector) -> list:
     if not names:
         raise GraphError(f"no .txt graph file listed in {path}")
     # A plane scenario starts from one base size, a ruled one from none.
-    steps = omega.model.k - (omega.model.kind == RATIONAL)
+    model = omega.model
+    steps = model.k - (model.kind == RATIONAL)
     graphs = []
-    models: dict = {}
+    models = {(model.kind, model.k, model.genus): model, (model, str(omega)): omega}
     for name in names:
         path = os.path.join(directory, name)
         with open(path, encoding="utf-8") as fh:

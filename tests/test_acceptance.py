@@ -13,7 +13,6 @@ import pytest
 from decgraph.blowup import BlowupError, apply_blowup, blowup_sites
 from decgraph.cone import (
     ConeWitness,
-    builtin_generator_lists,
     cone_membership,
     curve_list_audit,
     nakai_check,
@@ -45,7 +44,6 @@ from decgraph.graphs import (
 )
 from decgraph.lattice import (
     CohomologyVector,
-    SurfaceModel,
     canonical_chern,
     intersect,
     pair,
@@ -57,11 +55,13 @@ from decgraph.scenarios import (
     builtin_scenarios,
     run_scenario,
 )
+from test_cone import lists_on
+from test_graphs import plane, ruled
 
-M6 = SurfaceModel("rational", 6)
 OMEGA6 = CohomologyVector.rational(1, ["1/2", "1/4", "1/4", "1/4", "3/16", "1/8"])
 OMEGA_W3 = CohomologyVector.ruled(1, 1, ["3/5", "7/20", "3/10"], genus=2)
-LISTS = builtin_generator_lists(genus=2)
+M6 = OMEGA6.model
+LISTS = lists_on(M6, OMEGA_W3.model)
 
 
 def report(line):
@@ -108,7 +108,7 @@ def test_criterion_03_curve_audit_and_basis():
 
 
 def test_criterion_04_enumeration_counts():
-    base = base_hirzebruch(1, F(1, 2), BaseFamilyParams("two_surfaces", 1))
+    base = base_hirzebruch(plane(), BaseFamilyParams("two_surfaces", 1))
     res = enumerate_graphs(EnumerationSpec((base,), (F(1, 4),) * 3))
     assert len(res.graphs) == 2
     reps = ((1, 1), (1, 2), (2, 1))
@@ -153,7 +153,7 @@ def test_criterion_07_ruled_theorem():
     }
 
     # intermediate stabilizer-2 sphere: its poles cannot take the last size
-    g = base_ruled(1, 1, 2, 0)
+    g = base_ruled(ruled(), 0)
     g = generic_form(apply_blowup(g, g.vertices[0].vid, F(3, 5)))
     site = [s for s in blowup_sites(g, F(7, 20)) if s.kind == "interior"][0]
     g = generic_form(apply_blowup(g, site.vertex, F(7, 20)))
@@ -225,7 +225,7 @@ def _unbroken_min_surface_variant():
 
 def test_criterion_09_property_suites():
     # strict admissibility at the bound
-    g = base_hirzebruch(1, F(1, 2), BaseFamilyParams("two_surfaces", 1))
+    g = base_hirzebruch(plane(), BaseFamilyParams("two_surfaces", 1))
     site = blowup_sites(g, F(1, 4))[0]
     with pytest.raises(BlowupError):
         apply_blowup(g, site.vertex, site.max_admissible)
@@ -236,12 +236,12 @@ def test_criterion_09_property_suites():
     # a thousand randomized admissible blowups keep graphs valid
     rng = random.Random(424242)
     bases = [
-        base_hirzebruch(1, F(1, 2), BaseFamilyParams("two_surfaces", 1)),
-        base_hirzebruch(1, F(1, 2), BaseFamilyParams("one_surface", 1)),
-        base_hirzebruch(1, F(1, 2), BaseFamilyParams("isolated_left", 1, 1, 2)),
-        base_hirzebruch(1, F(1, 2), BaseFamilyParams("isolated_right", 1, 2, 1)),
-        base_ruled(1, 1, 2, 0),
-        base_ruled(1, 2, 1, 1),
+        base_hirzebruch(plane(), BaseFamilyParams("two_surfaces", 1)),
+        base_hirzebruch(plane(), BaseFamilyParams("one_surface", 1)),
+        base_hirzebruch(plane(), BaseFamilyParams("isolated_left", 1, 1, 2)),
+        base_hirzebruch(plane(), BaseFamilyParams("isolated_right", 1, 2, 1)),
+        base_ruled(ruled(), 0),
+        base_ruled(ruled(1, 2, 1), 1),
     ]
     done = 0
     while done < 1000:
@@ -275,7 +275,7 @@ def test_criterion_09_property_suites():
         assert canonical_text(normal_form(nf)) == canonical_text(nf)
 
     # graphs the generic-metric move identifies are merged by equivalence
-    one = base_hirzebruch(1, F(1, 2), BaseFamilyParams("one_surface", 1))
+    one = base_hirzebruch(plane(), BaseFamilyParams("one_surface", 1))
     spawn = apply_blowup(one, "0.min", F(1, 4))  # the one fixed surface
     m2 = spawn.model
     threaded = DecoratedGraph.build(
@@ -297,7 +297,7 @@ def test_criterion_09_property_suites():
     )
     assert normal_key(spawn) == normal_key(threaded)
 
-    deep = base_hirzebruch(1, F(1, 2), BaseFamilyParams("two_surfaces", 1))
+    deep = base_hirzebruch(plane(), BaseFamilyParams("two_surfaces", 1))
     for _ in range(3):
         deep = generic_form(apply_blowup(deep, deep.vertices[0].vid, F(1, 4)))
     deep = generic_form(apply_blowup(deep, deep.vertices[0].vid, F(3, 16)))

@@ -16,10 +16,11 @@ from decgraph.graphs import (
     validate,
 )
 from decgraph.lattice import intersect, pair
+from test_graphs import plane, ruled
 
 
 def two_surface_base():
-    return base_hirzebruch(1, F(1, 2), BaseFamilyParams("two_surfaces", 1))
+    return base_hirzebruch(plane(), BaseFamilyParams("two_surfaces", 1))
 
 
 def moment(g, vid):
@@ -66,7 +67,7 @@ def test_interior_rewrite_exact():
 
 
 def test_surface_rewrite_on_ruled_base():
-    g = base_ruled(1, 1, 2, 0)
+    g = base_ruled(ruled(), 0)
     h = take(g, F(3, 5), kind="surface", end="min")
     fat = {str(v.fat): pair(h.omega, v.fat) for v in h.vertices if v.fat is not None}
     assert fat == {"B-E1": F(2, 5), "B": F(1)}
@@ -75,7 +76,7 @@ def test_surface_rewrite_on_ruled_base():
 
 
 def test_extremum_rewrite_creates_fixed_surface_on_equal_weights():
-    g = base_hirzebruch(1, F(1, 2), BaseFamilyParams("isolated_left", 1, 1, 1))
+    g = base_hirzebruch(plane(), BaseFamilyParams("isolated_left", 1, 1, 1))
     h = take(g, F(1, 4), kind="extremum", end="min")
     fat = [v for v in h.vertices if v.fat is not None]
     assert len(fat) == 1
@@ -86,7 +87,7 @@ def test_extremum_rewrite_creates_fixed_surface_on_equal_weights():
 
 
 def test_extremum_rewrite_with_distinct_weights():
-    g = base_hirzebruch(1, F(1, 2), BaseFamilyParams("isolated_left", 1, 1, 2))
+    g = base_hirzebruch(plane(), BaseFamilyParams("isolated_left", 1, 1, 2))
     # minimum has weights d=2 (on L-E1) and c=1 (on E1)
     h = take(g, F(1, 4), kind="extremum", end="min")
     lows = sorted(moment(h, v.vid) for v in h.vertices)[:2]
@@ -99,7 +100,7 @@ def test_extremum_rewrite_with_distinct_weights():
 
 
 def test_pole_sizes_block_the_third_ruled_blowup():
-    g = base_ruled(1, 1, 2, 0)
+    g = base_ruled(ruled(), 0)
     g = take(g, F(3, 5), kind="surface", end="min")
     g = take(g, F(7, 20), kind="interior")
     # the two poles of the stabilizer-2 sphere bound a size-3/10 blowup out
@@ -135,7 +136,7 @@ def test_exceptional_area_and_square():
 
 
 def test_surface_blowup_shrinks_size_and_keeps_genus():
-    g = base_ruled(1, 1, 3, 0)
+    g = base_ruled(ruled(1, 1, 3), 0)
     h = take(g, F(1, 3), kind="surface", end="min")
     bottom = h.vertices[0]
     assert pair(h.omega, bottom.fat) == F(2, 3)
@@ -147,7 +148,7 @@ def test_fiber_class():
     assert str(g.fiber) == "L-E1"
     h = take(g, F(1, 4), kind="surface", end="min")
     assert str(h.fiber) == "L-E1"
-    r = base_ruled(1, 1, 2, 0)
+    r = base_ruled(ruled(), 0)
     assert str(r.fiber) == "F"
 
 
@@ -187,12 +188,12 @@ def test_randomized_blowups_preserve_validity():
     rng = random.Random(20240811)
     bases = [
         two_surface_base(),
-        base_hirzebruch(1, F(1, 2), BaseFamilyParams("one_surface", 1)),
-        base_hirzebruch(1, F(1, 2), BaseFamilyParams("isolated_left", 1, 1, 2)),
-        base_hirzebruch(1, F(1, 2), BaseFamilyParams("isolated_right", 1, 2, 1)),
-        base_ruled(1, 1, 2, 0),
-        base_ruled(1, 3, 1, 2),
-        base_hirzebruch(2, F(5, 4), BaseFamilyParams("two_surfaces", 2)),
+        base_hirzebruch(plane(), BaseFamilyParams("one_surface", 1)),
+        base_hirzebruch(plane(), BaseFamilyParams("isolated_left", 1, 1, 2)),
+        base_hirzebruch(plane(), BaseFamilyParams("isolated_right", 1, 2, 1)),
+        base_ruled(ruled(), 0),
+        base_ruled(ruled(1, 3, 1), 2),
+        base_hirzebruch(plane(2, F(5, 4)), BaseFamilyParams("two_surfaces", 2)),
     ]
     total = 0
     while total < 1000:
@@ -208,7 +209,7 @@ def test_model_as_json():
 
 
 def test_inadmissible_request_is_rejected_with_bound():
-    g = base_ruled(1, 1, 2, 0)
+    g = base_ruled(ruled(), 0)
     site = blowup_sites(g, F(1, 2))[0]
     with pytest.raises(BlowupError) as err:
         apply_blowup(g, site.vertex, F(2))
@@ -216,7 +217,7 @@ def test_inadmissible_request_is_rejected_with_bound():
 
 
 def test_a_vertex_that_is_no_site_is_rejected():
-    g = base_hirzebruch(1, F(1, 2), BaseFamilyParams("one_surface", 1))
+    g = base_hirzebruch(plane(), BaseFamilyParams("one_surface", 1))
     g = take(g, F(1, 4), kind="surface")
     g = take(g, F(1, 8), kind="surface")
     # Each spawned chain ends at the isolated maximum, which has three edges
@@ -232,7 +233,7 @@ def test_a_vertex_that_is_no_site_is_rejected():
     " sphere check: the spawned edge's class (fiber - E) is not a sphere class"
 ))
 def test_surface_site_grown_from_an_isolated_base():
-    g = generic_form(base_hirzebruch(1, F(1, 2), BaseFamilyParams("isolated_left", 1, 2, 1)))
+    g = generic_form(base_hirzebruch(plane(), BaseFamilyParams("isolated_left", 1, 2, 1)))
     g = generic_form(take(g, F(1, 4), kind="extremum", end="min"))
     g = generic_form(take(g, F(1, 8), kind="extremum", end="min"))
     assert validate(generic_form(take(g, F(1, 16), kind="surface", end="min"))) == []

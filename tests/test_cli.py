@@ -24,8 +24,9 @@ def test_builtin_scenarios_are_consistent():
     scenarios = builtin_scenarios()
     assert set(scenarios) == {"cp2-six", "cp2-six-alt", "ruled-three", "ruled-general-4"}
     for s in scenarios.values():
-        s.required_classes()
-        assert s.enumeration_spec().sizes == s.sizes
+        spec = s.enumeration_spec()
+        s.required_classes(spec.final_omega.model)
+        assert spec.sizes == s.sizes
 
 
 def test_pinned_builtin_fields():
@@ -67,7 +68,6 @@ name cp2-six
 kind rational
 lam 1
 base-sizes 1/2
-genus 2
 sizes 1/4 1/4 1/4 3/16 1/8
 required E1-E2@2 L-E3-E4@2 E5-E6@2
 n 2
@@ -650,8 +650,10 @@ RULED_EIGHTHS = RULED_HEAD + "mode integrable\nsizes 1/2 1/4 1/8\n"
          "the cyclic order of required class E2 must be at least 2, not -3"),
         (RULED_EIGHTHS + "required E1E2@2\n", "cannot parse class 'E1E2'"),
         (RULED_HEAD + "mode integrable\nsizes 1/2 1E9 1/8\n", "not a rational p or p/q: '1E9'"),
+        # The plane model has no base curve, so no genus.
         (PLANE_HEAD + "lam 1\nbase-sizes 1/2\ngenus 0\ngenerators plane-six\n",
-         "genus must be at least 1, not 0"),
+         "a rational scenario has no key 'genus'"),
+        (RULED_OK.replace("genus 2\n", "genus 0\n"), "genus must be at least 1, not 0"),
         # Lines the parser would otherwise drop or misread.
         (RULED_THREE_TEXT + "permute-equal-size off\n", "line 14: unknown key 'permute-equal-size'"),
         (RULED_THREE_TEXT + "sizes 3/5 7/20\n", "line 14: a second 'sizes' line"),
@@ -675,6 +677,7 @@ RULED_EIGHTHS = RULED_HEAD + "mode integrable\nsizes 1/2 1/4 1/8\n"
         "picard-prefix-without-generators", "zero-denominator-lam-f",
         "zero-denominator-size", "required-order-zero", "required-order-negative",
         "required-class-missing-sign", "exponent-size", "plane-generators-genus-0",
+        "ruled-genus-0",
         "unknown-key", "repeated-key", "flag", "empty-flag", "ruled-lam", "ruled-base-sizes",
         "ruled-reps", "plane-lam-f", "plane-lam-b",
     ],

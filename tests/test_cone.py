@@ -1,13 +1,14 @@
+import operator
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from decgraph.cone import (
+    GENERATOR_LISTS,
     ConeSeparation,
     ConeWitness,
     GeneratorList,
-    builtin_generator_lists,
     cone_membership,
     curve_list_audit,
     nakai_check,
@@ -23,11 +24,22 @@ from decgraph.lattice import (
     twice_adjunction_genus,
 )
 
-LISTS = builtin_generator_lists(genus=2)
-M6 = SurfaceModel("rational", 6)
-W3 = SurfaceModel("ruled", 3, 2)
 OMEGA6 = CohomologyVector.rational(1, ["1/2", "1/4", "1/4", "1/4", "3/16", "1/8"])
 OMEGA_W3 = CohomologyVector.ruled(1, 1, ["3/5", "7/20", "3/10"], genus=2)
+M6, W3 = OMEGA6.model, OMEGA_W3.model
+
+
+def lists_on(*models):
+    """Each shipped curve list of the shape of one of ``models``, parsed on it."""
+    shapes = {(m.kind, m.k): m for m in models}
+    return {
+        key: GeneratorList.parse(shapes[kind, k], names)
+        for key, (kind, k, names) in GENERATOR_LISTS.items()
+        if (kind, k) in shapes
+    }
+
+
+LISTS = lists_on(M6, W3)
 
 
 def test_nakai_passes_on_the_six_blowup_list():
@@ -151,13 +163,16 @@ def test_audited_classes_appear_in_bounded_enumeration():
 
 
 def test_both_ruled_generator_lists_are_shipped():
-    lists = builtin_generator_lists(genus=3)
+    model = SurfaceModel("ruled", 2, 3)
+    lists = lists_on(model)
+    assert sorted(lists) == ["ruled-two"]
     two = lists["ruled-two"]
     assert [str(g) for g in two.generators] == ["F-E1-E2", "E2", "E1-E2", "B-E1"]
-    assert two.model.genus == 3 and two.model.k == 2
-    # identical on repeated calls
-    again = builtin_generator_lists(genus=3)["ruled-two"]
-    assert again == two
+    assert two.model is model
+    # parsed again on the same model: the model's same class objects
+    again = lists_on(model)["ruled-two"]
+    assert again == two and all(map(operator.is_, again.generators, two.generators))
+    assert sorted(LISTS) == ["plane-six", "plane-six-alt", "ruled-three"]
 
 
 def test_generator_list_guards():

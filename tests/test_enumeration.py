@@ -20,13 +20,14 @@ from decgraph.enumeration import (
 from decgraph.graphs import BaseFamilyParams, base_hirzebruch, base_ruled, generic_form
 from decgraph.lattice import pair
 from decgraph.scenarios import load_scenario
+from test_graphs import plane, ruled
 
 QUARTERS = (F(1, 4), F(1, 4), F(1, 4))
 RULED_SIZES = (F(3, 5), F(7, 20), F(3, 10))
 
 
 def test_two_surface_depth_three_has_two_classes():
-    base = base_hirzebruch(1, F(1, 2), BaseFamilyParams("two_surfaces", 1))
+    base = base_hirzebruch(plane(), BaseFamilyParams("two_surfaces", 1))
     res = enumerate_graphs(EnumerationSpec((base,), QUARTERS))
     assert len(res.graphs) == 2
     patterns = sorted(
@@ -40,7 +41,7 @@ def test_two_surface_depth_three_has_two_classes():
 def test_the_two_depth_three_graphs_are_inequivalent():
     from decgraph.graphs import normal_key
 
-    base = base_hirzebruch(1, F(1, 2), BaseFamilyParams("two_surfaces", 1))
+    base = base_hirzebruch(plane(), BaseFamilyParams("two_surfaces", 1))
     res = enumerate_graphs(EnumerationSpec((base,), QUARTERS))
     g1, g2 = res.graphs
     assert normal_key(g1) != normal_key(g2)
@@ -52,7 +53,7 @@ def test_other_bases_die_before_the_third_equal_blowup():
     for params, base in zip(_base_family_params(1, F(1, 2), reps), bases, strict=True):
         if params.family == "two_surfaces":
             continue
-        assert base == base_hirzebruch(1, F(1, 2), params)
+        assert base == base_hirzebruch(bases[0].omega, params)
         res = enumerate_graphs(EnumerationSpec((base,), QUARTERS))
         assert res.graphs == (), params
         assert res.branch_log[-1].kept == 0
@@ -71,11 +72,12 @@ def test_ruled_enumeration_levels_and_types():
 def test_ruled_base_is_unique_for_square_vector():
     assert len(ruled_base_graphs(1, 1, 2)) == 1
     # three rotation numbers fit, in increasing order
-    assert ruled_base_graphs(1, 3, 2) == [base_ruled(1, 3, 2, ell) for ell in range(3)]
+    bases = ruled_base_graphs(1, 3, 2)
+    assert bases == [base_ruled(bases[0].omega, ell) for ell in range(3)]
 
 
 def test_every_graph_extends_omega_by_the_size_list():
-    base = base_ruled(1, 1, 2, 0)
+    base = base_ruled(ruled(), 0)
     res = enumerate_graphs(EnumerationSpec((base,), RULED_SIZES))
     for g in res.graphs:
         assert len(g.ledger) == 3
@@ -91,7 +93,7 @@ def test_a_class_vector_with_a_wrong_size_trips_the_final_assert(monkeypatch):
     from decgraph import enumeration
     from decgraph.lattice import CohomologyVector
 
-    spec = EnumerationSpec((base_ruled(1, 1, 2, 0),), RULED_SIZES)
+    spec = EnumerationSpec((base_ruled(ruled(), 0),), RULED_SIZES)
     levels = list(enumeration._levels(spec))
     last = levels[-1]
     assert len({id(g.omega) for g in last.graphs}) < len(last.graphs)  # shared
@@ -107,7 +109,7 @@ def test_a_class_vector_with_a_wrong_size_trips_the_final_assert(monkeypatch):
 
 
 def test_dedup_soundness_under_exploration_order():
-    base = base_ruled(1, 1, 2, 0)
+    base = base_ruled(ruled(), 0)
     spec = EnumerationSpec((base,), RULED_SIZES)
     reference = {dedup_key(g) for g in enumerate_graphs(spec).graphs}
     rng = random.Random(99)
@@ -131,7 +133,7 @@ def test_dedup_soundness_under_exploration_order():
 
 
 def test_permutation_dedup_flag():
-    base = base_hirzebruch(1, F(1, 2), BaseFamilyParams("two_surfaces", 1))
+    base = base_hirzebruch(plane(), BaseFamilyParams("two_surfaces", 1))
     strict = enumerate_graphs(EnumerationSpec((base,), QUARTERS, permute_equal_sizes=False))
     merged = enumerate_graphs(EnumerationSpec((base,), QUARTERS, permute_equal_sizes=True))
     assert len(merged.graphs) == 2
@@ -141,7 +143,7 @@ def test_permutation_dedup_flag():
 def test_site_kind_trees_agree_across_label_representatives():
     trees = []
     for c, d in ((1, 1), (1, 2), (2, 1)):
-        g = base_hirzebruch(1, F(1, 2), BaseFamilyParams("isolated_left", 1, c, d))
+        g = base_hirzebruch(plane(), BaseFamilyParams("isolated_left", 1, c, d))
         trees.append(site_kind_tree(g, QUARTERS))
     assert trees[0] == trees[1] == trees[2]
     cross_check_instantiation(1, F(1, 2), ((1, 1), (1, 2), (2, 1)), QUARTERS)
@@ -152,7 +154,7 @@ def test_cross_check_names_the_first_family_and_ell_whose_trees_differ(monkeypat
     for its own tree, so every group but isolated_left ell=1 disagrees."""
     from decgraph import enumeration
 
-    monkeypatch.setattr(enumeration, "base_hirzebruch", lambda lam, delta1, params: params)
+    monkeypatch.setattr(enumeration, "base_hirzebruch", lambda omega, params: params)
     monkeypatch.setattr(
         enumeration,
         "site_kind_tree",
@@ -163,25 +165,31 @@ def test_cross_check_names_the_first_family_and_ell_whose_trees_differ(monkeypat
 
 
 def test_classification_flags_unexpected_ledgers():
-    base = base_ruled(1, 1, 2, 0)
+    base = base_ruled(ruled(), 0)
     res = enumerate_graphs(EnumerationSpec((base,), (F(3, 5), F(7, 20))))
     buckets = classify_sequence_types(res.graphs)
     assert len(buckets["unclassified"]) == len(res.graphs) == 3
 
 
 def test_spec_validation():
-    base = base_ruled(1, 1, 2, 0)
+    base = base_ruled(ruled(), 0)
     with pytest.raises(EnumerationError):
         EnumerationSpec((), (F(1, 2),))
     with pytest.raises(EnumerationError):
         EnumerationSpec((base,), (F(-1, 2),))
-    hirz = base_hirzebruch(1, F(1, 2), BaseFamilyParams("two_surfaces", 1))
+    hirz = base_hirzebruch(plane(), BaseFamilyParams("two_surfaces", 1))
     with pytest.raises(EnumerationError):
         EnumerationSpec((base, hirz), (F(1, 4),))
+    # Bases of one shape on two vectors are two lattices.
+    with pytest.raises(EnumerationError, match="share one class vector"):
+        EnumerationSpec((base, base_ruled(ruled(), 0)), (F(1, 4),))
+    omega = ruled(1, 3)
+    spec = EnumerationSpec((base_ruled(omega, 0), base_ruled(omega, 2)), (F(1, 4),))
+    assert spec.final_omega is omega.extend(F(1, 4)) is spec.final_omega
 
 
 def test_branch_log_counts_are_consistent():
-    base = base_ruled(1, 1, 2, 0)
+    base = base_ruled(ruled(), 0)
     res = enumerate_graphs(EnumerationSpec((base,), RULED_SIZES))
     for lv in res.branch_log:
         assert lv.kept + lv.merged == lv.sites

@@ -24,7 +24,17 @@ from decgraph.graphs import (
     translate,
     validate,
 )
-from decgraph.lattice import CohomologyVector, intersect, pair
+from decgraph.lattice import CohomologyVector, LatticeError, intersect, pair
+
+
+def plane(lam=1, delta1=F(1, 2)):
+    """A new class vector (lam; delta1) for the plane bases to share."""
+    return CohomologyVector.rational(lam, [delta1])
+
+
+def ruled(lam_f=1, lam_b=1, genus=2):
+    """A new class vector (lam_f, lam_b;) for the ruled bases to share."""
+    return CohomologyVector.ruled(lam_f, lam_b, [], genus)
 
 
 def same_action(a, b):
@@ -43,7 +53,7 @@ def raised(g, by):
 
 
 def two_surface_base():
-    return base_hirzebruch(1, F(1, 2), BaseFamilyParams("two_surfaces", 1))
+    return base_hirzebruch(plane(), BaseFamilyParams("two_surfaces", 1))
 
 
 def test_two_surfaces_base_matches_construction():
@@ -60,7 +70,7 @@ def test_two_surfaces_base_matches_construction():
 
 
 def test_one_surface_base():
-    g = base_hirzebruch(1, F(1, 2), BaseFamilyParams("one_surface", 1))
+    g = base_hirzebruch(plane(), BaseFamilyParams("one_surface", 1))
     assert validate(g) == []
     fat = [v for v in g.vertices if v.fat is not None]
     assert len(fat) == 1 and str(fat[0].fat) == "L-E1"
@@ -69,7 +79,7 @@ def test_one_surface_base():
 
 
 def test_isolated_left_base():
-    g = base_hirzebruch(1, F(1, 2), BaseFamilyParams("isolated_left", 1, 1, 1))
+    g = base_hirzebruch(plane(), BaseFamilyParams("isolated_left", 1, 1, 1))
     assert validate(g) == []
     assert all(v.fat is None for v in g.vertices) and len(g.vertices) == 4
     assert sorted(e.label for e in g.edges) == [1, 1, 1, 2]
@@ -77,7 +87,7 @@ def test_isolated_left_base():
 
 
 def test_isolated_right_base():
-    g = base_hirzebruch(1, F(1, 2), BaseFamilyParams("isolated_right", 1, 2, 1))
+    g = base_hirzebruch(plane(), BaseFamilyParams("isolated_right", 1, 2, 1))
     assert validate(g) == []
     assert sorted(e.label for e in g.edges) == [1, 1, 2, 2]
     # palindromic label chain: the graph equals its own flip
@@ -86,9 +96,13 @@ def test_isolated_right_base():
 
 def test_base_parameter_errors():
     with pytest.raises(GraphError):
-        base_hirzebruch(1, F(1, 2), BaseFamilyParams("two_surfaces", 2))
+        base_hirzebruch(plane(), BaseFamilyParams("two_surfaces", 2))
     with pytest.raises(GraphError):
-        base_hirzebruch(1, F(3, 2), BaseFamilyParams("two_surfaces", 1))
+        base_hirzebruch(plane(1, F(3, 2)), BaseFamilyParams("two_surfaces", 1))
+    with pytest.raises(GraphError, match="need a class vector"):
+        base_hirzebruch(plane().extend(F(1, 4)), BaseFamilyParams("two_surfaces", 1))
+    with pytest.raises(GraphError, match="need a class vector"):
+        base_hirzebruch(ruled().extend(F(1, 2)), BaseFamilyParams("two_surfaces", 1))
     with pytest.raises(GraphError):
         BaseFamilyParams("isolated_right", 1, 1, 1)  # c - d >= 1 fails
     with pytest.raises(GraphError):
@@ -98,7 +112,7 @@ def test_base_parameter_errors():
 
 
 def test_ruled_base():
-    g = base_ruled(1, 1, 2, 0)
+    g = base_ruled(ruled(), 0)
     assert validate(g) == []
     sizes = sorted(pair(g.omega, v.fat) for v in g.vertices)
     assert sizes == [1, 1]
@@ -107,13 +121,17 @@ def test_ruled_base():
     assert moment(g, g.vertices[-1]) - moment(g, g.vertices[0]) == 1
     assert [v.fat.twice_genus for v in g.vertices] == [4, 4]
     with pytest.raises(GraphError):
-        base_ruled(1, 1, 2, 1)
-    with pytest.raises(GraphError):
-        base_ruled(1, 1, 0, 0)
+        base_ruled(ruled(), 1)
+    with pytest.raises(LatticeError, match="genus >= 1"):
+        CohomologyVector.ruled(1, 1, [], 0)
+    with pytest.raises(GraphError, match="need a class vector"):
+        base_ruled(ruled().extend(F(1, 2)), 0)
+    with pytest.raises(GraphError, match="need a class vector"):
+        base_ruled(plane(), 0)
 
 
 def test_ruled_base_with_offset():
-    g = base_ruled(1, 2, 1, 1)
+    g = base_ruled(ruled(1, 2, 1), 1)
     assert validate(g) == []
     assert sorted(pair(g.omega, v.fat) for v in g.vertices) == [1, 3]
     assert moment(g, g.vertices[-1]) - moment(g, g.vertices[0]) == 1
@@ -157,7 +175,7 @@ def test_normal_form_idempotent():
     for delta, end in ((F(1, 4), "max"), (F(1, 4), "min")):
         site = [s for s in blowup_sites(seen[-1], delta) if s.end == end][0]
         seen.append(generic_form(apply_blowup(seen[-1], site.vertex, delta)))
-    for graph in seen + [base_ruled(1, 1, 2, 0)]:
+    for graph in seen + [base_ruled(ruled(), 0)]:
         once = normal_form(graph)
         twice = normal_form(once)
         assert canonical_text(once) == canonical_text(twice)
@@ -171,7 +189,7 @@ def test_translation_and_flip_equivalence():
 
 
 def test_normal_form_strips_redundant_edges():
-    g = base_ruled(1, 1, 2, 0)
+    g = base_ruled(ruled(), 0)
     nf = normal_form(g)
     assert nf.edges == ()
     nf2 = normal_form(two_surface_base())
@@ -218,7 +236,7 @@ def test_break_free_edges_conserves_chain_sums():
 def test_metric_move_pair_on_one_surface_first_blowup():
     # surface blowup of the one-surface base: the variant whose new chain
     # merges into the old one differs only by a change of generic metric
-    g = base_hirzebruch(1, F(1, 2), BaseFamilyParams("one_surface", 1))
+    g = base_hirzebruch(plane(), BaseFamilyParams("one_surface", 1))
     site = [s for s in blowup_sites(g, F(1, 4)) if s.kind == "surface"][0]
     h = apply_blowup(g, site.vertex, F(1, 4))
     om = CohomologyVector.rational(1, [F(1, 2), F(1, 4)])
@@ -243,7 +261,7 @@ def test_metric_move_pair_on_one_surface_first_blowup():
 
 def test_metric_move_pair_on_second_level():
     # same move one blowup deeper, where the top has become a fixed surface
-    g = base_hirzebruch(1, F(1, 2), BaseFamilyParams("one_surface", 1))
+    g = base_hirzebruch(plane(), BaseFamilyParams("one_surface", 1))
     top = [s for s in blowup_sites(g, F(1, 4)) if s.kind == "extremum"][0]
     g2 = apply_blowup(g, top.vertex, F(1, 4))  # fixed surface E2 on top
     bot = [s for s in blowup_sites(g2, F(1, 4)) if s.end == "min"][0]
@@ -286,7 +304,7 @@ def test_render_dot_deterministic_and_annotated():
     dot = render_dot(g)
     assert dot == render_dot(parse_graph(canonical_text(g)))
     assert "size=1 " in dot and "size=1/2" in dot
-    nf = normal_form(base_ruled(1, 1, 2, 0))
+    nf = normal_form(base_ruled(ruled(), 0))
     ruled_dot = render_dot(nf)
     assert ruled_dot.count("ellipse") == 2
     assert "->" not in ruled_dot  # no non-redundant edges at all

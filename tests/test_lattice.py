@@ -45,12 +45,10 @@ def solve_rational(matrix, rhs):
                 m[i] = [x - f * y for x, y in zip(m[i], m[j])]
     return [m[i][n] for i in range(n)]
 
-M6 = SurfaceModel("rational", 6)
-M1 = SurfaceModel("rational", 1)
-W3 = SurfaceModel("ruled", 3, 2)
-
 OMEGA6 = CohomologyVector.rational(1, ["1/2", "1/4", "1/4", "1/4", "3/16", "1/8"])
 OMEGA_W3 = CohomologyVector.ruled(1, 1, ["3/5", "7/20", "3/10"], genus=2)
+M6, W3 = OMEGA6.model, OMEGA_W3.model
+M1 = SurfaceModel("rational", 1)
 
 
 def test_intersection_form_basics():

@@ -19,13 +19,14 @@ from decgraph.obstruct import (
     is_proper_transform_shape,
     last_blowup_classes,
 )
+from test_graphs import plane, ruled
 
 RULED_SIZES = (F(3, 5), F(7, 20), F(3, 10))
 
 
 def ruled_result():
     return enumerate_graphs(
-        EnumerationSpec((base_ruled(1, 1, 2, 0),), RULED_SIZES)
+        EnumerationSpec((base_ruled(ruled(), 0),), RULED_SIZES)
     )
 
 
@@ -49,7 +50,7 @@ def test_proper_transform_shape():
 
 
 def test_certified_stabilizer_classes():
-    g = base_ruled(1, 1, 2, 0)
+    g = base_ruled(ruled(), 0)
     g = take(g, F(3, 5), kind="surface")
     g = take(g, F(7, 20), kind="interior")
     cert = certified_classes(g, STABILIZER_ONLY)
@@ -61,7 +62,7 @@ def test_certified_stabilizer_classes():
 
 
 def test_certified_integrable_adds_proper_transforms():
-    g = base_ruled(1, 1, 2, 0)
+    g = base_ruled(ruled(), 0)
     g = take(g, F(3, 5), kind="surface")
     g = take(g, F(7, 20), kind="surface", end=g.ledger[0].detail)
     g = take(g, F(3, 10), kind="interior", vertex="2.c")  # type IV pattern
@@ -110,7 +111,7 @@ def test_stabilizer_mode_misses_the_negative_square_case():
 
 
 def test_unobstructed_when_nothing_intersects_negatively():
-    base = base_hirzebruch(1, F(1, 2), BaseFamilyParams("two_surfaces", 1))
+    base = base_hirzebruch(plane(), BaseFamilyParams("two_surfaces", 1))
     res = enumerate_graphs(EnumerationSpec((base,), (F(1, 4),)))
     model = res.graphs[0].model
     required = [RequiredClass(model.parse("E1"), 2)]
@@ -139,7 +140,7 @@ def test_vacuous_report():
 
 
 def test_last_blowup_classes_toy_run():
-    base = base_hirzebruch(1, F(1, 2), BaseFamilyParams("two_surfaces", 1))
+    base = base_hirzebruch(plane(), BaseFamilyParams("two_surfaces", 1))
     res = enumerate_graphs(EnumerationSpec((base,), (F(1, 4),)))
     model = res.graphs[0].model
     tracked = last_blowup_classes(res.graphs, INTEGRABLE_BLOWUP)
@@ -148,7 +149,7 @@ def test_last_blowup_classes_toy_run():
 
 
 def test_certified_requires_sane_arguments():
-    g = base_ruled(1, 1, 2, 0)
+    g = base_ruled(ruled(), 0)
     with pytest.raises(LatticeError):
         certified_classes(g, "magic")
 
