@@ -127,7 +127,7 @@ def test_every_class_a_run_meets_is_on_its_one_model(monkeypatch, name):
     omega = graphs[0].omega
     assert all(g.omega is omega for g in graphs) and omega.model is model
     # The final graphs' classes and the certificates' classes were met.
-    held = {id(c) for g in graphs for v in g.vertices if v.fat for c in (v.fat,)}
+    held = {id(v.fat) for g in graphs for v in g.vertices if v.fat is not None}
     held |= {id(e.cls) for g in graphs for e in g.edges} | {id(g.fiber) for g in graphs}
     assert held <= classes.keys()
     met = {str(c) for c in classes.values()}
