@@ -18,7 +18,6 @@ rewrites is written once, for the min end, and mirrored at the max end.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,9 +29,7 @@ from .graphs import (
     Edge,
     LedgerEntry,
     Vertex,
-    edge_order,
     validate,
-    vertex_order,
 )
 from .lattice import LatticeError, rat
 
@@ -47,14 +44,6 @@ class BlowupSite:
     vertex: str
     max_admissible: Fraction
     end: str = ""  # 'min' or 'max' for surface/extremum sites
-
-
-def _inserted(kept: list, new: list, key) -> tuple:
-    """``kept``, in build order, with ``new`` inserted where ``build``'s
-    stable sort puts them: after every equal key, in the order given."""
-    for item in new:
-        insort(kept, item, key=key)
-    return tuple(kept)
 
 
 def _site_for_vertex(g: DecoratedGraph, v: Vertex) -> BlowupSite | None:
@@ -123,9 +112,9 @@ def apply_blowup(g: DecoratedGraph, vertex: str, delta) -> DecoratedGraph:
             f" at {site.kind}@{site.vertex}"
         )
 
-    # The child rewrites the parent's extension, which its siblings share:
-    # its classes are already embedded and its tuples already in build order.
-    # Its class vector's denominator makes the size an integer height w.
+    # The child rewrites the parent's extension, which its siblings share and
+    # whose classes are already embedded; its class vector's denominator
+    # makes the size an integer height w.
     x = g.extend(delta)
     w = delta.numerator * (x.omega.denominator // delta.denominator)
     h = x.vertex(v.vid).height
@@ -192,12 +181,8 @@ def apply_blowup(g: DecoratedGraph, vertex: str, delta) -> DecoratedGraph:
 
     # An interior step records the step that made the vertex: its id's head.
     entry = LedgerEntry(site.kind, v.vid.split(".")[0] if site.kind == INTERIOR else site.end)
-    out = DecoratedGraph(
-        x.omega,
-        _inserted(vertices, new_vertices, vertex_order),
-        _inserted(edges, new_edges, edge_order),
-        g.ledger + (entry,),
-        fiber,
+    out = DecoratedGraph.build(
+        x.omega, vertices + new_vertices, edges + new_edges, g.ledger + (entry,), fiber
     )
     problems = validate(out)
     if problems:

@@ -32,6 +32,7 @@ from .lattice import (
     CohomologyVector,
     HomologyClass,
     SurfaceModel,
+    _cached,
     pair,
     rat,
     rat_str,
@@ -118,22 +119,6 @@ def _ledger_texts(g: "DecoratedGraph", texts: dict) -> list[str]:
             texts[key] = f"E{index}:{kind}:{detail}"
         words.append(texts[key])
     return words
-
-
-class _cached:
-    """``functools.cached_property`` without the lock that Python 3.10 and
-    3.11 take on each first access: the value goes into the instance's
-    ``__dict__`` under the function's name, where every later access finds
-    it before this descriptor."""
-
-    def __init__(self, fn):
-        self.fn, self.name = fn, fn.__name__
-
-    def __get__(self, g, owner=None):
-        if g is None:
-            return self
-        value = g.__dict__[self.name] = self.fn(g)
-        return value
 
 
 @dataclass(frozen=True)
@@ -324,16 +309,12 @@ def validate(g: DecoratedGraph) -> list[str]:
         if len(edges) == 2:  # one pair, as at every interior vertex
             if math.gcd(edges[0].label, edges[1].label) != 1:
                 bad.append(f"vertex {v.vid} carries non-coprime edge labels")
-        elif len(edges) > 2:
-            # Nonzero labels are pairwise coprime exactly when their lcm is
-            # their product; only otherwise are the pairs tried, a message a pair.
+        elif len(edges) > 2:  # a message a pair
             labels = [e.label for e in edges]
-            prod = math.prod(labels)
-            if prod == 0 or math.lcm(*labels) != prod:
-                for j, a in enumerate(labels):
-                    for b in labels[j + 1:]:
-                        if math.gcd(a, b) != 1:
-                            bad.append(f"vertex {v.vid} carries non-coprime edge labels")
+            for j, a in enumerate(labels):
+                for b in labels[j + 1:]:
+                    if math.gcd(a, b) != 1:
+                        bad.append(f"vertex {v.vid} carries non-coprime edge labels")
     return bad
 
 
@@ -460,34 +441,34 @@ def base_ruled(omega: CohomologyVector, ell: int) -> DecoratedGraph:
 # canonical form
 
 
-def _walk_sum(g: DecoratedGraph, vid: str, up: bool) -> HomologyClass:
-    """Weighted class sum along the chain from a vertex to an extremum."""
-    total = g.model.zero()
-    while True:
-        v = g.vertex(vid)
-        if v.fat is not None or vid in (g.vertices[0].vid, g.vertices[-1].vid):
-            return total
-        step = g.edges_above(vid) if up else g.edges_below(vid)
-        if len(step) != 1:
-            raise GraphError(f"vertex {vid} has no unique chain continuation")
-        e = step[0]
-        total = total + e.label * e.cls
-        vid = e.top if up else e.bottom
+def _chain_sum(g: DecoratedGraph, e: Edge, up: bool) -> tuple[int, ...]:
+    """Label times class, summed in integer coefficients over ``e`` and the
+    chain beyond it up to the maximum (if ``up``) or down to the minimum;
+    every fixed surface is an extremum.  GraphError where the chain forks or
+    stops short."""
+    if up:
+        end, onward, far = g.vertices[-1].vid, g._adjacency[0], 1
+    else:
+        end, onward, far = g.vertices[0].vid, g._adjacency[1], 0
+    total = [e.label * c for c in e.cls.coeffs]
+    vid = e[far]
+    while vid != end:
+        try:
+            (e,) = onward[vid]
+        except (KeyError, ValueError):
+            raise GraphError(f"vertex {vid} has no unique chain continuation") from None
+        total = [t + e.label * c for t, c in zip(total, e.cls.coeffs)]
+        vid = e[far]
+    return tuple(total)
 
 
 def _check_fiber(g: DecoratedGraph) -> None:
     """Raise GraphError unless every chain from the minimum sums, label times
-    class, to the fiber.  Sums in integer coefficients; ``g`` must pass
-    ``validate``, so each chain climbs one edge at a time to the maximum."""
-    vmax, above, fiber = g.vertices[-1].vid, g._adjacency[0], g.fiber.coeffs
-    for e in above.get(g.vertices[0].vid, ()):
-        total = [e.label * c for c in e.cls.coeffs]
-        while e.top != vmax:
-            (e,) = above[e.top]
-            total = [t + e.label * c for t, c in zip(total, e.cls.coeffs)]
-        if tuple(total) != fiber:
-            total = g.model.intern(tuple(total))
-            raise GraphError(f"FIBER {g.fiber} is not the chain sum {total}")
+    class, to the fiber.  ``g`` must pass ``validate``."""
+    for e in g.edges_above(g.vertices[0].vid):
+        total = _chain_sum(g, e, True)
+        if total != g.fiber.coeffs:
+            raise GraphError(f"FIBER {g.fiber} is not the chain sum {g.model.intern(total)}")
 
 
 def break_free_edges(g: DecoratedGraph) -> DecoratedGraph:
@@ -507,11 +488,10 @@ def break_free_edges(g: DecoratedGraph) -> DecoratedGraph:
                 break
         else:
             return g
-        up_rest = _walk_sum(g, target.top, up=True)
-        down_rest = _walk_sum(g, target.bottom, up=False)
+        intern = g.model.intern
         edges = [e for e in g.edges if e is not target]
-        edges.append(Edge(target.bottom, vmax.vid, 1, target.cls + up_rest))
-        edges.append(Edge(vmin.vid, target.top, 1, target.cls + down_rest))
+        edges.append(Edge(target.bottom, vmax.vid, 1, intern(_chain_sum(g, target, True))))
+        edges.append(Edge(vmin.vid, target.top, 1, intern(_chain_sum(g, target, False))))
         g = DecoratedGraph.build(g.omega, g.vertices, edges, g.ledger, g.fiber)
 
 
@@ -651,21 +631,20 @@ def canonical_text(g: DecoratedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_graph(text: str, models: dict | None = None) -> DecoratedGraph:
+def parse_graph(text: str, omega: CohomologyVector | None = None) -> DecoratedGraph:
     """Rebuild a graph from its serialized form.
 
-    ``models`` maps each (kind, k, genus) to the one model object, and each
-    (model, OMEGA text) to the one class vector, and is filled as they are
-    read; graphs parsed with one such dict share their model objects and
-    class vectors, and so their classes.  Raises GraphError, naming the line,
-    on any malformed, unknown or repeated record (MODEL, which comes first,
-    OMEGA, FIBER, LEDGER and each V index come at most once), on a moment
-    that is no height over the class vector's denominator, on a fixed surface
-    whose stated size or genus is not its class's area or adjunction genus,
-    and on a ledger whose step i of s names another class than E(k-s+i).
+    A graph whose MODEL shape and OMEGA text are ``omega``'s is parsed onto
+    ``omega``'s model object and class vector, so graphs parsed with one
+    ``omega`` share their classes; any other graph gets a new model and
+    vector.  Raises GraphError, naming the line, on any malformed, unknown
+    or repeated record (MODEL, which comes first, OMEGA, FIBER, LEDGER and
+    each V index come at most once), on a moment that is no height over the
+    class vector's denominator, on a fixed surface whose stated size or genus
+    is not its class's area or adjunction genus, and on a ledger whose step i
+    of s names another class than E(k-s+i).
     """
-    if models is None:
-        models = {}
+    given = omega
     model = omega = None
     verts: dict[int, Vertex] = {}
     edges: list[Edge] = []
@@ -693,16 +672,17 @@ def parse_graph(text: str, models: dict | None = None) -> DecoratedGraph:
                 kind = parts[0]
                 opts = dict(p.split("=") for p in parts[1:])
                 shape = (kind, int(opts["k"]), int(opts.get("genus", 0)))
-                model = models.get(shape)
-                if model is None:
-                    model = models[shape] = SurfaceModel(*shape)
+                model = None if given is None else given.model
+                if model is None or shape != (model.kind, model.k, model.genus):
+                    model = SurfaceModel(*shape)
             elif tag == "OMEGA":
-                omega = models.get((model, rest))
-                if omega is None:
+                if given is not None and model is given.model and rest == str(given):
+                    omega = given
+                else:
                     head, _, tail = rest.strip("()").partition(";")
                     entries = [rat(x) for x in head.split(",")]
                     entries += [rat(x) for x in tail.split(",") if x]
-                    omega = models[model, rest] = CohomologyVector(model, tuple(entries))
+                    omega = CohomologyVector(model, tuple(entries))
             elif tag == "V":
                 parts = rest.split()
                 idx, kind = int(parts[0]), parts[2]

@@ -29,7 +29,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from operator import add, mul, neg, sub
 
 
@@ -75,6 +75,22 @@ def rat_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+class _cached:
+    """``functools.cached_property`` without the lock that Python 3.10 and
+    3.11 take on each first access: the value goes into the instance's
+    ``__dict__`` under the function's name, where every later access finds
+    it before this descriptor."""
+
+    def __init__(self, fn):
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class SurfaceModel:
     """A blowup of the plane (kind='rational') or of a ruled surface.
@@ -100,16 +116,16 @@ class SurfaceModel:
         object.__setattr__(self, "_classes", {})  # see ``intern``
         object.__setattr__(self, "_parsed", {})  # see ``parse``
 
-    @cached_property
+    @_cached
     def rank(self) -> int:
         return (1 if self.kind == RATIONAL else 2) + self.k
 
-    @cached_property
+    @_cached
     def basis_names(self) -> tuple[str, ...]:
         head = ("L",) if self.kind == RATIONAL else ("B", "F")
         return head + tuple(f"E{i}" for i in range(1, self.k + 1))
 
-    @cached_property
+    @_cached
     def _extended(self) -> "SurfaceModel":
         return SurfaceModel(self.kind, self.k + 1, self.genus)
 
@@ -404,7 +420,7 @@ class CohomologyVector:
             self._extensions[delta] = out
         return out
 
-    @cached_property
+    @_cached
     def _text(self) -> str:
         start = 1 if self.model.kind == RATIONAL else 2
         head = ",".join(rat_str(x) for x in self.entries[:start])

@@ -67,15 +67,15 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    name: str
     kind: str  # 'rational' | 'ruled'
     lam: Fraction  # lam for the plane, lam_f for the ruled model
-    lam_b: Fraction | None
-    base_deltas: tuple[Fraction, ...]
     sizes: tuple[Fraction, ...]
-    required: tuple[tuple[str, int], ...]  # (class text, cyclic order)
-    n: int
-    mode: str
+    name: str = "custom"
+    lam_b: Fraction | None = None  # the ruled model's
+    base_deltas: tuple[Fraction, ...] = ()  # the plane model's one base size
+    required: tuple[tuple[str, int], ...] = ()  # (class text, cyclic order)
+    n: int = 2
+    mode: str = STABILIZER_ONLY
     genus: int = 2
     reps: tuple[tuple[int, int], ...] = DEFAULT_REPS
     permute_equal_sizes: bool = True
@@ -163,12 +163,9 @@ def _cp2_six() -> Scenario:
         name="cp2-six",
         kind=RATIONAL,
         lam=Fraction(1),
-        lam_b=None,
         base_deltas=(Fraction(1, 2),),
         sizes=CP2_SIX_SIZES,
         required=(("E1-E2", 2), ("L-E3-E4", 2), ("E5-E6", 2)),
-        n=2,
-        mode=STABILIZER_ONLY,
         generator_key="plane-six",
         audit_curves=True,
         picard_prefix=7,
@@ -181,12 +178,9 @@ def _cp2_six_alt() -> Scenario:
         name="cp2-six-alt",
         kind=RATIONAL,
         lam=Fraction(1),
-        lam_b=None,
         base_deltas=(Fraction(1, 2),),
         sizes=CP2_SIX_SIZES,
         required=(("E1", 2), ("E5-E6", 2), ("L-E2-E3-E4", 2)),
-        n=2,
-        mode=STABILIZER_ONLY,
         generator_key="plane-six-alt",
         audit_curves=True,
     )
@@ -198,10 +192,8 @@ def _ruled_three() -> Scenario:
         kind=RULED,
         lam=Fraction(1),
         lam_b=Fraction(1),
-        base_deltas=(),
         sizes=(Fraction(3, 5), Fraction(7, 20), Fraction(3, 10)),
         required=(("E2-E3", 2),),
-        n=2,
         mode=INTEGRABLE_BLOWUP,
         generator_key="ruled-three",
         membership_targets=("F", "B"),
@@ -230,7 +222,6 @@ def ruled_general_scenario(r: int) -> Scenario:
         kind=RULED,
         lam=Fraction(1),
         lam_b=Fraction(1),
-        base_deltas=(),
         sizes=sizes,
         required=tuple(required),
         n=r,
@@ -348,90 +339,116 @@ def _checked(s: Scenario) -> Scenario:
     return s
 
 
-# Each model's own keys, which a file of the other model may not name.
-_MODEL_KEYS = {RATIONAL: {"lam", "base-sizes", "reps"}, RULED: {"lam-f", "lam-b", "genus"}}
-_FLAGS = {"permute-equal-sizes", "audit-curves", "classify-types", "advisory"}
-_KEYS = _FLAGS | _MODEL_KEYS[RATIONAL] | _MODEL_KEYS[RULED] | {
-    "name", "kind", "sizes", "required", "n", "mode", "generators",
-    "membership", "picard-prefix", "witness-family", "expected-count",
+def _rational(word: str) -> Fraction:
+    try:
+        return rat(word)
+    except ZeroDivisionError:
+        raise ValueError(f"has a zero denominator in {word!r}") from None
+    except LatticeError as exc:
+        raise ValueError(f"is {exc}") from None
+
+
+def _integer(word: str) -> int:
+    try:
+        return int(word)
+    except ValueError:
+        raise ValueError(f"must be an integer, not {word!r}") from None
+
+
+def _count(word: str) -> int:
+    if not (word.isascii() and word.isdigit()):
+        raise ValueError(f"must be a non-negative integer, not {word!r}")
+    return int(word)
+
+
+def _one_of(table: dict):
+    """The reader of a word that names a key of ``table``: its value."""
+
+    def read(word: str):
+        if word not in table:
+            raise ValueError(f"must be {' or '.join(table)}, not {word!r}")
+        return table[word]
+
+    return read
+
+
+def _rationals(value: str) -> tuple[Fraction, ...]:
+    return tuple(map(_rational, value.split()))
+
+
+def _pairs(value: str) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(map(_integer, item.split(","))) for item in value.split())
+
+
+def _required(value: str) -> tuple[tuple[str, int | None], ...]:
+    """Each ``class@order``; a bare class's order is None until n is known."""
+    items = (item.partition("@") for item in value.split())
+    return tuple((text, _integer(order) if order else None) for text, _, order in items)
+
+
+_flag = _one_of({"on": True, "off": False})
+
+# Each key's Scenario field, the reader of its value, and the one model whose
+# files may name it (None: both).
+_KEYS = {
+    "name": ("name", str, None),
+    "kind": ("kind", _one_of({RATIONAL: RATIONAL, RULED: RULED}), None),
+    "lam": ("lam", _rational, RATIONAL),
+    "base-sizes": ("base_deltas", _rationals, RATIONAL),
+    "reps": ("reps", _pairs, RATIONAL),
+    "lam-f": ("lam", _rational, RULED),
+    "lam-b": ("lam_b", _rational, RULED),
+    "genus": ("genus", _integer, RULED),
+    "sizes": ("sizes", _rationals, None),
+    "required": ("required", _required, None),
+    "n": ("n", _integer, None),
+    "mode": ("mode", str, None),
+    "generators": ("generator_key", lambda word: word or None, None),
+    "membership": ("membership_targets", lambda value: tuple(value.split()), None),
+    "picard-prefix": ("picard_prefix", _integer, None),
+    "witness-family": ("witness_family", lambda word: word or None, None),
+    "expected-count": ("expected_final_count", _count, None),
+    "permute-equal-sizes": ("permute_equal_sizes", _flag, None),
+    "audit-curves": ("audit_curves", _flag, None),
+    "classify-types": ("classify_types", _flag, None),
+    "advisory": ("advisory", _flag, None),
 }
+# The keys a file of each model must name.
+_NEEDED = {RATIONAL: ("lam", "base-sizes", "sizes"), RULED: ("lam-f", "lam-b", "sizes")}
 
 
 def parse_scenario_text(text: str) -> Scenario:
     """Parse the line-oriented key/value scenario format: each key known, of
-    the file's model and given once, each flag ``on`` or ``off``."""
-    fields: dict[str, str] = {}
+    the file's model and given once, and its value read on its line."""
+    values: dict[str, object] = {}
+    line_of: dict[str, int] = {}  # the line number of each key read
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition(" ")
-        value = value.strip()
         if key not in _KEYS:
             raise ScenarioError(f"line {number}: unknown key {key!r}")
-        if key in fields:
+        if key in line_of:
             raise ScenarioError(f"line {number}: a second {key!r} line")
-        if key in _FLAGS and value not in ("on", "off"):
-            raise ScenarioError(f"line {number}: {key} must be on or off, not {value!r}")
-        fields[key] = value
-    try:
-        kind = fields["kind"]
-        if kind not in (RATIONAL, RULED):
-            raise ScenarioError(f"unknown kind {kind!r}")
-        foreign = fields.keys() & _MODEL_KEYS[RULED if kind == RATIONAL else RATIONAL]
-        if foreign:
-            raise ScenarioError(f"a {kind} scenario has no key {min(foreign)!r}")
-        sizes = tuple(rat(x) for x in fields["sizes"].split())
-        required = []
-        for item in fields.get("required", "").split():
-            cls_text, _, order = item.partition("@")
-            required.append((cls_text, int(order or fields.get("n", "2"))))
-        reps = DEFAULT_REPS
-        if "reps" in fields:
-            reps = tuple(
-                tuple(int(x) for x in pair_.split(",")) for pair_ in fields["reps"].split()
-            )
-        if kind == RATIONAL:
-            lam = rat(fields["lam"])
-            lam_b = None
-            base_deltas = tuple(rat(x) for x in fields["base-sizes"].split())
-        else:
-            lam = rat(fields["lam-f"])
-            lam_b = rat(fields["lam-b"])
-            base_deltas = ()
-        expected = fields.get("expected-count")
-        if expected is not None:
-            if not (expected.isascii() and expected.isdigit()):
-                raise ScenarioError(
-                    f"expected-count must be a non-negative integer, not {expected!r}"
-                )
-            expected = int(expected)
-        return Scenario(
-            name=fields.get("name", "custom"),
-            kind=kind,
-            lam=lam,
-            lam_b=lam_b,
-            base_deltas=base_deltas,
-            sizes=sizes,
-            required=tuple(required),
-            n=int(fields.get("n", "2")),
-            mode=fields.get("mode", STABILIZER_ONLY),
-            genus=int(fields.get("genus", "2")),
-            reps=reps,
-            permute_equal_sizes=fields.get("permute-equal-sizes", "on") == "on",
-            generator_key=fields.get("generators") or None,
-            audit_curves=fields.get("audit-curves", "off") == "on",
-            membership_targets=tuple(fields.get("membership", "").split()),
-            picard_prefix=int(fields["picard-prefix"]) if "picard-prefix" in fields else None,
-            witness_family=fields.get("witness-family") or None,
-            classify_types=fields.get("classify-types", "off") == "on",
-            advisory=fields.get("advisory", "off") == "on",
-            expected_final_count=expected,
-        )
-    except ZeroDivisionError as exc:
-        raise ScenarioError(f"malformed scenario: zero denominator in {exc}") from None
-    except (KeyError, ValueError) as exc:
-        raise ScenarioError(f"malformed scenario: {exc}")
+        field, read, _ = _KEYS[key]
+        try:
+            values[field] = read(value.strip())
+        except ValueError as exc:
+            raise ScenarioError(f"line {number}: {key} {exc}") from None
+        line_of[key] = number
+    if "kind" not in line_of:
+        raise ScenarioError("a scenario needs a 'kind' line")
+    kind = values["kind"]
+    for key, number in line_of.items():
+        if _KEYS[key][2] not in (None, kind):
+            raise ScenarioError(f"line {number}: a {kind} scenario has no key {key!r}")
+    for key in _NEEDED[kind]:
+        if key not in line_of:
+            raise ScenarioError(f"a {kind} scenario needs a {key!r} line")
+    n, required = values.get("n", Scenario.n), values.get("required", ())
+    values["required"] = tuple((t, n if order is None else order) for t, order in required)
+    return Scenario(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -678,12 +695,11 @@ def read_graphs(directory, omega: CohomologyVector) -> list:
     model = omega.model
     steps = model.k - (model.kind == RATIONAL)
     graphs = []
-    models = {(model.kind, model.k, model.genus): model, (model, str(omega)): omega}
     for name in names:
         path = os.path.join(directory, name)
         with open(path, encoding="utf-8") as fh:
             try:
-                g = parse_graph(fh.read(), models)
+                g = parse_graph(fh.read(), omega)
                 if g.omega != omega:
                     raise GraphError(
                         f"graph has class vector {g.omega} on the {g.model} model,"

@@ -665,6 +665,10 @@ RULED_EIGHTHS = RULED_HEAD + "mode integrable\nsizes 1/2 1/4 1/8\n"
         (RULED_THREE_TEXT + "reps 1,1\n", "a ruled scenario has no key 'reps'"),
         (CP2_SIX_TEXT + "lam-f 1\n", "a rational scenario has no key 'lam-f'"),
         (CP2_SIX_TEXT + "lam-b 1\n", "a rational scenario has no key 'lam-b'"),
+        # Each value is read on its line; a missing or foreign key is named.
+        (RULED_HEAD + "mode integrable\n", "scenario error: a ruled scenario needs a 'sizes' line"),
+        ("lam 1\n" + RULED_OK, "scenario error: line 1: a ruled scenario has no key 'lam'"),
+        (RULED_OK.replace("n 2\n", "n two\n"), "line 5: n must be an integer, not 'two'"),
     ],
     ids=[
         "name-suffix", "mode", "required-class", "negative-size", "one-size-ruled",
@@ -679,7 +683,7 @@ RULED_EIGHTHS = RULED_HEAD + "mode integrable\nsizes 1/2 1/4 1/8\n"
         "required-class-missing-sign", "exponent-size", "plane-generators-genus-0",
         "ruled-genus-0",
         "unknown-key", "repeated-key", "flag", "empty-flag", "ruled-lam", "ruled-base-sizes",
-        "ruled-reps", "plane-lam-f", "plane-lam-b",
+        "ruled-reps", "plane-lam-f", "plane-lam-b", "no-sizes", "foreign-key-first", "n-two",
     ],
 )
 def test_malformed_scenario_exits_2_with_one_line(tmp_path, capsys, scenario, message):

@@ -6,13 +6,14 @@ adjacency queries, the adjunction genus through two intersections, the class
 formatter and genus formula that ran on every call, the serializer, the
 normal form and dedup key that built the flipped graph and compared three
 texts over relabelings listed anew per graph, the blowup that embedded every
-class of the parent and re-sorted the child, and the obstruction search that
-recomputed every shape test and pairing.  The kernel must agree with them
-exactly, on random models, class vectors, classes and graphs, on random
-admissible blowup chains, and on every graph of every level of the golden
-scenarios: the integer site bounds of all three kinds against Fraction
-pairings, and ``validate``'s coprime-label shortcut against the pairwise
-scan.  The last sections check properties of the dedup key on the same
+class of the parent and re-sorted the child, the obstruction search that
+recomputed every shape test and pairing, and the chain walker and fiber-check
+loop that ``_chain_sum`` replaced.  The kernel must agree with them exactly,
+on random models, class vectors, classes and graphs, on random admissible
+blowup chains, and on every graph of every level of the golden scenarios:
+the integer site bounds of all three kinds against Fraction pairings, the
+chain sums from every edge, and ``validate``'s coprime-label test against
+the pairwise scan.  The last sections check properties of the dedup key on the same
 chains, the lifetime of the per-model class tables and of the per-vector
 area and text tables, the certified classes shared across a search, the
 integer moments (every vertex a height over its class vector's
@@ -60,6 +61,7 @@ from decgraph.graphs import (
     GraphError,
     LedgerEntry,
     Vertex,
+    _chain_sum,
     _drop_caches,
     _fixed_record,
     _records,
@@ -317,6 +319,35 @@ def reference_chain_sums(g):
             if e.top == vmax:
                 break
             (e,) = reference_edges_above(g, e.top)
+        sums.append(tuple(total))
+    return sums
+
+
+def reference_walk_sum(g, vid, up):
+    """Weighted class sum along the chain from a vertex to an extremum."""
+    total = g.model.zero()
+    while True:
+        v = g.vertex(vid)
+        if v.fat is not None or vid in (g.vertices[0].vid, g.vertices[-1].vid):
+            return total
+        step = g.edges_above(vid) if up else g.edges_below(vid)
+        if len(step) != 1:
+            raise GraphError(f"vertex {vid} has no unique chain continuation")
+        e = step[0]
+        total = total + e.label * e.cls
+        vid = e.top if up else e.bottom
+
+
+def reference_fiber_sums(g):
+    """The integer sum of each chain from the minimum, as the replay's fiber
+    check summed it before it shared ``_chain_sum``."""
+    vmax, above = g.vertices[-1].vid, g._adjacency[0]
+    sums = []
+    for e in above.get(g.vertices[0].vid, ()):
+        total = [e.label * c for c in e.cls.coeffs]
+        while e.top != vmax:
+            (e,) = above[e.top]
+            total = [t + e.label * c for t, c in zip(total, e.cls.coeffs)]
         sums.append(tuple(total))
     return sums
 
@@ -794,8 +825,8 @@ def labelled_star(labels):
     ],
 )
 def test_validate_tries_the_label_pairs_where_they_are_not_coprime(labels, pairs):
-    """The pairwise gcd loop runs only when the lcm is not the product; the
-    problem list is the scan's, message for message and in order."""
+    """Two labels take one gcd and more take the pairwise loop; the problem
+    list is the scan's, message for message and in order."""
     g = labelled_star(labels)
     problems = validate(g)
     assert problems == reference_validate(g)
@@ -1473,6 +1504,26 @@ def test_every_chain_from_the_minimum_sums_to_the_fiber(golden_levels, deep_leve
             for g in level.graphs:
                 sums = reference_chain_sums(g)
                 assert sums and set(sums) == {g.fiber.coeffs}
+                count += 1
+    assert count == 558 + 2957
+
+
+def test_chain_sums_match_the_references_on_golden_and_deep_levels(golden_levels, deep_levels):
+    """``_chain_sum`` up and down from every edge is the edge's term plus the
+    old walker's sum beyond it, and from the minimum it is the old fiber
+    check's sum, on every graph of every golden and deep level."""
+    count = 0
+    for _, levels in golden_levels + [deep_levels]:
+        for level in levels:
+            for g in level.graphs:
+                for e in g.edges:
+                    term = e.label * e.cls
+                    up = term + reference_walk_sum(g, e.top, True)
+                    down = term + reference_walk_sum(g, e.bottom, False)
+                    assert _chain_sum(g, e, True) == up.coeffs
+                    assert _chain_sum(g, e, False) == down.coeffs
+                starts = g.edges_above(g.vertices[0].vid)
+                assert [_chain_sum(g, e, True) for e in starts] == reference_fiber_sums(g)
                 count += 1
     assert count == 558 + 2957
 
