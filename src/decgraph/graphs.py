@@ -637,12 +637,24 @@ def parse_graph(text: str, omega: CohomologyVector | None = None) -> DecoratedGr
     A graph whose MODEL shape and OMEGA text are ``omega``'s is parsed onto
     ``omega``'s model object and class vector, so graphs parsed with one
     ``omega`` share their classes; any other graph gets a new model and
-    vector.  Raises GraphError, naming the line, on any malformed, unknown
-    or repeated record (MODEL, which comes first, OMEGA, FIBER, LEDGER and
-    each V index come at most once), on a moment that is no height over the
-    class vector's denominator, on a fixed surface whose stated size or genus
-    is not its class's area or adjunction genus, and on a ledger whose step i
-    of s names another class than E(k-s+i).
+    vector.
+
+    Raises GraphError, naming the line, on any malformed, unknown or
+    repeated record: MODEL, which comes first, OMEGA, FIBER, LEDGER and
+    each V index come at most once.  Records are strict: a MODEL record has
+    ``k=`` once, and ``genus=`` once on a ruled model; a fat V record has
+    ``size=``, ``genus=`` and ``class=`` once each, and an isolated one no
+    further word; V indices, E ends, E labels, ``k`` and genera are plain
+    ASCII digits.
+    Also an error: a moment that is no height over the class vector's
+    denominator, a fixed surface whose stated size or genus is not its
+    class's area or adjunction genus, and a ledger whose step i of s names
+    another class than E(k-s+i).
+
+    A V or E record is a function of its line and the class vector, so the
+    vector keeps what each line built once it passed every check
+    (``_parsed_records``): the next graph on that vector that holds the line
+    reuses the vertex or edge without parsing or checking it again.
     """
     given = omega
     model = omega = None
@@ -651,70 +663,93 @@ def parse_graph(text: str, omega: CohomologyVector | None = None) -> DecoratedGr
     ledger: list[LedgerEntry] = []
     fiber = None
     seen = set()  # of the records a graph holds once
+    records: dict = {}  # the class vector's ``_parsed_records`` once OMEGA is read
     for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line == "C":
             continue
-        tag, _, rest = line.partition(" ")
-        if tag not in ("MODEL", "OMEGA", "V", "E", "FIBER", "LEDGER"):
-            raise GraphError(f"line {number}: unknown record tag {tag!r}")
-        if tag in ("MODEL", "OMEGA", "FIBER", "LEDGER"):
-            if tag in seen:
-                raise GraphError(f"line {number}: a second {tag} record")
-            seen.add(tag)
-        if model is None and tag != "MODEL":
-            raise GraphError(f"line {number}: {tag} record before the MODEL record")
-        if omega is None and tag == "V":
-            raise GraphError(f"line {number}: V record before the OMEGA record")
-        try:
-            if tag == "MODEL":
-                parts = rest.split()
-                kind = parts[0]
-                opts = dict(p.split("=") for p in parts[1:])
-                shape = (kind, int(opts["k"]), int(opts.get("genus", 0)))
-                model = None if given is None else given.model
-                if model is None or shape != (model.kind, model.k, model.genus):
-                    model = SurfaceModel(*shape)
-            elif tag == "OMEGA":
-                if given is not None and model is given.model and rest == str(given):
-                    omega = given
-                else:
-                    head, _, tail = rest.strip("()").partition(";")
-                    entries = [rat(x) for x in head.split(",")]
-                    entries += [rat(x) for x in tail.split(",") if x]
-                    omega = CohomologyVector(model, tuple(entries))
-            elif tag == "V":
-                parts = rest.split()
-                idx, kind = int(parts[0]), parts[2]
-                height = _height(parts[1], omega.denominator)
-                fat = None
-                if kind == "fat":
-                    opts = dict(p.split("=", 1) for p in parts[3:])
-                    fat = model.parse(opts["class"])
-                    size, genus = rat(opts["size"]), int(opts["genus"])
-                    area = omega._areas[fat.coeffs]
-                    if size.numerator * omega.denominator != area * size.denominator:
-                        raise GraphError(f"size {rat_str(size)} is not the area of {fat}")
-                    if 2 * genus != fat.twice_genus:
-                        raise GraphError(f"genus {genus} is not the genus of {fat}")
-                vertex = Vertex(f"0.v{idx}", height, fat)
-            elif tag == "E":
-                b, t, label, cls = rest.split()
-                edges.append(
-                    Edge(f"0.v{int(b)}", f"0.v{int(t)}", int(label), model.parse(cls))
-                )
-            elif tag == "FIBER":
-                fiber = model.parse(rest)
-            elif tag == "LEDGER":
-                words = rest.split()
-                first = model.k - len(words)
-                ledger = [LedgerEntry.parse(w, i, first + i) for i, w in enumerate(words, 1)]
-        except (ValueError, KeyError, IndexError, ZeroDivisionError) as exc:
-            raise GraphError(f"line {number}: malformed {tag} record: {exc}") from None
-        if tag == "V":
+        parsed = records.get(line)  # (index, Vertex) of a V line, the Edge of an E line
+        if parsed is None:
+            tag, _, rest = line.partition(" ")
+            if tag not in ("MODEL", "OMEGA", "V", "E", "FIBER", "LEDGER"):
+                raise GraphError(f"line {number}: unknown record tag {tag!r}")
+            if tag in ("MODEL", "OMEGA", "FIBER", "LEDGER"):
+                if tag in seen:
+                    raise GraphError(f"line {number}: a second {tag} record")
+                seen.add(tag)
+            if model is None and tag != "MODEL":
+                raise GraphError(f"line {number}: {tag} record before the MODEL record")
+            if omega is None and tag == "V":
+                raise GraphError(f"line {number}: V record before the OMEGA record")
+            try:
+                if tag == "MODEL":
+                    kind, *words = rest.split()
+                    keys = ("genus", "k") if kind == RULED else ("k",)
+                    opts = dict(w.split("=", 1) for w in words)
+                    if len(opts) != len(words) or opts.keys() != set(keys):
+                        raise ValueError(f"need {', '.join(k + '=' for k in keys)} once each")
+                    if not all(v.isascii() and v.isdigit() for v in opts.values()):
+                        raise ValueError(f"{' and '.join(keys)} must be plain numbers")
+                    shape = (kind, int(opts["k"]), int(opts.get("genus", 0)))
+                    model = None if given is None else given.model
+                    if model is None or shape != (model.kind, model.k, model.genus):
+                        model = SurfaceModel(*shape)
+                elif tag == "OMEGA":
+                    if given is not None and model is given.model and rest == str(given):
+                        omega = given
+                    else:
+                        head, _, tail = rest.strip("()").partition(";")
+                        entries = [rat(x) for x in head.split(",")]
+                        entries += [rat(x) for x in tail.split(",") if x]
+                        omega = CohomologyVector(model, tuple(entries))
+                    records = omega._parsed_records
+                elif tag == "V":
+                    idx, moment, kind, *words = rest.split()
+                    if not (idx.isascii() and idx.isdigit()):
+                        raise ValueError(f"index {idx!r} is not a plain number")
+                    idx = int(idx)
+                    height = _height(moment, omega.denominator)
+                    fat = None
+                    if kind == "fat":
+                        keys = ("size", "genus", "class")
+                        opts = dict(w.split("=", 1) for w in words)
+                        if len(opts) != len(words) or opts.keys() != set(keys):
+                            raise ValueError(f"need {', '.join(k + '=' for k in keys)} once each")
+                        fat, size = model.parse(opts["class"]), rat(opts["size"])
+                        area = omega._areas[fat.coeffs]
+                        if size.numerator * omega.denominator != area * size.denominator:
+                            raise GraphError(f"size {rat_str(size)} is not the area of {fat}")
+                        # twice_genus is even: c.c + K.c is, K being characteristic
+                        if opts["genus"] != str(fat.twice_genus // 2):
+                            raise GraphError(f"genus {opts['genus']} is not the genus of {fat}")
+                    elif kind != "isolated":
+                        raise ValueError(f"unknown vertex kind {kind!r}")
+                    elif words:
+                        raise ValueError(f"an isolated vertex has no {words[0]!r}")
+                    parsed = (idx, Vertex(f"0.v{idx}", height, fat))
+                elif tag == "E":
+                    b, t, label, cls = rest.split()
+                    if not all(w.isascii() and w.isdigit() for w in (b, t, label)):
+                        raise ValueError("ends and label must be plain numbers")
+                    parsed = Edge(f"0.v{int(b)}", f"0.v{int(t)}", int(label), model.parse(cls))
+                elif tag == "FIBER":
+                    fiber = model.parse(rest)
+                elif tag == "LEDGER":
+                    words = rest.split()
+                    first = model.k - len(words)
+                    ledger = [LedgerEntry.parse(w, i, first + i) for i, w in enumerate(words, 1)]
+            except (ValueError, KeyError, IndexError, ZeroDivisionError) as exc:
+                raise GraphError(f"line {number}: malformed {tag} record: {exc}") from None
+            if parsed is None:  # MODEL, OMEGA, FIBER or LEDGER
+                continue
+            records[line] = parsed
+        if line[0] == "V":
+            idx, vertex = parsed
             if idx in verts:
                 raise GraphError(f"line {number}: a second V {idx} record")
             verts[idx] = vertex
+        else:
+            edges.append(parsed)
     if model is None or omega is None or fiber is None:
         raise GraphError("incomplete graph record")
     return DecoratedGraph.build(omega, verts.values(), edges, ledger, fiber)

@@ -388,11 +388,14 @@ class CohomologyVector:
         object.__setattr__(self, "_relabelings", {})
         # Tables the kernel reads per graph, filled as it asks and freed with
         # the vector: the area ``weights . coeffs`` of each coefficient tuple,
-        # the text of each height over den, and each fixed-surface class's
-        # V record end (``graphs._fixed_record``).  A new vector starts empty.
+        # the text of each height over den, each fixed-surface class's V
+        # record end (``graphs._fixed_record``), and what ``graphs.parse_graph``
+        # built from each V and E line it has read and checked.  A new vector
+        # starts empty.
         object.__setattr__(self, "_areas", _Table(partial(_area, weights)))
         object.__setattr__(self, "_moment_texts", _Table(partial(_ratio_text, den)))
         object.__setattr__(self, "_fixed_records", {})
+        object.__setattr__(self, "_parsed_records", {})
 
     @staticmethod
     def rational(lam, deltas) -> "CohomologyVector":

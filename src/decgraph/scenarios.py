@@ -670,13 +670,18 @@ def export_graphs(result: EnumerationResult, out_dir, as_dot: bool = False) -> l
 def read_graphs(directory, omega: CohomologyVector) -> list:
     """Parse the graph files that ``export_graphs`` wrote, in manifest order.
 
-    Raises GraphError (or OSError) unless the manifest names ``count`` files,
-    all of them present, parsed and valid graphs on ``omega``, the scenario's
-    class vector (which names its model), each with one ledger entry per
-    blowup size and with every chain from the minimum summing, label times
-    class, to the stated fiber.  An empty replay would certify nothing, so it
-    is an error too.  The graphs are parsed onto ``omega``'s model object,
-    so their classes are the run's.
+    Raises GraphError (or OSError) unless the manifest's integer ``count``
+    is the number of its ``files``, which are distinct plain file names in
+    ``directory`` (no path, so a manifest cannot point outside it), all of
+    them present, parsed and valid graphs on ``omega``, the scenario's class
+    vector (which names its model), each with one ledger entry per blowup
+    size and with every chain from the minimum summing, label times class,
+    to the stated fiber.  An empty replay would certify nothing, so it is an
+    error too.
+
+    The graphs are parsed onto ``omega``'s model object, so their classes
+    are the run's, and onto ``omega`` itself, so one replay shares one table
+    of parsed V and E records: each distinct line is parsed and checked once.
     """
     path = os.path.join(directory, "manifest.json")
     with open(path, encoding="utf-8") as fh:
@@ -687,6 +692,15 @@ def read_graphs(directory, omega: CohomologyVector) -> list:
             raise GraphError(f"{path}: malformed manifest: {exc!r}") from None
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise GraphError(f"{path}: malformed manifest: files is no list of names")
+    if type(count) is not int:  # JSON's true is an int to isinstance
+        raise GraphError(f"{path}: malformed manifest: count {count!r} is no integer")
+    listed = set()
+    for name in names:
+        if name in ("", ".", "..") or "\0" in name or os.path.basename(name) != name:
+            raise GraphError(f"{path}: malformed manifest: {name!r} is no file name")
+        if name in listed:
+            raise GraphError(f"{path}: malformed manifest: {name!r} is listed twice")
+        listed.add(name)
     if count != len(names):
         raise GraphError(f"{path}: count {count!r} but {len(names)} files listed")
     if not names:

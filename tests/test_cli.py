@@ -391,6 +391,59 @@ def test_verify_graphs_with_an_invalid_graph_exits_2(tmp_path, capsys):
         pytest.param(
             lambda text: text.replace(b"E2:interior:1", b"E2:interior:min"), id="birth-text"
         ),
+        # An isolated vertex is three words; a vertex is isolated or fat.
+        pytest.param(
+            lambda text: text.replace(b"V 2 1/20 isolated\n", b"V 2 1/20 isolated x\n"),
+            id="isolated-extra-word",
+        ),
+        pytest.param(
+            lambda text: text.replace(b"V 2 1/20 isolated\n", b"V 2 1/20 banana\n"),
+            id="vertex-kind",
+        ),
+        # A fat vertex has size=, genus= and class=, each once.
+        pytest.param(
+            lambda text: text.replace(
+                b"size=1 genus=2 class=B\n", b"size=7 size=1 genus=2 class=B\n"
+            ),
+            id="fat-repeated-key",
+        ),
+        pytest.param(
+            lambda text: text.replace(b"size=1 genus=2 class=B\n", b"size=1 class=B\n"),
+            id="fat-missing-key",
+        ),
+        pytest.param(
+            lambda text: text.replace(
+                b"size=1 genus=2 class=B\n", b"size=1 genus=2 class=B x=1\n"
+            ),
+            id="fat-unknown-key",
+        ),
+        # A ruled MODEL has genus= and k=, each once.
+        pytest.param(
+            lambda text: text.replace(
+                b"MODEL ruled genus=2 k=3", b"MODEL ruled genus=2 k=3 colour=red"
+            ),
+            id="model-unknown-key",
+        ),
+        pytest.param(
+            lambda text: text.replace(b"MODEL ruled genus=2 k=3", b"MODEL ruled genus=2 k=3 k=3"),
+            id="model-repeated-key",
+        ),
+        # Indices, ends, labels, k and genera are plain ASCII digits; int() takes more.
+        pytest.param(lambda text: text.replace(b"V 2 1/20", b"V +2 1/20"), id="signed-index"),
+        pytest.param(lambda text: text.replace(b"E 2 3 2 E2", b"E 2 3 0_2 E2"), id="label-0_2"),
+        pytest.param(lambda text: text.replace(b"E 2 3 2 E2", b"E +2 3 2 E2"), id="signed-end"),
+        pytest.param(
+            lambda text: text.replace(b"E 2 3 2 E2", "E 2 3 \u0662 E2".encode()),
+            id="arabic-indic-label",
+        ),
+        pytest.param(
+            lambda text: text.replace(b"MODEL ruled genus=2 k=3", b"MODEL ruled genus=+2 k=0_3"),
+            id="model-numbers",
+        ),
+        pytest.param(
+            lambda text: text.replace(b"size=1 genus=2 class=B\n", b"size=1 genus=+2 class=B\n"),
+            id="fat-signed-genus",
+        ),
     ],
 )
 def test_verify_graphs_with_a_garbage_file_exits_2(tmp_path, capsys, content):
@@ -471,6 +524,24 @@ def _manifest(text):
     return lambda graphs: (graphs / "manifest.json").write_text(text)
 
 
+def _rewrite_manifest(edit):
+    def damage(graphs):
+        path = graphs / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+
+    return damage
+
+
+def _files(edit):  # the file list becomes edit(files); the count stays
+    return _rewrite_manifest(lambda m: m.update(files=edit(m["files"])))
+
+
+def _count(value):  # equal to the number of files, but no JSON integer
+    return _rewrite_manifest(lambda m: m.update(count=value))
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [
@@ -480,8 +551,23 @@ def _manifest(text):
         (_manifest('{"count": 1, "files": "graph-000.txt"}'), "malformed manifest"),
         (_manifest('{"files": []}'), "malformed manifest"),
         (_manifest("not json"), "malformed manifest"),
+        # A manifest counts its files in a JSON integer and lists each one
+        # once, by its plain name in the directory.
+        (_files(lambda files: files[:1] + files[:1] + files[2:]),
+         "malformed manifest: 'graph-000.txt' is listed twice"),
+        (_files(lambda files: ["../graphs/" + files[0]] + files[1:]),
+         "malformed manifest: '../graphs/graph-000.txt' is no file name"),
+        (_files(lambda files: ["/etc/hostname"] + files[1:]),
+         "malformed manifest: '/etc/hostname' is no file name"),
+        (_files(lambda files: ["graph\0.txt"] + files[1:]), "is no file name"),
+        (_count(9.0), "malformed manifest: count 9.0 is no integer"),
+        (_manifest('{"count": true, "files": ["graph-000.txt"]}'),
+         "malformed manifest: count True is no integer"),
     ],
-    ids=["deleted-graph", "no-manifest", "count", "files", "no-count", "not-json"],
+    ids=[
+        "deleted-graph", "no-manifest", "count", "files", "no-count", "not-json",
+        "listed-twice", "parent-path", "absolute-path", "nul", "float-count", "bool-count",
+    ],
 )
 def test_verify_graphs_with_a_broken_manifest_exits_2(tmp_path, capsys, damage, message):
     assert main(["verify", "--scenario", "ruled-three", "--out", str(tmp_path / "run")]) == 0

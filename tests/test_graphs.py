@@ -1,7 +1,9 @@
+import json
 from fractions import Fraction as F
 
 import pytest
 
+from decgraph import scenarios
 from decgraph.blowup import apply_blowup, blowup_sites
 from decgraph.graphs import (
     BaseFamilyParams,
@@ -343,3 +345,87 @@ def test_equivalence_is_an_equivalence_relation():
             for c in variants:
                 if same_action(a, b) and same_action(b, c):
                     assert same_action(a, c)
+
+
+# ---------------------------------------------------------------------------
+# the class vector's table of parsed V and E records
+
+
+@pytest.fixture(scope="module")
+def general_4_texts(tmp_path_factory):
+    """The texts of the 317 saved ruled-general-4 graphs, in manifest order."""
+    out = tmp_path_factory.mktemp("ruled-general-4")
+    outcome = scenarios.run_scenario(scenarios.load_scenario("ruled-general-4"))
+    scenarios.export_graphs(outcome.result, out)
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    return [(out / name).read_text(encoding="utf-8") for name in manifest["files"]]
+
+
+def general_4_omega():
+    """A new class vector of ruled-general-4's final graphs, its table empty."""
+    return scenarios.load_scenario("ruled-general-4").enumeration_spec().final_omega
+
+
+def records(texts, tag):
+    return [line for text in texts for line in text.splitlines() if line.startswith(tag + " ")]
+
+
+@pytest.mark.parametrize("step", [1, -1], ids=["manifest-order", "reversed"])
+def test_one_vector_parses_each_record_line_once(general_4_texts, step):
+    texts = general_4_texts[::step]
+    omega = general_4_omega()
+    assert omega._parsed_records == {}
+    vertex_of = {}  # V line -> the Vertex object the first graph holding it got
+    for text in texts:
+        g = parse_graph(text, omega)
+        assert g.omega is omega
+        assert canonical_text(g) == text == canonical_text(parse_graph(text))
+        for line in records([text], "V"):
+            v = g.vertex("0.v" + line.split()[1])
+            assert vertex_of.setdefault(line, v) is v
+    v_lines, e_lines = records(texts, "V"), records(texts, "E")
+    assert (len(v_lines), len(set(v_lines))) == (2219, 230)
+    assert (len(e_lines), len(set(e_lines))) == (2554, 315)
+    assert omega._parsed_records.keys() == set(v_lines) | set(e_lines)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda text: text.replace(" isolated\n", " banana\n", 1),
+         "malformed V record: unknown vertex kind 'banana'"),
+        (lambda text: text.replace("V 1 ", "V 0 ", 1), "a second V 0 record"),
+    ],
+    ids=["vertex-kind", "second-vertex"],
+)
+def test_a_bad_record_raises_on_every_parse(general_4_texts, edit, message):
+    """A line that fails its checks is never kept; a per-graph check runs on
+    every parse, kept line or not."""
+    text = general_4_texts[0]
+    bad = edit(text)
+    assert bad != text
+    omega = general_4_omega()
+    errors = []
+    for _ in range(2):
+        with pytest.raises(GraphError, match=message) as caught:
+            parse_graph(bad, omega)
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
+    assert not any("banana" in line for line in omega._parsed_records)
+    assert canonical_text(parse_graph(text, omega)) == text
+
+
+def test_a_text_parsed_onto_two_vectors_holds_each_vectors_classes(general_4_texts):
+    text = general_4_texts[-1]
+    graphs = []
+    for omega in (general_4_omega(), general_4_omega()):
+        g = parse_graph(text, omega)
+        assert g.omega is omega
+        classes = [v.fat for v in g.vertices if v.fat is not None]
+        classes += [e.cls for e in g.edges] + [g.fiber]
+        assert all(c is omega.model.intern(c.coeffs) for c in classes)
+        graphs.append(g)
+    first, second = graphs
+    assert first.model is not second.model
+    assert canonical_text(first) == canonical_text(second) == text
+    assert not {id(e) for e in first.edges} & {id(e) for e in second.edges}
