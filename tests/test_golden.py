@@ -1,4 +1,4 @@
-"""Golden oracle: per-level counts and digests pinned for six scenarios.
+"""Golden oracle: per-level counts and digests pinned for eight scenarios.
 
 Each record in ``tests/golden/<scenario>.json`` holds the per-level
 ``(sites, kept, merged)``, the final graph count, the SHA-256 of the sorted
@@ -38,14 +38,19 @@ from decgraph.scenarios import load_scenario, run_scenario
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 BUILTINS = ("cp2-six", "cp2-six-alt", "ruled-three", "ruled-general-4")
-SCENARIOS = BUILTINS + ("ruled-deep", "ruled-multi")
+SCENARIOS = BUILTINS + ("ruled-deep", "ruled-multi", "ruled-equal", "cp2-six-strict")
 # Scenarios read from a file rather than built in.  ruled-deep is the
 # benchmark's deep workload, the first six sizes of ruled-general-6;
 # ruled-multi starts from three ruled bases, and descendants of different
-# bases reach obstruction.
+# bases reach obstruction.  ruled-equal blows up twice at one size, so its
+# keys range over relabelings on a ruled model, whose exceptional
+# coefficients start at position 2; cp2-six-strict is cp2-six keyed without
+# relabelings, on a model that has equal sizes.
 FILES = {
     "ruled-deep": ROOT / "perfbench" / "ruled-deep.scenario",
     "ruled-multi": GOLDEN / "ruled-multi.scenario",
+    "ruled-equal": GOLDEN / "ruled-equal.scenario",
+    "cp2-six-strict": GOLDEN / "cp2-six-strict.scenario",
 }
 
 
