@@ -25,9 +25,8 @@ from .graphs import (
     canonical_text,
     generic_form,
     normal_key,
-    permute_exceptionals,
 )
-from .lattice import CohomologyVector, pair, rat
+from .lattice import RATIONAL, CohomologyVector, HomologyClass, SurfaceModel, _Table, pair, rat
 
 
 class EnumerationError(ValueError):
@@ -101,29 +100,54 @@ def _relabelings(deltas: tuple[Fraction, ...], created: tuple[int, ...]):
         yield perm
 
 
-def _permutation_group(g: DecoratedGraph) -> tuple[dict[int, int], ...]:
-    """Permutations of blowup-created exceptional indices of equal size.
+def _relabeling_table(model: SurfaceModel, perm: dict[int, int]) -> _Table | None:
+    """The class table of ``perm``: each class of ``model`` to the model's
+    class with the Ei coefficient moved to Ej for each i -> j of ``perm``,
+    computed on first use and kept.  None for the identity."""
+    if not perm:
+        return None
+    head = 1 if model.kind == RATIONAL else 2
+    moves = tuple((head + i - 1, head + j - 1) for i, j in perm.items())
+
+    def relabeled(c: HomologyClass) -> HomologyClass:
+        coeffs = list(c.coeffs)
+        for i, j in moves:
+            coeffs[j] = c.coeffs[i]
+        return model.intern(tuple(coeffs))
+
+    return _Table(relabeled)
+
+
+def _permutation_group(g: DecoratedGraph) -> tuple[tuple[dict[int, int], _Table | None], ...]:
+    """Permutations of blowup-created exceptional indices of equal size, each
+    with its class table (``_relabeling_table``).
 
     A ledger of s steps created the last s indices.  They and the class
     vector decide the permutations, listed once per (vector, indices) and kept
-    on the vector, which the graphs of a level share.  Do not change them.
+    on the vector with their tables, which the graphs of a level share.  A
+    new vector starts with none.  Do not change them.
     """
     created = tuple(range(g.model.k - len(g.ledger) + 1, g.model.k + 1))
     table = g.omega._relabelings
     perms = table.get(created)
     if perms is None:
-        perms = table[created] = tuple(_relabelings(g.omega.deltas, created))
+        perms = table[created] = tuple(
+            (perm, _relabeling_table(g.model, perm))
+            for perm in _relabelings(g.omega.deltas, created)
+        )
     return perms
 
 
 def dedup_key(g: DecoratedGraph, permute_equal_sizes: bool = True) -> str:
-    """Smallest normal-form text over the allowed relabelings.
+    """The smallest ledger-free records of ``g``'s normal form over the
+    allowed relabelings of its exceptional classes.
 
-    Each relabeling contributes its up and down records, read from one graph
-    without building the flip.
+    ``g`` is reduced once and each orientation walked once; a relabeling
+    only rewrites the classes of the lines, through its table.
     """
-    perms = _permutation_group(g) if permute_equal_sizes else ({},)
-    return min(normal_key(permute_exceptionals(g, perm)) for perm in perms)
+    if not permute_equal_sizes:
+        return normal_key(g)
+    return normal_key(g, [table for _, table in _permutation_group(g)])
 
 
 def _dedup(graphs, permute: bool):

@@ -530,14 +530,14 @@ def flip(g: DecoratedGraph) -> DecoratedGraph:
     return DecoratedGraph.build(g.omega, vertices, edges, g.ledger, g.fiber)
 
 
-def _fixed_record(v: Vertex, omega: CohomologyVector) -> str:
+def _fixed_record(c: HomologyClass | None, omega: CohomologyVector) -> str:
     """The end of a V record: ``isolated``, or the fat size, genus and class.
 
+    ``c`` is the vertex's fixed-surface class, None at an isolated point.
     The size and genus are the class's area and adjunction genus, written
     for readers; ``parse_graph`` checks them against the class.  Each class's
     record is written once per class vector and kept on it.
     """
-    c = v.fat
     if c is None:
         return "isolated"
     records = omega._fixed_records
@@ -548,38 +548,34 @@ def _fixed_record(v: Vertex, omega: CohomologyVector) -> str:
     return text
 
 
-def _records(g: DecoratedGraph, down: bool, fixed: dict[str, str]) -> list[str]:
-    """Canonical records of ``g`` (up) or of ``flip(g)`` (down), no ledger.
+def _walk(g: DecoratedGraph, down: bool):
+    """The chains of ``g`` (up) or of ``flip(g)`` (down) and their moment
+    texts, read from ``g``'s own index without building the flip.
 
-    ``fixed`` maps each vertex id to its ``_fixed_record``; both
-    orientations share it.  Each moment's text is read from the class
-    vector's table of height texts.
-
-    Down is read from ``g``'s own index, without building the flip: it starts
-    from the maximum, walks the edges below each vertex with the near and far
-    ends of each edge swapped, and writes each moment as ``top - m``, where
-    ``top`` is the maximum moment.  It equals the records of ``flip(g)`` on
-    every graph that passes ``validate``.
+    Up starts at the minimum and walks the edges above each vertex.  Down
+    starts at the maximum, walks the edges below each vertex with the near
+    and far ends of each edge swapped, and writes each moment as ``top - m``,
+    where ``top`` is the maximum moment.  Returns the start and end vertex
+    ids, the chains, each a list of (near end, far end, label, class) walked
+    away from the start, and the text of each vertex's moment.  The walk
+    only carries each edge's class, so a relabeling of exceptional classes
+    leaves it as it is.
     """
     vs, texts = g.vertices, g.omega._moment_texts
     if down:
-        start, end, onward = vs[-1], vs[0], g._adjacency[1]
-        top = start.height
+        start, end, onward = vs[-1].vid, vs[0].vid, g._adjacency[1]
+        top = vs[-1].height
         moment_text = {vid: texts[top - v.height] for vid, v in g._by_vid.items()}
     else:
-        start, end, onward = vs[0], vs[-1], g._adjacency[0]
+        start, end, onward = vs[0].vid, vs[-1].vid, g._adjacency[0]
         moment_text = {vid: texts[v.height] for vid, v in g._by_vid.items()}
-
-    # A chain is a list of (near end, far end, edge), walked away from start.
-    # Sorting by records leaves ties only between chains whose records, and
-    # so whose lines, are equal, so the walk order does not matter.
     chains = []
-    for e in onward.get(start.vid, ()):
+    for e in onward.get(start, ()):
         chain = []
         while True:
             near, far = (e.top, e.bottom) if down else (e.bottom, e.top)
-            chain.append((near, far, e))
-            if far == end.vid:
+            chain.append((near, far, e.label, e.cls))
+            if far == end:
                 break
             nxt = onward.get(far, ())
             if len(nxt) != 1:
@@ -588,33 +584,54 @@ def _records(g: DecoratedGraph, down: bool, fixed: dict[str, str]) -> list[str]:
         chains.append(chain)
     if sum(len(c) for c in chains) != len(g.edges):
         raise GraphError("cannot serialize: edges outside min-to-max chains")
+    return start, end, chains, moment_text
 
-    def chain_rec(chain) -> list[tuple]:
+
+def _lines(g: DecoratedGraph, walk, relabel=None) -> list[str]:
+    """The ledger-free records of a ``_walk`` of ``g``, each class ``c``
+    written as ``relabel[c]`` (as itself when ``relabel`` is None).
+
+    The chains are sorted on their records under the relabeling, and the
+    vertices are numbered in the sorted chains' order: 0 the start, 1 the
+    end, then each interior vertex as its chain reaches it.  Sorting leaves
+    ties only between chains whose records, and so whose lines, are equal,
+    so the walk's order does not matter.
+    """
+    start, end, chains, moment_text = walk
+    fiber, by_vid = g.fiber, g._by_vid
+    if relabel is not None:
+        chains = [[(a, b, n, relabel[c]) for a, b, n, c in chain] for chain in chains]
+        fiber = relabel[fiber]
+
+    def record(chain) -> list[tuple]:
         try:
             return [
-                (moment_text[near], moment_text[far], e.label, e.cls.coeffs)
-                for near, far, e in chain
+                (moment_text[near], moment_text[far], label, c.coeffs)
+                for near, far, label, c in chain
             ]
         except KeyError as exc:
             raise GraphError(f"no vertex {exc.args[0]!r}") from None
 
-    chains.sort(key=chain_rec)
-
-    index = {start.vid: 0, end.vid: 1}
-    order = [start.vid, end.vid]
+    chains = sorted(chains, key=record)
+    index = {start: 0, end: 1}
+    order = [start, end]
     for chain in chains:
-        for _, far, _ in chain[:-1]:
+        for _, far, _, _ in chain[:-1]:
             if far not in index:
                 index[far] = len(order)
                 order.append(far)
-
-    lines = [f"MODEL {g.model}", f"OMEGA {g.omega}"]
-    lines += [f"V {index[vid]} {moment_text[vid]} {fixed[vid]}" for vid in order]
+    omega = g.omega
+    lines = [f"MODEL {g.model}", f"OMEGA {omega}"]
+    for i, vid in enumerate(order):
+        fat = by_vid[vid].fat
+        if relabel is not None and fat is not None:
+            fat = relabel[fat]
+        lines.append(f"V {i} {moment_text[vid]} {_fixed_record(fat, omega)}")
     for chain in chains:
         lines.append("C")
-        for near, far, e in chain:
-            lines.append(f"E {index[near]} {index[far]} {e.label} {e.cls}")
-    lines.append(f"FIBER {g.fiber}")
+        for near, far, label, c in chain:
+            lines.append(f"E {index[near]} {index[far]} {label} {c}")
+    lines.append(f"FIBER {fiber}")
     return lines
 
 
@@ -625,8 +642,7 @@ def canonical_text(g: DecoratedGraph) -> str:
     vertices in chain order), so equal graphs serialize to identical bytes
     regardless of construction history.
     """
-    fixed = {vid: _fixed_record(v, g.omega) for vid, v in g._by_vid.items()}
-    lines = _records(g, False, fixed)
+    lines = _lines(g, _walk(g, False))
     lines.append("LEDGER " + " ".join(_ledger_texts(g, {})))
     return "\n".join(lines) + "\n"
 
@@ -755,38 +771,53 @@ def parse_graph(text: str, omega: CohomologyVector | None = None) -> DecoratedGr
     return DecoratedGraph.build(omega, verts.values(), edges, ledger, fiber)
 
 
-def _normal_orientation(g: DecoratedGraph):
-    """The reduced form h of ``g``, whether its flip is the normal form, and
-    the ledger-free text of the normal form.
+def _normal_lines(g: DecoratedGraph, relabelings) -> tuple[DecoratedGraph, bool, list[str]]:
+    """The reduced form h of ``g``, and the orientation and ledger-free lines
+    of the smallest records of h over every (relabeling, orientation) pair.
 
-    The up text holds the records of h and the down text those of
-    ``flip(h)``; the normal form is the smaller.  Both open with the
-    same MODEL and OMEGA lines, then ``V 0 0`` (h is translated to 0) and the
-    record of the start vertex: the minimum up, the maximum down.  Lines hold
-    no newline, which sorts below every character they do hold, so when the
-    two start records differ they decide the order and only the smaller text
-    is written.
+    ``relabelings`` are class maps for ``_lines`` (None for the identity).
+    h is reduced once and each orientation of h walked at most once, since a
+    relabeling moves no vertex, moment or chain.  Every pair's lines open
+    with the same MODEL and OMEGA lines, then ``V 0 0`` (h is translated to
+    0) and the start vertex's record, then ``V 1 top`` and the end vertex's:
+    the minimum and the maximum up, the other way down.  So the pairs whose
+    two extremum records are not the smallest cannot win, and only the
+    others are written.  Lines hold no newline, which sorts below every
+    character they do hold, so the order of line lists is the order of
+    their texts.  Of equal lists the first pair wins, the identity's up
+    orientation first.
     """
     h = translate(strip_redundant(break_free_edges(g)))
-    fixed = {vid: _fixed_record(v, h.omega) for vid, v in h._by_vid.items()}
-    up_start = fixed[h.vertices[0].vid]
-    down_start = fixed[h.vertices[-1].vid]
-    if up_start != down_start:
-        down = down_start < up_start
-        return h, down, "\n".join(_records(h, down, fixed)) + "\n"
-    up, down = ("\n".join(_records(h, d, fixed)) + "\n" for d in (False, True))
-    return h, down < up, min(up, down)
+    omega, ends = h.omega, (h.vertices[0].fat, h.vertices[-1].fat)
+    heads, pairs = [], []
+    for relabel in relabelings:
+        low, high = ends if relabel is None else (None if c is None else relabel[c] for c in ends)
+        a, b = _fixed_record(low, omega), _fixed_record(high, omega)
+        heads += [(a, b), (b, a)]
+        pairs += [(False, relabel), (True, relabel)]
+    first = min(heads)
+    walks = {}
+    best = None
+    for head, (down, relabel) in zip(heads, pairs):
+        if head == first:
+            if down not in walks:
+                walks[down] = _walk(h, down)
+            lines = _lines(h, walks[down], relabel)
+            if best is None or lines < best[1]:
+                best = down, lines
+    return h, *best
 
 
 def normal_form(g: DecoratedGraph) -> DecoratedGraph:
     """Canonical representative under translation, generic metric, and flip."""
-    h, down, _ = _normal_orientation(g)
+    h, down, _ = _normal_lines(g, (None,))
     return flip(h) if down else h
 
 
-def normal_key(g: DecoratedGraph) -> str:
-    """The ledger-free records of ``normal_form(g)``, flip never built."""
-    return _normal_orientation(g)[2]
+def normal_key(g: DecoratedGraph, relabelings=(None,)) -> str:
+    """The ledger-free records of ``normal_form(g)``, flip never built; given
+    class maps for ``_lines``, the smallest such records over them."""
+    return "\n".join(_normal_lines(g, relabelings)[2]) + "\n"
 
 
 def generic_form(g: DecoratedGraph) -> DecoratedGraph:
@@ -800,7 +831,11 @@ def generic_form(g: DecoratedGraph) -> DecoratedGraph:
 
 def permute_exceptionals(g: DecoratedGraph, perm: dict[int, int]) -> DecoratedGraph:
     """Apply a permutation of exceptional indices of equal size to every class
-    in sight; the class vector stays as it is.  GraphError on unequal sizes."""
+    in sight; the class vector stays as it is.  GraphError on unequal sizes.
+
+    Dedup keys never build the relabeled graph: they write each class through
+    a relabeling's class table.  This is the graph they stand for, which the
+    tests compare them against."""
     if not perm:
         return g
     head = 1 if g.model.kind == RATIONAL else 2

@@ -384,7 +384,8 @@ class CohomologyVector:
         object.__setattr__(self, "denominator", den)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_extensions", {})
-        # enumeration._permutation_group's relabelings, per created indices
+        # enumeration._permutation_group's relabelings, each with its class
+        # table, per created indices
         object.__setattr__(self, "_relabelings", {})
         # Tables the kernel reads per graph, filled as it asks and freed with
         # the vector: the area ``weights . coeffs`` of each coefficient tuple,

@@ -713,11 +713,16 @@ def read_graphs(directory, omega: CohomologyVector) -> list:
         path = os.path.join(directory, name)
         with open(path, encoding="utf-8") as fh:
             try:
-                g = parse_graph(fh.read(), omega)
-                if g.omega != omega:
+                text = fh.read()
+                g = parse_graph(text, omega)
+                if g.omega is not omega:  # another spelling or another model
+                    written = next(
+                        line.strip() for line in text.splitlines()
+                        if line.strip().startswith("OMEGA ")
+                    )
                     raise GraphError(
-                        f"graph has class vector {g.omega} on the {g.model} model,"
-                        f" the scenario {omega} on the {omega.model} model"
+                        f"{written} on the {g.model} model is not the scenario's"
+                        f" OMEGA {omega} on the {omega.model} model"
                     )
                 if len(g.ledger) != steps:
                     raise GraphError(

@@ -337,6 +337,9 @@ def test_verify_graphs_with_an_invalid_graph_exits_2(tmp_path, capsys):
             lambda text: text.replace(b"\nV 0", b"\nOMEGA (1,1;3/5,7/20,3/10)\nV 0"),
             id="second-omega",
         ),
+        # The OMEGA record is the scenario's class vector, spelt as it spells it.
+        pytest.param(lambda text: text.replace(b"7/20,3/10)", b"7/20,6/20)"), id="omega-6/20"),
+        pytest.param(lambda text: text.replace(b";3/5,", b";+3/5,"), id="omega-+3/5"),
         pytest.param(
             lambda text: re.sub(rb"LEDGER .*", b"LEDGER E3:surface:min", text),
             id="short-ledger",

@@ -7,7 +7,8 @@ a helper that only tests call.  The checks read each module's syntax tree
 with the standard library's ``ast``; a name counts as used when the module
 reads it anywhere, string annotations included.  ``__init__`` is left out,
 since it imports to re-export.  A function the benchmark's traced run wraps
-(a hook in ``perfbench/spans.py``) counts as read.
+(a hook in ``perfbench/spans.py``) counts as read, and the few that only a
+hook reads are pinned by name.
 """
 
 import ast
@@ -122,6 +123,21 @@ def test_every_function_and_class_is_read_or_hooked():
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
     _, hooks = load_hooks()
     assert unread(trees, {(hook.module, hook.attr) for hook in hooks}) == []
+
+
+# What only a benchmark hook reads.  Each waits for the benchmark change that
+# drops its hook, and is deleted with it (``flip`` too, which only
+# ``normal_form`` reads): dedup keys call neither.  (``cone.verify_picard_basis``
+# is hooked too, but ``run_scenario`` reads it.)
+HOOK_ONLY = ["graphs.normal_form", "graphs.permute_exceptionals"]
+
+
+def test_the_definitions_only_a_hook_reads_are_pinned():
+    """A function that quietly becomes hook-only fails here."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    _, hooks = load_hooks()
+    hooked = {f"{hook.module}.{hook.attr}" for hook in hooks}
+    assert [name for name in unread(trees, set()) if name in hooked] == HOOK_ONLY
 
 
 def test_the_check_finds_an_unread_definition():

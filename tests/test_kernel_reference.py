@@ -64,7 +64,8 @@ from decgraph.graphs import (
     _chain_sum,
     _drop_caches,
     _fixed_record,
-    _records,
+    _lines,
+    _walk,
     base_hirzebruch,
     BaseFamilyParams,
     break_free_edges,
@@ -890,16 +891,16 @@ def test_validate_on_an_indexed_graph_reports_broken_rules():
 # canonical records and dedup keys
 
 
-def fixed_records(g):
-    return {v.vid: _fixed_record(v, g.omega) for v in g.vertices}
+def walked_text(g, down):
+    """The ledger-free text of ``g`` (up) or of its flip (down), walked and
+    written by the kernel's two parts."""
+    return "\n".join(_lines(g, _walk(g, down))) + "\n"
 
 
 def full_texts(g):
     """The reduced form h of ``g`` and both its ledger-free texts, in full."""
     h = translate(strip_redundant(break_free_edges(g)))
-    fixed = fixed_records(h)
-    up, down = ("\n".join(_records(h, d, fixed)) + "\n" for d in (False, True))
-    return h, up, down
+    return h, walked_text(h, False), walked_text(h, True)
 
 
 def assert_keys_match_references(g):
@@ -908,7 +909,7 @@ def assert_keys_match_references(g):
     assert up == reference_canonical_text(h, False)
     assert canonical_text(h) == up + reference_ledger_record(h) + "\n"
     f = flip(h)
-    assert down == "\n".join(_records(f, False, fixed_records(f))) + "\n"
+    assert down == walked_text(f, False)
     assert down == reference_canonical_text(flip(h), False)
     assert canonical_text(g) == reference_canonical_text(g)
     nf = normal_form(g)
@@ -964,7 +965,7 @@ def test_normal_key_is_the_smaller_full_text_under_every_relabeling(golden_level
     """Both branches of the key: start records that differ, and ties."""
     decided = tied = 0
     for g in golden_level_graphs:
-        for perm in _permutation_group(g):
+        for perm, _ in _permutation_group(g):
             p = permute_exceptionals(g, perm)
             _, up, down = full_texts(p)
             assert normal_key(p) == min(up, down)
@@ -973,6 +974,29 @@ def test_normal_key_is_the_smaller_full_text_under_every_relabeling(golden_level
             else:
                 decided += 1
     assert decided > 0 and tied > 0
+
+
+@pytest.fixture(scope="module")
+def relabeled_level_graphs(golden_level_graphs):
+    """The golden level graphs and ruled-equal's, whose relabelings act on a
+    ruled model."""
+    spec = load_scenario(str(GOLDEN / "ruled-equal.scenario")).enumeration_spec()
+    return golden_level_graphs + [g for level in enumerate_levels(spec) for g in level.graphs]
+
+
+def test_a_relabeled_graph_has_the_dedup_key_of_its_graph(relabeled_level_graphs):
+    """``permute_exceptionals`` builds the relabeled graph that the key never
+    builds; the relabelings form a group, so both keys are one minimum."""
+    relabeled = 0
+    for g in relabeled_level_graphs:
+        key = dedup_key(g)
+        for perm, _ in _permutation_group(g):
+            assert dedup_key(permute_exceptionals(g, perm)) == key
+            relabeled += bool(perm)
+        assert dedup_key(g, False) == normal_key(g)
+    assert relabeled > 100
+    assert any(g.model.kind == RULED and len(_permutation_group(g)) > 1
+               for g in relabeled_level_graphs)
 
 
 def index_state(h):
@@ -1471,7 +1495,7 @@ def test_relabelings_are_listed_once_per_vector_and_created_indices(golden_level
     for g in golden_level_graphs:
         perms = _permutation_group(g)
         assert perms is _permutation_group(g)
-        assert list(perms) == list(reference_permutation_group(g))
+        assert [perm for perm, _ in perms] == list(reference_permutation_group(g))
         key = (id(g.omega), len(g.ledger))  # the last s indices were created
         if key in lists:
             shared += 1
@@ -1535,10 +1559,10 @@ def test_fat_record_is_kept_and_equals_the_formula(golden_level_graphs):
         for v in g.vertices:
             f = v.fat
             if f is None:
-                assert _fixed_record(v, g.omega) == "isolated"
+                assert _fixed_record(f, g.omega) == "isolated"
                 continue
             fats += 1
-            assert _fixed_record(v, g.omega) == (
+            assert _fixed_record(f, g.omega) == (
                 f"fat size={rat_str(reference_pair(g.omega, f))}"
                 f" genus={reference_adjunction_genus(f)}"
                 f" class={reference_class_text(f)}"
@@ -1552,6 +1576,7 @@ def test_fat_record_is_kept_and_equals_the_formula(golden_level_graphs):
 
 CACHES = ("_by_vid", "_adjacency", "_extensions")
 DEEP_SCENARIO = Path(__file__).parents[1] / "perfbench" / "ruled-deep.scenario"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def held_caches(g):

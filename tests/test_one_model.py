@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from decgraph import cli, cone, scenarios
+from decgraph import cli, cone, enumeration, scenarios
 from decgraph.lattice import (
     HomologyClass,
     LatticeError,
@@ -174,3 +174,47 @@ def test_replays_onto_two_vectors_share_no_class(tmp_path):
     assert first[0].omega is not second[0].omega
     with pytest.raises(LatticeError, match="model mismatch"):
         intersect(first[0].fiber, second[0].fiber)
+
+
+def vectors_from(omega):
+    """``omega`` and every vector extended from it."""
+    yield omega
+    for wider in omega._extensions.values():
+        yield from vectors_from(wider)
+
+
+def test_relabeling_tables_start_empty_and_return_the_models_classes(monkeypatch):
+    """cp2-six keys its graphs over relabelings of equal sizes, each through a
+    class table kept on the level's class vector.  Each run starts cold: at
+    its first key, on the bases' vector, no vector of the run has a table.
+    Every class a table returns is its model's one object."""
+    scenario = scenarios.load_scenario("cp2-six")
+    runs = []
+    for _ in range(2):
+        seen = {}
+        original = enumeration.dedup_key
+
+        def spy(g, *args, _seen=seen, _original=original):
+            if not _seen:
+                assert all(v._relabelings == {} for v in vectors_from(g.omega))
+            _seen[id(g.omega)] = g.omega
+            return _original(g, *args)
+
+        monkeypatch.setattr(enumeration, "dedup_key", spy)
+        outcome = scenarios.run_scenario(scenario)
+        monkeypatch.undo()
+        runs.append((outcome, list(seen.values())))
+    for outcome, vectors in runs:
+        assert vectors[-1] is outcome.result.graphs[0].omega
+        images = 0
+        for omega in vectors:
+            for perms in omega._relabelings.values():
+                for perm, table in perms:
+                    assert (table is None) == (perm == {})
+                    for c, image in (table or {}).items():
+                        assert c.model is image.model is omega.model
+                        assert image is image.model.intern(image.coeffs)
+                        images += 1
+        assert images > 100
+    first, second = (set(map(id, vectors)) for _, vectors in runs)
+    assert not first & second
