@@ -75,6 +75,28 @@ def _site_for_vertex(g: DecoratedGraph, v: Vertex) -> BlowupSite | None:
     return BlowupSite(kind, v.vid, Fraction(bound, omega.denominator), end)
 
 
+def _site_table(g: DecoratedGraph) -> dict[str, tuple[BlowupSite, int]]:
+    """vid -> (site, its bound as an integer over D) for every site of ``g``,
+    in ``blowup_sites`` order: by kind, then height and vid.
+
+    A site's kind and bound belong to the graph alone, so the table is made
+    on first use and kept, under ``_sites``, until ``graphs._drop_caches``:
+    a parent's sites are derived once for all its children.
+    """
+    table = vars(g).get("_sites")
+    if table is None:
+        den = g.omega.denominator
+        found = []
+        for v in g.vertices:
+            site = _site_for_vertex(g, v)
+            if site is not None:
+                bound = site.max_admissible
+                found.append((site, bound.numerator * (den // bound.denominator)))
+        found.sort(key=lambda entry: entry[0].kind)  # stable: vertices are in (height, vid) order
+        table = vars(g)["_sites"] = {site.vertex: (site, bound) for site, bound in found}
+    return table
+
+
 def blowup_sites(g: DecoratedGraph, delta) -> list[BlowupSite]:
     """Every site whose strict admissibility bound exceeds ``delta``.
 
@@ -84,29 +106,27 @@ def blowup_sites(g: DecoratedGraph, delta) -> list[BlowupSite]:
     delta = rat(delta)
     if delta <= 0:
         raise BlowupError("blowup size must be positive")
-    sites = []
-    for v in g.vertices:
-        site = _site_for_vertex(g, v)
-        if site is not None and delta < site.max_admissible:
-            sites.append(site)
-    sites.sort(key=lambda s: (s.kind, g.vertex(s.vertex).height, s.vertex))
-    return sites
+    # delta = p/q lies below a bound b/D exactly when p * D < b * q.
+    size, q = delta.numerator * g.omega.denominator, delta.denominator
+    return [site for site, bound in _site_table(g).values() if size < bound * q]
 
 
 def apply_blowup(g: DecoratedGraph, vertex: str, delta) -> DecoratedGraph:
     """Blow ``g`` up by ``delta`` at the site ``vertex``; exact bookkeeping.
 
-    The site's kind and end are read from the graph.  The new exceptional
-    class Ee is appended to the lattice and the class vector; the rewrite
-    follows the local model at the site, written once for both ends.  The
-    result always passes validation and pairs Ee to the blowup size.
+    The site's kind, end and bound are read from the graph's site table.
+    The new exceptional class Ee is appended to the lattice and the class
+    vector; the rewrite follows the local model at the site, written once
+    for both ends.  The result always passes validation and pairs Ee to the
+    blowup size.
     """
     delta = rat(delta)
     v = g.vertex(vertex)
-    site = _site_for_vertex(g, v)
-    if site is None:
+    entry = _site_table(g).get(v.vid)
+    if entry is None:
         raise BlowupError(f"no blowup site at vertex {vertex}")
-    if not 0 < delta < site.max_admissible:
+    site, bound = entry
+    if not 0 < delta.numerator * g.omega.denominator < bound * delta.denominator:
         raise BlowupError(
             f"size {delta} not strictly below the bound {site.max_admissible}"
             f" at {site.kind}@{site.vertex}"

@@ -165,8 +165,10 @@ def cone_membership(d: HomologyClass, gens: GeneratorList):
         if r.const > 0:  # 0 >= const > 0: infeasible, provenance is a Farkas row
             functional = tuple(-p for p in r.prov)
             sep = ConeSeparation(functional)
-            assert sep.apply(d) < 0
-            assert all(sep.apply(gcls) >= 0 for gcls in gens.generators)
+            if not sep.apply(d) < 0:
+                raise LatticeError("separating functional is not negative on the target")
+            if any(sep.apply(gcls) < 0 for gcls in gens.generators):
+                raise LatticeError("separating functional is negative on a generator")
             return sep
 
     # Feasible: back-substitute through the elimination stages.

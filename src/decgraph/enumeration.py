@@ -220,9 +220,14 @@ def enumerate_graphs(spec: EnumerationSpec) -> EnumerationResult:
     omega = spec.final_omega
     first = omega.model.k - len(spec.sizes)
     for i, s in enumerate(spec.sizes, start=1):
-        assert pair(omega, omega.model.exceptional(first + i)) == s
+        if pair(omega, omega.model.exceptional(first + i)) != s:
+            raise EnumerationError(f"the final class vector {omega} does not pair E{first + i} to {s}")
     for g in result.graphs:
-        assert len(g.ledger) == len(spec.sizes) and g.omega is omega
+        if len(g.ledger) != len(spec.sizes) or g.omega is not omega:
+            raise EnumerationError(
+                f"a final graph on {g.omega} with {len(g.ledger)} steps is not on the"
+                f" final class vector {omega} with {len(spec.sizes)}"
+            )
     return result
 
 

@@ -214,14 +214,15 @@ class DecoratedGraph:
 
 
 def _drop_caches(g: DecoratedGraph) -> None:
-    """Release ``g``'s index and extensions; the next query rebuilds them.
+    """Release ``g``'s index, extensions and site table (``blowup._site_table``);
+    the next query rebuilds them.
 
     They are caches of values the graph holds, so no value changes.  The
     enumeration calls this once a graph is keyed or expanded, and the export
     once its file is written, so that a held graph is only its values.
     """
     cache = vars(g)
-    for name in ("_by_vid", "_adjacency", "_extensions"):
+    for name in ("_by_vid", "_adjacency", "_extensions", "_sites"):
         cache.pop(name, None)
 
 
@@ -481,11 +482,13 @@ def break_free_edges(g: DecoratedGraph) -> DecoratedGraph:
     """
     while True:
         vmin, vmax = g.vertices[0], g.vertices[-1]
-        ends = (vmin.vid, vmax.vid)
-        interior = {v.vid for v in g.vertices if v.fat is None and v.vid not in ends}
+        ends, by_vid = (vmin.vid, vmax.vid), g._by_vid
         for target in g.edges:
-            if target.label == 1 and target.bottom in interior and target.top in interior:
-                break
+            bottom, top, label, _ = target
+            if label == 1 and bottom not in ends and top not in ends:
+                b, t = by_vid.get(bottom), by_vid.get(top)
+                if b is not None and t is not None and b.fat is None and t.fat is None:
+                    break
         else:
             return g
         intern = g.model.intern

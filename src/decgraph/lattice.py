@@ -115,6 +115,7 @@ class SurfaceModel:
             raise LatticeError("plane model carries no genus")
         object.__setattr__(self, "_classes", {})  # see ``intern``
         object.__setattr__(self, "_parsed", {})  # see ``parse``
+        object.__setattr__(self, "_exceptionals", {})  # see ``exceptional``
 
     @_cached
     def rank(self) -> int:
@@ -161,7 +162,11 @@ class SurfaceModel:
         return self.intern(tuple(coeffs))
 
     def exceptional(self, i: int) -> "HomologyClass":
-        return self.unit(f"E{i}")
+        """The class Ei, looked up once per (model, i)."""
+        out = self._exceptionals.get(i)
+        if out is None:
+            out = self._exceptionals[i] = self.unit(f"E{i}")
+        return out
 
     def parse(self, text: str) -> "HomologyClass":
         """Parse 'L-E1-E4-E5', '2B+3F-E2', '-E3' or '0'; each text once."""
@@ -191,10 +196,14 @@ class SurfaceModel:
         out = self._parsed[text] = self.intern(tuple(coeffs))
         return out
 
-    def __str__(self):
+    @_cached
+    def _text(self) -> str:
         if self.kind == RATIONAL:
             return f"rational k={self.k}"
         return f"ruled genus={self.genus} k={self.k}"
+
+    def __str__(self):
+        return self._text
 
 
 _TERM = re.compile(r"([+-]?)(\d*)(L|B|F|E(\d+))")

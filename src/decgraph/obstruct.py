@@ -13,12 +13,14 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .graphs import DecoratedGraph
 from .lattice import (
     RATIONAL,
     HomologyClass,
     LatticeError,
+    _cached,
     intersect,
 )
 
@@ -48,6 +50,12 @@ class CertifiedClass:
 
     def pointwise_fixed(self, n: int) -> bool:
         return self.label is None or self.label % n == 0
+
+    @_cached
+    def _order(self) -> tuple:
+        """The sort key of ``certified_classes``: class, then a surface before
+        its spheres, then label; computed once per object."""
+        return (self.cls.coeffs, self.label is not None, self.label or 0)
 
 
 @dataclass(frozen=True)
@@ -140,7 +148,7 @@ def certified_classes(
                 shapes[cls, label] = cert
             if cert:
                 out.append(cert)
-    out.sort(key=lambda c: (c.cls.coeffs, c.label is not None, c.label or 0))
+    out.sort(key=attrgetter("_order"))
     return out
 
 

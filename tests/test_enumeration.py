@@ -85,9 +85,9 @@ def test_every_graph_extends_omega_by_the_size_list():
             assert pair(g.omega, g.model.exceptional(i)) == s
 
 
-def test_a_class_vector_with_a_wrong_size_trips_the_final_assert(monkeypatch):
-    """The final check reads each distinct class vector object once; a graph
-    carrying its own vector with a wrong last size must still be caught."""
+def tampered_levels():
+    """The levels of a ruled run, and its last level with the last graph
+    moved onto a class vector of its own whose last size is wrong."""
     from dataclasses import replace
 
     from decgraph import enumeration
@@ -100,12 +100,55 @@ def test_a_class_vector_with_a_wrong_size_trips_the_final_assert(monkeypatch):
     g = last.graphs[-1]
     wrong = CohomologyVector(g.model, g.omega.entries[:-1] + (RULED_SIZES[-1] / 2,))
     tampered = replace(last, graphs=last.graphs[:-1] + (replace(g, omega=wrong),))
+    return spec, levels, tampered
 
+
+def test_a_class_vector_with_a_wrong_size_trips_the_final_check(monkeypatch):
+    """The final check reads each distinct class vector object once; a graph
+    carrying its own vector with a wrong last size must still be caught."""
+    from decgraph import enumeration
+
+    spec, levels, tampered = tampered_levels()
     monkeypatch.setattr(enumeration, "_levels", lambda spec: iter(levels))
-    assert enumerate_graphs(spec) is last
+    assert enumerate_graphs(spec) is levels[-1]
     monkeypatch.setattr(enumeration, "_levels", lambda spec: iter(levels[:-1] + [tampered]))
-    with pytest.raises(AssertionError):
+    with pytest.raises(EnumerationError, match="is not on the final class vector"):
         enumerate_graphs(spec)
+
+
+def test_the_final_check_survives_python_dash_o():
+    """``python -O`` strips asserts; the final check is no assert."""
+    import os
+    import subprocess
+    import sys
+    import textwrap
+    from pathlib import Path
+
+    import decgraph
+
+    script = textwrap.dedent("""
+        import sys
+        assert False, "never reached under -O"
+        from decgraph import enumeration
+        from test_enumeration import tampered_levels
+        spec, levels, tampered = tampered_levels()
+        enumeration._levels = lambda spec: iter(levels[:-1] + [tampered])
+        try:
+            enumeration.enumerate_graphs(spec)
+        except enumeration.EnumerationError as exc:
+            print(exc)
+            sys.exit(0)
+        sys.exit(1)
+    """)
+    src = Path(decgraph.__file__).parents[1]
+    path = os.pathsep.join([str(src), str(Path(__file__).parent)])
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "is not on the final class vector" in done.stdout
 
 
 def test_dedup_soundness_under_exploration_order():

@@ -961,6 +961,32 @@ def test_site_bounds_match_the_reference_on_golden_and_deep_levels(golden_levels
     assert {SURFACE, EXTREMUM, INTERIOR} <= set(kinds)
 
 
+def test_the_integer_bound_comparisons_hold_at_the_bound(golden_level_graphs):
+    """Every site of every golden level, its bound b from the Fraction
+    reference: b less half a step of 1/D is offered and applies, and b
+    itself is neither offered nor applied, with the same error text."""
+    kinds = Counter()
+    for g in golden_level_graphs:
+        for v in g.vertices:
+            expected = reference_site(g, v)
+            if expected is None:
+                continue
+            kind, bound = expected
+            below = bound - F(1, 2 * g.omega.denominator)
+            assert v.vid in [site.vertex for site in blowup_sites(g, below)]
+            child = apply_blowup(g, v.vid, below)
+            assert reference_pair(child.omega, child.model.exceptional(child.model.k)) == below
+            assert v.vid not in [site.vertex for site in blowup_sites(g, bound)]
+            with pytest.raises(BlowupError) as refused:
+                apply_blowup(g, v.vid, bound)
+            assert str(refused.value) == (
+                f"size {bound} not strictly below the bound {bound} at {kind}@{v.vid}"
+            )
+            kinds[kind] += 1
+        _drop_caches(g)
+    assert set(kinds) == {SURFACE, EXTREMUM, INTERIOR} and sum(kinds.values()) == 3564
+
+
 def test_normal_key_is_the_smaller_full_text_under_every_relabeling(golden_level_graphs):
     """Both branches of the key: start records that differ, and ties."""
     decided = tied = 0
@@ -1574,7 +1600,7 @@ def test_fat_record_is_kept_and_equals_the_formula(golden_level_graphs):
 # released caches
 
 
-CACHES = ("_by_vid", "_adjacency", "_extensions")
+CACHES = ("_by_vid", "_adjacency", "_extensions", "_sites")
 DEEP_SCENARIO = Path(__file__).parents[1] / "perfbench" / "ruled-deep.scenario"
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -1635,6 +1661,25 @@ def test_the_index_is_built_once_per_child_parent_and_extension(monkeypatch):
     parents = len(levels[0].graphs) + sum(lv.kept for lv in log[:-1])
     assert (children, parents) == (394, 77)
     assert sum(builds.values()) == 546 <= children + 2 * parents
+
+
+def test_each_parent_derives_each_site_once(monkeypatch):
+    """A parent's site table serves its sites and every child's blowup: each
+    vertex of each expanded parent is looked at once, and ``apply_blowup``
+    derives no site of its own."""
+    from decgraph import blowup
+
+    derived = Counter()
+
+    def counted(g, v):
+        derived[id(g), v.vid] += 1
+        return _site_for_vertex(g, v)
+
+    monkeypatch.setattr(blowup, "_site_for_vertex", counted)
+    levels = enumerate_levels(load_scenario("ruled-general-4").enumeration_spec())
+    parents = [g for level in levels[:-1] for g in level.graphs]
+    assert (len(parents), sum(lv.sites for lv in levels[-1].branch_log)) == (77, 394)
+    assert derived == Counter((id(g), v.vid) for g in parents for v in g.vertices)
 
 
 @pytest.mark.parametrize("name", ["cp2-six", "ruled-three"])
