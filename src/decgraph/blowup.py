@@ -18,10 +18,11 @@ rewrites is written once, for the min end, and mirrored at the max end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graphs import (
+    CACHES,
     EXTREMUM,
     INTERIOR,
     SURFACE,
@@ -34,6 +35,9 @@ from .graphs import (
 from .lattice import LatticeError, rat
 
 
+CACHES.append("_sites")  # each graph's ``_site_table``
+
+
 class BlowupError(ValueError):
     """Raised for an inadmissible blowup; the message names the violated bound."""
 
@@ -44,13 +48,14 @@ class BlowupSite:
     vertex: str
     max_admissible: Fraction
     end: str = ""  # 'min' or 'max' for surface/extremum sites
+    bound: int = field(default=0, repr=False, compare=False)  # max_admissible * D
 
 
 def _site_for_vertex(g: DecoratedGraph, v: Vertex) -> BlowupSite | None:
     """The site at ``v``, or None.  Its bound is the least area of the site's
     classes (a surface's own class, capped by the moment span; an
     extremum's two edges; an interior vertex's edges above and below),
-    found in integers over D and made one ``Fraction``."""
+    an integer over D kept beside its one ``Fraction``."""
     vs, omega = g.vertices, g.omega
     end = "min" if v.vid == vs[0].vid else "max" if v.vid == vs[-1].vid else ""
     if v.fat is not None:
@@ -72,28 +77,22 @@ def _site_for_vertex(g: DecoratedGraph, v: Vertex) -> BlowupSite | None:
         area = areas[c.coeffs]
         if bound is None or area < bound:
             bound = area
-    return BlowupSite(kind, v.vid, Fraction(bound, omega.denominator), end)
+    return BlowupSite(kind, v.vid, Fraction(bound, omega.denominator), end, bound)
 
 
-def _site_table(g: DecoratedGraph) -> dict[str, tuple[BlowupSite, int]]:
-    """vid -> (site, its bound as an integer over D) for every site of ``g``,
-    in ``blowup_sites`` order: by kind, then height and vid.
+def _site_table(g: DecoratedGraph) -> dict[str, BlowupSite]:
+    """vid -> site for every site of ``g``, in ``blowup_sites`` order: by
+    kind, then height and vid.
 
     A site's kind and bound belong to the graph alone, so the table is made
-    on first use and kept, under ``_sites``, until ``graphs._drop_caches``:
-    a parent's sites are derived once for all its children.
+    on first use and kept on the graph until ``graphs._drop_caches``: a
+    parent's sites are derived once for all its children.
     """
     table = vars(g).get("_sites")
     if table is None:
-        den = g.omega.denominator
-        found = []
-        for v in g.vertices:
-            site = _site_for_vertex(g, v)
-            if site is not None:
-                bound = site.max_admissible
-                found.append((site, bound.numerator * (den // bound.denominator)))
-        found.sort(key=lambda entry: entry[0].kind)  # stable: vertices are in (height, vid) order
-        table = vars(g)["_sites"] = {site.vertex: (site, bound) for site, bound in found}
+        sites = [site for v in g.vertices if (site := _site_for_vertex(g, v)) is not None]
+        sites.sort(key=lambda site: site.kind)  # stable: vertices are in (height, vid) order
+        table = vars(g)["_sites"] = {site.vertex: site for site in sites}
     return table
 
 
@@ -108,7 +107,7 @@ def blowup_sites(g: DecoratedGraph, delta) -> list[BlowupSite]:
         raise BlowupError("blowup size must be positive")
     # delta = p/q lies below a bound b/D exactly when p * D < b * q.
     size, q = delta.numerator * g.omega.denominator, delta.denominator
-    return [site for site, bound in _site_table(g).values() if size < bound * q]
+    return [site for site in _site_table(g).values() if size < site.bound * q]
 
 
 def apply_blowup(g: DecoratedGraph, vertex: str, delta) -> DecoratedGraph:
@@ -122,11 +121,10 @@ def apply_blowup(g: DecoratedGraph, vertex: str, delta) -> DecoratedGraph:
     """
     delta = rat(delta)
     v = g.vertex(vertex)
-    entry = _site_table(g).get(v.vid)
-    if entry is None:
+    site = _site_table(g).get(v.vid)
+    if site is None:
         raise BlowupError(f"no blowup site at vertex {vertex}")
-    site, bound = entry
-    if not 0 < delta.numerator * g.omega.denominator < bound * delta.denominator:
+    if not 0 < delta.numerator * g.omega.denominator < site.bound * delta.denominator:
         raise BlowupError(
             f"size {delta} not strictly below the bound {site.max_admissible}"
             f" at {site.kind}@{site.vertex}"

@@ -26,7 +26,7 @@ from .graphs import (
     generic_form,
     normal_key,
 )
-from .lattice import RATIONAL, CohomologyVector, HomologyClass, SurfaceModel, _Table, pair, rat
+from .lattice import CohomologyVector, HomologyClass, SurfaceModel, _Table, pair, rat
 
 
 class EnumerationError(ValueError):
@@ -106,7 +106,7 @@ def _relabeling_table(model: SurfaceModel, perm: dict[int, int]) -> _Table | Non
     computed on first use and kept.  None for the identity."""
     if not perm:
         return None
-    head = 1 if model.kind == RATIONAL else 2
+    head = model.head
     moves = tuple((head + i - 1, head + j - 1) for i, j in perm.items())
 
     def relabeled(c: HomologyClass) -> HomologyClass:
@@ -324,35 +324,32 @@ def classify_sequence_types(graphs: Iterable[DecoratedGraph]) -> dict[str, list[
 # label-instantiation cross-check
 
 
-def site_kind_tree(g: DecoratedGraph, sizes) -> tuple:
-    """Nested multiset of admissible site kinds along the whole size list.
-
-    Admissibility bounds depend only on sphere areas, never on edge labels,
-    so the tree must agree across label representatives of one family; a
-    disagreement would invalidate instantiating the symbolic labels at
-    finitely many representatives.
-    """
-    sizes = [rat(s) for s in sizes]
+def site_kind_tree(g: DecoratedGraph, sizes: tuple[Fraction, ...]) -> tuple:
+    """Nested multiset of the site kinds (last ledger steps) of ``_children``
+    along the whole size list.  Admissibility bounds depend only on sphere
+    areas, never on edge labels, so the tree must agree across the label
+    representatives of one family; a disagreement would invalidate
+    instantiating the symbolic labels at finitely many representatives."""
     if not sizes:
         return ()
-    branches = []
-    for site in blowup_sites(g, sizes[0]):
-        child = generic_form(apply_blowup(g, site.vertex, sizes[0]))
-        branches.append((site.kind, site_kind_tree(child, sizes[1:])))
+    branches = [
+        (child.ledger[-1].kind, site_kind_tree(child, sizes[1:]))
+        for child in _children((g,), sizes[0], [])
+    ]
     return tuple(sorted(branches))
 
 
-def cross_check_instantiation(lam, delta1, reps, sizes) -> None:
-    """Raise unless all valid (c, d) representatives branch identically."""
-    omega = CohomologyVector.rational(lam, [delta1])
-    lam, delta1 = omega.entries
-    family_ell = lambda params: (params.family, params.ell)
+def cross_check_instantiation(bases, params, sizes) -> None:
+    """Raise unless all valid (c, d) representatives of the run's ``bases``,
+    named position by position by ``params``, branch identically.  Unequal
+    counts are a ValueError."""
+    family_ell = lambda base: (base[1].family, base[1].ell)
     isolated = sorted(
-        (p for p in _base_family_params(lam, delta1, reps) if p.family.startswith("isolated")),
+        (base for base in zip(bases, params, strict=True) if base[1].family.startswith("isolated")),
         key=family_ell,
     )
     for (family, ell), group in itertools.groupby(isolated, key=family_ell):
-        trees = {site_kind_tree(base_hirzebruch(omega, p), sizes) for p in group}
+        trees = {site_kind_tree(g, sizes) for g, _ in group}
         if len(trees) > 1:
             raise EnumerationError(
                 f"{family} ell={ell}: site-kind trees differ across the"

@@ -213,16 +213,19 @@ class DecoratedGraph:
         return self._adjacency[1].get(vid, ())
 
 
+# What a graph keeps beside its fields; a module keeping a table on graphs adds its name.
+CACHES = ["_by_vid", "_adjacency", "_extensions"]
+
+
 def _drop_caches(g: DecoratedGraph) -> None:
-    """Release ``g``'s index, extensions and site table (``blowup._site_table``);
-    the next query rebuilds them.
+    """Release each cache in ``CACHES`` that ``g`` holds; the next query rebuilds it.
 
     They are caches of values the graph holds, so no value changes.  The
     enumeration calls this once a graph is keyed or expanded, and the export
     once its file is written, so that a held graph is only its values.
     """
     cache = vars(g)
-    for name in ("_by_vid", "_adjacency", "_extensions", "_sites"):
+    for name in CACHES:
         cache.pop(name, None)
 
 
@@ -841,7 +844,7 @@ def permute_exceptionals(g: DecoratedGraph, perm: dict[int, int]) -> DecoratedGr
     tests compare them against."""
     if not perm:
         return g
-    head = 1 if g.model.kind == RATIONAL else 2
+    head = g.model.head
     entries = g.omega.entries
     if any(entries[head + i - 1] != entries[head + j - 1] for i, j in perm.items()):
         raise GraphError(f"relabeling {perm} exchanges classes of unequal size")

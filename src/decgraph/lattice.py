@@ -118,8 +118,13 @@ class SurfaceModel:
         object.__setattr__(self, "_exceptionals", {})  # see ``exceptional``
 
     @_cached
+    def head(self) -> int:
+        """Ei's coefficient sits at index head + i - 1, after L or B, F."""
+        return 1 if self.kind == RATIONAL else 2
+
+    @_cached
     def rank(self) -> int:
-        return (1 if self.kind == RATIONAL else 2) + self.k
+        return self.head + self.k
 
     @_cached
     def basis_names(self) -> tuple[str, ...]:
@@ -264,7 +269,7 @@ class HomologyClass:
 
     def exceptional_support(self) -> tuple[int, ...]:
         """Indices i with a nonzero Ei coefficient."""
-        head = 1 if self.model.kind == RATIONAL else 2
+        head = self.model.head
         return tuple(
             i for i in range(1, self.model.k + 1) if self.coeffs[head + i - 1] != 0
         )
@@ -293,12 +298,11 @@ def intersect(a: HomologyClass, b: HomologyClass) -> int:
     """Intersection number: L.L=1, Ei.Ei=-1, B.F=1, all else orthogonal."""
     a._check(b)
     if a.model.kind == RATIONAL:
-        head = a.coeffs[0] * b.coeffs[0]
-        start = 1
+        lead = a.coeffs[0] * b.coeffs[0]
     else:
-        head = a.coeffs[0] * b.coeffs[1] + a.coeffs[1] * b.coeffs[0]
-        start = 2
-    return head - sum(x * y for x, y in zip(a.coeffs[start:], b.coeffs[start:]))
+        lead = a.coeffs[0] * b.coeffs[1] + a.coeffs[1] * b.coeffs[0]
+    start = a.model.head
+    return lead - sum(x * y for x, y in zip(a.coeffs[start:], b.coeffs[start:]))
 
 
 def canonical_chern(model: SurfaceModel) -> HomologyClass:
@@ -323,12 +327,10 @@ def twice_adjunction_genus(c: HomologyClass) -> int:
     """
     x = c.coeffs
     if c.model.kind == RATIONAL:
-        head = x[0] * (x[0] - 3)
-        start = 1
+        lead = x[0] * (x[0] - 3)
     else:
-        head = 2 * x[0] * x[1] - 2 * x[1] - (2 - 2 * c.model.genus) * x[0]
-        start = 2
-    return 2 + head - sum(e * (e + 1) for e in x[start:])
+        lead = 2 * x[0] * x[1] - 2 * x[1] - (2 - 2 * c.model.genus) * x[0]
+    return 2 + lead - sum(e * (e + 1) for e in x[c.model.head:])
 
 
 def classify_negative(c: HomologyClass) -> str:
@@ -421,8 +423,7 @@ class CohomologyVector:
 
     @property
     def deltas(self) -> tuple[Fraction, ...]:
-        start = 1 if self.model.kind == RATIONAL else 2
-        return self.entries[start:]
+        return self.entries[self.model.head:]
 
     def extend(self, delta) -> "CohomologyVector":
         """Append one size; one shared object per (vector, size)."""
@@ -435,9 +436,8 @@ class CohomologyVector:
 
     @_cached
     def _text(self) -> str:
-        start = 1 if self.model.kind == RATIONAL else 2
-        head = ",".join(rat_str(x) for x in self.entries[:start])
-        tail = ",".join(rat_str(x) for x in self.entries[start:])
+        head = ",".join(rat_str(x) for x in self.entries[: self.model.head])
+        tail = ",".join(rat_str(x) for x in self.deltas)
         return f"({head};{tail})"
 
     def __str__(self):

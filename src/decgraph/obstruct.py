@@ -17,7 +17,6 @@ from operator import attrgetter
 
 from .graphs import DecoratedGraph
 from .lattice import (
-    RATIONAL,
     HomologyClass,
     LatticeError,
     _cached,
@@ -102,7 +101,7 @@ class ObstructionReport:
 
 def is_proper_transform_shape(c: HomologyClass) -> bool:
     """Ei minus a subset of later exceptional classes, nothing else."""
-    head = 1 if c.model.kind == RATIONAL else 2
+    head = c.model.head
     if any(x != 0 for x in c.coeffs[:head]):
         return False
     exc = c.coeffs[head:]

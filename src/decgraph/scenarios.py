@@ -10,6 +10,7 @@ justify the construction itself.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -22,6 +23,7 @@ from .enumeration import (
     EnumerationError,
     EnumerationResult,
     EnumerationSpec,
+    _base_family_params,
     classify_sequence_types,
     cross_check_instantiation,
     enumerate_graphs,
@@ -241,11 +243,9 @@ def load_scenario(name_or_path: str) -> Scenario:
     elif name_or_path.startswith("ruled-general-"):
         suffix = name_or_path.removeprefix("ruled-general-")
         try:
-            r = int(suffix)
+            r = _count(suffix)
         except ValueError:
-            raise ScenarioError(
-                f"ruled-general-<r> needs an integer r, not {suffix!r}"
-            ) from None
+            raise ScenarioError(f"ruled-general-<r> needs an integer r, not {suffix!r}") from None
         scenario = ruled_general_scenario(r)
     else:
         try:
@@ -349,16 +349,18 @@ def _rational(word: str) -> Fraction:
 
 
 def _integer(word: str) -> int:
+    """An optional '-' then ASCII digits; ``int`` alone reads '1_0', '+2' and '٢'."""
     try:
-        return int(word)
+        return -_count(word[1:]) if word.startswith("-") else _count(word)
     except ValueError:
         raise ValueError(f"must be an integer, not {word!r}") from None
 
 
 def _count(word: str) -> int:
-    if not (word.isascii() and word.isdigit()):
-        raise ValueError(f"must be a non-negative integer, not {word!r}")
-    return int(word)
+    if word.isascii() and word.isdigit():
+        with contextlib.suppress(ValueError):  # more digits than ``int`` reads
+            return int(word)
+    raise ValueError(f"must be a non-negative integer, not {word!r}")
 
 
 def _one_of(table: dict):
@@ -511,10 +513,9 @@ def run_scenario(scenario: Scenario) -> RunOutcome:
 
     if scenario.kind == RATIONAL:
         cross_ok = True
+        params = _base_family_params(*spec.bases[0].omega.entries, scenario.reps)
         try:
-            cross_check_instantiation(
-                scenario.lam, scenario.base_deltas[0], scenario.reps, scenario.sizes
-            )
+            cross_check_instantiation(spec.bases, params, spec.sizes)
         except EnumerationError as exc:  # loud failure: instantiation unsound
             cross_ok = False
             report["cross_check_error"] = str(exc)

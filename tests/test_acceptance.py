@@ -304,7 +304,9 @@ def test_criterion_09_property_suites():
     assert normal_key(deep) == normal_key(_unbroken_min_surface_variant())
 
     # symbolic labels instantiated at three representatives branch alike
-    cross_check_instantiation(1, F(1, 2), ((1, 1), (1, 2), (2, 1)), sizes)
+    reps = ((1, 1), (1, 2), (2, 1))
+    params = list(_base_family_params(1, F(1, 2), reps))
+    cross_check_instantiation(hirzebruch_base_graphs(1, F(1, 2), reps), params, sizes)
     report("criterion 9: strictness, 1000 random valid blowups, sphere"
            " classes, exact areas, idempotent normal form, metric pairs"
            " merged, label instantiation cross-checked")

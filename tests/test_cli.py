@@ -758,6 +758,24 @@ RULED_EIGHTHS = RULED_HEAD + "mode integrable\nsizes 1/2 1/4 1/8\n"
         (RULED_HEAD + "mode integrable\n", "scenario error: a ruled scenario needs a 'sizes' line"),
         ("lam 1\n" + RULED_OK, "scenario error: line 1: a ruled scenario has no key 'lam'"),
         (RULED_OK.replace("n 2\n", "n two\n"), "line 5: n must be an integer, not 'two'"),
+        # An integer is an optional '-' then ASCII digits, as int() alone does not hold.
+        (RULED_OK.replace("n 2\n", "n 1_0\n"), "line 5: n must be an integer, not '1_0'"),
+        (RULED_OK.replace("genus 2\n", "genus +2\n"),
+         "line 4: genus must be an integer, not '+2'"),
+        (RULED_OK.replace("genus 2\n", "genus \u0662\n"),
+         "line 4: genus must be an integer, not '\u0662'"),
+        (RULED_EIGHTHS + "required E2-E3@\u0662\n",
+         "line 8: required must be an integer, not '\u0662'"),
+        (PLANE_HEAD + "lam 1\nbase-sizes 1/2\nreps 1,1_0\n",
+         "line 6: reps must be an integer, not '1_0'"),
+        (RULED_OK + "generators ruled-three\npicard-prefix 0_5\n",
+         "line 9: picard-prefix must be an integer, not '0_5'"),
+        ("ruled-general-0_4", "ruled-general-<r> needs an integer r, not '0_4'"),
+        ("ruled-general-\u0664", "ruled-general-<r> needs an integer r, not '\u0664'"),
+        ("ruled-general- 4", "ruled-general-<r> needs an integer r, not ' 4'"),
+        # More digits than int() reads are no integer either.
+        ("ruled-general-" + "4" * 5000, "ruled-general-<r> needs an integer r, not '444"),
+        (RULED_OK.replace("n 2\n", f"n {'9' * 5000}\n"), "line 5: n must be an integer, not '999"),
     ],
     ids=[
         "name-suffix", "mode", "required-class", "negative-size", "one-size-ruled",
@@ -773,6 +791,10 @@ RULED_EIGHTHS = RULED_HEAD + "mode integrable\nsizes 1/2 1/4 1/8\n"
         "ruled-genus-0",
         "unknown-key", "repeated-key", "flag", "empty-flag", "ruled-lam", "ruled-base-sizes",
         "ruled-reps", "plane-lam-f", "plane-lam-b", "no-sizes", "foreign-key-first", "n-two",
+        "n-underscore", "genus-plus", "genus-arabic-indic", "required-order-arabic-indic",
+        "reps-underscore", "picard-prefix-underscore", "name-suffix-underscore",
+        "name-suffix-arabic-indic", "name-suffix-space", "name-suffix-5000-digits",
+        "n-5000-digits",
     ],
 )
 def test_malformed_scenario_exits_2_with_one_line(tmp_path, capsys, scenario, message):

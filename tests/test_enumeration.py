@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,7 @@ from decgraph.scenarios import load_scenario
 from test_graphs import plane, ruled
 
 QUARTERS = (F(1, 4), F(1, 4), F(1, 4))
+REPS = ((1, 1), (1, 2), (2, 1))
 RULED_SIZES = (F(3, 5), F(7, 20), F(3, 10))
 
 
@@ -183,28 +185,71 @@ def test_permutation_dedup_flag():
     assert len(strict.graphs) > len(merged.graphs)
 
 
+def reference_site_kind_tree(g, sizes):
+    """The tree as it was: each admissible site blown up, brought to generic
+    form and read by the site's kind, recursively."""
+    if not sizes:
+        return ()
+    branches = []
+    for site in blowup_sites(g, sizes[0]):
+        child = generic_form(apply_blowup(g, site.vertex, sizes[0]))
+        branches.append((site.kind, reference_site_kind_tree(child, sizes[1:])))
+    return tuple(sorted(branches))
+
+
+GOLDEN_PLANE = Path(__file__).parent / "golden" / "cp2-six-strict.scenario"
+PLANE_RUNS = ("cp2-six", "cp2-six-alt", str(GOLDEN_PLANE))
+
+
+@pytest.mark.parametrize("name", PLANE_RUNS, ids=lambda n: Path(n).stem)
+def test_site_kind_tree_matches_the_recursive_reference_on_every_base(name):
+    spec = load_scenario(name).enumeration_spec()
+    assert len(spec.bases) == 6
+    for g in spec.bases:
+        tree = site_kind_tree(g, spec.sizes)
+        assert tree and tree == reference_site_kind_tree(g, spec.sizes)
+
+
 def test_site_kind_trees_agree_across_label_representatives():
-    trees = []
-    for c, d in ((1, 1), (1, 2), (2, 1)):
-        g = base_hirzebruch(plane(), BaseFamilyParams("isolated_left", 1, c, d))
-        trees.append(site_kind_tree(g, QUARTERS))
-    assert trees[0] == trees[1] == trees[2]
-    cross_check_instantiation(1, F(1, 2), ((1, 1), (1, 2), (2, 1)), QUARTERS)
+    params = list(_base_family_params(1, F(1, 2), REPS))
+    bases = tuple(hirzebruch_base_graphs(1, F(1, 2), REPS))
+    trees = [
+        site_kind_tree(g, QUARTERS)
+        for g, p in zip(bases, params)
+        if (p.family, p.ell) == ("isolated_left", 1)
+    ]
+    assert len(trees) == 3 and trees[0] == trees[1] == trees[2]
+    cross_check_instantiation(bases, params, QUARTERS)
 
 
 def test_cross_check_names_the_first_family_and_ell_whose_trees_differ(monkeypatch):
-    """Groups are walked family by family, ell by ell; each base stands in
-    for its own tree, so every group but isolated_left ell=1 disagrees."""
+    """Groups are walked family by family, ell by ell, on the bases given;
+    each base's tree is stood in for by its labels, so every group but
+    isolated_left ell=1 disagrees."""
     from decgraph import enumeration
 
-    monkeypatch.setattr(enumeration, "base_hirzebruch", lambda omega, params: params)
-    monkeypatch.setattr(
-        enumeration,
-        "site_kind_tree",
-        lambda p, sizes: () if (p.family, p.ell) == ("isolated_left", 1) else (p.c, p.d),
-    )
+    params = list(_base_family_params(2, F(5, 4), REPS))
+    bases = tuple(hirzebruch_base_graphs(2, F(5, 4), REPS))
+    named = {id(g): p for g, p in zip(bases, params, strict=True)}
+
+    def labels(g, sizes):
+        p = named[id(g)]
+        return () if (p.family, p.ell) == ("isolated_left", 1) else (p.c, p.d)
+
+    monkeypatch.setattr(enumeration, "site_kind_tree", labels)
     with pytest.raises(EnumerationError, match=r"^isolated_left ell=2: site-kind trees differ"):
-        cross_check_instantiation(2, F(5, 4), ((1, 1), (1, 2), (2, 1)), QUARTERS)
+        cross_check_instantiation(bases, params, QUARTERS)
+
+
+def test_cross_check_refuses_bases_and_params_of_unequal_counts():
+    """A pairing by position that runs short is a caller's error, not a
+    failed cross-check."""
+    params = list(_base_family_params(1, F(1, 2), REPS))
+    bases = tuple(hirzebruch_base_graphs(1, F(1, 2), REPS))
+    for short_bases, short_params in ((bases[:-1], params), (bases, params[:-1])):
+        with pytest.raises(ValueError, match="zip") as refused:
+            cross_check_instantiation(short_bases, short_params, QUARTERS)
+        assert not isinstance(refused.value, EnumerationError)
 
 
 def test_classification_flags_unexpected_ledgers():

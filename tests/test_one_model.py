@@ -8,7 +8,9 @@ coefficients, and two classes are equal exactly when they are one object.
 The checks below spy on the stage functions the pipeline calls and collect
 every class and model handed across: the bases and the final graphs'
 vertex, edge and fiber classes, required and certified classes, generator
-and membership classes, witness classes.  A model of the same shape is
+and membership classes, witness classes.  The label cross-check of a plane
+run walks the run's own bases, so it builds no lattice of its own.  A model
+of the same shape is
 another lattice, which ``pair``, ``intersect`` and the obstruction search
 refuse.
 """
@@ -16,6 +18,7 @@ refuse.
 import contextlib
 import dataclasses
 import io
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -80,8 +83,8 @@ def spy(monkeypatch, targets, classes: dict, models: dict) -> dict:
 STAGES = [
     (scenarios, name)
     for name in (
-        "enumerate_graphs", "check_nonextension", "last_blowup_classes",
-        "classify_sequence_types", "nakai_check", "cone_membership",
+        "cross_check_instantiation", "enumerate_graphs", "check_nonextension",
+        "last_blowup_classes", "classify_sequence_types", "nakai_check", "cone_membership",
     )
 ] + [(cone, "curve_list_audit"), (cone, "verify_picard_basis")]
 
@@ -138,6 +141,28 @@ def test_every_class_a_run_meets_is_on_its_one_model(monkeypatch, name):
         assert {str(c) for c in gens.generators} <= met
     assert set(outcome.report.get("witness_classes", ())) <= met
     assert_twin_is_refused(model, omega, graphs, scenario)
+
+
+PLANE_RUNS = RUNS[:2] + (str(ROOT / "tests" / "golden" / "cp2-six-strict.scenario"),)
+
+
+@pytest.mark.parametrize("name", PLANE_RUNS, ids=lambda n: Path(n).stem)
+def test_a_plane_run_builds_one_model_per_k(monkeypatch, name):
+    """The bases' model and one ``extend`` per size: k = 1 to 6, once each,
+    the label cross-check included."""
+    scenario = scenarios.load_scenario(name)
+    made = Counter()
+    check = SurfaceModel.__post_init__
+
+    def counted(model):
+        made[model.kind, model.k] += 1
+        check(model)
+
+    monkeypatch.setattr(SurfaceModel, "__post_init__", counted)
+    outcome = scenarios.run_scenario(scenario)
+    monkeypatch.undo()
+    assert outcome.report["cross_check"] is True
+    assert made == Counter({("rational", k): 1 for k in range(1, 7)})
 
 
 def test_every_class_a_replay_meets_is_on_its_one_model(monkeypatch, tmp_path):

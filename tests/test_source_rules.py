@@ -1,0 +1,70 @@
+"""No float touches a bound or a verdict, and ``python -O`` keeps every check.
+
+The package computes in integers and ``Fraction``s, and it raises its own
+errors where a check fails.  So no module under ``src/`` holds an
+``assert`` statement (``-O`` strips it), a float literal, a call of
+``float`` or ``round``, or a ``math`` attribute other than ``gcd`` and
+``lcm``.  The checks read each module's syntax tree with the standard
+library's ``ast``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCE = Path(__file__).parents[1] / "src"
+MODULES = sorted(SOURCE.rglob("*.py"))
+MATH_ALLOWED = {"gcd", "lcm"}
+
+
+def violations(tree: ast.AST) -> list[str]:
+    """Each use of a forbidden construct, with its line, in source order."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            found.append((node.lineno, node.col_offset, "assert"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, node.col_offset, f"float literal {node.value!r}"))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("float", "round")
+        ):
+            found.append((node.lineno, node.col_offset, f"{node.func.id}("))
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "math"
+            and node.attr not in MATH_ALLOWED
+        ):
+            found.append((node.lineno, node.col_offset, f"math.{node.attr}"))
+    return [f"line {line}: {what}" for line, _, what in sorted(found)]
+
+
+def test_the_source_is_found():
+    assert len(MODULES) >= 9
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_a_module_holds_no_assert_and_no_float(path):
+    assert violations(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_check_finds_each_forbidden_construct():
+    tree = ast.parse(
+        "import math\n"
+        "def f(x):\n"
+        "    assert x > 0\n"
+        "    y = x * 0.5\n"
+        "    z = float(x) + round(x) + 1e3j\n"
+        "    return math.floor(y) + math.gcd(2, 4) + math.lcm(2, 3)\n"
+    )
+    assert violations(tree) == [
+        "line 3: assert",
+        "line 4: float literal 0.5",
+        "line 5: float(",
+        "line 5: round(",
+        "line 5: float literal 1000j",
+        "line 6: math.floor",
+    ]
