@@ -18,8 +18,8 @@ rewrites is written once, for the min end, and mirrored at the max end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graphs import (
     CACHES,
@@ -42,13 +42,19 @@ class BlowupError(ValueError):
     """Raised for an inadmissible blowup; the message names the violated bound."""
 
 
-@dataclass(frozen=True)
-class BlowupSite:
+class BlowupSite(NamedTuple):
+    """A site's kind and vertex, and its strict bound ``bound / den``."""
+
     kind: str
     vertex: str
-    max_admissible: Fraction
+    bound: int  # over ``den``, the denominator of the graph's class vector
+    den: int
     end: str = ""  # 'min' or 'max' for surface/extremum sites
-    bound: int = field(default=0, repr=False, compare=False)  # max_admissible * D
+
+    @property
+    def max_admissible(self) -> Fraction:
+        """The bound, made on each read: only error texts and tests read it."""
+        return Fraction(self.bound, self.den)
 
 
 def _site_for_vertex(g: DecoratedGraph, v: Vertex) -> BlowupSite | None:
@@ -77,7 +83,7 @@ def _site_for_vertex(g: DecoratedGraph, v: Vertex) -> BlowupSite | None:
         area = areas[c.coeffs]
         if bound is None or area < bound:
             bound = area
-    return BlowupSite(kind, v.vid, Fraction(bound, omega.denominator), end, bound)
+    return BlowupSite(kind, v.vid, bound, omega.denominator, end)
 
 
 def _site_table(g: DecoratedGraph) -> dict[str, BlowupSite]:
@@ -136,7 +142,7 @@ def apply_blowup(g: DecoratedGraph, vertex: str, delta) -> DecoratedGraph:
     x = g.extend(delta)
     w = delta.numerator * (x.omega.denominator // delta.denominator)
     h = x.vertex(v.vid).height
-    Ee = x.model.exceptional(x.model.k)
+    Ee, less = x.model.exceptional(x.model.k), x.model._less_last  # c -> c - Ee
     step = len(g.ledger) + 1
     fiber = x.fiber
     vertices = [u for u in x.vertices if u.vid != v.vid]
@@ -153,20 +159,20 @@ def apply_blowup(g: DecoratedGraph, vertex: str, delta) -> DecoratedGraph:
         hi = Vertex(f"{step}.hi", h + m * w)
         lo = Vertex(f"{step}.lo", h - n * w)
         new_vertices = [hi, lo]
-        edges = [e for e in x.edges if v.vid not in (e.bottom, e.top)]
+        edges = [e for e in x.edges if e is not up and e is not down]
         new_edges = [
-            Edge(hi.vid, up.top, m, up.cls - Ee),
+            Edge(hi.vid, up.top, m, less[up.cls]),
             Edge(lo.vid, hi.vid, m + n, Ee),
-            Edge(down.bottom, lo.vid, n, down.cls - Ee),
+            Edge(down.bottom, lo.vid, n, less[down.cls]),
         ]
 
     elif site.kind == SURFACE:
         mid = Vertex(f"{step}.c", h + sgn * w)
-        new_vertices = [Vertex(v.vid, h, x.vertex(v.vid).fat - Ee), mid]
+        new_vertices = [Vertex(v.vid, h, less[x.vertex(v.vid).fat]), mid]
         vmin, vmax = g.vertices[0].vid, g.vertices[-1].vid
         new_edges = [
             edge(v.vid, mid.vid, 1, Ee),
-            edge(mid.vid, vmax if at_min else vmin, 1, fiber - Ee),
+            edge(mid.vid, vmax if at_min else vmin, 1, less[fiber]),
         ]
         # The spawned chain supplants one free max-to-min sphere, if drawn: the
         # one of least class, the first in build order.
@@ -181,19 +187,19 @@ def apply_blowup(g: DecoratedGraph, vertex: str, delta) -> DecoratedGraph:
         ea, eb = sorted(incident, key=lambda e: -e.label)
         m, n = ea.label, eb.label
         away = (lambda e: e.top) if at_min else (lambda e: e.bottom)
-        edges = [e for e in x.edges if v.vid not in (e.bottom, e.top)]
+        edges = [e for e in x.edges if e is not ea and e is not eb]
         if m == n:  # both weights 1: the blowup creates a fixed surface
             fatv = Vertex(f"{step}.s", h + sgn * w, Ee)
             new_vertices = [fatv]
-            new_edges = [edge(fatv.vid, away(e), 1, e.cls - Ee) for e in (ea, eb)]
+            new_edges = [edge(fatv.vid, away(e), 1, less[e.cls]) for e in (ea, eb)]
         else:
             hi = Vertex(f"{step}.hi", h + sgn * m * w)
             lo = Vertex(f"{step}.lo", h + sgn * n * w)
             new_vertices = [hi, lo]
             new_edges = [
-                edge(hi.vid, away(ea), m, ea.cls - Ee),
+                edge(hi.vid, away(ea), m, less[ea.cls]),
                 edge(lo.vid, hi.vid, m - n, Ee),
-                edge(lo.vid, away(eb), n, eb.cls - Ee),
+                edge(lo.vid, away(eb), n, less[eb.cls]),
             ]
         fiber = fiber - n * Ee
 

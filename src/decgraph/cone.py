@@ -4,12 +4,14 @@ The positivity criterion: a class on a complex surface carries a Kaehler
 form iff its square is positive and it pairs positively with every complex
 curve; against a finite generator list both conditions are finitely many
 exact comparisons.  Cone membership is decided by Fourier-Motzkin
-elimination over the rationals, returning either a nonnegative witness
-combination or a separating linear functional - never both.
+elimination, run in integers (each row over one positive denominator),
+returning either a nonnegative witness combination or a separating linear
+functional - never both.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,112 +77,95 @@ class ConeSeparation:
     functional: tuple[Fraction, ...]
 
     def apply(self, c: HomologyClass) -> Fraction:
-        return sum(
-            (f * x for f, x in zip(self.functional, c.coeffs)), Fraction(0)
-        )
+        return sum((f * x for f, x in zip(self.functional, c.coeffs)), Fraction(0))
 
 
-class _Row:
-    """An inequality coeffs . a >= const with equality-multiplier provenance."""
+def _combined(p, q, t: int):
+    """The row p/p_t - q/q_t of rows with p_t > 0 > q_t: (-q_t) p + p_t q over
+    p_t (-q_t), reduced by its gcd.  A row is (coefficients, constant,
+    provenance, denominator) in integers, for coeffs . a >= const over a
+    positive denominator, which p/p_t and q/q_t drop."""
+    (pc, pk, pp, _), (qc, qk, qp, _) = p, q
+    a, b = -qc[t], pc[t]
+    coeffs = [a * x + b * y for x, y in zip(pc, qc)]
+    prov = [a * x + b * y for x, y in zip(pp, qp)]
+    const, den = a * pk + b * qk, a * b
+    g = math.gcd(den, const, *coeffs, *prov)
+    return tuple(x // g for x in coeffs), const // g, tuple(x // g for x in prov), den // g
 
-    __slots__ = ("coeffs", "const", "prov")
 
-    def __init__(self, coeffs, const, prov):
-        self.coeffs = coeffs
-        self.const = const
-        self.prov = prov
-
-    def combine(self, other, s_self, s_other):
-        return _Row(
-            tuple(s_self * a + s_other * b for a, b in zip(self.coeffs, other.coeffs)),
-            s_self * self.const + s_other * other.const,
-            tuple(s_self * a + s_other * b for a, b in zip(self.prov, other.prov)),
-        )
+def _prune(rows):
+    """One row per direction of the coefficients, in the order the
+    directions first show, the tightest of each (the greatest constant over
+    its coefficients' gcd), or a lone contradiction (0 >= const > 0)."""
+    best: dict[tuple, tuple] = {}  # primitive coefficients -> (row, their gcd)
+    for r in rows:
+        coeffs, const = r[0], r[1]
+        g = math.gcd(*coeffs)
+        if g == 0:
+            if const > 0:
+                return [r]  # contradiction: report it alone
+            continue  # tautology
+        key = tuple(c // g for c in coeffs)
+        kept = best.get(key)
+        if kept is None or const * kept[1] > kept[0][1] * g:
+            best[key] = r, g
+    return [r for r, _ in best.values()]
 
 
 def cone_membership(d: HomologyClass, gens: GeneratorList):
     """Decide d = sum a_i g_i with a_i >= 0 by exact elimination.
 
     Returns a ConeWitness on success, else a ConeSeparation whose functional
-    is nonnegative on every generator and strictly negative on d.
+    is nonnegative on every generator and strictly negative on d.  The
+    elimination runs in integers (``_combined``); only the witness and the
+    functional are ``Fraction``s.
     """
     if d.model is not gens.model:
         raise LatticeError("target and generators live on different models")
     n = len(gens.generators)
     m = d.model.rank
-    zero_prov = (Fraction(0),) * m
+    unit = lambda i, size: tuple(int(j == i) for j in range(size))
 
-    rows: list[_Row] = []
-    for i in range(n):
-        coeffs = tuple(Fraction(1 if j == i else 0) for j in range(n))
-        rows.append(_Row(coeffs, Fraction(0), zero_prov))
+    rows = [(unit(i, n), 0, (0,) * m, 1) for i in range(n)]
     for j in range(m):
-        coeffs = tuple(Fraction(gcls.coeffs[j]) for gcls in gens.generators)
-        const = Fraction(d.coeffs[j])
-        prov = tuple(Fraction(1 if t == j else 0) for t in range(m))
-        rows.append(_Row(coeffs, const, prov))
-        rows.append(
-            _Row(tuple(-c for c in coeffs), -const, tuple(-p for p in prov))
-        )
-
-    def prune(candidates):
-        # scale-normalize and keep only the tightest constant per direction
-        best: dict[tuple, _Row] = {}
-        for r in candidates:
-            lead = next((c for c in r.coeffs if c != 0), None)
-            if lead is None:
-                if r.const > 0:
-                    return [r]  # contradiction: report it alone
-                continue  # tautology
-            scale = 1 / abs(lead)
-            key = tuple(c * scale for c in r.coeffs)
-            kept = best.get(key)
-            if kept is None or r.const * scale > kept.const / abs(
-                next(c for c in kept.coeffs if c != 0)
-            ):
-                best[key] = r
-        return list(best.values())
+        coeffs = tuple(gcls.coeffs[j] for gcls in gens.generators)
+        const, prov = d.coeffs[j], unit(j, m)
+        rows.append((coeffs, const, prov, 1))
+        rows.append((tuple(-c for c in coeffs), -const, tuple(-p for p in prov), 1))
 
     stages = []  # per stage: (variable, lower-bound rows, upper-bound rows)
     remaining = set(range(n))
     while remaining:
         t = min(
             remaining,
-            key=lambda v: sum(r.coeffs[v] > 0 for r in rows)
-            * sum(r.coeffs[v] < 0 for r in rows),
+            key=lambda v: sum(r[0][v] > 0 for r in rows) * sum(r[0][v] < 0 for r in rows),
         )
         remaining.discard(t)
-        pos = [r for r in rows if r.coeffs[t] > 0]
-        neg = [r for r in rows if r.coeffs[t] < 0]
-        zero = [r for r in rows if r.coeffs[t] == 0]
+        pos = [r for r in rows if r[0][t] > 0]
+        neg = [r for r in rows if r[0][t] < 0]
+        zero = [r for r in rows if r[0][t] == 0]
         stages.append((t, pos, neg))
-        combined = [
-            p.combine(q, 1 / p.coeffs[t], -1 / q.coeffs[t])
-            for p in pos
-            for q in neg
-        ]
-        rows = prune(zero + combined)
+        rows = _prune(zero + [_combined(p, q, t) for p in pos for q in neg])
 
-    for r in rows:
-        if r.const > 0:  # 0 >= const > 0: infeasible, provenance is a Farkas row
-            functional = tuple(-p for p in r.prov)
-            sep = ConeSeparation(functional)
+    for _, const, prov, den in rows:
+        if const > 0:  # 0 >= const > 0: infeasible, provenance is a Farkas row
+            sep = ConeSeparation(tuple(Fraction(-p, den) for p in prov))
             if not sep.apply(d) < 0:
                 raise LatticeError("separating functional is not negative on the target")
             if any(sep.apply(gcls) < 0 for gcls in gens.generators):
                 raise LatticeError("separating functional is negative on a generator")
             return sep
 
-    # Feasible: back-substitute through the elimination stages.
+    # Feasible: back-substitute through the elimination stages.  A row's
+    # bound on a_t is (const - rest) / coeffs[t], its denominator cancelled.
     values: list[Fraction] = [Fraction(0)] * n
     for t, pos, neg in reversed(stages):
 
         def residual(r):
-            rest = sum(
-                (r.coeffs[s] * values[s] for s in range(n) if s != t),
-                Fraction(0),
-            )
-            return (r.const - rest) / r.coeffs[t]
+            coeffs, const = r[0], r[1]
+            rest = sum(coeffs[s] * values[s] for s in range(n) if s != t)
+            return (const - rest) / Fraction(coeffs[t])
 
         lowers = [residual(r) for r in pos]
         uppers = [residual(r) for r in neg]
@@ -193,10 +178,7 @@ def cone_membership(d: HomologyClass, gens: GeneratorList):
         raise LatticeError("negative witness coefficient")
     # exact re-substitution check
     for j in range(m):
-        total = sum(
-            (a * gcls.coeffs[j] for a, gcls in zip(values, gens.generators)),
-            Fraction(0),
-        )
+        total = sum(a * gcls.coeffs[j] for a, gcls in zip(values, gens.generators))
         if total != d.coeffs[j]:
             raise LatticeError("witness does not reproduce the target class")
     return witness

@@ -156,7 +156,7 @@ def _dedup(graphs, permute: bool):
     ``graphs`` may be a generator: each graph's index is released once it is
     keyed (and compared, on a merge), so a level holds the indexes of one
     parent's children at most.  On a merge the smaller (ledger, canonical
-    text) wins.
+    text) wins: the texts are written only when the ledgers are equal.
     """
     chosen: dict[str, DecoratedGraph] = {}
     merged = 0
@@ -167,7 +167,9 @@ def _dedup(graphs, permute: bool):
             chosen[key] = g
         else:
             merged += 1
-            if (g.ledger, canonical_text(g)) < (old.ledger, canonical_text(old)):
+            if g.ledger < old.ledger or (
+                g.ledger == old.ledger and canonical_text(g) < canonical_text(old)
+            ):
                 chosen[key] = g
             _drop_caches(old)
         _drop_caches(g)
@@ -342,15 +344,16 @@ def site_kind_tree(g: DecoratedGraph, sizes: tuple[Fraction, ...]) -> tuple:
 def cross_check_instantiation(bases, params, sizes) -> None:
     """Raise unless all valid (c, d) representatives of the run's ``bases``,
     named position by position by ``params``, branch identically.  Unequal
-    counts are a ValueError."""
+    counts are a ValueError.  A family with one representative has nothing
+    to compare, so no tree is built for it."""
     family_ell = lambda base: (base[1].family, base[1].ell)
     isolated = sorted(
         (base for base in zip(bases, params, strict=True) if base[1].family.startswith("isolated")),
         key=family_ell,
     )
     for (family, ell), group in itertools.groupby(isolated, key=family_ell):
-        trees = {site_kind_tree(g, sizes) for g, _ in group}
-        if len(trees) > 1:
+        group = [g for g, _ in group]
+        if len(group) > 1 and len({site_kind_tree(g, sizes) for g in group}) > 1:
             raise EnumerationError(
                 f"{family} ell={ell}: site-kind trees differ across the"
                 " label representatives; instantiation is unsound here"

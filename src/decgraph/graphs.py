@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 from .lattice import (
@@ -63,9 +64,7 @@ class Edge(NamedTuple):
     cls: HomologyClass
 
 
-def vertex_order(v: Vertex) -> tuple:
-    """Sort key of ``DecoratedGraph.vertices``."""
-    return (v.height, v.vid)
+vertex_order = itemgetter(1, 0)  # sort key of ``DecoratedGraph.vertices``: (height, vid)
 
 
 def _height(moment, den: int) -> int:
@@ -169,20 +168,20 @@ class DecoratedGraph:
         if out is not None:
             return out
         omega = self.omega.extend(delta)
-        model = omega.model
+        embed = self.model._embedded
         grow = omega.denominator // self.omega.denominator
 
         def extended(v: Vertex) -> Vertex:
             f = v.fat
             if f is not None:
-                f = f.embed(model)
+                f = embed[f]
             elif grow == 1:
                 return v  # no class and the same height: shared
             return Vertex(v.vid, v.height * grow, f)
 
         vertices = tuple(map(extended, self.vertices))
-        edges = tuple(Edge(b, t, label, c.embed(model)) for b, t, label, c in self.edges)
-        out = DecoratedGraph(omega, vertices, edges, (), self.fiber.embed(model))
+        edges = tuple(Edge(b, t, label, embed[c]) for b, t, label, c in self.edges)
+        out = DecoratedGraph(omega, vertices, edges, (), embed[self.fiber])
         self._extensions[delta] = out
         return out
 

@@ -139,6 +139,23 @@ class SurfaceModel:
         """The model with one more exceptional class, one object per model."""
         return self._extended
 
+    @_cached
+    def _embedded(self) -> "_Table":  # the blowup's, made on first use
+        return _Table(self._pad)
+
+    @_cached
+    def _less_last(self) -> "_Table":  # the blowup's, made on first use
+        return _Table(self._less)
+
+    def _pad(self, c: "HomologyClass") -> "HomologyClass":
+        """c in ``extend()``, zero-padded.  The table of these lives on this,
+        the source model, so that no model refers to an earlier one."""
+        return self._extended.intern(c.coeffs + (0,))
+
+    def _less(self, c: "HomologyClass") -> "HomologyClass":
+        """c - Ek, Ek the model's last exceptional class."""
+        return self.intern(c.coeffs[:-1] + (c.coeffs[-1] - 1,))
+
     def intern(self, coeffs: tuple[int, ...]) -> "HomologyClass":
         """The one class of this model with the coefficient tuple ``coeffs``.
 
@@ -259,13 +276,6 @@ class HomologyClass:
         return self.model.intern(tuple(n * a for a in self.coeffs))
 
     __rmul__ = __mul__
-
-    def embed(self, model: SurfaceModel) -> "HomologyClass":
-        """Re-express in a model with more exceptional classes (zero-padded)."""
-        if model.kind != self.model.kind or model.k < self.model.k:
-            raise LatticeError(f"cannot embed {self.model} into {model}")
-        pad = (0,) * (model.rank - self.model.rank)
-        return model.intern(self.coeffs + pad)
 
     def exceptional_support(self) -> tuple[int, ...]:
         """Indices i with a nonzero Ei coefficient."""

@@ -9,6 +9,7 @@ from decgraph.enumeration import (
     EnumerationError,
     EnumerationSpec,
     _base_family_params,
+    _dedup,
     classify_sequence_types,
     cross_check_instantiation,
     dedup_key,
@@ -18,9 +19,18 @@ from decgraph.enumeration import (
     ruled_base_graphs,
     site_kind_tree,
 )
-from decgraph.graphs import BaseFamilyParams, base_hirzebruch, base_ruled, generic_form
+from decgraph.graphs import (
+    BaseFamilyParams,
+    DecoratedGraph,
+    LedgerEntry,
+    base_hirzebruch,
+    base_ruled,
+    canonical_text,
+    flip,
+    generic_form,
+)
 from decgraph.lattice import pair
-from decgraph.scenarios import load_scenario
+from decgraph.scenarios import load_scenario, run_scenario
 from test_graphs import plane, ruled
 
 QUARTERS = (F(1, 4), F(1, 4), F(1, 4))
@@ -241,6 +251,26 @@ def test_cross_check_names_the_first_family_and_ell_whose_trees_differ(monkeypat
         cross_check_instantiation(bases, params, QUARTERS)
 
 
+def test_the_cross_check_builds_no_tree_for_a_lone_representative(monkeypatch):
+    """cp2-six's isolated families at the default reps: isolated_left ell=1
+    has three valid representatives, isolated_right ell=1 only (2, 1), which
+    has no other tree to be compared with."""
+    from decgraph import enumeration
+
+    scenario = load_scenario("cp2-six")
+    depth = len(scenario.enumeration_spec().sizes)
+    tree, built = enumeration.site_kind_tree, []
+
+    def counted(g, sizes):
+        if len(sizes) == depth:  # a whole tree, not one of its branches
+            built.append(g)
+        return tree(g, sizes)
+
+    monkeypatch.setattr(enumeration, "site_kind_tree", counted)
+    assert run_scenario(scenario).report["cross_check"] is True
+    assert len(built) == 3
+
+
 def test_cross_check_refuses_bases_and_params_of_unequal_counts():
     """A pairing by position that runs short is a caller's error, not a
     failed cross-check."""
@@ -294,3 +324,42 @@ def test_levels_from_one_pass_match_each_prefix_enumerated_anew(name):
         assert level.graphs == alone.graphs
         assert level.branch_log == alone.branch_log
     assert levels[-1].graphs == enumerate_graphs(spec).graphs
+
+
+def test_merges_write_canonical_texts_only_for_equal_ledgers(monkeypatch):
+    """cp2-six merges 27 times, and 4 of its merges have equal ledgers: only
+    they write the two texts, 8 in all, where every merge wrote two before."""
+    from decgraph import enumeration
+
+    written = []
+
+    def counted(g):
+        written.append(g)
+        return canonical_text(g)
+
+    monkeypatch.setattr(enumeration, "canonical_text", counted)
+    enumerate_graphs(load_scenario("cp2-six").enumeration_spec())
+    assert len(written) == 8
+
+
+def test_a_merge_keeps_the_smaller_ledger_then_the_smaller_text(monkeypatch):
+    """A graph and its flip have one dedup key and one ledger, so the smaller
+    text wins, in either order; a smaller ledger wins before any text is
+    written."""
+    from decgraph import enumeration
+
+    final = enumerate_graphs(load_scenario("cp2-six").enumeration_spec()).graphs
+    g = next(g for g in final if canonical_text(g) != canonical_text(flip(g)))
+    small, large = sorted((g, flip(g)), key=canonical_text)
+    for pair_ in ((small, large), (large, small)):
+        kept, merged = _dedup(iter(pair_), True)
+        assert merged == 1 and kept[0] is small
+    earlier = DecoratedGraph(
+        large.omega, large.vertices, large.edges,
+        (LedgerEntry("a", ""),) + large.ledger[1:], large.fiber,
+    )
+    assert earlier.ledger < small.ledger
+    monkeypatch.setattr(enumeration, "canonical_text", None)  # not to be called
+    for pair_ in ((small, earlier), (earlier, small)):
+        kept, merged = _dedup(iter(pair_), True)
+        assert merged == 1 and kept[0] is earlier

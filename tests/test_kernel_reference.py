@@ -7,8 +7,9 @@ formatter and genus formula that ran on every call, the serializer, the
 normal form and dedup key that built the flipped graph and compared three
 texts over relabelings listed anew per graph, the blowup that embedded every
 class of the parent and re-sorted the child, the obstruction search that
-recomputed every shape test and pairing, and the chain walker and fiber-check
-loop that ``_chain_sum`` replaced.  The kernel must agree with them exactly,
+recomputed every shape test and pairing, the chain walker and fiber-check
+loop that ``_chain_sum`` replaced, and the cone elimination in ``Fraction``s
+that the integer one replaced.  The kernel must agree with them exactly,
 on random models, class vectors, classes and graphs, on random admissible
 blowup chains, and on every graph of every level of the golden scenarios:
 the integer site bounds of all three kinds against Fraction pairings, the
@@ -19,8 +20,9 @@ area and text tables, the certified classes shared across a search, the
 integer moments (every vertex a height over its class vector's
 denominator), and the released caches: a graph answers alike with its index
 and extensions or without them, each index is built once per graph, and a
-run holds none.  The references read a moment as that height over the
-denominator.
+run holds none.  A final section checks the integer cone elimination
+against its reference on every shipped curve list and on small random ones.
+The references read a moment as that height over the denominator.
 """
 
 import gc
@@ -46,6 +48,13 @@ from decgraph.blowup import (
     _site_for_vertex,
     apply_blowup,
     blowup_sites,
+)
+from decgraph.cone import (
+    GENERATOR_LISTS,
+    ConeSeparation,
+    ConeWitness,
+    GeneratorList,
+    cone_membership,
 )
 from decgraph.enumeration import (
     _permutation_group,
@@ -467,7 +476,7 @@ def reference_apply_blowup(g, vertex, delta):
     e_idx = g.model.k + 1
     model = g.model.extend()
     omega = g.omega.extend(delta)
-    emb = lambda c: c.embed(model)
+    emb = lambda c: model.intern(c.coeffs + (0,))
     Ee = model.exceptional(e_idx)
     step = len(g.ledger) + 1
     at = lambda vid, value, fat=None: vertex_at(omega, vid, value, fat)
@@ -560,6 +569,107 @@ def reference_apply_blowup(g, vertex, delta):
     if problems:
         raise BlowupError(f"blowup produced an invalid graph: {problems}")
     return out
+
+
+class _Row:
+    """An inequality coeffs . a >= const with equality-multiplier provenance."""
+
+    __slots__ = ("coeffs", "const", "prov")
+
+    def __init__(self, coeffs, const, prov):
+        self.coeffs = coeffs
+        self.const = const
+        self.prov = prov
+
+    def combine(self, other, s_self, s_other):
+        return _Row(
+            tuple(s_self * a + s_other * b for a, b in zip(self.coeffs, other.coeffs)),
+            s_self * self.const + s_other * other.const,
+            tuple(s_self * a + s_other * b for a, b in zip(self.prov, other.prov)),
+        )
+
+
+def reference_cone_membership(d, gens):
+    """``cone_membership`` with every row held in ``Fraction``s."""
+    if d.model is not gens.model:
+        raise LatticeError("target and generators live on different models")
+    n = len(gens.generators)
+    m = d.model.rank
+    zero_prov = (F(0),) * m
+
+    rows = []
+    for i in range(n):
+        coeffs = tuple(F(1 if j == i else 0) for j in range(n))
+        rows.append(_Row(coeffs, F(0), zero_prov))
+    for j in range(m):
+        coeffs = tuple(F(gcls.coeffs[j]) for gcls in gens.generators)
+        const = F(d.coeffs[j])
+        prov = tuple(F(1 if t == j else 0) for t in range(m))
+        rows.append(_Row(coeffs, const, prov))
+        rows.append(_Row(tuple(-c for c in coeffs), -const, tuple(-p for p in prov)))
+
+    def prune(candidates):
+        # scale-normalize and keep only the tightest constant per direction
+        best = {}
+        for r in candidates:
+            lead = next((c for c in r.coeffs if c != 0), None)
+            if lead is None:
+                if r.const > 0:
+                    return [r]  # contradiction: report it alone
+                continue  # tautology
+            scale = 1 / abs(lead)
+            key = tuple(c * scale for c in r.coeffs)
+            kept = best.get(key)
+            if kept is None or r.const * scale > kept.const / abs(
+                next(c for c in kept.coeffs if c != 0)
+            ):
+                best[key] = r
+        return list(best.values())
+
+    stages = []
+    remaining = set(range(n))
+    while remaining:
+        t = min(
+            remaining,
+            key=lambda v: sum(r.coeffs[v] > 0 for r in rows) * sum(r.coeffs[v] < 0 for r in rows),
+        )
+        remaining.discard(t)
+        pos = [r for r in rows if r.coeffs[t] > 0]
+        neg = [r for r in rows if r.coeffs[t] < 0]
+        zero = [r for r in rows if r.coeffs[t] == 0]
+        stages.append((t, pos, neg))
+        combined = [p.combine(q, 1 / p.coeffs[t], -1 / q.coeffs[t]) for p in pos for q in neg]
+        rows = prune(zero + combined)
+
+    for r in rows:
+        if r.const > 0:
+            sep = ConeSeparation(tuple(-p for p in r.prov))
+            if not sep.apply(d) < 0:
+                raise LatticeError("separating functional is not negative on the target")
+            if any(sep.apply(gcls) < 0 for gcls in gens.generators):
+                raise LatticeError("separating functional is negative on a generator")
+            return sep
+
+    values = [F(0)] * n
+    for t, pos, neg in reversed(stages):
+
+        def residual(r):
+            rest = sum((r.coeffs[s] * values[s] for s in range(n) if s != t), F(0))
+            return (r.const - rest) / r.coeffs[t]
+
+        lowers = [residual(r) for r in pos]
+        uppers = [residual(r) for r in neg]
+        lo = max(lowers) if lowers else F(0)
+        if uppers and min(uppers) < lo:
+            raise LatticeError("elimination bookkeeping broke; no value fits")
+        values[t] = lo
+    if any(a < 0 for a in values):
+        raise LatticeError("negative witness coefficient")
+    for j in range(m):
+        total = sum((a * gcls.coeffs[j] for a, gcls in zip(values, gens.generators)), F(0))
+        if total != d.coeffs[j]:
+            raise LatticeError("witness does not reproduce the target class")
+    return ConeWitness(tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -1215,7 +1325,7 @@ def test_class_arithmetic_returns_the_models_one_object(data):
         (-a, model, tuple(-x for x in a.coeffs)),
         (n * a, model, tuple(n * x for x in a.coeffs)),
         (a * n, model, tuple(n * x for x in a.coeffs)),
-        (a.embed(wider), wider, a.coeffs + (0,)),
+        (model._embedded[a], wider, a.coeffs + (0,)),
         (model.parse(str(a)), model, a.coeffs),
         (model.zero(), model, (0,) * model.rank),
     ]
@@ -1334,6 +1444,35 @@ def test_a_dropped_run_frees_its_models_and_runs_share_no_class():
     gc.collect()
     assert model() is None
     assert second.passed
+
+
+def test_the_blowup_class_tables_hold_no_earlier_model():
+    """Each model of a run maps its classes to ``extend()``'s padded ones and
+    each to itself less its last exceptional class, both tables filled by
+    the blowups.  The padding lives on the source model, so the final graphs
+    keep no earlier model alive."""
+    spec = load_scenario("ruled-three").enumeration_spec()
+    result = enumerate_graphs(spec)
+    models = [spec.bases[0].model]
+    while models[-1] is not result.graphs[0].model:
+        models.append(models[-1].extend())
+    assert len(models) == 4
+    for model in models[:-1]:
+        wider = model.extend()
+        assert model._embedded and all(
+            c.model is model and padded is wider.intern(c.coeffs + (0,))
+            for c, padded in model._embedded.items()
+        )
+    for model in models[1:]:
+        last = model.exceptional(model.k)
+        assert model._less_last and all(
+            less is c - last for c, less in model._less_last.items()
+        )
+    assert not models[-1]._embedded
+    base = weakref.ref(models[0])
+    del spec, models, model
+    gc.collect()
+    assert base() is None and result.graphs
 
 
 @pytest.mark.parametrize(
@@ -1645,7 +1784,8 @@ def test_the_index_is_built_once_per_child_parent_and_extension(monkeypatch):
     """On distinct sizes every graph's edge index is built at most once: a
     child's by ``validate`` and reused by its key, a parent's by its sites,
     and its extension's by the rewrites.  (On ``ruled-deep`` the count is
-    exactly 2,957 + 2 * 437 = 3,831.)"""
+    exactly 2,957 + 2 * 437 = 3,831.)  The one merge of ruled-general-4 has
+    unequal ledgers, so it writes no canonical text and indexes no graph."""
     index = DecoratedGraph.__dict__["_adjacency"]
     builds = Counter()
 
@@ -1660,7 +1800,7 @@ def test_the_index_is_built_once_per_child_parent_and_extension(monkeypatch):
     children = sum(lv.sites for lv in log)
     parents = len(levels[0].graphs) + sum(lv.kept for lv in log[:-1])
     assert (children, parents) == (394, 77)
-    assert sum(builds.values()) == 546 <= children + 2 * parents
+    assert sum(builds.values()) == 545 <= children + 2 * parents
 
 
 def test_each_parent_derives_each_site_once(monkeypatch):
@@ -1712,3 +1852,73 @@ def test_a_report_shares_its_equal_ledger_texts_and_certificates(name):
             assert certificates.setdefault(json.dumps(cert, sort_keys=True), cert) is cert
     assert len(texts) < sum(len(entry["ledger"]) for entry in report["graphs"])
     assert 0 < len(certificates) < references
+
+
+# ---------------------------------------------------------------------------
+# integer cone elimination
+
+
+def shipped_list(name):
+    """The shipped curve list ``name``, parsed on a model of its shape."""
+    kind, k, names = GENERATOR_LISTS[name]
+    return GeneratorList.parse(SurfaceModel(kind, k, 1 if kind == RULED else 0), names)
+
+
+def membership_outcome(d, gens, decide):
+    """What ``decide(d, gens)`` returns, or the text of the LatticeError it raises."""
+    try:
+        return decide(d, gens)
+    except LatticeError as exc:
+        return str(exc)
+
+
+def assert_membership_matches_the_reference(d, gens):
+    """The same outcome type and the same witness or functional, value for value."""
+    got = membership_outcome(d, gens, cone_membership)
+    expected = membership_outcome(d, gens, reference_cone_membership)
+    assert type(got) is type(expected)
+    assert got == expected
+    values = getattr(got, "coefficients", getattr(got, "functional", ()))
+    assert all(type(x) is F for x in values)
+    return type(got)
+
+
+@st.composite
+def membership_cases(draw):
+    """A target and a curve list on one model: a shipped list or a small
+    random one; the target a random class or a nonnegative combination of
+    the generators, which is a member."""
+    if draw(st.booleans()):
+        gens = shipped_list(draw(st.sampled_from(sorted(GENERATOR_LISTS))))
+    else:
+        model = draw(models(max_k=3))
+        count = draw(st.integers(1, 5))
+        gens = GeneratorList(model, tuple(draw(classes(model, bound=3)) for _ in range(count)))
+    model = gens.model
+    if draw(st.booleans()):
+        return draw(classes(model, bound=4)), gens
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(gens.generators),
+                            max_size=len(gens.generators)))
+    coeffs = [sum(w * c.coeffs[j] for w, c in zip(weights, gens.generators))
+              for j in range(model.rank)]
+    return model.intern(tuple(coeffs)), gens
+
+
+@settings(max_examples=600, deadline=None)
+@given(membership_cases())
+def test_integer_elimination_matches_the_fraction_reference(case):
+    assert_membership_matches_the_reference(*case)
+
+
+def test_integer_elimination_matches_the_reference_on_every_shipped_list():
+    """Each basis class, its negative, each generator, and each sum of a
+    basis class and a generator on each shipped list: both outcomes occur."""
+    outcomes = Counter()
+    for name in GENERATOR_LISTS:
+        gens = shipped_list(name)
+        basis = [gens.model.unit(b) for b in gens.model.basis_names]
+        targets = basis + [-b for b in basis] + list(gens.generators)
+        targets += [b + c for b in basis for c in gens.generators]
+        for d in targets:
+            outcomes[assert_membership_matches_the_reference(d, gens)] += 1
+    assert outcomes[ConeWitness] > 0 and outcomes[ConeSeparation] > 0

@@ -4,8 +4,10 @@ The package computes in integers and ``Fraction``s, and it raises its own
 errors where a check fails.  So no module under ``src/`` holds an
 ``assert`` statement (``-O`` strips it), a float literal, a call of
 ``float`` or ``round``, or a ``math`` attribute other than ``gcd`` and
-``lcm``.  The checks read each module's syntax tree with the standard
-library's ``ast``.
+``lcm``.  The blowup, the graphs and the enumeration compute in integers
+alone: under their modules a ``Fraction(`` call stands only inside a
+function of ``FRACTION_ALLOWED``.  The checks read each module's syntax tree
+with the standard library's ``ast``.
 """
 
 import ast
@@ -42,6 +44,34 @@ def violations(tree: ast.AST) -> list[str]:
     return [f"line {line}: {what}" for line, _, what in sorted(found)]
 
 
+# Modules that build no Fraction, but where a function of
+# ``FRACTION_ALLOWED`` (qualified by its class) makes one to hand out.
+FRACTION_FREE = ("blowup.py", "enumeration.py", "graphs.py")
+FRACTION_ALLOWED = {"BlowupSite.max_admissible"}
+
+
+def fraction_calls(tree: ast.AST) -> list[str]:
+    """Each ``Fraction(`` call outside the allowed functions, with its line
+    and the qualified name of the function or class that holds it."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                where = ".".join(scope) or "<module>"
+                if name == "Fraction" and where not in FRACTION_ALLOWED:
+                    found.append((child.lineno, f"Fraction( in {where}"))
+            visit(child, inner)
+
+    visit(tree, ())
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
 def test_the_source_is_found():
     assert len(MODULES) >= 9
 
@@ -67,4 +97,31 @@ def test_the_check_finds_each_forbidden_construct():
         "line 5: round(",
         "line 5: float literal 1000j",
         "line 6: math.floor",
+    ]
+
+
+@pytest.mark.parametrize("name", FRACTION_FREE)
+def test_an_integer_module_builds_no_fraction_outside_its_allow_list(name):
+    path = SOURCE / "decgraph" / name
+    assert fraction_calls(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_fraction_rule_finds_a_call_outside_the_allow_list():
+    tree = ast.parse(
+        "import fractions\n"
+        "from fractions import Fraction\n"
+        "class BlowupSite:\n"
+        "    @property\n"
+        "    def max_admissible(self):\n"
+        "        return Fraction(1, 2)\n"
+        "def _site_for_vertex(g, v):\n"
+        "    def inner():\n"
+        "        return fractions.Fraction(1)\n"
+        "    return Fraction(1, 2), inner\n"
+        "HALF = Fraction(1, 2)\n"
+    )
+    assert fraction_calls(tree) == [
+        "line 9: Fraction( in _site_for_vertex.inner",
+        "line 10: Fraction( in _site_for_vertex",
+        "line 11: Fraction( in <module>",
     ]
