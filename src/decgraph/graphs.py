@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -148,10 +147,6 @@ class DecoratedGraph:
     def model(self) -> SurfaceModel:  # the one the class vector is on
         return self.omega.model
 
-    @_cached
-    def _extensions(self) -> dict[Fraction, "DecoratedGraph"]:
-        return {}
-
     def extend(self, delta) -> "DecoratedGraph":
         """This graph in the lattice with one more exceptional class.
 
@@ -159,14 +154,15 @@ class DecoratedGraph:
         the class vector pairs the new class to ``delta``.  No step made it,
         so the ledger is empty.  Padding keeps the build order, so nothing is
         re-sorted.  When the class vector's denominator grows, the heights
-        grow with it.  There is one object per (graph, size), held by this
-        graph until ``_drop_caches``, so the blowups of one graph at one size
-        share it, its index and its vertices, edges and classes.
+        grow with it.  This graph holds its latest extension, with its size,
+        until ``_drop_caches``, so the blowups of one graph at one size share
+        it, its index and its vertices, edges and classes.  A repeated call
+        finds it by the size's identity, hashing no ``Fraction``.
         """
         delta = rat(delta)
-        out = self._extensions.get(delta)
-        if out is not None:
-            return out
+        held = vars(self).get("_extension")
+        if held is not None and (held[0] is delta or held[0] == delta):
+            return held[1]
         omega = self.omega.extend(delta)
         embed = self.model._embedded
         grow = omega.denominator // self.omega.denominator
@@ -182,7 +178,7 @@ class DecoratedGraph:
         vertices = tuple(map(extended, self.vertices))
         edges = tuple(Edge(b, t, label, embed[c]) for b, t, label, c in self.edges)
         out = DecoratedGraph(omega, vertices, edges, (), embed[self.fiber])
-        self._extensions[delta] = out
+        vars(self)["_extension"] = (delta, out)
         return out
 
     @_cached
@@ -213,7 +209,7 @@ class DecoratedGraph:
 
 
 # What a graph keeps beside its fields; a module keeping a table on graphs adds its name.
-CACHES = ["_by_vid", "_adjacency", "_extensions"]
+CACHES = ["_by_vid", "_adjacency", "_extension"]
 
 
 def _drop_caches(g: DecoratedGraph) -> None:

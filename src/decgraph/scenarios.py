@@ -251,7 +251,7 @@ def load_scenario(name_or_path: str) -> Scenario:
         try:
             with open(name_or_path, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:  # a decode error names the byte's position
             raise ScenarioError(f"no builtin or readable scenario {name_or_path!r}: {exc}")
         scenario = parse_scenario_text(text)
     return _checked(scenario)
@@ -689,6 +689,8 @@ def read_graphs(directory, omega: CohomologyVector) -> list:
         try:
             manifest = json.load(fh)
             names, count = manifest["files"], manifest["count"]
+        except UnicodeDecodeError as exc:  # its repr would hold the whole file
+            raise GraphError(f"{path}: malformed manifest: {exc}") from None
         except (ValueError, KeyError, TypeError) as exc:
             raise GraphError(f"{path}: malformed manifest: {exc!r}") from None
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):

@@ -142,6 +142,18 @@ def test_malformed_scenario_exits_2(tmp_path):
     assert main(["verify", "--scenario", str(tmp_path / "missing")]) == 2
 
 
+def test_a_scenario_file_that_is_not_utf8_exits_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "b.scenario"
+    path.write_bytes(b"\xff\xfe\n")
+    assert main(["verify", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"scenario error: no builtin or readable scenario {str(path)!r}:"
+        " 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    )
+
+
 def test_cli_enumerate(capsys):
     assert main(["enumerate", "--scenario", "ruled-three"]) == 0
     out = capsys.readouterr().out
@@ -566,10 +578,15 @@ def _count(value):  # equal to the number of files, but no JSON integer
         (_count(9.0), "malformed manifest: count 9.0 is no integer"),
         (_manifest('{"count": true, "files": ["graph-000.txt"]}'),
          "malformed manifest: count True is no integer"),
+        # Not UTF-8: the message names the byte's position, not the file's bytes.
+        (lambda graphs: (graphs / "manifest.json").write_bytes(
+            b'{"count": 1, "files": ["\xff' + b"x" * 5000 + b'"]}'),
+         "malformed manifest: 'utf-8' codec can't decode byte 0xff in position 24: invalid start byte"),
     ],
     ids=[
         "deleted-graph", "no-manifest", "count", "files", "no-count", "not-json",
         "listed-twice", "parent-path", "absolute-path", "nul", "float-count", "bool-count",
+        "not-utf8",
     ],
 )
 def test_verify_graphs_with_a_broken_manifest_exits_2(tmp_path, capsys, damage, message):

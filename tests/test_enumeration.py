@@ -10,6 +10,7 @@ from decgraph.enumeration import (
     EnumerationSpec,
     _base_family_params,
     _dedup,
+    _keyed,
     classify_sequence_types,
     cross_check_instantiation,
     dedup_key,
@@ -352,7 +353,7 @@ def test_a_merge_keeps_the_smaller_ledger_then_the_smaller_text(monkeypatch):
     g = next(g for g in final if canonical_text(g) != canonical_text(flip(g)))
     small, large = sorted((g, flip(g)), key=canonical_text)
     for pair_ in ((small, large), (large, small)):
-        kept, merged = _dedup(iter(pair_), True)
+        kept, merged = _dedup(_keyed(pair_, True))
         assert merged == 1 and kept[0] is small
     earlier = DecoratedGraph(
         large.omega, large.vertices, large.edges,
@@ -361,5 +362,5 @@ def test_a_merge_keeps_the_smaller_ledger_then_the_smaller_text(monkeypatch):
     assert earlier.ledger < small.ledger
     monkeypatch.setattr(enumeration, "canonical_text", None)  # not to be called
     for pair_ in ((small, earlier), (earlier, small)):
-        kept, merged = _dedup(iter(pair_), True)
+        kept, merged = _dedup(_keyed(pair_, True))
         assert merged == 1 and kept[0] is earlier

@@ -1739,7 +1739,7 @@ def test_fat_record_is_kept_and_equals_the_formula(golden_level_graphs):
 # released caches
 
 
-CACHES = ("_by_vid", "_adjacency", "_extensions", "_sites")
+CACHES = ("_by_vid", "_adjacency", "_extension", "_sites")
 DEEP_SCENARIO = Path(__file__).parents[1] / "perfbench" / "ruled-deep.scenario"
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -1780,12 +1780,8 @@ def test_answers_are_the_same_after_the_caches_are_dropped(golden_levels, deep_l
     assert count == 558 + 2957
 
 
-def test_the_index_is_built_once_per_child_parent_and_extension(monkeypatch):
-    """On distinct sizes every graph's edge index is built at most once: a
-    child's by ``validate`` and reused by its key, a parent's by its sites,
-    and its extension's by the rewrites.  (On ``ruled-deep`` the count is
-    exactly 2,957 + 2 * 437 = 3,831.)  The one merge of ruled-general-4 has
-    unequal ledgers, so it writes no canonical text and indexes no graph."""
+def counted_index_builds(monkeypatch) -> Counter:
+    """Each graph's edge-index builds in this process, by ``id``, from now on."""
     index = DecoratedGraph.__dict__["_adjacency"]
     builds = Counter()
 
@@ -1795,6 +1791,17 @@ def test_the_index_is_built_once_per_child_parent_and_extension(monkeypatch):
 
     counted.__name__ = "_adjacency"
     monkeypatch.setattr(DecoratedGraph, "_adjacency", type(index)(counted))
+    return builds
+
+
+def test_the_index_is_built_once_per_child_parent_and_extension(monkeypatch, one_cpu):
+    """On distinct sizes every graph's edge index is built at most once: a
+    child's by ``validate`` and reused by its key, a parent's by its sites,
+    and its extension's by the rewrites.  (On ``ruled-deep`` the count is
+    exactly 2,957 + 2 * 437 = 3,831.)  The one merge of ruled-general-4 has
+    unequal ledgers, so it writes no canonical text and indexes no graph.
+    On one CPU, so that every build happens in this process."""
+    builds = counted_index_builds(monkeypatch)
     levels = enumerate_levels(load_scenario("ruled-general-4").enumeration_spec())
     log = levels[-1].branch_log
     children = sum(lv.sites for lv in log)
@@ -1803,10 +1810,22 @@ def test_the_index_is_built_once_per_child_parent_and_extension(monkeypatch):
     assert sum(builds.values()) == 545 <= children + 2 * parents
 
 
-def test_each_parent_derives_each_site_once(monkeypatch):
-    """A parent's site table serves its sites and every child's blowup: each
-    vertex of each expanded parent is looked at once, and ``apply_blowup``
-    derives no site of its own."""
+def test_a_split_level_builds_here_no_index_of_the_workers_share(monkeypatch, two_cpus):
+    """ruled-general-4's last level (317 children) splits: this process
+    indexes every parent to count its sites, and the worker's extensions and
+    children are indexed in the worker, so the count is 545 less them."""
+    builds = counted_index_builds(monkeypatch)
+    spec = load_scenario("ruled-general-4").enumeration_spec()
+    levels = enumerate_levels(spec)
+    built = sum(builds.values())
+    (share,) = two_cpus
+    assert len(share[0].ledger) == len(levels) - 2  # the last level's parents
+    worker_children = sum(len(blowup_sites(g, spec.sizes[-1])) for g in share)
+    assert 0 < worker_children < 317
+    assert built == 545 - worker_children - len(share)
+
+
+def assert_each_parent_derives_each_site_once(monkeypatch):
     from decgraph import blowup
 
     derived = Counter()
@@ -1820,6 +1839,20 @@ def test_each_parent_derives_each_site_once(monkeypatch):
     parents = [g for level in levels[:-1] for g in level.graphs]
     assert (len(parents), sum(lv.sites for lv in levels[-1].branch_log)) == (77, 394)
     assert derived == Counter((id(g), v.vid) for g in parents for v in g.vertices)
+
+
+def test_each_parent_derives_each_site_once(monkeypatch, one_cpu):
+    """A parent's site table serves its sites and every child's blowup: each
+    vertex of each expanded parent is looked at once, and ``apply_blowup``
+    derives no site of its own."""
+    assert_each_parent_derives_each_site_once(monkeypatch)
+
+
+def test_a_split_level_derives_each_site_before_the_fork(monkeypatch, two_cpus):
+    """A split level finds every parent's sites in this process before the
+    fork, and the worker blows its share up from those tables."""
+    assert_each_parent_derives_each_site_once(monkeypatch)
+    assert len(two_cpus) == 1
 
 
 @pytest.mark.parametrize("name", ["cp2-six", "ruled-three"])
