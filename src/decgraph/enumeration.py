@@ -202,8 +202,8 @@ def _children(frontier, delta: Fraction):
     each child as it is made.
     """
     for g in frontier:
-        sites = blowup_sites(g, delta)
-        batch = [generic_form(apply_blowup(g, site.vertex, delta)) for site in sites]
+        found = blowup_sites(g, delta)
+        batch = [generic_form(apply_blowup(g, site.vertex, delta)) for site in found]
         _drop_caches(g)
         yield batch
 
@@ -328,7 +328,7 @@ class _Worker:
             raise
         if self.pid == 0:
             status = 1
-            try:  # the worker never returns: its exception is raised again here
+            try:  # never returns; on an exception the share is redone by ``keyed``
                 classes: dict[HomologyClass, int] = {}
                 for parent, batch in zip(share, _children(share, delta)):
                     packed = _pack(parent, batch, permute, classes)

@@ -1825,7 +1825,10 @@ def test_a_split_level_builds_here_no_index_of_the_workers_share(monkeypatch, tw
     assert built == 545 - worker_children - len(share)
 
 
-def assert_each_parent_derives_each_site_once(monkeypatch):
+def test_each_parent_derives_each_site_once(monkeypatch, one_cpu):
+    """A parent's site table serves its sites and every child's blowup: each
+    vertex of each expanded parent is looked at once, and ``apply_blowup``
+    derives no site of its own."""
     from decgraph import blowup
 
     derived = Counter()
@@ -1841,17 +1844,11 @@ def assert_each_parent_derives_each_site_once(monkeypatch):
     assert derived == Counter((id(g), v.vid) for g in parents for v in g.vertices)
 
 
-def test_each_parent_derives_each_site_once(monkeypatch, one_cpu):
-    """A parent's site table serves its sites and every child's blowup: each
-    vertex of each expanded parent is looked at once, and ``apply_blowup``
-    derives no site of its own."""
-    assert_each_parent_derives_each_site_once(monkeypatch)
-
-
 def test_a_split_level_derives_each_site_before_the_fork(monkeypatch, two_cpus):
     """A split level finds every parent's sites in this process before the
-    fork, and the worker blows its share up from those tables."""
-    assert_each_parent_derives_each_site_once(monkeypatch)
+    fork, and the worker blows its share up from those tables: the count
+    above holds here as on one CPU."""
+    test_each_parent_derives_each_site_once(monkeypatch, one_cpu=None)
     assert len(two_cpus) == 1
 
 
