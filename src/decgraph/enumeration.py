@@ -10,11 +10,6 @@ exceptional indices carrying equal sizes.
 from __future__ import annotations
 
 import itertools
-import os
-import pickle
-import signal
-import tempfile
-import threading
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,10 +18,7 @@ from .blowup import apply_blowup, blowup_sites
 from .graphs import (
     BaseFamilyParams,
     DecoratedGraph,
-    Edge,
     GraphError,
-    LedgerEntry,
-    Vertex,
     _drop_caches,
     base_hirzebruch,
     base_ruled,
@@ -191,208 +183,23 @@ def _dedup(keyed):
     return ordered, merged
 
 
-def _children(frontier, delta: Fraction):
-    """Each parent's children, a list per parent in frontier order: the
-    generic forms of its blowups at ``delta``.
+def _children(frontier, delta: Fraction, sites: list[int]):
+    """The generic forms of every blowup of ``frontier`` at ``delta``.
 
-    A parent's index and its extension ``g.extend(delta)`` serve only its own
-    children, so they are released once the last of them is made.  The
-    children of one parent are all made before the first is keyed: a batch
-    keeps their objects close in memory, which measured faster than keying
-    each child as it is made.
+    They are made parent by parent in frontier order, and each parent's
+    number of sites is appended to ``sites`` as it is expanded, so a level
+    holds one parent's site table at a time.  A parent's index and its
+    extension ``g.extend(delta)`` serve only its own children, so they are
+    released once the last of them is made.  The children of one parent are
+    all made before the first is yielded: a batch keeps their objects close
+    in memory, which measured faster than keying each child as it is made.
     """
     for g in frontier:
         found = blowup_sites(g, delta)
+        sites.append(len(found))
         batch = [generic_form(apply_blowup(g, site.vertex, delta)) for site in found]
         _drop_caches(g)
-        yield batch
-
-
-def _keyed_children(frontier, delta: Fraction, permute: bool):
-    """(key, child) of every child of ``frontier`` at ``delta``, made and
-    keyed in this process, in frontier order."""
-    return _keyed(itertools.chain.from_iterable(_children(frontier, delta)), permute)
-
-
-# A level splits in two when its parents make at least this many children.
-# Below it, the fork, the worker's copy-on-write faults and the rebuild of its
-# children here cost more than the worker saves: on 2 CPUs the two break even
-# at about 91 of ruled-deep's last-level children (45 us each, the cheapest
-# any workload makes) and at 34 of cp2-six's (92 us each).
-SPLIT_CHILDREN = 100
-
-
-def _may_split(children: int) -> bool:
-    """Whether a level of ``children`` children goes to two processes: only
-    above the break-even, where this process may run on two CPUs and can
-    fork, and has no other thread (a forked thread-holding process can
-    deadlock)."""
-    return (
-        children >= SPLIT_CHILDREN
-        and hasattr(os, "fork")
-        and hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) > 1
-        and threading.active_count() == 1
-    )
-
-
-def _pack(parent: DecoratedGraph, batch, permute: bool, classes: dict) -> tuple:
-    """``parent``'s children ``batch``, keyed, as plain data for ``_unpack``.
-
-    Each distinct vertex and edge object is written once, and each child
-    lists its objects by index, so the rebuilt siblings share them as these
-    do; vertex index -1 - j is the parent's own j-th vertex.  A class is
-    sent as its index in ``classes``, which numbers every class sent so far;
-    the batch's new ones go first, as coefficient tuples.  Only the last
-    ledger entry is sent: a child's ledger is its parent's plus one step.
-    """
-    fresh = []
-
-    def number(c: HomologyClass) -> int:
-        i = classes.get(c)
-        if i is None:
-            i = classes[c] = len(classes)
-            fresh.append(c.coeffs)
-        return i
-
-    vertex_index = {id(v): -1 - j for j, v in enumerate(parent.vertices)}
-    edge_index: dict[int, int] = {}
-    vertices, edges, children = [], [], []
-    for g in batch:
-        vs = []
-        for v in g.vertices:
-            i = vertex_index.get(id(v))
-            if i is None:
-                i = vertex_index[id(v)] = len(vertices)
-                vertices.append((v.vid, v.height, None if v.fat is None else number(v.fat)))
-            vs.append(i)
-        es = []
-        for e in g.edges:
-            i = edge_index.get(id(e))
-            if i is None:
-                i = edge_index[id(e)] = len(edges)
-                edges.append((e.bottom, e.top, e.label, number(e.cls)))
-            es.append(i)
-        children.append((dedup_key(g, permute), vs, es, tuple(g.ledger[-1]), number(g.fiber)))
-    return fresh, vertices, edges, children
-
-
-def _unpack(parent: DecoratedGraph, packed: tuple, omega: CohomologyVector,
-            classes: list, entries: _Table):
-    """(key, child) of each child that ``_pack`` wrote, rebuilt on this
-    process's ``omega``, model and classes.  ``classes`` and ``entries``
-    (one ledger entry object per value) carry over from batch to batch;
-    each vertex id is one string object within a batch."""
-    fresh, vertex_records, edge_records, children = packed
-    classes.extend(map(omega.model.intern, fresh))
-    name = {v.vid: v.vid for v in parent.vertices}.setdefault
-    vertices = [
-        Vertex(name(vid, vid), height, None if fat is None else classes[fat])
-        for vid, height, fat in vertex_records
-    ]
-    vertices += reversed(parent.vertices)  # so that index -1 - j is the parent's j-th
-    edges = [
-        Edge(name(bottom, bottom), name(top, top), label, classes[c])
-        for bottom, top, label, c in edge_records
-    ]
-    for key, vs, es, entry, fiber in children:
-        g = DecoratedGraph(
-            omega,
-            tuple([vertices[i] for i in vs]),
-            tuple([edges[i] for i in es]),
-            parent.ledger + (entries[entry],),
-            classes[fiber],
-        )
-        yield key, g
-
-
-class _Worker:
-    """A forked process that makes and keys the children of ``share``.
-
-    It writes them, one pickle per parent, to an unlinked temporary file made
-    before the fork: a pipe could fill and block it while this process
-    expands its own share.  It ends with ``os._exit``: 0 once every batch is
-    written and flushed, 1 on any exception, which ``keyed`` then raises
-    here by redoing the share.  ``close`` kills the worker if it still runs,
-    and always reaps it.
-    """
-
-    def __init__(self, share, delta: Fraction, permute: bool):
-        self.share, self.delta, self.permute = share, delta, permute
-        self.status = None
-        self.file = tempfile.TemporaryFile()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            self.file.close()
-            raise
-        if self.pid == 0:
-            status = 1
-            try:  # never returns; on an exception the share is redone by ``keyed``
-                classes: dict[HomologyClass, int] = {}
-                for parent, batch in zip(share, _children(share, delta)):
-                    packed = _pack(parent, batch, permute, classes)
-                    pickle.dump(packed, self.file, pickle.HIGHEST_PROTOCOL)
-                self.file.flush()
-                status = 0
-            finally:
-                os._exit(status)
-        for g in share:  # the worker has their sites, found before the fork
-            _drop_caches(g)
-
-    def keyed(self):
-        """(key, child) of each child of the share, in frontier order, once
-        the worker is reaped: the worker's, or, if it failed, made and keyed
-        here."""
-        _, self.status = os.waitpid(self.pid, 0)
-        if os.waitstatus_to_exitcode(self.status) != 0:
-            yield from _keyed_children(self.share, self.delta, self.permute)
-            return
-        self.file.seek(0)
-        classes: list[HomologyClass] = []
-        entries = _Table(LedgerEntry._make)
-        for parent in self.share:
-            omega = parent.omega.extend(self.delta)
-            yield from _unpack(parent, pickle.load(self.file), omega, classes, entries)
-
-    def close(self) -> None:
-        if self.status is None:
-            os.kill(self.pid, signal.SIGKILL)
-            _, self.status = os.waitpid(self.pid, 0)
-        self.file.close()
-
-
-def _level(frontier, delta: Fraction, permute: bool) -> tuple[list, int, int]:
-    """The next level's graphs, sites and merges, from ``frontier`` at ``delta``.
-
-    Every parent's sites are counted first.  When ``_may_split`` a level of
-    that many children, its second share goes to a ``_Worker``, and this
-    process expands the first meanwhile.  The first share ends at the
-    parent with which it makes 8/15 of the children: the worker's pickling
-    makes each of its children about 1/7 dearer, and this process then
-    rebuilds them.  Both shares reach the one ``_dedup`` in frontier order,
-    so the level is the one a single process makes.  Without a temporary
-    file or a fork, one process makes it all.
-    """
-    counts = [len(blowup_sites(g, delta)) for g in frontier]
-    sites = sum(counts)
-    cut = len(frontier)
-    if _may_split(sites):
-        made = itertools.accumulate(counts)
-        cut = next(i for i, n in enumerate(made, 1) if 15 * n >= 8 * sites)
-    worker = None
-    if cut < len(frontier):
-        try:
-            worker = _Worker(frontier[cut:], delta, permute)
-        except OSError:
-            cut = len(frontier)
-    keyed = _keyed_children(frontier[:cut], delta, permute)
-    try:
-        graphs, merged = _dedup(itertools.chain(keyed, worker.keyed()) if worker else keyed)
-    finally:
-        if worker:
-            worker.close()
-    return graphs, sites, merged
+        yield from batch
 
 
 def _levels(spec: EnumerationSpec):
@@ -408,8 +215,9 @@ def _levels(spec: EnumerationSpec):
     log = []
     yield EnumerationResult(tuple(frontier), ())
     for depth, delta in enumerate(spec.sizes, start=1):
-        frontier, sites, merged = _level(frontier, delta, permute)
-        log.append(LevelLog(depth, delta, sites, len(frontier), merged))
+        sites: list[int] = []
+        frontier, merged = _dedup(_keyed(_children(frontier, delta, sites), permute))
+        log.append(LevelLog(depth, delta, sum(sites), len(frontier), merged))
         yield EnumerationResult(tuple(frontier), tuple(log))
 
 
@@ -532,8 +340,10 @@ def site_kind_tree(g: DecoratedGraph, sizes: tuple[Fraction, ...]) -> tuple:
     instantiating the symbolic labels at finitely many representatives."""
     if not sizes:
         return ()
-    (children,) = _children((g,), sizes[0])
-    branches = [(child.ledger[-1].kind, site_kind_tree(child, sizes[1:])) for child in children]
+    branches = [
+        (child.ledger[-1].kind, site_kind_tree(child, sizes[1:]))
+        for child in _children((g,), sizes[0], [])
+    ]
     return tuple(sorted(branches))
 
 

@@ -658,7 +658,9 @@ def parse_graph(text: str, omega: CohomologyVector | None = None) -> DecoratedGr
 
     Raises GraphError, naming the line, on any malformed, unknown or
     repeated record: MODEL, which comes first, OMEGA, FIBER, LEDGER and
-    each V index come at most once.  Records are strict: a MODEL record has
+    each V index come at most once.  OMEGA comes before every V, E and
+    FIBER record, so a class is parsed only once the vector's length has
+    checked the model's rank.  Records are strict: a MODEL record has
     ``k=`` once, and ``genus=`` once on a ruled model; a fat V record has
     ``size=``, ``genus=`` and ``class=`` once each, and an isolated one no
     further word; V indices, E ends, E labels, ``k`` and genera are plain
@@ -696,8 +698,8 @@ def parse_graph(text: str, omega: CohomologyVector | None = None) -> DecoratedGr
                 seen.add(tag)
             if model is None and tag != "MODEL":
                 raise GraphError(f"line {number}: {tag} record before the MODEL record")
-            if omega is None and tag == "V":
-                raise GraphError(f"line {number}: V record before the OMEGA record")
+            if omega is None and tag in ("V", "E", "FIBER"):
+                raise GraphError(f"line {number}: {tag} record before the OMEGA record")
             try:
                 if tag == "MODEL":
                     kind, *words = rest.split()

@@ -531,16 +531,27 @@ def basis_check(classes: list[HomologyClass]) -> bool:
     return abs(det_int([list(c.coeffs) for c in classes])) == 1
 
 
+# The most candidates a box search visits: a few microseconds each, about a
+# minute in all.  A larger box would not finish, or its coefficient range
+# not fit in memory.
+MAX_BOX = 10**7
+
+
 def enumerate_negative_classes(
     model: SurfaceModel, coefficient_bound: int
 ) -> list[HomologyClass]:
     """All classes with coefficients in [-bound, bound] of square -1 or -2.
 
     Box search; returns a deterministic, coefficient-sorted list of the
-    model's classes classified MINUS_ONE or MINUS_TWO.
+    model's classes classified MINUS_ONE or MINUS_TWO.  A box of more than
+    ``MAX_BOX`` candidates is a LatticeError.
     """
     if coefficient_bound < 1:
         raise LatticeError("coefficient bound must be >= 1")
+    side = 2 * coefficient_bound + 1
+    # side >= 3, so a power to MAX_BOX's bit length already exceeds it.
+    if side ** min(model.rank, MAX_BOX.bit_length()) > MAX_BOX:
+        raise LatticeError(f"a box of {side}^{model.rank} candidates is more than {MAX_BOX:,}")
     span = range(-coefficient_bound, coefficient_bound + 1)
     found = []
     for coeffs in itertools.product(span, repeat=model.rank):

@@ -343,6 +343,18 @@ def test_verify_graphs_with_an_invalid_graph_exits_2(tmp_path, capsys):
             lambda text: text.replace(b"\nOMEGA", b"\nV 9 0 isolated\nOMEGA"),
             id="vertex-before-omega",
         ),
+        # A class is parsed only after OMEGA, whose length checks MODEL's k: a
+        # huge k would otherwise size a coefficient list.
+        pytest.param(
+            lambda text: text.replace(b"k=3", b"k=100000000000000000000")
+            .replace(b"FIBER F\n", b"").replace(b"\nOMEGA", b"\nFIBER F\nOMEGA"),
+            id="huge-k-fiber-before-omega",
+        ),
+        pytest.param(
+            lambda text: text.replace(b"k=3", b"k=100000000000000000000")
+            .replace(b"E 2 3 2 E2\n", b"").replace(b"\nOMEGA", b"\nE 2 3 2 E2\nOMEGA"),
+            id="huge-k-edge-before-omega",
+        ),
         pytest.param(lambda text: text + b"LEDGER E3:surface:min\n", id="second-ledger"),
         pytest.param(lambda text: text + b"FIBER F\n", id="second-fiber"),
         pytest.param(
@@ -626,8 +638,12 @@ def test_verify_graphs_follows_the_manifest_order(tmp_path, capsys):
         (["negcurves", "--kind", "ruled", "--k", "1", "--genus", "0"],
          "ruled model requires genus >= 1"),
         (["negcurves", "--k", "1", "--bound", "0"], "coefficient bound must be >= 1"),
+        (["negcurves", "--k", "100000000000000000000"],
+         "a box of 3^100000000000000000001 candidates is more than 10,000,000"),
+        (["negcurves", "--k", "1", "--bound", "100000000000000000000"],
+         "a box of 200000000000000000001^2 candidates is more than 10,000,000"),
     ],
-    ids=["cone-class", "negative-k", "ruled-genus-0", "bound-0"],
+    ids=["cone-class", "negative-k", "ruled-genus-0", "bound-0", "huge-k", "huge-bound"],
 )
 def test_bad_lattice_arguments_exit_2_with_one_line(capsys, argv, message):
     assert main(argv) == 2

@@ -1780,8 +1780,12 @@ def test_answers_are_the_same_after_the_caches_are_dropped(golden_levels, deep_l
     assert count == 558 + 2957
 
 
-def counted_index_builds(monkeypatch) -> Counter:
-    """Each graph's edge-index builds in this process, by ``id``, from now on."""
+def test_the_index_is_built_once_per_child_parent_and_extension(monkeypatch):
+    """On distinct sizes every graph's edge index is built at most once: a
+    child's by ``validate`` and reused by its key, a parent's by its sites,
+    and its extension's by the rewrites.  (On ``ruled-deep`` the count is
+    exactly 2,957 + 2 * 437 = 3,831.)  The one merge of ruled-general-4 has
+    unequal ledgers, so it writes no canonical text and indexes no graph."""
     index = DecoratedGraph.__dict__["_adjacency"]
     builds = Counter()
 
@@ -1791,17 +1795,6 @@ def counted_index_builds(monkeypatch) -> Counter:
 
     counted.__name__ = "_adjacency"
     monkeypatch.setattr(DecoratedGraph, "_adjacency", type(index)(counted))
-    return builds
-
-
-def test_the_index_is_built_once_per_child_parent_and_extension(monkeypatch, one_cpu):
-    """On distinct sizes every graph's edge index is built at most once: a
-    child's by ``validate`` and reused by its key, a parent's by its sites,
-    and its extension's by the rewrites.  (On ``ruled-deep`` the count is
-    exactly 2,957 + 2 * 437 = 3,831.)  The one merge of ruled-general-4 has
-    unequal ledgers, so it writes no canonical text and indexes no graph.
-    On one CPU, so that every build happens in this process."""
-    builds = counted_index_builds(monkeypatch)
     levels = enumerate_levels(load_scenario("ruled-general-4").enumeration_spec())
     log = levels[-1].branch_log
     children = sum(lv.sites for lv in log)
@@ -1810,22 +1803,7 @@ def test_the_index_is_built_once_per_child_parent_and_extension(monkeypatch, one
     assert sum(builds.values()) == 545 <= children + 2 * parents
 
 
-def test_a_split_level_builds_here_no_index_of_the_workers_share(monkeypatch, two_cpus):
-    """ruled-general-4's last level (317 children) splits: this process
-    indexes every parent to count its sites, and the worker's extensions and
-    children are indexed in the worker, so the count is 545 less them."""
-    builds = counted_index_builds(monkeypatch)
-    spec = load_scenario("ruled-general-4").enumeration_spec()
-    levels = enumerate_levels(spec)
-    built = sum(builds.values())
-    (share,) = two_cpus
-    assert len(share[0].ledger) == len(levels) - 2  # the last level's parents
-    worker_children = sum(len(blowup_sites(g, spec.sizes[-1])) for g in share)
-    assert 0 < worker_children < 317
-    assert built == 545 - worker_children - len(share)
-
-
-def test_each_parent_derives_each_site_once(monkeypatch, one_cpu):
+def test_each_parent_derives_each_site_once(monkeypatch):
     """A parent's site table serves its sites and every child's blowup: each
     vertex of each expanded parent is looked at once, and ``apply_blowup``
     derives no site of its own."""
@@ -1844,12 +1822,25 @@ def test_each_parent_derives_each_site_once(monkeypatch, one_cpu):
     assert derived == Counter((id(g), v.vid) for g in parents for v in g.vertices)
 
 
-def test_a_split_level_derives_each_site_before_the_fork(monkeypatch, two_cpus):
-    """A split level finds every parent's sites in this process before the
-    fork, and the worker blows its share up from those tables: the count
-    above holds here as on one CPU."""
-    test_each_parent_derives_each_site_once(monkeypatch, one_cpu=None)
-    assert len(two_cpus) == 1
+def test_a_level_holds_one_parents_site_table_at_a_time(monkeypatch):
+    """A level counts each parent's sites as it expands that parent, so while
+    it runs at most one frontier graph holds a site table: the one whose
+    children are being made."""
+    from decgraph import enumeration
+
+    parents = {}
+    most = 0
+
+    def counted(g, delta):
+        nonlocal most
+        parents[id(g)] = g
+        found = blowup_sites(g, delta)
+        most = max(most, sum("_sites" in vars(p) for p in parents.values()))
+        return found
+
+    monkeypatch.setattr(enumeration, "blowup_sites", counted)
+    enumerate_levels(load_scenario("ruled-general-4").enumeration_spec())
+    assert (len(parents), most) == (77, 1)
 
 
 @pytest.mark.parametrize("name", ["cp2-six", "ruled-three"])
