@@ -80,7 +80,7 @@ def _site_for_vertex(g: DecoratedGraph, v: Vertex) -> BlowupSite | None:
     for c in classes:
         if c.model is not model:
             raise LatticeError(f"model mismatch: {model} vs {c.model}")
-        area = areas[c.coeffs]
+        area = areas[c]
         if bound is None or area < bound:
             bound = area
     return BlowupSite(kind, v.vid, bound, omega.denominator, end)
@@ -123,7 +123,7 @@ def apply_blowup(g: DecoratedGraph, vertex: str, delta) -> DecoratedGraph:
     The new exceptional class Ee is appended to the lattice and the class
     vector; the rewrite follows the local model at the site, written once
     for both ends.  The result always passes validation and pairs Ee to the
-    blowup size.
+    blowup size; its ledger step and new vertex ids are the run's (``_steps``).
     """
     delta = rat(delta)
     v = g.vertex(vertex)
@@ -144,6 +144,8 @@ def apply_blowup(g: DecoratedGraph, vertex: str, delta) -> DecoratedGraph:
     h = x.vertex(v.vid).height
     Ee, less = x.model.exceptional(x.model.k), x.model._less_last  # c -> c - Ee
     step = len(g.ledger) + 1
+    steps = x.model._steps  # the run's ledger steps, keyed by themselves, and ids
+    named = lambda suffix: steps.setdefault((step, suffix), f"{step}.{suffix}")
     fiber = x.fiber
     vertices = [u for u in x.vertices if u.vid != v.vid]
     at_min = site.end == "min"
@@ -156,8 +158,8 @@ def apply_blowup(g: DecoratedGraph, vertex: str, delta) -> DecoratedGraph:
     if site.kind == INTERIOR:
         (up,), (down,) = x.edges_above(v.vid), x.edges_below(v.vid)
         m, n = up.label, down.label
-        hi = Vertex(f"{step}.hi", h + m * w)
-        lo = Vertex(f"{step}.lo", h - n * w)
+        hi = Vertex(named("hi"), h + m * w)
+        lo = Vertex(named("lo"), h - n * w)
         new_vertices = [hi, lo]
         edges = [e for e in x.edges if e is not up and e is not down]
         new_edges = [
@@ -167,7 +169,7 @@ def apply_blowup(g: DecoratedGraph, vertex: str, delta) -> DecoratedGraph:
         ]
 
     elif site.kind == SURFACE:
-        mid = Vertex(f"{step}.c", h + sgn * w)
+        mid = Vertex(named("c"), h + sgn * w)
         new_vertices = [Vertex(v.vid, h, less[x.vertex(v.vid).fat]), mid]
         vmin, vmax = g.vertices[0].vid, g.vertices[-1].vid
         new_edges = [
@@ -189,12 +191,12 @@ def apply_blowup(g: DecoratedGraph, vertex: str, delta) -> DecoratedGraph:
         away = (lambda e: e.top) if at_min else (lambda e: e.bottom)
         edges = [e for e in x.edges if e is not ea and e is not eb]
         if m == n:  # both weights 1: the blowup creates a fixed surface
-            fatv = Vertex(f"{step}.s", h + sgn * w, Ee)
+            fatv = Vertex(named("s"), h + sgn * w, Ee)
             new_vertices = [fatv]
             new_edges = [edge(fatv.vid, away(e), 1, less[e.cls]) for e in (ea, eb)]
         else:
-            hi = Vertex(f"{step}.hi", h + sgn * m * w)
-            lo = Vertex(f"{step}.lo", h + sgn * n * w)
+            hi = Vertex(named("hi"), h + sgn * m * w)
+            lo = Vertex(named("lo"), h + sgn * n * w)
             new_vertices = [hi, lo]
             new_edges = [
                 edge(hi.vid, away(ea), m, less[ea.cls]),
@@ -205,6 +207,7 @@ def apply_blowup(g: DecoratedGraph, vertex: str, delta) -> DecoratedGraph:
 
     # An interior step records the step that made the vertex: its id's head.
     entry = LedgerEntry(site.kind, v.vid.split(".")[0] if site.kind == INTERIOR else site.end)
+    entry = steps.setdefault(entry, entry)
     out = DecoratedGraph.build(
         x.omega, vertices + new_vertices, edges + new_edges, g.ledger + (entry,), fiber
     )

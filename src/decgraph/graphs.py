@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .lattice import (
@@ -75,10 +75,7 @@ def _height(moment, den: int) -> int:
     return height
 
 
-def edge_order(e: Edge) -> tuple:
-    """Sort key of ``DecoratedGraph.edges``."""
-    bottom, top, label, cls = e
-    return (cls.coeffs, label, bottom, top)
+edge_order = attrgetter("cls.coeffs", "label", "bottom", "top")  # of ``DecoratedGraph.edges``
 
 
 INTERIOR = "interior"  # the blowup site kinds a ledger records (see ``blowup``)
@@ -268,7 +265,7 @@ def validate(g: DecoratedGraph) -> list[str]:
         if c.model is not model:
             bad.append(f"fat vertex {v.vid} class is in the wrong lattice")
             continue
-        if areas[c.coeffs] <= 0:
+        if areas[c] <= 0:
             bad.append(f"fat vertex {v.vid} has nonpositive size")
         if c.twice_genus < 0:
             bad.append(f"fat vertex {v.vid} has negative genus")
@@ -290,7 +287,7 @@ def validate(g: DecoratedGraph) -> list[str]:
         if cls.model is not model:
             bad.append(f"edge {cls}({label}) class is in the wrong lattice")
             continue
-        if gap != label * areas[cls.coeffs]:
+        if gap != label * areas[cls]:
             bad.append(f"edge {cls}({label}) breaks the area rule (gap != label * area)")
         if cls.twice_genus != 0:
             bad.append(f"edge {cls}({label}) class is not an embedded-sphere class")
@@ -544,94 +541,92 @@ def _fixed_record(c: HomologyClass | None, omega: CohomologyVector) -> str:
     records = omega._fixed_records
     text = records.get(c)
     if text is None:
-        size = omega._moment_texts[omega._areas[c.coeffs]]
+        size = omega._moment_texts[omega._areas[c]]
         text = records[c] = f"fat size={size} genus={c.twice_genus // 2} class={c}"
     return text
 
 
 def _walk(g: DecoratedGraph, down: bool):
-    """The chains of ``g`` (up) or of ``flip(g)`` (down) and their moment
-    texts, read from ``g``'s own index without building the flip.
+    """The chains of ``g`` (up) or of ``flip(g)`` (down), read from ``g``'s
+    own index without building the flip.
 
     Up starts at the minimum and walks the edges above each vertex.  Down
     starts at the maximum, walks the edges below each vertex with the near
     and far ends of each edge swapped, and writes each moment as ``top - m``,
-    where ``top`` is the maximum moment.  Returns the start and end vertex
-    ids, the chains, each a list of (near end, far end, label, class) walked
-    away from the start, and the text of each vertex's moment.  The walk
-    only carries each edge's class, so a relabeling of exceptional classes
-    leaves it as it is.
+    where ``top`` is the maximum moment.  Returns the start and the end as
+    (id, moment text, fixed-surface class), and the chains walked away from
+    the start, each step as (far end's id, its moment text, label, class,
+    its fixed-surface class): classes as they are, for any relabeling.
     """
-    vs, texts = g.vertices, g.omega._moment_texts
+    vs, texts, by_vid = g.vertices, g.omega._moment_texts, g._by_vid
     if down:
-        start, end, onward = vs[-1].vid, vs[0].vid, g._adjacency[1]
-        top = vs[-1].height
-        moment_text = {vid: texts[top - v.height] for vid, v in g._by_vid.items()}
+        first, last, onward, side, top, sign = vs[-1], vs[0], g._adjacency[1], 0, vs[-1].height, -1
     else:
-        start, end, onward = vs[0].vid, vs[-1].vid, g._adjacency[0]
-        moment_text = {vid: texts[v.height] for vid, v in g._by_vid.items()}
+        first, last, onward, side, top, sign = vs[0], vs[-1], g._adjacency[0], 1, 0, 1
+    end, most = last.vid, range(len(g.edges))  # a chain holds each edge at most once
     chains = []
-    for e in onward.get(start, ()):
+    for e in onward.get(first.vid, ()):
         chain = []
-        while True:
-            near, far = (e.top, e.bottom) if down else (e.bottom, e.top)
-            chain.append((near, far, e.label, e.cls))
+        for _ in most:
+            far = e[side]
+            try:
+                v = by_vid[far]
+            except KeyError:
+                raise GraphError(f"no vertex {far!r}") from None
+            chain.append((far, texts[top + sign * v.height], e.label, e.cls, v.fat))
             if far == end:
                 break
-            nxt = onward.get(far, ())
-            if len(nxt) != 1:
-                raise GraphError("cannot serialize: broken chain structure")
-            e = nxt[0]
+            try:
+                (e,) = onward[far]
+            except (KeyError, ValueError):
+                raise GraphError("cannot serialize: broken chain structure") from None
+        else:  # round a cycle
+            raise GraphError("cannot serialize: broken chain structure")
         chains.append(chain)
-    if sum(len(c) for c in chains) != len(g.edges):
+    if sum(map(len, chains)) != len(g.edges):
         raise GraphError("cannot serialize: edges outside min-to-max chains")
-    return start, end, chains, moment_text
+    ends = [(v.vid, texts[top + sign * v.height], v.fat) for v in (by_vid[first.vid], by_vid[end])]
+    return ends, chains
 
 
 def _lines(g: DecoratedGraph, walk, relabel=None) -> list[str]:
     """The ledger-free records of a ``_walk`` of ``g``, each class ``c``
     written as ``relabel[c]`` (as itself when ``relabel`` is None).
 
-    The chains are sorted on their records under the relabeling, and the
-    vertices are numbered in the sorted chains' order: 0 the start, 1 the
-    end, then each interior vertex as its chain reaches it.  Sorting leaves
-    ties only between chains whose records, and so whose lines, are equal,
-    so the walk's order does not matter.
+    The chains are sorted on (moment text, label, coefficients) per step
+    under the relabeling: every chain leaves one start, so this is the order
+    of their (near, far, label, class) records, and it leaves ties only
+    between chains whose lines are equal.  One pass then numbers each vertex
+    (0 the start, 1 the end, then as its chain reaches it), writing its V
+    line, and writes the E lines.  MODEL and OMEGA are the vector's one text.
     """
-    start, end, chains, moment_text = walk
-    fiber, by_vid = g.fiber, g._by_vid
+    ends, chains = walk
+    fiber, omega = g.fiber, g.omega
     if relabel is not None:
-        chains = [[(a, b, n, relabel[c]) for a, b, n, c in chain] for chain in chains]
+        fixed = lambda f: f if f is None else relabel[f]
+        chains = [[(far, t, n, relabel[c], fixed(f)) for far, t, n, c, f in ch] for ch in chains]
+        ends = [(vid, text, fixed(f)) for vid, text, f in ends]
         fiber = relabel[fiber]
-
-    def record(chain) -> list[tuple]:
-        try:
-            return [
-                (moment_text[near], moment_text[far], label, c.coeffs)
-                for near, far, label, c in chain
-            ]
-        except KeyError as exc:
-            raise GraphError(f"no vertex {exc.args[0]!r}") from None
-
-    chains = sorted(chains, key=record)
-    index = {start: 0, end: 1}
-    order = [start, end]
-    for chain in chains:
-        for _, far, _, _ in chain[:-1]:
-            if far not in index:
-                index[far] = len(order)
-                order.append(far)
-    omega = g.omega
-    lines = [f"MODEL {g.model}", f"OMEGA {omega}"]
-    for i, vid in enumerate(order):
-        fat = by_vid[vid].fat
-        if relabel is not None and fat is not None:
-            fat = relabel[fat]
-        lines.append(f"V {i} {moment_text[vid]} {_fixed_record(fat, omega)}")
-    for chain in chains:
-        lines.append("C")
-        for near, far, label, c in chain:
-            lines.append(f"E {index[near]} {index[far]} {label} {c}")
+    index = {}
+    lines = [omega._head_lines]  # then each V record, its index len(lines) - 1
+    add = lines.append
+    for vid, text, fat in ends:
+        index[vid] = i = str(len(lines) - 1)
+        add(f"V {i} {text} {_fixed_record(fat, omega)}")
+    edges = []
+    put = edges.append
+    record = lambda chain: [(text, label, c.coeffs) for _, text, label, c, _ in chain]
+    for chain in sorted(chains, key=record):
+        put("C")
+        near = index[ends[0][0]]
+        for far, text, label, c, fat in chain:
+            i = index.get(far)
+            if i is None:
+                i = index[far] = str(len(lines) - 1)
+                add(f"V {i} {text} {_fixed_record(fat, omega)}")
+            put(f"E {near} {i} {label} {c}")
+            near = i
+    lines += edges
     lines.append(f"FIBER {fiber}")
     return lines
 
@@ -735,7 +730,7 @@ def parse_graph(text: str, omega: CohomologyVector | None = None) -> DecoratedGr
                         if len(opts) != len(words) or opts.keys() != set(keys):
                             raise ValueError(f"need {', '.join(k + '=' for k in keys)} once each")
                         fat, size = model.parse(opts["class"]), rat(opts["size"])
-                        area = omega._areas[fat.coeffs]
+                        area = omega._areas[fat]
                         if size.numerator * omega.denominator != area * size.denominator:
                             raise GraphError(f"size {rat_str(size)} is not the area of {fat}")
                         # twice_genus is even: c.c + K.c is, K being characteristic
@@ -779,33 +774,27 @@ def _normal_lines(g: DecoratedGraph, relabelings) -> tuple[DecoratedGraph, bool,
     of the smallest records of h over every (relabeling, orientation) pair.
 
     ``relabelings`` are class maps for ``_lines`` (None for the identity).
-    h is reduced once and each orientation of h walked at most once, since a
-    relabeling moves no vertex, moment or chain.  Every pair's lines open
-    with the same MODEL and OMEGA lines, then ``V 0 0`` (h is translated to
-    0) and the start vertex's record, then ``V 1 top`` and the end vertex's:
-    the minimum and the maximum up, the other way down.  So the pairs whose
-    two extremum records are not the smallest cannot win, and only the
-    others are written.  Lines hold no newline, which sorts below every
-    character they do hold, so the order of line lists is the order of
-    their texts.  Of equal lists the first pair wins, the identity's up
-    orientation first.
+    h is reduced once and each orientation walked at most once.  Every
+    pair's lines open with one MODEL and OMEGA text, then ``V 0 0`` with the
+    start's record and ``V 1 top`` with the end's, so only the pairs whose
+    two extremum records are the smallest are written: with the identity
+    alone and unequal records, one orientation.  The other lines hold no
+    newline, which sorts below every character they hold, so lists order as
+    their texts.  Of equal lists the first pair wins, identity up first.
     """
     h = translate(strip_redundant(break_free_edges(g)))
     omega, ends = h.omega, (h.vertices[0].fat, h.vertices[-1].fat)
-    heads, pairs = [], []
+    pairs = []  # (extremum records, down, relabeling) of each pair
     for relabel in relabelings:
         low, high = ends if relabel is None else (None if c is None else relabel[c] for c in ends)
         a, b = _fixed_record(low, omega), _fixed_record(high, omega)
-        heads += [(a, b), (b, a)]
-        pairs += [(False, relabel), (True, relabel)]
-    first = min(heads)
-    walks = {}
-    best = None
-    for head, (down, relabel) in zip(heads, pairs):
+        pairs += [((a, b), False, relabel), ((b, a), True, relabel)]
+    first = min(head for head, _, _ in pairs)
+    walks, best = {}, None
+    for head, down, relabel in pairs:
         if head == first:
-            if down not in walks:
-                walks[down] = _walk(h, down)
-            lines = _lines(h, walks[down], relabel)
+            walk = walks[down] = walks.get(down) or _walk(h, down)
+            lines = _lines(h, walk, relabel)
             if best is None or lines < best[1]:
                 best = down, lines
     return h, *best

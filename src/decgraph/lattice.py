@@ -116,6 +116,7 @@ class SurfaceModel:
         object.__setattr__(self, "_classes", {})  # see ``intern``
         object.__setattr__(self, "_parsed", {})  # see ``parse``
         object.__setattr__(self, "_exceptionals", {})  # see ``exceptional``
+        object.__setattr__(self, "_steps", {})  # see ``apply_blowup``; ``extend()`` shares it
 
     @_cached
     def head(self) -> int:
@@ -133,7 +134,9 @@ class SurfaceModel:
 
     @_cached
     def _extended(self) -> "SurfaceModel":
-        return SurfaceModel(self.kind, self.k + 1, self.genus)
+        out = SurfaceModel(self.kind, self.k + 1, self.genus)
+        object.__setattr__(out, "_steps", self._steps)
+        return out
 
     def extend(self) -> "SurfaceModel":
         """The model with one more exceptional class, one object per model."""
@@ -366,9 +369,9 @@ class _Table(dict):
         return value
 
 
-def _area(weights: tuple[int, ...], coeffs: tuple[int, ...]) -> int:
-    """``weights . coeffs``: D times the area of the class ``coeffs``."""
-    return sum(map(mul, weights, coeffs))
+def _area(weights: tuple[int, ...], c: HomologyClass) -> int:
+    """``weights . c.coeffs``: D times the area of the class ``c``."""
+    return sum(map(mul, weights, c.coeffs))
 
 
 def _ratio_text(den: int, n: int) -> str:
@@ -409,11 +412,11 @@ class CohomologyVector:
         # table, per created indices
         object.__setattr__(self, "_relabelings", {})
         # Tables the kernel reads per graph, filled as it asks and freed with
-        # the vector: the area ``weights . coeffs`` of each coefficient tuple,
-        # the text of each height over den, each fixed-surface class's V
-        # record end (``graphs._fixed_record``), and what ``graphs.parse_graph``
-        # built from each V and E line it has read and checked.  A new vector
-        # starts empty.
+        # the vector: the area ``weights . coeffs`` of each class, keyed by the
+        # class object, which hashes by identity; the text of each height over
+        # den; each fixed-surface class's V record end
+        # (``graphs._fixed_record``); and what ``graphs.parse_graph`` built from
+        # each V and E line it has read and checked.  A new vector starts empty.
         object.__setattr__(self, "_areas", _Table(partial(_area, weights)))
         object.__setattr__(self, "_moment_texts", _Table(partial(_ratio_text, den)))
         object.__setattr__(self, "_fixed_records", {})
@@ -453,6 +456,10 @@ class CohomologyVector:
     def __str__(self):
         return self._text
 
+    @_cached
+    def _head_lines(self) -> str:  # a graph's MODEL and OMEGA records, one text
+        return f"MODEL {self.model}\nOMEGA {self}"
+
 
 def pair(omega: CohomologyVector, c: HomologyClass) -> Fraction:
     """Pairing of a class vector with a homology class.
@@ -461,7 +468,7 @@ def pair(omega: CohomologyVector, c: HomologyClass) -> Fraction:
     """
     if omega.model is not c.model:
         raise LatticeError(f"model mismatch: {omega.model} vs {c.model}")
-    return Fraction(omega._areas[c.coeffs], omega.denominator)
+    return Fraction(omega._areas[c], omega.denominator)
 
 
 def volume(omega: CohomologyVector) -> Fraction:

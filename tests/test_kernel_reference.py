@@ -8,8 +8,10 @@ normal form and dedup key that built the flipped graph and compared three
 texts over relabelings listed anew per graph, the blowup that embedded every
 class of the parent and re-sorted the child, the obstruction search that
 recomputed every shape test and pairing, the chain walker and fiber-check
-loop that ``_chain_sum`` replaced, and the cone elimination in ``Fraction``s
-that the integer one replaced.  The kernel must agree with them exactly,
+loop that ``_chain_sum`` replaced, the three-pass key writer (a walk with a
+moment-text dict, per-chain records, then the lines) that the one-walk
+writer replaced, and the cone elimination in ``Fraction``s that the integer
+one replaced.  The kernel must agree with them exactly,
 on random models, class vectors, classes and graphs, on random admissible
 blowup chains, and on every graph of every level of the golden scenarios:
 the integer site bounds of all three kinds against Fraction pairings, the
@@ -64,6 +66,7 @@ from decgraph.enumeration import (
     hirzebruch_base_graphs,
     ruled_base_graphs,
 )
+from decgraph import graphs as graphs_module
 from decgraph.graphs import (
     DecoratedGraph,
     Edge,
@@ -74,8 +77,10 @@ from decgraph.graphs import (
     _drop_caches,
     _fixed_record,
     _lines,
+    _normal_lines,
     _walk,
     base_hirzebruch,
+    base_ruled,
     BaseFamilyParams,
     break_free_edges,
     canonical_text,
@@ -458,6 +463,120 @@ def reference_dedup_key(g, permute_equal_sizes=True):
         reference_canonical_text(reference_normal_form(permute_exceptionals(g, perm)), False)
         for perm in reference_permutation_group(g)
     )
+
+
+def reference_walk(g, down):
+    """The key writer's first pass as it was: the chains of ``g`` (up) or of
+    ``flip(g)`` (down) as (near, far, label, class) steps, and a moment-text
+    dict of every vertex."""
+    vs, texts = g.vertices, g.omega._moment_texts
+    if down:
+        start, end, onward = vs[-1].vid, vs[0].vid, g._adjacency[1]
+        top = vs[-1].height
+        moment_text = {vid: texts[top - v.height] for vid, v in g._by_vid.items()}
+    else:
+        start, end, onward = vs[0].vid, vs[-1].vid, g._adjacency[0]
+        moment_text = {vid: texts[v.height] for vid, v in g._by_vid.items()}
+    chains = []
+    for e in onward.get(start, ()):
+        chain = []
+        while True:
+            near, far = (e.top, e.bottom) if down else (e.bottom, e.top)
+            chain.append((near, far, e.label, e.cls))
+            if far == end:
+                break
+            nxt = onward.get(far, ())
+            if len(nxt) != 1:
+                raise GraphError("cannot serialize: broken chain structure")
+            e = nxt[0]
+        chains.append(chain)
+    if sum(len(c) for c in chains) != len(g.edges):
+        raise GraphError("cannot serialize: edges outside min-to-max chains")
+    return start, end, chains, moment_text
+
+
+def reference_lines(g, walk, relabel=None):
+    """The key writer's second and third passes as they were: per-chain
+    (near text, far text, label, coefficients) records to sort on, then the
+    vertices numbered, then the lines, each a list entry."""
+    start, end, chains, moment_text = walk
+    fiber, by_vid = g.fiber, g._by_vid
+    if relabel is not None:
+        chains = [[(a, b, n, relabel[c]) for a, b, n, c in chain] for chain in chains]
+        fiber = relabel[fiber]
+
+    def record(chain):
+        try:
+            return [
+                (moment_text[near], moment_text[far], label, c.coeffs)
+                for near, far, label, c in chain
+            ]
+        except KeyError as exc:
+            raise GraphError(f"no vertex {exc.args[0]!r}") from None
+
+    chains = sorted(chains, key=record)
+    index = {start: 0, end: 1}
+    order = [start, end]
+    for chain in chains:
+        for _, far, _, _ in chain[:-1]:
+            if far not in index:
+                index[far] = len(order)
+                order.append(far)
+    omega = g.omega
+    lines = [f"MODEL {g.model}", f"OMEGA {omega}"]
+    for i, vid in enumerate(order):
+        fat = by_vid[vid].fat
+        if relabel is not None and fat is not None:
+            fat = relabel[fat]
+        lines.append(f"V {i} {moment_text[vid]} {_fixed_record(fat, omega)}")
+    for chain in chains:
+        lines.append("C")
+        for near, far, label, c in chain:
+            lines.append(f"E {index[near]} {index[far]} {label} {c}")
+    lines.append(f"FIBER {fiber}")
+    return lines
+
+
+def reference_normal_lines(g, relabelings):
+    """The reduced form, orientation and lines of the smallest key, written
+    by the three-pass writer for every (relabeling, orientation) pair whose
+    extremum records are the smallest."""
+    h = translate(strip_redundant(break_free_edges(g)))
+    omega, ends = h.omega, (h.vertices[0].fat, h.vertices[-1].fat)
+    heads, pairs = [], []
+    for relabel in relabelings:
+        low, high = ends if relabel is None else (None if c is None else relabel[c] for c in ends)
+        a, b = _fixed_record(low, omega), _fixed_record(high, omega)
+        heads += [(a, b), (b, a)]
+        pairs += [(False, relabel), (True, relabel)]
+    first = min(heads)
+    walks = {}
+    best = None
+    for head, (down, relabel) in zip(heads, pairs):
+        if head == first:
+            if down not in walks:
+                walks[down] = reference_walk(h, down)
+            lines = reference_lines(h, walks[down], relabel)
+            if best is None or lines < best[1]:
+                best = down, lines
+    return h, *best
+
+
+def reference_written_text(g, down=False, relabel=None):
+    """The ledger-free text of ``g`` (up) or of its flip (down), written by
+    the three-pass writer."""
+    return "\n".join(reference_lines(g, reference_walk(g, down), relabel)) + "\n"
+
+
+def reference_normal_key(g, relabelings=(None,)):
+    return "\n".join(reference_normal_lines(g, relabelings)[2]) + "\n"
+
+
+def reference_writer_dedup_key(g, permute_equal_sizes=True):
+    """``dedup_key`` on the three-pass writer, with the kernel's relabelings."""
+    if not permute_equal_sizes:
+        return reference_normal_key(g)
+    return reference_normal_key(g, [table for _, table in _permutation_group(g)])
 
 
 def reference_apply_blowup(g, vertex, delta):
@@ -1029,6 +1148,26 @@ def assert_keys_match_references(g):
         assert dedup_key(g, permute) == reference_dedup_key(g, permute)
 
 
+def assert_writer_matches_the_reference(g):
+    """The one-walk key writer against the three-pass one on ``g``: both
+    orientations' texts under every relabeling of ``g``, the canonical
+    text, the reduced form, orientation and lines of the normal key on the
+    identity alone and on the general path (two identity relabelings), and
+    both dedup keys."""
+    for down in (False, True):
+        for _, table in _permutation_group(g):
+            kernel = "\n".join(_lines(g, _walk(g, down), table)) + "\n"
+            assert kernel == reference_written_text(g, down, table)
+    assert canonical_text(g) == reference_written_text(g) + reference_ledger_record(g) + "\n"
+    for relabelings in ((None,), (None, None)):
+        h, down, lines = _normal_lines(g, relabelings)
+        expected_h, expected_down, expected = reference_normal_lines(g, relabelings)
+        assert (h, down, "\n".join(lines)) == (expected_h, expected_down, "\n".join(expected))
+        assert normal_key(g, relabelings) == reference_normal_key(g, relabelings)
+    for permute in (True, False):
+        assert dedup_key(g, permute) == reference_writer_dedup_key(g, permute)
+
+
 @pytest.fixture(scope="module")
 def golden_levels():
     """(sizes, levels) of each golden scenario, levels from one pass."""
@@ -1055,6 +1194,65 @@ def test_keys_match_the_references_on_golden_levels(golden_level_graphs):
     assert len(golden_level_graphs) == 558
     for g in golden_level_graphs:
         assert_keys_match_references(g)
+
+
+def test_the_writer_matches_the_three_pass_writer_on_golden_levels(golden_level_graphs):
+    """Every golden level graph, with every relabeling of its level: those
+    of cp2-six's equal sizes among them."""
+    relabeled = 0
+    for g in golden_level_graphs:
+        assert_writer_matches_the_reference(g)
+        relabeled += len(_permutation_group(g)) > 1
+    assert relabeled > 0
+
+
+def test_the_writer_reads_an_untranslated_graphs_moments_from_its_heights(golden_level_graphs):
+    """A graph whose minimum is not at 0: its V 0 and V 1 records carry the
+    extrema's own moments, not 0 and the span."""
+    for g in golden_level_graphs[::7]:
+        for by in (-3, 5):
+            r = raised(g, by)
+            assert_writer_matches_the_reference(r)
+            v0, v1 = canonical_text(r).split("\n")[2:4]
+            assert v0.split()[:3] == ["V", "0", rat_str(moment(r, r.vertices[0]))]
+            assert v1.split()[:3] == ["V", "1", rat_str(moment(r, r.vertices[-1]))]
+
+
+def tied_graphs():
+    """Graphs whose two extremum records tie: the ruled base with equal end
+    surfaces, and the isolated plane bases with their interior blowups."""
+    out = [base_ruled(CohomologyVector.ruled(1, 3, [], 1), 0)]
+    for base in hirzebruch_base_graphs(1, F(1, 2), DEFAULT_REPS):
+        if base.vertices[0].fat is None and base.vertices[-1].fat is None:
+            out.append(base)
+            for site in blowup_sites(base, F(1, 20)):
+                if site.kind == INTERIOR:
+                    out.append(generic_form(apply_blowup(base, site.vertex, F(1, 20))))
+    return out
+
+
+def test_the_writer_writes_both_orientations_only_where_the_extremum_records_tie(monkeypatch):
+    walked = []
+
+    def counted(g, down):
+        walked.append(down)
+        return _walk(g, down)
+
+    monkeypatch.setattr(graphs_module, "_walk", counted)
+    tied = tied_graphs()
+    assert len(tied) > 4
+    for g in tied:
+        h = translate(strip_redundant(break_free_edges(g)))
+        assert _fixed_record(h.vertices[0].fat, h.omega) == _fixed_record(h.vertices[-1].fat, h.omega)
+        walked.clear()
+        normal_key(g)
+        assert sorted(walked) == [False, True]
+        assert_writer_matches_the_reference(g)
+    untied = base_ruled(CohomologyVector.ruled(1, 3, [], 1), 1)  # ends B-F and B+F
+    walked.clear()
+    normal_key(untied)
+    assert len(walked) == 1
+    assert_writer_matches_the_reference(untied)
 
 
 def test_site_bounds_match_the_reference_on_golden_and_deep_levels(golden_levels, deep_levels):
@@ -1263,6 +1461,55 @@ def test_blowups_match_the_reference_on_random_chains(g, data):
 def test_keys_match_the_references_on_random_chains(g):
     assert validate(g) == []
     assert_keys_match_references(g)
+    assert_writer_matches_the_reference(g)
+
+
+def walks_end(g) -> bool:
+    """Whether each walk up from the minimum stops, at the maximum or at a
+    vertex without exactly one edge above, before it comes round again."""
+    above, end = g._adjacency[0], g.vertices[-1].vid
+    for e in above.get(g.vertices[0].vid, ()):
+        seen = set()
+        while e.top != end:
+            if e.top in seen:
+                return False
+            seen.add(e.top)
+            nxt = above.get(e.top, ())
+            if len(nxt) != 1:
+                break
+            (e,) = nxt
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+def test_the_writer_matches_the_three_pass_writer_on_random_graphs(g):
+    """Mostly invalid graphs: both writers refuse the graph, or both write
+    the same text.  The three-pass walk never ends on a cycle that the
+    minimum reaches, so such a graph is only refused."""
+
+    def written(write):
+        try:
+            return write(g)
+        except GraphError:
+            return GraphError
+
+    kernel = written(canonical_text)
+    if not walks_end(g):
+        assert kernel is GraphError
+        return
+    expected = written(lambda g: reference_written_text(g) + reference_ledger_record(g) + "\n")
+    assert kernel == expected
+
+
+def test_the_writer_refuses_a_chain_round_a_cycle():
+    omega = CohomologyVector.rational(1, [])
+    L = omega.model.unit("L")
+    vertices = [Vertex("min", 0), Vertex("a", 1), Vertex("b", 1), Vertex("max", 2)]
+    edges = [Edge("min", "a", 1, L), Edge("a", "b", 1, L), Edge("b", "a", 1, L)]
+    g = DecoratedGraph.build(omega, vertices, edges, (), L)
+    with pytest.raises(GraphError, match="broken chain structure"):
+        canonical_text(g)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,12 +1,13 @@
 """A guard on what a finished run keeps in memory per graph.
 
 A run holds its final graphs (``RunOutcome.result``) and its report.  A graph
-keeps no index once it is keyed or expanded, and the report shares its
-repeated texts and certificates, so ruled-general-4 retains about 1,615 bytes
-per final graph (1,760 when a fixed surface also held its size and genus and
-a graph its model, 4,038 when every graph kept its index and the report built
-each ledger text and certificate anew).  A change that caches per graph again
-shows here.
+keeps no index once it is keyed or expanded, the report shares its repeated
+texts and certificates, and the graphs of a run share one object per ledger
+step and per vertex id, so ruled-general-4 retains about 1,527 bytes per
+final graph (1,704 when each child made its own ledger step and ids, 1,760
+when a fixed surface also held its size and genus and a graph its model,
+4,038 when every graph kept its index and the report built each ledger text
+and certificate anew).  A change that caches per graph again shows here.
 """
 
 import gc
@@ -15,9 +16,9 @@ from pathlib import Path
 
 from decgraph.scenarios import load_scenario, run_scenario
 
-BYTES_PER_GRAPH = 1615
+BYTES_PER_GRAPH = 1527
 BOUND = 1.25 * BYTES_PER_GRAPH
-DEEP_BYTES_PER_GRAPH = 1638  # perfbench/ruled-deep.scenario
+DEEP_BYTES_PER_GRAPH = 1462  # perfbench/ruled-deep.scenario
 DEEP_SCENARIO = str(Path(__file__).resolve().parents[1] / "perfbench" / "ruled-deep.scenario")
 
 
@@ -45,3 +46,17 @@ def test_a_held_run_retains_little_per_final_graph():
 def test_a_held_deep_run_retains_little_per_final_graph():
     per_graph = retained_per_graph(DEEP_SCENARIO, 2520)
     assert per_graph <= 1.25 * DEEP_BYTES_PER_GRAPH, f"{per_graph:.0f} bytes per graph"
+
+
+def test_a_deep_run_shares_its_ledger_steps_and_vertex_ids():
+    """Counted by identity: ruled-deep's final graphs hold 7 ledger steps and
+    18 vertex ids, one object per value (2,956 and 5,041 when each child
+    made its own)."""
+    graphs = run_scenario(load_scenario(DEEP_SCENARIO)).result.graphs
+    assert len(graphs) == 2520
+    steps = {id(step) for g in graphs for step in g.ledger}
+    ids = {id(v.vid) for g in graphs for v in g.vertices}
+    ids |= {id(end) for g in graphs for e in g.edges for end in (e.bottom, e.top)}
+    assert (len(steps), len(ids)) == (7, 18)
+    assert len({step for g in graphs for step in g.ledger}) == 7
+    assert len({v.vid for g in graphs for v in g.vertices}) == 18

@@ -8,6 +8,7 @@ from decgraph.graphs import BaseFamilyParams, base_hirzebruch, base_ruled, gener
 from decgraph.lattice import LatticeError, SurfaceModel, intersect
 from decgraph.obstruct import (
     INTEGRABLE_BLOWUP,
+    CertifiedClass,
     OBSTRUCTED,
     RULE_NEGATIVE_PAIR,
     RULE_NEGATIVE_SQUARE,
@@ -16,6 +17,7 @@ from decgraph.obstruct import (
     RequiredClass,
     certified_classes,
     check_nonextension,
+    find_certificate,
     is_proper_transform_shape,
     last_blowup_classes,
 )
@@ -108,6 +110,30 @@ def test_stabilizer_mode_misses_the_negative_square_case():
     for a, b in zip(stab.verdicts, integ.verdicts):
         if a.verdict == OBSTRUCTED:
             assert b.verdict == OBSTRUCTED
+
+
+@pytest.mark.parametrize(
+    "model, name", [(plane().model, "L-E1"), (ruled().model, "F")], ids=["plane", "ruled"]
+)
+def test_a_square_zero_sphere_gets_no_negative_square_certificate(model, name):
+    """The negative-square rule needs C.C < 0: a square-zero sphere with a
+    stabilizer of order 2, required fixed by a group of order 3, which does
+    not fix it pointwise, is no contradiction."""
+    c = model.parse(name)
+    assert intersect(c, c) == 0 and c.twice_genus == 0
+    cert, req = CertifiedClass(c, "stabilizer", 2), RequiredClass(c, 3)
+    assert not cert.pointwise_fixed(req.fixed_by)
+    assert find_certificate([cert], [req]) is None
+
+
+def test_a_graph_whose_only_match_is_a_square_zero_sphere_is_unobstructed():
+    """An isolated plane base with (c, d) = (1, 2): its L-E1 spheres carry
+    labels 2 and 3, so only the label-2 one escapes a group of order 3."""
+    g = base_hirzebruch(plane(), BaseFamilyParams("isolated_left", 1, 1, 2))
+    fib = g.model.parse("L-E1")
+    assert [(c.cls, c.label) for c in certified_classes(g)] == [(fib, 2), (fib, 3)]
+    (verdict,) = check_nonextension([g], [RequiredClass(fib, 3)]).verdicts
+    assert verdict.verdict == UNOBSTRUCTED and verdict.certificate is None
 
 
 def test_unobstructed_when_nothing_intersects_negatively():
