@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .graphs import (
-    CACHES,
     EXTREMUM,
     INTERIOR,
     SURFACE,
@@ -33,9 +32,6 @@ from .graphs import (
     validate,
 )
 from .lattice import LatticeError, rat
-
-
-CACHES.append("_sites")  # each graph's ``_site_table``
 
 
 class BlowupError(ValueError):
@@ -91,14 +87,14 @@ def _site_table(g: DecoratedGraph) -> dict[str, BlowupSite]:
     kind, then height and vid.
 
     A site's kind and bound belong to the graph alone, so the table is made
-    on first use and kept on the graph until ``graphs._drop_caches``: a
-    parent's sites are derived once for all its children.
+    on first use and kept in its ``_sites`` slot until ``graphs._drop_caches``:
+    a parent's sites are derived once for all its children.
     """
-    table = vars(g).get("_sites")
+    table = g._sites
     if table is None:
         sites = [site for v in g.vertices if (site := _site_for_vertex(g, v)) is not None]
         sites.sort(key=lambda site: site.kind)  # stable: vertices are in (height, vid) order
-        table = vars(g)["_sites"] = {site.vertex: site for site in sites}
+        table = g._sites = {site.vertex: site for site in sites}
     return table
 
 

@@ -22,7 +22,7 @@ generic metric, flip).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -32,7 +32,6 @@ from .lattice import (
     CohomologyVector,
     HomologyClass,
     SurfaceModel,
-    _cached,
     pair,
     rat,
     rat_str,
@@ -116,15 +115,16 @@ def _ledger_texts(g: "DecoratedGraph", texts: dict) -> list[str]:
     return words
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DecoratedGraph:
-    """An immutable decorated graph.
+    """An immutable decorated graph: its five values, to which no code stores
+    (``tests/test_source_rules.py``), make its equality, hash and repr.
 
     ``vertices`` hold their moments as heights over ``omega.denominator``
     and are sorted by (height, vid), as ``build`` makes them, so the extrema
-    are the first and the last vertex.  The vid -> vertex map and the edges
-    above and below each vertex are indexed on first use and kept until
-    ``_drop_caches`` releases them.
+    are the first and the last vertex.  Its vid -> vertex map, its edges above
+    and below each vertex, its latest extension and its blowup sites are made
+    on first use and kept in the slots of ``CACHES`` until ``_drop_caches``.
     """
 
     omega: CohomologyVector
@@ -132,6 +132,10 @@ class DecoratedGraph:
     edges: tuple[Edge, ...]
     ledger: tuple[LedgerEntry, ...]
     fiber: HomologyClass  # class of a generic free sphere joining the extrema
+    _vid_index: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _edge_index: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _extension: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _sites: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def build(omega, vertices, edges, ledger, fiber) -> "DecoratedGraph":
@@ -157,7 +161,7 @@ class DecoratedGraph:
         finds it by the size's identity, hashing no ``Fraction``.
         """
         delta = rat(delta)
-        held = vars(self).get("_extension")
+        held = self._extension
         if held is not None and (held[0] is delta or held[0] == delta):
             return held[1]
         omega = self.omega.extend(delta)
@@ -175,22 +179,25 @@ class DecoratedGraph:
         vertices = tuple(map(extended, self.vertices))
         edges = tuple(Edge(b, t, label, embed[c]) for b, t, label, c in self.edges)
         out = DecoratedGraph(omega, vertices, edges, (), embed[self.fiber])
-        vars(self)["_extension"] = (delta, out)
+        self._extension = (delta, out)
         return out
 
-    @_cached
-    def _by_vid(self) -> dict[str, Vertex]:
-        return {v.vid: v for v in reversed(self.vertices)}  # the first of an id wins
+    @property
+    def _by_vid(self) -> dict[str, Vertex]:  # the first of an id wins
+        if (index := self._vid_index) is None:
+            index = self._vid_index = {v.vid: v for v in reversed(self.vertices)}
+        return index
 
-    @_cached
-    def _adjacency(self) -> tuple[dict, dict]:
-        above: dict[str, tuple[Edge, ...]] = {}
-        below: dict[str, tuple[Edge, ...]] = {}
-        for e in self.edges:
-            bottom, top, _, _ = e
-            above[bottom] = above.get(bottom, ()) + (e,)
-            below[top] = below.get(top, ()) + (e,)
-        return above, below
+    @property
+    def _adjacency(self) -> tuple[dict, dict]:  # vid -> the edges above it, and below it
+        if (index := self._edge_index) is None:
+            above, below = {}, {}
+            for e in self.edges:
+                bottom, top, _, _ = e
+                above[bottom] = above.get(bottom, ()) + (e,)
+                below[top] = below.get(top, ()) + (e,)
+            index = self._edge_index = above, below
+        return index
 
     def vertex(self, vid: str) -> Vertex:
         try:
@@ -205,20 +212,16 @@ class DecoratedGraph:
         return self._adjacency[1].get(vid, ())
 
 
-# What a graph keeps beside its fields; a module keeping a table on graphs adds its name.
-CACHES = ["_by_vid", "_adjacency", "_extension"]
+CACHES = ("_vid_index", "_edge_index", "_extension", "_sites")  # a graph's slots beside its values
 
 
 def _drop_caches(g: DecoratedGraph) -> None:
-    """Release each cache in ``CACHES`` that ``g`` holds; the next query rebuilds it.
+    """Release every cache in ``CACHES``: no value changes, a query rebuilds it.
 
-    They are caches of values the graph holds, so no value changes.  The
-    enumeration calls this once a graph is keyed or expanded, and the export
-    once its file is written, so that a held graph is only its values.
+    The enumeration calls this once a graph is keyed or expanded, and the
+    export once its file is written, so that a held graph is only its values.
     """
-    cache = vars(g)
-    for name in CACHES:
-        cache.pop(name, None)
+    g._vid_index = g._edge_index = g._extension = g._sites = None
 
 
 # ---------------------------------------------------------------------------
@@ -440,22 +443,23 @@ def base_ruled(omega: CohomologyVector, ell: int) -> DecoratedGraph:
 def _chain_sum(g: DecoratedGraph, e: Edge, up: bool) -> tuple[int, ...]:
     """Label times class, summed in integer coefficients over ``e`` and the
     chain beyond it up to the maximum (if ``up``) or down to the minimum;
-    every fixed surface is an extremum.  GraphError where the chain forks or
-    stops short."""
+    every fixed surface is an extremum.  GraphError where the chain forks,
+    stops short or runs round a cycle."""
     if up:
         end, onward, far = g.vertices[-1].vid, g._adjacency[0], 1
     else:
         end, onward, far = g.vertices[0].vid, g._adjacency[1], 0
     total = [e.label * c for c in e.cls.coeffs]
-    vid = e[far]
-    while vid != end:
+    for _ in range(len(g.edges)):  # a chain holds each edge at most once
+        vid = e[far]
+        if vid == end:
+            return tuple(total)
         try:
             (e,) = onward[vid]
         except (KeyError, ValueError):
             raise GraphError(f"vertex {vid} has no unique chain continuation") from None
         total = [t + e.label * c for t, c in zip(total, e.cls.coeffs)]
-        vid = e[far]
-    return tuple(total)
+    raise GraphError(f"the chain through vertex {vid} runs round a cycle")
 
 
 def _check_fiber(g: DecoratedGraph) -> None:

@@ -32,9 +32,11 @@ import itertools
 import json
 import math
 import pickle
+import signal
 import weakref
 
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -1502,14 +1504,39 @@ def test_the_writer_matches_the_three_pass_writer_on_random_graphs(g):
     assert kernel == expected
 
 
-def test_the_writer_refuses_a_chain_round_a_cycle():
+def chain_round_a_cycle() -> DecoratedGraph:
+    """min -> a, then a -> b -> a: a chain from the minimum that never ends."""
     omega = CohomologyVector.rational(1, [])
     L = omega.model.unit("L")
     vertices = [Vertex("min", 0), Vertex("a", 1), Vertex("b", 1), Vertex("max", 2)]
     edges = [Edge("min", "a", 1, L), Edge("a", "b", 1, L), Edge("b", "a", 1, L)]
-    g = DecoratedGraph.build(omega, vertices, edges, (), L)
+    return DecoratedGraph.build(omega, vertices, edges, (), L)
+
+
+def test_the_writer_refuses_a_chain_round_a_cycle():
     with pytest.raises(GraphError, match="broken chain structure"):
-        canonical_text(g)
+        canonical_text(chain_round_a_cycle())
+
+
+@pytest.mark.parametrize(
+    "reduce", [break_free_edges, generic_form, normal_form, normal_key, dedup_key]
+)
+def test_the_reductions_refuse_a_chain_round_a_cycle(reduce):
+    """Breaking the free sphere a -> b sums the chain beyond it, which runs
+    round the cycle: each reduction raises, and an alarm fails a loop that
+    never returns instead of hanging the run."""
+
+    def hung(signum, frame):
+        raise AssertionError(f"{reduce.__name__} has not returned after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        with pytest.raises(GraphError, match="runs round a cycle"):
+            reduce(chain_round_a_cycle())
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1986,13 +2013,22 @@ def test_fat_record_is_kept_and_equals_the_formula(golden_level_graphs):
 # released caches
 
 
-CACHES = ("_by_vid", "_adjacency", "_extension", "_sites")
+CACHES = ("_vid_index", "_edge_index", "_extension", "_sites")
 DEEP_SCENARIO = Path(__file__).parents[1] / "perfbench" / "ruled-deep.scenario"
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def held_caches(g):
-    return [name for name in CACHES if name in vars(g)]
+    return [name for name in CACHES if getattr(g, name) is not None]
+
+
+def test_the_caches_are_the_graphs_slots_beside_its_values():
+    """Each cache is a slot that takes no argument and no part in equality."""
+    assert graphs_module.CACHES == CACHES == DecoratedGraph.__slots__[5:]
+    assert [f.name for f in fields(DecoratedGraph) if f.init and f.compare] == [
+        "omega", "vertices", "edges", "ledger", "fiber"
+    ]
+    assert [f.name for f in fields(DecoratedGraph) if not (f.init or f.compare)] == list(CACHES)
 
 
 def cached_answers(g, delta):
@@ -2037,11 +2073,11 @@ def test_the_index_is_built_once_per_child_parent_and_extension(monkeypatch):
     builds = Counter()
 
     def counted(g):
-        builds[id(g)] += 1
-        return index.fn(g)
+        if g._edge_index is None:
+            builds[id(g)] += 1
+        return index.fget(g)
 
-    counted.__name__ = "_adjacency"
-    monkeypatch.setattr(DecoratedGraph, "_adjacency", type(index)(counted))
+    monkeypatch.setattr(DecoratedGraph, "_adjacency", property(counted))
     levels = enumerate_levels(load_scenario("ruled-general-4").enumeration_spec())
     log = levels[-1].branch_log
     children = sum(lv.sites for lv in log)
@@ -2082,7 +2118,7 @@ def test_a_level_holds_one_parents_site_table_at_a_time(monkeypatch):
         nonlocal most
         parents[id(g)] = g
         found = blowup_sites(g, delta)
-        most = max(most, sum("_sites" in vars(p) for p in parents.values()))
+        most = max(most, sum(p._sites is not None for p in parents.values()))
         return found
 
     monkeypatch.setattr(enumeration, "blowup_sites", counted)

@@ -6,7 +6,10 @@ errors where a check fails.  So no module under ``src/`` holds an
 ``float`` or ``round``, or a ``math`` attribute other than ``gcd`` and
 ``lcm``.  The blowup, the graphs and the enumeration compute in integers
 alone: under their modules a ``Fraction(`` call stands only inside a
-function of ``FRACTION_ALLOWED``.  The checks read each module's syntax tree
+function of ``FRACTION_ALLOWED``.  A graph is an immutable value, whose
+dataclass is not frozen (a frozen one writes each slot through
+``object.__setattr__``): so no module stores to or deletes an attribute named
+after one of its value fields.  The checks read each module's syntax tree
 with the standard library's ``ast``.
 """
 
@@ -124,4 +127,57 @@ def test_the_fraction_rule_finds_a_call_outside_the_allow_list():
         "line 9: Fraction( in _site_for_vertex.inner",
         "line 10: Fraction( in _site_for_vertex",
         "line 11: Fraction( in <module>",
+    ]
+
+
+# The value fields of ``graphs.DecoratedGraph``; its caches are the other slots.
+VALUE_FIELDS = ("omega", "vertices", "edges", "ledger", "fiber")
+
+
+def value_stores(tree: ast.AST) -> list[str]:
+    """Each store to, or deletion of, an attribute named in ``VALUE_FIELDS``:
+    as an assignment (plain, augmented or annotated) or ``del`` target, or as
+    the constant name handed to ``setattr`` or ``__setattr__``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+            if node.attr in VALUE_FIELDS:
+                found.append((node.lineno, f"store to .{node.attr}"))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("setattr", "__setattr__"):
+                for arg in node.args[:2]:
+                    if isinstance(arg, ast.Constant) and arg.value in VALUE_FIELDS:
+                        found.append((node.lineno, f"{name}( of {arg.value!r}"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_stores_to_a_graphs_values(path):
+    assert value_stores(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_value_rule_finds_each_kind_of_store():
+    tree = ast.parse(
+        "def f(g, h):\n"
+        "    g.edges = ()\n"
+        "    g.ledger += (1,)\n"
+        "    g.fiber: object = None\n"
+        "    del g.omega\n"
+        "    h.x, g.vertices = 1, ()\n"
+        "    setattr(g, 'fiber', None)\n"
+        "    object.__setattr__(g, 'omega', None)\n"
+        "    g.__setattr__('edges', ())\n"
+        "    g._sites = g.edges_above = setattr(g, '_sites', g.edges)\n"
+    )
+    assert value_stores(tree) == [
+        "line 2: store to .edges",
+        "line 3: store to .ledger",
+        "line 4: store to .fiber",
+        "line 5: store to .omega",
+        "line 6: store to .vertices",
+        "line 7: setattr( of 'fiber'",
+        "line 8: __setattr__( of 'omega'",
+        "line 9: __setattr__( of 'edges'",
     ]
