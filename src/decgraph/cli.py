@@ -89,7 +89,7 @@ def cmd_verify(args) -> int:
             "all_obstructed": obstruction.all_obstructed,
         }
         sys.stdout.write(_write_report(report, args.out))
-        return 0 if obstruction.all_obstructed else 1
+        return 0 if obstruction.all_obstructed or scenario.advisory else 1
     outcome = run_scenario(scenario)
     sys.stdout.write(_write_report(outcome.report, args.out))
     if args.out:

@@ -87,11 +87,10 @@ class LedgerEntry(NamedTuple):  # what one step did; its class is its position
     detail: str  # 'min'/'max' for surface/extremum, birth step for interior
 
     @staticmethod
-    def parse(text: str, step: int, index: int) -> "LedgerEntry":
-        """The entry of step ``step``, which made E``index``: an end or an earlier birth."""
-        idx, kind, detail = text.split(":")
-        if idx != f"E{index}":
-            raise ValueError(f"step {step} names {idx}, not E{index}")
+    def parse(text: str, step: int) -> "LedgerEntry":
+        """The entry of step ``step``: an end or an earlier birth.  The word's
+        class name is not read; ``parse_graph`` writes it back from the position."""
+        _, kind, detail = text.split(":")
         if kind == INTERIOR:
             details = [str(birth) for birth in range(step)]
         elif kind in (SURFACE, EXTREMUM):
@@ -103,11 +102,11 @@ class LedgerEntry(NamedTuple):  # what one step did; its class is its position
         return LedgerEntry(kind, detail)
 
 
-def _ledger_texts(g: "DecoratedGraph", texts: dict) -> list[str]:
-    """The words of ``g``'s LEDGER record: step i of s on k classes made E(k-s+i).
+def _ledger_texts(ledger, k: int, texts: dict) -> list[str]:
+    """The words of a LEDGER record: step i of s on k classes made E(k-s+i).
     ``texts`` maps each (index, entry) to its word, shared by the ledgers it writes."""
     words = []
-    for key in enumerate(g.ledger, start=g.model.k - len(g.ledger) + 1):
+    for key in enumerate(ledger, start=k - len(ledger) + 1):
         if key not in texts:
             index, (kind, detail) = key
             texts[key] = f"E{index}:{kind}:{detail}"
@@ -537,7 +536,8 @@ def _fixed_record(c: HomologyClass | None, omega: CohomologyVector) -> str:
 
     ``c`` is the vertex's fixed-surface class, None at an isolated point.
     The size and genus are the class's area and adjunction genus, written
-    for readers; ``parse_graph`` checks them against the class.  Each class's
+    for readers; ``parse_graph`` reads only the class and accepts the record
+    only if this text, written back, is the one it read.  Each class's
     record is written once per class vector and kept on it.
     """
     if c is None:
@@ -643,7 +643,7 @@ def canonical_text(g: DecoratedGraph) -> str:
     regardless of construction history.
     """
     lines = _lines(g, _walk(g, False))
-    lines.append("LEDGER " + " ".join(_ledger_texts(g, {})))
+    lines.append("LEDGER " + " ".join(_ledger_texts(g.ledger, g.model.k, {})))
     return "\n".join(lines) + "\n"
 
 
@@ -655,19 +655,23 @@ def parse_graph(text: str, omega: CohomologyVector | None = None) -> DecoratedGr
     ``omega`` share their classes; any other graph gets a new model and
     vector.
 
+    A record is accepted only if writing back what was parsed from it gives
+    the line as written, from the tables ``canonical_text`` writes from: a
+    graph file is its own canonical text, one record at a time.  So a number
+    with a ``+``, a ``_``, a leading zero or a non-ASCII digit, a repeated,
+    missing or unknown key, a fixed surface's size or genus other than its
+    class's, a ledger step that names another class than the one its
+    position made and a space more or less are all refused, as is any other
+    spelling.
+
     Raises GraphError, naming the line, on any malformed, unknown or
-    repeated record: MODEL, which comes first, OMEGA, FIBER, LEDGER and
-    each V index come at most once.  OMEGA comes before every V, E and
+    repeated record: MODEL, which comes first, OMEGA, FIBER and LEDGER come
+    at most once, and V i is the i-th V record, as the writer numbers them,
+    which a line alone cannot show.  OMEGA comes before every V, E and
     FIBER record, so a class is parsed only once the vector's length has
-    checked the model's rank.  Records are strict: a MODEL record has
-    ``k=`` once, and ``genus=`` once on a ruled model; a fat V record has
-    ``size=``, ``genus=`` and ``class=`` once each, and an isolated one no
-    further word; V indices, E ends, E labels, ``k`` and genera are plain
-    ASCII digits.
-    Also an error: a moment that is no height over the class vector's
-    denominator, a fixed surface whose stated size or genus is not its
-    class's area or adjunction genus, and a ledger whose step i of s names
-    another class than E(k-s+i).
+    checked the model's rank.  Also an error: a moment that is no height
+    over the class vector's denominator, and a ledger step whose kind or
+    detail no blowup makes.
 
     A V or E record is a function of its line and the class vector, so the
     vector keeps what each line built once it passed every check
@@ -676,14 +680,13 @@ def parse_graph(text: str, omega: CohomologyVector | None = None) -> DecoratedGr
     """
     given = omega
     model = omega = None
-    verts: dict[int, Vertex] = {}
+    verts: list[Vertex] = []  # V i is the i-th V record
     edges: list[Edge] = []
     ledger: list[LedgerEntry] = []
     fiber = None
     seen = set()  # of the records a graph holds once
     records: dict = {}  # the class vector's ``_parsed_records`` once OMEGA is read
     for number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
         if not line or line == "C":
             continue
         parsed = records.get(line)  # (index, Vertex) of a V line, the Edge of an E line
@@ -702,16 +705,12 @@ def parse_graph(text: str, omega: CohomologyVector | None = None) -> DecoratedGr
             try:
                 if tag == "MODEL":
                     kind, *words = rest.split()
-                    keys = ("genus", "k") if kind == RULED else ("k",)
                     opts = dict(w.split("=", 1) for w in words)
-                    if len(opts) != len(words) or opts.keys() != set(keys):
-                        raise ValueError(f"need {', '.join(k + '=' for k in keys)} once each")
-                    if not all(v.isascii() and v.isdigit() for v in opts.values()):
-                        raise ValueError(f"{' and '.join(keys)} must be plain numbers")
                     shape = (kind, int(opts["k"]), int(opts.get("genus", 0)))
                     model = None if given is None else given.model
                     if model is None or shape != (model.kind, model.k, model.genus):
                         model = SurfaceModel(*shape)
+                    written = str(model)
                 elif tag == "OMEGA":
                     if given is not None and model is given.model and rest == str(given):
                         omega = given
@@ -721,41 +720,28 @@ def parse_graph(text: str, omega: CohomologyVector | None = None) -> DecoratedGr
                         entries += [rat(x) for x in tail.split(",") if x]
                         omega = CohomologyVector(model, tuple(entries))
                     records = omega._parsed_records
+                    written = str(omega)
                 elif tag == "V":
                     idx, moment, kind, *words = rest.split()
-                    if not (idx.isascii() and idx.isdigit()):
-                        raise ValueError(f"index {idx!r} is not a plain number")
-                    idx = int(idx)
-                    height = _height(moment, omega.denominator)
                     fat = None
                     if kind == "fat":
-                        keys = ("size", "genus", "class")
-                        opts = dict(w.split("=", 1) for w in words)
-                        if len(opts) != len(words) or opts.keys() != set(keys):
-                            raise ValueError(f"need {', '.join(k + '=' for k in keys)} once each")
-                        fat, size = model.parse(opts["class"]), rat(opts["size"])
-                        area = omega._areas[fat]
-                        if size.numerator * omega.denominator != area * size.denominator:
-                            raise GraphError(f"size {rat_str(size)} is not the area of {fat}")
-                        # twice_genus is even: c.c + K.c is, K being characteristic
-                        if opts["genus"] != str(fat.twice_genus // 2):
-                            raise GraphError(f"genus {opts['genus']} is not the genus of {fat}")
-                    elif kind != "isolated":
-                        raise ValueError(f"unknown vertex kind {kind!r}")
-                    elif words:
-                        raise ValueError(f"an isolated vertex has no {words[0]!r}")
+                        fat = model.parse(dict(w.split("=", 1) for w in words)["class"])
+                    idx, height = int(idx), _height(moment, omega.denominator)
                     parsed = (idx, Vertex(f"0.v{idx}", height, fat))
+                    written = f"{idx} {omega._moment_texts[height]} {_fixed_record(fat, omega)}"
                 elif tag == "E":
                     b, t, label, cls = rest.split()
-                    if not all(w.isascii() and w.isdigit() for w in (b, t, label)):
-                        raise ValueError("ends and label must be plain numbers")
-                    parsed = Edge(f"0.v{int(b)}", f"0.v{int(t)}", int(label), model.parse(cls))
+                    b, t, label, cls = int(b), int(t), int(label), model.parse(cls)
+                    parsed = Edge(f"0.v{b}", f"0.v{t}", label, cls)
+                    written = f"{b} {t} {label} {cls}"
                 elif tag == "FIBER":
                     fiber = model.parse(rest)
-                elif tag == "LEDGER":
-                    words = rest.split()
-                    first = model.k - len(words)
-                    ledger = [LedgerEntry.parse(w, i, first + i) for i, w in enumerate(words, 1)]
+                    written = str(fiber)
+                else:  # LEDGER
+                    ledger = [LedgerEntry.parse(w, i) for i, w in enumerate(rest.split(), 1)]
+                    written = " ".join(_ledger_texts(ledger, model.k, {}))
+                if written != rest:
+                    raise ValueError(f"{rest!r} is written {written!r}")
             except (ValueError, KeyError, IndexError, ZeroDivisionError) as exc:
                 raise GraphError(f"line {number}: malformed {tag} record: {exc}") from None
             if parsed is None:  # MODEL, OMEGA, FIBER or LEDGER
@@ -763,14 +749,14 @@ def parse_graph(text: str, omega: CohomologyVector | None = None) -> DecoratedGr
             records[line] = parsed
         if line[0] == "V":
             idx, vertex = parsed
-            if idx in verts:
-                raise GraphError(f"line {number}: a second V {idx} record")
-            verts[idx] = vertex
+            if idx != len(verts):
+                raise GraphError(f"line {number}: V {idx} record where V {len(verts)} comes")
+            verts.append(vertex)
         else:
             edges.append(parsed)
     if model is None or omega is None or fiber is None:
         raise GraphError("incomplete graph record")
-    return DecoratedGraph.build(omega, verts.values(), edges, ledger, fiber)
+    return DecoratedGraph.build(omega, verts, edges, ledger, fiber)
 
 
 def _normal_lines(g: DecoratedGraph, relabelings) -> tuple[DecoratedGraph, bool, list[str]]:

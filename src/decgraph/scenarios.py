@@ -558,7 +558,7 @@ def run_scenario(scenario: Scenario) -> RunOutcome:
             if shared is None:
                 shared = certificates[key] = _certificate_json(cert)
             cert = shared
-        ledger = _ledger_texts(v.graph, ledger_texts)
+        ledger = _ledger_texts(v.graph.ledger, model.k, ledger_texts)
         graphs.append({"ledger": ledger, "verdict": v.verdict, "certificate": cert})
     report["graphs"] = graphs
     report["obstruction"] = {
@@ -716,15 +716,10 @@ def read_graphs(directory, omega: CohomologyVector) -> list:
         path = os.path.join(directory, name)
         with open(path, encoding="utf-8") as fh:
             try:
-                text = fh.read()
-                g = parse_graph(text, omega)
-                if g.omega is not omega:  # another spelling or another model
-                    written = next(
-                        line.strip() for line in text.splitlines()
-                        if line.strip().startswith("OMEGA ")
-                    )
+                g = parse_graph(fh.read(), omega)
+                if g.omega is not omega:  # another vector or another model
                     raise GraphError(
-                        f"{written} on the {g.model} model is not the scenario's"
+                        f"OMEGA {g.omega} on the {g.model} model is not the scenario's"
                         f" OMEGA {omega} on the {omega.model} model"
                     )
                 if len(g.ledger) != steps:

@@ -471,6 +471,54 @@ def test_verify_graphs_with_an_invalid_graph_exits_2(tmp_path, capsys):
             lambda text: text.replace(b"size=1 genus=2 class=B\n", b"size=1 genus=+2 class=B\n"),
             id="fat-signed-genus",
         ),
+        # A record is accepted only as it is written back: each of these
+        # spells a record of the same graph another way.
+        pytest.param(lambda text: text.replace(b"V 2 1/20", b"V 02 1/20"), id="index-02"),
+        pytest.param(lambda text: text.replace(b"E 2 3 2 E2", b"E 2 3 02 E2"), id="label-02"),
+        pytest.param(lambda text: text.replace(b"V 2 1/20 ", b"V 2 2/40 "), id="moment-2/40"),
+        pytest.param(lambda text: text.replace(b"E 2 3 2 E2", b"E 2 3 2 1E2"), id="class-1E2"),
+        pytest.param(lambda text: text.replace(b"E 2 3 2 E2", b"E 2 3 2 +E2"), id="class-+E2"),
+        pytest.param(lambda text: text.replace(b"FIBER F", b"FIBER +F"), id="fiber-+F"),
+        pytest.param(
+            lambda text: text.replace(b"MODEL ruled genus=2 k=3", b"MODEL ruled k=3 genus=2"),
+            id="model-key-order",
+        ),
+        pytest.param(
+            lambda text: text.replace(b"size=1 genus=2 class=B\n", b"class=B size=1 genus=2\n"),
+            id="fat-key-order",
+        ),
+        pytest.param(
+            lambda text: text.replace(b"size=1 genus=2 class=B\n", b"size=2/2 genus=2 class=B\n"),
+            id="fat-size-2/2",
+        ),
+        pytest.param(
+            lambda text: text.replace(b"V 2 1/20 isolated", b"V 2  1/20 isolated"),
+            id="vertex-double-space",
+        ),
+        pytest.param(
+            lambda text: text.replace(b"E1:surface:max E2", b"E1:surface:max  E2"),
+            id="ledger-double-space",
+        ),
+        pytest.param(
+            lambda text: text.replace(b"V 2 1/20 isolated\n", b"V 2 1/20 isolated \n"),
+            id="trailing-space",
+        ),
+        pytest.param(
+            lambda text: text.replace(b"\nV 2 1/20 isolated", b"\n V 2 1/20 isolated"),
+            id="indented-record",
+        ),
+        # V i is the i-th V record, as the writer numbers them: the same graph
+        # with a vertex renamed is refused.
+        pytest.param(
+            lambda text: text.replace(b"V 2 1/20", b"V -1 1/20")
+            .replace(b"E 0 2 1", b"E 0 -1 1").replace(b"E 2 3 2", b"E -1 3 2"),
+            id="vertex-renamed--1",
+        ),
+        pytest.param(
+            lambda text: text.replace(b"V 2 1/20", b"V 99 1/20")
+            .replace(b"E 0 2 1", b"E 0 99 1").replace(b"E 2 3 2", b"E 99 3 2"),
+            id="vertex-renamed-99",
+        ),
     ],
 )
 def test_verify_graphs_with_a_garbage_file_exits_2(tmp_path, capsys, content):
@@ -490,11 +538,14 @@ def test_verify_graphs_with_a_garbage_file_exits_2(tmp_path, capsys, content):
     "old, new, message",
     [
         ("size=1 genus=2 class=B\n", "size=1 genus=7 class=B\n",
-         "line 3: malformed V record: genus 7 is not the genus of B"),
+         "line 3: malformed V record: '0 0 fat size=1 genus=7 class=B'"
+         " is written '0 0 fat size=1 genus=2 class=B'"),
         ("size=1 genus=2 class=B\n", "size=1/2 genus=2 class=B\n",
-         "line 3: malformed V record: size 1/2 is not the area of B"),
+         "line 3: malformed V record: '0 0 fat size=1/2 genus=2 class=B'"
+         " is written '0 0 fat size=1 genus=2 class=B'"),
         ("E3:surface:max", "E7:surface:max",
-         "line 16: malformed LEDGER record: step 3 names E7, not E3"),
+         "line 16: malformed LEDGER record: 'E1:surface:max E2:interior:1 E7:surface:max'"
+         " is written 'E1:surface:max E2:interior:1 E3:surface:max'"),
         ("E1:surface:max", "E1:bogus:nowhere",
          "line 16: malformed LEDGER record: step 1: unknown blowup kind 'bogus'"),
         ("FIBER F\n", "FIBER 7B-E3\n", "FIBER 7B-E3 is not the chain sum F"),
@@ -524,7 +575,7 @@ def test_verify_graphs_names_a_record_that_disagrees_with_its_class(
         ("cp2-six", "E 0 4 1 L-E1-E2\n", "E 0 4 1 L-E1-E3\n",
          "FIBER L-E1 is not the chain sum L-E1+E2-E3"),
         ("ruled-three", "V 4 7/10 isolated\n", "V 4 7/10 isolated\nV 4 7/10 isolated\n",
-         "line 8: a second V 4 record"),
+         "line 8: V 4 record where V 5 comes"),
     ],
     ids=["equal-size-class", "second-vertex"],
 )

@@ -33,6 +33,7 @@ import pytest
 
 from decgraph.cli import main
 from decgraph.enumeration import dedup_key
+from decgraph.graphs import canonical_text, parse_graph
 from decgraph.scenarios import load_scenario, run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -140,6 +141,24 @@ def test_golden_files(tmp_path):
     )
     assert files_record(tmp_path) == pinned
     assert len(pinned["files"]) == 318  # 317 graphs and the manifest
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_every_exported_file_replays(tmp_path, name):
+    """``verify --graphs`` on the files ``verify --out`` wrote exits as the run
+    did, and every file is its own canonical text, read back on the run's
+    class vector."""
+    scenario, run = str(FILES.get(name, name)), tmp_path / "run"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["verify", "--scenario", scenario, "--out", str(run)])
+        assert main(["verify", "--scenario", scenario, "--graphs", str(run / "graphs")]) == code
+    omega = load_scenario(scenario).enumeration_spec().final_omega
+    paths = sorted((run / "graphs").glob("graph-*.txt"))
+    pinned = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    assert len(paths) == pinned["final_count"]
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert canonical_text(parse_graph(text, omega)) == text
 
 
 def test_golden_cli_text(tmp_path):
