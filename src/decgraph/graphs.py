@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import add, attrgetter, itemgetter
 from typing import NamedTuple
 
 from .lattice import (
@@ -448,7 +448,8 @@ def _chain_sum(g: DecoratedGraph, e: Edge, up: bool) -> tuple[int, ...]:
         end, onward, far = g.vertices[-1].vid, g._adjacency[0], 1
     else:
         end, onward, far = g.vertices[0].vid, g._adjacency[1], 0
-    total = [e.label * c for c in e.cls.coeffs]
+    start, label = e[far], e.label
+    total = e.cls.coeffs if label == 1 else [label * c for c in e.cls.coeffs]
     for _ in range(len(g.edges)):  # a chain holds each edge at most once
         vid = e[far]
         if vid == end:
@@ -457,8 +458,12 @@ def _chain_sum(g: DecoratedGraph, e: Edge, up: bool) -> tuple[int, ...]:
             (e,) = onward[vid]
         except (KeyError, ValueError):
             raise GraphError(f"vertex {vid} has no unique chain continuation") from None
-        total = [t + e.label * c for t, c in zip(total, e.cls.coeffs)]
-    raise GraphError(f"the chain through vertex {vid} runs round a cycle")
+        label = e.label
+        if label == 1:
+            total = list(map(add, total, e.cls.coeffs))
+        else:
+            total = [t + label * c for t, c in zip(total, e.cls.coeffs)]
+    raise GraphError(f"the chain through vertex {start} runs round a cycle")
 
 
 def _check_fiber(g: DecoratedGraph) -> None:
@@ -647,6 +652,23 @@ def canonical_text(g: DecoratedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+_ORDER = ("MODEL", "OMEGA", "V", "C", "FIBER", "LEDGER")  # the writer's order; E goes with C
+_RANKS = {tag: rank for rank, tag in enumerate(_ORDER)} | {"E": 3}
+_ONCE = frozenset({0, 1, 4, 5})  # the ranks of the records a graph holds once
+_BLOCK = (3,)  # what a C line parses to
+
+
+def _misplaced(number: int, line: str, rank: int, stage: int, seen: bool) -> GraphError:
+    """The error of a record of ``rank`` in ``_ORDER`` after one of rank
+    ``stage`` (-1 at the first line); ``seen`` if it is a second one."""
+    tag = line.partition(" ")[0]
+    if seen:
+        return GraphError(f"line {number}: a second {tag} record")
+    if rank < stage:
+        return GraphError(f"line {number}: {tag} record after the {_ORDER[stage]} record")
+    return GraphError(f"line {number}: {tag} record before the {_ORDER[stage + 1]} record")
+
+
 def parse_graph(text: str, omega: CohomologyVector | None = None) -> DecoratedGraph:
     """Rebuild a graph from its serialized form.
 
@@ -655,53 +677,67 @@ def parse_graph(text: str, omega: CohomologyVector | None = None) -> DecoratedGr
     ``omega`` share their classes; any other graph gets a new model and
     vector.
 
-    A record is accepted only if writing back what was parsed from it gives
-    the line as written, from the tables ``canonical_text`` writes from: a
-    graph file is its own canonical text, one record at a time.  So a number
-    with a ``+``, a ``_``, a leading zero or a non-ASCII digit, a repeated,
-    missing or unknown key, a fixed surface's size or genus other than its
-    class's, a ledger step that names another class than the one its
-    position made and a space more or less are all refused, as is any other
-    spelling.
+    A graph file is its own canonical text.  A record is accepted only if
+    writing back what was parsed from it gives the line as written, from the
+    tables ``canonical_text`` writes from.  So a number with a ``+``, a
+    ``_``, a leading zero or a non-ASCII digit, a repeated, missing or
+    unknown key, a fixed surface's size or genus other than its class's, a
+    ledger step that names another class than the one its position made and
+    a space more or less are all refused, as is any other spelling.
 
-    Raises GraphError, naming the line, on any malformed, unknown or
-    repeated record: MODEL, which comes first, OMEGA, FIBER and LEDGER come
-    at most once, and V i is the i-th V record, as the writer numbers them,
-    which a line alone cannot show.  OMEGA comes before every V, E and
-    FIBER record, so a class is parsed only once the vector's length has
-    checked the model's rank.  Also an error: a moment that is no height
-    over the class vector's denominator, and a ledger step whose kind or
-    detail no blowup makes.
+    The lines are laid out as the writer lays them out, which a line alone
+    cannot show: each ends in a newline and none is blank.  The records come
+    in the order MODEL, OMEGA, the V records, the C blocks, FIBER, LEDGER,
+    and each of MODEL, OMEGA, FIBER and LEDGER once.  V i is the i-th V
+    record.  Each C block's E records link end to end from V 0 to V 1, and
+    each reaches V 1 or the next vertex that no E record has reached, until
+    every V record is reached.  Each block's (moment text, label,
+    coefficients) per step, the order ``_lines`` sorts on, is not smaller
+    than the previous block's.
 
-    A V or E record is a function of its line and the class vector, so the
-    vector keeps what each line built once it passed every check
-    (``_parsed_records``): the next graph on that vector that holds the line
-    reuses the vertex or edge without parsing or checking it again.
+    Raises GraphError, naming the line, on any record or layout that breaks
+    these rules, on a moment that is no height over the class vector's
+    denominator and on a ledger step whose kind or detail no blowup makes.
+
+    A record is a function of its line and the class vector, so the vector
+    keeps what a line built once it passed its own checks
+    (``_parsed_records``): the MODEL line that names the vector's model, its
+    OMEGA line, each V, E and FIBER line read on it, and each ledger step
+    word, keyed by (step, steps, word).  The next graph on that vector that
+    holds the line or word reuses what it built, parsing and checking it no
+    more; the layout rules run on every line, kept or not.
     """
     given = omega
-    model = omega = None
-    verts: list[Vertex] = []  # V i is the i-th V record
+    model = omega = fiber = ledger = None
+    verts: list[Vertex] = []  # V i is the i-th V record, its moment text moments[i]
+    moments: list[str] = []
     edges: list[Edge] = []
-    ledger: list[LedgerEntry] = []
-    fiber = None
-    seen = set()  # of the records a graph holds once
-    records: dict = {}  # the class vector's ``_parsed_records`` once OMEGA is read
-    for number, line in enumerate(text.splitlines(), start=1):
-        if not line or line == "C":
-            continue
-        parsed = records.get(line)  # (index, Vertex) of a V line, the Edge of an E line
+    stage = -1  # the rank in _ORDER of the last record
+    at = None  # the vertex that the open C block's chain has reached; None before one
+    reached = 2  # the next vertex an E record reaches; V 0 and V 1 are the ends
+    block = above = []  # the open and the previous block's per-step records
+    records = {} if given is None else given._parsed_records  # then the vector's
+    *lines, end = text.split("\n")  # end is empty where the last line ends in a newline
+    for number, line in enumerate(lines, start=1):
+        parsed = records.get(line)
         if parsed is None:
-            tag, _, rest = line.partition(" ")
-            if tag not in ("MODEL", "OMEGA", "V", "E", "FIBER", "LEDGER"):
-                raise GraphError(f"line {number}: unknown record tag {tag!r}")
-            if tag in ("MODEL", "OMEGA", "FIBER", "LEDGER"):
-                if tag in seen:
-                    raise GraphError(f"line {number}: a second {tag} record")
-                seen.add(tag)
-            if model is None and tag != "MODEL":
-                raise GraphError(f"line {number}: {tag} record before the MODEL record")
-            if omega is None and tag in ("V", "E", "FIBER"):
-                raise GraphError(f"line {number}: {tag} record before the OMEGA record")
+            if line == "C":
+                parsed = _BLOCK
+            else:
+                tag, _, rest = line.partition(" ")
+                rank = _RANKS.get(tag)
+                if rank is None:
+                    what = f"unknown record tag {tag!r}" if line else "a blank line"
+                    raise GraphError(f"line {number}: {what}")
+        if parsed is not None:
+            rank = parsed[0]
+        if rank != stage or rank in _ONCE:
+            seen = (model, omega, None, None, fiber, ledger)[rank] is not None
+            if seen or rank < stage or (stage < 1 and rank > stage + 1):
+                raise _misplaced(number, line, rank, stage, seen)
+            stage = rank
+        if parsed is None:  # a line that the table does not hold
+            keep = True
             try:
                 if tag == "MODEL":
                     kind, *words = rest.split()
@@ -710,7 +746,8 @@ def parse_graph(text: str, omega: CohomologyVector | None = None) -> DecoratedGr
                     model = None if given is None else given.model
                     if model is None or shape != (model.kind, model.k, model.genus):
                         model = SurfaceModel(*shape)
-                    written = str(model)
+                        keep = False
+                    parsed, written = (0, model), str(model)
                 elif tag == "OMEGA":
                     if given is not None and model is given.model and rest == str(given):
                         omega = given
@@ -719,43 +756,98 @@ def parse_graph(text: str, omega: CohomologyVector | None = None) -> DecoratedGr
                         entries = [rat(x) for x in head.split(",")]
                         entries += [rat(x) for x in tail.split(",") if x]
                         omega = CohomologyVector(model, tuple(entries))
-                    records = omega._parsed_records
-                    written = str(omega)
+                        keep = False
+                    parsed, written = (1, omega), str(omega)
                 elif tag == "V":
                     idx, moment, kind, *words = rest.split()
                     fat = None
                     if kind == "fat":
                         fat = model.parse(dict(w.split("=", 1) for w in words)["class"])
                     idx, height = int(idx), _height(moment, omega.denominator)
-                    parsed = (idx, Vertex(f"0.v{idx}", height, fat))
-                    written = f"{idx} {omega._moment_texts[height]} {_fixed_record(fat, omega)}"
+                    moment = omega._moment_texts[height]
+                    parsed = (2, idx, Vertex(f"0.v{idx}", height, fat), moment)
+                    written = f"{idx} {moment} {_fixed_record(fat, omega)}"
                 elif tag == "E":
                     b, t, label, cls = rest.split()
                     b, t, label, cls = int(b), int(t), int(label), model.parse(cls)
-                    parsed = Edge(f"0.v{b}", f"0.v{t}", label, cls)
+                    edge = Edge(f"0.v{b}", f"0.v{t}", label, cls)
+                    parsed = (3, b, t, (label, cls.coeffs), edge)
                     written = f"{b} {t} {label} {cls}"
+                elif tag == "C":  # "C " or "C x"
+                    parsed, written, keep = _BLOCK, "", False
                 elif tag == "FIBER":
                     fiber = model.parse(rest)
-                    written = str(fiber)
-                else:  # LEDGER
-                    ledger = [LedgerEntry.parse(w, i) for i, w in enumerate(rest.split(), 1)]
-                    written = " ".join(_ledger_texts(ledger, model.k, {}))
+                    parsed, written = (4, fiber), str(fiber)
+                else:  # LEDGER: the table keeps its step words, not the line
+                    keep, words = False, rest.split(" ")
+                    try:
+                        entries = [records[i, len(words), w] for i, w in enumerate(words, 1)]
+                    except KeyError:  # a word the table lacks: the whole line is parsed
+                        entries = [LedgerEntry.parse(w, i) for i, w in enumerate(rest.split(), 1)]
+                        words = _ledger_texts(entries, model.k, {})
+                        if " ".join(words) == rest:
+                            for i, (word, entry) in enumerate(zip(words, entries), start=1):
+                                records[i, len(words), word] = entry
+                    parsed, written = (5, tuple(entries)), " ".join(words)
                 if written != rest:
                     raise ValueError(f"{rest!r} is written {written!r}")
+                whole = "C" if tag == "C" else f"{tag} {written}"  # not "C " or "LEDGER"
+                if line != whole:
+                    raise ValueError(f"{line!r} is written {whole!r}")
             except (ValueError, KeyError, IndexError, ZeroDivisionError) as exc:
                 raise GraphError(f"line {number}: malformed {tag} record: {exc}") from None
-            if parsed is None:  # MODEL, OMEGA, FIBER or LEDGER
-                continue
-            records[line] = parsed
-        if line[0] == "V":
-            idx, vertex = parsed
+            if keep:
+                records[line] = parsed
+        if rank == 2:  # V
+            _, idx, vertex, moment = parsed
             if idx != len(verts):
                 raise GraphError(f"line {number}: V {idx} record where V {len(verts)} comes")
             verts.append(vertex)
-        else:
-            edges.append(parsed)
-    if model is None or omega is None or fiber is None:
+            moments.append(moment)
+        elif rank == 3:  # C or E
+            if parsed is _BLOCK:
+                if at is not None and at != 1:
+                    raise GraphError(f"line {number}: the C block above ends at V {at}, not V 1")
+                at, block = 0, []
+                continue
+            _, b, t, step, edge = parsed
+            if at is None:
+                raise GraphError(f"line {number}: E record outside a C block")
+            if b != at or at == 1:
+                raise GraphError(f"line {number}: E record from V {b}, its chain at V {at}")
+            try:
+                block.append((moments[t], step))
+            except IndexError:
+                raise GraphError(f"line {number}: E record to V {t}, no V record") from None
+            if t == 1:
+                if block < above:
+                    raise GraphError(f"line {number}: C block that sorts before the one above")
+                above = block
+            elif t == reached:
+                reached += 1
+            else:
+                raise GraphError(f"line {number}: E record to V {t}, not V {reached} or V 1")
+            at = t
+            edges.append(edge)
+        elif rank == 0:  # MODEL
+            model = parsed[1]
+            if given is None or model is not given.model:
+                records = {}
+        elif rank == 1:  # OMEGA
+            omega = parsed[1]
+            records = omega._parsed_records
+        elif rank == 4:  # FIBER
+            if at is not None and at != 1:
+                raise GraphError(f"line {number}: the C block above ends at V {at}, not V 1")
+            fiber = parsed[1]
+        else:  # LEDGER
+            ledger = parsed[1]
+    if end:
+        raise GraphError(f"line {len(lines) + 1}: no newline at the end")
+    if fiber is None or ledger is None:  # each comes after MODEL and OMEGA
         raise GraphError("incomplete graph record")
+    if reached != len(verts):
+        raise GraphError(f"{len(verts)} V records, where the C blocks reach {reached} vertices")
     return DecoratedGraph.build(omega, verts, edges, ledger, fiber)
 
 

@@ -416,7 +416,9 @@ class CohomologyVector:
         # class object, which hashes by identity; the text of each height over
         # den; each fixed-surface class's V record end
         # (``graphs._fixed_record``); and what ``graphs.parse_graph`` built from
-        # each V and E line it has read and checked.  A new vector starts empty.
+        # each line it has read and checked on this vector (MODEL, OMEGA, V, E
+        # and FIBER) and from each ledger step word, keyed by (step, steps,
+        # word).  A new vector starts empty.
         object.__setattr__(self, "_areas", _Table(partial(_area, weights)))
         object.__setattr__(self, "_moment_texts", _Table(partial(_ratio_text, den)))
         object.__setattr__(self, "_fixed_records", {})

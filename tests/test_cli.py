@@ -519,6 +519,30 @@ def test_verify_graphs_with_an_invalid_graph_exits_2(tmp_path, capsys):
             .replace(b"E 0 2 1", b"E 0 99 1").replace(b"E 2 3 2", b"E 99 3 2"),
             id="vertex-renamed-99",
         ),
+        # The file is laid out as the writer lays it out: the first five read
+        # the same graph from lines in another order or with a line more or less.
+        pytest.param(
+            lambda text: re.sub(rb"(C\n(?:E .*\n)+)(C\n(?:E .*\n)+)", rb"\2\1", text),
+            id="blocks-swapped",
+        ),
+        pytest.param(
+            lambda text: text.replace(
+                b"E 0 2 1 F-E1-E2\nE 2 3 2 E2\n", b"E 2 3 2 E2\nE 0 2 1 F-E1-E2\n"
+            ),
+            id="edges-reversed",
+        ),
+        pytest.param(lambda text: re.sub(rb"(?m)^C\n", b"", text), id="no-c-line"),
+        pytest.param(lambda text: text.replace(b"\nFIBER", b"\n\nFIBER"), id="blank-line"),
+        pytest.param(
+            lambda text: re.sub(rb"(OMEGA .*\n)((?:.*\n)*)(FIBER .*\n)", rb"\1\3\2", text),
+            id="fiber-after-omega",
+        ),
+        pytest.param(lambda text: text.rstrip(b"\n"), id="no-last-newline"),
+        pytest.param(
+            lambda text: text.replace(b"1/20 isolated\n", "1/20 isolated\u2028\n".encode()),
+            id="line-separator",
+        ),
+        pytest.param(lambda text: text.replace(b"\nC\n", b"\nC \n", 1), id="c-space"),
     ],
 )
 def test_verify_graphs_with_a_garbage_file_exits_2(tmp_path, capsys, content):

@@ -1,7 +1,10 @@
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decgraph import scenarios
 from decgraph.blowup import apply_blowup, blowup_sites
@@ -386,7 +389,13 @@ def test_one_vector_parses_each_record_line_once(general_4_texts, step):
     v_lines, e_lines = records(texts, "V"), records(texts, "E")
     assert (len(v_lines), len(set(v_lines))) == (2219, 230)
     assert (len(e_lines), len(set(e_lines))) == (2554, 315)
-    assert omega._parsed_records.keys() == set(v_lines) | set(e_lines)
+    heads = {*records(texts, "MODEL"), *records(texts, "OMEGA"), *records(texts, "FIBER")}
+    steps = set()  # (step, steps, word) of each ledger step word
+    for line in records(texts, "LEDGER"):
+        words = line.split()[1:]
+        steps.update((i, len(words), word) for i, word in enumerate(words, start=1))
+    assert (len(heads), len(steps)) == (3, 19)
+    assert omega._parsed_records.keys() == set(v_lines) | set(e_lines) | heads | steps
 
 
 @pytest.mark.parametrize(
@@ -433,3 +442,186 @@ def test_a_text_parsed_onto_two_vectors_holds_each_vectors_classes(general_4_tex
     assert first.model is not second.model
     assert canonical_text(first) == canonical_text(second) == text
     assert not {id(e) for e in first.edges} & {id(e) for e in second.edges}
+
+
+# ---------------------------------------------------------------------------
+# the records a warm vector keeps, and the layout of a file
+
+
+def warm_general_4_omega(texts):
+    """A new class vector of ruled-general-4's final graphs whose table holds
+    every record of ``texts``."""
+    omega = general_4_omega()
+    for text in texts:
+        parse_graph(text, omega)
+    return omega
+
+
+def refusals(text, warm):
+    """The GraphError messages of ``text`` read on a new vector and on ``warm``."""
+    messages = []
+    for omega in (general_4_omega(), warm):
+        with pytest.raises(GraphError) as caught:
+            parse_graph(text, omega)
+        messages.append(str(caught.value))
+    return messages
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda text: re.sub(r"(FIBER .*\n)", r"\1\1", text), "line {n}: a second FIBER record"),
+        (lambda text: text + text.splitlines()[-1] + "\n", "line {m}: a second LEDGER record"),
+        (lambda text: text + "FIBER F\n", "line {m}: a second FIBER record"),
+        (lambda text: re.sub(r"(FIBER .*\n)(LEDGER .*\n)", r"\2\1", text),
+         "line {n}: FIBER record after the LEDGER record"),
+    ],
+    ids=["fiber-twice", "ledger-twice", "fiber-after-ledger", "ledger-before-fiber"],
+)
+def test_a_warm_vector_refuses_a_second_record(general_4_texts, edit, message):
+    """A kept FIBER line or kept ledger words are read once per file: a
+    second record is refused on a warm vector as on a new one."""
+    warm = warm_general_4_omega(general_4_texts)
+    for text in general_4_texts[::10]:
+        n = text.count("\n")  # the LEDGER record's line
+        expected = message.format(n=n, m=n + 1)
+        assert refusals(edit(text), warm) == [expected, expected]
+
+
+def test_a_kept_step_word_is_refused_at_another_step(general_4_texts):
+    """The table keeps a ledger word for its step i of s steps: at step i + 1
+    of s, or at step i of s + 1, the word names another class than the one
+    its position made, and it is refused as on a vector that keeps nothing."""
+    warm = warm_general_4_omega(general_4_texts)
+    kept = [key for key in warm._parsed_records if isinstance(key, tuple)]
+    assert len(kept) == 19
+    head, k = general_4_texts[0].rsplit("LEDGER ", 1)[0], warm.model.k
+    number = head.count("\n") + 1  # the LEDGER record's line
+    refused = 0
+    for i, s, word in kept:
+        name, rest = word.split(":", 1)
+        assert name == f"E{k - s + i}"
+        for j, n in ((i, s), (i + 1, s), (i, s + 1)):
+            if j > n:
+                continue
+            good = [f"E{k - n + p}:surface:max" for p in range(1, n + 1)]
+            good[j - 1] = f"E{k - n + j}:{rest}"
+            bad = good[: j - 1] + [word] + good[j:]
+            text = f"{head}LEDGER {' '.join(bad)}\n"
+            if (j, n) == (i, s):
+                assert canonical_text(parse_graph(text, warm)) == text
+                continue
+            expected = (
+                f"line {number}: malformed LEDGER record:"
+                f" {' '.join(bad)!r} is written {' '.join(good)!r}"
+            )
+            assert refusals(text, warm) == [expected, expected]
+            refused += 1
+    assert refused == sum(1 + (i < s) for i, s, _ in kept)
+
+
+def reordered(text, order):
+    """``text`` with its C blocks in ``order`` and its vertices renumbered as
+    the blocks then reach them: of the layout, only the blocks' order can
+    be out of place."""
+    lines = text.splitlines()
+    vs = [line.split(" ", 2)[2] for line in lines if line.startswith("V ")]
+    start, stop = lines.index("C"), len(lines) - 2  # the C blocks, then FIBER and LEDGER
+    blocks = []
+    for line in lines[start:stop]:
+        if line == "C":
+            blocks.append([])
+        else:
+            blocks[-1].append(line.split()[1:])
+    number = {"0": "0", "1": "1"}
+    body = []
+    for i in order:
+        body.append("C")
+        for b, t, label, cls in blocks[i]:
+            for end in (b, t):
+                number.setdefault(end, str(len(number)))
+            body.append(f"E {number[b]} {number[t]} {label} {cls}")
+    old = {new: old for old, new in number.items()}
+    vertices = [f"V {i} {vs[int(old[str(i)])]}" for i in range(len(vs))]
+    return "\n".join(lines[:2] + vertices + body + lines[stop:]) + "\n"
+
+
+def test_c_blocks_out_of_their_sorted_order_are_refused(general_4_texts):
+    """Each block's (moment text, label, coefficients) per step is not
+    smaller than the block's above it: with the blocks reversed and the
+    vertices renumbered to match, a file is refused, cold or warm."""
+    warm = warm_general_4_omega(general_4_texts)
+    refused = 0
+    for text in general_4_texts:
+        count = text.count("\nC\n")
+        assert reordered(text, range(count)) == text
+        if count == 1:  # six files
+            continue
+        cold, hot = refusals(reordered(text, reversed(range(count))), warm)
+        assert cold == hot and cold.endswith(": C block that sorts before the one above")
+        refused += 1
+    assert refused == 311
+
+
+def test_a_record_is_one_word_only_where_the_writer_writes_one():
+    """An empty ledger is written ``LEDGER `` and a block opens with ``C``."""
+    text = canonical_text(two_surface_base())
+    assert text.endswith("\nLEDGER \n") and "\nC\n" in text
+    assert canonical_text(parse_graph(text)) == text
+    for old, new, message in [
+        ("\nLEDGER \n", "\nLEDGER\n", "malformed LEDGER record: 'LEDGER' is written 'LEDGER '"),
+        ("\nC\n", "\nC \n", "malformed C record: 'C ' is written 'C'"),
+    ]:
+        with pytest.raises(GraphError, match=re.escape(message)):
+            parse_graph(text.replace(old, new, 1))
+
+
+@pytest.fixture(scope="module")
+def warm_general_4(general_4_texts):
+    return warm_general_4_omega(general_4_texts)
+
+
+LINE_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["swap", "drop", "duplicate", "blank"]),
+        st.integers(0, 99),
+        st.integers(0, 99),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_an_edited_file_parses_only_as_its_own_canonical_text(
+    general_4_texts, warm_general_4, data
+):
+    """Swap, drop or duplicate lines of a saved file, or insert blank ones:
+    what still parses is its own canonical text, and what is refused is
+    refused with one message on a new vector and on a warm one."""
+    lines = data.draw(st.sampled_from(general_4_texts)).splitlines()
+    for edit, i, j in data.draw(LINE_EDITS):
+        if not lines:
+            break
+        i, j = i % len(lines), j % len(lines)
+        if edit == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == "drop":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines.insert(i, "")
+    text = "\n".join(lines) + "\n"
+    outcomes = []
+    for omega in (general_4_omega(), warm_general_4):
+        try:
+            outcomes.append(canonical_text(parse_graph(text, omega)))
+        except GraphError as exc:
+            outcomes.append(exc)
+    cold, hot = outcomes
+    if isinstance(cold, str):
+        assert cold == hot == text
+    else:
+        assert isinstance(hot, GraphError) and str(hot) == str(cold)

@@ -341,8 +341,9 @@ def reference_chain_sums(g):
 
 
 def reference_walk_sum(g, vid, up):
-    """Weighted class sum along the chain from a vertex to an extremum."""
-    total = g.model.zero()
+    """Weighted class sum along the chain from a vertex to an extremum;
+    GraphError where the chain forks, stops short or takes an edge twice."""
+    total, start, taken = g.model.zero(), vid, set()
     while True:
         v = g.vertex(vid)
         if v.fat is not None or vid in (g.vertices[0].vid, g.vertices[-1].vid):
@@ -351,6 +352,9 @@ def reference_walk_sum(g, vid, up):
         if len(step) != 1:
             raise GraphError(f"vertex {vid} has no unique chain continuation")
         e = step[0]
+        if e in taken:
+            raise GraphError(f"the chain through vertex {start} runs round a cycle")
+        taken.add(e)
         total = total + e.label * e.cls
         vid = e.top if up else e.bottom
 
@@ -1556,11 +1560,14 @@ def test_parse_inverts_canonical_text(g):
 
 def test_parse_rejects_a_ledger_step_that_names_another_class(golden_level_graphs):
     """Where a graph file is read, step i of s on k classes names E(k-s+i):
-    each step of each golden graph, written with another name, is refused.
-    The steps take the wrong names in turn."""
+    each step of each golden graph, written with another name, is refused,
+    with one message on a new vector and on the graph's own, whose table
+    keeps the graph's records and step words.  The steps take the wrong
+    names in turn."""
     refused = 0
     for g in golden_level_graphs:
         text = canonical_text(g)
+        assert canonical_text(parse_graph(text, g.omega)) == text
         head, record = text.rstrip("\n").rsplit("\n", 1)
         assert record == reference_ledger_record(g)
         words = record.split()[1:]
@@ -1571,12 +1578,13 @@ def test_parse_rejects_a_ledger_step_that_names_another_class(golden_level_graph
             assert name == f"E{j}"
             wrong = (f"E{j + 1}", f"E{j - 1}", f"E0{j}", f"EE{j}", str(j))[refused % 5]
             bad = words[: i - 1] + [f"{wrong}:{rest}"] + words[i:]
-            with pytest.raises(GraphError) as caught:
-                parse_graph(f"{head}\nLEDGER {' '.join(bad)}\n")
-            assert str(caught.value) == (
-                f"line {number}: malformed LEDGER record:"
-                f" {' '.join(bad)!r} is written {' '.join(words)!r}"
-            )
+            for omega in (None, g.omega):
+                with pytest.raises(GraphError) as caught:
+                    parse_graph(f"{head}\nLEDGER {' '.join(bad)}\n", omega)
+                assert str(caught.value) == (
+                    f"line {number}: malformed LEDGER record:"
+                    f" {' '.join(bad)!r} is written {' '.join(words)!r}"
+                )
             refused += 1
     assert refused == 2328
 
@@ -1994,6 +2002,47 @@ def test_chain_sums_match_the_references_on_golden_and_deep_levels(golden_levels
                 assert [_chain_sum(g, e, True) for e in starts] == reference_fiber_sums(g)
                 count += 1
     assert count == 558 + 2957
+
+
+@st.composite
+def chain_graphs(draw):
+    """Graphs with no fixed surface whose label 1-5 edges each leave the
+    minimum or an interior vertex for an interior vertex or the maximum:
+    chains that fork, stop short or run round a cycle, and chains that end.
+    So a walk up never meets the minimum, nor one down the maximum, and the
+    walker and ``_chain_sum`` stop at the same end."""
+    omega = CohomologyVector.rational(1, [F(1, 2), F(1, 4)])
+    model = omega.model
+    interior = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    vertices = [Vertex("min", 0), Vertex("max", len(interior) + 1)]
+    vertices += [Vertex(vid, height) for height, vid in enumerate(interior, start=1)]
+    coeffs = st.tuples(*[st.integers(-3, 3)] * len(model.zero().coeffs))
+    edge = st.builds(
+        Edge,
+        st.sampled_from(["min"] + interior),
+        st.sampled_from(interior + ["max"]),
+        st.integers(1, 5),
+        coeffs.map(model.intern),
+    )
+    edges = draw(st.lists(edge, min_size=1, max_size=8))
+    return DecoratedGraph.build(omega, vertices, edges, (), model.zero())
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_graphs())
+def test_chain_sums_match_the_walker_on_drawn_graphs(g):
+    """``_chain_sum`` up and down from every edge is the edge's term plus the
+    walker's sum beyond it, or raises the walker's GraphError text."""
+    for e in g.edges:
+        for up, far in ((True, e.top), (False, e.bottom)):
+            try:
+                want = (e.label * e.cls + reference_walk_sum(g, far, up)).coeffs
+            except GraphError as exc:
+                with pytest.raises(GraphError) as caught:
+                    _chain_sum(g, e, up)
+                assert str(caught.value) == str(exc)
+            else:
+                assert _chain_sum(g, e, up) == want
 
 
 def test_fat_record_is_kept_and_equals_the_formula(golden_level_graphs):
