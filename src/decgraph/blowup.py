@@ -18,7 +18,6 @@ rewrites is written once, for the min end, and mirrored at the max end.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .graphs import (
@@ -39,39 +38,35 @@ class BlowupError(ValueError):
 
 
 class BlowupSite(NamedTuple):
-    """A site's kind and vertex, and its strict bound ``bound / den``."""
+    """A site's kind and vertex, and its strict bound ``bound / D``, D the
+    denominator of its graph's class vector."""
 
     kind: str
     vertex: str
-    bound: int  # over ``den``, the denominator of the graph's class vector
-    den: int
+    bound: int
     end: str = ""  # 'min' or 'max' for surface/extremum sites
-
-    @property
-    def max_admissible(self) -> Fraction:
-        """The bound, made on each read: only error texts and tests read it."""
-        return Fraction(self.bound, self.den)
 
 
 def _site_for_vertex(g: DecoratedGraph, v: Vertex) -> BlowupSite | None:
     """The site at ``v``, or None.  Its bound is the least area of the site's
     classes (a surface's own class, capped by the moment span; an
     extremum's two edges; an interior vertex's edges above and below),
-    an integer over D kept beside its one ``Fraction``."""
+    an integer over D."""
     vs, omega = g.vertices, g.omega
+    _, above, below = g._index or g._build_index()
     end = "min" if v.vid == vs[0].vid else "max" if v.vid == vs[-1].vid else ""
     if v.fat is not None:
         kind, classes, bound = SURFACE, (v.fat,), vs[-1].height - vs[0].height
     elif end:
-        edges = g.edges_above(v.vid) if end == "min" else g.edges_below(v.vid)
+        edges = (above if end == "min" else below).get(v.vid, ())
         if len(edges) != 2:
             return None
         kind, classes, bound = EXTREMUM, [e.cls for e in edges], None
     else:
-        above, below = g.edges_above(v.vid), g.edges_below(v.vid)
-        if len(above) != 1 or len(below) != 1:
+        up, down = above.get(v.vid, ()), below.get(v.vid, ())
+        if len(up) != 1 or len(down) != 1:
             return None
-        kind, classes, bound = INTERIOR, (above[0].cls, below[0].cls), None
+        kind, classes, bound = INTERIOR, (up[0].cls, down[0].cls), None
     model, areas = omega.model, omega._areas
     for c in classes:
         if c.model is not model:
@@ -79,7 +74,7 @@ def _site_for_vertex(g: DecoratedGraph, v: Vertex) -> BlowupSite | None:
         area = areas[c]
         if bound is None or area < bound:
             bound = area
-    return BlowupSite(kind, v.vid, bound, omega.denominator, end)
+    return BlowupSite(kind, v.vid, bound, end)
 
 
 def _site_table(g: DecoratedGraph) -> dict[str, BlowupSite]:
@@ -128,7 +123,7 @@ def apply_blowup(g: DecoratedGraph, vertex: str, delta) -> DecoratedGraph:
         raise BlowupError(f"no blowup site at vertex {vertex}")
     if not 0 < delta.numerator * g.omega.denominator < site.bound * delta.denominator:
         raise BlowupError(
-            f"size {delta} not strictly below the bound {site.max_admissible}"
+            f"size {delta} not strictly below the bound {g.omega._moment_texts[site.bound]}"
             f" at {site.kind}@{site.vertex}"
         )
 
@@ -137,7 +132,8 @@ def apply_blowup(g: DecoratedGraph, vertex: str, delta) -> DecoratedGraph:
     # makes the size an integer height w.
     x = g.extend(delta)
     w = delta.numerator * (x.omega.denominator // delta.denominator)
-    h = x.vertex(v.vid).height
+    by_vid, above, below = x._index or x._build_index()
+    h = by_vid[v.vid].height
     Ee, less = x.model.exceptional(x.model.k), x.model._less_last  # c -> c - Ee
     step = len(g.ledger) + 1
     steps = x.model._steps  # the run's ledger steps, keyed by themselves, and ids
@@ -152,7 +148,7 @@ def apply_blowup(g: DecoratedGraph, vertex: str, delta) -> DecoratedGraph:
         return Edge(near, far, label, cls) if at_min else Edge(far, near, label, cls)
 
     if site.kind == INTERIOR:
-        (up,), (down,) = x.edges_above(v.vid), x.edges_below(v.vid)
+        (up,), (down,) = above[v.vid], below[v.vid]
         m, n = up.label, down.label
         hi = Vertex(named("hi"), h + m * w)
         lo = Vertex(named("lo"), h - n * w)
@@ -166,7 +162,7 @@ def apply_blowup(g: DecoratedGraph, vertex: str, delta) -> DecoratedGraph:
 
     elif site.kind == SURFACE:
         mid = Vertex(named("c"), h + sgn * w)
-        new_vertices = [Vertex(v.vid, h, less[x.vertex(v.vid).fat]), mid]
+        new_vertices = [Vertex(v.vid, h, less[by_vid[v.vid].fat]), mid]
         vmin, vmax = g.vertices[0].vid, g.vertices[-1].vid
         new_edges = [
             edge(v.vid, mid.vid, 1, Ee),
@@ -181,7 +177,7 @@ def apply_blowup(g: DecoratedGraph, vertex: str, delta) -> DecoratedGraph:
                 break
 
     else:  # EXTREMUM
-        incident = x.edges_above(v.vid) if at_min else x.edges_below(v.vid)
+        incident = (above if at_min else below)[v.vid]
         ea, eb = sorted(incident, key=lambda e: -e.label)
         m, n = ea.label, eb.label
         away = (lambda e: e.top) if at_min else (lambda e: e.bottom)

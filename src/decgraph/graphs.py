@@ -32,7 +32,6 @@ from .lattice import (
     CohomologyVector,
     HomologyClass,
     SurfaceModel,
-    pair,
     rat,
     rat_str,
 )
@@ -121,9 +120,9 @@ class DecoratedGraph:
 
     ``vertices`` hold their moments as heights over ``omega.denominator``
     and are sorted by (height, vid), as ``build`` makes them, so the extrema
-    are the first and the last vertex.  Its vid -> vertex map, its edges above
-    and below each vertex, its latest extension and its blowup sites are made
-    on first use and kept in the slots of ``CACHES`` until ``_drop_caches``.
+    are the first and the last vertex.  Its index (``_build_index``), its
+    latest extension and its blowup sites are made on first use and kept in
+    the slots after its values until ``_drop_caches``.
     """
 
     omega: CohomologyVector
@@ -131,8 +130,7 @@ class DecoratedGraph:
     edges: tuple[Edge, ...]
     ledger: tuple[LedgerEntry, ...]
     fiber: HomologyClass  # class of a generic free sphere joining the extrema
-    _vid_index: dict | None = field(default=None, init=False, repr=False, compare=False)
-    _edge_index: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _index: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _extension: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _sites: dict | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -181,46 +179,40 @@ class DecoratedGraph:
         self._extension = (delta, out)
         return out
 
-    @property
-    def _by_vid(self) -> dict[str, Vertex]:  # the first of an id wins
-        if (index := self._vid_index) is None:
-            index = self._vid_index = {v.vid: v for v in reversed(self.vertices)}
-        return index
-
-    @property
-    def _adjacency(self) -> tuple[dict, dict]:  # vid -> the edges above it, and below it
-        if (index := self._edge_index) is None:
-            above, below = {}, {}
-            for e in self.edges:
-                bottom, top, _, _ = e
-                above[bottom] = above.get(bottom, ()) + (e,)
-                below[top] = below.get(top, ()) + (e,)
-            index = self._edge_index = above, below
+    def _build_index(self) -> tuple[dict, dict, dict]:
+        """vid -> vertex (the first of an id wins), vid -> the edges above it
+        and vid -> the edges below it, built in one pass and kept in ``_index``.
+        Readers take ``g._index or g._build_index()``."""
+        by_vid, above, below = {}, {}, {}
+        for v in reversed(self.vertices):
+            by_vid[v.vid] = v
+        for e in self.edges:
+            bottom, top, _, _ = e
+            above[bottom] = above.get(bottom, ()) + (e,)
+            below[top] = below.get(top, ()) + (e,)
+        index = self._index = by_vid, above, below
         return index
 
     def vertex(self, vid: str) -> Vertex:
         try:
-            return self._by_vid[vid]
+            return (self._index or self._build_index())[0][vid]
         except KeyError:
             raise GraphError(f"no vertex {vid!r}") from None
 
     def edges_above(self, vid: str) -> tuple[Edge, ...]:
-        return self._adjacency[0].get(vid, ())
+        return (self._index or self._build_index())[1].get(vid, ())
 
     def edges_below(self, vid: str) -> tuple[Edge, ...]:
-        return self._adjacency[1].get(vid, ())
-
-
-CACHES = ("_vid_index", "_edge_index", "_extension", "_sites")  # a graph's slots beside its values
+        return (self._index or self._build_index())[2].get(vid, ())
 
 
 def _drop_caches(g: DecoratedGraph) -> None:
-    """Release every cache in ``CACHES``: no value changes, a query rebuilds it.
+    """Release every cache slot: no value changes, a query rebuilds it.
 
     The enumeration calls this once a graph is keyed or expanded, and the
     export once its file is written, so that a held graph is only its values.
     """
-    g._vid_index = g._edge_index = g._extension = g._sites = None
+    g._index = g._extension = g._sites = None
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +244,7 @@ def validate(g: DecoratedGraph) -> list[str]:
     if hi != n - 1:
         bad.append("maximum attained on more than one component")
 
-    known = g._by_vid
+    known, above, below = g._index or g._build_index()
     if len(known) != n:
         bad.append("duplicate vertex ids")
     # A class pairs with omega to (weights . coeffs) / den and a moment is a
@@ -296,7 +288,6 @@ def validate(g: DecoratedGraph) -> list[str]:
         if label != 1 and (vb.fat is not None or vt.fat is not None):
             bad.append(f"edge {cls}({label}) touches a fixed surface with label > 1")
 
-    above, below = g._adjacency
     for i, v in enumerate(vs):
         if v.fat is not None:
             continue
@@ -352,6 +343,37 @@ class BaseFamilyParams:
                 raise GraphError("isolated_right needs (2*ell-1)*c - d >= 1")
 
 
+def _base(omega: CohomologyVector, ends, chains) -> DecoratedGraph:
+    """The base graph on ``omega`` whose chains run from the minimum to the
+    maximum, each a list of (label, class) steps, and whose extrema carry the
+    fixed-surface classes ``ends`` (None at an isolated point).
+
+    The minimum sits at 0 and each later vertex by the area rule; the
+    interior vertices are named 0.a, 0.b, ... as the chains reach them, and
+    the fiber is the chains' common sum, label times class.  GraphError if
+    the chains end at different heights or sum to different classes.
+    """
+    areas, names = omega._areas, iter("abcdefghijklmnopqrstuvwxyz")
+    vertices, edges, tops = [], [], set()
+    for chain in chains:
+        near, height, total = "0.min", 0, omega.model.zero()
+        for i, (label, cls) in enumerate(chain, start=1):
+            height += label * areas[cls]
+            total += label * cls
+            far = "0.max" if i == len(chain) else f"0.{next(names)}"
+            if far != "0.max":
+                vertices.append(Vertex(far, height))
+            edges.append(Edge(near, far, label, cls))
+            near = far
+        tops.add((height, total))
+    if len(tops) != 1:
+        raise GraphError("the chains end at different heights or sum to different classes")
+    ((top, fiber),) = tops
+    low, high = ends
+    vertices += [Vertex("0.min", 0, low), Vertex("0.max", top, high)]
+    return DecoratedGraph.build(omega, vertices, edges, [], fiber)
+
+
 def base_hirzebruch(omega: CohomologyVector, params: BaseFamilyParams) -> DecoratedGraph:
     """One of the four base graphs on the one-point blowup of the plane, on
     the class vector ``omega`` = (lam; delta1), which the bases share."""
@@ -368,52 +390,14 @@ def base_hirzebruch(omega: CohomologyVector, params: BaseFamilyParams) -> Decora
     fib = L - E1
     riser = ell * L - (ell - 1) * E1
     coriser = (1 - ell) * L + ell * E1
-    a_fib, a_riser, a_coriser = (pair(omega, x) for x in (fib, riser, coriser))
-    den = omega.denominator
-    if params.family == "two_surfaces":
-        vmin = Vertex("0.min", 0, riser)
-        vmax = Vertex("0.max", _height(a_fib, den), coriser)
-        edges = [Edge("0.min", "0.max", 1, fib), Edge("0.min", "0.max", 1, fib)]
-        return DecoratedGraph.build(omega, [vmin, vmax], edges, [], fib)
-
-    if params.family == "one_surface":
-        vmin = Vertex("0.min", 0, fib)
-        va = Vertex("0.a", _height(a_coriser, den))
-        vmax = Vertex("0.max", _height(a_coriser + n * a_fib, den))
-        edges = [
-            Edge("0.min", "0.a", 1, coriser),
-            Edge("0.a", "0.max", n, fib),
-            Edge("0.min", "0.max", 1, riser),
-        ]
-        return DecoratedGraph.build(omega, [vmin, va, vmax], edges, [], riser)
-
-    if params.family == "isolated_left":
-        vmin = Vertex("0.min", 0)
-        va = Vertex("0.a", _height(d * a_fib, den))
-        vb = Vertex("0.b", _height(c * a_coriser, den))
-        vmax = Vertex("0.max", _height(d * a_fib + c * a_riser, den))
-        edges = [
-            Edge("0.min", "0.a", d, fib),
-            Edge("0.a", "0.max", c, riser),
-            Edge("0.min", "0.b", c, coriser),
-            Edge("0.b", "0.max", n * c + d, fib),
-        ]
-        fiber = d * fib + c * riser
-        return DecoratedGraph.build(omega, [vmin, va, vb, vmax], edges, [], fiber)
-
-    # isolated_right
-    vmin = Vertex("0.min", 0)
-    va = Vertex("0.a", _height(d * a_fib, den))
-    vb = Vertex("0.b", _height(d * a_fib + c * a_coriser, den))
-    vmax = Vertex("0.max", _height(c * a_riser, den))
-    edges = [
-        Edge("0.min", "0.a", d, fib),
-        Edge("0.a", "0.b", c, coriser),
-        Edge("0.b", "0.max", n * c - d, fib),
-        Edge("0.min", "0.max", c, riser),
-    ]
-    fiber = c * riser
-    return DecoratedGraph.build(omega, [vmin, va, vb, vmax], edges, [], fiber)
+    iso = None, None  # the extrema of an all-isolated base
+    ends, chains = {
+        "two_surfaces": ((riser, coriser), [[(1, fib)], [(1, fib)]]),
+        "one_surface": ((fib, None), [[(1, coriser), (n, fib)], [(1, riser)]]),
+        "isolated_left": (iso, [[(d, fib), (c, riser)], [(c, coriser), (n * c + d, fib)]]),
+        "isolated_right": (iso, [[(d, fib), (c, coriser), (n * c - d, fib)], [(c, riser)]]),
+    }[params.family]
+    return _base(omega, ends, chains)
 
 
 def base_ruled(omega: CohomologyVector, ell: int) -> DecoratedGraph:
@@ -428,11 +412,7 @@ def base_ruled(omega: CohomologyVector, ell: int) -> DecoratedGraph:
     if not 0 <= ell or ell * lam_f >= lam_b:
         raise GraphError("ell out of range: need 0 <= ell < lam_b/lam_f")
     B, F = model.unit("B"), model.unit("F")
-    bot, top = B - ell * F, B + ell * F
-    vmin = Vertex("0.min", 0, bot)
-    vmax = Vertex("0.max", _height(lam_f, omega.denominator), top)
-    edges = [Edge("0.min", "0.max", 1, F)]
-    return DecoratedGraph.build(omega, [vmin, vmax], edges, [], F)
+    return _base(omega, (B - ell * F, B + ell * F), [[(1, F)]])
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +424,11 @@ def _chain_sum(g: DecoratedGraph, e: Edge, up: bool) -> tuple[int, ...]:
     chain beyond it up to the maximum (if ``up``) or down to the minimum;
     every fixed surface is an extremum.  GraphError where the chain forks,
     stops short or runs round a cycle."""
+    _, above, below = g._index or g._build_index()
     if up:
-        end, onward, far = g.vertices[-1].vid, g._adjacency[0], 1
+        end, onward, far = g.vertices[-1].vid, above, 1
     else:
-        end, onward, far = g.vertices[0].vid, g._adjacency[1], 0
+        end, onward, far = g.vertices[0].vid, below, 0
     start, label = e[far], e.label
     total = e.cls.coeffs if label == 1 else [label * c for c in e.cls.coeffs]
     for _ in range(len(g.edges)):  # a chain holds each edge at most once
@@ -485,10 +466,11 @@ def break_free_edges(g: DecoratedGraph) -> DecoratedGraph:
     """
     while True:
         vmin, vmax = g.vertices[0], g.vertices[-1]
-        ends, by_vid = (vmin.vid, vmax.vid), g._by_vid
+        ends = vmin.vid, vmax.vid
         for target in g.edges:
             bottom, top, label, _ = target
             if label == 1 and bottom not in ends and top not in ends:
+                by_vid = (g._index or g._build_index())[0]
                 b, t = by_vid.get(bottom), by_vid.get(top)
                 if b is not None and t is not None and b.fat is None and t.fat is None:
                     break
@@ -567,11 +549,12 @@ def _walk(g: DecoratedGraph, down: bool):
     the start, each step as (far end's id, its moment text, label, class,
     its fixed-surface class): classes as they are, for any relabeling.
     """
-    vs, texts, by_vid = g.vertices, g.omega._moment_texts, g._by_vid
+    vs, texts = g.vertices, g.omega._moment_texts
+    by_vid, above, below = g._index or g._build_index()
     if down:
-        first, last, onward, side, top, sign = vs[-1], vs[0], g._adjacency[1], 0, vs[-1].height, -1
+        first, last, onward, side, top, sign = vs[-1], vs[0], below, 0, vs[-1].height, -1
     else:
-        first, last, onward, side, top, sign = vs[0], vs[-1], g._adjacency[0], 1, 0, 1
+        first, last, onward, side, top, sign = vs[0], vs[-1], above, 1, 0, 1
     end, most = last.vid, range(len(g.edges))  # a chain holds each edge at most once
     chains = []
     for e in onward.get(first.vid, ()):

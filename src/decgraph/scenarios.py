@@ -714,7 +714,7 @@ def read_graphs(directory, omega: CohomologyVector) -> list:
     graphs = []
     for name in names:
         path = os.path.join(directory, name)
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:  # the line ends as written
             try:
                 g = parse_graph(fh.read(), omega)
                 if g.omega is not omega:  # another vector or another model

@@ -158,7 +158,7 @@ def test_criterion_07_ruled_theorem():
     site = [s for s in blowup_sites(g, F(7, 20)) if s.kind == "interior"][0]
     g = generic_form(apply_blowup(g, site.vertex, F(7, 20)))
     pole_bounds = sorted(
-        s.max_admissible
+        F(s.bound, g.omega.denominator)
         for s in blowup_sites(g, F(1, 100))
         if s.kind == "interior"
     )
@@ -227,11 +227,10 @@ def test_criterion_09_property_suites():
     # strict admissibility at the bound
     g = base_hirzebruch(plane(), BaseFamilyParams("two_surfaces", 1))
     site = blowup_sites(g, F(1, 4))[0]
+    bound = F(site.bound, g.omega.denominator)
     with pytest.raises(BlowupError):
-        apply_blowup(g, site.vertex, site.max_admissible)
-    assert validate(
-        apply_blowup(g, site.vertex, site.max_admissible - F(1, 1000))
-    ) == []
+        apply_blowup(g, site.vertex, bound)
+    assert validate(apply_blowup(g, site.vertex, bound - F(1, 1000))) == []
 
     # a thousand randomized admissible blowups keep graphs valid
     rng = random.Random(424242)
@@ -251,7 +250,7 @@ def test_criterion_09_property_suites():
             if not sites:
                 break
             s = rng.choice(sites)
-            delta = s.max_admissible * F(rng.randint(1, 99), 100)
+            delta = F(s.bound, h.omega.denominator) * F(rng.randint(1, 99), 100)
             h = generic_form(apply_blowup(h, s.vertex, delta))
             assert validate(h) == []
             done += 1

@@ -39,7 +39,7 @@ def test_sites_on_two_surface_base():
     g = two_surface_base()
     sites = blowup_sites(g, F(1, 4))
     assert [(s.kind, s.end) for s in sites] == [("surface", "min"), ("surface", "max")]
-    assert all(s.max_admissible == F(1, 2) for s in sites)
+    assert all(F(s.bound, g.omega.denominator) == F(1, 2) for s in sites)
 
 
 def test_at_most_one_blowup_on_the_small_surface():
@@ -105,7 +105,7 @@ def test_pole_sizes_block_the_third_ruled_blowup():
     g = take(g, F(7, 20), kind="interior")
     # the two poles of the stabilizer-2 sphere bound a size-3/10 blowup out
     interior_bounds = sorted(
-        s.max_admissible for s in (
+        F(s.bound, g.omega.denominator) for s in (
             site for v in g.vertices[1:-1] if v.fat is None
             for site in [next(iter(
                 s2 for s2 in blowup_sites(g, F(1, 100)) if s2.vertex == v.vid
@@ -120,11 +120,12 @@ def test_pole_sizes_block_the_third_ruled_blowup():
 def test_strictness_at_the_bound():
     g = two_surface_base()
     site = blowup_sites(g, F(1, 4))[0]
+    bound = F(site.bound, g.omega.denominator)
     with pytest.raises(BlowupError) as err:
-        apply_blowup(g, site.vertex, site.max_admissible)
-    assert f"the bound {site.max_admissible} at {site.kind}@{site.vertex}" in str(err.value)
+        apply_blowup(g, site.vertex, bound)
+    assert f"the bound {bound} at {site.kind}@{site.vertex}" in str(err.value)
     for eps in (F(1, 3), F(1, 64), F(1, 999983)):
-        out = apply_blowup(g, site.vertex, site.max_admissible - eps)
+        out = apply_blowup(g, site.vertex, bound - eps)
         assert validate(out) == []
 
 
@@ -177,7 +178,7 @@ def _random_admissible_run(rng, base, max_steps=4):
             break
         site = rng.choice(sites)
         num = rng.randint(1, 19)
-        delta = site.max_admissible * F(num, 20)
+        delta = F(site.bound, g.omega.denominator) * F(num, 20)
         g = generic_form(apply_blowup(g, site.vertex, delta))
         assert validate(g) == [], validate(g)
         steps += 1
@@ -213,7 +214,8 @@ def test_inadmissible_request_is_rejected_with_bound():
     site = blowup_sites(g, F(1, 2))[0]
     with pytest.raises(BlowupError) as err:
         apply_blowup(g, site.vertex, F(2))
-    assert f"size 2 not strictly below the bound {site.max_admissible} " in str(err.value)
+    bound = F(site.bound, g.omega.denominator)
+    assert f"size 2 not strictly below the bound {bound} " in str(err.value)
 
 
 def test_a_vertex_that_is_no_site_is_rejected():

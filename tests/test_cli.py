@@ -543,6 +543,10 @@ def test_verify_graphs_with_an_invalid_graph_exits_2(tmp_path, capsys):
             id="line-separator",
         ),
         pytest.param(lambda text: text.replace(b"\nC\n", b"\nC \n", 1), id="c-space"),
+        # The file is read with its line ends as written, not as universal
+        # newlines would turn them into \n.
+        pytest.param(lambda text: text.replace(b"\n", b"\r\n"), id="crlf"),
+        pytest.param(lambda text: text.replace(b"\n", b"\r"), id="lone-cr"),
     ],
 )
 def test_verify_graphs_with_a_garbage_file_exits_2(tmp_path, capsys, content):

@@ -15,6 +15,8 @@ from decgraph.graphs import (
     GraphError,
     LedgerEntry,
     Vertex,
+    _base,
+    _height,
     base_hirzebruch,
     base_ruled,
     break_free_edges,
@@ -141,6 +143,164 @@ def test_ruled_base_with_offset():
     assert sorted(pair(g.omega, v.fat) for v in g.vertices) == [1, 3]
     assert moment(g, g.vertices[-1]) - moment(g, g.vertices[0]) == 1
     assert {str(v.fat) for v in g.vertices} == {"B-F", "B+F"}
+
+
+def hand_summed_hirzebruch(omega, params):
+    """The plane base as ``base_hirzebruch`` wrote it before its chain
+    tables: every height summed and every fiber written by hand."""
+    model, den = omega.model, omega.denominator
+    ell, c, d, n = params.ell, params.c, params.d, 2 * params.ell - 1
+    L, E1 = model.unit("L"), model.unit("E1")
+    fib = L - E1
+    riser = ell * L - (ell - 1) * E1
+    coriser = (1 - ell) * L + ell * E1
+    a_fib, a_riser, a_coriser = (pair(omega, x) for x in (fib, riser, coriser))
+    if params.family == "two_surfaces":
+        vmin = Vertex("0.min", 0, riser)
+        vmax = Vertex("0.max", _height(a_fib, den), coriser)
+        edges = [Edge("0.min", "0.max", 1, fib), Edge("0.min", "0.max", 1, fib)]
+        return DecoratedGraph.build(omega, [vmin, vmax], edges, [], fib)
+    if params.family == "one_surface":
+        vmin = Vertex("0.min", 0, fib)
+        va = Vertex("0.a", _height(a_coriser, den))
+        vmax = Vertex("0.max", _height(a_coriser + n * a_fib, den))
+        edges = [
+            Edge("0.min", "0.a", 1, coriser),
+            Edge("0.a", "0.max", n, fib),
+            Edge("0.min", "0.max", 1, riser),
+        ]
+        return DecoratedGraph.build(omega, [vmin, va, vmax], edges, [], riser)
+    if params.family == "isolated_left":
+        vmin = Vertex("0.min", 0)
+        va = Vertex("0.a", _height(d * a_fib, den))
+        vb = Vertex("0.b", _height(c * a_coriser, den))
+        vmax = Vertex("0.max", _height(d * a_fib + c * a_riser, den))
+        edges = [
+            Edge("0.min", "0.a", d, fib),
+            Edge("0.a", "0.max", c, riser),
+            Edge("0.min", "0.b", c, coriser),
+            Edge("0.b", "0.max", n * c + d, fib),
+        ]
+        fiber = d * fib + c * riser
+        return DecoratedGraph.build(omega, [vmin, va, vb, vmax], edges, [], fiber)
+    vmin = Vertex("0.min", 0)
+    va = Vertex("0.a", _height(d * a_fib, den))
+    vb = Vertex("0.b", _height(d * a_fib + c * a_coriser, den))
+    vmax = Vertex("0.max", _height(c * a_riser, den))
+    edges = [
+        Edge("0.min", "0.a", d, fib),
+        Edge("0.a", "0.b", c, coriser),
+        Edge("0.b", "0.max", n * c - d, fib),
+        Edge("0.min", "0.max", c, riser),
+    ]
+    return DecoratedGraph.build(omega, [vmin, va, vb, vmax], edges, [], c * riser)
+
+
+def hand_summed_ruled(omega, ell):
+    """The ruled base as ``base_ruled`` wrote it before its chain table."""
+    lam_f, _ = omega.entries
+    B, F_ = omega.model.unit("B"), omega.model.unit("F")
+    vmin = Vertex("0.min", 0, B - ell * F_)
+    vmax = Vertex("0.max", _height(lam_f, omega.denominator), B + ell * F_)
+    return DecoratedGraph.build(omega, [vmin, vmax], [Edge("0.min", "0.max", 1, F_)], [], F_)
+
+
+def assert_same_base(g, expected):
+    assert g == expected
+    assert (g.vertices, g.edges, g.fiber) == (expected.vertices, expected.edges, expected.fiber)
+    assert canonical_text(g) == canonical_text(expected)
+    assert validate(g) == []
+
+
+def test_plane_bases_are_the_hand_summed_ones():
+    """Every family over a grid of (lam, delta1, ell, c, d)."""
+    built = 0
+    for lam in (1, 2, F(3, 2), 5):
+        for ratio in (F(1, 5), F(1, 2), F(3, 5), F(4, 5), F(9, 10)):
+            omega = plane(lam, ratio * lam)
+            for ell in range(1, 11):
+                if ell * (lam - ratio * lam) >= lam:
+                    break
+                for family in ("two_surfaces", "one_surface"):
+                    params = BaseFamilyParams(family, ell)
+                    assert_same_base(
+                        base_hirzebruch(omega, params), hand_summed_hirzebruch(omega, params)
+                    )
+                    built += 1
+                for family in ("isolated_left", "isolated_right"):
+                    for c in range(1, 5):
+                        for d in range(1, 5):
+                            try:
+                                params = BaseFamilyParams(family, ell, c, d)
+                            except GraphError:
+                                continue
+                            assert_same_base(
+                                base_hirzebruch(omega, params),
+                                hand_summed_hirzebruch(omega, params),
+                            )
+                            built += 1
+    assert built > 1000
+
+
+def test_ruled_bases_are_the_hand_summed_one():
+    """Over a grid of (lam_f, lam_b, genus, ell)."""
+    built = 0
+    for lam_f, lam_b in ((1, 1), (1, 3), (F(1, 2), 2), (2, 5), (F(3, 4), F(7, 2))):
+        for genus in (1, 2, 3):
+            omega = ruled(lam_f, lam_b, genus)
+            ell = 0
+            while ell * lam_f < lam_b:
+                assert_same_base(base_ruled(omega, ell), hand_summed_ruled(omega, ell))
+                built += 1
+                ell += 1
+    assert built == 3 * (1 + 3 + 4 + 3 + 5)
+
+
+def test_a_chain_table_whose_chains_disagree_is_refused():
+    """Chains ending at different heights, or at one height with different
+    sums (L-E1 and E1 have one area on (1; 1/2)), make no base graph."""
+    omega = plane()
+    fib, E1 = omega.model.parse("L-E1"), omega.model.parse("E1")
+    assert _base(omega, (None, None), [[(1, fib)], [(1, fib)]]).fiber is fib
+    with pytest.raises(GraphError, match="different heights or sum to different classes"):
+        _base(omega, (None, None), [[(1, fib)], [(2, fib)]])
+    with pytest.raises(GraphError, match="different heights or sum to different classes"):
+        _base(omega, (None, None), [[(1, fib)], [(1, E1)]])
+
+
+@pytest.mark.parametrize(
+    "d, above_a, below_b",
+    [(1, "L", "E1"), (2, "E1", "L")],
+)
+def test_generic_form_rewires_the_free_sphere_of_an_ell_2_plane_base(d, above_a, below_b):
+    """On (1; 3/5) the isolated_right bases with ell = 2 and c = 1 draw the
+    label-1 sphere 0.a -> 0.b between two interior points; the generic
+    metric splits it into 0.a -> max and min -> 0.b, whose classes carry the
+    chain sums beyond it, and keeps the vertices and the fiber."""
+    g = base_hirzebruch(plane(1, F(3, 5)), BaseFamilyParams("isolated_right", 2, 1, d))
+    P = g.model.parse
+    assert Edge("0.a", "0.b", 1, P("-L+2E1")) in g.edges
+    edges = [
+        Edge("0.min", "0.a", d, P("L-E1")),
+        Edge("0.a", "0.max", 1, P(above_a)),
+        Edge("0.min", "0.b", 1, P(below_b)),
+        Edge("0.b", "0.max", 3 - d, P("L-E1")),
+        Edge("0.min", "0.max", 1, P("2L-E1")),
+    ]
+    h = generic_form(g)
+    assert h == DecoratedGraph.build(g.omega, g.vertices, edges, (), P("2L-E1"))
+    assert h.fiber is g.fiber and validate(h) == []
+
+
+def test_a_graph_with_no_free_interior_sphere_is_not_indexed_to_be_kept():
+    """``break_free_edges`` returns such a graph itself and builds no index."""
+    bases = [base_hirzebruch(plane(), BaseFamilyParams("isolated_right", 1, 2, 1)),
+             base_hirzebruch(plane(), BaseFamilyParams("one_surface", 1)),
+             two_surface_base(), base_ruled(ruled(), 0)]
+    for g in bases:
+        assert g._index is None
+        assert break_free_edges(g) is g and generic_form(g) is g
+        assert g._index is None
 
 
 def test_validate_catches_area_rule_violation():

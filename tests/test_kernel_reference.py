@@ -220,6 +220,12 @@ def reference_find_certificate(certified, required):
     return None
 
 
+def graph_index(g):
+    """``g``'s index, (vid -> vertex, vid -> edges above, vid -> edges below),
+    as the kernel reads it: built on first use."""
+    return g._index or g._build_index()
+
+
 def reference_vertex(g, vid):
     for v in g.vertices:
         if v.vid == vid:
@@ -362,7 +368,7 @@ def reference_walk_sum(g, vid, up):
 def reference_fiber_sums(g):
     """The integer sum of each chain from the minimum, as the replay's fiber
     check summed it before it shared ``_chain_sum``."""
-    vmax, above = g.vertices[-1].vid, g._adjacency[0]
+    vmax, above = g.vertices[-1].vid, graph_index(g)[1]
     sums = []
     for e in above.get(g.vertices[0].vid, ()):
         total = [e.label * c for c in e.cls.coeffs]
@@ -476,13 +482,14 @@ def reference_walk(g, down):
     ``flip(g)`` (down) as (near, far, label, class) steps, and a moment-text
     dict of every vertex."""
     vs, texts = g.vertices, g.omega._moment_texts
+    by_vid, above, below = graph_index(g)
     if down:
-        start, end, onward = vs[-1].vid, vs[0].vid, g._adjacency[1]
+        start, end, onward = vs[-1].vid, vs[0].vid, below
         top = vs[-1].height
-        moment_text = {vid: texts[top - v.height] for vid, v in g._by_vid.items()}
+        moment_text = {vid: texts[top - v.height] for vid, v in by_vid.items()}
     else:
-        start, end, onward = vs[0].vid, vs[-1].vid, g._adjacency[0]
-        moment_text = {vid: texts[v.height] for vid, v in g._by_vid.items()}
+        start, end, onward = vs[0].vid, vs[-1].vid, above
+        moment_text = {vid: texts[v.height] for vid, v in by_vid.items()}
     chains = []
     for e in onward.get(start, ()):
         chain = []
@@ -506,7 +513,7 @@ def reference_lines(g, walk, relabel=None):
     (near text, far text, label, coefficients) records to sort on, then the
     vertices numbered, then the lines, each a list entry."""
     start, end, chains, moment_text = walk
-    fiber, by_vid = g.fiber, g._by_vid
+    fiber, by_vid = g.fiber, graph_index(g)[0]
     if relabel is not None:
         chains = [[(a, b, n, relabel[c]) for a, b, n, c in chain] for chain in chains]
         fiber = relabel[fiber]
@@ -592,9 +599,10 @@ def reference_apply_blowup(g, vertex, delta):
     site = _site_for_vertex(g, v)
     if site is None:
         raise BlowupError(f"no blowup site at vertex {vertex}")
-    if not 0 < delta < site.max_admissible:
+    bound = F(site.bound, g.omega.denominator)
+    if not 0 < delta < bound:
         raise BlowupError(
-            f"size {delta} not strictly below the bound {site.max_admissible}"
+            f"size {delta} not strictly below the bound {bound}"
             f" at {site.kind}@{site.vertex}"
         )
 
@@ -884,12 +892,13 @@ def admissible_chains(draw, max_steps=4):
         if not sites:
             break
         site = draw(st.sampled_from(sites))
-        fitting = [d for d in sizes if d < site.max_admissible]
+        bound = F(site.bound, g.omega.denominator)
+        fitting = [d for d in sizes if d < bound]
         if fitting and draw(st.booleans()):
             delta = draw(st.sampled_from(fitting))
         else:
             den = draw(st.integers(2, 7))
-            delta = site.max_admissible * F(draw(st.integers(1, den - 1)), den)
+            delta = bound * F(draw(st.integers(1, den - 1)), den)
         try:
             g = generic_form(apply_blowup(g, site.vertex, delta))
         except BlowupError:
@@ -986,8 +995,8 @@ def assert_index_matches_scans(g):
         if expected is None:
             assert site is None
         else:
-            assert (site.kind, site.max_admissible) == expected
-            assert type(site.max_admissible) is F
+            assert (site.kind, F(site.bound, g.omega.denominator)) == expected
+            assert type(site.bound) is int
     # ``break_free_edges`` rewires a label-1 edge between interior vertices.
     interior = {v.vid for v in reference_interior_vertices(g)}
     free = any(e.label == 1 and {e.bottom, e.top} <= interior for e in g.edges)
@@ -1270,7 +1279,8 @@ def test_site_bounds_match_the_reference_on_golden_and_deep_levels(golden_levels
             for g in level.graphs:
                 for v in g.vertices:
                     site, expected = _site_for_vertex(g, v), reference_site(g, v)
-                    assert (None if site is None else (site.kind, site.max_admissible)) == expected
+                    bound = None if site is None else F(site.bound, g.omega.denominator)
+                    assert (None if site is None else (site.kind, bound)) == expected
                     kinds[None if site is None else site.kind] += 1
     assert {SURFACE, EXTREMUM, INTERIOR} <= set(kinds)
 
@@ -1341,10 +1351,10 @@ def test_a_relabeled_graph_has_the_dedup_key_of_its_graph(relabeled_level_graphs
 
 def index_state(h):
     """Everything of a graph a rewrite could alter, its index included."""
-    above, below = h._adjacency
+    by_vid, above, below = graph_index(h)
     return (
         h.model, h.omega, h.vertices, h.edges, h.ledger, h.fiber,
-        dict(h._by_vid), dict(above), dict(below), canonical_text(h),
+        dict(by_vid), dict(above), dict(below), canonical_text(h),
     )
 
 
@@ -1443,7 +1453,7 @@ def test_blowups_match_the_reference_on_random_chains(g, data):
         return
     site = data.draw(st.sampled_from(sites))
     den = data.draw(st.integers(2, 7))
-    delta = site.max_admissible * F(data.draw(st.integers(1, den - 1)), den)
+    delta = F(site.bound, g.omega.denominator) * F(data.draw(st.integers(1, den - 1)), den)
     x = g.extend(delta)
     before = index_state(g), index_state(x)
 
@@ -1473,7 +1483,7 @@ def test_keys_match_the_references_on_random_chains(g):
 def walks_end(g) -> bool:
     """Whether each walk up from the minimum stops, at the maximum or at a
     vertex without exactly one edge above, before it comes round again."""
-    above, end = g._adjacency[0], g.vertices[-1].vid
+    above, end = graph_index(g)[1], g.vertices[-1].vid
     for e in above.get(g.vertices[0].vid, ()):
         seen = set()
         while e.top != end:
@@ -1892,7 +1902,7 @@ def test_random_chains_hold_integer_heights_over_one_scale(g, data):
         return
     site = data.draw(st.sampled_from(sites))
     den = data.draw(st.integers(2, 7))
-    delta = site.max_admissible * F(data.draw(st.integers(1, den - 1)), den)
+    delta = F(site.bound, g.omega.denominator) * F(data.draw(st.integers(1, den - 1)), den)
     x = g.extend(delta)
     assert_on_one_scale(x)
     grown = x.omega.denominator != g.omega.denominator
@@ -2067,7 +2077,7 @@ def test_fat_record_is_kept_and_equals_the_formula(golden_level_graphs):
 # released caches
 
 
-CACHES = ("_vid_index", "_edge_index", "_extension", "_sites")
+CACHES = ("_index", "_extension", "_sites")
 DEEP_SCENARIO = Path(__file__).parents[1] / "perfbench" / "ruled-deep.scenario"
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -2078,7 +2088,7 @@ def held_caches(g):
 
 def test_the_caches_are_the_graphs_slots_beside_its_values():
     """Each cache is a slot that takes no argument and no part in equality."""
-    assert graphs_module.CACHES == CACHES == DecoratedGraph.__slots__[5:]
+    assert CACHES == DecoratedGraph.__slots__[5:]
     assert [f.name for f in fields(DecoratedGraph) if f.init and f.compare] == [
         "omega", "vertices", "edges", "ledger", "fiber"
     ]
@@ -2118,26 +2128,29 @@ def test_answers_are_the_same_after_the_caches_are_dropped(golden_levels, deep_l
 
 
 def test_the_index_is_built_once_per_child_parent_and_extension(monkeypatch):
-    """On distinct sizes every graph's edge index is built at most once: a
+    """On distinct sizes a graph's whole index (its vertices by id and the
+    edges above and below each, one pass) is built once in each role: a
     child's by ``validate`` and reused by its key, a parent's by its sites,
-    and its extension's by the rewrites.  (On ``ruled-deep`` the count is
-    exactly 2,957 + 2 * 437 = 3,831.)  The one merge of ruled-general-4 has
-    unequal ledgers, so it writes no canonical text and indexes no graph."""
-    index = DecoratedGraph.__dict__["_adjacency"]
+    and its extension's by the rewrites.  One build more is the ruled base's
+    key, which walks the base with its free max-to-min sphere stripped, a
+    new graph.  (On ``ruled-deep`` the count is 2,957 + 2 * 437 + 1 = 3,832.)
+    The one merge of ruled-general-4 has unequal ledgers, so it writes no
+    canonical text and indexes no graph."""
+    build = DecoratedGraph._build_index
     builds = Counter()
 
     def counted(g):
-        if g._edge_index is None:
+        if g._index is None:
             builds[id(g)] += 1
-        return index.fget(g)
+        return build(g)
 
-    monkeypatch.setattr(DecoratedGraph, "_adjacency", property(counted))
+    monkeypatch.setattr(DecoratedGraph, "_build_index", counted)
     levels = enumerate_levels(load_scenario("ruled-general-4").enumeration_spec())
     log = levels[-1].branch_log
     children = sum(lv.sites for lv in log)
     parents = len(levels[0].graphs) + sum(lv.kept for lv in log[:-1])
     assert (children, parents) == (394, 77)
-    assert sum(builds.values()) == 545 <= children + 2 * parents
+    assert sum(builds.values()) == 549 == children + 2 * parents + 1
 
 
 def test_each_parent_derives_each_site_once(monkeypatch):

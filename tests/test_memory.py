@@ -4,12 +4,13 @@ A run holds its final graphs (``RunOutcome.result``) and its report.  A graph
 keeps no index once it is keyed or expanded, and its caches are slots, so it
 has no instance dict; the report shares its repeated texts and certificates,
 and the graphs of a run share one object per ledger step and per vertex id.
-So ruled-general-4 retains about 1,418 bytes per final graph (1,527 when a
-graph's caches lived in an instance dict, 1,704 when each child made its own
-ledger step and ids, 1,760 when a fixed surface also held its size and genus
-and a graph its model, 4,038 when every graph kept its index and the report
-built each ledger text and certificate anew).  A change that caches per graph
-again shows here.
+So ruled-general-4 retains about 1,410 bytes per final graph and ruled-deep
+about 1,342 (1,418 and 1,350 when a graph kept two index slots; for
+ruled-general-4, 1,527 when its caches lived in an instance dict, 1,704 when
+each child made its own ledger step and ids, 1,760 when a fixed surface also
+held its size and genus and a graph its model, 4,038 when every graph kept
+its index and the report built each ledger text and certificate anew).  A
+change that caches per graph again shows here.
 """
 
 import gc
@@ -18,9 +19,9 @@ from pathlib import Path
 
 from decgraph.scenarios import load_scenario, run_scenario
 
-BYTES_PER_GRAPH = 1418
+BYTES_PER_GRAPH = 1410
 BOUND = 1.25 * BYTES_PER_GRAPH
-DEEP_BYTES_PER_GRAPH = 1350  # perfbench/ruled-deep.scenario
+DEEP_BYTES_PER_GRAPH = 1342  # perfbench/ruled-deep.scenario
 DEEP_SCENARIO = str(Path(__file__).resolve().parents[1] / "perfbench" / "ruled-deep.scenario")
 
 
@@ -65,7 +66,7 @@ def test_a_deep_run_shares_its_ledger_steps_and_vertex_ids():
 
 
 def test_no_final_graph_has_an_instance_dict():
-    """Every cache of a graph is one of its slots (``graphs.CACHES``), so a
+    """Every cache of a graph is one of its slots after its values, so a
     cache kept anywhere else fails here rather than growing each graph."""
     graphs = run_scenario(load_scenario("ruled-general-4")).result.graphs
     assert len(graphs) == 317
