@@ -199,12 +199,6 @@ class DecoratedGraph:
         except KeyError:
             raise GraphError(f"no vertex {vid!r}") from None
 
-    def edges_above(self, vid: str) -> tuple[Edge, ...]:
-        return (self._index or self._build_index())[1].get(vid, ())
-
-    def edges_below(self, vid: str) -> tuple[Edge, ...]:
-        return (self._index or self._build_index())[2].get(vid, ())
-
 
 def _drop_caches(g: DecoratedGraph) -> None:
     """Release every cache slot: no value changes, a query rebuilds it.
@@ -447,15 +441,6 @@ def _chain_sum(g: DecoratedGraph, e: Edge, up: bool) -> tuple[int, ...]:
     raise GraphError(f"the chain through vertex {start} runs round a cycle")
 
 
-def _check_fiber(g: DecoratedGraph) -> None:
-    """Raise GraphError unless every chain from the minimum sums, label times
-    class, to the fiber.  ``g`` must pass ``validate``."""
-    for e in g.edges_above(g.vertices[0].vid):
-        total = _chain_sum(g, e, True)
-        if total != g.fiber.coeffs:
-            raise GraphError(f"FIBER {g.fiber} is not the chain sum {g.model.intern(total)}")
-
-
 def break_free_edges(g: DecoratedGraph) -> DecoratedGraph:
     """Rewire every label-1 edge joining two interior fixed points.
 
@@ -674,9 +659,9 @@ def parse_graph(text: str, omega: CohomologyVector | None = None) -> DecoratedGr
     and each of MODEL, OMEGA, FIBER and LEDGER once.  V i is the i-th V
     record.  Each C block's E records link end to end from V 0 to V 1, and
     each reaches V 1 or the next vertex that no E record has reached, until
-    every V record is reached.  Each block's (moment text, label,
-    coefficients) per step, the order ``_lines`` sorts on, is not smaller
-    than the previous block's.
+    every V record is reached.  Each block's (moment text, label, coefficients)
+    per step, the order ``_lines`` sorts on, is not smaller than the previous
+    block's, and its sum of label times class is FIBER's class.
 
     Raises GraphError, naming the line, on any record or layout that breaks
     these rules, on a moment that is no height over the class vector's
@@ -694,7 +679,7 @@ def parse_graph(text: str, omega: CohomologyVector | None = None) -> DecoratedGr
     model = omega = fiber = ledger = None
     verts: list[Vertex] = []  # V i is the i-th V record, its moment text moments[i]
     moments: list[str] = []
-    edges: list[Edge] = []
+    edges, sums = [], []  # the E records' edges and each closed C block's weighted sum
     stage = -1  # the rank in _ORDER of the last record
     at = None  # the vertex that the open C block's chain has reached; None before one
     reached = 2  # the next vertex an E record reaches; V 0 and V 1 are the ends
@@ -754,7 +739,8 @@ def parse_graph(text: str, omega: CohomologyVector | None = None) -> DecoratedGr
                     b, t, label, cls = rest.split()
                     b, t, label, cls = int(b), int(t), int(label), model.parse(cls)
                     edge = Edge(f"0.v{b}", f"0.v{t}", label, cls)
-                    parsed = (3, b, t, (label, cls.coeffs), edge)
+                    term = tuple(label * c for c in cls.coeffs)
+                    parsed = (3, b, t, (label, cls.coeffs), edge, term)
                     written = f"{b} {t} {label} {cls}"
                 elif tag == "C":  # "C " or "C x"
                     parsed, written, keep = _BLOCK, "", False
@@ -793,7 +779,7 @@ def parse_graph(text: str, omega: CohomologyVector | None = None) -> DecoratedGr
                     raise GraphError(f"line {number}: the C block above ends at V {at}, not V 1")
                 at, block = 0, []
                 continue
-            _, b, t, step, edge = parsed
+            _, b, t, step, edge, term = parsed
             if at is None:
                 raise GraphError(f"line {number}: E record outside a C block")
             if b != at or at == 1:
@@ -802,10 +788,12 @@ def parse_graph(text: str, omega: CohomologyVector | None = None) -> DecoratedGr
                 block.append((moments[t], step))
             except IndexError:
                 raise GraphError(f"line {number}: E record to V {t}, no V record") from None
+            total = term if at == 0 else tuple(map(add, total, term))
             if t == 1:
                 if block < above:
                     raise GraphError(f"line {number}: C block that sorts before the one above")
                 above = block
+                sums.append(total)
             elif t == reached:
                 reached += 1
             else:
@@ -823,6 +811,9 @@ def parse_graph(text: str, omega: CohomologyVector | None = None) -> DecoratedGr
             if at is not None and at != 1:
                 raise GraphError(f"line {number}: the C block above ends at V {at}, not V 1")
             fiber = parsed[1]
+            for total in sums:
+                if total != fiber.coeffs:
+                    raise GraphError(f"FIBER {fiber} is not the chain sum {model.intern(total)}")
         else:  # LEDGER
             ledger = parsed[1]
     if end:

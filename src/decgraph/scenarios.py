@@ -14,6 +14,7 @@ import contextlib
 import json
 import math
 import os
+import stat
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,7 +33,6 @@ from .enumeration import (
 )
 from .graphs import (
     GraphError,
-    _check_fiber,
     _drop_caches,
     _ledger_texts,
     canonical_text,
@@ -668,31 +668,44 @@ def export_graphs(result: EnumerationResult, out_dir, as_dot: bool = False) -> l
     return names
 
 
+def _read_text(path) -> str:
+    """The UTF-8 text of the regular file ``path``, line ends as written, in one
+    unbuffered read.  OSError on any other kind of file, opened without blocking
+    and refused unread, so a FIFO with no writer or an endless device cannot hang."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode):
+            raise OSError(f"{path}: not a regular file")
+        data = os.read(fd, info.st_size)
+    finally:
+        os.close(fd)
+    return data.decode("utf-8")
+
+
 def read_graphs(directory, omega: CohomologyVector) -> list:
     """Parse the graph files that ``export_graphs`` wrote, in manifest order.
 
     Raises GraphError (or OSError) unless the manifest's integer ``count``
     is the number of its ``files``, which are distinct plain file names in
     ``directory`` (no path, so a manifest cannot point outside it), all of
-    them present, parsed and valid graphs on ``omega``, the scenario's class
-    vector (which names its model), each with one ledger entry per blowup
-    size and with every chain from the minimum summing, label times class,
-    to the stated fiber.  An empty replay would certify nothing, so it is an
-    error too.
+    them present regular files, parsed (which checks each ``FIBER`` against
+    its chains) and valid graphs on ``omega``, the scenario's class vector
+    (which names its model), each with one ledger entry per blowup size.  An
+    empty replay would certify nothing, so it is an error too.
 
     The graphs are parsed onto ``omega``'s model object, so their classes
     are the run's, and onto ``omega`` itself, so one replay shares one table
     of parsed V and E records: each distinct line is parsed and checked once.
     """
     path = os.path.join(directory, "manifest.json")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-            names, count = manifest["files"], manifest["count"]
-        except UnicodeDecodeError as exc:  # its repr would hold the whole file
-            raise GraphError(f"{path}: malformed manifest: {exc}") from None
-        except (ValueError, KeyError, TypeError) as exc:
-            raise GraphError(f"{path}: malformed manifest: {exc!r}") from None
+    try:
+        manifest = json.loads(_read_text(path))
+        names, count = manifest["files"], manifest["count"]
+    except UnicodeDecodeError as exc:  # its repr would hold the whole file
+        raise GraphError(f"{path}: malformed manifest: {exc}") from None
+    except (ValueError, KeyError, TypeError) as exc:
+        raise GraphError(f"{path}: malformed manifest: {exc!r}") from None
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise GraphError(f"{path}: malformed manifest: files is no list of names")
     if type(count) is not int:  # JSON's true is an int to isinstance
@@ -714,23 +727,19 @@ def read_graphs(directory, omega: CohomologyVector) -> list:
     graphs = []
     for name in names:
         path = os.path.join(directory, name)
-        with open(path, encoding="utf-8", newline="") as fh:  # the line ends as written
-            try:
-                g = parse_graph(fh.read(), omega)
-                if g.omega is not omega:  # another vector or another model
-                    raise GraphError(
-                        f"OMEGA {g.omega} on the {g.model} model is not the scenario's"
-                        f" OMEGA {omega} on the {omega.model} model"
-                    )
-                if len(g.ledger) != steps:
-                    raise GraphError(
-                        f"ledger has {len(g.ledger)} entries, the scenario {steps} sizes"
-                    )
-                problems = validate(g)
-                if problems:
-                    raise GraphError(f"invalid graph: {problems[0]}")
-                _check_fiber(g)
-            except (UnicodeDecodeError, GraphError) as exc:
-                raise GraphError(f"{path}: {exc}") from None
+        try:
+            g = parse_graph(_read_text(path), omega)
+            if g.omega is not omega:  # another vector or another model
+                raise GraphError(
+                    f"OMEGA {g.omega} on the {g.model} model is not the scenario's"
+                    f" OMEGA {omega} on the {omega.model} model"
+                )
+            if len(g.ledger) != steps:
+                raise GraphError(f"ledger has {len(g.ledger)} entries, the scenario {steps} sizes")
+            problems = validate(g)
+            if problems:
+                raise GraphError(f"invalid graph: {problems[0]}")
+        except (UnicodeDecodeError, GraphError) as exc:
+            raise GraphError(f"{path}: {exc}") from None
         graphs.append(g)
     return graphs

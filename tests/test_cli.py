@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -622,6 +624,50 @@ def test_verify_graphs_rejects_an_edit_that_keeps_every_area(
     assert captured.err == f"graph error: {graph}: {message}\n"
 
 
+def test_verify_graphs_names_the_first_block_sum_that_is_not_the_fiber(tmp_path, capsys):
+    """With E2 swapped for E3 (both of size 1/4) in one edge, the third of
+    cp2-six's four C blocks sums to L-E1+E2-E3 and the others to L-E1.  With
+    FIBER set to the edited block's sum, the replay names the first block's
+    (``test_verify_graphs_rejects_an_edit_that_keeps_every_area`` keeps
+    FIBER and is named the edited block's)."""
+    assert main(["verify", "--scenario", "cp2-six", "--out", str(tmp_path / "run")]) == 0
+    graph = tmp_path / "run" / "graphs" / "graph-000.txt"
+    text = graph.read_text()
+    assert text.count("\nC\n") == 4 and text.count("E 0 4 1 L-E1-E2\n") == 1
+    text = text.replace("E 0 4 1 L-E1-E2\n", "E 0 4 1 L-E1-E3\n")
+    graph.write_text(text.replace("FIBER L-E1\n", "FIBER L-E1+E2-E3\n"))
+    capsys.readouterr()
+    assert main(["verify", "--scenario", "cp2-six", "--graphs", str(graph.parent)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"graph error: {graph}: FIBER L-E1+E2-E3 is not the chain sum L-E1\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+@pytest.mark.parametrize("kind", ["fifo", "link-to-devnull"])
+@pytest.mark.parametrize("name", ["graph-000.txt", "manifest.json"])
+def test_verify_graphs_reads_regular_files_only(tmp_path, name, kind):
+    """A FIFO that no process writes would block the read, and a device may
+    never end: each is refused unread, with one line.  The replay runs in a
+    subprocess with a timeout, so that a hang fails the test."""
+    assert main(["verify", "--scenario", "ruled-three", "--out", str(tmp_path / "run")]) == 0
+    graphs = tmp_path / "run" / "graphs"
+    path = graphs / name
+    path.unlink()
+    if kind == "fifo":
+        os.mkfifo(path)
+    else:
+        path.symlink_to(os.devnull)
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "decgraph", "verify", "--scenario", "ruled-three",
+         "--graphs", str(graphs)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=10,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"graph error: {path}: not a regular file\n"
+
+
 def _unlink(name):
     return lambda graphs: (graphs / name).unlink()
 
@@ -1059,9 +1105,6 @@ def test_a_rejected_rewrite_exits_2_with_one_line(tmp_path, capsys, command):
 
 
 def test_python_dash_m_runs_the_command_line():
-    import subprocess
-    import sys
-
     import decgraph
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(decgraph.__file__)))

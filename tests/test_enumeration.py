@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -29,6 +30,8 @@ from decgraph.graphs import (
     canonical_text,
     flip,
     generic_form,
+    normal_key,
+    permute_exceptionals,
 )
 from decgraph.lattice import pair
 from decgraph.scenarios import load_scenario, run_scenario
@@ -194,6 +197,50 @@ def test_permutation_dedup_flag():
     merged = enumerate_graphs(EnumerationSpec((base,), QUARTERS, permute_equal_sizes=True))
     assert len(merged.graphs) == 2
     assert len(strict.graphs) > len(merged.graphs)
+
+
+def equal_size_relabelings(g):
+    """Each permutation of the exceptional classes ``g``'s ledger created
+    that keeps every size, as the map of the indices it moves."""
+    groups = {}
+    for i in range(g.model.k - len(g.ledger) + 1, g.model.k + 1):
+        groups.setdefault(g.omega.deltas[i - 1], []).append(i)
+    cycles = list(groups.values())
+    for images in itertools.product(*map(itertools.permutations, cycles)):
+        yield {i: j for c, image in zip(cycles, images) for i, j in zip(c, image) if i != j}
+
+
+@pytest.mark.parametrize(
+    "scenario, levels, kept, labeled",
+    [
+        ("cp2-six", range(2, 6), [15, 2, 7, 26], [28, 4, 20, 92]),
+        ("cp2-six-alt", range(2, 6), [15, 2, 7, 26], [28, 4, 20, 92]),
+        (str(Path(__file__).parent / "golden" / "ruled-equal.scenario"), range(3, 5),
+         [4, 19], [7, 35]),
+    ],
+    ids=["cp2-six", "cp2-six-alt", "ruled-equal"],
+)
+def test_the_labeled_count_is_the_sum_of_the_relabeled_orbits(scenario, levels, kept, labeled):
+    """Burnside's count (orbit-stabilizer) on every level where created
+    exceptionals share a size: the run that dedups without relabeling keeps
+    as many graphs as the relabeled run's kept graphs have distinct labeled
+    keys over their equal-size relabelings.  The orbit side builds each
+    relabeled graph and keys it with no class table; the dedup side writes
+    classes through the tables and builds none.  (A. Kerber, *Applied Finite
+    Group Actions*, Springer 1999.)"""
+    spec = load_scenario(scenario).enumeration_spec()
+    assert spec.permute_equal_sizes
+    relabeled = enumerate_levels(spec)
+    plain = enumerate_levels(EnumerationSpec(spec.bases, spec.sizes, permute_equal_sizes=False))
+    orbits = [
+        sum(
+            len({normal_key(permute_exceptionals(g, perm)) for perm in equal_size_relabelings(g)})
+            for g in relabeled[depth].graphs
+        )
+        for depth in levels
+    ]
+    assert [len(relabeled[depth].graphs) for depth in levels] == kept
+    assert [len(plain[depth].graphs) for depth in levels] == labeled == orbits
 
 
 def reference_site_kind_tree(g, sizes):

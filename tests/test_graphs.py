@@ -390,9 +390,9 @@ def test_break_free_edges_conserves_chain_sums():
         e.label == 1 and e.bottom in interior and e.top in interior for e in broken.edges
     )
     # every interior vertex now connects straight to both extrema
+    _, above, below = broken._index or broken._build_index()
     for vid in interior:
-        up = broken.edges_above(vid)[0]
-        down = broken.edges_below(vid)[0]
+        (up,), (down,) = above[vid], below[vid]
         assert up.top == vmax
         assert down.bottom == vmin
         assert down.cls + up.cls == P("E1")  # chain sum conserved
@@ -721,6 +721,56 @@ def test_c_blocks_out_of_their_sorted_order_are_refused(general_4_texts):
         assert cold == hot and cold.endswith(": C block that sorts before the one above")
         refused += 1
     assert refused == 311
+
+
+# cp2-six's first saved graph: four C blocks, each summing to L-E1.
+CP2_SIX_FIRST = """\
+MODEL rational k=6
+OMEGA (1;1/2,1/4,1/4,1/4,3/16,1/8)
+V 0 0 fat size=1/2 genus=0 class=L-E3-E4
+V 1 1/2 fat size=1/16 genus=0 class=E1-E2-E5
+V 2 1/4 isolated
+V 3 1/4 isolated
+V 4 1/4 isolated
+V 5 3/16 isolated
+V 6 7/16 isolated
+C
+E 0 2 1 E4
+E 2 1 1 L-E1-E4
+C
+E 0 3 1 E3
+E 3 1 1 L-E1-E3
+C
+E 0 4 1 L-E1-E2
+E 4 1 1 E2
+C
+E 0 5 1 L-E1-E5-E6
+E 5 6 2 E6
+E 6 1 1 E5-E6
+FIBER L-E1
+LEDGER E2:surface:max E3:surface:min E4:surface:min E5:surface:max E6:interior:4
+"""
+
+
+@pytest.mark.parametrize(
+    "fiber, other",
+    [("L-E1", "L-E1+E2-E3"), ("L-E1+E2-E3", "L-E1")],
+    ids=["fiber-of-the-others", "fiber-of-the-edited"],
+)
+def test_fiber_is_every_c_block_sum(fiber, other):
+    """FIBER must be each block's sum of label times class.  With E2 swapped
+    for E3 (both of size 1/4) in the third block, the blocks sum to two
+    classes, and a FIBER equal to either is refused, naming the first block
+    sum that differs, with no class vector given and on a warm one."""
+    omega = parse_graph(CP2_SIX_FIRST).omega
+    assert canonical_text(parse_graph(CP2_SIX_FIRST, omega)) == CP2_SIX_FIRST
+    text = CP2_SIX_FIRST.replace("E 0 4 1 L-E1-E2\n", "E 0 4 1 L-E1-E3\n")
+    text = text.replace("FIBER L-E1\n", f"FIBER {fiber}\n")
+    message = f"FIBER {fiber} is not the chain sum {other}"
+    for given in (None, omega):
+        with pytest.raises(GraphError) as caught:
+            parse_graph(text, given)
+        assert str(caught.value) == message
 
 
 def test_a_record_is_one_word_only_where_the_writer_writes_one():

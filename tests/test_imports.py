@@ -8,7 +8,9 @@ with the standard library's ``ast``; a name counts as used when the module
 reads it anywhere, string annotations included.  ``__init__`` is left out,
 since it imports to re-export.  A function the benchmark's traced run wraps
 (a hook in ``perfbench/spans.py``) counts as read, and the few that only a
-hook reads are pinned by name.
+hook reads are pinned by name.  The same holds for the methods and
+properties of the package's classes: each must be read as an attribute
+somewhere in the package outside its own body.
 """
 
 import ast
@@ -159,3 +161,90 @@ def test_the_check_finds_an_unread_definition():
         ),
     }
     assert unread(trees, {("a", "hooked")}) == ["a.Dead", "a.dead", "a.recursive", "b.main"]
+
+
+# A call of one of these reads the attributes its string arguments name.
+NAMED_READERS = {"attrgetter", "getattr"}
+
+
+def methods(tree: ast.Module):
+    """(class, definition) of each method and property of each module-level
+    class; a dunder is read by the language, not by its name."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                name = getattr(item, "name", "")
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    name.startswith("__") and name.endswith("__")
+                ):
+                    yield node.name, item
+
+
+def unread_methods(trees: dict[str, ast.Module]) -> list[str]:
+    """``module.Class.name`` of every method or property whose name no code
+    of ``trees`` reads outside its own body: as an attribute, as a name, or
+    through a string given to ``attrgetter`` or ``getattr``.  A read of the
+    name off any object counts, so two classes that share a method name
+    shelter each other."""
+    defined = [(module, cls, item) for module, tree in trees.items() for cls, item in methods(tree)]
+    bodies = {id(item) for _, _, item in defined}
+    readers: dict[str, set[int]] = {}  # name -> the bodies that read it, 0 for any other code
+
+    def visit(node: ast.AST, body: int) -> None:
+        names = []
+        if isinstance(node, ast.Attribute):
+            names.append(node.attr)
+        elif isinstance(node, ast.Name):
+            names.append(node.id)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in NAMED_READERS:
+            for arg in node.args:
+                if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                    names += arg.value.split(".")
+        for name in names:
+            readers.setdefault(name, set()).add(body)
+        for child in ast.iter_child_nodes(node):
+            visit(child, id(child) if id(child) in bodies else body)
+
+    for tree in trees.values():
+        visit(tree, 0)
+    return sorted(
+        f"{module}.{cls}.{item.name}"
+        for module, cls, item in defined
+        if not readers.get(item.name, set()) - {id(item)}
+    )
+
+
+def test_every_method_and_property_is_read():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert unread_methods(trees) == []
+
+
+def test_the_check_finds_an_unread_method():
+    trees = {
+        "a": ast.parse(
+            "from operator import attrgetter\n"
+            "class A:\n"
+            "    def __repr__(self): return self.dead_too()\n"
+            "    def called(self): pass\n"
+            "    @property\n"
+            "    def prop(self): return self.recursive()\n"
+            "    @staticmethod\n"
+            "    def build(): pass\n"
+            "    def recursive(self): return self.recursive()\n"
+            "    def lonely(self): return self.lonely()\n"
+            "    def by_string(self): pass\n"
+            "    def dead(self): pass\n"
+            "    @property\n"
+            "    def dead_prop(self): pass\n"
+            "key = attrgetter('x.by_string')\n"
+        ),
+        "b": ast.parse(
+            "from .a import A\n"
+            "class B:\n"
+            "    def dead_too(self): pass\n"
+            "    def called(self): return A.build().prop\n"
+            "def main(a):\n"
+            "    a.called()\n"
+        ),
+    }
+    assert unread_methods(trees) == ["a.A.dead", "a.A.dead_prop", "a.A.lonely"]

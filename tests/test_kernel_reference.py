@@ -354,7 +354,7 @@ def reference_walk_sum(g, vid, up):
         v = g.vertex(vid)
         if v.fat is not None or vid in (g.vertices[0].vid, g.vertices[-1].vid):
             return total
-        step = g.edges_above(vid) if up else g.edges_below(vid)
+        step = reference_edges_above(g, vid) if up else reference_edges_below(g, vid)
         if len(step) != 1:
             raise GraphError(f"vertex {vid} has no unique chain continuation")
         e = step[0]
@@ -628,8 +628,8 @@ def reference_apply_blowup(g, vertex, delta):
         edges = [e for e in edges if vid not in (e.bottom, e.top)]
 
     if site.kind == INTERIOR:
-        up = g.edges_above(v.vid)[0]
-        down = g.edges_below(v.vid)[0]
+        up = reference_edges_above(g, v.vid)[0]
+        down = reference_edges_below(g, v.vid)[0]
         m, n = up.label, down.label
         hi = at(f"{step}.hi", mv + m * delta)
         lo = at(f"{step}.lo", mv - n * delta)
@@ -663,7 +663,7 @@ def reference_apply_blowup(g, vertex, delta):
     else:
         assert site.kind == EXTREMUM
         at_min = site.end == "min"
-        incident = g.edges_above(v.vid) if at_min else g.edges_below(v.vid)
+        incident = reference_edges_above(g, v.vid) if at_min else reference_edges_below(g, v.vid)
         ea, eb = sorted(incident, key=lambda e: -e.label)
         m, n = ea.label, eb.label
         away = (lambda e: e.top) if at_min else (lambda e: e.bottom)
@@ -1005,9 +1005,10 @@ def assert_index_matches_scans(g):
     elif validate(g) == []:  # chains climb to an end, so the walks stop
         assert break_free_edges(g) is not g
     vids = {v.vid for v in g.vertices} | {e.bottom for e in g.edges} | {e.top for e in g.edges}
+    _, above, below = graph_index(g)
     for vid in sorted(vids | {"missing"}):
-        assert list(g.edges_above(vid)) == reference_edges_above(g, vid)
-        assert list(g.edges_below(vid)) == reference_edges_below(g, vid)
+        assert list(above.get(vid, ())) == reference_edges_above(g, vid)
+        assert list(below.get(vid, ())) == reference_edges_below(g, vid)
         try:
             expected = reference_vertex(g, vid)
         except GraphError:
@@ -1123,7 +1124,7 @@ def test_validate_on_an_indexed_graph_reports_broken_rules():
         Edge(second.bottom, second.top, 1, non_sphere),
     ]
     bad = DecoratedGraph.build(g.omega, g.vertices, edges, (), g.fiber)
-    assert bad.edges_above(bad.vertices[0].vid) and bad.vertex(first.top)  # indexed
+    assert graph_index(bad)[1][bad.vertices[0].vid] and bad.vertex(first.top)  # indexed
     assert validate(bad) == [
         "edge L-E1(3) breaks the area rule (gap != label * area)",
         "edge L-E1(3) touches a fixed surface with label > 1",
@@ -2008,7 +2009,7 @@ def test_chain_sums_match_the_references_on_golden_and_deep_levels(golden_levels
                     down = term + reference_walk_sum(g, e.bottom, False)
                     assert _chain_sum(g, e, True) == up.coeffs
                     assert _chain_sum(g, e, False) == down.coeffs
-                starts = g.edges_above(g.vertices[0].vid)
+                starts = graph_index(g)[1].get(g.vertices[0].vid, ())
                 assert [_chain_sum(g, e, True) for e in starts] == reference_fiber_sums(g)
                 count += 1
     assert count == 558 + 2957
@@ -2097,6 +2098,7 @@ def test_the_caches_are_the_graphs_slots_beside_its_values():
 
 def cached_answers(g, delta):
     """Everything a graph answers from its index or its extensions."""
+    _, above, below = graph_index(g)
     return (
         canonical_text(g),
         normal_key(g),
@@ -2104,7 +2106,7 @@ def cached_answers(g, delta):
         dedup_key(g, False),
         validate(g),
         blowup_sites(g, delta),
-        [(g.edges_above(v.vid), g.edges_below(v.vid)) for v in g.vertices],
+        [(above.get(v.vid, ()), below.get(v.vid, ())) for v in g.vertices],
         canonical_text(g.extend(delta)),
     )
 
