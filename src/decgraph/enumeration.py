@@ -10,7 +10,7 @@ exceptional indices carrying equal sizes.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -143,17 +143,11 @@ def dedup_key(g: DecoratedGraph, permute_equal_sizes: bool = True) -> str:
     allowed relabelings of its exceptional classes.
 
     ``g`` is reduced once and each orientation walked once; a relabeling
-    only rewrites the classes of the lines, through its table.
+    only rewrites the classes of the lines, through its table.  Without
+    relabeling, the identity (no table) is the one relabeling.
     """
-    if not permute_equal_sizes:
-        return normal_key(g)
-    return normal_key(g, [table for _, table in _permutation_group(g)])
-
-
-def _keyed(graphs, permute: bool):
-    """Each graph of ``graphs`` with its dedup key, as the graphs come."""
-    for g in graphs:
-        yield dedup_key(g, permute), g
+    tables = [table for _, table in _permutation_group(g)] if permute_equal_sizes else [None]
+    return normal_key(g, tables)
 
 
 def _dedup(keyed):
@@ -202,8 +196,9 @@ def _children(frontier, delta: Fraction, sites: list[int]):
         yield from batch
 
 
-def _levels(spec: EnumerationSpec):
-    """Yield the result of every level, the bases' (depth 0) first.
+def enumerate_levels(spec: EnumerationSpec) -> Iterator[EnumerationResult]:
+    """Yield the result of every level, the bases' (depth 0) first, each as
+    it is made: a level is enumerated only when the next result is asked for.
 
     Each yielded frontier is the parents of the next level, which the
     enumeration holds anyway; a caller that keeps only the latest result holds
@@ -211,19 +206,20 @@ def _levels(spec: EnumerationSpec):
     children at a time, so a level's children are never held as a list.
     """
     permute = spec.permute_equal_sizes
-    frontier, _ = _dedup(_keyed(map(generic_form, spec.bases), permute))
+    frontier, _ = _dedup((dedup_key(g, permute), g) for g in map(generic_form, spec.bases))
     log = []
     yield EnumerationResult(tuple(frontier), ())
     for depth, delta in enumerate(spec.sizes, start=1):
         sites: list[int] = []
-        frontier, merged = _dedup(_keyed(_children(frontier, delta, sites), permute))
+        children = _children(frontier, delta, sites)
+        frontier, merged = _dedup((dedup_key(g, permute), g) for g in children)
         log.append(LevelLog(depth, delta, sum(sites), len(frontier), merged))
         yield EnumerationResult(tuple(frontier), tuple(log))
 
 
 def enumerate_graphs(spec: EnumerationSpec) -> EnumerationResult:
     """Breadth-first closure of the base set under the ordered size list."""
-    for result in _levels(spec):
+    for result in enumerate_levels(spec):
         pass
     omega = spec.final_omega
     first = omega.model.k - len(spec.sizes)
@@ -237,11 +233,6 @@ def enumerate_graphs(spec: EnumerationSpec) -> EnumerationResult:
                 f" final class vector {omega} with {len(spec.sizes)}"
             )
     return result
-
-
-def enumerate_levels(spec: EnumerationSpec) -> list[EnumerationResult]:
-    """Like ``enumerate_graphs`` but keeping every level, from one pass."""
-    return list(_levels(spec))
 
 
 # ---------------------------------------------------------------------------

@@ -424,7 +424,7 @@ def _chain_sum(g: DecoratedGraph, e: Edge, up: bool) -> tuple[int, ...]:
     else:
         end, onward, far = g.vertices[0].vid, below, 0
     start, label = e[far], e.label
-    total = e.cls.coeffs if label == 1 else [label * c for c in e.cls.coeffs]
+    total = [label * c for c in e.cls.coeffs]
     for _ in range(len(g.edges)):  # a chain holds each edge at most once
         vid = e[far]
         if vid == end:
@@ -434,10 +434,7 @@ def _chain_sum(g: DecoratedGraph, e: Edge, up: bool) -> tuple[int, ...]:
         except (KeyError, ValueError):
             raise GraphError(f"vertex {vid} has no unique chain continuation") from None
         label = e.label
-        if label == 1:
-            total = list(map(add, total, e.cls.coeffs))
-        else:
-            total = [t + label * c for t, c in zip(total, e.cls.coeffs)]
+        total = [t + label * c for t, c in zip(total, e.cls.coeffs)]
     raise GraphError(f"the chain through vertex {start} runs round a cycle")
 
 

@@ -113,9 +113,9 @@ class SurfaceModel:
             raise LatticeError("ruled model requires genus >= 1")
         if self.kind == RATIONAL and self.genus != 0:
             raise LatticeError("plane model carries no genus")
-        object.__setattr__(self, "_classes", {})  # see ``intern``
-        object.__setattr__(self, "_parsed", {})  # see ``parse``
-        object.__setattr__(self, "_exceptionals", {})  # see ``exceptional``
+        object.__setattr__(self, "_classes", _Table(partial(HomologyClass, self)))
+        object.__setattr__(self, "_parsed", _Table(self._parse))
+        object.__setattr__(self, "_exceptionals", _Table(self._exceptional))
         object.__setattr__(self, "_steps", {})  # see ``apply_blowup``; ``extend()`` shares it
 
     @_cached
@@ -165,10 +165,7 @@ class SurfaceModel:
         The table lives on the model object, so it is freed with the graphs
         that hold the model.  A new entry runs the length and integer checks.
         """
-        out = self._classes.get(coeffs)
-        if out is None:
-            out = self._classes[coeffs] = HomologyClass(self, coeffs)
-        return out
+        return self._classes[coeffs]
 
     def as_json(self) -> dict:
         return {"kind": self.kind, "k": self.k, "genus": self.genus}
@@ -188,16 +185,17 @@ class SurfaceModel:
 
     def exceptional(self, i: int) -> "HomologyClass":
         """The class Ei, looked up once per (model, i)."""
-        out = self._exceptionals.get(i)
-        if out is None:
-            out = self._exceptionals[i] = self.unit(f"E{i}")
-        return out
+        return self._exceptionals[i]
+
+    def _exceptional(self, i: int) -> "HomologyClass":
+        return self.unit(f"E{i}")
 
     def parse(self, text: str) -> "HomologyClass":
-        """Parse 'L-E1-E4-E5', '2B+3F-E2', '-E3' or '0'; each text once."""
-        out = self._parsed.get(text)
-        if out is not None:
-            return out
+        """Parse 'L-E1-E4-E5', '2B+3F-E2', '-E3' or '0'; each text once.  A
+        refused text is kept nowhere: each parse of it raises anew."""
+        return self._parsed[text]
+
+    def _parse(self, text: str) -> "HomologyClass":
         compact = text.replace(" ", "")
         if compact in ("0", ""):
             return self.zero()
@@ -218,8 +216,7 @@ class SurfaceModel:
             coeffs[idx] += sign * mult
         if pos != len(compact):
             raise LatticeError(f"cannot parse class {compact!r}")
-        out = self._parsed[text] = self.intern(tuple(coeffs))
-        return out
+        return self.intern(tuple(coeffs))
 
     @_cached
     def _text(self) -> str:
@@ -407,7 +404,9 @@ class CohomologyVector:
         weights = tuple(scaled)
         object.__setattr__(self, "denominator", den)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_extensions", {})
+        # Its compute holds the model and entries, not the vector: a vector
+        # in no reference cycle is freed, tables and all, with its last graph.
+        object.__setattr__(self, "_extensions", _Table(partial(_extended, self.model, entries)))
         # enumeration._permutation_group's relabelings, each with its class
         # table, per created indices
         object.__setattr__(self, "_relabelings", {})
@@ -442,12 +441,7 @@ class CohomologyVector:
 
     def extend(self, delta) -> "CohomologyVector":
         """Append one size; one shared object per (vector, size)."""
-        delta = rat(delta)
-        out = self._extensions.get(delta)
-        if out is None:
-            out = CohomologyVector(self.model.extend(), self.entries + (delta,))
-            self._extensions[delta] = out
-        return out
+        return self._extensions[rat(delta)]
 
     @_cached
     def _text(self) -> str:
@@ -461,6 +455,11 @@ class CohomologyVector:
     @_cached
     def _head_lines(self) -> str:  # a graph's MODEL and OMEGA records, one text
         return f"MODEL {self.model}\nOMEGA {self}"
+
+
+def _extended(model: SurfaceModel, entries: tuple[Fraction, ...], delta: Fraction) -> CohomologyVector:
+    """The vector with the entries ``entries`` and ``delta`` on ``model.extend()``."""
+    return CohomologyVector(model.extend(), entries + (delta,))
 
 
 def pair(omega: CohomologyVector, c: HomologyClass) -> Fraction:

@@ -235,6 +235,8 @@ def ruled_general_scenario(r: int) -> Scenario:
 def load_scenario(name_or_path: str) -> Scenario:
     """A builtin, ``ruled-general-<r>``, or a scenario file, checked.
 
+    A scenario file is read as ``_read_text`` reads it: a regular file only,
+    so a FIFO, a device or a directory is a ScenarioError, not a hang.
     Raises ScenarioError for anything the pipeline would reject later.
     """
     make = BUILTINS.get(name_or_path)
@@ -249,8 +251,7 @@ def load_scenario(name_or_path: str) -> Scenario:
         scenario = ruled_general_scenario(r)
     else:
         try:
-            with open(name_or_path, encoding="utf-8") as fh:
-                text = fh.read()
+            text = _read_text(name_or_path)
         except (OSError, UnicodeDecodeError) as exc:  # a decode error names the byte's position
             raise ScenarioError(f"no builtin or readable scenario {name_or_path!r}: {exc}")
         scenario = parse_scenario_text(text)

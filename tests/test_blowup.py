@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -8,14 +9,19 @@ from decgraph.blowup import (
     apply_blowup,
     blowup_sites,
 )
+from decgraph.enumeration import enumerate_levels
 from decgraph.graphs import (
+    INTERIOR,
     BaseFamilyParams,
     base_hirzebruch,
     base_ruled,
+    canonical_text,
     generic_form,
+    parse_graph,
     validate,
 )
 from decgraph.lattice import intersect, pair
+from decgraph.scenarios import load_scenario
 from test_graphs import plane, ruled
 
 
@@ -241,3 +247,28 @@ def test_surface_site_grown_from_an_isolated_base():
     g = generic_form(take(g, F(1, 4), kind="extremum", end="min"))
     g = generic_form(take(g, F(1, 8), kind="extremum", end="min"))
     assert validate(generic_form(take(g, F(1, 16), kind="surface", end="min"))) == []
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "apply_blowup logs an interior step as the head of the vertex's id, and"
+    " parse_graph names every vertex 0.v<i>, so each interior blowup of a"
+    " parsed graph is logged interior:0; a blow-down along the ledger (ROADMAP"
+    " item 1) would re-derive the step that made the vertex"
+))
+def test_a_parsed_graph_has_its_graphs_interior_blowups():
+    """Blown up at size 1/100 at their interior points, ruled-three's level-2
+    graphs log the steps that made those points; their parsed copies log
+    interior:0, a step that no run makes, since a ruled base has no interior
+    vertex."""
+    spec = load_scenario("ruled-three").enumeration_spec()
+    *_, level = itertools.islice(enumerate_levels(spec), 3)
+    delta = F(1, 100)
+
+    def children(g):
+        sites = blowup_sites(g, delta)
+        return sorted(canonical_text(apply_blowup(g, s.vertex, delta)) for s in sites
+                      if s.kind == INTERIOR)
+
+    for g in level.graphs:
+        assert children(g)
+        assert children(parse_graph(canonical_text(g))) == children(g)

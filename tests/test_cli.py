@@ -156,6 +156,28 @@ def test_a_scenario_file_that_is_not_utf8_exits_2_with_one_line(tmp_path, capsys
     )
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+@pytest.mark.parametrize("kind", ["fifo", "directory"])
+def test_a_scenario_path_that_is_no_regular_file_exits_2_with_one_line(tmp_path, kind):
+    """A FIFO that no process writes would block the read: it is refused
+    unread, as is a directory.  The CLI runs in a subprocess with a timeout,
+    so that a hang fails the test."""
+    path = tmp_path / "s.scenario"
+    if kind == "fifo":
+        os.mkfifo(path)
+    else:
+        path.mkdir()
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "decgraph", "verify", "--scenario", str(path)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=10,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (
+        f"scenario error: no builtin or readable scenario {str(path)!r}: {path}: not a regular file\n"
+    )
+
+
 def test_cli_enumerate(capsys):
     assert main(["enumerate", "--scenario", "ruled-three"]) == 0
     out = capsys.readouterr().out

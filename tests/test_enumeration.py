@@ -11,7 +11,6 @@ from decgraph.enumeration import (
     EnumerationSpec,
     _base_family_params,
     _dedup,
-    _keyed,
     classify_sequence_types,
     cross_check_instantiation,
     dedup_key,
@@ -110,7 +109,7 @@ def tampered_levels():
     from decgraph.lattice import CohomologyVector
 
     spec = EnumerationSpec((base_ruled(ruled(), 0),), RULED_SIZES)
-    levels = list(enumeration._levels(spec))
+    levels = list(enumeration.enumerate_levels(spec))
     last = levels[-1]
     assert len({id(g.omega) for g in last.graphs}) < len(last.graphs)  # shared
     g = last.graphs[-1]
@@ -125,9 +124,9 @@ def test_a_class_vector_with_a_wrong_size_trips_the_final_check(monkeypatch):
     from decgraph import enumeration
 
     spec, levels, tampered = tampered_levels()
-    monkeypatch.setattr(enumeration, "_levels", lambda spec: iter(levels))
+    monkeypatch.setattr(enumeration, "enumerate_levels", lambda spec: iter(levels))
     assert enumerate_graphs(spec) is levels[-1]
-    monkeypatch.setattr(enumeration, "_levels", lambda spec: iter(levels[:-1] + [tampered]))
+    monkeypatch.setattr(enumeration, "enumerate_levels", lambda spec: iter(levels[:-1] + [tampered]))
     with pytest.raises(EnumerationError, match="is not on the final class vector"):
         enumerate_graphs(spec)
 
@@ -148,7 +147,7 @@ def test_the_final_check_survives_python_dash_o():
         from decgraph import enumeration
         from test_enumeration import tampered_levels
         spec, levels, tampered = tampered_levels()
-        enumeration._levels = lambda spec: iter(levels[:-1] + [tampered])
+        enumeration.enumerate_levels = lambda spec: iter(levels[:-1] + [tampered])
         try:
             enumeration.enumerate_graphs(spec)
         except enumeration.EnumerationError as exc:
@@ -230,8 +229,8 @@ def test_the_labeled_count_is_the_sum_of_the_relabeled_orbits(scenario, levels, 
     Group Actions*, Springer 1999.)"""
     spec = load_scenario(scenario).enumeration_spec()
     assert spec.permute_equal_sizes
-    relabeled = enumerate_levels(spec)
-    plain = enumerate_levels(EnumerationSpec(spec.bases, spec.sizes, permute_equal_sizes=False))
+    relabeled = list(enumerate_levels(spec))
+    plain = list(enumerate_levels(EnumerationSpec(spec.bases, spec.sizes, permute_equal_sizes=False)))
     orbits = [
         sum(
             len({normal_key(permute_exceptionals(g, perm)) for perm in equal_size_relabelings(g)})
@@ -361,10 +360,29 @@ def test_branch_log_counts_are_consistent():
         assert lv.kept + lv.merged == lv.sites
 
 
+def test_each_level_is_made_when_it_is_asked_for(monkeypatch):
+    """The bases' level takes no blowup, and the next level expands each of
+    its graphs once, in order, only when it is asked for."""
+    from decgraph import enumeration
+
+    expanded = []
+
+    def counted(g, delta):
+        expanded.append(g)
+        return blowup_sites(g, delta)
+
+    monkeypatch.setattr(enumeration, "blowup_sites", counted)
+    levels = enumerate_levels(load_scenario("ruled-three").enumeration_spec())
+    first = next(levels)
+    assert expanded == [] and first.graphs and first.branch_log == ()
+    second = next(levels)
+    assert expanded == list(first.graphs) and second.branch_log[-1].depth == 1
+
+
 @pytest.mark.parametrize("name", ["cp2-six", "ruled-three"])
 def test_levels_from_one_pass_match_each_prefix_enumerated_anew(name):
     spec = load_scenario(name).enumeration_spec()
-    levels = enumerate_levels(spec)
+    levels = list(enumerate_levels(spec))
     assert len(levels) == len(spec.sizes) + 1
     for depth, level in enumerate(levels):
         prefix = EnumerationSpec(spec.bases, spec.sizes[:depth], spec.permute_equal_sizes)
@@ -400,7 +418,7 @@ def test_a_merge_keeps_the_smaller_ledger_then_the_smaller_text(monkeypatch):
     g = next(g for g in final if canonical_text(g) != canonical_text(flip(g)))
     small, large = sorted((g, flip(g)), key=canonical_text)
     for pair_ in ((small, large), (large, small)):
-        kept, merged = _dedup(_keyed(pair_, True))
+        kept, merged = _dedup((dedup_key(g), g) for g in pair_)
         assert merged == 1 and kept[0] is small
     earlier = DecoratedGraph(
         large.omega, large.vertices, large.edges,
@@ -409,5 +427,5 @@ def test_a_merge_keeps_the_smaller_ledger_then_the_smaller_text(monkeypatch):
     assert earlier.ledger < small.ledger
     monkeypatch.setattr(enumeration, "canonical_text", None)  # not to be called
     for pair_ in ((small, earlier), (earlier, small)):
-        kept, merged = _dedup(_keyed(pair_, True))
+        kept, merged = _dedup((dedup_key(g), g) for g in pair_)
         assert merged == 1 and kept[0] is earlier

@@ -81,7 +81,7 @@ def test_the_regular_levels_of_the_generalized_ruled_family(name, r):
     keeps (d+1)!/2 graphs, nothing merges after level 1, and each parent
     below level r has 2 surface sites and d interior sites at the next size."""
     spec = load_scenario(name).enumeration_spec()
-    levels = enumerate_levels(spec)
+    levels = list(enumerate_levels(spec))
     assert len(levels) >= r + 1
     for d in range(1, r + 1):
         lv = levels[d].branch_log[-1]

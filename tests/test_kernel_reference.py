@@ -1190,7 +1190,7 @@ def golden_levels():
     out = []
     for name in ("cp2-six", "cp2-six-alt", "ruled-three", "ruled-general-4"):
         spec = load_scenario(name).enumeration_spec()
-        out.append((spec.sizes, enumerate_levels(spec)))
+        out.append((spec.sizes, list(enumerate_levels(spec))))
     return out
 
 
@@ -1198,7 +1198,7 @@ def golden_levels():
 def deep_levels():
     """(sizes, levels) of the deep scenario, levels from one pass."""
     spec = load_scenario(str(DEEP_SCENARIO)).enumeration_spec()
-    return spec.sizes, enumerate_levels(spec)
+    return spec.sizes, list(enumerate_levels(spec))
 
 
 @pytest.fixture(scope="module")
@@ -2056,6 +2056,19 @@ def test_chain_sums_match_the_walker_on_drawn_graphs(g):
                 assert _chain_sum(g, e, up) == want
 
 
+def test_a_chain_with_labels_above_one_sums_label_times_class():
+    """Up from the minimum and down from the maximum, ``_chain_sum`` over a
+    chain of labels 2, 3 and 1 is the reference's 2(L-E1) + 3(E1-E2) + E2."""
+    omega = CohomologyVector.rational(1, [F(1, 2), F(1, 4)])
+    model = omega.model
+    L, E1, E2 = map(model.unit, ("L", "E1", "E2"))
+    vertices = [Vertex("min", 0), Vertex("a", 1), Vertex("b", 2), Vertex("max", 3)]
+    chain = [Edge("min", "a", 2, L - E1), Edge("a", "b", 3, E1 - E2), Edge("b", "max", 1, E2)]
+    g = DecoratedGraph.build(omega, vertices, chain, (), model.zero())
+    assert reference_chain_sums(g) == [(2, 1, -2)]
+    assert _chain_sum(g, chain[0], True) == _chain_sum(g, chain[-1], False) == (2, 1, -2)
+
+
 def test_fat_record_is_kept_and_equals_the_formula(golden_level_graphs):
     """A V record's size and genus are its class's area and adjunction genus."""
     fats = 0
@@ -2147,7 +2160,7 @@ def test_the_index_is_built_once_per_child_parent_and_extension(monkeypatch):
         return build(g)
 
     monkeypatch.setattr(DecoratedGraph, "_build_index", counted)
-    levels = enumerate_levels(load_scenario("ruled-general-4").enumeration_spec())
+    levels = list(enumerate_levels(load_scenario("ruled-general-4").enumeration_spec()))
     log = levels[-1].branch_log
     children = sum(lv.sites for lv in log)
     parents = len(levels[0].graphs) + sum(lv.kept for lv in log[:-1])
@@ -2168,7 +2181,7 @@ def test_each_parent_derives_each_site_once(monkeypatch):
         return _site_for_vertex(g, v)
 
     monkeypatch.setattr(blowup, "_site_for_vertex", counted)
-    levels = enumerate_levels(load_scenario("ruled-general-4").enumeration_spec())
+    levels = list(enumerate_levels(load_scenario("ruled-general-4").enumeration_spec()))
     parents = [g for level in levels[:-1] for g in level.graphs]
     assert (len(parents), sum(lv.sites for lv in levels[-1].branch_log)) == (77, 394)
     assert derived == Counter((id(g), v.vid) for g in parents for v in g.vertices)
@@ -2191,7 +2204,7 @@ def test_a_level_holds_one_parents_site_table_at_a_time(monkeypatch):
         return found
 
     monkeypatch.setattr(enumeration, "blowup_sites", counted)
-    enumerate_levels(load_scenario("ruled-general-4").enumeration_spec())
+    list(enumerate_levels(load_scenario("ruled-general-4").enumeration_spec()))
     assert (len(parents), most) == (77, 1)
 
 
@@ -2200,7 +2213,7 @@ def test_no_graph_holds_a_cache_after_a_run(name, tmp_path):
     """Both merge; cp2-six at its last level too (8 of 34 children).  The
     exported graphs are indexed to be written and released again."""
     scenario = load_scenario(name)
-    levels = enumerate_levels(scenario.enumeration_spec())
+    levels = list(enumerate_levels(scenario.enumeration_spec()))
     assert sum(lv.merged for lv in levels[-1].branch_log) > 0
     assert all(held_caches(g) == [] for level in levels for g in level.graphs)
     result = enumerate_graphs(scenario.enumeration_spec())

@@ -1,8 +1,12 @@
+import gc
+import pickle
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
 
+from decgraph import lattice
 from decgraph.lattice import (
     CohomologyVector,
     HomologyClass,
@@ -266,3 +270,79 @@ def test_class_parse_and_str_round_trip():
         M6.parse("L-Q1")
     with pytest.raises(LatticeError):
         M6.parse("B")
+
+
+def counting(monkeypatch, owner, name):
+    """The keys that ``owner.name(self, key)`` is called with, once patched."""
+    keys, compute = [], getattr(owner, name)
+
+    def counted(self, key):
+        keys.append(key)
+        return compute(self, key)
+
+    monkeypatch.setattr(owner, name, counted)
+    return keys
+
+
+def test_each_table_computes_once_per_key(monkeypatch):
+    """``intern``, ``parse``, ``exceptional`` and ``CohomologyVector.extend``
+    compute on a key's first lookup only, and return that one object after."""
+    made, post_init = [], HomologyClass.__post_init__
+    monkeypatch.setattr(HomologyClass, "__post_init__", lambda c: made.append(c.coeffs) or post_init(c))
+    parsed = counting(monkeypatch, SurfaceModel, "_parse")
+    exceptionals = counting(monkeypatch, SurfaceModel, "_exceptional")
+    extended, extend = [], lattice._extended
+    monkeypatch.setattr(lattice, "_extended", lambda *args: extended.append(args[-1]) or extend(*args))
+    omega = CohomologyVector.rational(1, ["1/2", "1/4"])
+    model = omega.model
+    first = [model.intern((1, 0, 0)), model.parse("L-E1"), model.exceptional(2), omega.extend("1/8")]
+    for _ in range(2):
+        again = [model.intern((1, 0, 0)), model.parse("L-E1"), model.exceptional(2), omega.extend(F(1, 8))]
+        assert all(a is b for a, b in zip(again, first))
+    assert made == [(1, 0, 0), (1, -1, 0), (0, 0, 1)]
+    assert (parsed, exceptionals, extended) == (["L-E1"], [2], [F(1, 8)])
+
+
+def test_a_refused_parse_keeps_nothing_and_raises_again(monkeypatch):
+    parsed = counting(monkeypatch, SurfaceModel, "_parse")
+    model = SurfaceModel("rational", 2)
+    for _ in range(2):
+        with pytest.raises(LatticeError, match="cannot parse class 'E1E2'"):
+            model.parse("E1E2")
+    assert parsed == ["E1E2", "E1E2"] and not model._parsed
+
+
+def test_a_model_with_filled_tables_pickles():
+    """Each table computes through a bound method or a ``partial``, no
+    lambda, so a vector and its model pickle with their filled tables, and
+    the copies' tables still fill and still return one object per key."""
+    omega = CohomologyVector.rational(1, ["1/2", "1/4"])
+    model = omega.model
+    c = model.parse("L-E1")
+    model.exceptional(2), omega.extend("1/8"), model._embedded[c], model._less_last[c]
+    copy = pickle.loads(pickle.dumps(omega))
+    m = copy.model
+    assert m is not model and len(m._classes) == len(model._classes)
+    assert m.parse("L-E1") is m.intern((1, -1, 0)) and str(m.parse("L-E1")) == "L-E1"
+    assert m.exceptional(2) is m.intern((0, 0, 1))
+    assert m.parse("E2-E1") is m.intern((0, -1, 1))  # a key first asked of the copy
+    wider = copy.extend(F(1, 8))
+    assert wider is copy.extend("1/8") and wider.model is m.extend()
+    assert m._embedded[m.parse("L-E1")] is wider.model.intern((1, -1, 0, 0))
+
+
+def test_a_vector_is_freed_with_its_last_reference():
+    """No table of a vector refers back to it, so with the collector off a
+    dropped vector goes at once, with its extensions and their tables."""
+    omega = CohomologyVector.rational(1, ["1/2", "1/4"])
+    wider = omega.extend("1/8")
+    wider.extend("1/16"), omega._areas[omega.model.parse("L-E1")]
+    refs = [weakref.ref(omega), weakref.ref(wider)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del omega, wider
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
