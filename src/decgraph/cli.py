@@ -22,6 +22,7 @@ from .obstruct import check_nonextension
 from .scenarios import (
     Scenario,
     ScenarioError,
+    _write_text,
     builtin_scenarios,
     export_graphs,
     load_scenario,
@@ -49,8 +50,7 @@ def _write_report(report: dict, out_dir: str | None) -> str:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(os.path.join(out_dir, "report.json"), text)
     return text
 
 

@@ -651,8 +651,7 @@ def export_graphs(result: EnumerationResult, out_dir, as_dot: bool = False) -> l
     names = []
     for i, g in enumerate(result.graphs):
         name = f"graph-{i:03d}." + ("dot" if as_dot else "txt")
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-            fh.write(render_dot(g) if as_dot else canonical_text(g))
+        _write_text(os.path.join(out_dir, name), render_dot(g) if as_dot else canonical_text(g))
         _drop_caches(g)  # writing indexed it; a held result keeps values only
         names.append(name)
     manifest = {
@@ -663,9 +662,8 @@ def export_graphs(result: EnumerationResult, out_dir, as_dot: bool = False) -> l
             for lv in result.branch_log
         ],
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    _write_text(os.path.join(out_dir, "manifest.json"), text)
     return names
 
 
@@ -682,6 +680,27 @@ def _read_text(path) -> str:
     finally:
         os.close(fd)
     return data.decode("utf-8")
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 to the regular file ``path``, made if missing.
+
+    An existing file is written over in place, then cut to the new length:
+    truncating it to zero first costs more than the write on ext4.  OSError
+    on any other kind of file, opened without blocking and refused before a
+    byte is written, so a FIFO or a device cannot hang or swallow the output.
+    Not atomic: a crash can leave old and new bytes mixed."""
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_NONBLOCK, 0o666)
+    try:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise OSError(f"{path}: not a regular file")
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def read_graphs(directory, omega: CohomologyVector) -> list:

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -11,10 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decgraph.cli import main
+from decgraph.enumeration import enumerate_graphs
 from decgraph.scenarios import (
     ScenarioError,
     _checked,
+    _write_text,
     builtin_scenarios,
+    export_graphs,
     load_scenario,
     parse_scenario_text,
     ruled_general_scenario,
@@ -833,6 +837,102 @@ def test_a_replay_whose_output_directory_cannot_be_made_exits_2(tmp_path, capsys
     assert main(argv + ["--graphs", graphs, "--out", str(blocker / "x")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("output error: ")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+@pytest.mark.parametrize("kind", ["fifo", "link-to-devnull", "directory"])
+@pytest.mark.parametrize("name", ["report.json", "graphs/graph-000.txt"])
+def test_an_output_file_that_is_no_regular_file_exits_2_with_one_line(tmp_path, name, kind):
+    """A FIFO that no process reads would block the write, and a device would
+    swallow it: each is refused before a byte is written, with one line, as
+    is a directory.  The CLI runs in a subprocess with a timeout, so that a
+    hang fails the test."""
+    out = tmp_path / "run"
+    path = out / name
+    path.parent.mkdir(parents=True)
+    if kind == "fifo":
+        os.mkfifo(path)
+        message = f"[Errno {errno.ENXIO}] {os.strerror(errno.ENXIO)}: {str(path)!r}"
+    elif kind == "link-to-devnull":
+        path.symlink_to(os.devnull)
+        message = f"{path}: not a regular file"
+    else:
+        path.mkdir()
+        message = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(path)!r}"
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "decgraph", "verify", "--scenario", "ruled-three",
+         "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=10,
+    )
+    assert done.returncode == 2
+    assert done.stderr == f"output error: {message}\n"
+    # The report goes to stdout only once report.json is written.
+    assert (done.stdout == "") == (name == "report.json")
+
+
+def _exported(result, out_dir):
+    """Export ``result``'s graphs to ``out_dir``; its listed files' bytes."""
+    names = export_graphs(result, str(out_dir)) + ["manifest.json"]
+    return {n: (out_dir / n).read_bytes() for n in names}
+
+
+def test_an_export_over_old_output_writes_the_fresh_bytes(tmp_path):
+    """Each listed file written over a longer or a shorter old file holds the
+    bytes of an export into a new directory; files that no listed name
+    covers are left as they were."""
+    shared = tmp_path / "shared"
+    sizes = []  # (old size, new size) of each file written over
+    for name in ("ruled-general-4", "ruled-three", "cp2-six"):
+        result = enumerate_graphs(load_scenario(name).enumeration_spec())
+        fresh = _exported(result, tmp_path / name)
+        sizes += [((shared / n).stat().st_size, len(data))
+                  for n, data in fresh.items() if (shared / n).exists()]
+        assert _exported(result, shared) == fresh
+    assert any(old > new for old, new in sizes) and any(old < new for old, new in sizes)
+    left = {p.name for p in shared.iterdir()} - set(fresh)
+    assert len(left) == 317 - 26
+    assert all(
+        (shared / n).read_bytes() == (tmp_path / "ruled-general-4" / n).read_bytes()
+        for n in left
+    )
+
+
+def test_verify_out_over_old_output_writes_the_same_report(tmp_path):
+    """``verify --out`` into its own earlier output, and into a larger run's,
+    writes the bytes of its first run."""
+    out = tmp_path / "run"
+
+    def verify(name):
+        assert main(["verify", "--scenario", name, "--out", str(out)]) == 0
+        return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    first = verify("ruled-three")
+    assert verify("ruled-three") == first
+    verify("cp2-six")
+    again = verify("ruled-three")
+    assert {n: again[n] for n in first} == first
+
+
+def test_the_writer_writes_the_whole_text_through_short_writes(tmp_path, monkeypatch):
+    """``os.write`` may write less than it is given: the writer goes on until
+    every byte is written, then cuts the longer old file to the new length."""
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"x" * 1000)
+    text = "\u03c9 = 3/10 \u2014 " * 20 + "\n"
+    calls = []
+    real_write = os.write
+
+    def short_write(fd, data):
+        calls.append(len(data))
+        return real_write(fd, bytes(data[:7]))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "write", short_write)
+        _write_text(str(path), text)
+    data = text.encode("utf-8")
+    assert path.read_bytes() == data
+    assert len(calls) == -(-len(data) // 7) and calls[0] == len(data)
 
 
 def test_cross_check_failure_sets_its_gate_false(monkeypatch):

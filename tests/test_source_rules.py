@@ -9,8 +9,10 @@ alone: under their modules a ``Fraction(`` call stands only inside a
 function of ``FRACTION_ALLOWED``, which is empty.  A graph is an immutable value, whose
 dataclass is not frozen (a frozen one writes each slot through
 ``object.__setattr__``): so no module stores to or deletes an attribute named
-after one of its value fields.  The checks read each module's syntax tree
-with the standard library's ``ast``.
+after one of its value fields.  No module calls the builtin ``open``: files
+are read through ``scenarios._read_text`` and written through
+``scenarios._write_text``, one path for each job.  The checks read each
+module's syntax tree with the standard library's ``ast``.
 """
 
 import ast
@@ -182,3 +184,31 @@ def test_the_value_rule_finds_each_kind_of_store():
         "line 8: __setattr__( of 'omega'",
         "line 9: __setattr__( of 'edges'",
     ]
+
+
+def open_calls(tree: ast.AST) -> list[str]:
+    """Each call of the builtin ``open`` (a bare name; ``os.open`` is no such
+    call), with its line."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "open":
+                found.append(node.lineno)
+    return [f"line {line}: open(" for line in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_calls_the_builtin_open(path):
+    assert open_calls(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_open_rule_finds_a_planted_open():
+    tree = ast.parse(
+        "import os\n"
+        "def f(p, text):\n"
+        "    fd = os.open(p, os.O_RDONLY)\n"
+        "    with open(p, 'w') as fh:\n"
+        "        fh.write(text)\n"
+        "    return open(p).read(), fd\n"
+    )
+    assert open_calls(tree) == ["line 4: open(", "line 6: open("]
