@@ -118,24 +118,23 @@ def _relabeling_table(model: SurfaceModel, perm: dict[int, int]) -> _Table | Non
     return _Table(relabeled)
 
 
-def _permutation_group(g: DecoratedGraph) -> tuple[tuple[dict[int, int], _Table | None], ...]:
-    """Permutations of blowup-created exceptional indices of equal size, each
-    with its class table (``_relabeling_table``).
+def _permutation_group(g: DecoratedGraph) -> tuple[_Table | None, ...]:
+    """The class tables (``_relabeling_table``) of the permutations of
+    blowup-created exceptional indices of equal size, None for the identity.
 
     A ledger of s steps created the last s indices.  They and the class
-    vector decide the permutations, listed once per (vector, indices) and kept
-    on the vector with their tables, which the graphs of a level share.  A
+    vector decide the permutations, whose tables are listed once per (vector,
+    indices) and kept on the vector, so the graphs of a level share them.  A
     new vector starts with none.  Do not change them.
     """
     created = tuple(range(g.model.k - len(g.ledger) + 1, g.model.k + 1))
     table = g.omega._relabelings
-    perms = table.get(created)
-    if perms is None:
-        perms = table[created] = tuple(
-            (perm, _relabeling_table(g.model, perm))
-            for perm in _relabelings(g.omega.deltas, created)
+    tables = table.get(created)
+    if tables is None:
+        tables = table[created] = tuple(
+            _relabeling_table(g.model, perm) for perm in _relabelings(g.omega.deltas, created)
         )
-    return perms
+    return tables
 
 
 def dedup_key(g: DecoratedGraph, permute_equal_sizes: bool = True) -> str:
@@ -146,7 +145,7 @@ def dedup_key(g: DecoratedGraph, permute_equal_sizes: bool = True) -> str:
     only rewrites the classes of the lines, through its table.  Without
     relabeling, the identity (no table) is the one relabeling.
     """
-    tables = [table for _, table in _permutation_group(g)] if permute_equal_sizes else [None]
+    tables = _permutation_group(g) if permute_equal_sizes else [None]
     return normal_key(g, tables)
 
 

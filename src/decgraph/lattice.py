@@ -407,8 +407,8 @@ class CohomologyVector:
         # Its compute holds the model and entries, not the vector: a vector
         # in no reference cycle is freed, tables and all, with its last graph.
         object.__setattr__(self, "_extensions", _Table(partial(_extended, self.model, entries)))
-        # enumeration._permutation_group's relabelings, each with its class
-        # table, per created indices
+        # enumeration._permutation_group's relabeling class tables, per
+        # created indices
         object.__setattr__(self, "_relabelings", {})
         # Tables the kernel reads per graph, filled as it asks and freed with
         # the vector: the area ``weights . coeffs`` of each class, keyed by the

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
 
 from .graphs import DecoratedGraph
 from .lattice import (
     HomologyClass,
     LatticeError,
+    _Table,
     _cached,
     intersect,
 )
@@ -81,9 +83,14 @@ class Certificate:
 
 @dataclass(frozen=True)
 class GraphVerdict:
+    """A graph is obstructed exactly when it has a certificate."""
+
     graph: DecoratedGraph
-    verdict: str
     certificate: Certificate | None
+
+    @property
+    def verdict(self) -> str:
+        return UNOBSTRUCTED if self.certificate is None else OBSTRUCTED
 
 
 @dataclass(frozen=True)
@@ -112,77 +119,78 @@ def is_proper_transform_shape(c: HomologyClass) -> bool:
     return all(j > i for j, x in enumerate(exc, start=1) if x == -1)
 
 
+def _certify(key: tuple) -> CertifiedClass | bool:
+    """The ``CertifiedClass`` of (class, label), label None for a fixed
+    surface, or False for a label-1 class that is no proper transform."""
+    cls, label = key
+    if label is None or label >= 2:
+        return CertifiedClass(cls, "stabilizer", label)
+    return is_proper_transform_shape(cls) and CertifiedClass(cls, "proper_transform", label)
+
+
 def certified_classes(
-    g: DecoratedGraph, mode: str = STABILIZER_ONLY, shapes: dict | None = None
+    g: DecoratedGraph, mode: str = STABILIZER_ONLY, table: _Table | None = None
 ) -> list[CertifiedClass]:
     """All classes with guaranteed holomorphic representatives in the graph.
 
-    ``shapes`` maps each (class, label) met to its one ``CertifiedClass``
-    (label None for a fixed surface), or to False for a label-1 class that
-    is no proper transform.  Callers share one across the graphs of one
-    search, and so its objects.
+    ``table`` is a ``_Table(_certify)``: callers share one across the graphs
+    of one search, and so one object per (class, label).
     """
     if mode not in (STABILIZER_ONLY, INTEGRABLE_BLOWUP):
         raise LatticeError(f"unknown certification mode {mode!r}")
-    if shapes is None:
-        shapes = {}
+    if table is None:
+        table = _Table(_certify)
     integrable = mode == INTEGRABLE_BLOWUP
-    out = []
-    for v in g.vertices:
-        if v.fat is not None:
-            cert = shapes.get((v.fat, None))
-            if cert is None:
-                cert = shapes[v.fat, None] = CertifiedClass(v.fat, "stabilizer", None)
-            out.append(cert)
+    out = [table[v.fat, None] for v in g.vertices if v.fat is not None]
     for _, _, label, cls in g.edges:
         if label >= 2 or integrable:
-            cert = shapes.get((cls, label))
-            if cert is None:
-                if label >= 2:
-                    cert = CertifiedClass(cls, "stabilizer", label)
-                elif is_proper_transform_shape(cls):
-                    cert = CertifiedClass(cls, "proper_transform", label)
-                else:
-                    cert = False
-                shapes[cls, label] = cert
+            cert = table[cls, label]
             if cert:
                 out.append(cert)
     out.sort(key=attrgetter("_order"))
     return out
 
 
+def _certificate(required: list[RequiredClass], rule: str, cert: CertifiedClass) -> Certificate | None:
+    """``cert`` against the first required class of another class (negative
+    pair) or of its own (negative square, if the group does not fix ``cert``
+    pointwise) that it meets negatively.  Equal classes are one object."""
+    a, square = cert.cls, rule == RULE_NEGATIVE_SQUARE
+    for req in required:
+        if (req.cls is a) is square:
+            prod = intersect(a, req.cls)
+            if prod < 0 and not (square and cert.pointwise_fixed(req.fixed_by)):
+                return Certificate(cert, req, prod, rule)
+    return None
+
+
+def _certificate_tables(required: list[RequiredClass]) -> tuple[_Table, ...]:
+    """Each certified class's ``_certificate`` by the negative-pair rule, then
+    by the negative-square rule, made on first use and kept."""
+    return tuple(
+        _Table(partial(_certificate, required, rule))
+        for rule in (RULE_NEGATIVE_PAIR, RULE_NEGATIVE_SQUARE)
+    )
+
+
 def find_certificate(
     certified: list[CertifiedClass],
     required: list[RequiredClass],
-    products: dict | None = None,
+    found: tuple[_Table, ...] | None = None,
 ) -> Certificate | None:
     """First contradiction in canonical order, preferring distinct classes.
 
-    ``products`` keeps ``intersect`` per pair of classes; callers share one
-    across the graphs of one search.  Classes are one object per class of the
-    run's model, so equal classes are the same object.
+    ``found`` is ``_certificate_tables(required)``: callers share one across
+    the graphs of one search, and so one ``Certificate`` per distinct
+    certificate.
     """
-    if products is None:
-        products = {}
-    for cert in certified:
-        a = cert.cls
-        for req in required:
-            b = req.cls
-            if a is not b:
-                prod = products.get((a, b))
-                if prod is None:
-                    prod = products[a, b] = intersect(a, b)
-                if prod < 0:
-                    return Certificate(cert, req, prod, RULE_NEGATIVE_PAIR)
-    for cert in certified:
-        a = cert.cls
-        for req in required:
-            if a is req.cls:
-                sq = products.get((a, a))
-                if sq is None:
-                    sq = products[a, a] = intersect(a, a)
-                if sq < 0 and not cert.pointwise_fixed(req.fixed_by):
-                    return Certificate(cert, req, sq, RULE_NEGATIVE_SQUARE)
+    if found is None:
+        found = _certificate_tables(required)
+    for certificates in found:
+        for cert in certified:
+            certificate = certificates[cert]
+            if certificate is not None:
+                return certificate
     return None
 
 
@@ -195,21 +203,16 @@ def check_nonextension(
 
     The cyclic action extends along none of the circle actions exactly when
     every graph is obstructed.  No graph makes the claim vacuously true, and
-    the report flags it as such.  The graphs share few distinct
-    classes, so each class's shape test and each pairing is computed once
-    per call.
+    the report flags it as such.  Each (class, label) is certified and
+    searched once per call, so graphs with equal certificates share one.
     """
-    verdicts = []
     required = list(required)
-    shapes: dict = {}
-    products: dict = {}
-    for g in graphs:
-        certified = certified_classes(g, mode, shapes)
-        cert = find_certificate(certified, required, products)
-        verdicts.append(
-            GraphVerdict(g, OBSTRUCTED if cert else UNOBSTRUCTED, cert)
-        )
-    return ObstructionReport(tuple(verdicts))
+    classes = _Table(_certify)
+    found = _certificate_tables(required)
+    return ObstructionReport(tuple(
+        GraphVerdict(g, find_certificate(certified_classes(g, mode, classes), required, found))
+        for g in graphs
+    ))
 
 
 def last_blowup_classes(
@@ -225,10 +228,10 @@ def last_blowup_classes(
     set must stay inside it.
     """
     out: set[HomologyClass] = set()
-    shapes: dict = {}
+    classes = _Table(_certify)
     for g in graphs:
         k = g.model.k
-        certified = certified_classes(g, mode, shapes)
+        certified = certified_classes(g, mode, classes)
         if mode == INTEGRABLE_BLOWUP:
             ek = g.model.exceptional(k)
             if any(c.cls == ek for c in certified):

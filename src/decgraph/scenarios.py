@@ -47,6 +47,7 @@ from .lattice import (
     HomologyClass,
     LatticeError,
     SurfaceModel,
+    _Table,
     is_reduced,
     rat,
     rat_str,
@@ -543,22 +544,13 @@ def run_scenario(scenario: Scenario) -> RunOutcome:
         result.graphs, scenario.required_classes(model), scenario.mode
     )
     # Graphs repeat few ledger steps and certificates, so each distinct one
-    # gets one text or dict, shared.  A certificate is keyed on its interned
-    # classes and scalars, not on its nested dataclasses, whose hash is costly.
+    # gets one text or dict, shared.  The search makes one object per distinct
+    # certificate, and the object is the key.
     ledger_texts: dict = {}
-    certificates: dict = {}
+    certificates = _Table(_certificate_json)
     graphs = []
     for v in obstruction.verdicts:
-        cert = v.certificate
-        if cert is not None:
-            c, r = cert.certified, cert.required
-            key = (
-                c.cls, c.label, c.justification, r.cls, r.fixed_by, cert.intersection, cert.rule
-            )
-            shared = certificates.get(key)
-            if shared is None:
-                shared = certificates[key] = _certificate_json(cert)
-            cert = shared
+        cert = v.certificate and certificates[v.certificate]
         ledger = _ledger_texts(v.graph.ledger, model.k, ledger_texts)
         graphs.append({"ledger": ledger, "verdict": v.verdict, "certificate": cert})
     report["graphs"] = graphs

@@ -104,6 +104,7 @@ from decgraph.lattice import (
     HomologyClass,
     LatticeError,
     SurfaceModel,
+    _Table,
     chern_pairing,
     intersect,
     pair,
@@ -118,6 +119,7 @@ from decgraph.obstruct import (
     Certificate,
     CertifiedClass,
     RequiredClass,
+    _certify,
     certified_classes,
     check_nonextension,
     is_proper_transform_shape,
@@ -589,7 +591,7 @@ def reference_writer_dedup_key(g, permute_equal_sizes=True):
     """``dedup_key`` on the three-pass writer, with the kernel's relabelings."""
     if not permute_equal_sizes:
         return reference_normal_key(g)
-    return reference_normal_key(g, [table for _, table in _permutation_group(g)])
+    return reference_normal_key(g, _permutation_group(g))
 
 
 def reference_apply_blowup(g, vertex, delta):
@@ -1171,7 +1173,7 @@ def assert_writer_matches_the_reference(g):
     identity alone and on the general path (two identity relabelings), and
     both dedup keys."""
     for down in (False, True):
-        for _, table in _permutation_group(g):
+        for table in _permutation_group(g):
             kernel = "\n".join(_lines(g, _walk(g, down), table)) + "\n"
             assert kernel == reference_written_text(g, down, table)
     assert canonical_text(g) == reference_written_text(g) + reference_ledger_record(g) + "\n"
@@ -1316,7 +1318,7 @@ def test_normal_key_is_the_smaller_full_text_under_every_relabeling(golden_level
     """Both branches of the key: start records that differ, and ties."""
     decided = tied = 0
     for g in golden_level_graphs:
-        for perm, _ in _permutation_group(g):
+        for perm in reference_permutation_group(g):
             p = permute_exceptionals(g, perm)
             _, up, down = full_texts(p)
             assert normal_key(p) == min(up, down)
@@ -1341,7 +1343,7 @@ def test_a_relabeled_graph_has_the_dedup_key_of_its_graph(relabeled_level_graphs
     relabeled = 0
     for g in relabeled_level_graphs:
         key = dedup_key(g)
-        for perm, _ in _permutation_group(g):
+        for perm in reference_permutation_group(g):
             assert dedup_key(permute_exceptionals(g, perm)) == key
             relabeled += bool(perm)
         assert dedup_key(g, False) == normal_key(g)
@@ -1817,21 +1819,21 @@ def reference_last_blowup_classes(graphs, mode):
 
 
 def test_shared_certified_classes_match_the_reference(golden_levels):
-    """One ``shapes`` dict per scenario and mode, as a search shares it: the
-    certified classes of every golden-level graph are the reference's, and
-    each (class, label) is one object across the graphs."""
+    """One certified-class table per scenario and mode, as a search shares
+    it: the certified classes of every golden-level graph are the
+    reference's, and each (class, label) is one object across the graphs."""
     count = 0
     for mode in (STABILIZER_ONLY, INTEGRABLE_BLOWUP):
         for _, levels in golden_levels:
-            shapes, objects = {}, {}
+            table, objects = _Table(_certify), {}
             for level in levels:
                 for g in level.graphs:
-                    certified = certified_classes(g, mode, shapes)
+                    certified = certified_classes(g, mode, table)
                     assert certified == reference_certified_classes(g, mode)
                     for c in certified:
                         assert objects.setdefault((c.cls, c.label), c) is c
                     count += 1
-            assert all(c is False or c is objects[key] for key, c in shapes.items())
+            assert all(c is False or c is objects[key] for key, c in table.items())
     assert count == 2 * 558
 
 
@@ -1952,18 +1954,34 @@ def test_validate_reports_a_non_integer_height():
     ) == []
 
 
+def relabels_as(model, table, perm):
+    """Whether the class table ``table`` (None for the identity) moves each
+    Ei coefficient to E perm(i): read on the class sum of i Ei, whose
+    coefficients are distinct."""
+    if table is None:
+        return not perm
+    head = model.head
+    c = model.intern((0,) * head + tuple(range(1, model.k + 1)))
+    moved = list(c.coeffs)
+    for i, j in perm.items():
+        moved[head + j - 1] = i
+    return bool(perm) and table[c] is model.intern(tuple(moved))
+
+
 def test_relabelings_are_listed_once_per_vector_and_created_indices(golden_level_graphs):
     lists = {}
     shared = relabeled = 0
     for g in golden_level_graphs:
-        perms = _permutation_group(g)
-        assert perms is _permutation_group(g)
-        assert [perm for perm, _ in perms] == list(reference_permutation_group(g))
+        tables = _permutation_group(g)
+        assert tables is _permutation_group(g)
+        perms = list(reference_permutation_group(g))
+        assert len(tables) == len(perms)
+        assert all(relabels_as(g.model, t, p) for t, p in zip(tables, perms))
         key = (id(g.omega), len(g.ledger))  # the last s indices were created
         if key in lists:
             shared += 1
-        assert lists.setdefault(key, perms) is perms
-        relabeled += len(perms) > 1
+        assert lists.setdefault(key, tables) is tables
+        relabeled += len(tables) > 1
     assert shared > 400 and relabeled > 50
 
 

@@ -11,17 +11,24 @@ each child made its own ledger step and ids, 1,760 when a fixed surface also
 held its size and genus and a graph its model, 4,038 when every graph kept
 its index and the report built each ledger text and certificate anew).  A
 change that caches per graph again shows here.
+
+The obstruction report of ruled-deep's final graphs holds about 101 bytes
+per graph, a verdict each and one certificate per distinct certificate (211
+when the search built a certificate per graph).
 """
 
 import gc
 import tracemalloc
 from pathlib import Path
 
+from decgraph.enumeration import enumerate_graphs
+from decgraph.obstruct import check_nonextension
 from decgraph.scenarios import load_scenario, run_scenario
 
 BYTES_PER_GRAPH = 1410
 BOUND = 1.25 * BYTES_PER_GRAPH
 DEEP_BYTES_PER_GRAPH = 1342  # perfbench/ruled-deep.scenario
+DEEP_REPORT_BYTES_PER_GRAPH = 101  # check_nonextension's report on ruled-deep
 DEEP_SCENARIO = str(Path(__file__).resolve().parents[1] / "perfbench" / "ruled-deep.scenario")
 
 
@@ -49,6 +56,26 @@ def test_a_held_run_retains_little_per_final_graph():
 def test_a_held_deep_run_retains_little_per_final_graph():
     per_graph = retained_per_graph(DEEP_SCENARIO, 2520)
     assert per_graph <= 1.25 * DEEP_BYTES_PER_GRAPH, f"{per_graph:.0f} bytes per graph"
+
+
+def test_a_deep_obstruction_report_holds_little_per_graph():
+    scenario = load_scenario(DEEP_SCENARIO)
+    spec = scenario.enumeration_spec()
+    graphs = enumerate_graphs(spec).graphs
+    required = scenario.required_classes(spec.final_omega.model)
+    check_nonextension(graphs, required, scenario.mode)  # one-time caches, outside the count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = check_nonextension(graphs, required, scenario.mode)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(report.verdicts) == len(graphs) == 2520
+    per_graph = retained / len(graphs)
+    assert per_graph <= 1.25 * DEEP_REPORT_BYTES_PER_GRAPH, f"{per_graph:.0f} bytes per graph"
 
 
 def test_a_deep_run_shares_its_ledger_steps_and_vertex_ids():

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,7 @@ from decgraph.obstruct import (
 from test_graphs import plane, ruled
 
 RULED_SIZES = (F(3, 5), F(7, 20), F(3, 10))
+DEEP_SCENARIO = str(Path(__file__).resolve().parents[1] / "perfbench" / "ruled-deep.scenario")
 
 
 def ruled_result():
@@ -194,3 +197,22 @@ def test_equal_size_identification_hides_no_unobstructed_graph(name):
     assert report["enumeration"]["final_count"] == 92
     assert {g["verdict"] for g in report["graphs"]} == {OBSTRUCTED}
     assert all(report["gates"].values()) and outcome.passed
+
+
+def test_a_search_makes_one_certificate_per_distinct_certificate():
+    """ruled-deep's 2,508 obstructed final graphs carry 38 distinct
+    certificates: the search makes one object for each (2,508 when it built
+    one per graph), and the report one JSON dict for each."""
+    from decgraph.scenarios import load_scenario, run_scenario
+
+    scenario = load_scenario(DEEP_SCENARIO)
+    outcome = run_scenario(scenario)
+    graphs = outcome.result.graphs
+    required = scenario.required_classes(graphs[0].model)
+    report = check_nonextension(graphs, required, scenario.mode)
+    certificates = [v.certificate for v in report.verdicts if v.certificate is not None]
+    assert len(certificates) == 2508
+    assert len({id(c) for c in certificates}) == len(set(certificates)) == 38
+    dicts = [g["certificate"] for g in outcome.report["graphs"] if g["certificate"] is not None]
+    assert len(dicts) == 2508
+    assert len({id(d) for d in dicts}) == len({json.dumps(d, sort_keys=True) for d in dicts}) == 38

@@ -233,9 +233,9 @@ def test_relabeling_tables_start_empty_and_return_the_models_classes(monkeypatch
         assert vectors[-1] is outcome.result.graphs[0].omega
         images = 0
         for omega in vectors:
-            for perms in omega._relabelings.values():
-                for perm, table in perms:
-                    assert (table is None) == (perm == {})
+            for tables in omega._relabelings.values():
+                assert tables[0] is None and None not in tables[1:]  # the identity first
+                for table in tables:
                     for c, image in (table or {}).items():
                         assert c.model is image.model is omega.model
                         assert image is image.model.intern(image.coeffs)
