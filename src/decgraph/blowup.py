@@ -18,6 +18,7 @@ rewrites is written once, for the min end, and mirrored at the max end.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 from .graphs import (
@@ -30,7 +31,7 @@ from .graphs import (
     Vertex,
     validate,
 )
-from .lattice import LatticeError, rat
+from .lattice import LatticeError, _Table, rat
 
 
 class BlowupError(ValueError):
@@ -107,6 +108,33 @@ def blowup_sites(g: DecoratedGraph, delta) -> list[BlowupSite]:
     return [site for site in _site_table(g).values() if size < site.bound * q]
 
 
+def _shared(g: DecoratedGraph, delta) -> tuple:
+    """What every blowup of ``g`` by ``delta`` shares, made on the first one.
+
+    It is kept in ``g._extension`` after the size and the extension that
+    ``g.extend`` keeps there, so ``extend`` still finds them, until
+    ``_drop_caches`` or a blowup at another size replaces it: the size, the
+    extension and its index; the size as the height w over the extension's
+    class vector; E_k and the table c -> c - E_k; the step's vertex-id
+    table; ``g``'s end ids.
+    """
+    x = g.extend(delta)
+    model = x.model
+    # The run's ledger steps, keyed by themselves, and each step's vertex ids,
+    # keyed by the step: one object per value across the run.
+    steps, step = model._steps, len(g.ledger) + 1
+    named = steps.get(step)
+    if named is None:
+        named = steps[step] = _Table(partial("{}.{}".format, step))
+    held = g._extension = (
+        delta, x, x._index or x._build_index(),
+        delta.numerator * (x.omega.denominator // delta.denominator),
+        model.exceptional(model.k), model._less_last,
+        named, g.vertices[0].vid, g.vertices[-1].vid,
+    )
+    return held
+
+
 def apply_blowup(g: DecoratedGraph, vertex: str, delta) -> DecoratedGraph:
     """Blow ``g`` up by ``delta`` at the site ``vertex``; exact bookkeeping.
 
@@ -115,31 +143,31 @@ def apply_blowup(g: DecoratedGraph, vertex: str, delta) -> DecoratedGraph:
     vector; the rewrite follows the local model at the site, written once
     for both ends.  The result always passes validation and pairs Ee to the
     blowup size; its ledger step and new vertex ids are the run's (``_steps``).
+
+    The child rewrites the parent's extension, which its siblings share and
+    whose classes are already embedded; it and the rest of what the
+    parent's blowups at this size share are made once (``_shared``).  Each
+    call still looks up its site and checks its strict bound, before any of
+    that is made, and validates its result.
     """
     delta = rat(delta)
-    v = g.vertex(vertex)
-    site = _site_table(g).get(v.vid)
+    site = _site_table(g).get(vertex)
     if site is None:
+        g.vertex(vertex)  # GraphError for an unknown id
         raise BlowupError(f"no blowup site at vertex {vertex}")
     if not 0 < delta.numerator * g.omega.denominator < site.bound * delta.denominator:
         raise BlowupError(
             f"size {delta} not strictly below the bound {g.omega._moment_texts[site.bound]}"
             f" at {site.kind}@{site.vertex}"
         )
-
-    # The child rewrites the parent's extension, which its siblings share and
-    # whose classes are already embedded; its class vector's denominator
-    # makes the size an integer height w.
-    x = g.extend(delta)
-    w = delta.numerator * (x.omega.denominator // delta.denominator)
-    by_vid, above, below = x._index or x._build_index()
-    h = by_vid[v.vid].height
-    Ee, less = x.model.exceptional(x.model.k), x.model._less_last  # c -> c - Ee
-    step = len(g.ledger) + 1
-    steps = x.model._steps  # the run's ledger steps, keyed by themselves, and ids
-    named = lambda suffix: steps.setdefault((step, suffix), f"{step}.{suffix}")
+    held = g._extension
+    if held is None or held[0] is not delta or len(held) == 2:
+        held = _shared(g, delta)
+    _, x, (by_vid, above, below), w, Ee, less, named, vmin, vmax = held
+    vid = site.vertex
+    h = by_vid[vid].height
     fiber = x.fiber
-    vertices = [u for u in x.vertices if u.vid != v.vid]
+    vertices = [u for u in x.vertices if u.vid != vid]
     at_min = site.end == "min"
     sgn = 1 if at_min else -1
 
@@ -148,10 +176,10 @@ def apply_blowup(g: DecoratedGraph, vertex: str, delta) -> DecoratedGraph:
         return Edge(near, far, label, cls) if at_min else Edge(far, near, label, cls)
 
     if site.kind == INTERIOR:
-        (up,), (down,) = above[v.vid], below[v.vid]
+        (up,), (down,) = above[vid], below[vid]
         m, n = up.label, down.label
-        hi = Vertex(named("hi"), h + m * w)
-        lo = Vertex(named("lo"), h - n * w)
+        hi = Vertex(named["hi"], h + m * w)
+        lo = Vertex(named["lo"], h - n * w)
         new_vertices = [hi, lo]
         edges = [e for e in x.edges if e is not up and e is not down]
         new_edges = [
@@ -161,11 +189,10 @@ def apply_blowup(g: DecoratedGraph, vertex: str, delta) -> DecoratedGraph:
         ]
 
     elif site.kind == SURFACE:
-        mid = Vertex(named("c"), h + sgn * w)
-        new_vertices = [Vertex(v.vid, h, less[by_vid[v.vid].fat]), mid]
-        vmin, vmax = g.vertices[0].vid, g.vertices[-1].vid
+        mid = Vertex(named["c"], h + sgn * w)
+        new_vertices = [Vertex(vid, h, less[by_vid[vid].fat]), mid]
         new_edges = [
-            edge(v.vid, mid.vid, 1, Ee),
+            edge(vid, mid.vid, 1, Ee),
             edge(mid.vid, vmax if at_min else vmin, 1, less[fiber]),
         ]
         # The spawned chain supplants one free max-to-min sphere, if drawn: the
@@ -177,18 +204,18 @@ def apply_blowup(g: DecoratedGraph, vertex: str, delta) -> DecoratedGraph:
                 break
 
     else:  # EXTREMUM
-        incident = (above if at_min else below)[v.vid]
+        incident = (above if at_min else below)[vid]
         ea, eb = sorted(incident, key=lambda e: -e.label)
         m, n = ea.label, eb.label
         away = (lambda e: e.top) if at_min else (lambda e: e.bottom)
         edges = [e for e in x.edges if e is not ea and e is not eb]
         if m == n:  # both weights 1: the blowup creates a fixed surface
-            fatv = Vertex(named("s"), h + sgn * w, Ee)
+            fatv = Vertex(named["s"], h + sgn * w, Ee)
             new_vertices = [fatv]
             new_edges = [edge(fatv.vid, away(e), 1, less[e.cls]) for e in (ea, eb)]
         else:
-            hi = Vertex(named("hi"), h + sgn * m * w)
-            lo = Vertex(named("lo"), h + sgn * n * w)
+            hi = Vertex(named["hi"], h + sgn * m * w)
+            lo = Vertex(named["lo"], h + sgn * n * w)
             new_vertices = [hi, lo]
             new_edges = [
                 edge(hi.vid, away(ea), m, less[ea.cls]),
@@ -198,8 +225,8 @@ def apply_blowup(g: DecoratedGraph, vertex: str, delta) -> DecoratedGraph:
         fiber = fiber - n * Ee
 
     # An interior step records the step that made the vertex: its id's head.
-    entry = LedgerEntry(site.kind, v.vid.split(".")[0] if site.kind == INTERIOR else site.end)
-    entry = steps.setdefault(entry, entry)
+    entry = LedgerEntry(site.kind, vid.split(".")[0] if site.kind == INTERIOR else site.end)
+    entry = x.model._steps.setdefault(entry, entry)
     out = DecoratedGraph.build(
         x.omega, vertices + new_vertices, edges + new_edges, g.ledger + (entry,), fiber
     )

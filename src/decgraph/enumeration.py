@@ -122,16 +122,17 @@ def _permutation_group(g: DecoratedGraph) -> tuple[_Table | None, ...]:
     """The class tables (``_relabeling_table``) of the permutations of
     blowup-created exceptional indices of equal size, None for the identity.
 
-    A ledger of s steps created the last s indices.  They and the class
-    vector decide the permutations, whose tables are listed once per (vector,
-    indices) and kept on the vector, so the graphs of a level share them.  A
-    new vector starts with none.  Do not change them.
+    A ledger of s steps created the last s indices, k - s + 1 to k.  So the
+    class vector and s decide the permutations, whose tables are listed once
+    per (vector, ledger length) and kept on the vector, so the graphs of a
+    level share them.  A new vector starts with none.  Do not change them.
     """
-    created = tuple(range(g.model.k - len(g.ledger) + 1, g.model.k + 1))
-    table = g.omega._relabelings
-    tables = table.get(created)
+    table, steps = g.omega._relabelings, len(g.ledger)
+    tables = table.get(steps)
     if tables is None:
-        tables = table[created] = tuple(
+        k = g.model.k
+        created = range(k - steps + 1, k + 1)
+        tables = table[steps] = tuple(
             _relabeling_table(g.model, perm) for perm in _relabelings(g.omega.deltas, created)
         )
     return tables

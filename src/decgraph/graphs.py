@@ -152,10 +152,13 @@ class DecoratedGraph:
         the class vector pairs the new class to ``delta``.  No step made it,
         so the ledger is empty.  Padding keeps the build order, so nothing is
         re-sorted.  When the class vector's denominator grows, the heights
-        grow with it.  This graph holds its latest extension, with its size,
-        until ``_drop_caches``, so the blowups of one graph at one size share
-        it, its index and its vertices, edges and classes.  A repeated call
-        finds it by the size's identity, hashing no ``Fraction``.
+        grow with it.  This graph holds its latest extension in ``_extension``
+        until ``_drop_caches``, as the tuple (size, extension, ...): a repeated
+        call finds it by the size's identity, hashing no ``Fraction``, and a
+        call at another size replaces it.  ``blowup.apply_blowup`` extends the
+        tuple, on the first blowup at a size, with what every blowup of this
+        graph at that size shares: the extension's index, the size in
+        integers, E_k and the step's vertex ids, among others.
         """
         delta = rat(delta)
         held = self._extension
@@ -468,16 +471,20 @@ def break_free_edges(g: DecoratedGraph) -> DecoratedGraph:
 def strip_redundant(g: DecoratedGraph) -> DecoratedGraph:
     """Drop label-1 edges joining the minimum directly to the maximum.
 
-    Returns ``g`` itself, with its index, when there is none to drop.
+    The edges are scanned for one before any is copied: returns ``g``
+    itself, with its index, when there is none to drop.
     """
     vmin, vmax = g.vertices[0].vid, g.vertices[-1].vid
+    for bottom, top, label, _ in g.edges:
+        if top == vmax and bottom == vmin and label == 1:
+            break
+    else:
+        return g
     edges = tuple(
         e
         for e in g.edges
         if not (e.label == 1 and e.bottom == vmin and e.top == vmax)
     )
-    if len(edges) == len(g.edges):
-        return g
     # A subset of sorted edges on the same vertices is already in build order.
     return DecoratedGraph(g.omega, g.vertices, edges, g.ledger, g.fiber)
 
@@ -515,7 +522,7 @@ def _fixed_record(c: HomologyClass | None, omega: CohomologyVector) -> str:
     text = records.get(c)
     if text is None:
         size = omega._moment_texts[omega._areas[c]]
-        text = records[c] = f"fat size={size} genus={c.twice_genus // 2} class={c}"
+        text = records[c] = f"fat size={size} genus={c.twice_genus // 2} class={c.text}"
     return text
 
 
@@ -598,10 +605,10 @@ def _lines(g: DecoratedGraph, walk, relabel=None) -> list[str]:
             if i is None:
                 i = index[far] = str(len(lines) - 1)
                 add(f"V {i} {text} {_fixed_record(fat, omega)}")
-            put(f"E {near} {i} {label} {c}")
+            put(f"E {near} {i} {label} {c.text}")
             near = i
     lines += edges
-    lines.append(f"FIBER {fiber}")
+    lines.append(f"FIBER {fiber.text}")
     return lines
 
 
@@ -738,12 +745,12 @@ def parse_graph(text: str, omega: CohomologyVector | None = None) -> DecoratedGr
                     edge = Edge(f"0.v{b}", f"0.v{t}", label, cls)
                     term = tuple(label * c for c in cls.coeffs)
                     parsed = (3, b, t, (label, cls.coeffs), edge, term)
-                    written = f"{b} {t} {label} {cls}"
+                    written = f"{b} {t} {label} {cls.text}"
                 elif tag == "C":  # "C " or "C x"
                     parsed, written, keep = _BLOCK, "", False
                 elif tag == "FIBER":
                     fiber = model.parse(rest)
-                    parsed, written = (4, fiber), str(fiber)
+                    parsed, written = (4, fiber), fiber.text
                 else:  # LEDGER: the table keeps its step words, not the line
                     keep, words = False, rest.split(" ")
                     try:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from operator import add, mul, neg, sub
@@ -116,7 +116,7 @@ class SurfaceModel:
         object.__setattr__(self, "_classes", _Table(partial(HomologyClass, self)))
         object.__setattr__(self, "_parsed", _Table(self._parse))
         object.__setattr__(self, "_exceptionals", _Table(self._exceptional))
-        object.__setattr__(self, "_steps", {})  # see ``apply_blowup``; ``extend()`` shares it
+        object.__setattr__(self, "_steps", {})  # see ``blowup._shared``; ``extend()`` shares it
 
     @_cached
     def head(self) -> int:
@@ -231,20 +231,19 @@ class SurfaceModel:
 _TERM = re.compile(r"([+-]?)(\d*)(L|B|F|E(\d+))")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, eq=False)
 class HomologyClass:
     """An integer class in the fixed basis of a surface model.
 
     Build classes through the model (``intern``, ``unit``, ``parse``) or by
     arithmetic, which return the model's one object per coefficient tuple,
-    so a class equals only itself.  The text and the adjunction genus are
-    computed on first use and kept.
+    so a class equals only itself.  Its ``text`` and ``twice_genus`` are
+    computed on first read and are then plain instance attributes; nothing
+    is computed when a class is made.
     """
 
     model: SurfaceModel
     coeffs: tuple[int, ...]
-    _text: str | None = field(default=None, init=False, repr=False)
-    _genus: int | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.coeffs) != self.model.rank:
@@ -284,24 +283,25 @@ class HomologyClass:
             i for i in range(1, self.model.k + 1) if self.coeffs[head + i - 1] != 0
         )
 
-    @property
+    @_cached
     def twice_genus(self) -> int:
-        """``twice_adjunction_genus(self)``, computed once per object."""
-        if self._genus is None:
-            object.__setattr__(self, "_genus", twice_adjunction_genus(self))
-        return self._genus
+        """``twice_adjunction_genus(self)``."""
+        return twice_adjunction_genus(self)
+
+    @_cached
+    def text(self) -> str:
+        """'L-E1-E4-E5', '2B+3F-E2', '-E3' or '0': what ``parse`` reads."""
+        parts = []
+        for name, c in zip(self.model.basis_names, self.coeffs):
+            if c == 0:
+                continue
+            sign = "-" if c < 0 else ("+" if parts else "")
+            mag = abs(c)
+            parts.append(f"{sign}{'' if mag == 1 else mag}{name}")
+        return "".join(parts) if parts else "0"
 
     def __str__(self):
-        if self._text is None:
-            parts = []
-            for name, c in zip(self.model.basis_names, self.coeffs):
-                if c == 0:
-                    continue
-                sign = "-" if c < 0 else ("+" if parts else "")
-                mag = abs(c)
-                parts.append(f"{sign}{'' if mag == 1 else mag}{name}")
-            object.__setattr__(self, "_text", "".join(parts) if parts else "0")
-        return self._text
+        return self.text
 
 
 def intersect(a: HomologyClass, b: HomologyClass) -> int:
@@ -408,7 +408,7 @@ class CohomologyVector:
         # in no reference cycle is freed, tables and all, with its last graph.
         object.__setattr__(self, "_extensions", _Table(partial(_extended, self.model, entries)))
         # enumeration._permutation_group's relabeling class tables, per
-        # created indices
+        # ledger length
         object.__setattr__(self, "_relabelings", {})
         # Tables the kernel reads per graph, filled as it asks and freed with
         # the vector: the area ``weights . coeffs`` of each class, keyed by the

@@ -6,6 +6,7 @@ import pytest
 
 from decgraph.blowup import (
     BlowupError,
+    BlowupSite,
     apply_blowup,
     blowup_sites,
 )
@@ -13,6 +14,9 @@ from decgraph.enumeration import enumerate_levels
 from decgraph.graphs import (
     INTERIOR,
     BaseFamilyParams,
+    DecoratedGraph,
+    GraphError,
+    _drop_caches,
     base_hirzebruch,
     base_ruled,
     canonical_text,
@@ -27,6 +31,11 @@ from test_graphs import plane, ruled
 
 def two_surface_base():
     return base_hirzebruch(plane(), BaseFamilyParams("two_surfaces", 1))
+
+
+def fresh(g):
+    """``g`` as a new object: its values, none of its caches."""
+    return DecoratedGraph(g.omega, g.vertices, g.edges, g.ledger, g.fiber)
 
 
 def moment(g, vid):
@@ -235,6 +244,49 @@ def test_a_vertex_that_is_no_site_is_rejected():
     assert len((g._index or g._build_index())[2]["0.max"]) == 3
     with pytest.raises(BlowupError, match=r"^no blowup site at vertex 0\.max$"):
         apply_blowup(g, "0.max", F(1, 16))
+
+
+def test_a_refused_blowup_raises_as_before_and_builds_nothing():
+    """An unknown vertex, a vertex with no site and a size at the bound, or
+    at or below 0, each raise their error, twice, on a parent that holds
+    nothing and on one that holds the values of a blowup it made at
+    ``delta``; neither parent builds an extension or replaces what it holds."""
+    g = base_hirzebruch(plane(), BaseFamilyParams("one_surface", 1))
+    g = take(g, F(1, 4), kind="surface")
+    g = take(g, F(1, 8), kind="surface")
+    delta, at_bound = F(1, 16), F(1, 8)
+    site = blowup_sites(g, delta)[0]
+    assert site == BlowupSite(INTERIOR, "2.c", 1, "")
+    assert F(site.bound, g.omega.denominator) == at_bound
+    cases = [
+        ("nope", delta, GraphError, "no vertex 'nope'"),
+        ("0.max", delta, BlowupError, "no blowup site at vertex 0.max"),
+        ("2.c", at_bound, BlowupError, "size 1/8 not strictly below the bound 1/8 at interior@2.c"),
+        ("2.c", F(0), BlowupError, "size 0 not strictly below the bound 1/8 at interior@2.c"),
+        ("2.c", F(-1, 3), BlowupError, "size -1/3 not strictly below the bound 1/8 at interior@2.c"),
+    ]
+    for vertex, size, error, text in cases:
+        held = fresh(g)
+        apply_blowup(held, "0.a", delta)
+        for parent in (fresh(g), held):
+            before, built = parent._extension, len(parent.omega._extensions)
+            for _ in range(2):
+                with pytest.raises(error) as err:
+                    apply_blowup(parent, vertex, size)
+                assert type(err.value) is error and str(err.value) == text
+            assert parent._extension is before and len(parent.omega._extensions) == built
+
+
+def test_a_parent_holds_its_blowups_shared_values_until_its_caches_drop():
+    g = fresh(generic_form(base_ruled(ruled(), 0)))
+    assert g._extension is None
+    child = take(g, F(1, 4), kind="surface")
+    held = g._extension
+    assert held[0] == F(1, 4) and held[1] is g.extend(F(1, 4)) and len(held) > 2
+    assert g.extend(F(1, 4)) is held[1] and g._extension is held
+    assert canonical_text(take(g, F(1, 4), kind="surface")) == canonical_text(child)
+    _drop_caches(g)
+    assert (g._index, g._extension, g._sites) == (None, None, None)
 
 
 @pytest.mark.xfail(strict=True, raises=BlowupError, reason=(

@@ -126,6 +126,7 @@ from decgraph.obstruct import (
     last_blowup_classes,
 )
 from decgraph.scenarios import DEFAULT_REPS, export_graphs, load_scenario, run_scenario
+from test_blowup import fresh
 from test_graphs import plane
 
 
@@ -1652,6 +1653,40 @@ def test_cached_text_and_genus_match_the_formulas(data):
         assert c.twice_genus == twice_adjunction_genus(c) == reference_twice_genus(c)
 
 
+def test_every_class_of_the_golden_runs_has_the_old_text_and_genus(golden_levels):
+    """Every class that a golden run's models hold, its text read during the
+    run or not: ``text`` and ``str`` are the old formatter's text, and
+    ``twice_genus`` is the formula's genus."""
+    models = {g.model for _, levels in golden_levels for level in levels for g in level.graphs}
+    count = 0
+    for model in models:
+        for c in list(model._classes.values()):
+            assert c.text == str(c) == reference_class_text(c)
+            assert c.twice_genus == twice_adjunction_genus(c)
+            count += 1
+    assert len(models) == 22 and count > 500
+
+
+def test_a_class_parsed_by_the_scenario_check_holds_no_text(monkeypatch):
+    """A class computes its text on first read, not when it is made: the
+    check of ``load_scenario`` parses the required classes and reads their
+    genus only."""
+    from decgraph import scenarios
+
+    parsed = []
+    required_classes = scenarios.Scenario.required_classes
+
+    def recorded(scenario, model):
+        found = required_classes(scenario, model)
+        parsed.extend(r.cls for r in found)
+        return found
+
+    monkeypatch.setattr(scenarios.Scenario, "required_classes", recorded)
+    load_scenario(str(DEEP_SCENARIO))
+    assert len(parsed) == 2
+    assert all("text" not in c.__dict__ and "twice_genus" in c.__dict__ for c in parsed)
+
+
 def test_non_integer_coefficients_and_multipliers_are_rejected():
     m = SurfaceModel(RATIONAL, 2)
     c = m.parse("L-E1")
@@ -1968,20 +2003,24 @@ def relabels_as(model, table, perm):
     return bool(perm) and table[c] is model.intern(tuple(moved))
 
 
-def test_relabelings_are_listed_once_per_vector_and_created_indices(golden_level_graphs):
+def test_relabelings_are_listed_once_per_vector_and_ledger_length(golden_levels):
+    """A ledger of s steps created the last s indices, so the tables are
+    keyed by s: the graphs of one level share one tables object."""
     lists = {}
     shared = relabeled = 0
-    for g in golden_level_graphs:
-        tables = _permutation_group(g)
-        assert tables is _permutation_group(g)
-        perms = list(reference_permutation_group(g))
-        assert len(tables) == len(perms)
-        assert all(relabels_as(g.model, t, p) for t, p in zip(tables, perms))
-        key = (id(g.omega), len(g.ledger))  # the last s indices were created
-        if key in lists:
-            shared += 1
-        assert lists.setdefault(key, tables) is tables
-        relabeled += len(tables) > 1
+    for _, levels in golden_levels:
+        for level in levels:
+            for g in level.graphs:
+                tables = _permutation_group(g)
+                assert tables is _permutation_group(g) is _permutation_group(level.graphs[0])
+                perms = list(reference_permutation_group(g))
+                assert len(tables) == len(perms)
+                assert all(relabels_as(g.model, t, p) for t, p in zip(tables, perms))
+                key = (id(g.omega), len(g.ledger))
+                if key in lists:
+                    shared += 1
+                assert lists.setdefault(key, tables) is tables
+                relabeled += len(tables) > 1
     assert shared > 400 and relabeled > 50
 
 
@@ -2160,6 +2199,30 @@ def test_answers_are_the_same_after_the_caches_are_dropped(golden_levels, deep_l
     assert count == 558 + 2957
 
 
+def test_a_parent_at_interleaved_sizes_makes_a_fresh_parents_children(golden_levels):
+    """What a parent holds for its blowups at one size serves that size only:
+    at every site of every golden level graph, one parent blown up at d1,
+    then d2, then d1 again (an equal ``Fraction``, another object) makes the
+    children that parents holding nothing make.  The final levels are blown
+    up at half their last size."""
+    count = 0
+    for sizes, levels in golden_levels:
+        for depth, level in enumerate(levels):
+            d1 = sizes[depth] if depth < len(sizes) else sizes[-1] / 2
+            d2, again = d1 / 3, F(d1.numerator, d1.denominator)
+            assert again is not d1
+            for g in level.graphs:
+                parent = fresh(g)
+                for site in blowup_sites(parent, d1):
+                    made = [apply_blowup(fresh(g), site.vertex, d) for d in (d1, d2)]
+                    expected = [canonical_text(h) for h in made + made[:1]]
+                    got = [canonical_text(apply_blowup(parent, site.vertex, d)) for d in (d1, d2, again)]
+                    assert got == expected
+                    assert parent._extension[0] == d1 and parent.extend(d1) is parent._extension[1]
+                    count += 1
+    assert count == 3039
+
+
 def test_the_index_is_built_once_per_child_parent_and_extension(monkeypatch):
     """On distinct sizes a graph's whole index (its vertices by id and the
     edges above and below each, one pass) is built once in each role: a
@@ -2189,7 +2252,8 @@ def test_the_index_is_built_once_per_child_parent_and_extension(monkeypatch):
 def test_each_parent_derives_each_site_once(monkeypatch):
     """A parent's site table serves its sites and every child's blowup: each
     vertex of each expanded parent is looked at once, and ``apply_blowup``
-    derives no site of its own."""
+    derives no site of its own.  So too the parent's extension and that
+    extension's index are built once, on its first child."""
     from decgraph import blowup
 
     derived = Counter()
@@ -2198,11 +2262,33 @@ def test_each_parent_derives_each_site_once(monkeypatch):
         derived[id(g), v.vid] += 1
         return _site_for_vertex(g, v)
 
+    extend, build = DecoratedGraph.extend, DecoratedGraph._build_index
+    extensions, extended, indexed = {}, Counter(), Counter()
+
+    def counted_extend(g, delta):
+        held = g._extension
+        x = extend(g, delta)
+        if held is None or held[1] is not x:
+            extended[id(g)] += 1
+            extensions[id(x)] = x  # held, so that no other object takes its id
+        return x
+
+    def counted_build(g):
+        if g._index is None and id(g) in extensions:
+            indexed[id(g)] += 1
+        return build(g)
+
     monkeypatch.setattr(blowup, "_site_for_vertex", counted)
+    monkeypatch.setattr(DecoratedGraph, "extend", counted_extend)
+    monkeypatch.setattr(DecoratedGraph, "_build_index", counted_build)
     levels = list(enumerate_levels(load_scenario("ruled-general-4").enumeration_spec()))
     parents = [g for level in levels[:-1] for g in level.graphs]
     assert (len(parents), sum(lv.sites for lv in levels[-1].branch_log)) == (77, 394)
     assert derived == Counter((id(g), v.vid) for g in parents for v in g.vertices)
+    # Each parent builds one extension, whose index is built once, for all
+    # of its children.
+    assert extended == Counter(id(g) for g in parents)
+    assert len(extensions) == 77 and indexed == Counter(list(extensions))
 
 
 def test_a_level_holds_one_parents_site_table_at_a_time(monkeypatch):

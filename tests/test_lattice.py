@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import pickle
 import random
 import weakref
@@ -248,6 +249,20 @@ def test_enumerate_negative_classes_no_blowups():
     assert enumerate_negative_classes(SurfaceModel("rational", 0), 3) == []
     with pytest.raises(LatticeError):
         enumerate_negative_classes(M6, 0)
+
+
+@pytest.mark.parametrize(("shape", "bound", "count", "digest"), [
+    (("rational", 6), 1, 91, "e83ae3190adfb0cb2e782b53e8b2017623e85ddaf129d1a47131f7571f20fe67"),
+    (("rational", 7), 2, 175, "56280625d90dabfe2c979ee4a50e12057316d078fecb2c88d91d3ae6cc114ac1"),
+    (("ruled", 4, 2), 1, 84, "15172a9b092783b8b133eedd1bee2011555ef1d7c5b91d67e0bf77797d029910"),
+])
+def test_enumerate_negative_classes_lists_the_pinned_classes(shape, bound, count, digest):
+    """The list, as the SHA-256 of the repr of its coefficient tuples, that
+    the search returned when a class still held its text and genus in
+    slots, each computed on its first use."""
+    found = enumerate_negative_classes(SurfaceModel(*shape), bound)
+    assert len(found) == count
+    assert hashlib.sha256(repr([c.coeffs for c in found]).encode()).hexdigest() == digest
 
 
 def test_negative_enumeration_consistency_with_classifier():

@@ -4,13 +4,15 @@ A run holds its final graphs (``RunOutcome.result``) and its report.  A graph
 keeps no index once it is keyed or expanded, and its caches are slots, so it
 has no instance dict; the report shares its repeated texts and certificates,
 and the graphs of a run share one object per ledger step and per vertex id.
-So ruled-general-4 retains about 1,410 bytes per final graph and ruled-deep
-about 1,342 (1,418 and 1,350 when a graph kept two index slots; for
-ruled-general-4, 1,527 when its caches lived in an instance dict, 1,704 when
-each child made its own ledger step and ids, 1,760 when a fixed surface also
-held its size and genus and a graph its model, 4,038 when every graph kept
-its index and the report built each ledger text and certificate anew).  A
-change that caches per graph again shows here.
+So ruled-general-4 retains about 1,455 bytes per final graph and ruled-deep
+about 1,352 (1,415 and 1,343 when a class kept its text and genus in slots,
+not in an instance dict; 1,418 and 1,350 when a graph kept two index slots;
+for ruled-general-4, 1,527 when its caches lived in an instance dict, 1,704
+when each child made its own ledger step and ids, 1,760 when a fixed surface
+also held its size and genus and a graph its model, 4,038 when every graph
+kept its index and the report built each ledger text and certificate anew).
+The bounds stay 1.25 times the figures they were set on, 1,410 and 1,342.
+A change that caches per graph again shows here.
 
 The obstruction report of ruled-deep's final graphs holds about 101 bytes
 per graph, a verdict each and one certificate per distinct certificate (211
